@@ -570,7 +570,7 @@ let verify_mode () =
               (fun h ->
                  List.iter
                    (fun r -> ignore (V.submit_write client r))
-                   (Spitz.Auditor.receipts (Spitz.Db.auditor db) ~height:h))
+                   (Spitz.Db.L.write_receipts (Spitz.Db.ledger db) ~height:h))
               !heights;
             heights := []
           end)
@@ -580,7 +580,7 @@ let verify_mode () =
       (fun h ->
          List.iter
            (fun r -> ignore (V.submit_write client r))
-           (Spitz.Auditor.receipts (Spitz.Db.auditor db) ~height:h))
+           (Spitz.Db.L.write_receipts (Spitz.Db.ledger db) ~height:h))
       !heights;
     ignore (V.flush client);
     assert (V.failures client = 0);
@@ -1136,7 +1136,7 @@ let group_commit () =
                     /. float_of_int st.Spitz_storage.Wal.fsyncs
                 in
                 (* serial equivalence: replay the committed order *)
-                let ledger = Spitz.Auditor.ledger (Spitz.Db.auditor db) in
+                let ledger = Spitz.Db.ledger db in
                 let journal = Spitz.Db.L.journal ledger in
                 let serial = Spitz.Db.open_db () in
                 for h = 0 to Spitz.Db.L.height ledger - 1 do
@@ -1255,7 +1255,7 @@ let checkpoint_bench () =
     let thr = float_of_int (per * committers) /. wall in
     (* serial equivalence: background checkpoints must not leak into
        commitments *)
-    let ledger = Spitz.Auditor.ledger (Spitz.Db.auditor db) in
+    let ledger = Spitz.Db.ledger db in
     let journal = Spitz.Db.L.journal ledger in
     let serial = Spitz.Db.open_db () in
     for h = 0 to Spitz.Db.L.height ledger - 1 do
@@ -1703,7 +1703,7 @@ let server_bench () =
   (* serial equivalence: replay the journal's committed order (seed chunks
      and every Commit the storm landed) into a fresh in-memory db *)
   let replay_equal () =
-    let ledger = Spitz.Auditor.ledger (Spitz.Db.auditor db) in
+    let ledger = Spitz.Db.ledger db in
     let journal = Spitz.Db.L.journal ledger in
     let serial = Spitz.Db.open_db () in
     for h = 0 to Spitz.Db.L.height ledger - 1 do

@@ -3,8 +3,7 @@
    analytics ("items with stock below 50") runs read-committed without
    aborting on conflicts. Purchases here run under each of the three MVCC
    concurrency-control engines of section 5.2, then the committed state is
-   anchored in a Spitz ledger, and a cross-shard order runs two-phase commit
-   on the partitioned cluster.
+   anchored in a Spitz ledger.
 
      dune exec examples/ecommerce.exe *)
 
@@ -97,20 +96,4 @@ let () =
     (Option.value ~default:"?" value)
     (Spitz.Db.verify_read ~digest ~key ~value (Option.get proof));
 
-  (* A cross-shard order on the partitioned cluster: customer credit lives on
-     one shard, warehouse stock on another; two-phase commit keeps the order
-     atomic. *)
-  print_endline "== cross-shard order via 2PC ==";
-  let cluster = Spitz.Cluster.Partitioned.create ~shards:3 () in
-  (match
-     Spitz.Cluster.Partitioned.put_all cluster
-       [ ("credits:alice", "49"); ("stock:widget", "39"); ("order:1001", "alice->widget") ]
-   with
-   | Ok (commit_ts, heights) ->
-     Printf.printf "  order committed at ts %d across shards %s\n" commit_ts
-       (String.concat "," (List.map (fun (s, h) -> Printf.sprintf "%d(block %d)" s h) heights))
-   | Error why -> Printf.printf "  order aborted: %s\n" why);
-  Printf.printf "  order readable: %s\n"
-    (Option.value ~default:"?" (Spitz.Cluster.Partitioned.get cluster "order:1001"));
-  Printf.printf "  all shard ledgers audit: %b\n" (Spitz.Cluster.Partitioned.audit cluster);
   print_endline "done."

@@ -36,7 +36,7 @@ let () =
   (* The ICD-10 migration: diagnoses are re-coded, but nothing is destroyed —
      each update appends a version, and the pre-migration state remains
      readable and verifiable. *)
-  let migration_height = Auditor.height (Db.auditor db) - 1 in
+  let migration_height = Db.L.height (Db.ledger db) - 1 in
   print_endline "-- ICD-9 to ICD-10 migration --";
   exec "INSERT INTO patients (id, diagnosis, coding, visits) VALUES ('p-001', 'E11.9', 'ICD-10', 3)";
   exec "INSERT INTO patients (id, diagnosis, coding, visits) VALUES ('p-003', 'E11.9', 'ICD-10', 7)";

@@ -14,7 +14,7 @@ let () =
     (fun (k, v) -> ignore (Spitz.Db.put db k v))
     [ ("alice", "engineer"); ("bob", "designer"); ("carol", "analyst") ];
   Printf.printf "wrote 3 records; ledger height = %d\n"
-    (Spitz.Auditor.height (Spitz.Db.auditor db));
+    (Spitz.Db.L.height (Spitz.Db.ledger db));
 
   (* 3. Plain reads answer from the cell store. *)
   Printf.printf "alice -> %s\n" (Option.get (Spitz.Db.get db "alice"));

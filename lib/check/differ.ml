@@ -129,7 +129,7 @@ let check_spitz (tr : Trace.trace) =
   (* write receipts of the newest block *)
   if committed then begin
     let height = Model.height model - 1 in
-    let receipts = Db.L.write_receipts (Spitz.Auditor.ledger (Db.auditor db)) ~height in
+    let receipts = Db.L.write_receipts (Db.ledger db) ~height in
     if receipts = [] then fail "no write receipts for height %d" height;
     List.iter
       (fun r ->
@@ -402,7 +402,7 @@ let check_concurrent_commits (tr : Trace.trace) =
     in
     List.iter Domain.join domains;
     let digest = Db.digest db in
-    let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+    let ledger = Db.ledger db in
     let height = Db.L.height ledger in
     if height <> List.length batches then
       fail "concurrent run: %d blocks for %d batches" height (List.length batches);
@@ -558,7 +558,7 @@ let check_concurrent_reads (tr : Trace.trace) =
            fail "reader saw %s for %S at height %d; committed state says %s"
              (opt_str v) key h (opt_str expect))
       observations;
-    if Db.L.height (Spitz.Auditor.ledger (Db.auditor db)) <> List.length batches
+    if Db.L.height (Db.ledger db) <> List.length batches
     then fail "commit storm lost blocks"
 
 (* Commit storm against a *durable* database while checkpoints race it.
@@ -643,7 +643,7 @@ let check_checkpoint_storm (tr : Trace.trace) =
     Domain.join reader;
     Db.set_checkpoint_policy d Db.Manual;
     let digest = Db.digest db in
-    let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+    let ledger = Db.ledger db in
     let height = Db.L.height ledger in
     if height <> List.length batches then
       fail "checkpoint storm: %d blocks for %d batches" height (List.length batches);
@@ -755,7 +755,7 @@ let check_concurrent_clients (tr : Trace.trace) =
     in
     let observations = List.concat_map Domain.join domains in
     let digest = Db.digest db in
-    let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+    let ledger = Db.ledger db in
     let height = Db.L.height ledger in
     if height <> List.length batches then
       fail "client storm: %d blocks for %d batches" height (List.length batches);

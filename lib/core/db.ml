@@ -1,15 +1,16 @@
 open Spitz_storage
 open Spitz_ledger
 
-(* The Spitz database facade: the public API a processor node exposes.
+(* The Spitz database facade: the public API the served path runs on.
 
    Reads and writes follow the section 5.1 pipeline. A write (1) arrives at
-   the request handler, (2) is checked by the auditor, which updates the
-   ledger and obtains the proof, (3) is applied to the cell store through the
-   B+-tree index, and (4) returns with its proof. A read answers from the
-   cell store; when verification is requested, the proof comes from the
-   ledger's unified index — the same traversal that located the data, which
-   is the efficiency argument of section 6.2.1. *)
+   the request handler, (2) enters the ledger through [commit] — the one way
+   a block is made — which updates the unified index and obtains the proof,
+   (3) is applied to the cell store and inverted index by [apply_write], and
+   (4) returns with its proof once the write-ahead log holds it. A read
+   answers from the cell store; when verification is requested, the proof
+   comes from the ledger's unified index — the same traversal that located
+   the data, which is the efficiency argument of section 6.2.1. *)
 
 module L = Ledger.Default
 module V = Verifier.Default
@@ -17,7 +18,7 @@ module V = Verifier.Default
 type t = {
   store : Object_store.t;
   cells : Cell_store.t;
-  auditor : Auditor.t;
+  ledger : L.t;
   column : string;               (* column id for the KV surface *)
   inverted : Spitz_index.Inverted.t option;
   commit_lock : Mutex.t;
@@ -30,28 +31,59 @@ type t = {
      and runs it after releasing the lock. *)
 }
 
-let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
-  let store = match store with Some s -> s | None -> Object_store.create () in
+let of_ledger ~store ~column ~with_inverted ledger =
   {
     store;
     cells = Cell_store.create ~store ();
-    auditor = Auditor.create ?pool store;
+    ledger;
     column;
     inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
     commit_lock = Mutex.create ();
     wal_ack = None;
   }
 
+let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
+  let store = match store with Some s -> s | None -> Object_store.create () in
+  of_ledger ~store ~column ~with_inverted (L.create ?pool store)
+
 let store t = t.store
-let auditor t = t.auditor
+let ledger t = t.ledger
 let cells t = t.cells
 let inverted_index t = t.inverted
-let default_column t = t.column
 
 let cell_count t = Cell_store.cell_count t.cells
 (* total cell versions, not distinct keys *)
 
 (* --- Writes --- *)
+
+(* The cell a ledger key lives in. Schema keys carry their column before a
+   ['\x1f'] separator ([table.col\x1fpk]); every other key is a KV key in
+   the database's default column. The live commit, the journal replay and
+   the KV reads all go through this one rule, so a key reads the same before
+   and after a reload. *)
+let cell_of_key t key =
+  match String.index_opt key '\x1f' with
+  | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+  | None -> (t.column, key)
+
+(* The SQL catalog's table specs are ledger metadata, read back from the
+   ledger itself; they have no cell. *)
+let catalog_column = "_catalog"
+
+(* One block write's effect on the cell store and the inverted index: a put
+   appends a cell version (and indexes its value), a delete appends a
+   tombstone. *)
+let apply_write t ~height key value =
+  let column, pk = cell_of_key t key in
+  match value with
+  | _ when String.equal column catalog_column -> ()
+  | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
+  | Some value ->
+    let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height value in
+    Option.iter
+      (fun inv ->
+         Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value) (Universal_key.encode ukey))
+      t.inverted
 
 (* One block is one state transition: when a batch writes the same key more
    than once, the block's final state for that key is the last write (the
@@ -59,55 +91,46 @@ let cell_count t = Cell_store.cell_count t.cells
    cell store — the universal-key encoding orders same-timestamp versions by
    value hash, not write order, so asking it to break the tie reads back an
    arbitrary write of the batch. *)
-let last_write_per_key writes =
+let last_write_per_key key_of items =
   let seen = Hashtbl.create 16 in
   List.rev
     (List.fold_left
-       (fun acc w ->
-          let key = match w with Ledger.Put (k, _) | Ledger.Delete k -> k in
+       (fun acc item ->
+          let key = key_of item in
           if Hashtbl.mem seen key then acc
           else begin
             Hashtbl.add seen key ();
-            w :: acc
+            item :: acc
           end)
-       [] (List.rev writes))
+       [] (List.rev items))
 
-let apply_cells t height writes =
-  List.iter
-    (fun w ->
-       match w with
-       | Ledger.Put (key, value) ->
-         let ukey = Cell_store.write_cell t.cells ~column:t.column ~pk:key ~ts:height value in
-         (match t.inverted with
-          | None -> ()
-          | Some inv ->
-            Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value)
-              (Universal_key.encode ukey))
-       | Ledger.Delete key -> ignore (Cell_store.delete_cell t.cells ~column:t.column ~pk:key ~ts:height ()))
-    (last_write_per_key writes)
-
-(* The general write path: one batch of puts and deletes, one ledger block.
-   Deletes land as tombstones in both the ledger index and the cell store,
-   so the verifiable surface and the query surface agree on absence.
+(* The general write path and the only way a block enters the ledger: one
+   batch of puts and deletes, one ledger block. Deletes land as tombstones
+   in both the ledger index and the cell store, so the verifiable surface
+   and the query surface agree on absence.
 
    Thread-safe: any number of domains may commit concurrently. The pipeline
-   has three stages per commit — (1) value hashing ([Auditor.prepare]),
-   pure and lock-free, so it overlaps with anything, including the WAL
-   write of an earlier commit; (2) the serial section under [commit_lock]:
-   txn-id assignment, SIRI index update, block assembly, journal append,
-   cell-store apply, and (when a WAL is attached) a non-blocking
-   [Wal.submit]; (3) the durability wait, after the lock is released —
-   committer B enters its serial section while committer A is still
-   fsyncing, and A's WAL leader coalesces every record submitted meanwhile.
-   Blocks enter the ledger in the order the lock is acquired, so digests,
-   proofs and audits are byte-identical to that serial order. *)
+   has three stages per commit — (1) value hashing ([L.prepare]), pure and
+   lock-free, so it overlaps with anything, including the WAL write of an
+   earlier commit; (2) the serial section under [commit_lock]: txn-id
+   assignment, SIRI index update, block assembly, journal append, cell-store
+   apply, and (when a WAL is attached) a non-blocking [Wal.submit]; (3) the
+   durability wait, after the lock is released — committer B enters its
+   serial section while committer A is still fsyncing, and A's WAL leader
+   coalesces every record submitted meanwhile. Blocks enter the ledger in
+   the order the lock is acquired, so digests, proofs and audits are
+   byte-identical to that serial order. *)
 let commit t ?statements writes =
-  let prepared = Auditor.prepare t.auditor ?statements writes in
+  let prepared = L.prepare t.ledger ?statements writes in
   Mutex.lock t.commit_lock;
   let height, ack =
     match
-      let height = Auditor.record_prepared t.auditor prepared in
-      apply_cells t height writes;
+      let height = L.commit_prepared t.ledger prepared in
+      List.iter
+        (function
+          | Ledger.Put (key, value) -> apply_write t ~height key (Some value)
+          | Ledger.Delete key -> apply_write t ~height key None)
+        (last_write_per_key (function Ledger.Put (k, _) | Ledger.Delete k -> k) writes);
       let ack = t.wal_ack in
       t.wal_ack <- None;
       (height, ack)
@@ -135,32 +158,35 @@ let delete t key = commit t [ Ledger.Delete key ]
 
 let put_verified t key value =
   let height = put t key value in
-  match Auditor.receipts t.auditor ~height with
+  match L.write_receipts t.ledger ~height with
   | [ receipt ] -> (height, receipt)
   | receipts -> (height, List.hd receipts)
 
 (* --- Reads --- *)
 
-let get t key = Cell_store.read_value t.cells ~column:t.column ~pk:key
+let get t key =
+  let column, pk = cell_of_key t key in
+  Cell_store.read_value t.cells ~column ~pk
 
-let get_at t ~height key = Cell_store.read_value ~ts:height t.cells ~column:t.column ~pk:key
+let get_at t ~height key =
+  let column, pk = cell_of_key t key in
+  Cell_store.read_value ~ts:height t.cells ~column ~pk
 
 let get_verified t key =
   (* unified index: value and proof from one ledger traversal *)
-  Auditor.get_with_proof t.auditor key
+  L.get_with_proof t.ledger key
 
 let get_batch_verified t keys =
   (* one traversal, one proof for the whole key set *)
-  Auditor.get_batch_with_proof t.auditor keys
+  L.get_batch_with_proof t.ledger keys
 
 let range t ~lo ~hi = Cell_store.range_latest_values t.cells ~column:t.column ~pk_lo:lo ~pk_hi:hi
 
-let range_verified t ~lo ~hi = Auditor.range_with_proof t.auditor ~lo ~hi
+let range_verified t ~lo ~hi = L.range_with_proof t.ledger ~lo ~hi
 
 let history t key =
-  List.map
-    (fun (uk, v) -> (uk.Universal_key.ts, v))
-    (Cell_store.versions t.cells ~column:t.column ~pk:key)
+  let column, pk = cell_of_key t key in
+  List.map (fun (uk, v) -> (uk.Universal_key.ts, v)) (Cell_store.versions t.cells ~column ~pk)
 
 let search_value t value =
   match t.inverted with
@@ -189,14 +215,14 @@ let snapshot ?height t =
     { snap = ls; snap_store = t.store; snap_gen = Object_store.generation t.store }
   in
   match height with
-  | None -> Option.map pin (L.snapshot (Auditor.ledger t.auditor))
+  | None -> Option.map pin (L.snapshot t.ledger)
   | Some height ->
     (* pinning an older block walks the journal's mutable tree — serialize
        against commits; the returned snapshot is then lock-free to read *)
     Mutex.lock t.commit_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.commit_lock)
-      (fun () -> Some (pin (L.snapshot_at (Auditor.ledger t.auditor) ~height)))
+      (fun () -> Some (pin (L.snapshot_at t.ledger ~height)))
 
 module Snapshot = struct
   let height s = L.snapshot_height s.snap
@@ -253,16 +279,23 @@ let reset_proof_cache_stats () = L.reset_proof_cache_stats ()
 
 (* --- Verification surface --- *)
 
-let digest t = Auditor.digest t.auditor
+let digest t = L.digest t.ledger
 
-let consistency t ~old_size = Auditor.consistency t.auditor ~old_size
+let consistency t ~old_size = Journal.prove_consistency (L.journal t.ledger) ~old_size
 
 let verify_read ~digest ~key ~value proof = L.verify_read ~digest ~key ~value proof
 let verify_batch_read ~digest ~items proof = L.verify_batch_read ~digest ~items proof
 let verify_range ~digest ~lo ~hi ~entries proof = L.verify_range ~digest ~lo ~hi ~entries proof
 let verify_write ~digest receipt = L.verify_write ~digest receipt
 
-let audit t = Auditor.audit t.auditor
+(* Full audit: every chain link, plus every block's entries re-verified
+   against its header through one multiproof per block. *)
+let audit t =
+  L.audit t.ledger
+  &&
+  let n = L.height t.ledger in
+  let rec go h = h >= n || (L.audit_block t.ledger ~height:h && go (h + 1)) in
+  go 0
 
 (* --- compaction ---
 
@@ -279,7 +312,7 @@ let compact ?(keep_instances = 16) t =
   let live = Spitz_crypto.Hash.Table.create 4096 in
   let visit h = Spitz_crypto.Hash.Table.replace live h () in
   (* the ledger: journal bodies + retained index instances *)
-  L.mark_live (Auditor.ledger t.auditor) ~keep_instances visit;
+  L.mark_live t.ledger ~keep_instances visit;
   (* the cell store: every referenced value blob, including chunked ones *)
   Cell_store.iter_cells t.cells (fun _ vhash ->
       visit vhash;
@@ -332,75 +365,31 @@ let save_with_bodies t bodies path =
   Fault.hit "save.before_rename";
   Sys.rename tmp path
 
-let save t path = save_with_bodies t (L.body_hashes (Auditor.ledger t.auditor)) path
+let save t path = save_with_bodies t (L.body_hashes t.ledger) path
 
 (* Rebuild a database around a restored object store: reopen the ledger from
    the block addresses (the hash chain is re-validated on every append),
    then replay the journal into the cell store and inverted index. *)
 let rebuild ?pool ~store ~column ~with_inverted bodies =
   let ledger = L.restore ?pool store bodies in
-  let t =
-    {
-      store;
-      cells = Cell_store.create ~store ();
-      auditor = Auditor.of_ledger ledger;
-      column;
-      inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
-      commit_lock = Mutex.create ();
-      wal_ack = None;
-    }
-  in
+  let t = of_ledger ~store ~column ~with_inverted ledger in
   let journal = L.journal ledger in
-  (* replay mirrors the live write path: only the last write of a key within
-     a block is that block's state transition for it *)
-  let last_entry_per_key entries =
-    let seen = Hashtbl.create 16 in
-    List.rev
-      (List.fold_left
-         (fun acc (e : Spitz_ledger.Block.entry) ->
-            if Hashtbl.mem seen e.Spitz_ledger.Block.key then acc
-            else begin
-              Hashtbl.add seen e.Spitz_ledger.Block.key ();
-              e :: acc
-            end)
-         [] (List.rev entries))
-  in
-  for height = 0 to Spitz_ledger.Journal.length journal - 1 do
-    let block = Spitz_ledger.Journal.block journal height in
+  for height = 0 to Journal.length journal - 1 do
     List.iter
-      (fun (e : Spitz_ledger.Block.entry) ->
-         (* schema-layer keys carry their column; KV keys use the
-            database's default column *)
-         let split_column key =
-           match String.index_opt key '\x1f' with
-           | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
-           | None -> (t.column, key)
-         in
-         match e.Spitz_ledger.Block.op with
-         | Spitz_ledger.Block.Delete ->
-           let column, pk = split_column e.Spitz_ledger.Block.key in
-           ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
-         | Spitz_ledger.Block.Insert | Spitz_ledger.Block.Update ->
+      (fun (e : Block.entry) ->
+         match e.op with
+         | Block.Delete -> apply_write t ~height e.key None
+         | Block.Insert | Block.Update ->
+           (* normally from the index instance of that block; if that
+              instance was compacted away, recover small raw values by their
+              content address, else the version is gone *)
            let value =
-             (* normally from the index instance of that block; if that
-                instance was compacted away, recover small raw values by
-                their content address, else the version is gone *)
-             match L.get_at ledger ~height e.Spitz_ledger.Block.key with
+             match L.get_at ledger ~height e.key with
              | v -> v
-             | exception Not_found ->
-               Object_store.get store e.Spitz_ledger.Block.value_hash
+             | exception Not_found -> Object_store.get store e.value_hash
            in
-           (match value with
-            | None -> ()
-            | Some value ->
-              let column, pk = split_column e.Spitz_ledger.Block.key in
-              let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height value in
-              (match t.inverted with
-               | Some inv when String.equal column t.column ->
-                 Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value)
-                   (Universal_key.encode ukey)
-               | _ -> ())))
-      (last_entry_per_key block.Spitz_ledger.Block.entries)
+           if value <> None then apply_write t ~height e.key value)
+      (last_write_per_key (fun (e : Block.entry) -> e.key) (Journal.block journal height).entries)
   done;
   t
 
@@ -553,8 +542,7 @@ let check_open d op = if d.closed then invalid_arg ("Db." ^ op ^ ": durable hand
 let attach_wal db wal captured =
   Object_store.set_observer db.store
     (Some (fun _h data -> captured := data :: !captured));
-  L.set_on_commit
-    (Auditor.ledger db.auditor)
+  L.set_on_commit db.ledger
     (Some
        (fun ~height ~body _block ->
           Fault.hit "commit.before_wal";
@@ -637,7 +625,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
         rebuild ?pool ~store ~column ~with_inverted (bodies @ extra))
   in
   (* 4. belt and braces: re-walk the whole journal hash chain before serving *)
-  if not (L.audit (Auditor.ledger db.auditor)) then
+  if not (L.audit db.ledger) then
     raise (Corrupt "Db.open_durable: journal hash chain does not verify");
   let wal = Wal.open_log ~sync (wal_file dir) in
   let captured = ref [] in
@@ -683,7 +671,7 @@ let checkpoint_locked ?(auto = false) d =
         ~finally:(fun () -> Mutex.unlock d.db.commit_lock)
         (fun () ->
            Fault.hit "checkpoint.begin";
-           let bodies = L.body_hashes (Auditor.ledger d.db.auditor) in
+           let bodies = L.body_hashes d.db.ledger in
            ignore (Wal.rotate d.wal);
            Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
            (* every object captured so far is covered by the pinned bodies
@@ -792,7 +780,7 @@ let close_durable d =
        may be mid-checkpoint, and joining it is the only safe ordering *)
     stop_checkpointer d;
     Object_store.set_observer d.db.store None;
-    L.set_on_commit (Auditor.ledger d.db.auditor) None;
+    L.set_on_commit d.db.ledger None;
     d.closed <- true;
     (* last: drain + fsync + close the log, *surfacing* failures — a close
        that could not flush the pending group-commit batch must not look

@@ -1,11 +1,20 @@
-(** The Spitz database facade — the public API a processor node exposes.
+(** The Spitz database facade — the public API the server and the schema
+    and SQL layers run on.
 
-    Reads and writes follow the paper's section 5.1 pipeline: a write is
-    checked by the auditor (which updates the ledger and obtains the proof),
-    then applied to the cell store through the B+-tree index; a read answers
-    from the cell store, and when verification is requested the proof comes
-    from the ledger's unified index — the same traversal that locates the
-    data. *)
+    Reads and writes follow the paper's section 5.1 pipeline. Every write,
+    whatever layer issues it, enters the ledger through {!commit}: the
+    ledger's unified index is updated and the block appended, the same
+    batch is applied to the cell store (and inverted index), and on a
+    durable database the commit returns only once its log record meets the
+    sync policy. A read answers from the cell store, and when verification
+    is requested the proof comes from the ledger's unified index — the same
+    traversal that locates the data.
+
+    Keys and cells: a key containing ['\x1f'] names the cell
+    [(column, pk)] split at the first separator (the schema layer's
+    [table.col\x1fpk] keys); any other key is a cell of the default
+    column. {!get}, {!get_at} and {!history} read any key; {!range} scans
+    the default column only. *)
 
 open Spitz_storage
 open Spitz_ledger
@@ -23,16 +32,24 @@ val open_db :
   ?store:Object_store.t -> ?pool:Spitz_exec.Pool.t -> ?column:string ->
   ?with_inverted:bool -> unit -> t
 (** A fresh database. [column] names the cell-store column of the KV surface
-    (default ["v"]); [with_inverted] enables the inverted value index. With
-    [pool], commit batches hash their value payloads and block entry leaves
-    on the pool (index updates stay serial, so digests and proofs are
-    bit-identical at any pool size). *)
+    (default ["v"]); [with_inverted] enables the inverted value index over
+    every cell's value. With [pool], commit batches hash their value
+    payloads and block entry leaves on the pool (index updates stay serial,
+    so digests and proofs are bit-identical at any pool size). *)
 
 val store : t -> Object_store.t
-val auditor : t -> Auditor.t
+val ledger : t -> L.t
+(** The ledger behind the database. Read it freely; writing to it directly
+    would bypass the cell store, the commit lock and the log — use
+    {!commit}. *)
+
+val catalog_column : string
+(** The column of the SQL catalog's keys ([catalog_column ^ "\x1f" ^ table]).
+    The catalog is ledger metadata: writes to this column get no cell, and
+    {!get} never finds them — read them from {!ledger}. *)
+
 val cells : t -> Cell_store.t
 val inverted_index : t -> Spitz_index.Inverted.t option
-val default_column : t -> string
 
 val cell_count : t -> int
 (** Total cell versions stored (not distinct keys). *)
@@ -40,13 +57,14 @@ val cell_count : t -> int
 (** {1 Writes} *)
 
 val commit : t -> ?statements:string list -> Ledger.write list -> int
-(** The general write path: one batch of puts and deletes as one ledger
-    block. Deletes land as tombstones in both the ledger index and the cell
-    store, so the verifiable surface and the query surface agree on
-    absence.
+(** The one write path: one batch of puts and deletes as one ledger block.
+    Deletes land as tombstones in both the ledger index and the cell store,
+    so the verifiable surface and the query surface agree on absence.
+    [statements] are recorded in the block for audit.
 
     Thread-safe: any number of domains may commit concurrently (this covers
-    every write path — {!put}, {!put_batch}, {!delete} all funnel here).
+    every write — {!put}, {!put_batch}, {!delete}, the schema and SQL layers
+    and the server all funnel here).
     Value hashing runs before the internal commit lock, the WAL durability
     wait (durable databases) runs after it, so committers overlap hashing
     and fsync I/O while blocks still enter the ledger one at a time —
@@ -218,8 +236,9 @@ val save : t -> string -> unit
 
 val load : string -> t
 (** Reopen a saved database. Re-validates the hash chain and replays the
-    journal to rebuild the cell store and inverted index. Raises {!Corrupt}
-    on a damaged or foreign file. *)
+    journal through the same cell and index effects as {!commit} to rebuild
+    the cell store and inverted index. Raises {!Corrupt} on a damaged or
+    foreign file. *)
 
 (** {1 Durability: snapshot + write-ahead log}
 

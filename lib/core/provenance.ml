@@ -74,7 +74,7 @@ let recorded t = t.recorded
    what a new auditor node does when it joins. *)
 let of_db db =
   let t = create () in
-  let ledger = Auditor.ledger (Db.auditor db) in
+  let ledger = Db.ledger db in
   let journal = Db.L.journal ledger in
   for height = 0 to Spitz_ledger.Journal.length journal - 1 do
     let block = Spitz_ledger.Journal.block journal height in

@@ -3,8 +3,10 @@ open Spitz_ledger
 (* Typed tables over the virtual cell store. Each column value of a row is
    one cell (paper section 5: the system maps each cell to a universal key of
    column id, primary key, timestamp, and value hash), and every row mutation
-   is one ledger transaction covering all its cells. Columns marked
-   [indexed] additionally maintain the inverted index for analytic lookups. *)
+   is one [Db.commit] covering all its cells: the ledger key
+   [table.col\x1fpk] names the cell, so [Db] applies it to the right column.
+   Columns marked [indexed] answer [find_by_value] from the database's
+   inverted index (when it has one) instead of a scan. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 
@@ -145,59 +147,31 @@ let insert t ~pk row =
     Printf.sprintf "UPSERT %s pk=%s cols=[%s]" t.spec.table_name pk
       (String.concat "," (List.map fst row))
   in
-  let height = Auditor.record (Db.auditor t.db) ~statements:[ statement ] writes in
-  List.iter
-    (fun (col, value) ->
-       let printed = Json.to_string value in
-       let ukey =
-         Cell_store.write_cell (Db.cells t.db) ~column:(column_id t.spec col) ~pk ~ts:height printed
-       in
-       let c = List.find (fun c -> c.col_name = col) t.spec.columns in
-       match (c.indexed, (Db.inverted_index t.db)) with
-       | true, Some inv ->
-         let iv =
-           match value with
-           | Json.Num f -> Spitz_index.Inverted.Num f
-           | other -> Spitz_index.Inverted.Str (Json.to_string other)
-         in
-         Spitz_index.Inverted.add inv iv (Universal_key.encode ukey)
-       | _ -> ())
-    row;
-  height
+  Db.commit t.db ~statements:[ statement ] writes
 
 let delete t ~pk =
   let writes = List.map (fun c -> Ledger.Delete (ledger_key t.spec c.col_name pk)) t.spec.columns in
   let statement = Printf.sprintf "DELETE %s pk=%s" t.spec.table_name pk in
-  Auditor.record (Db.auditor t.db) ~statements:[ statement ] writes
+  Db.commit t.db ~statements:[ statement ] writes
 
-(* Read a cell's committed JSON value ([delete]d cells read as Null). *)
+(* Read a cell's committed JSON value ([delete]d cells read as absent). *)
 let cell_value t ?height ~pk col =
-  let column = column_id t.spec col in
-  let ts = height in
-  match Cell_store.read_value ?ts (Db.cells t.db) ~column ~pk with
-  | None -> None
-  | Some printed -> Some (Json.of_string printed)
+  let key = ledger_key t.spec col pk in
+  let printed =
+    match height with
+    | None -> Db.get t.db key
+    | Some height -> Db.get_at t.db ~height key
+  in
+  Option.map Json.of_string printed
 
 let get_row ?height t ~pk =
-  let cells =
+  match
     List.filter_map
       (fun c -> Option.map (fun v -> (c.col_name, v)) (cell_value t ?height ~pk c.col_name))
       t.spec.columns
-  in
-  (* a deleted row has its ledger tombstones but cells remain immutable; for
-     current-state reads a row is present iff the ledger holds at least one
-     live cell. Historical reads ([height]) bypass the check: they ask what
-     was committed as of that block. *)
-  let live =
-    match height with
-    | Some _ -> true
-    | None ->
-      List.exists
-        (fun c ->
-           Db.L.get (Auditor.ledger (Db.auditor t.db)) (ledger_key t.spec c.col_name pk) <> None)
-        t.spec.columns
-  in
-  if live && cells <> [] then Some cells else None
+  with
+  | [] -> None
+  | cells -> Some cells
 
 (* Verified row read: the row's cells plus one ledger proof per cell, checked
    against the given digest. *)
@@ -207,7 +181,7 @@ let get_row_verified t ~pk =
     List.filter_map
       (fun c ->
          let key = ledger_key t.spec c.col_name pk in
-         let value, proof = Db.L.get_with_proof (Auditor.ledger (Db.auditor t.db)) key in
+         let value, proof = Db.get_verified t.db key in
          match (value, proof) with
          | Some printed, Some proof -> Some (c.col_name, Json.of_string printed, proof)
          | _ -> None)
@@ -218,7 +192,7 @@ let get_row_verified t ~pk =
     let ok =
       List.for_all
         (fun (col, v, proof) ->
-           Db.L.verify_read ~digest ~key:(ledger_key t.spec col pk)
+           Db.verify_read ~digest ~key:(ledger_key t.spec col pk)
              ~value:(Some (Json.to_string v)) proof)
         cells
     in
@@ -246,13 +220,10 @@ let find_by_value t ~col value =
     | None -> error "table %s has no column %S" t.spec.table_name col
   in
   let matching_pk uk = (uk : Universal_key.t).Universal_key.column = column_id t.spec col in
-  match (c.indexed, (Db.inverted_index t.db)) with
+  match (c.indexed, Db.inverted_index t.db) with
   | true, Some inv ->
-    let iv =
-      match value with
-      | Json.Num f -> Spitz_index.Inverted.Num f
-      | other -> Spitz_index.Inverted.Str (Json.to_string other)
-    in
+    (* the index holds each cell's stored form, the printed JSON *)
+    let iv = Spitz_index.Inverted.Str (Json.to_string value) in
     List.sort_uniq String.compare
       (List.filter_map
          (fun ukey ->

@@ -1,6 +1,6 @@
 (** Typed tables over the virtual cell store: each column value of a row is
-    one cell, every row mutation is one ledger transaction, and indexed
-    columns feed the inverted index. *)
+    one cell, every row mutation is one {!Db.commit}, and indexed columns
+    are looked up through the database's inverted index. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 

@@ -258,21 +258,20 @@ let env db = { db; tables = [] }
 
 (* The catalog is itself ledger data: CREATE TABLE commits the table spec
    under a reserved key, so reopening a database recovers its tables (and an
-   auditor can verify the schema history like any other data). *)
-let catalog_key name = "_catalog\x1f" ^ name
+   auditor can verify the schema history like any other data). The specs
+   are read back from the ledger: [Db] gives the catalog column no cells. *)
+let catalog_key name = Db.catalog_column ^ "\x1f" ^ name
 
 let record_catalog env spec =
   ignore
-    (Auditor.record (Db.auditor env.db)
-       ~statements:
-         [ Printf.sprintf "CREATE TABLE %s" spec.Schema.table_name ]
+    (Db.commit env.db
+       ~statements:[ Printf.sprintf "CREATE TABLE %s" spec.Schema.table_name ]
        [ Spitz_ledger.Ledger.Put
            (catalog_key spec.Schema.table_name, Json.to_string (Schema.spec_to_json spec)) ])
 
 let env_of_db db =
   let e = env db in
-  let ledger = Auditor.ledger (Db.auditor db) in
-  let entries = Db.L.range ledger ~lo:"_catalog\x1f" ~hi:"_catalog\x1f\xff" in
+  let entries = Db.L.range (Db.ledger db) ~lo:(catalog_key "") ~hi:(catalog_key "\xff") in
   e.tables <-
     List.map
       (fun (_, printed) ->

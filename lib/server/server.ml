@@ -63,7 +63,7 @@ let token_prefix = "tx:"
    client retrying an [Apply] after a server restart still gets the original
    height back instead of a duplicate commit. *)
 let rebuild_tokens db tokens =
-  let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+  let ledger = Db.ledger db in
   let journal = Db.L.journal ledger in
   for h = 0 to Db.L.height ledger - 1 do
     List.iter
@@ -147,7 +147,7 @@ let serve t (req : Ipc.request) : Ipc.response =
   | Ipc.Anchor known -> anchor db known
   | Ipc.Apply { token; puts; deletes } -> apply t ~token ~puts ~deletes
   | Ipc.Receipts height ->
-    let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+    let ledger = Db.ledger db in
     Ipc.ReceiptList
       (List.map Db.L.encode_receipt (Db.L.write_receipts ledger ~height))
 

@@ -127,29 +127,19 @@ let file_size path =
   | { Unix.st_size; _ } -> st_size
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
 
-(* A log written before segmentation is a single regular file at [dir]:
-   adopt it as segment 1. The rename through a [.legacy] sibling makes the
-   migration resumable — a crash at any step leaves either the original
-   file, or the sibling plus (possibly) the directory, and re-running
-   finishes the job. *)
-let migrate_legacy dir =
-  let tmp = dir ^ ".legacy" in
-  if Sys.file_exists dir && not (Sys.is_directory dir) then Sys.rename dir tmp;
-  if Sys.file_exists tmp then begin
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    Sys.rename tmp (segment_path dir 1);
-    fsync_dir dir;
-    fsync_dir (Filename.dirname dir)
-  end
+(* The log is a directory of segments. A regular file at its path is not a
+   log this code wrote — refuse it rather than guess. *)
+let check_not_file ~op dir =
+  if Sys.file_exists dir && not (Sys.is_directory dir) then
+    invalid_arg
+      (Printf.sprintf "Wal.%s: %s is a regular file, not a segment directory" op dir)
 
 let open_log ?(sync = Always) dir =
-  migrate_legacy dir;
+  check_not_file ~op:"open_log" dir;
   if not (Sys.file_exists dir) then begin
     Sys.mkdir dir 0o755;
     fsync_dir (Filename.dirname dir)
   end;
-  if not (Sys.is_directory dir) then
-    invalid_arg ("Wal.open_log: not a directory: " ^ dir);
   let segs = list_segments dir in
   let seg_id, sealed, fresh =
     match List.rev segs with
@@ -569,7 +559,7 @@ let replay_segment ?(repair = true) path =
   end
 
 let replay ?(repair = true) dir =
-  migrate_legacy dir;
+  check_not_file ~op:"replay" dir;
   if not (Sys.file_exists dir) then
     { records = []; good_bytes = 0; torn_bytes = 0; live_segments = 0 }
   else begin

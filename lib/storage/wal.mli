@@ -75,9 +75,9 @@ type ticket
 
 val open_log : ?sync:sync_policy -> string -> t
 (** Open (creating if absent) the log directory at [path] for appending;
-    new records go to the end of the highest-numbered segment. A legacy
-    single-file log at [path] is migrated into a directory first. Default
-    policy: [Always]. *)
+    new records go to the end of the highest-numbered segment. Raises
+    [Invalid_argument] if [path] is a regular file. Default policy:
+    [Always]. *)
 
 val submit : t -> string -> ticket
 (** Enqueue one record (thread-safe, non-blocking under [Always]/[Group]:
@@ -164,8 +164,8 @@ type replay_result = {
 
 val replay : ?repair:bool -> string -> replay_result
 (** Replay every live segment of the log directory at [path] in order
-    (missing directory = empty log; a legacy single-file log is migrated
-    first). Torn-tail tolerance applies only to the {e last} segment; with
+    (missing directory = empty log; a regular file at [path] raises
+    [Invalid_argument]). Torn-tail tolerance applies only to the {e last} segment; with
     [repair] (the default) its torn tail is truncated in place so the next
     append cannot splice onto garbage. A short or CRC-failing frame in any
     earlier segment raises {!Corrupt}. *)

@@ -286,52 +286,6 @@ let test_txn_serializability () =
          (fun specs_seed -> txn_serializable engine specs_seed))
     [ Spitz_txn.Scheduler.Mvcc_to; Spitz_txn.Scheduler.Mvcc_occ; Spitz_txn.Scheduler.Two_pl ]
 
-let test_hlc_monotonic_under_skew () =
-  (* physical clocks that jump backwards and disagree across nodes must not
-     break HLC monotonicity or causality *)
-  let arb = Quick.make ~print:string_of_int (fun rng -> K.int rng 1_000_000) in
-  Quick.run ~name:"hlc monotone under skew" ~seed:0xC10C (Quick.Cases 60) arb
-    (fun s ->
-       let rng = K.rng s in
-       let skewed base =
-         (* a clock that mostly advances but sometimes stalls or regresses *)
-         let t = ref base in
-         fun () ->
-           (match K.int rng 4 with
-            | 0 -> ()
-            | 1 -> t := !t - K.int rng 50
-            | _ -> t := !t + K.int rng 50);
-           !t
-       in
-       let a = Spitz_txn.Hlc.create ~clock:(skewed 1000) ~node_id:1 () in
-       let b = Spitz_txn.Hlc.create ~clock:(skewed 5000) ~node_id:2 () in
-       let last_a = ref None and last_b = ref None in
-       let mono last ts =
-         (match !last with
-          | Some prev when Spitz_txn.Hlc.compare ts prev <= 0 -> failwith "not increasing"
-          | _ -> ());
-         last := Some ts
-       in
-       for _ = 1 to 50 do
-         match K.int rng 4 with
-         | 0 -> mono last_a (Spitz_txn.Hlc.now a)
-         | 1 -> mono last_b (Spitz_txn.Hlc.now b)
-         | 2 ->
-           (* message a -> b: receive timestamp dominates the send *)
-           let send = Spitz_txn.Hlc.now a in
-           mono last_a send;
-           let recv = Spitz_txn.Hlc.update b send in
-           mono last_b recv;
-           if Spitz_txn.Hlc.compare recv send <= 0 then failwith "receive before send"
-         | _ ->
-           let send = Spitz_txn.Hlc.now b in
-           mono last_b send;
-           let recv = Spitz_txn.Hlc.update a send in
-           mono last_a recv;
-           if Spitz_txn.Hlc.compare recv send <= 0 then failwith "receive before send"
-       done;
-       true)
-
 let suite =
   [
     Alcotest.test_case "quick: deterministic by seed" `Quick test_quick_deterministic;
@@ -369,6 +323,5 @@ let suite =
     Alcotest.test_case "regression: range proofs duplicate-free" `Quick
       test_regression_proof_node_dedup;
     Alcotest.test_case "txn: random interleavings serializable" `Quick test_txn_serializability;
-    Alcotest.test_case "txn: hlc monotone under clock skew" `Quick test_hlc_monotonic_under_skew;
     Alcotest.test_case "shutdown shared pool" `Quick (fun () -> Differ.shutdown_pool ());
   ]

@@ -1,90 +1,6 @@
 open Spitz
 
-(* The control layer (processor, cluster), provenance, federated analytics,
-   and persistence. *)
-
-(* --- processor --- *)
-
-let test_processor_pipeline () =
-  let db = Db.open_db () in
-  let p = Processor.create db in
-  (match Processor.call p (Processor.Put { key = "k"; value = "v"; verify = false }) with
-   | Processor.Committed h -> Alcotest.(check int) "first block" 0 h
-   | _ -> Alcotest.fail "put failed");
-  (match Processor.call p (Processor.Get { key = "k"; verify = false }) with
-   | Processor.Value (Some v) -> Alcotest.(check string) "value" "v" v
-   | _ -> Alcotest.fail "get failed");
-  (match Processor.call p (Processor.Get { key = "k"; verify = true }) with
-   | Processor.Value_proved (Some _, proof) ->
-     let digest = Db.digest db in
-     Alcotest.(check bool) "proof" true
-       (Db.verify_read ~digest ~key:"k" ~value:(Some "v") proof)
-   | _ -> Alcotest.fail "verified get failed");
-  (match Processor.call p (Processor.Put { key = "k2"; value = "v2"; verify = true }) with
-   | Processor.Committed_proved (_, [ receipt ]) ->
-     Alcotest.(check bool) "receipt" true (Db.verify_write ~digest:(Db.digest db) receipt)
-   | _ -> Alcotest.fail "verified put failed");
-  (match Processor.call p (Processor.Range { lo = "k"; hi = "kz"; verify = false }) with
-   | Processor.Entries entries -> Alcotest.(check int) "range" 2 (List.length entries)
-   | _ -> Alcotest.fail "range failed");
-  (match Processor.call p (Processor.History { key = "k" }) with
-   | Processor.Versions [ (_, "v") ] -> ()
-   | _ -> Alcotest.fail "history failed");
-  Alcotest.(check int) "processed count" 6 (Processor.processed p)
-
-let test_processor_queueing () =
-  let db = Db.open_db () in
-  let p = Processor.create db in
-  let responses = ref 0 in
-  for i = 0 to 9 do
-    Processor.submit p
-      (Processor.Put { key = Printf.sprintf "k%d" i; value = "v"; verify = false })
-      (fun _ -> incr responses)
-  done;
-  Alcotest.(check int) "queued" 10 (Processor.pending p);
-  Alcotest.(check int) "drained" 10 (Processor.run p);
-  Alcotest.(check int) "responses delivered" 10 !responses;
-  Alcotest.(check int) "queue empty" 0 (Processor.pending p)
-
-(* --- cluster --- *)
-
-let test_cluster_round_robin () =
-  let db = Db.open_db () in
-  let c = Cluster.create ~nodes:3 db in
-  let acks = ref 0 in
-  for i = 0 to 8 do
-    Cluster.submit c
-      (Processor.Put { key = Printf.sprintf "k%d" i; value = "v"; verify = false })
-      (fun _ -> incr acks)
-  done;
-  ignore (Cluster.dispatch c);
-  Alcotest.(check int) "all acknowledged" 9 !acks;
-  (* round-robin: every node processed exactly 3 *)
-  for n = 0 to 2 do
-    Alcotest.(check int) (Printf.sprintf "node %d" n) 3
-      (Processor.processed (Cluster.processor c n))
-  done;
-  (* all nodes share the storage layer: any node serves any key *)
-  match Cluster.call c (Processor.Get { key = "k5"; verify = false }) with
-  | Processor.Value (Some "v") -> ()
-  | _ -> Alcotest.fail "shared storage read failed"
-
-let test_cluster_partitioned_2pc () =
-  let c = Cluster.Partitioned.create ~shards:3 () in
-  (match Cluster.Partitioned.put_all c [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ] with
-   | Ok (_, heights) -> Alcotest.(check bool) "spans shards" true (List.length heights >= 1)
-   | Error why -> Alcotest.failf "2pc failed: %s" why);
-  List.iter
-    (fun (k, v) ->
-       Alcotest.(check (option string)) k (Some v) (Cluster.Partitioned.get c k))
-    [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ];
-  (* verified read routes to the owning shard *)
-  let (value, proof), digest = Cluster.Partitioned.get_verified c "a" in
-  Alcotest.(check bool) "shard proof" true
-    (Db.verify_read ~digest ~key:"a" ~value (Option.get proof));
-  Alcotest.(check bool) "audit" true (Cluster.Partitioned.audit c);
-  let commits, aborts = Cluster.Partitioned.stats c in
-  Alcotest.(check (pair int int)) "stats" (1, 0) (commits, aborts)
+(* Provenance, federated analytics, persistence and compaction. *)
 
 (* --- provenance --- *)
 
@@ -153,6 +69,9 @@ let test_save_load_roundtrip () =
     ignore (Db.put db (Printf.sprintf "k%03d" i) (Printf.sprintf "v%d" i))
   done;
   ignore (Db.put db "k042" "updated");
+  (* a KV key holding the schema layer's column separator *)
+  ignore (Db.put db "a\x1fb" "x");
+  Alcotest.(check (option string)) "separator key, live" (Some "x") (Db.get db "a\x1fb");
   let digest = Db.digest db in
   let path = temp_file () in
   Db.save db path;
@@ -167,6 +86,7 @@ let test_save_load_roundtrip () =
   (* data and history replayed *)
   Alcotest.(check (option string)) "updated value" (Some "updated") (Db.get db' "k042");
   Alcotest.(check (option string)) "other value" (Some "v7") (Db.get db' "k007");
+  Alcotest.(check (option string)) "separator key, reloaded" (Some "x") (Db.get db' "a\x1fb");
   Alcotest.(check int) "history" 2 (List.length (Db.history db' "k042"));
   Alcotest.(check bool) "audit after load" true (Db.audit db');
   (* proofs still work and interoperate with the old digest *)
@@ -206,10 +126,6 @@ let test_load_rejects_garbage () =
 
 let suite =
   [
-    Alcotest.test_case "processor pipeline" `Quick test_processor_pipeline;
-    Alcotest.test_case "processor queueing" `Quick test_processor_queueing;
-    Alcotest.test_case "cluster round robin" `Quick test_cluster_round_robin;
-    Alcotest.test_case "cluster partitioned 2pc" `Quick test_cluster_partitioned_2pc;
     Alcotest.test_case "provenance" `Quick test_provenance;
     Alcotest.test_case "provenance of db" `Quick test_provenance_of_db;
     Alcotest.test_case "federated analytics" `Quick test_federated;

@@ -253,7 +253,7 @@ let test_save_atomic_on_crash () =
        (* the original file still loads and holds the old state *)
        let db' = Db.load path in
        Alcotest.(check (option string)) "pre-crash state intact" (Some "v1") (Db.get db' "k");
-       Alcotest.(check int) "one block" 1 (Db.L.height (Auditor.ledger (Db.auditor db'))))
+       Alcotest.(check int) "one block" 1 (Db.L.height (Db.ledger db')))
 
 (* --- satellite bugfix: varint bounds + Corrupt --- *)
 
@@ -500,6 +500,19 @@ let test_durable_fsync_policies () =
            Db.close_durable d'))
     [ Wal.Always; Wal.Interval 3; Wal.Never;
       Wal.Group { max_batch = 4; max_delay_us = 200 } ]
+
+(* SQL writes take the same commit path as KV writes: under [Always] the
+   statement returns only once its log record is fsynced. *)
+let test_durable_sql_acked_after_fsync () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Always dir in
+      let env = Sql.env (Db.durable_db d) in
+      ignore (Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
+      ignore (Sql.exec env "INSERT INTO t (id, v) VALUES ('a', 1)");
+      let st = Db.wal_stats d in
+      Alcotest.(check int) "nothing left unflushed" 0 st.Wal.pending_bytes;
+      Alcotest.(check bool) "fsynced before returning" true (st.Wal.fsyncs >= 1);
+      Db.close_durable d)
 
 (* --- kill-at-every-crash-point recovery --- *)
 
@@ -832,57 +845,28 @@ let test_wal_sealed_corruption_raises () =
          Alcotest.failf "sealed damage silently accepted (%d records)"
            (List.length r.Wal.records)))
 
-let test_wal_legacy_single_file_migrates () =
+(* The log is a directory of segments; a regular file at its path is not a
+   log this code wrote, and both replay and open refuse it by name. *)
+let test_wal_regular_file_rejected () =
   with_dir (fun dir ->
-      (* fabricate the old layout: one plain frame file at the log path *)
-      let mk = Filename.concat dir "mk" in
-      let w = Wal.open_log ~sync:Wal.Always mk in
-      List.iter (Wal.append w) [ "l0"; "l1"; "l2" ];
-      Wal.close w;
       let path = Filename.concat dir "log" in
-      Sys.rename (last_wal_segment mk) path;
-      (* replay adopts the file as segment 1 inside a fresh directory *)
-      let r = Wal.replay path in
-      Alcotest.(check (list string)) "legacy records adopted" [ "l0"; "l1"; "l2" ] r.Wal.records;
-      Alcotest.(check bool) "path is a directory now" true (Sys.is_directory path);
-      (* and the migrated log keeps working *)
-      let w = Wal.open_log ~sync:Wal.Always path in
-      Wal.append w "l3";
-      Wal.close w;
-      Alcotest.(check (list string)) "appends after migration" [ "l0"; "l1"; "l2"; "l3" ]
-        (Wal.replay path).Wal.records)
-
-let test_durable_legacy_wal_layout () =
-  with_dir (fun dir ->
-      let d = Db.open_durable ~sync:Wal.Always dir in
-      let db = Db.durable_db d in
-      for i = 0 to 2 do
-        ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i))
-      done;
-      let digest = Db.digest db in
-      Db.close_durable d;
-      (* flatten the log back to the pre-segmentation layout: a single
-         frame file at [dir/wal] *)
-      let waldir = Filename.concat dir "wal" in
-      let seg = last_wal_segment waldir in
-      let stash = Filename.concat dir "walbytes" in
-      Sys.rename seg stash;
-      List.iter Sys.remove (wal_segments waldir);
-      Sys.rmdir waldir;
-      Sys.rename stash waldir;
-      (* an old database opens, migrates, and keeps committing *)
-      let d' = Db.open_durable dir in
-      let db' = Db.durable_db d' in
-      Alcotest.(check bool) "legacy database digest identical" true
-        (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
-           (Db.digest db').Spitz_ledger.Journal.root);
-      Alcotest.(check bool) "audit" true (Db.audit db');
-      ignore (Db.put db' "post" "migration");
-      Db.close_durable d';
-      let d'' = Db.open_durable dir in
-      Alcotest.(check int) "commits after migration durable" 4
-        (Db.digest (Db.durable_db d'')).Spitz_ledger.Journal.size;
-      Db.close_durable d'')
+      let oc = open_out_bin path in
+      output_string oc "not a segment directory";
+      close_out oc;
+      let names_path msg =
+        let n = String.length path in
+        let rec at i = i + n <= String.length msg && (String.sub msg i n = path || at (i + 1)) in
+        at 0
+      in
+      let rejected f =
+        match f () with
+        | exception Invalid_argument msg ->
+          Alcotest.(check bool) "error names the path" true (names_path msg)
+        | _ -> Alcotest.fail "a regular file was accepted as a log"
+      in
+      rejected (fun () -> ignore (Wal.replay path));
+      rejected (fun () -> Wal.close (Wal.open_log path));
+      Alcotest.(check bool) "file left untouched" false (Sys.is_directory path))
 
 (* --- satellite bugfix: close drains the pending batch and surfaces errors --- *)
 
@@ -1262,6 +1246,7 @@ let suite =
     Alcotest.test_case "durable large values + batches" `Quick
       test_durable_large_values_and_batches;
     Alcotest.test_case "durable fsync policies" `Quick test_durable_fsync_policies;
+    Alcotest.test_case "durable sql acked after fsync" `Quick test_durable_sql_acked_after_fsync;
     Alcotest.test_case "crash at every commit site" `Quick test_crash_during_commit;
     Alcotest.test_case "crash at every commit site (group)" `Quick
       test_crash_during_commit_group;
@@ -1274,10 +1259,8 @@ let suite =
     Alcotest.test_case "wal rotate + retire" `Quick test_wal_rotate_retire;
     Alcotest.test_case "wal sealed-segment damage raises" `Quick
       test_wal_sealed_corruption_raises;
-    Alcotest.test_case "wal legacy single file migrates" `Quick
-      test_wal_legacy_single_file_migrates;
-    Alcotest.test_case "durable legacy wal layout migrates" `Quick
-      test_durable_legacy_wal_layout;
+    Alcotest.test_case "wal path that is a regular file is rejected" `Quick
+      test_wal_regular_file_rejected;
     Alcotest.test_case "wal close drains pending batch" `Quick test_wal_close_drains_pending;
     Alcotest.test_case "wal close surfaces errors" `Quick test_wal_close_surfaces_errors;
     Alcotest.test_case "orphan checkpoint temp removed on strict open" `Quick

@@ -111,20 +111,52 @@ let test_schema_verified_row () =
   | None -> Alcotest.fail "row missing"
 
 let test_schema_find_by_value () =
+  let fill db =
+    let t = Schema.create db spec in
+    ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "alice"); ("balance", Json.Num 1.0) ]);
+    ignore (Schema.insert t ~pk:"b" [ ("owner", Json.Str "bob"); ("balance", Json.Num 2.0) ]);
+    ignore (Schema.insert t ~pk:"c" [ ("owner", Json.Str "alice"); ("balance", Json.Num 3.0) ]);
+    Alcotest.(check (list string)) "indexed search" [ "a"; "c" ]
+      (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
+    (* stale index entries are filtered out after updates *)
+    ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "carol") ]);
+    ignore (Schema.insert t ~pk:"d" [ ("owner", Json.Str "dave"); ("balance", Json.Num 4.0) ]);
+    ignore (Schema.delete t ~pk:"d")
+  in
+  (* every lookup, asked of a live database and of its reopened copies *)
+  let answers db =
+    let t = Schema.create db spec in
+    List.map
+      (fun (col, v) -> Schema.find_by_value t ~col v)
+      [ ("owner", Json.Str "alice"); ("owner", Json.Str "carol");
+        ("owner", Json.Str "dave"); ("balance", Json.Num 2.0) ]
+  in
+  let expected = [ [ "c" ]; [ "a" ]; []; [ "b" ] ] in
   let db = Db.open_db ~with_inverted:true () in
-  let t = Schema.create db spec in
-  ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "alice"); ("balance", Json.Num 1.0) ]);
-  ignore (Schema.insert t ~pk:"b" [ ("owner", Json.Str "bob"); ("balance", Json.Num 2.0) ]);
-  ignore (Schema.insert t ~pk:"c" [ ("owner", Json.Str "alice"); ("balance", Json.Num 3.0) ]);
-  Alcotest.(check (list string)) "indexed search" [ "a"; "c" ]
-    (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
-  (* non-indexed column falls back to a scan *)
-  Alcotest.(check (list string)) "scan search" [ "b" ]
-    (Schema.find_by_value t ~col:"balance" (Json.Num 2.0));
-  (* stale index entries are filtered out after updates *)
-  ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "carol") ]);
-  Alcotest.(check (list string)) "after update" [ "c" ]
-    (Schema.find_by_value t ~col:"owner" (Json.Str "alice"))
+  fill db;
+  Alcotest.(check (list (list string))) "live" expected (answers db);
+  let path = Filename.temp_file "spitz_query" ".db" in
+  Db.save db path;
+  let loaded = Db.load path in
+  Sys.remove path;
+  Alcotest.(check (list (list string))) "after load" expected (answers loaded);
+  let dir = Filename.temp_file "spitz_query" ".dir" in
+  Sys.remove dir;
+  let d = Db.open_durable ~with_inverted:true dir in
+  fill (Db.durable_db d);
+  Db.close_durable d;
+  let d = Db.open_durable dir in
+  Alcotest.(check (list (list string))) "after durable reopen" expected
+    (answers (Db.durable_db d));
+  Db.close_durable d;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  rm_rf dir
 
 (* --- SQL --- *)
 
@@ -204,7 +236,7 @@ let test_sql_statements_recorded () =
   let env = Sql.env db in
   ignore (Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
   ignore (Sql.exec env "INSERT INTO t (id, v) VALUES ('a', 1)");
-  let journal = Db.L.journal (Auditor.ledger (Db.auditor db)) in
+  let journal = Db.L.journal (Db.ledger db) in
   let all_statements = ref [] in
   for h = 0 to Spitz_ledger.Journal.length journal - 1 do
     let b = Spitz_ledger.Journal.block journal h in

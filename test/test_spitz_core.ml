@@ -102,7 +102,7 @@ let test_db_batch () =
   Alcotest.(check int) "one block" 0 height;
   Alcotest.(check (option string)) "a" (Some "1") (Db.get db "a");
   Alcotest.(check (option string)) "c" (Some "3") (Db.get db "c");
-  let receipts = Spitz.Auditor.receipts (Db.auditor db) ~height in
+  let receipts = Db.L.write_receipts (Db.ledger db) ~height in
   Alcotest.(check int) "three receipts" 3 (List.length receipts)
 
 let test_db_consistency_protocol () =

@@ -111,47 +111,6 @@ let prop_blob_roundtrip =
        let s = Object_store.create () in
        Object_store.get_blob s (Object_store.put_blob s data) = Some data)
 
-(* --- version DAG --- *)
-
-let test_version_commits () =
-  let s = Object_store.create () in
-  let v = Version.create s in
-  let root1 = Object_store.put s "state1" in
-  let c1 = Version.commit_on_branch v ~branch:"main" ~root:root1 ~message:"first" in
-  let root2 = Object_store.put s "state2" in
-  let c2 = Version.commit_on_branch v ~branch:"main" ~root:root2 ~message:"second" in
-  Alcotest.(check bool) "head" true (Version.branch_head v "main" = Some c2);
-  let hist = Version.history v c2 in
-  Alcotest.(check int) "history length" 2 (List.length hist);
-  Alcotest.(check bool) "ancestor" true (Version.is_ancestor v ~ancestor:c1 ~descendant:c2);
-  Alcotest.(check bool) "not descendant" false (Version.is_ancestor v ~ancestor:c2 ~descendant:c1)
-
-let test_version_branches_and_lca () =
-  let s = Object_store.create () in
-  let v = Version.create s in
-  let base = Version.commit_on_branch v ~branch:"main" ~root:(Object_store.put s "base") ~message:"base" in
-  Version.set_branch v "feature" base;
-  let m1 = Version.commit_on_branch v ~branch:"main" ~root:(Object_store.put s "m1") ~message:"m1" in
-  let f1 = Version.commit_on_branch v ~branch:"feature" ~root:(Object_store.put s "f1") ~message:"f1" in
-  Alcotest.(check bool) "lca is base" true (Version.lca v m1 f1 = Some base);
-  (* a merge commit with two parents *)
-  let merge =
-    Version.commit v ~parents:[ m1; f1 ] ~root:(Object_store.put s "merged") ~message:"merge"
-  in
-  Alcotest.(check bool) "merge descends from both" true
-    (Version.is_ancestor v ~ancestor:m1 ~descendant:merge
-     && Version.is_ancestor v ~ancestor:f1 ~descendant:merge);
-  Alcotest.(check int) "branches" 2 (List.length (Version.branches v))
-
-let test_version_identical_commits_share () =
-  let s = Object_store.create () in
-  let v = Version.create s in
-  let root = Object_store.put s "same" in
-  let a = Version.commit v ~parents:[] ~root ~message:"m" in
-  let b = Version.commit v ~parents:[] ~root ~message:"m" in
-  (* different sequence numbers make them distinct commits *)
-  Alcotest.(check bool) "distinct" false (Spitz_crypto.Hash.equal a b)
-
 (* --- wire format --- *)
 
 let test_wire_roundtrip () =
@@ -210,9 +169,6 @@ let suite =
     Alcotest.test_case "blob descriptor collision" `Quick test_blob_descriptor_collision;
     Alcotest.test_case "blob dedup on edit" `Quick test_blob_dedup_on_edit;
     QCheck_alcotest.to_alcotest prop_blob_roundtrip;
-    Alcotest.test_case "version commits" `Quick test_version_commits;
-    Alcotest.test_case "version branches and lca" `Quick test_version_branches_and_lca;
-    Alcotest.test_case "version distinct commits" `Quick test_version_identical_commits_share;
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire truncation" `Quick test_wire_truncation;
     QCheck_alcotest.to_alcotest prop_wire_varint;

@@ -10,46 +10,6 @@ let test_timestamp () =
   Alcotest.(check int) "peek does not allocate" (Timestamp.peek o) (Timestamp.peek o);
   Alcotest.(check int) "allocations" 2 (Timestamp.allocations o)
 
-(* --- hybrid logical clocks --- *)
-
-let test_hlc_monotonic () =
-  let c = Hlc.create ~node_id:1 () in
-  let prev = ref (Hlc.now c) in
-  for _ = 1 to 100 do
-    let t = Hlc.now c in
-    Alcotest.(check bool) "strictly increasing" true (Hlc.compare t !prev > 0);
-    prev := t
-  done
-
-let test_hlc_causality () =
-  let a = Hlc.create ~node_id:1 () in
-  let b = Hlc.create ~node_id:2 () in
-  (* a sends to b: b's receive timestamp must exceed the send timestamp *)
-  let send = Hlc.now a in
-  let recv = Hlc.update b send in
-  Alcotest.(check bool) "receive after send" true (Hlc.compare recv send > 0);
-  (* and b's subsequent events stay ahead *)
-  let next = Hlc.now b in
-  Alcotest.(check bool) "subsequent" true (Hlc.compare next recv > 0)
-
-let test_hlc_physical_dominance () =
-  let time = ref 100 in
-  let c = Hlc.create ~clock:(fun () -> !time) ~node_id:0 () in
-  let t1 = Hlc.now c in
-  Alcotest.(check int) "tracks wall clock" 100 t1.Hlc.wall;
-  Alcotest.(check int) "logical resets" 0 t1.Hlc.logical;
-  (* stalled wall clock: logical grows *)
-  let t2 = Hlc.now c in
-  Alcotest.(check int) "logical bumps" 1 t2.Hlc.logical;
-  time := 200;
-  let t3 = Hlc.now c in
-  Alcotest.(check int) "wall advances" 200 t3.Hlc.wall;
-  Alcotest.(check int) "logical resets again" 0 t3.Hlc.logical
-
-let test_hlc_total_order () =
-  let a = { Hlc.wall = 5; logical = 3 } in
-  Alcotest.(check bool) "node id breaks ties" true (Hlc.compare_total a 1 a 2 < 0)
-
 (* --- MVCC store --- *)
 
 let test_mvcc_snapshots () =
@@ -206,48 +166,9 @@ let test_read_committed_fewer_aborts () =
     (rc.Scheduler.aborted <= ser.Scheduler.aborted);
   Alcotest.(check int) "all commit under rc" 60 rc.Scheduler.committed
 
-(* --- 2PC --- *)
-
-let test_2pc_commit () =
-  let t = Two_phase_commit.create ~node_count:4 () in
-  let writes = List.init 10 (fun i -> (Printf.sprintf "key%d" i, Printf.sprintf "val%d" i)) in
-  (match Two_phase_commit.run_writes t writes with
-   | Two_phase_commit.Committed ts -> Alcotest.(check bool) "ts positive" true (ts > 0)
-   | Two_phase_commit.Aborted why -> Alcotest.failf "unexpected abort: %s" why);
-  (* every key readable from its partition *)
-  List.iter
-    (fun (k, v) ->
-       Alcotest.(check (option string)) k (Some v) (Two_phase_commit.read t ~ts:max_int k))
-    writes
-
-let test_2pc_abort_on_conflict () =
-  let t = Two_phase_commit.create ~node_count:2 () in
-  (match Two_phase_commit.run_writes t [ ("a", "1") ] with
-   | Two_phase_commit.Committed _ -> ()
-   | Two_phase_commit.Aborted why -> Alcotest.failf "setup failed: %s" why);
-  (* a transaction with a start timestamp older than the committed write must
-     vote NO on prepare *)
-  let txn =
-    { Two_phase_commit.id = 99; start_ts = 1;
-      writes = [ (Two_phase_commit.node_for t "a", "a", "2") ]; reads = [] }
-  in
-  (match Two_phase_commit.execute t txn with
-   | Two_phase_commit.Aborted _ -> ()
-   | Two_phase_commit.Committed _ -> Alcotest.fail "stale transaction must abort");
-  Alcotest.(check (option string)) "value unchanged" (Some "1")
-    (Two_phase_commit.read t ~ts:max_int "a");
-  (* locks must have been rolled back: a fresh transaction succeeds *)
-  (match Two_phase_commit.run_writes t [ ("a", "3") ] with
-   | Two_phase_commit.Committed _ -> ()
-   | Two_phase_commit.Aborted why -> Alcotest.failf "locks leaked: %s" why)
-
 let suite =
   [
     Alcotest.test_case "timestamp oracle" `Quick test_timestamp;
-    Alcotest.test_case "hlc monotonic" `Quick test_hlc_monotonic;
-    Alcotest.test_case "hlc causality" `Quick test_hlc_causality;
-    Alcotest.test_case "hlc physical dominance" `Quick test_hlc_physical_dominance;
-    Alcotest.test_case "hlc total order" `Quick test_hlc_total_order;
     Alcotest.test_case "mvcc snapshots" `Quick test_mvcc_snapshots;
     Alcotest.test_case "mvcc out-of-order install" `Quick test_mvcc_out_of_order_install;
     Alcotest.test_case "mvcc gc" `Quick test_mvcc_gc;
@@ -262,8 +183,6 @@ let suite =
     Alcotest.test_case "transfers conserve (mvcc-occ)" `Quick (test_engine_transfer_invariant Scheduler.Mvcc_occ);
     Alcotest.test_case "transfers conserve (2pl)" `Quick (test_engine_transfer_invariant Scheduler.Two_pl);
     Alcotest.test_case "read committed isolation" `Quick test_read_committed_fewer_aborts;
-    Alcotest.test_case "2pc commit" `Quick test_2pc_commit;
-    Alcotest.test_case "2pc abort on conflict" `Quick test_2pc_abort_on_conflict;
   ]
 
 (* deterministic replay: the same seed produces the same interleaving *)
