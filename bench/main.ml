@@ -1488,14 +1488,18 @@ let cache_report () =
           ("hit_rate", J.Num rate);
         ] )
   in
-  add_result "node_cache"
-    (J.Obj
-       [
-         line "kv-node" (NC.stats Spitz_adt.Kv_node.cache);
-         line "mpt" (Spitz_adt.Mpt.cache_stats ());
-         line "mbt" (Spitz_adt.Mbt.cache_stats ());
-         line "proof" (Spitz.Db.proof_cache_stats ());
-       ]);
+  let stats =
+    [
+      ("kv-node", NC.stats Spitz_adt.Kv_node.cache);
+      ("mpt", Spitz_adt.Mpt.cache_stats ());
+      ("mbt", Spitz_adt.Mbt.cache_stats ());
+      ("proof", Spitz.Db.proof_cache_stats ());
+    ]
+  in
+  let rows = List.map (fun (name, s) -> line name s) stats in
+  (* a command that touched no cache keeps the results file's earlier section *)
+  if List.exists (fun (_, s) -> s.NC.hits + s.NC.misses > 0) stats then
+    add_result "node_cache" (J.Obj rows);
   flush stdout
 
 (* ---------- read-scale: reader-domain sweep over the snapshot path ---------- *)
@@ -1942,6 +1946,23 @@ let codec () =
   single_row "wal append" (measure (fun _ -> Wal.append wal record));
   Wal.close wal;
   rm_rf (Filename.dirname wal_dir);
+  (* checksum kernels: SHA-256 bulk rate and per-node cost (an interior
+     Merkle node hashes 65 bytes: tag + two digests), CRC-32 over a frame *)
+  let mib = Bytes.make (1 lsl 20) 'x' in
+  let kernel_row name ~bytes ~reps f =
+    f ();
+    let (), wall = Runner.time (fun () -> for _ = 1 to reps do f () done) in
+    let ns = wall *. 1e9 /. float_of_int reps in
+    let mb_s = float_of_int bytes *. float_of_int reps /. wall /. 1e6 in
+    pr "%-22s%14s%14s%12s%12s  %.1f MB/s, %.0f ns/op\n" name "-" "-" "-" "-" mb_s ns;
+    json := (name, J.Obj [ ("mb_s", J.Num mb_s); ("ns_per_op", J.Num ns) ]) :: !json
+  in
+  kernel_row "sha256 1MiB" ~bytes:(Bytes.length mib) ~reps:64 (fun () ->
+      ignore (Spitz_crypto.Sha256.digest_bytes mib 0 (Bytes.length mib)));
+  let a = Hash.of_string "left" and b = Hash.of_string "right" in
+  kernel_row "sha256 node (65 B)" ~bytes:65 ~reps:iters (fun () -> ignore (Hash.node a b));
+  kernel_row "crc32 2KiB frame" ~bytes:2048 ~reps:iters (fun () ->
+      ignore (Spitz_storage.Crc32.update_bytes 0l mib 0 2048));
   (* acceptance: the zero-copy spine must beat the legacy paths by >= 30% *)
   if encode_saving < 0.30 then begin
     pr "FAIL: encode+identity allocation saving %.1f%% < 30%%\n" (100. *. encode_saving);
@@ -1978,6 +1999,68 @@ let codec () =
   pr "(expected shape: the new paths allocate >= 30%% less on encode+identity\n";
   pr " and serve-frame — no contents string, no header concat — and a dedup-\n";
   pr " hit store allocates no copy of the encoding at all)\n"
+
+(* ---------- results file ---------- *)
+
+(* The results file keeps history: a run replaces only the sections it
+   produced, and every section carries a stamp (under "stamps") saying
+   which revision, machine and SHA-256 compressor produced it. *)
+
+let first_line_of cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+    let line = In_channel.input_line ic in
+    (match Unix.close_process_in ic with
+     | Unix.WEXITED 0 -> Option.map String.trim line
+     | _ -> None)
+
+(* HEAD, marked "-dirty" when the working tree differs from it *)
+let git_rev () =
+  match first_line_of "git rev-parse HEAD" with
+  | None -> "unknown"
+  | Some rev -> if Sys.command "git diff --quiet HEAD 2>/dev/null" = 0 then rev else rev ^ "-dirty"
+
+let cpu_model () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> "unknown"
+  | text ->
+    String.split_on_char '\n' text
+    |> List.find_map (fun l ->
+        match String.index_opt l ':' with
+        | Some i when String.trim (String.sub l 0 i) = "model name" ->
+          Some (String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+        | _ -> None)
+    |> Option.value ~default:"unknown"
+
+let read_results () =
+  match In_channel.with_open_bin !out_file In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+    match J.of_string text with
+    | J.Obj sections -> sections
+    | _ | (exception J.Parse_error _) -> [])
+
+(* [old] with the keys [fresh] also has replaced in place, then [fresh]'s
+   new keys in order *)
+let upsert old fresh =
+  List.map (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k fresh))) old
+  @ List.filter (fun (k, _) -> not (List.mem_assoc k old)) fresh
+
+let merge_results ~previous ~stamp =
+  (* this run's sections, the last write of a repeated key winning *)
+  let fresh =
+    List.fold_left (fun acc (k, v) -> (k, v) :: List.remove_assoc k acc) [] (List.rev !results)
+    |> List.rev
+  in
+  let old_stamps =
+    match List.assoc_opt "stamps" previous with Some (J.Obj s) -> s | _ -> []
+  in
+  (* "meta" was the single per-file stamp before sections had their own *)
+  let sections = List.filter (fun (k, _) -> k <> "stamps" && k <> "meta") previous in
+  J.Obj
+    (upsert sections fresh
+     @ [ ("stamps", J.Obj (upsert old_stamps (List.map (fun (k, _) -> (k, stamp)) fresh))) ])
 
 (* ---------- driver ---------- *)
 
@@ -2096,18 +2179,23 @@ let () =
     Runner.time (fun () -> List.iter (fun c -> run c; flush_fig (); flush stdout) cmds)
   in
   cache_report ();
-  add_result "meta"
-    (J.Obj
-       [
-         ("scale", J.Num (float_of_int !scale));
-         ("ops", J.Num (float_of_int !ops));
-         ("pool_domains", J.Num (float_of_int (pool_size ())));
-         ("recommended_domains", J.Num (float_of_int (Domain.recommended_domain_count ())));
-         ("wall_seconds", J.Num wall);
-         ("commands", J.Arr (List.map (fun c -> J.Str c) cmds));
-       ]);
+  let stamp =
+    J.Obj
+      [
+        ("git_rev", J.Str (git_rev ()));
+        ("cpu_model", J.Str (cpu_model ()));
+        ("sha256", J.Str Spitz_crypto.Sha256.implementation);
+        ("recommended_domains", J.Num (float_of_int (Domain.recommended_domain_count ())));
+        ("pool_domains", J.Num (float_of_int (pool_size ())));
+        ("scale", J.Num (float_of_int !scale));
+        ("ops", J.Num (float_of_int !ops));
+        ("wall_seconds", J.Num wall);
+        ("commands", J.Arr (List.map (fun c -> J.Str c) cmds));
+      ]
+  in
+  let merged = merge_results ~previous:(read_results ()) ~stamp in
   let oc = open_out !out_file in
-  output_string oc (J.to_string (J.Obj (List.rev !results)));
+  output_string oc (J.to_string merged);
   output_string oc "\n";
   close_out oc;
   pr "\nmachine-readable results written to %s\n" !out_file;

@@ -601,10 +601,14 @@ let check_checkpoint_storm (tr : Trace.trace) =
     in
     let batch_of (c, j) = List.nth (List.nth slices c) j in
     let live = Atomic.make ncommitters in
+    (* start barrier: no committer runs before the checkpointer does, so
+       committers that finish fast cannot leave it with nothing to race *)
+    let racing = Atomic.make false in
     let committers =
       List.mapi
         (fun c slice ->
            Domain.spawn (fun () ->
+               while not (Atomic.get racing) do Domain.cpu_relax () done;
                List.iteri
                  (fun j ws ->
                     ignore (Db.commit db ~statements:[ sentinel c j ] (writes_of ws)))
@@ -614,6 +618,9 @@ let check_checkpoint_storm (tr : Trace.trace) =
     in
     let checkpointer =
       Domain.spawn (fun () ->
+          Atomic.set racing true;
+          (* at least one checkpoint, however the race is scheduled *)
+          Db.checkpoint d;
           while Atomic.get live > 0 do
             Db.checkpoint d
           done)
@@ -621,8 +628,13 @@ let check_checkpoint_storm (tr : Trace.trace) =
     let reader =
       Domain.spawn (fun () ->
           let i = ref 0 in
+          (* a wall-clock guard against committers that never finish: an
+             iteration count would tie it to how much faster a verified
+             read is than a fsynced commit *)
+          let t0 = Unix.gettimeofday () in
           while Atomic.get live > 0 || !i < 20 do
-            if !i > 100_000 then fail "reader starved: committers never finished";
+            if Unix.gettimeofday () -. t0 > 60. then
+              fail "reader starved: committers never finished";
             (match Db.snapshot db with
              | None -> ()
              | Some s ->

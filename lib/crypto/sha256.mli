@@ -1,8 +1,19 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4) on native compressors.
 
-    Vendored because the sealed build environment has no cryptographic hash
-    package. Verified in the test suite against the FIPS 180-4 known-answer
-    vectors. *)
+    The block compressor is C (sha256_stubs.c): the x86-64 SHA-NI
+    instructions when CPUID reports them, a portable C loop otherwise (and
+    on every other architecture). CPUID alone decides, once per process;
+    there is no setting. Both compressors produce the same bytes, and the
+    test suite checks each against the FIPS 180-4 known-answer vectors and
+    against a pure-OCaml reference implementation kept in the test tree.
+
+    The one-shot functions ([digest_string], [digest_sub], [digest_bytes])
+    are a single call into C that allocates nothing but the 32-byte result;
+    the streaming [ctx] serves multi-part inputs. *)
+
+val implementation : string
+(** The compressor this process selected: ["sha-ni"] or ["portable"].
+    Read-only, for reports such as benchmark stamps. *)
 
 type ctx
 (** Streaming hash state. Not thread-safe; one context per stream. *)
@@ -37,3 +48,12 @@ val digest_bytes : Bytes.t -> int -> int -> string
 
 val digest_sub : string -> int -> int -> string
 (** One-shot digest of a string range, equally copy-free. *)
+
+(**/**)
+
+module For_testing : sig
+  val digest_portable : Bytes.t -> int -> int -> string
+  (** [digest_bytes] forced onto the portable C compressor, so the test
+      suite can check both compressors on a host that selects SHA-NI. Not
+      a runtime switch: nothing outside the tests calls it. *)
+end

@@ -1,49 +1,25 @@
-(* Table-driven CRC-32, reflected polynomial 0xEDB88320 (zlib-compatible).
-
-   The state is carried in a native int masked to 32 bits rather than an
-   [Int32]: OCaml boxes [Int32], and the old per-byte loop allocated a fresh
-   box per iteration — on the WAL and frame paths that was the dominant
-   allocation. The bit patterns are identical; [Int32] appears only at the
-   API boundary. *)
+(* CRC-32, reflected polynomial 0xEDB88320 (zlib-compatible), over the
+   slicing-by-8 C loop in crc32_stubs.c, whose tables are a static const
+   literal. The running value crosses into C as a native int holding the
+   32-bit pattern, so no [Int32] is boxed per call; [Int32] appears only at
+   the API boundary. *)
 
 let mask = 0xFFFFFFFF
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
-
-(* Core loop over a byte range; [c] is the internal (complemented) state. *)
-let run_bytes table c b off len =
-  let c = ref c in
-  for i = off to off + len - 1 do
-    let idx = (!c lxor Char.code (Bytes.unsafe_get b i)) land 0xff in
-    c := Array.unsafe_get table idx lxor (!c lsr 8)
-  done;
-  !c
+external c_update : int -> Bytes.t -> int -> int -> int = "spitz_crc32_update" [@@noalloc]
 
 let of_int32 crc = Int32.to_int crc land mask
-let to_int32 c = Int32.of_int c
 
 let update_bytes crc b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Crc32.update_bytes: out of bounds";
-  let table = Lazy.force table in
-  to_int32 (lnot (run_bytes table (lnot (of_int32 crc) land mask) b off len) land mask)
+  Int32.of_int (c_update (of_int32 crc) b off len)
 
 let update_sub crc s off len =
   if off < 0 || len < 0 || off > String.length s - len then
     invalid_arg "Crc32.update_sub: out of bounds";
-  (* strings are immutable; the view is read-only *)
-  let table = Lazy.force table in
-  to_int32
-    (lnot (run_bytes table (lnot (of_int32 crc) land mask) (Bytes.unsafe_of_string s) off len)
-     land mask)
+  (* strings are immutable; the C loop only reads the range *)
+  Int32.of_int (c_update (of_int32 crc) (Bytes.unsafe_of_string s) off len)
 
 let update crc s = update_sub crc s 0 (String.length s)
 

@@ -1,7 +1,17 @@
 open Spitz_crypto
 
+(* every SHA-256 kernel: the selected compressor, the portable one and the
+   pure-OCaml reference *)
 let check_hex msg input expected =
-  Alcotest.(check string) msg expected (Hash.to_hex (Hash.of_string input))
+  let b = Bytes.of_string input in
+  List.iter
+    (fun (kernel, digest) ->
+       Alcotest.(check string) (msg ^ " " ^ kernel) expected (Hash.to_hex (Hash.of_raw digest)))
+    [
+      (Sha256.implementation, Sha256.digest_string input);
+      ("portable", Sha256.For_testing.digest_portable b 0 (Bytes.length b));
+      ("oracle", Oracle_sha256.digest_string input);
+    ]
 
 (* FIPS 180-4 known-answer vectors *)
 let test_vectors () =

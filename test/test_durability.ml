@@ -53,6 +53,7 @@ let last_wal_segment wal_dir =
 let test_crc32_check_value () =
   (* the standard CRC-32/ISO-HDLC check value *)
   Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.digest "123456789");
+  Alcotest.(check int32) "oracle check value" 0xCBF43926l (Oracle_crc32.digest "123456789");
   Alcotest.(check int32) "empty" 0l (Crc32.digest "");
   Alcotest.(check int32) "incremental = whole" (Crc32.digest "hello world")
     (Crc32.update (Crc32.digest "hello ") "world")

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "spitz"
     [
       ("crypto", Test_crypto.suite);
+      ("kernels", Test_kernels.suite);
       ("storage", Test_storage.suite);
       ("durability", Test_durability.suite);
       ("exec", Test_exec.suite);
