@@ -394,8 +394,8 @@ let siri () =
   let n = max 2000 (50_000 / !scale) in
   let updates = 1000 in
   pr "\n== SIRI ablation: %d records, %d updates ==\n" n updates;
-  pr "%-14s%12s%12s%12s%14s%14s%14s%12s\n" "index" "build(s)" "get k/s" "vrf k/s"
-    "proof(B)" "range-p(B)" "upd-bytes" "invariant";
+  pr "%-14s%12s%12s%12s%14s%14s%14s%14s%12s\n" "index" "build(s)" "get k/s" "vrf k/s"
+    "proof(B)" "range-p(B)" "upd-bytes" "upd16-bytes" "invariant";
   let json_rows = ref [] in
   let bench (module S : Spitz_adt.Siri.S) =
     let store = Spitz_storage.Object_store.create () in
@@ -427,6 +427,22 @@ let siri () =
       t := S.insert !t k (Keygen.value_of ~version:(i + 1) k)
     done;
     let after = (Spitz_storage.Object_store.stats store).Spitz_storage.Object_store.physical_bytes in
+    (* the same updates arriving as 16-key blocks, one [insert_batch] each —
+       the ledger's commit shape: per-key cost once every touched node is
+       stored once per block *)
+    let block = 16 in
+    let blocks = updates / block in
+    for b = 0 to blocks - 1 do
+      t :=
+        S.insert_batch !t
+          (List.init block (fun j ->
+               let k = Keygen.key_of (Keygen.int rng n) in
+               (k, Keygen.value_of ~version:(updates + (b * block) + j + 1) k)))
+    done;
+    let after_batched =
+      (Spitz_storage.Object_store.stats store).Spitz_storage.Object_store.physical_bytes
+    in
+    let batched_per_update = (after_batched - after) / (blocks * block) in
     (* structural invariance: does a different insertion order produce a
        byte-identical structure? (the defining SIRI property POS-tree has
        and insertion-order-dependent trees lack) *)
@@ -443,9 +459,9 @@ let siri () =
         (S.root_digest (build forward))
         (S.root_digest (build backward))
     in
-    pr "%-14s%12.2f%12.1f%12.1f%14d%14d%14d%12s\n" S.name build (Runner.kops t_get)
+    pr "%-14s%12.2f%12.1f%12.1f%14d%14d%14d%14d%12s\n" S.name build (Runner.kops t_get)
       (Runner.kops t_vrf) (Spitz_adt.Siri.proof_size p) (Spitz_adt.Siri.proof_size rp)
-      ((after - before) / updates) (if invariant then "yes" else "no");
+      ((after - before) / updates) batched_per_update (if invariant then "yes" else "no");
     json_rows :=
       J.Obj
         [
@@ -456,6 +472,7 @@ let siri () =
           ("proof_bytes", J.Num (float_of_int (Spitz_adt.Siri.proof_size p)));
           ("range_proof_bytes", J.Num (float_of_int (Spitz_adt.Siri.proof_size rp)));
           ("bytes_per_update", J.Num (float_of_int ((after - before) / updates)));
+          ("bytes_per_update_block16", J.Num (float_of_int batched_per_update));
           ("structurally_invariant", J.Bool invariant);
         ]
       :: !json_rows
@@ -470,7 +487,9 @@ let siri () =
   pr " trades larger content-defined nodes for structural invariance — the\n";
   pr " property that lets independent replicas deduplicate each other. MPT and\n";
   pr " MBT are also structurally invariant; the B+-tree is insertion-order\n";
-  pr " dependent)\n"
+  pr " dependent. upd16-bytes: the Merkle B+-tree stores each node a 16-key\n";
+  pr " block touches once, so it sits well below upd-bytes; the other indexes\n";
+  pr " apply a block key by key and stay near upd-bytes)\n"
 
 (* ---------- learned index (section 7.1 extension) ---------- *)
 

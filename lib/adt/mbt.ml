@@ -147,6 +147,8 @@ let insert t key value =
   let root, grew = update_path t t.root bucket 0 (insert_sorted key value) in
   { t with root; count = (if grew then t.count + 1 else t.count) }
 
+let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+
 let rec find_bucket t h bucket level =
   if level = t.depth then
     match load t h with

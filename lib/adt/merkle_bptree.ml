@@ -53,49 +53,69 @@ let split_list l =
   in
   take (n / 2) l
 
-(* Returns one or two (min_key, hash) links replacing the modified child. *)
-let rec insert_at t h key value =
-  match load t.store h with
-  | Leaf entries ->
+(* A batch rewrites nodes in memory and stores only their final versions.
+   A child link is either a node already in the store or a node this batch
+   rewrote and has not saved yet. *)
+type pending =
+  | P_leaf of (string * string) list
+  | P_internal of (string * link) list
+
+and link = Stored of Hash.t | Dirty of pending
+
+let expand store = function
+  | Dirty node -> node
+  | Stored h ->
+    (match load store h with
+     | Leaf entries -> P_leaf entries
+     | Internal children -> P_internal (List.map (fun (k, h) -> (k, Stored h)) children))
+
+(* One or two (min_key, link) pairs holding [l]: split when it overflows. *)
+let links_of mk l =
+  if List.length l <= max_entries then [ (fst (List.hd l), Dirty (mk l)) ]
+  else begin
+    let left, right = split_list l in
+    [ (fst (List.hd left), Dirty (mk left)); (fst (List.hd right), Dirty (mk right)) ]
+  end
+
+(* Returns the links replacing the modified child, and whether the
+   cardinality grew. The splits depend only on keys and entry counts, so a
+   batch ends in exactly the tree a fold of single-key inserts builds. *)
+let rec insert_in store link key value =
+  match expand store link with
+  | P_leaf entries ->
     let entries', grew = insert_entry key value entries in
-    if List.length entries' <= max_entries then
-      let node = Leaf entries' in
-      ([ (min_key node, save t.store node) ], grew)
-    else begin
-      let left, right = split_list entries' in
-      let nl = Leaf left and nr = Leaf right in
-      ([ (min_key nl, save t.store nl); (min_key nr, save t.store nr) ], grew)
-    end
-  | Internal children ->
+    (links_of (fun e -> P_leaf e) entries', grew)
+  | P_internal children ->
     let idx = child_index children key in
-    let _, child_hash = List.nth children idx in
-    let replacements, grew = insert_at t child_hash key value in
+    let replacements, grew = insert_in store (snd (List.nth children idx)) key value in
     let children' =
       List.concat
         (List.mapi (fun i (k, ch) -> if i = idx then replacements else [ (k, ch) ]) children)
     in
-    if List.length children' <= max_entries then
-      let node = Internal children' in
-      ([ (min_key node, save t.store node) ], grew)
-    else begin
-      let left, right = split_list children' in
-      let nl = Internal left and nr = Internal right in
-      ([ (min_key nl, save t.store nl); (min_key nr, save t.store nr) ], grew)
-    end
+    (links_of (fun c -> P_internal c) children', grew)
 
-let insert t key value =
-  match t.root with
-  | None ->
-    let node = Leaf [ (key, value) ] in
-    { t with root = Some (save t.store node); count = 1 }
-  | Some h ->
-    let links, grew = insert_at t h key value in
-    let root =
-      match links with
-      | [ (_, h') ] -> h'
-      | links -> save t.store (Internal links)
-    in
-    { t with root = Some root; count = (if grew then t.count + 1 else t.count) }
+(* Save every rewritten node once, children before parents. *)
+let rec flush store = function
+  | Stored h -> h
+  | Dirty (P_leaf entries) -> save store (Leaf entries)
+  | Dirty (P_internal children) ->
+    save store (Internal (List.map (fun (k, l) -> (k, flush store l)) children))
+
+let insert_batch t kvs =
+  let step (root, count) (key, value) =
+    match root with
+    | None -> (Some (Dirty (P_leaf [ (key, value) ])), 1)
+    | Some link ->
+      let links, grew = insert_in t.store link key value in
+      let root = match links with [ (_, l) ] -> l | links -> Dirty (P_internal links) in
+      (Some root, if grew then count + 1 else count)
+  in
+  let root, count =
+    List.fold_left step (Option.map (fun h -> Stored h) t.root, t.count) kvs
+  in
+  { t with root = Option.map (flush t.store) root; count }
+
+let insert t key value = insert_batch t [ (key, value) ]
 
 let get t key = Kv_node.get t.store t.root key
 let get_with_proof t key = Kv_node.get_with_proof t.store t.root key

@@ -189,6 +189,8 @@ let insert t key value =
     let root, grew = insert_at t h path value in
     { t with root = Some root; count = (if grew then t.count + 1 else t.count) }
 
+let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+
 let rec get_at t h path =
   match load t h with
   | Leaf (lpath, v) -> if String.equal lpath path then Some v else None

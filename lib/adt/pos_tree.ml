@@ -276,6 +276,8 @@ let rec insert_entry key value = function
 
 let insert t key value = update t key (insert_entry key value)
 
+let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+
 let remove t key =
   update t key (fun entries ->
       let present = List.mem_assoc key entries in

@@ -70,6 +70,12 @@ module type S = sig
   (** Persistent insert (or overwrite): the previous version remains valid and
       shares all untouched nodes with the new one. *)
 
+  val insert_batch : t -> (string * string) list -> t
+  (** [insert] of every pair, in list order (a later duplicate key wins):
+      the same root digest and cardinal as folding {!insert} over the list.
+      The store gains only nodes reachable from the returned root — no
+      intermediate version of a node is stored. *)
+
   val get : t -> string -> string option
 
   val get_with_proof : t -> string -> string option * proof

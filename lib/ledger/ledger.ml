@@ -140,9 +140,10 @@ module Make (Index : Siri.S) = struct
 
      [commit_prepared] — the serial section; the caller must serialize
      calls. Stage 2: assign the txn id and apply the writes to the SIRI
-     index in batch order, so txn ids, the index root and therefore every
-     proof are bit-identical to some serial execution order regardless of
-     how many committers prepared concurrently. Stage 3: assemble the
+     index as one batch, in batch order, so txn ids, the index root and
+     therefore every proof are bit-identical to some serial execution order
+     regardless of how many committers prepared concurrently; only the
+     block's final version of each touched node is stored. Stage 3: assemble the
      block, with its entry leaf hashes computed on the pool as well. *)
   type prepared = {
     p_writes : write list;
@@ -167,12 +168,10 @@ module Make (Index : Siri.S) = struct
   let commit_prepared t { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes } =
     let txn_id = fresh_txn t in
     let index =
-      List.fold_left
-        (fun index w ->
-           match w with
-           | Put (k, v) -> Index.insert index k (tag_value v)
-           | Delete k -> Index.insert index k tombstone)
-        (current_index t) writes
+      Index.insert_batch (current_index t)
+        (List.map
+           (function Put (k, v) -> (k, tag_value v) | Delete k -> (k, tombstone))
+           writes)
     in
     let entries =
       List.map2

@@ -139,6 +139,16 @@ module Conformance (S : Siri.S) = struct
          && S.cardinal t = SM.cardinal model
          && S.range t ~lo:(key_of 0) ~hi:(key_of 500) = SM.bindings model)
 
+  let prop_batch_is_fold =
+    QCheck.Test.make ~name:(S.name ^ ": insert_batch = insert fold") ~count:30
+      QCheck.(pair (int_bound 200) (small_list (pair (int_bound 300) (int_bound 5))))
+      (fun (n0, ops) ->
+         let kvs = List.map (fun (ki, vi) -> (key_of ki, Printf.sprintf "v%d" vi)) ops in
+         let folded = List.fold_left (fun t (k, v) -> S.insert t k v) (build n0) kvs in
+         let batched = S.insert_batch (build n0) kvs in
+         Hash.equal (S.root_digest folded) (S.root_digest batched)
+         && S.cardinal folded = S.cardinal batched)
+
   let suite name =
     [
       Alcotest.test_case (name ^ ": empty") `Quick test_empty;
@@ -151,6 +161,7 @@ module Conformance (S : Siri.S) = struct
       Alcotest.test_case (name ^ ": iter") `Quick test_iter;
       Alcotest.test_case (name ^ ": structural sharing") `Quick test_structural_sharing;
       QCheck_alcotest.to_alcotest prop_model;
+      QCheck_alcotest.to_alcotest prop_batch_is_fold;
     ]
 end
 
@@ -386,6 +397,120 @@ let suite =
       QCheck_alcotest.to_alcotest (prop_corrupted_range_proofs_fail (module Pos_tree));
     ]
 
+(* --- Merkle B+-tree batch insert against the per-key oracle ---
+
+   [Oracle_bptree] is the store-backed single-key path copy; folding it over
+   a batch must give the same root digest and cardinal as one
+   [insert_batch], and every object the batch stores must be reachable from
+   the new root (no intermediate node versions). *)
+
+let tree_height store root =
+  let rec go h =
+    match Kv_node.load store h with
+    | Kv_node.Leaf _ | Kv_node.Internal [] -> 1
+    | Kv_node.Internal ((_, child) :: _) -> 1 + go child
+  in
+  if Hash.is_null root then 0 else go root
+
+(* Initial keys are the even indices, so batch keys land both on them
+   (overwrites) and between them; value 0 is the ledger's tombstone. *)
+let batch_kvs ops =
+  List.map (fun (ki, vi) -> (key_of ki, if vi = 0 then "T" else Printf.sprintf "V%d" vi)) ops
+
+let initial n0 = List.init n0 (fun i -> (key_of (2 * i), Printf.sprintf "V-init-%d" i))
+
+(* Applies [kvs] to an [n0]-key tree both ways; returns the starting tree,
+   the batched result, the oracle's result and the objects the batch
+   stored. *)
+let run_batch n0 kvs =
+  let oracle =
+    Oracle_bptree.insert_all
+      (Oracle_bptree.insert_all (Oracle_bptree.create (Object_store.create ())) (initial n0))
+      kvs
+  in
+  let store = Object_store.create () in
+  let t0 = Merkle_bptree.insert_batch (Merkle_bptree.create store) (initial n0) in
+  let added = ref [] in
+  Object_store.set_observer store (Some (fun h _ -> added := h :: !added));
+  let t1 = Merkle_bptree.insert_batch t0 kvs in
+  Object_store.set_observer store None;
+  (t0, t1, oracle, !added)
+
+let only_reachable_added t added =
+  let reachable = Hash.Table.create 256 in
+  Merkle_bptree.iter_nodes (Merkle_bptree.store t) (Merkle_bptree.root_digest t) (fun h ->
+      Hash.Table.replace reachable h ());
+  List.for_all (Hash.Table.mem reachable) added
+
+let matches_oracle t (oracle : Oracle_bptree.t) =
+  Hash.equal (Merkle_bptree.root_digest t) (Oracle_bptree.root_digest oracle)
+  && Merkle_bptree.cardinal t = oracle.Oracle_bptree.count
+
+let gen_batch_case =
+  QCheck.Gen.(
+    let* n0 = oneof [ return 0; int_range 1 40; int_range 41 400 ] in
+    let* len = oneof [ return 0; int_range 1 16; int_range 17 600 ] in
+    (* a narrow key span forces duplicate keys within the batch *)
+    let* span = int_range 1 ((2 * n0) + len + 1) in
+    let* ops = list_repeat len (pair (int_bound span) (int_bound 9)) in
+    return (n0, ops))
+
+let prop_batch_matches_oracle =
+  QCheck.Test.make ~name:"bptree: insert_batch matches the per-key oracle" ~count:60
+    (QCheck.make
+       ~print:(fun (n0, ops) -> Printf.sprintf "n0=%d batch=%d" n0 (List.length ops))
+       gen_batch_case)
+    (fun (n0, ops) ->
+       let _, t1, oracle, added = run_batch n0 (batch_kvs ops) in
+       matches_oracle t1 oracle && only_reachable_added t1 added)
+
+let test_batch_empty () =
+  let t0, t1, oracle, added = run_batch 100 [] in
+  Alcotest.(check bool) "digest unchanged" true
+    (Hash.equal (Merkle_bptree.root_digest t0) (Merkle_bptree.root_digest t1));
+  Alcotest.(check bool) "matches oracle" true (matches_oracle t1 oracle);
+  Alcotest.(check int) "nothing stored" 0 (List.length added);
+  let _, e1, eoracle, eadded = run_batch 0 [] in
+  Alcotest.(check bool) "empty tree stays empty" true
+    (Hash.is_null (Merkle_bptree.root_digest e1) && matches_oracle e1 eoracle && eadded = [])
+
+let test_batch_duplicates_and_tombstones () =
+  let k = key_of 7 and k2 = key_of 8 in
+  let kvs = [ (k, "V1"); (k2, "T"); (k, "T"); (k2, "V2"); (k, "V3"); (k2, "T") ] in
+  let t0, t1, oracle, added = run_batch 4 kvs in
+  Alcotest.(check bool) "matches oracle" true (matches_oracle t1 oracle);
+  Alcotest.(check (option string)) "last write wins" (Some "V3") (Merkle_bptree.get t1 k);
+  Alcotest.(check (option string)) "tombstone kept" (Some "T") (Merkle_bptree.get t1 k2);
+  Alcotest.(check int) "cardinal" 6 (Merkle_bptree.cardinal t1);
+  Alcotest.(check (option string)) "old version intact" None (Merkle_bptree.get t0 k);
+  Alcotest.(check int) "one leaf stored" 1 (List.length added)
+
+let test_batch_splits_root_twice () =
+  (* 600 keys into a one-leaf tree, and into an empty one: the root splits
+     twice either way *)
+  List.iter
+    (fun n0 ->
+       let kvs = batch_kvs (List.init 600 (fun i -> ((i * 7919) mod 1200, 1 + (i mod 9)))) in
+       let t0, t1, oracle, added = run_batch n0 kvs in
+       let store = Merkle_bptree.store t1 in
+       Alcotest.(check int) "starting height" (min n0 1)
+         (tree_height store (Merkle_bptree.root_digest t0));
+       Alcotest.(check int) "height after the batch" 3
+         (tree_height store (Merkle_bptree.root_digest t1));
+       Alcotest.(check bool) "matches oracle" true (matches_oracle t1 oracle);
+       Alcotest.(check bool) "only reachable nodes stored" true (only_reachable_added t1 added))
+    [ 0; 10 ]
+
+let batch_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_batch_matches_oracle;
+    Alcotest.test_case "bptree: empty batch" `Quick test_batch_empty;
+    Alcotest.test_case "bptree: duplicate keys and tombstones in a batch" `Quick
+      test_batch_duplicates_and_tombstones;
+    Alcotest.test_case "bptree: 600-key batch splits the root twice" `Quick
+      test_batch_splits_root_twice;
+  ]
+
 (* the node codec is total: arbitrary bytes either decode or raise Malformed *)
 let prop_kv_node_decode_total =
   QCheck.Test.make ~name:"kv-node decoding is total on garbage" ~count:300
@@ -404,6 +529,7 @@ let prop_kv_node_roundtrip =
 
 let suite =
   suite
+  @ batch_suite
   @ [
       QCheck_alcotest.to_alcotest prop_kv_node_decode_total;
       QCheck_alcotest.to_alcotest prop_kv_node_roundtrip;

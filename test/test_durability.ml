@@ -1222,6 +1222,86 @@ let test_durable_concurrent_checkpoint () =
       Alcotest.(check bool) "audit" true (Db.audit db');
       Db.close_durable d')
 
+(* --- one index version per block ---
+
+   A commit applies its writes to the index as one batch, so the store (and
+   the log) holds only nodes some block's index root reaches: compacting
+   with every instance kept finds nothing to delete. *)
+
+let test_batched_commits_store_no_garbage () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Never dir in
+      let db = Db.durable_db d in
+      let key i = Printf.sprintf "user%05d" i in
+      for b = 0 to 3 do
+        ignore
+          (Db.put_batch db (List.init 512 (fun i -> let k = key ((b * 512) + i) in (k, "v0-" ^ k))))
+      done;
+      let rng = Random.State.make [| 17 |] in
+      for u = 1 to 24 do
+        ignore
+          (Db.put_batch db
+             (List.init 16 (fun _ ->
+                  let k = key (Random.State.int rng 2048) in
+                  (k, Printf.sprintf "v%d-%s" u k))))
+      done;
+      let digest = Db.digest db in
+      let deleted, reclaimed = Db.compact ~keep_instances:max_int db in
+      Alcotest.(check int) "objects deleted" 0 deleted;
+      Alcotest.(check int) "bytes reclaimed" 0 reclaimed;
+      Alcotest.(check bool) "digest unchanged by compaction" true (Db.digest db = digest);
+      Db.close_durable d;
+      let d' = Db.open_durable dir in
+      Alcotest.(check bool) "reopen gives the same digest" true
+        (Db.digest (Db.durable_db d') = digest);
+      Db.close_durable d')
+
+(* A durable directory written by the per-key path-copy index (64 keys in 4
+   commits of 16): its log records carry every intermediate node version.
+   Replay stores those unreferenced objects too; the database must open to
+   the digest it had, serve verified reads and take new commits. *)
+let per_key_wal_fixture = Filename.concat "fixtures" "per_key_wal"
+
+let per_key_wal_root = "367d41d3509330b3e08c5b2976fe9257daba0d05656dc4961502a0d992c034ce"
+
+let test_per_key_wal_still_opens () =
+  with_dir (fun dir ->
+      copy_tree per_key_wal_fixture dir;
+      let d = Db.open_durable dir in
+      let db = Db.durable_db d in
+      let digest = Db.digest db in
+      Alcotest.(check int) "blocks" 4 digest.Spitz_ledger.Journal.size;
+      Alcotest.(check string) "digest" per_key_wal_root
+        (Spitz_crypto.Hash.to_hex digest.Spitz_ledger.Journal.root);
+      Alcotest.(check bool) "audit" true (Db.audit db);
+      let check_reads digest =
+        for i = 0 to 63 do
+          let key = Printf.sprintf "compat-%03d" i in
+          let value, proof = Db.get_verified db key in
+          Alcotest.(check (option string)) key (Some (Printf.sprintf "value-%03d-b%d" i (i mod 4))) value;
+          Alcotest.(check bool) (key ^ " verifies") true
+            (Db.verify_read ~digest ~key ~value (Option.get proof))
+        done
+      in
+      check_reads digest;
+      ignore (Db.put_batch db [ ("compat-new", "fresh"); ("compat-000", "value-000-b0") ]);
+      let digest' = Db.digest db in
+      Alcotest.(check int) "new commit lands" 5 digest'.Spitz_ledger.Journal.size;
+      check_reads digest';
+      let value, proof = Db.get_verified db "compat-new" in
+      Alcotest.(check bool) "new key verifies" true
+        (value = Some "fresh"
+         && Db.verify_read ~digest:digest' ~key:"compat-new" ~value (Option.get proof));
+      (* the old log's intermediate node versions are reachable from no root *)
+      let deleted, _ = Db.compact ~keep_instances:max_int db in
+      Alcotest.(check bool) "old intermediate versions swept" true (deleted > 0);
+      check_reads digest';
+      Db.close_durable d;
+      let d' = Db.open_durable dir in
+      Alcotest.(check bool) "reopen gives the same digest" true
+        (Db.digest (Db.durable_db d') = digest');
+      Db.close_durable d')
+
 let suite =
   [
     Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
@@ -1281,4 +1361,7 @@ let suite =
       test_durable_concurrent_committers;
     Alcotest.test_case "concurrent run + torn tail" `Quick test_durable_concurrent_torn_tail;
     Alcotest.test_case "checkpoint races committers" `Quick test_durable_concurrent_checkpoint;
+    Alcotest.test_case "batched commits store no unreachable nodes" `Quick
+      test_batched_commits_store_no_garbage;
+    Alcotest.test_case "per-key path-copy log still opens" `Quick test_per_key_wal_still_opens;
   ]
