@@ -1843,7 +1843,8 @@ let server_bench () =
    public API keeps): node identity hashed straight from the encoder's
    buffer vs encode-to-string-then-hash, dedup-hit stores through
    [put_writer] vs [put], response frames gathered from a reused writer vs
-   string-concatenated, plus decode and WAL-append rates. Reports ops/s and
+   string-concatenated, plus decode and WAL-append rates and the cell-store
+   write path (a digest to hex, one cell write). Reports ops/s and
    [Gc.allocated_bytes] per op, asserts the >= 30%% allocation win on the
    encode and frame paths, and with [--gate] compares against the committed
    baseline in the results file, failing on a > 25%% regression. *)
@@ -1904,9 +1905,13 @@ let codec () =
     saving
   in
   let single_row name (b, thr) =
-    pr "%-22s%14s%14.1f%12s%12.1f%9s\n" name "-" b "-" (Runner.kops thr) "-";
+    let ns = 1e9 /. thr in
+    pr "%-22s%14s%14.1f%12s%12.1f%9s  %.0f ns/op\n" name "-" b "-" (Runner.kops thr) "-" ns;
     json :=
-      (name, J.Obj [ ("bytes_per_op", J.Num b); ("kops", J.Num (Runner.kops thr)) ])
+      ( name,
+        J.Obj
+          [ ("bytes_per_op", J.Num b); ("kops", J.Num (Runner.kops thr)); ("ns_per_op", J.Num ns) ]
+      )
       :: !json
   in
   (* a rotation of realistic leaf nodes (~16 entries each) *)
@@ -1965,6 +1970,18 @@ let codec () =
   single_row "wal append" (measure (fun _ -> Wal.append wal record));
   Wal.close wal;
   rm_rf (Filename.dirname wal_dir);
+  (* the cell-store write path: a value hash in hex, then one cell write —
+     value hash, universal-key encode, dedup-hit value put, B+-tree insert *)
+  let digest = Hash.of_string "hex" in
+  single_row "hex 32 B" (measure (fun _ -> ignore (Hash.to_hex digest)));
+  let cells = Spitz.Cell_store.create () in
+  let pks = Array.init 1024 Keygen.key_of in
+  let values = Array.init 64 (fun i -> Keygen.value_of pks.(i)) in
+  single_row "cell write"
+    (measure (fun i ->
+         ignore
+           (Spitz.Cell_store.write_cell cells ~column:"v" ~pk:pks.(i land 1023) ~ts:i
+              values.(i land 63))));
   (* checksum kernels: SHA-256 bulk rate and per-node cost (an interior
      Merkle node hashes 65 bytes: tag + two digests), CRC-32 over a frame *)
   let mib = Bytes.make (1 lsl 20) 'x' in
@@ -2013,6 +2030,7 @@ let codec () =
      check "serve frame" "new_bytes_per_op";
      check "decode node" "bytes_per_op";
      check "wal append" "bytes_per_op";
+     check "cell write" "bytes_per_op";
      pr "gate: checked against committed baseline (threshold +25%%)\n");
   add_result "codec" (J.Obj (List.rev !json));
   pr "(expected shape: the new paths allocate >= 30%% less on encode+identity\n";

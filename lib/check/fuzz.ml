@@ -54,11 +54,6 @@ type target = {
   classify : string -> outcome;
 }
 
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
 (* The generic verifier contract. [normalize] re-encodes a decoded artifact
    with advisory fields (embedded digest copies the verifier ignores)
    canonicalized, so a mutant that verifies is a bug only if it differs from
@@ -73,7 +68,7 @@ let classify_with ~decode ~verify ~normalize ~honest data =
     | false -> Rejected_verify
     | true ->
       if String.equal (normalize p) (normalize honest) then Benign
-      else Accepted ("different artifact verified: " ^ hex data))
+      else Accepted ("different artifact verified: " ^ Spitz_crypto.Hash.hex_of_string data))
 
 let fuzz_target rng ~mutants target =
   let r = ref empty_report in
@@ -662,7 +657,7 @@ let slice_case ~tname read data ~before ~after =
     else
       Accepted
         (Printf.sprintf "slice decode at offset %d diverged from string decode: %s"
-           (String.length before) (hex data))
+           (String.length before) (Spitz_crypto.Hash.hex_of_string data))
   in
   match
     match Wire.decode tname read data with

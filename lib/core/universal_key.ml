@@ -19,9 +19,22 @@ let make ~column ~pk ~ts ~vhash =
   if String.contains pk sep then invalid_arg "Universal_key: pk contains NUL";
   { column; pk; ts; vhash }
 
+let sep_str = String.make 1 sep
+
+(* The timestamp field, as the format [%012d] writes it: zero-padded to 12
+   characters (a leading '-' counts toward the width), wider values in
+   full. Every timestamp below 10^12 therefore sorts numerically. *)
+let ts_width = 12
+
+let ts_field ts =
+  let s = string_of_int ts in
+  let n = String.length s in
+  if n >= ts_width then s
+  else if ts >= 0 then String.make (ts_width - n) '0' ^ s
+  else "-" ^ String.make (ts_width - n) '0' ^ String.sub s 1 (n - 1)
+
 (* column \0 pk \0 ts(12 digits) \0 vhash-hex *)
-let encode t =
-  Printf.sprintf "%s%c%s%c%012d%c%s" t.column sep t.pk sep t.ts sep (Hash.to_hex t.vhash)
+let encode t = String.concat sep_str [ t.column; t.pk; ts_field t.ts; Hash.to_hex t.vhash ]
 
 let decode s =
   match String.split_on_char sep s with
@@ -30,15 +43,14 @@ let decode s =
      with _ -> None)
   | _ -> None
 
-(* Range bounds covering every version of one cell. *)
-let sep_str = String.make 1 sep
-
+(* Common prefix of every version of one cell. *)
 let cell_prefix ~column ~pk = String.concat sep_str [ column; pk; "" ]
 
 (* The timestamp field of an encoded key, without a full decode: it sits
    right after the cell prefix as 12 digits. *)
-let ts_of_encoded ~prefix_len ekey = int_of_string (String.sub ekey prefix_len 12)
+let ts_of_encoded ~prefix_len ekey = int_of_string (String.sub ekey prefix_len ts_width)
 
+(* Range bounds covering every version of one cell. *)
 let cell_bounds ~column ~pk =
   let p = cell_prefix ~column ~pk in
   (p, p ^ "\xff")

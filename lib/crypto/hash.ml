@@ -22,16 +22,41 @@ let of_raw s =
     invalid_arg (Printf.sprintf "Hash.of_raw: expected %d bytes, got %d" size (String.length s));
   s
 
-let to_hex t =
-  let buf = Buffer.create (size * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) t;
-  Buffer.contents buf
+(* Hex codec by table lookup: one output buffer, no per-byte formatting.
+   [to_hex] is on the cell-store write path (every universal key carries
+   its value hash in hex), so it must not go through [Printf]. *)
+let hex_digits = "0123456789abcdef"
+
+let hex_of_string s =
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string b
+
+let to_hex = hex_of_string
+
+(* Nibble value of each byte; 0xff marks a character that is not a hex
+   digit. Exactly [0-9a-fA-F] decode: no sign, no prefix, no underscore. *)
+let nibble_of =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> Char.chr (c - Char.code '0')
+      | 'a' .. 'f' -> Char.chr (c - Char.code 'a' + 10)
+      | 'A' .. 'F' -> Char.chr (c - Char.code 'A' + 10)
+      | _ -> '\xff')
 
 let of_hex s =
   if String.length s <> size * 2 then invalid_arg "Hash.of_hex: wrong length";
-  String.init size (fun i ->
-      let byte = int_of_string ("0x" ^ String.sub s (i * 2) 2) in
-      Char.chr byte)
+  let nibble i =
+    let v = Char.code (String.unsafe_get nibble_of (Char.code s.[i])) in
+    if v > 15 then invalid_arg "Hash.of_hex: not a hex digit";
+    v
+  in
+  String.init size (fun i -> Char.chr ((nibble (2 * i) lsl 4) lor nibble ((2 * i) + 1)))
 
 let short_hex t = String.sub (to_hex t) 0 8
 

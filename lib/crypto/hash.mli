@@ -35,7 +35,15 @@ val of_raw : string -> t
 (** Inverse of {!to_raw}. Raises [Invalid_argument] on wrong length. *)
 
 val to_hex : t -> string
+(** Lowercase hex, 64 characters. *)
+
 val of_hex : string -> t
+(** Inverse of {!to_hex}; upper- and lowercase digits are accepted. Raises
+    [Invalid_argument] unless the input is exactly 64 characters of
+    [[0-9a-fA-F]]. *)
+
+val hex_of_string : string -> string
+(** Lowercase hex of arbitrary bytes; {!to_hex} is this on a digest. *)
 
 val short_hex : t -> string
 (** First 8 hex characters — for logs and display. *)

@@ -1,7 +1,9 @@
 (* Differential tests of the native checksum kernels: the C SHA-256
    compressors (SHA-NI where the CPU has it, and the portable one) and the
    slicing-by-8 CRC-32, each against the pure-OCaml reference kept in
-   oracle_sha256.ml / oracle_crc32.ml. A golden end-to-end digest catches a
+   oracle_sha256.ml / oracle_crc32.ml; and of the cell-store key codecs
+   (table-driven hex, the directly concatenated universal key) against the
+   [Printf] versions in oracle_hex.ml. A golden end-to-end digest catches a
    kernel that is wrong in a self-consistent way. *)
 
 open Spitz_crypto
@@ -77,6 +79,76 @@ let prop_crc32 =
        in
        Int32.equal expect (Crc32.digest_sub body off len) && Int32.equal expect split)
 
+(* Strings of every length a hex field meets (0 to 64 bytes), drawn over
+   all 256 byte values. *)
+let arb_bytes =
+  QCheck.make ~print:Oracle_hex.hex_of_string QCheck.Gen.(string_size ~gen:char (int_bound 64))
+
+let prop_hex =
+  QCheck.Test.make ~name:"hex encoder matches the Printf oracle" ~count:500 arb_bytes (fun s ->
+      String.equal (Oracle_hex.hex_of_string s) (Hash.hex_of_string s))
+
+let arb_digest =
+  QCheck.make ~print:Oracle_hex.hex_of_string QCheck.Gen.(string_size ~gen:char (return Hash.size))
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"of_hex inverts to_hex, either case" ~count:500 arb_digest (fun raw ->
+      let h = Hash.of_raw raw in
+      let hex = Hash.to_hex h in
+      String.equal hex (Oracle_hex.hex_of_string raw)
+      && Hash.equal h (Hash.of_hex hex)
+      && Hash.equal h (Hash.of_hex (String.uppercase_ascii hex)))
+
+(* [of_hex] once parsed each pair with [int_of_string ("0x" ^ pair)], which
+   takes OCaml's digit separators: "f_" read as 0x0f, so 32 copies decoded
+   to a hash whose hex is a different string. Every non-digit, underscore
+   included, is now an [Invalid_argument]. *)
+let test_of_hex_rejects_non_digits () =
+  let bad =
+    [
+      String.concat "" (List.init 32 (fun _ -> "f_"));
+      String.concat "" (List.init 32 (fun _ -> "_f"));
+      String.make 62 '0' ^ "0g";
+      String.make 62 '0' ^ " f";
+      String.make 62 '0' ^ "+f";
+      String.make 63 '0' ^ "\xff";
+    ]
+  in
+  List.iter
+    (fun s ->
+       match Hash.of_hex s with
+       | h -> Alcotest.failf "%S decoded to %s" s (Hash.to_hex h)
+       | exception Invalid_argument _ -> ())
+    bad;
+  (* a universal key carrying such a hash field does not decode *)
+  let uk = Spitz.Universal_key.make ~column:"c" ~pk:"k" ~ts:3 ~vhash:(Hash.of_string "v") in
+  let enc = Spitz.Universal_key.encode uk in
+  let tampered = String.sub enc 0 (String.length enc - 64) ^ List.hd bad in
+  Alcotest.(check bool) "decode rejects" true (Spitz.Universal_key.decode tampered = None)
+
+(* Timestamps around the 12-digit field width and both signs; pks with the
+   schema separator and high bytes. *)
+let gen_ukey =
+  QCheck.Gen.(
+    let name = string_size ~gen:(oneof [ char_range '\x01' '\xff'; oneofl [ '\x1f'; '\xff' ] ]) (int_bound 12) in
+    let* column = name in
+    let* pk = name in
+    let* ts =
+      oneof
+        [
+          oneofl [ 0; 1; 100_000_000_000; 999_999_999_999; 1_000_000_000_000; max_int; min_int; -5 ];
+          int;
+          int_bound 1_000_000;
+        ]
+    in
+    let* raw = string_size ~gen:char (return Hash.size) in
+    return (Spitz.Universal_key.make ~column ~pk ~ts ~vhash:(Hash.of_raw raw)))
+
+let prop_ukey_encode =
+  QCheck.Test.make ~name:"universal-key encode matches the Printf oracle" ~count:500
+    (QCheck.make ~print:Oracle_hex.encode gen_ukey)
+    (fun uk -> String.equal (Oracle_hex.encode uk) (Spitz.Universal_key.encode uk))
+
 (* First use from several domains at once: the CRC tables are static and
    the compressor probe is idempotent, so every domain sees the oracle's
    answers (a lazily built table could raise here). *)
@@ -136,4 +208,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sha256_oneshot;
     QCheck_alcotest.to_alcotest prop_sha256_streaming;
     QCheck_alcotest.to_alcotest prop_crc32;
+    Alcotest.test_case "of_hex rejects non-digits" `Quick test_of_hex_rejects_non_digits;
+    QCheck_alcotest.to_alcotest prop_hex;
+    QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_ukey_encode;
   ]
