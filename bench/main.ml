@@ -1680,10 +1680,11 @@ let read_scale () =
 (* ---------- server: TCP round-trip sweep over the loopback front-end ---------- *)
 
 (* Client connections hammer the TCP server with a read-mostly mix (7 Gets :
-   1 single-put Commit) at 1/2/4/8 connections, with and without pipelining.
-   Unpipelined clients pay one full round trip per request; pipelined
-   clients keep a window of requests in flight, so per-request latency
-   includes queueing but throughput amortizes the round trips. Clients are
+   1 single-put Apply under a fresh token) at 1/2/4/8 connections, with and
+   without pipelining. Unpipelined clients pay one full round trip per
+   request; pipelined clients keep a window of requests in flight, so
+   per-request latency includes queueing but throughput amortizes the round
+   trips. Clients are
    systhreads speaking the raw Frame+Ipc protocol (the verifying Session
    deliberately does not pipeline). Every leg is gated on correctness, not
    just speed: the journal's committed order must replay serially into a
@@ -1724,7 +1725,8 @@ let server_bench () =
     fd
   in
   (* serial equivalence: replay the journal's committed order (seed chunks
-     and every Commit the storm landed) into a fresh in-memory db *)
+     and every Apply the storm landed, with its token statement) into a
+     fresh in-memory db *)
   let replay_equal () =
     let ledger = Spitz.Db.ledger db in
     let journal = Spitz.Db.L.journal ledger in
@@ -1738,7 +1740,7 @@ let server_bench () =
              Spitz_ledger.Ledger.Put (k, Keygen.value_of k))
           block.Spitz_ledger.Block.entries
       in
-      ignore (Spitz.Db.commit serial writes)
+      ignore (Spitz.Db.commit serial ~statements:block.Spitz_ledger.Block.statements writes)
     done;
     Spitz.Db.digest db = Spitz.Db.digest serial
   in
@@ -1764,7 +1766,12 @@ let server_bench () =
           if j mod 8 = 0 then begin
             (* writes land on this connection's own slice of the keyspace *)
             let k = Keygen.key_of (((c * per) + j) mod n) in
-            Ipc.Commit [ (k, Keygen.value_of k) ]
+            Ipc.Apply
+              {
+                token = Printf.sprintf "bench.%d.%d.%d.%d" depth conns c j;
+                puts = [ (k, Keygen.value_of k) ];
+                deletes = [];
+              }
           end
           else Ipc.Get (Keygen.key_of (((c * 31) + (j * 7)) mod hot))
         in

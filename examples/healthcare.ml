@@ -2,7 +2,7 @@
    are kept for a lifetime, every diagnosis and coding migration appends a
    new version, and regulators must be able to verify both current and
    historical data. This example uses the typed schema layer, the SQL front
-   end, historical snapshots, and LineageChain-style provenance.
+   end, historical snapshots, and per-version provenance from the journal.
 
      dune exec examples/healthcare.exe *)
 
@@ -64,16 +64,17 @@ let () =
    | None -> print_endline "row missing?");
 
   (* Provenance: how did p-001's diagnosis evolve, and which statements did
-     it? A new auditor can rebuild this index from the journal alone. *)
+     it? Each version comes from the key's history; the statement that wrote
+     it is recorded in the journal's block at that height. *)
   print_endline "-- provenance of p-001.diagnosis --";
-  let prov = Provenance.of_db db in
+  let journal = Db.L.journal (Db.ledger db) in
   let key = Schema.ledger_key (Schema.spec patients) "diagnosis" "p-001" in
   List.iter
-    (fun (e : Provenance.entry) ->
-       Printf.printf "  block %d: %s   [%s]\n" e.Provenance.height
-         (match e.Provenance.value with Some v -> v | None -> "<deleted>")
-         e.Provenance.statement)
-    (Provenance.full_history prov key);
+    (fun (height, value) ->
+       let block = Spitz_ledger.Journal.block journal height in
+       Printf.printf "  block %d: %s   [%s]\n" height value
+         (String.concat "; " block.Spitz_ledger.Block.statements))
+    (Db.history db key);
 
   (* The regulator's check: the whole journal audits clean, and the current
      digest provably extends the pre-migration digest. *)

@@ -136,9 +136,9 @@ module MakeTargets (S : Spitz_adt.Siri.S) = struct
       L.encode_read_proof
         { p with L.rp_digest = honest_digest; L.rp_index = canon_index p.L.rp_index }
     in
+    let head = Option.get (L.snapshot l) in
     let read_target name key =
-      let value, proof = L.get_with_proof l key in
-      let p = Option.get proof in
+      let value, p = L.snap_get_with_proof head key in
       {
         tname = Printf.sprintf "%s/%s" S.name name;
         encoded = L.encode_read_proof p;
@@ -151,8 +151,7 @@ module MakeTargets (S : Spitz_adt.Siri.S) = struct
     in
     let range_target =
       let lo, hi = K.range_bounds ~lo:0 ~hi:23 in
-      let entries, proof = L.range_with_proof l ~lo ~hi in
-      let p = Option.get proof in
+      let entries, p = L.snap_range_with_proof head ~lo ~hi in
       {
         tname = S.name ^ "/range_proof";
         encoded = L.encode_read_proof p;
@@ -165,8 +164,7 @@ module MakeTargets (S : Spitz_adt.Siri.S) = struct
     in
     let batch_target =
       let keys = [ kp; ka; K.key_of 3; K.key_of 17 ] in
-      let values, proof = L.get_batch_with_proof l keys in
-      let p = Option.get proof in
+      let values, p = L.snap_get_batch_with_proof head keys in
       let items = List.combine keys values in
       {
         tname = S.name ^ "/batch_proof";
@@ -299,14 +297,23 @@ let decoder_targets ~seed =
   in
   [
     decode_only "block/body" (Spitz_ledger.Block.encode block) Spitz_ledger.Block.decode;
-    decode_only "ipc/request"
+    decode_only "ipc/request_snap_get"
       (Spitz_nonintrusive.Ipc.encode_request
-         (Spitz_nonintrusive.Ipc.Commit
-            (List.init 4 (fun i -> (K.key_of i, K.value_of (K.key_of i))))))
+         (Spitz_nonintrusive.Ipc.SnapGet (5, K.key_of (K.int rng 24))))
       Spitz_nonintrusive.Ipc.decode_request;
-    decode_only "ipc/request_delete"
+    decode_only "ipc/request_snap_range"
       (Spitz_nonintrusive.Ipc.encode_request
-         (Spitz_nonintrusive.Ipc.Delete (K.key_of (K.int rng 24))))
+         (Spitz_nonintrusive.Ipc.SnapRange (5, K.key_of 2, K.key_of 11)))
+      Spitz_nonintrusive.Ipc.decode_request;
+    decode_only "ipc/request_batch"
+      (Spitz_nonintrusive.Ipc.encode_request
+         (Spitz_nonintrusive.Ipc.GetBatch (5, List.init 4 K.key_of)))
+      Spitz_nonintrusive.Ipc.decode_request;
+    decode_only "ipc/request_anchor"
+      (Spitz_nonintrusive.Ipc.encode_request (Spitz_nonintrusive.Ipc.Anchor 300))
+      Spitz_nonintrusive.Ipc.decode_request;
+    decode_only "ipc/request_receipts"
+      (Spitz_nonintrusive.Ipc.encode_request (Spitz_nonintrusive.Ipc.Receipts 5))
       Spitz_nonintrusive.Ipc.decode_request;
     decode_only "ipc/request_apply"
       (Spitz_nonintrusive.Ipc.encode_request
@@ -547,10 +554,16 @@ let fuzz_frames ?(cases = 400) ~seed () =
     let module I = Spitz_nonintrusive.Ipc in
     let k () = K.key_of (K.int rng 8) in
     match K.int rng 10 with
-    | 0 -> I.Put (k (), K.value_of (k ()))
+    | 0 ->
+      I.Apply
+        {
+          token = Printf.sprintf "fz-put-%d" (K.int rng 64);
+          puts = [ (k (), K.value_of (k ())) ];
+          deletes = [];
+        }
     | 1 -> I.Get (k ())
     | 2 -> I.Range (K.key_of 0, K.key_of 7)
-    | 3 -> I.Prove (k ())
+    | 3 -> I.SnapGet (K.int rng 8, k ())
     | 4 -> I.GetBatch (7, [ k (); k (); k () ])
     | 5 -> I.SnapGet (7, k ())
     | 6 -> I.SnapRange (7, K.key_of 0, K.key_of 7)

@@ -7,10 +7,11 @@ open Spitz_ledger
    the request handler, (2) enters the ledger through [commit] — the one way
    a block is made — which updates the unified index and obtains the proof,
    (3) is applied to the cell store and inverted index by [apply_write], and
-   (4) returns with its proof once the write-ahead log holds it. A read
-   answers from the cell store; when verification is requested, the proof
-   comes from the ledger's unified index — the same traversal that located
-   the data, which is the efficiency argument of section 6.2.1. *)
+   (4) returns with its proof once the write-ahead log holds it. A point
+   read by key answers from the cell store. A range, and every verified
+   read, answers from a pinned snapshot of the ledger's unified index — the
+   proof is the same traversal that located the data, which is the
+   efficiency argument of section 6.2.1. *)
 
 module L = Ledger.Default
 module V = Verifier.Default
@@ -172,18 +173,6 @@ let get_at t ~height key =
   let column, pk = cell_of_key t key in
   Cell_store.read_value ~ts:height t.cells ~column ~pk
 
-let get_verified t key =
-  (* unified index: value and proof from one ledger traversal *)
-  L.get_with_proof t.ledger key
-
-let get_batch_verified t keys =
-  (* one traversal, one proof for the whole key set *)
-  L.get_batch_with_proof t.ledger keys
-
-let range t ~lo ~hi = Cell_store.range_latest_values t.cells ~column:t.column ~pk_lo:lo ~pk_hi:hi
-
-let range_verified t ~lo ~hi = L.range_with_proof t.ledger ~lo ~hi
-
 let history t key =
   let column, pk = cell_of_key t key in
   List.map (fun (uk, v) -> (uk.Universal_key.ts, v)) (Cell_store.versions t.cells ~column ~pk)
@@ -217,12 +206,9 @@ let snapshot ?height t =
   match height with
   | None -> Option.map pin (L.snapshot t.ledger)
   | Some height ->
-    (* pinning an older block walks the journal's mutable tree — serialize
-       against commits; the returned snapshot is then lock-free to read *)
-    Mutex.lock t.commit_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.commit_lock)
-      (fun () -> Some (pin (L.snapshot_at t.ledger ~height)))
+    (* the head is pinned lock-free; an older block walks the journal's
+       mutable tree under the commit lock *)
+    Some (pin (L.snapshot_at ~lock:t.commit_lock t.ledger ~height))
 
 module Snapshot = struct
   let height s = L.snapshot_height s.snap
@@ -273,6 +259,33 @@ module Snapshot = struct
          List.concat (Spitz_exec.Pool.map_list pool scan (pieces lo points)))
     | _ -> L.snap_range s.snap ~lo ~hi
 end
+
+(* Reads at the head: pin the latest committed state, then read it. On an
+   empty database there is nothing to pin and nothing to prove. *)
+
+let get_verified t key =
+  match snapshot t with
+  | None -> (None, None)
+  | Some s ->
+    let value, proof = Snapshot.get_verified s key in
+    (value, Some proof)
+
+let get_batch_verified t keys =
+  match snapshot t with
+  | None -> (List.map (fun _ -> None) keys, None)
+  | Some s ->
+    let values, proof = Snapshot.get_batch_verified s keys in
+    (values, Some proof)
+
+let range t ~lo ~hi =
+  match snapshot t with None -> [] | Some s -> Snapshot.range s ~lo ~hi
+
+let range_verified t ~lo ~hi =
+  match snapshot t with
+  | None -> ([], None)
+  | Some s ->
+    let entries, proof = Snapshot.range_verified s ~lo ~hi in
+    (entries, Some proof)
 
 let proof_cache_stats () = L.proof_cache_stats ()
 let reset_proof_cache_stats () = L.reset_proof_cache_stats ()

@@ -6,15 +6,18 @@
     ledger's unified index is updated and the block appended, the same
     batch is applied to the cell store (and inverted index), and on a
     durable database the commit returns only once its log record meets the
-    sync policy. A read answers from the cell store, and when verification
-    is requested the proof comes from the ledger's unified index — the same
-    traversal that locates the data.
+    sync policy. A point read by key answers from the cell store. A range,
+    and every verified read, answers from the head {!snapshot} of the
+    ledger's unified index, where the proof is the same traversal that
+    locates the data — so {!range} and {!range_verified} return the same
+    entries.
 
     Keys and cells: a key containing ['\x1f'] names the cell
     [(column, pk)] split at the first separator (the schema layer's
     [table.col\x1fpk] keys); any other key is a cell of the default
-    column. {!get}, {!get_at} and {!history} read any key; {!range} scans
-    the default column only. *)
+    column. {!get}, {!get_at} and {!history} read any key; {!range} and
+    {!range_verified} see every ledger key in the interval, SQL catalog
+    keys included. *)
 
 open Spitz_storage
 open Spitz_ledger
@@ -98,23 +101,25 @@ val get_at : t -> height:int -> string -> string option
 (** The value as of a given ledger block (historical snapshot). *)
 
 val get_verified : t -> string -> string option * L.read_proof option
-(** Value plus its integrity proof from the unified index ([None] proof only
-    on an empty database). *)
+(** Value plus its integrity proof: the head snapshot's
+    {!Snapshot.get_verified} ([None] proof only on an empty database). *)
 
 val get_batch_verified :
   t -> string list -> string option list * L.batch_read_proof option
 (** Values for the keys (in input order) plus {e one} proof for the whole
     set: a single journal anchor and the deduplicated union of the keys'
     index paths — smaller to ship and cheaper to verify than per-key
-    proofs. *)
+    proofs. The head snapshot's {!Snapshot.get_batch_verified}. *)
 
 val range : t -> lo:string -> hi:string -> (string * string) list
-(** Latest values for keys in [lo..hi], in key order. *)
+(** Latest values for keys in [lo..hi], in key order: the head snapshot's
+    {!Snapshot.range}, the entries {!range_verified} proves. *)
 
 val range_verified :
   t -> lo:string -> hi:string -> (string * string) list * L.read_proof option
 (** Range results under one proof covering the whole answer — sound against
-    omissions, fabrications, and substitutions. *)
+    omissions, fabrications, and substitutions. The head snapshot's
+    {!Snapshot.range_verified}. *)
 
 val history : t -> string -> (int * string) list
 (** Every committed version of a key as (block height, value), oldest
@@ -135,10 +140,11 @@ type snapshot
 
 val snapshot : ?height:int -> t -> snapshot option
 (** Pin the latest committed state ([None] on an empty database); lock-free
-    and safe from any domain. With [height], pin the state as of an older
-    block instead — that form briefly takes the commit lock and raises
-    [Invalid_argument] when out of range (or if the instance was compacted
-    away, reads will subsequently fail). *)
+    and safe from any domain. With [height], pin the state as of that block
+    instead: the head's height returns the head, lock-free; an older block
+    briefly takes the commit lock. Raises [Invalid_argument] when out of
+    range (or if the instance was compacted away, reads will subsequently
+    fail). *)
 
 val proof_cache_stats : unit -> Spitz_storage.Node_cache.stats
 (** Hit/miss/eviction counters of the server-side proof cache (memoized

@@ -99,12 +99,10 @@ module Make (Index : Siri.S) = struct
       invalid_arg "Ledger.index_at: out of range";
     t.instances.(height)
 
-  (* A pinned view of an older block. Unlike {!snapshot} this walks the
-     journal's mutable Merkle tree to build the inclusion proof, so calls
-     must be externally serialized against commits (Db takes the commit
-     lock). The returned snapshot itself is then safe to read from any
-     domain. *)
-  let snapshot_at t ~height =
+  (* Build the view of block [height] from the journal. Walks the journal's
+     mutable Merkle tree to build the inclusion proof, so calls must be
+     serialized against commits. *)
+  let pin_older t ~height =
     if height < 0 || height >= Journal.length t.journal then
       invalid_arg "Ledger.snapshot_at: out of range";
     (* anchor at the digest as of the pinned block, not the current head:
@@ -118,6 +116,18 @@ module Make (Index : Siri.S) = struct
       s_digest = Journal.digest_at t.journal ~size;
       s_index = t.instances.(height);
     }
+
+  (* A pinned view of block [height]. At the published head's height it is
+     that head — one atomic load, no lock, no proof rebuilt. An older block
+     is built under [lock] when one is given (Db passes its commit lock).
+     The returned snapshot itself is safe to read from any domain. *)
+  let snapshot_at ?lock t ~height =
+    match Atomic.get t.head with
+    | Some s when s.s_height = height -> s
+    | _ -> (
+      match lock with
+      | None -> pin_older t ~height
+      | Some m -> Mutex.protect m (fun () -> pin_older t ~height))
 
   let fresh_txn t =
     let id = t.next_txn in
@@ -351,20 +361,6 @@ module Make (Index : Siri.S) = struct
     in
     (visible, snap_envelope s rp_index)
 
-  let get_with_proof t key =
-    match snapshot t with
-    | None -> (None, None)
-    | Some s ->
-      let v, p = snap_get_with_proof s key in
-      (v, Some p)
-
-  let range_with_proof t ~lo ~hi =
-    match snapshot t with
-    | None -> ([], None)
-    | Some s ->
-      let entries, p = snap_range_with_proof s ~lo ~hi in
-      (entries, Some p)
-
   (* Client side: check the block under the journal digest, then the value
      under the block's index root. A [None] result must be proven as either
      absence or a tombstone. The two halves are exposed separately so a
@@ -412,13 +408,6 @@ module Make (Index : Siri.S) = struct
         brp_digest = s.s_digest;
         brp_index;
       } )
-
-  let get_batch_with_proof t keys =
-    match snapshot t with
-    | None -> (List.map (fun _ -> None) keys, None)
-    | Some s ->
-      let values, p = snap_get_batch_with_proof s keys in
-      (values, Some p)
 
   let verify_batch_anchor ~digest proof =
     Journal.verify_inclusion ~digest ~height:proof.brp_height ~header:proof.brp_header
@@ -509,24 +498,6 @@ module Make (Index : Siri.S) = struct
 
   let verify_write ~digest receipt =
     verify_write_anchor ~digest receipt && verify_write_entry receipt
-
-  (* --- History --- *)
-
-  (* All committed versions of [key], oldest first, as (height, value option). *)
-  let history t key =
-    let n = Journal.length t.journal in
-    let out = ref [] in
-    for height = n - 1 downto 0 do
-      let block = Journal.block t.journal height in
-      List.iter
-        (fun (e : Block.entry) ->
-           if String.equal e.key key then begin
-             let v = match e.op with Block.Delete -> None | _ -> get_at t ~height key in
-             out := (height, v) :: !out
-           end)
-        block.entries
-    done;
-    !out
 
   let audit t = Journal.audit_chain t.journal
 
@@ -682,7 +653,7 @@ module Make (Index : Siri.S) = struct
     (* publish the head view the replayed chain ends at *)
     (match Journal.length t.journal with
      | 0 -> ()
-     | n -> Atomic.set t.head (Some (snapshot_at t ~height:(n - 1))));
+     | n -> Atomic.set t.head (Some (pin_older t ~height:(n - 1))));
     t
 end
 

@@ -73,10 +73,6 @@ module Make (Index : Siri.S) : sig
     rp_index : Siri.proof;
   }
 
-  val get_with_proof : t -> string -> string option * read_proof option
-  val range_with_proof :
-    t -> lo:string -> hi:string -> (string * string) list * read_proof option
-
   val verify_read :
     digest:Journal.digest -> key:string -> value:string option -> read_proof -> bool
   (** Client side: block under the digest, then value (or proven absence /
@@ -98,10 +94,6 @@ module Make (Index : Siri.S) : sig
   (** Proof for a whole key set, anchored at a single journal digest: one
       journal inclusion proof per block instead of one per key, and the index
       part is the deduplicated union of the keys' path nodes. *)
-
-  val get_batch_with_proof : t -> string list -> string option list * batch_read_proof option
-  (** Values for the keys (in input order, [None] = absent or deleted) plus
-      one batched proof; [None] proof on an empty ledger. *)
 
   val verify_batch_read :
     digest:Journal.digest -> items:(string * string option) list -> batch_read_proof -> bool
@@ -131,11 +123,14 @@ module Make (Index : Siri.S) : sig
   (** The latest committed view ([None] before the first commit). Lock-free;
       safe from any domain. *)
 
-  val snapshot_at : t -> height:int -> snapshot
-  (** Pin the view of an older block. Walks the journal's mutable Merkle
-      tree, so calls must be serialized against commits (the Db layer holds
-      its commit lock); the returned snapshot is then safe to read from any
-      domain. Raises [Invalid_argument] when out of range. *)
+  val snapshot_at : ?lock:Mutex.t -> t -> height:int -> snapshot
+  (** Pin the view of block [height] — the one rule every pinned read goes
+      through. At the published head's height this is {!snapshot}'s head:
+      lock-free, nothing rebuilt. An older block walks the journal's
+      mutable Merkle tree, so that walk must be serialized against commits:
+      it runs under [lock] when one is given (the Db layer passes its
+      commit lock). The returned snapshot is safe to read from any domain.
+      Raises [Invalid_argument] when out of range. *)
 
   val snapshot_height : snapshot -> int
   val snapshot_digest : snapshot -> Journal.digest
@@ -157,9 +152,8 @@ module Make (Index : Siri.S) : sig
   val snap_range_with_proof :
     snapshot -> lo:string -> hi:string -> (string * string) list * read_proof
   (** Reads against the pinned instance; the [_with_proof] forms consult the
-      proof cache. [get_with_proof] / [get_batch_with_proof] /
-      [range_with_proof] on the ledger are these same functions applied to
-      {!snapshot}. *)
+      proof cache. These are the ledger's only verified reads: a read at
+      the head is {!snapshot} followed by one of them. *)
 
   (** {2 Server-side proof cache}
 
@@ -208,10 +202,6 @@ module Make (Index : Siri.S) : sig
   val verify_write_entry : write_receipt -> bool
   (** The two halves of {!verify_write}: journal inclusion of the header, and
       entry inclusion under the header's entries root. *)
-
-  val history : t -> string -> (int * string option) list
-  (** Every committed change to a key as (height, value-after), oldest
-      first. *)
 
   val audit : t -> bool
 

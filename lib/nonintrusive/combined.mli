@@ -1,8 +1,10 @@
 (** The non-intrusive design (paper Figure 3, evaluated in section 6.2.3): an
     unmodified underlying database (the immutable KVS) plus a separate ledger
     database. Every operation crosses at least one system boundary through
-    {!Ipc} with full request/response marshalling; writes commit to both
-    systems atomically. *)
+    {!Ipc} with full request/response marshalling, in the TCP server's
+    vocabulary: writes are [Apply] batches committed to both systems
+    atomically, and verified reads are [SnapGet] / [SnapRange] at the
+    ledger's head height. *)
 
 module L : module type of struct include Spitz_ledger.Ledger.Default end
 
@@ -25,7 +27,7 @@ val get : t -> string -> string option
 
 val get_verified : t -> string -> string option * L.read_proof option
 (** Value from the underlying database, proof from the ledger database — two
-    crossings. *)
+    crossings ([None] proof, and one crossing, before the first write). *)
 
 val range : t -> lo:string -> hi:string -> (string * string) list
 

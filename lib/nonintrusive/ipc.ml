@@ -6,6 +6,13 @@ open Spitz_storage
    decoder for untrusted request bytes and exactly one for response bytes,
    both funneled through the [Wire.decode] Malformed contract.
 
+   The vocabulary is the verifying session's eight verbs: writes are
+   token-carrying [Apply] batches (idempotent, so a client may retry them),
+   verified reads are pinned at a block height. The retired tags — blind
+   writes 'P' 'D' 'C' 'r', live-ledger proofs 'p' 'q', the 'u'
+   acknowledgement — decode as [Wire.Malformed] like any unknown tag, so a
+   server rejects them; they must not be reused for new verbs.
+
    The in-process [call] models the marshalling cost of such a boundary with
    no artificial sleeps: encode the request, "transfer" it, decode it on the
    other side, and the same again for the response — the real serialization
@@ -34,14 +41,8 @@ let stats t : stats =
   }
 
 type request =
-  | Put of string * string
-  | Delete of string
   | Get of string
   | Range of string * string
-  | Commit of (string * string) list
-  | Retract of string
-  | Prove of string
-  | ProveRange of string * string
   | GetBatch of int * string list
   | SnapGet of int * string
   | SnapRange of int * string * string
@@ -51,17 +52,8 @@ type request =
 
 let write_request buf req =
   match req with
-  | Put (k, v) -> Wire.write_byte buf 'P'; Wire.write_string buf k; Wire.write_string buf v
-  | Delete k -> Wire.write_byte buf 'D'; Wire.write_string buf k
   | Get k -> Wire.write_byte buf 'G'; Wire.write_string buf k
   | Range (lo, hi) -> Wire.write_byte buf 'R'; Wire.write_string buf lo; Wire.write_string buf hi
-  | Commit kvs ->
-    Wire.write_byte buf 'C';
-    Wire.write_list buf (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v) kvs
-  | Retract k -> Wire.write_byte buf 'r'; Wire.write_string buf k
-  | Prove k -> Wire.write_byte buf 'p'; Wire.write_string buf k
-  | ProveRange (lo, hi) ->
-    Wire.write_byte buf 'q'; Wire.write_string buf lo; Wire.write_string buf hi
   | GetBatch (height, keys) ->
     Wire.write_byte buf 'B';
     Wire.write_varint buf height;
@@ -90,28 +82,11 @@ let encode_request req =
 
 let read_request r =
   match Wire.read_byte r with
-  | 'P' ->
-    let k = Wire.read_string r in
-    let v = Wire.read_string r in
-    Put (k, v)
-  | 'D' -> Delete (Wire.read_string r)
   | 'G' -> Get (Wire.read_string r)
   | 'R' ->
     let lo = Wire.read_string r in
     let hi = Wire.read_string r in
     Range (lo, hi)
-  | 'C' ->
-    Commit
-      (Wire.read_list r (fun r ->
-           let k = Wire.read_string r in
-           let v = Wire.read_string r in
-           (k, v)))
-  | 'r' -> Retract (Wire.read_string r)
-  | 'p' -> Prove (Wire.read_string r)
-  | 'q' ->
-    let lo = Wire.read_string r in
-    let hi = Wire.read_string r in
-    ProveRange (lo, hi)
   | 'B' ->
     let height = Wire.read_varint r in
     let keys = Wire.read_list r Wire.read_string in
@@ -155,7 +130,6 @@ type anchor = {
 }
 
 type response =
-  | Ack
   | Committed of int
   | Value of string option
   | Entries of (string * string) list
@@ -190,7 +164,6 @@ let read_entries r =
 
 let write_response buf resp =
   match resp with
-  | Ack -> Wire.write_byte buf 'u'
   | Committed h -> Wire.write_byte buf 'h'; Wire.write_varint buf h
   | Value v -> Wire.write_byte buf 'v'; write_value_opt buf v
   | Entries es -> Wire.write_byte buf 'e'; write_entries buf es
@@ -221,7 +194,6 @@ let encode_response resp =
 
 let read_response r =
   match Wire.read_byte r with
-  | 'u' -> Ack
   | 'h' -> Committed (Wire.read_varint r)
   | 'v' -> Value (read_value_opt r)
   | 'e' -> Entries (read_entries r)

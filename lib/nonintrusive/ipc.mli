@@ -5,6 +5,13 @@
     untrusted request bytes and one for response bytes — both routed
     through the {!Spitz_storage.Wire.decode} Malformed contract.
 
+    The vocabulary is the verifying session's: the only write is the
+    token-carrying {!Apply}, and verified reads name the block height they
+    are pinned at. The retired blind-write and live-ledger proof tags
+    (['P'] put, ['D'] delete, ['C'] commit, ['r'] retract, ['p'] prove,
+    ['q'] prove-range) and the ['u'] acknowledgement decode as
+    {!Spitz_storage.Wire.Malformed}, so a server rejects them.
+
     The in-process {!call} pays full request/response marshalling with no
     artificial sleeps: the modelled cost is the real serialization work a
     system boundary imposes. *)
@@ -25,14 +32,8 @@ val stats : t -> stats
     increments and this never tears. *)
 
 type request =
-  | Put of string * string
-  | Delete of string
-  | Get of string
-  | Range of string * string
-  | Commit of (string * string) list
-  | Retract of string          (** record a deletion in the ledger *)
-  | Prove of string
-  | ProveRange of string * string
+  | Get of string                (** unverified point read at the head *)
+  | Range of string * string     (** unverified range read at the head *)
   | GetBatch of int * string list
       (** verified batch read pinned at a block height: one proof per set *)
   | SnapGet of int * string
@@ -65,12 +66,12 @@ type anchor = {
 }
 
 type response =
-  | Ack
   | Committed of int                               (** block height *)
   | Value of string option
   | Entries of (string * string) list
   | ValueProof of string option * string option
-      (** value plus encoded read proof ([None] on an empty ledger) *)
+      (** value plus encoded read proof (always [Some] from a pinned read;
+          the option is kept so the wire bytes stay unchanged) *)
   | EntriesProof of (string * string) list * string option
   | BatchProof of string option list * string
       (** values in key order plus one encoded batch proof *)

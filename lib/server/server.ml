@@ -111,39 +111,24 @@ let apply t ~token ~puts ~deletes =
     Hashtbl.replace t.tokens token h;
     Ipc.Committed h
 
+(* Every pinned read names its block; pinning the head is lock-free. A
+   height out of range raises [Invalid_argument], answered as [Error]. *)
+let pin db height = Option.get (Db.snapshot ~height db)
+
 let serve t (req : Ipc.request) : Ipc.response =
   let db = t.db in
   match req with
-  | Ipc.Put (k, v) -> Ipc.Committed (Db.put db k v)
-  | Ipc.Delete k -> Ipc.Committed (Db.delete db k)
   | Ipc.Get k -> Ipc.Value (Db.get db k)
   | Ipc.Range (lo, hi) -> Ipc.Entries (Db.range db ~lo ~hi)
-  | Ipc.Commit kvs -> Ipc.Committed (Db.put_batch db kvs)
-  | Ipc.Retract k -> Ipc.Committed (Db.delete db k)
-  | Ipc.Prove k ->
-    let value, proof = Db.get_verified db k in
-    Ipc.ValueProof (value, Option.map Db.L.encode_read_proof proof)
-  | Ipc.ProveRange (lo, hi) ->
-    let entries, proof = Db.range_verified db ~lo ~hi in
-    Ipc.EntriesProof (entries, Option.map Db.L.encode_read_proof proof)
-  | Ipc.GetBatch (height, keys) -> (
-    match Db.snapshot ~height db with
-    | None -> Ipc.Error "empty database"
-    | Some snap ->
-      let values, proof = Db.Snapshot.get_batch_verified snap keys in
-      Ipc.BatchProof (values, Db.L.encode_batch_proof proof))
-  | Ipc.SnapGet (height, k) -> (
-    match Db.snapshot ~height db with
-    | None -> Ipc.Error "empty database"
-    | Some snap ->
-      let value, proof = Db.Snapshot.get_verified snap k in
-      Ipc.ValueProof (value, Some (Db.L.encode_read_proof proof)))
-  | Ipc.SnapRange (height, lo, hi) -> (
-    match Db.snapshot ~height db with
-    | None -> Ipc.Error "empty database"
-    | Some snap ->
-      let entries, proof = Db.Snapshot.range_verified snap ~lo ~hi in
-      Ipc.EntriesProof (entries, Some (Db.L.encode_read_proof proof)))
+  | Ipc.GetBatch (height, keys) ->
+    let values, proof = Db.Snapshot.get_batch_verified (pin db height) keys in
+    Ipc.BatchProof (values, Db.L.encode_batch_proof proof)
+  | Ipc.SnapGet (height, k) ->
+    let value, proof = Db.Snapshot.get_verified (pin db height) k in
+    Ipc.ValueProof (value, Some (Db.L.encode_read_proof proof))
+  | Ipc.SnapRange (height, lo, hi) ->
+    let entries, proof = Db.Snapshot.range_verified (pin db height) ~lo ~hi in
+    Ipc.EntriesProof (entries, Some (Db.L.encode_read_proof proof))
   | Ipc.Anchor known -> anchor db known
   | Ipc.Apply { token; puts; deletes } -> apply t ~token ~puts ~deletes
   | Ipc.Receipts height ->

@@ -17,8 +17,8 @@
     length header or CRC is wrong means the stream has lost framing and the
     connection is dropped. Both paths count in [stats.malformed].
 
-    Idempotent writes: an [Apply {token; _}] batch commits at most once per
-    token. Tokens are recorded as block statements (prefix ["tx:"]) and the
+    Idempotent writes: [Apply {token; _}] is the only write verb, and a
+    batch commits at most once per token. Tokens are recorded as block statements (prefix ["tx:"]) and the
     token table is rebuilt from the journal on {!start}, so retries are
     safe even across a server restart from durable storage. *)
 

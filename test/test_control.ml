@@ -1,35 +1,6 @@
 open Spitz
 
-(* Provenance, federated analytics, persistence and compaction. *)
-
-(* --- provenance --- *)
-
-let test_provenance () =
-  let p = Provenance.create () in
-  Provenance.record p ~key:"k" ~height:0 ~statement:"insert" (Some "v0");
-  Provenance.record p ~key:"k" ~height:5 ~statement:"update" (Some "v5");
-  Provenance.record p ~key:"k" ~height:9 ~statement:"delete" None;
-  Alcotest.(check (option string)) "at 0" (Some "v0") (Provenance.value_at p "k" ~height:0);
-  Alcotest.(check (option string)) "at 4" (Some "v0") (Provenance.value_at p "k" ~height:4);
-  Alcotest.(check (option string)) "at 7" (Some "v5") (Provenance.value_at p "k" ~height:7);
-  Alcotest.(check (option string)) "after delete" None (Provenance.value_at p "k" ~height:99);
-  Alcotest.(check int) "between 1..9" 2 (List.length (Provenance.between p "k" ~lo:1 ~hi:9));
-  Alcotest.(check int) "full history" 3 (List.length (Provenance.full_history p "k"));
-  (* the lineage chain walks back through predecessors *)
-  let lineage = Provenance.lineage p "k" ~height:9 in
-  Alcotest.(check (list int)) "lineage heights" [ 9; 5; 0 ]
-    (List.map (fun (e : Provenance.entry) -> e.Provenance.height) lineage);
-  Alcotest.(check (option string)) "unknown key" None (Provenance.value_at p "zz" ~height:3)
-
-let test_provenance_of_db () =
-  let db = Db.open_db () in
-  ignore (Db.put db "k" "v1");
-  ignore (Db.put db "other" "x");
-  ignore (Db.put db "k" "v2");
-  let p = Provenance.of_db db in
-  Alcotest.(check (option string)) "replayed v1" (Some "v1") (Provenance.value_at p "k" ~height:0);
-  Alcotest.(check (option string)) "replayed v2" (Some "v2") (Provenance.value_at p "k" ~height:2);
-  Alcotest.(check int) "k history" 2 (List.length (Provenance.full_history p "k"))
+(* Federated analytics, persistence and compaction. *)
 
 (* --- federated analytics --- *)
 
@@ -126,8 +97,6 @@ let test_load_rejects_garbage () =
 
 let suite =
   [
-    Alcotest.test_case "provenance" `Quick test_provenance;
-    Alcotest.test_case "provenance of db" `Quick test_provenance_of_db;
     Alcotest.test_case "federated analytics" `Quick test_federated;
     Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "save/load with schema" `Quick test_save_load_with_schema;

@@ -136,10 +136,9 @@ let test_ledger_digest_pool_invariant () =
          serial ledger's digest (same digest, but check end-to-end anyway) *)
       let digest = L.digest serial in
       let key = "key-003-07" in
-      let value, proof = L.get_with_proof parallel key in
+      let value, proof = L.snap_get_with_proof (Option.get (L.snapshot parallel)) key in
       Alcotest.(check bool) "value present" true (value <> None);
-      Alcotest.(check bool) "proof verifies" true
-        (L.verify_read ~digest ~key ~value (Option.get proof));
+      Alcotest.(check bool) "proof verifies" true (L.verify_read ~digest ~key ~value proof);
       List.iter
         (fun receipt ->
            Alcotest.(check bool) "write receipt verifies" true

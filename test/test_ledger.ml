@@ -4,6 +4,9 @@ module Hash = Spitz_crypto.Hash
 module L = Ledger.Default
 module V = Verifier.Default
 
+(* Verified reads at the head: pin the latest block, then read the pin. *)
+let head l = Option.get (L.snapshot l)
+
 (* --- blocks --- *)
 
 let sample_entries =
@@ -123,8 +126,7 @@ let test_ledger_read_proofs () =
     ignore (L.commit l [ Ledger.Put (Printf.sprintf "k%03d" i, Printf.sprintf "v%d" i) ])
   done;
   let digest = L.digest l in
-  let value, proof = L.get_with_proof l "k042" in
-  let proof = Option.get proof in
+  let value, proof = L.snap_get_with_proof (head l) "k042" in
   Alcotest.(check (option string)) "value" (Some "v42") value;
   Alcotest.(check bool) "verifies" true (L.verify_read ~digest ~key:"k042" ~value proof);
   Alcotest.(check bool) "forged value" false
@@ -132,33 +134,32 @@ let test_ledger_read_proofs () =
   Alcotest.(check bool) "forged absence" false
     (L.verify_read ~digest ~key:"k042" ~value:None proof);
   (* absence *)
-  let v2, p2 = L.get_with_proof l "nope" in
+  let v2, p2 = L.snap_get_with_proof (head l) "nope" in
   Alcotest.(check bool) "absent" true (v2 = None);
   Alcotest.(check bool) "absence verifies" true
-    (L.verify_read ~digest ~key:"nope" ~value:None (Option.get p2))
+    (L.verify_read ~digest ~key:"nope" ~value:None p2)
 
 let test_ledger_tombstone_proofs () =
   let l = L.create (Object_store.create ()) in
   ignore (L.commit l [ Ledger.Put ("gone", "was-here"); Ledger.Put ("stay", "here") ]);
   ignore (L.commit l [ Ledger.Delete "gone" ]);
   let digest = L.digest l in
-  let value, proof = L.get_with_proof l "gone" in
+  let value, proof = L.snap_get_with_proof (head l) "gone" in
   Alcotest.(check bool) "deleted reads as absent" true (value = None);
   Alcotest.(check bool) "tombstone proof verifies as absence" true
-    (L.verify_read ~digest ~key:"gone" ~value:None (Option.get proof));
+    (L.verify_read ~digest ~key:"gone" ~value:None proof);
   (* a range over the tombstone must still verify *)
-  let entries, rp = L.range_with_proof l ~lo:"a" ~hi:"z" in
+  let entries, rp = L.snap_range_with_proof (head l) ~lo:"a" ~hi:"z" in
   Alcotest.(check (list (pair string string))) "only live entries" [ ("stay", "here") ] entries;
   Alcotest.(check bool) "range with tombstone verifies" true
-    (L.verify_range ~digest ~lo:"a" ~hi:"z" ~entries (Option.get rp))
+    (L.verify_range ~digest ~lo:"a" ~hi:"z" ~entries rp)
 
 let test_ledger_range_proofs () =
   let l = L.create (Object_store.create ()) in
   ignore
     (L.commit l (List.init 200 (fun i -> Ledger.Put (Printf.sprintf "k%03d" i, string_of_int i))));
   let digest = L.digest l in
-  let entries, proof = L.range_with_proof l ~lo:"k050" ~hi:"k059" in
-  let proof = Option.get proof in
+  let entries, proof = L.snap_range_with_proof (head l) ~lo:"k050" ~hi:"k059" in
   Alcotest.(check int) "10 entries" 10 (List.length entries);
   Alcotest.(check bool) "verifies" true (L.verify_range ~digest ~lo:"k050" ~hi:"k059" ~entries proof);
   Alcotest.(check bool) "omission detected" false
@@ -181,18 +182,6 @@ let test_ledger_write_receipts () =
   let forged = { r with L.wr_entry = { r.L.wr_entry with Block.key = "z" } } in
   Alcotest.(check bool) "forged entry fails" false (L.verify_write ~digest forged)
 
-let test_ledger_history () =
-  let l = L.create (Object_store.create ()) in
-  ignore (L.commit l [ Ledger.Put ("k", "v1") ]);
-  ignore (L.commit l [ Ledger.Put ("other", "x") ]);
-  ignore (L.commit l [ Ledger.Put ("k", "v2") ]);
-  ignore (L.commit l [ Ledger.Delete "k" ]);
-  let h = L.history l "k" in
-  Alcotest.(check int) "three events" 3 (List.length h);
-  Alcotest.(check (list (pair int (option string)))) "history"
-    [ (0, Some "v1"); (2, Some "v2"); (3, None) ]
-    h
-
 let test_ledger_instance_sharing () =
   (* index instances across blocks share nodes: committing one key on top of
      a large ledger must store only a path, not a new tree *)
@@ -212,8 +201,7 @@ let test_ledger_batch_reads () =
   ignore (L.commit l [ Ledger.Delete "k050" ]);
   let digest = L.digest l in
   let keys = [ "k001"; "k042"; "k050"; "nope"; "k099" ] in
-  let values, proof = L.get_batch_with_proof l keys in
-  let proof = Option.get proof in
+  let values, proof = L.snap_get_batch_with_proof (head l) keys in
   Alcotest.(check (list (option string))) "values"
     [ Some "v1"; Some "v42"; None; None; Some "v99" ]
     values;
@@ -234,8 +222,8 @@ let test_ledger_batch_reads () =
   let sum_bytes =
     List.fold_left
       (fun acc k ->
-         let _, p = L.get_with_proof l k in
-         acc + String.length (L.encode_read_proof (Option.get p)))
+         let _, p = L.snap_get_with_proof (head l) k in
+         acc + String.length (L.encode_read_proof p))
       0 keys
   in
   Alcotest.(check bool)
@@ -248,11 +236,10 @@ let test_ledger_batch_reads () =
   Alcotest.check_raises "trailing bytes rejected"
     (Wire.Malformed "Ledger.decode_batch_proof: trailing bytes")
     (fun () -> ignore (L.decode_batch_proof (L.encode_batch_proof proof ^ "x")));
-  (* empty ledger: every key absent, no proof to give *)
+  (* empty ledger: nothing committed, no proof to give *)
   let e = L.create (Object_store.create ()) in
-  let vs, p = L.get_batch_with_proof e [ "a"; "b" ] in
-  Alcotest.(check (list (option string))) "empty ledger values" [ None; None ] vs;
-  Alcotest.(check bool) "empty ledger has no proof" true (p = None)
+  Alcotest.(check bool) "empty ledger has no head to prove from" true
+    (Option.is_none (L.snapshot e))
 
 (* --- verifier --- *)
 
@@ -261,13 +248,13 @@ let test_verifier_online () =
   ignore (L.commit l [ Ledger.Put ("a", "1") ]);
   let client = V.create () in
   Alcotest.(check bool) "initial sync" true (V.sync client ~digest:(L.digest l) ~consistency:[]);
-  let value, proof = L.get_with_proof l "a" in
+  let value, proof = L.snap_get_with_proof (head l) "a" in
   Alcotest.(check (option bool)) "online verify" (Some true)
-    (V.submit_read client ~key:"a" ~value (Option.get proof));
+    (V.submit_read client ~key:"a" ~value proof);
   Alcotest.(check int) "no failures" 0 (V.failures client);
   (* a lying server *)
   Alcotest.(check (option bool)) "lie detected" (Some false)
-    (V.submit_read client ~key:"a" ~value:(Some "2") (Option.get proof));
+    (V.submit_read client ~key:"a" ~value:(Some "2") proof);
   Alcotest.(check int) "failure recorded" 1 (V.failures client)
 
 let test_verifier_deferred () =
@@ -276,8 +263,8 @@ let test_verifier_deferred () =
   ignore (L.commit l [ Ledger.Put ("a", "1") ]);
   ignore (V.sync client ~digest:(L.digest l) ~consistency:[]);
   let submit key =
-    let value, proof = L.get_with_proof l key in
-    V.submit_read client ~key ~value (Option.get proof)
+    let value, proof = L.snap_get_with_proof (head l) key in
+    V.submit_read client ~key ~value proof
   in
   Alcotest.(check (option bool)) "queued 1" None (submit "a");
   (* the ledger advances; the client re-syncs with a consistency proof *)
@@ -298,8 +285,8 @@ let test_verifier_deferred_batch_fill () =
   let client = V.create ~mode:(V.Deferred 3) () in
   ignore (V.sync client ~digest:(L.digest l) ~consistency:[]);
   let submit key =
-    let value, proof = L.get_with_proof l key in
-    V.submit_read client ~key ~value (Option.get proof)
+    let value, proof = L.snap_get_with_proof (head l) key in
+    V.submit_read client ~key ~value proof
   in
   Alcotest.(check (option bool)) "queued a" None (submit "a");
   Alcotest.(check (option bool)) "queued b" None (submit "b");
@@ -314,8 +301,8 @@ let test_verifier_deferred_partial_flush () =
   let client = V.create ~mode:(V.Deferred 10) () in
   ignore (V.sync client ~digest:(L.digest l) ~consistency:[]);
   let submit key =
-    let value, proof = L.get_with_proof l key in
-    V.submit_read client ~key ~value (Option.get proof)
+    let value, proof = L.snap_get_with_proof (head l) key in
+    V.submit_read client ~key ~value proof
   in
   Alcotest.(check (option bool)) "queued a" None (submit "a");
   Alcotest.(check (option bool)) "queued b" None (submit "b");
@@ -333,15 +320,15 @@ let test_verifier_deferred_tamper () =
   ignore (L.commit l [ Ledger.Put ("a", "1"); Ledger.Put ("b", "2") ]);
   let client = V.create ~mode:(V.Deferred 10) () in
   ignore (V.sync client ~digest:(L.digest l) ~consistency:[]);
-  let va, pa = L.get_with_proof l "a" in
-  ignore (V.submit_read client ~key:"a" ~value:va (Option.get pa));
-  let _, pb = L.get_with_proof l "b" in
-  ignore (V.submit_read client ~key:"b" ~value:(Some "lie") (Option.get pb));
+  let va, pa = L.snap_get_with_proof (head l) "a" in
+  ignore (V.submit_read client ~key:"a" ~value:va pa);
+  let _, pb = L.snap_get_with_proof (head l) "b" in
+  ignore (V.submit_read client ~key:"b" ~value:(Some "lie") pb);
   Alcotest.(check bool) "tampered claim fails the flush" false (V.flush client);
   Alcotest.(check int) "both checked" 2 (V.checked client);
   Alcotest.(check int) "one failure" 1 (V.failures client);
   (* the honest claim is unaffected: it verifies again on its own *)
-  ignore (V.submit_read client ~key:"a" ~value:va (Option.get pa));
+  ignore (V.submit_read client ~key:"a" ~value:va pa);
   Alcotest.(check bool) "honest claim clean after failed batch" true (V.flush client)
 
 let test_verifier_sync_rejects_non_append_only () =
@@ -373,12 +360,12 @@ let test_verifier_pool_parity () =
     ignore (V.sync client ~digest ~consistency:[]);
     for i = 0 to 9 do
       let key = Printf.sprintf "k%02d" i in
-      let value, proof = L.get_with_proof l key in
+      let value, proof = L.snap_get_with_proof (head l) key in
       let value = if i = 7 then Some "lie" else value in
-      ignore (V.submit_read client ~key ~value (Option.get proof))
+      ignore (V.submit_read client ~key ~value proof)
     done;
-    let entries, rp = L.range_with_proof l ~lo:"k00" ~hi:"k05" in
-    ignore (V.submit_range client ~lo:"k00" ~hi:"k05" ~entries (Option.get rp));
+    let entries, rp = L.snap_range_with_proof (head l) ~lo:"k00" ~hi:"k05" in
+    ignore (V.submit_range client ~lo:"k00" ~hi:"k05" ~entries rp);
     List.iter
       (fun r -> ignore (V.submit_write client r))
       (L.write_receipts l ~height:3);
@@ -420,7 +407,6 @@ let suite =
     Alcotest.test_case "ledger tombstone proofs" `Quick test_ledger_tombstone_proofs;
     Alcotest.test_case "ledger range proofs" `Quick test_ledger_range_proofs;
     Alcotest.test_case "ledger write receipts" `Quick test_ledger_write_receipts;
-    Alcotest.test_case "ledger history" `Quick test_ledger_history;
     Alcotest.test_case "ledger instance sharing" `Quick test_ledger_instance_sharing;
     Alcotest.test_case "ledger batch reads" `Quick test_ledger_batch_reads;
     Alcotest.test_case "verifier online" `Quick test_verifier_online;
@@ -447,18 +433,19 @@ module Ledger_conformance (Index : Spitz_adt.Siri.S) = struct
     ignore (LX.commit l [ Ledger.Delete "k07" ]);
     let digest = LX.digest l in
     (* point + tombstone *)
-    let v, p = LX.get_with_proof l "k03" in
+    let head = Option.get (LX.snapshot l) in
+    let v, p = LX.snap_get_with_proof head "k03" in
     Alcotest.(check bool) (Index.name ^ ": read verifies") true
-      (LX.verify_read ~digest ~key:"k03" ~value:v (Option.get p));
-    let v7, p7 = LX.get_with_proof l "k07" in
+      (LX.verify_read ~digest ~key:"k03" ~value:v p);
+    let v7, p7 = LX.snap_get_with_proof head "k07" in
     Alcotest.(check bool) (Index.name ^ ": tombstone absent") true (v7 = None);
     Alcotest.(check bool) (Index.name ^ ": tombstone verifies") true
-      (LX.verify_read ~digest ~key:"k07" ~value:None (Option.get p7));
+      (LX.verify_read ~digest ~key:"k07" ~value:None p7);
     (* range *)
-    let entries, rp = LX.range_with_proof l ~lo:"k00" ~hi:"k09" in
+    let entries, rp = LX.snap_range_with_proof head ~lo:"k00" ~hi:"k09" in
     Alcotest.(check int) (Index.name ^ ": range size") 9 (List.length entries);
     Alcotest.(check bool) (Index.name ^ ": range verifies") true
-      (LX.verify_range ~digest ~lo:"k00" ~hi:"k09" ~entries (Option.get rp));
+      (LX.verify_range ~digest ~lo:"k00" ~hi:"k09" ~entries rp);
     (* receipts *)
     let height = LX.commit l [ Ledger.Put ("new", "x") ] in
     let digest = LX.digest l in
@@ -469,8 +456,7 @@ module Ledger_conformance (Index : Spitz_adt.Siri.S) = struct
       (LX.write_receipts l ~height);
     (* batched reads: present, tombstoned, and absent keys under one proof *)
     let bkeys = [ "k01"; "k07"; "zz"; "k40" ] in
-    let bvals, bp = LX.get_batch_with_proof l bkeys in
-    let bp = Option.get bp in
+    let bvals, bp = LX.snap_get_batch_with_proof (Option.get (LX.snapshot l)) bkeys in
     Alcotest.(check (list (option string))) (Index.name ^ ": batch values")
       [ Some "v1"; None; None; Some "v40" ]
       bvals;

@@ -78,12 +78,18 @@ let test_pipelined_requests () =
   (* write the whole pipeline ahead, then drain the responses in order *)
   for i = 0 to 9 do
     Frame.write fd
-      (Ipc.encode_request (Ipc.Commit [ (Printf.sprintf "k%02d" i, string_of_int i) ]))
+      (Ipc.encode_request
+         (Ipc.Apply
+            {
+              token = Printf.sprintf "pipe-%02d" i;
+              puts = [ (Printf.sprintf "k%02d" i, string_of_int i) ];
+              deletes = [];
+            }))
   done;
   for i = 0 to 9 do
     match Ipc.decode_response (Frame.read fd) with
     | Ipc.Committed h -> Alcotest.(check int) "pipelined heights in order" i h
-    | _ -> Alcotest.fail "unexpected response to pipelined Commit"
+    | _ -> Alcotest.fail "unexpected response to pipelined Apply"
   done
 
 (* --- fault injection --- *)
@@ -112,7 +118,11 @@ let test_slowloris_frames () =
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   (* a valid frame dribbled one byte at a time must still parse *)
-  let frame = Frame.encode (Ipc.encode_request (Ipc.Put ("slow", "loris"))) in
+  let frame =
+    Frame.encode
+      (Ipc.encode_request
+         (Ipc.Apply { token = "slow"; puts = [ ("slow", "loris") ]; deletes = [] }))
+  in
   String.iter
     (fun c ->
       ignore (Unix.write_substring fd (String.make 1 c) 0 1);
@@ -169,12 +179,91 @@ let test_malformed_payload_keeps_connection () =
    | Ipc.Error _ -> ()
    | _ -> Alcotest.fail "garbage payload must yield an Error response");
   (* same connection still serves valid requests *)
-  Frame.write fd (Ipc.encode_request (Ipc.Put ("k", "v")));
+  Frame.write fd
+    (Ipc.encode_request (Ipc.Apply { token = "t"; puts = [ ("k", "v") ]; deletes = [] }));
   (match Ipc.decode_response (Frame.read fd) with
    | Ipc.Committed _ -> ()
    | _ -> Alcotest.fail "connection must survive a rejected payload");
   Alcotest.(check bool) "malformed payload counted" true
     ((Server.stats server).Server.malformed >= 1)
+
+(* The retired blind-write and live-proof verbs, framed exactly as the old
+   codec wrote them. [Apply] is the only write the server takes: each old
+   tag is a malformed payload — an [Error], counted, no commit — and the
+   connection goes on serving. *)
+let retired_frames =
+  let frame tag fields =
+    let w = Spitz_storage.Wire.writer () in
+    Spitz_storage.Wire.write_byte w tag;
+    fields w;
+    (tag, Spitz_storage.Wire.contents w)
+  in
+  let str s w = Spitz_storage.Wire.write_string w s in
+  [
+    frame 'P' (fun w -> str "put" w; str "v" w);
+    frame 'D' (str "alive");
+    frame 'C' (fun w ->
+        Spitz_storage.Wire.write_list w (fun w (k, v) -> str k w; str v w) [ ("commit", "v") ]);
+    frame 'r' (str "alive");
+    frame 'p' (str "alive");
+    frame 'q' (fun w -> str "a" w; str "z" w);
+  ]
+
+let test_retired_verbs_rejected () =
+  with_server @@ fun db server ->
+  ignore (Db.put db "alive" "yes");
+  let fd = raw_connect server in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  List.iteri
+    (fun i (tag, payload) ->
+      let what = Printf.sprintf "tag %C" tag in
+      let before = Db.digest db in
+      let malformed = (Server.stats server).Server.malformed in
+      Frame.write fd payload;
+      (match Ipc.decode_response (Frame.read fd) with
+       | Ipc.Error _ -> ()
+       | _ -> Alcotest.fail (what ^ ": a retired verb must get an Error"));
+      Alcotest.(check bool) (what ^ ": digest unmoved") true (Db.digest db = before);
+      Alcotest.(check int) (what ^ ": counted malformed") (malformed + 1)
+        (Server.stats server).Server.malformed;
+      Frame.write fd
+        (Ipc.encode_request
+           (Ipc.Apply
+              { token = Printf.sprintf "after-%d" i; puts = [ ("after", what) ]; deletes = [] }));
+      match Ipc.decode_response (Frame.read fd) with
+      | Ipc.Committed h -> Alcotest.(check int) (what ^ ": then Apply commits") before.size h
+      | _ -> Alcotest.fail (what ^ ": the connection must then serve an Apply"))
+    retired_frames;
+  Alcotest.(check (option string)) "nothing retracted" (Some "yes") (Db.get db "alive")
+
+(* Unverified and verified reads answer from the same head snapshot, so
+   they agree on every ledger key: plain keys, a schema cell key
+   ([table.col\x1fpk]) and a SQL catalog entry. *)
+let test_range_agreement () =
+  with_server @@ fun db server ->
+  let env = Spitz.Sql.env db in
+  ignore (Spitz.Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, c TEXT)");
+  ignore (Spitz.Sql.exec env "INSERT INTO t (id, c) VALUES ('pk', 'cell')");
+  ignore (Db.put db "a" "1");
+  ignore (Db.put db "z" "3");
+  let lo = "" and hi = "\xff" in
+  let entries = Db.range db ~lo ~hi in
+  let keys = List.map fst entries in
+  Alcotest.(check bool) "plain, schema and catalog keys all present" true
+    (List.mem "a" keys && List.mem "z" keys
+     && List.exists (fun k -> String.contains k '\x1f' && k.[0] <> '_') keys
+     && List.exists (fun k -> String.starts_with ~prefix:Db.catalog_column k) keys);
+  Alcotest.(check (list (pair string string))) "Db.range = Db.range_verified"
+    (fst (Db.range_verified db ~lo ~hi)) entries;
+  with_session server @@ fun s ->
+  Session.sync s;
+  let verified = Session.range_verified s ~lo ~hi in
+  Alcotest.(check bool) "session pinned at the head" true
+    (Session.digest s = Some (Db.digest db));
+  Alcotest.(check (list (pair string string))) "Session.range = Session.range_verified"
+    verified (Session.range s ~lo ~hi);
+  Alcotest.(check (list (pair string string))) "and both match the database" entries verified
 
 let test_graceful_shutdown () =
   let db = Spitz.Db.open_db () in
@@ -433,6 +522,9 @@ let suite =
       test_crc_mismatch_drops_connection;
     Alcotest.test_case "malformed payload keeps the connection" `Quick
       test_malformed_payload_keeps_connection;
+    Alcotest.test_case "retired verbs rejected, connection kept" `Quick
+      test_retired_verbs_rejected;
+    Alcotest.test_case "range agrees with range_verified" `Quick test_range_agreement;
     Alcotest.test_case "graceful shutdown drains and releases" `Quick
       test_graceful_shutdown;
     Alcotest.test_case "connection cap backpressure" `Quick test_backpressure_cap;

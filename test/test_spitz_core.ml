@@ -199,6 +199,33 @@ let test_db_snapshot_at_height () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* Pinning the head by height is the lock-free head itself; it must answer
+   exactly what the journal-walking pin of the same block answers. A twin
+   database one block ahead rebuilds that pin from its journal. *)
+let test_db_snapshot_head_pin () =
+  let fill db =
+    for i = 0 to 63 do
+      ignore (Db.put db (Printf.sprintf "k%02d" i) (Printf.sprintf "v%d" i))
+    done
+  in
+  let db = Db.open_db () and twin = Db.open_db () in
+  fill db;
+  fill twin;
+  ignore (Db.put twin "later" "block");
+  let height = Db.L.height (Db.ledger db) - 1 in
+  let head = Option.get (Db.snapshot db) in
+  let by_height = Option.get (Db.snapshot ~height db) in
+  let rebuilt = Option.get (Db.snapshot ~height twin) in
+  let encoded s =
+    let _, gp = Db.Snapshot.get_verified s "k17" in
+    let _, rp = Db.Snapshot.range_verified s ~lo:"k10" ~hi:"k20" in
+    let _, bp = Db.Snapshot.get_batch_verified s [ "k03"; "absent"; "k40" ] in
+    [ Db.L.encode_read_proof gp; Db.L.encode_read_proof rp; Db.L.encode_batch_proof bp ]
+  in
+  Alcotest.(check (list string)) "head pin by height = head" (encoded head) (encoded by_height);
+  Alcotest.(check (list string)) "head pin = rebuilt pin of the same block" (encoded rebuilt)
+    (encoded by_height)
+
 let test_db_snapshot_at_anchors_own_height () =
   (* regression: a historical snapshot must anchor its proofs at the digest
      as of the pinned block — not whatever the head happens to be at pin
@@ -374,6 +401,7 @@ let suite =
     Alcotest.test_case "db detects tampering" `Quick test_db_detects_tampering;
     Alcotest.test_case "db snapshot pins state" `Quick test_db_snapshot_pins_state;
     Alcotest.test_case "db snapshot at height" `Quick test_db_snapshot_at_height;
+    Alcotest.test_case "db snapshot head pin by height" `Quick test_db_snapshot_head_pin;
     Alcotest.test_case "db snapshot anchors at its own height" `Quick
       test_db_snapshot_at_anchors_own_height;
     Alcotest.test_case "db snapshot validity" `Quick test_db_snapshot_validity;
