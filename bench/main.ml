@@ -1113,8 +1113,8 @@ let percentile sorted q =
 let group_commit () =
   let commits = max 200 (4000 / !scale) in
   pr "\n== Group commit: committer sweep per fsync policy (%d commits) ==\n" commits;
-  pr "%-14s%11s%13s%9s%9s%9s%8s%8s%8s\n" "policy" "committers" "commits k/s"
-    "p50ms" "p95ms" "p99ms" "batch" "equal" "audit";
+  pr "%-14s%11s%13s%9s%9s%9s%8s%9s%8s%8s\n" "policy" "committers" "commits k/s"
+    "p50ms" "p95ms" "p99ms" "batch" "lingers" "equal" "audit";
   let serial_always = ref 0. in
   let group8_always = ref 0. in
   let policy_rows =
@@ -1154,6 +1154,13 @@ let group_commit () =
                     float_of_int st.Spitz_storage.Wal.records
                     /. float_of_int st.Spitz_storage.Wal.fsyncs
                 in
+                (* a lone committer must never linger: there is nobody to
+                   share its fsync with *)
+                let lingers = st.Spitz_storage.Wal.lingers in
+                if name = "group" && n = 1 && lingers > 0 then begin
+                  pr "FAIL: group policy lingered %d times with 1 committer\n" lingers;
+                  exit_code := 1
+                end;
                 (* serial equivalence: replay the committed order *)
                 let ledger = Spitz.Db.ledger db in
                 let journal = Spitz.Db.L.journal ledger in
@@ -1187,8 +1194,8 @@ let group_commit () =
                 if name = "always" then
                   if n = 1 then serial_always := thr
                   else if n = 8 then group8_always := thr;
-                pr "%-14s%11d%13.1f%9.2f%9.2f%9.2f%8.1f%8s%8s\n" name n
-                  (Runner.kops thr) p50 p95 p99 batch
+                pr "%-14s%11d%13.1f%9.2f%9.2f%9.2f%8.1f%9d%8s%8s\n" name n
+                  (Runner.kops thr) p50 p95 p99 batch lingers
                   (if equal then "yes" else "NO")
                   (if audit_ok then "yes" else "NO");
                 J.Obj
@@ -1199,6 +1206,7 @@ let group_commit () =
                     ("p95_ms", J.Num p95);
                     ("p99_ms", J.Num p99);
                     ("records_per_fsync", J.Num batch);
+                    ("lingers", J.Num (float_of_int lingers));
                     ("digest_equals_serial_replay", J.Bool equal);
                     ("recovered_audit_ok", J.Bool audit_ok);
                   ])
@@ -1226,7 +1234,7 @@ let group_commit () =
   pr " never/interval legs, already fsync-light, gain less; tail latency\n";
   pr " rises with queueing but p50 stays near the fsync cost; 'equal' and\n";
   pr " 'audit' must be yes everywhere: group commit must not change digests\n";
-  pr " or break recovery)\n"
+  pr " or break recovery; group with 1 committer must show 0 lingers)\n"
 
 (* ---------- checkpoint under load: commit tail latency ---------- *)
 
@@ -1851,10 +1859,12 @@ let server_bench () =
    buffer vs encode-to-string-then-hash, dedup-hit stores through
    [put_writer] vs [put], response frames gathered from a reused writer vs
    string-concatenated, plus decode and WAL-append rates and the cell-store
-   write path (a digest to hex, one cell write). Reports ops/s and
-   [Gc.allocated_bytes] per op, asserts the >= 30%% allocation win on the
-   encode and frame paths, and with [--gate] compares against the committed
-   baseline in the results file, failing on a > 25%% regression. *)
+   write path (a digest to hex, one cell write), and the commit path: a
+   16-key [Merkle_bptree.insert_batch] and a 16-key durable commit, each at
+   16,384 keys. Reports ops/s and minor-heap words per op ([Gc.minor_words];
+   words, not bytes), asserts the >= 30%% allocation win on the encode and
+   frame paths, and with [--gate] compares against the committed baseline
+   in the results file, failing on a > 25%% regression. *)
 
 let gate = ref false
 
@@ -1882,16 +1892,16 @@ let codec () =
   end;
   let iters = max 10_000 !ops in
   pr "\n== Codec: buffer-layer allocations (%d ops/point) ==\n" iters;
-  pr "%-22s%14s%14s%12s%12s%9s\n" "path" "legacy B/op" "new B/op" "legacy k/s"
+  pr "%-22s%14s%14s%12s%12s%9s\n" "path" "legacy w/op" "new w/op" "legacy k/s"
     "new k/s" "saving";
   let measure f =
     f 0;
     (* warm-up: caches, lazy tables, buffer growth *)
     Gc.full_major ();
-    let a0 = Gc.allocated_bytes () in
+    let w0 = Gc.minor_words () in
     let (), wall = Runner.time (fun () -> for i = 1 to iters do f i done) in
-    let a1 = Gc.allocated_bytes () in
-    ((a1 -. a0) /. float_of_int iters, float_of_int iters /. wall)
+    let w1 = Gc.minor_words () in
+    ((w1 -. w0) /. float_of_int iters, float_of_int iters /. wall)
   in
   let json = ref [] in
   let compare_row name (legacy_b, legacy_thr) (new_b, new_thr) =
@@ -1902,8 +1912,8 @@ let codec () =
       ( name,
         J.Obj
           [
-            ("legacy_bytes_per_op", J.Num legacy_b);
-            ("new_bytes_per_op", J.Num new_b);
+            ("legacy_words_per_op", J.Num legacy_b);
+            ("new_words_per_op", J.Num new_b);
             ("legacy_kops", J.Num (Runner.kops legacy_thr));
             ("new_kops", J.Num (Runner.kops new_thr));
             ("saving", J.Num saving);
@@ -1917,7 +1927,7 @@ let codec () =
     json :=
       ( name,
         J.Obj
-          [ ("bytes_per_op", J.Num b); ("kops", J.Num (Runner.kops thr)); ("ns_per_op", J.Num ns) ]
+          [ ("words_per_op", J.Num b); ("kops", J.Num (Runner.kops thr)); ("ns_per_op", J.Num ns) ]
       )
       :: !json
   in
@@ -1926,7 +1936,7 @@ let codec () =
   let nodes =
     Array.init nnodes (fun i ->
         Kv.Leaf
-          (List.init 16 (fun j ->
+          (Array.init 16 (fun j ->
                let k = Keygen.key_of ((i * 16) + j) in
                (k, Keygen.value_of k))))
   in
@@ -1989,6 +1999,63 @@ let codec () =
          ignore
            (Spitz.Cell_store.write_cell cells ~column:"v" ~pk:pks.(i land 1023) ~ts:i
               values.(i land 63))));
+  (* the commit path at the served write shape: 16,384 keys loaded in
+     512-key batches, then 16-key batches of uniform keys. Each op is one
+     batch; its median time is reported in µs. The durable row logs under
+     [Never], so it times the record's encode and write, not an fsync;
+     "major" counts words allocated straight into the major heap
+     (promotions excluded), which a copy of a 19 KB record would be. *)
+  let nkeys = 16_384 and ncommits = 384 in
+  let load = List.init (nkeys / 512) (fun b ->
+      List.init 512 (fun j -> let k = Keygen.key_of ((b * 512) + j) in (k, Keygen.value_of k)))
+  in
+  let rng = Random.State.make [| 42 |] in
+  let batches =
+    Array.init ncommits (fun b ->
+        List.init 16 (fun _ ->
+            let k = Keygen.key_of (Random.State.int rng nkeys) in
+            (k, Keygen.value_of ~version:(b + 1) k)))
+  in
+  let commit_row name f =
+    let us = Array.make ncommits 0. in
+    Gc.full_major ();
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    Array.iteri
+      (fun b kvs ->
+         let t0 = Runner.now () in
+         f kvs;
+         us.(b) <- (Runner.now () -. t0) *. 1e6)
+      batches;
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    let per x = x /. float_of_int ncommits in
+    let minor = per (minor1 -. minor0) in
+    let major = per (major1 -. major0 -. (promoted1 -. promoted0)) in
+    Array.sort compare us;
+    let p50 = percentile us 0.5 in
+    pr "%-22s%14s%14.0f%12s%12.1f%9s  %.1f us p50, %.0f major w/op\n" name "-" minor "-"
+      (1e3 /. p50) "-" p50 major;
+    json :=
+      ( name,
+        J.Obj
+          [ ("words_per_op", J.Num minor); ("major_words_per_op", J.Num major);
+            ("us_p50", J.Num p50) ] )
+      :: !json
+  in
+  let tree =
+    ref
+      (List.fold_left Spitz_adt.Merkle_bptree.insert_batch
+         (Spitz_adt.Merkle_bptree.create (Spitz_storage.Object_store.create ()))
+         load)
+  in
+  commit_row "insert_batch 16 @16k" (fun kvs ->
+      tree := Spitz_adt.Merkle_bptree.insert_batch !tree kvs);
+  let db_dir = temp_dir () in
+  let d = Spitz.Db.open_durable ~sync:Wal.Never db_dir in
+  let db = Spitz.Db.durable_db d in
+  List.iter (fun kvs -> ignore (Spitz.Db.put_batch db kvs)) load;
+  commit_row "durable commit 16" (fun kvs -> ignore (Spitz.Db.put_batch db kvs));
+  Spitz.Db.close_durable d;
+  rm_rf db_dir;
   (* checksum kernels: SHA-256 bulk rate and per-node cost (an interior
      Merkle node hashes 65 bytes: tag + two digests), CRC-32 over a frame *)
   let mib = Bytes.make (1 lsl 20) 'x' in
@@ -2028,16 +2095,18 @@ let codec () =
                Option.bind (J.member field o) J.to_float) )
        with
        | Some was, Some now when was > 0. && now > was *. 1.25 ->
-         pr "GATE FAIL: %s %s regressed %.1f -> %.1f B/op (> +25%%)\n" path field was now;
+         pr "GATE FAIL: %s %s regressed %.1f -> %.1f words/op (> +25%%)\n" path field was now;
          exit_code := 1
        | _ -> ()
      in
-     check "encode+identity" "new_bytes_per_op";
-     check "store put (dedup hit)" "new_bytes_per_op";
-     check "serve frame" "new_bytes_per_op";
-     check "decode node" "bytes_per_op";
-     check "wal append" "bytes_per_op";
-     check "cell write" "bytes_per_op";
+     check "encode+identity" "new_words_per_op";
+     check "store put (dedup hit)" "new_words_per_op";
+     check "serve frame" "new_words_per_op";
+     check "decode node" "words_per_op";
+     check "wal append" "words_per_op";
+     check "cell write" "words_per_op";
+     check "insert_batch 16 @16k" "words_per_op";
+     check "durable commit 16" "words_per_op";
      pr "gate: checked against committed baseline (threshold +25%%)\n");
   add_result "codec" (J.Obj (List.rev !json));
   pr "(expected shape: the new paths allocate >= 30%% less on encode+identity\n";
@@ -2113,7 +2182,7 @@ let usage () =
     "usage: main.exe \
      [fig1|fig6a|fig6b|fig7|fig8a|fig8b|siri|verify|verify-mode|cc|learned|pipeline|durability|group-commit|checkpoint|read-scale|server|codec|bechamel|fuzz|all]\n\
     \       [--scale N] [--ops N] [--domains N] [--out FILE]\n\
-    \       [--gate]   (codec: fail on a >25%% bytes/op regression vs the committed baseline)\n\
+    \       [--gate]   (codec: fail on a >25%% words/op regression vs the committed baseline)\n\
     \       [--deadline SECONDS] [--fuzz-seed N]   (fuzz; seed 0 = time-derived)\n";
   exit 1
 

@@ -4,22 +4,24 @@ open Spitz_storage
 (* Node layout, codec, navigation, and proof verification shared by the
    key-ordered SIRI instances (Merkle B+-tree and POS-tree): a leaf holds
    sorted (key, value) entries; an internal node holds (separator, child)
-   links where child i covers keys in [sep_i, sep_{i+1}). *)
+   links where child i covers keys in [sep_i, sep_{i+1}). Both are arrays:
+   navigation is a binary search, and a batch update edits its own copies
+   in place. *)
 
 type node =
-  | Leaf of (string * string) list
-  | Internal of (string * Hash.t) list
+  | Leaf of (string * string) array
+  | Internal of (string * Hash.t) array
 
 let encode_into buf node =
   match node with
   | Leaf entries ->
     Wire.write_byte buf 'L';
-    Wire.write_list buf
+    Wire.write_array buf
       (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v)
       entries
   | Internal children ->
     Wire.write_byte buf 'I';
-    Wire.write_list buf
+    Wire.write_array buf
       (fun buf (k, h) -> Wire.write_string buf k; Wire.write_hash buf h)
       children
 
@@ -32,12 +34,12 @@ let decode data =
   let r = Wire.reader data in
   match Wire.read_byte r with
   | 'L' ->
-    Leaf (Wire.read_list r (fun r ->
+    Leaf (Wire.read_array r (fun r ->
         let k = Wire.read_string r in
         let v = Wire.read_string r in
         (k, v)))
   | 'I' ->
-    Internal (Wire.read_list r (fun r ->
+    Internal (Wire.read_array r (fun r ->
         let k = Wire.read_string r in
         let h = Wire.read_hash r in
         (k, h)))
@@ -47,9 +49,9 @@ let decode data =
    hash always denotes the same bytes, so a cached decode is valid for any
    store that holds the object. Store membership is still checked on every
    access so that swept (compacted) or released nodes keep raising
-   [Not_found] exactly as the uncached path did. Nodes are built from
-   immutable lists and are never mutated in place, which makes sharing one
-   decoded value across traversals (and domains) safe. *)
+   [Not_found] exactly as the uncached path did. A decoded node's arrays are
+   never mutated — a batch update copies a node before editing it — which
+   makes sharing one decoded value across traversals (and domains) safe. *)
 let cache : node Node_cache.t = Node_cache.create ~capacity:65536 ()
 
 (* Memoized decode when the serialized bytes are already at hand (proof
@@ -65,27 +67,53 @@ let load store h =
     Node_cache.add cache h node;
     node
 
-(* Encode into a fresh writer and store straight from its buffer: the
-   identity hash is computed in place, and a dedup hit (shared subtree
-   node) never materializes the encoding as a string at all. *)
-let save store node =
-  let buf = Wire.writer () in
+(* Encode into [buf] (cleared first) and store straight from its buffer:
+   the identity hash is computed in place, and a dedup hit (shared subtree
+   node) never materializes the encoding as a string at all. A batch passes
+   one writer for all the nodes it flushes. *)
+let save_with buf store node =
+  Wire.clear buf;
   encode_into buf node;
   Object_store.put_writer store buf
 
-(* Index of the child to follow for [key]: the last separator <= key, or the
-   first child when the key sorts before everything. *)
-let child_index children key =
-  let rec go i best = function
-    | [] -> best
-    | (sep, _) :: rest -> if String.compare sep key <= 0 then go (i + 1) i rest else best
-  in
-  go 0 0 children
+let save store node = save_with (Wire.writer ()) store node
+
+(* [save_with] that also caches the node under its address: the next batch
+   to touch it finds it decoded instead of decoding it from its bytes. *)
+let save_cached buf store node =
+  let h = save_with buf store node in
+  Node_cache.add cache h node;
+  h
+
+(* The number of the first [n] slots of [items] whose key is <= [key]. The
+   keys are sorted, so this is a binary search. *)
+let count_le items n key =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare (fst items.(mid)) key <= 0 then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
+
+(* Index of the child to follow for [key] among the first [n] links: the
+   last separator <= key, or the first child when the key sorts before
+   everything. *)
+let child_index_sub children n key = max 0 (count_le children n key - 1)
+
+let child_index children key = child_index_sub children (Array.length children) key
+
+(* The value of [key] in a leaf's sorted entries. *)
+let find_entry entries key =
+  let i = count_le entries (Array.length entries) key - 1 in
+  if i >= 0 && String.equal (fst entries.(i)) key then Some (snd entries.(i)) else None
 
 let min_key = function
-  | Leaf ((k, _) :: _) -> k
-  | Internal ((k, _) :: _) -> k
-  | Leaf [] | Internal [] -> invalid_arg "Kv_node.min_key: empty node"
+  | Leaf entries when Array.length entries > 0 -> fst entries.(0)
+  | Internal children when Array.length children > 0 -> fst children.(0)
+  | Leaf _ | Internal _ -> invalid_arg "Kv_node.min_key: empty node"
+
+let child_for children key = snd children.(child_index children key)
 
 let get store root key =
   match root with
@@ -93,10 +121,8 @@ let get store root key =
   | Some h ->
     let rec go h =
       match load store h with
-      | Leaf entries -> List.assoc_opt key entries
-      | Internal children ->
-        let _, child = List.nth children (child_index children key) in
-        go child
+      | Leaf entries -> find_entry entries key
+      | Internal children -> go (child_for children key)
     in
     go h
 
@@ -109,10 +135,8 @@ let get_with_proof store root key =
       let bytes = Object_store.get_exn store h in
       nodes := bytes :: !nodes;
       match decode_cached h bytes with
-      | Leaf entries -> List.assoc_opt key entries
-      | Internal children ->
-        let _, child = List.nth children (child_index children key) in
-        go child
+      | Leaf entries -> find_entry entries key
+      | Internal children -> go (child_for children key)
     in
     let value = go h in
     (value, { Siri.nodes = List.rev !nodes })
@@ -137,7 +161,7 @@ let prove_batch store root keys =
       end;
       match decode_cached h bytes with
       | Leaf entries ->
-        List.iter (fun k -> Hashtbl.replace results k (List.assoc_opt k entries)) keys
+        List.iter (fun k -> Hashtbl.replace results k (find_entry entries k)) keys
       | Internal children ->
         let rec runs = function
           | [] -> ()
@@ -148,7 +172,7 @@ let prove_batch store root keys =
               | rest -> (List.rev acc, rest)
             in
             let mine, rest = take [] ks in
-            go (snd (List.nth children i)) mine;
+            go (snd children.(i)) mine;
             runs rest
         in
         runs keys
@@ -156,16 +180,17 @@ let prove_batch store root keys =
     go root_hash (List.sort_uniq String.compare keys);
     (List.map (fun k -> Hashtbl.find results k) keys, { Siri.nodes = List.rev !nodes })
 
-(* Child i covers [sep_i, sep_{i+1}); visit children overlapping [lo, hi]. *)
+(* Child i covers [sep_i, sep_{i+1}); the children overlapping [lo, hi],
+   in order. *)
 let children_overlapping children ~lo ~hi =
-  let n = List.length children in
-  List.filteri
-    (fun i (sep, _) ->
-       let next = if i + 1 < n then Some (fst (List.nth children (i + 1))) else None in
-       let starts_before_hi = String.compare sep hi <= 0 in
-       let ends_after_lo = match next with None -> true | Some nk -> String.compare nk lo > 0 in
-       starts_before_hi && ends_after_lo)
-    children
+  let n = Array.length children in
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    let starts_before_hi = String.compare (fst children.(i)) hi <= 0 in
+    let ends_after_lo = i + 1 = n || String.compare (fst children.(i + 1)) lo > 0 in
+    if starts_before_hi && ends_after_lo then acc := children.(i) :: !acc
+  done;
+  !acc
 
 (* [decode_node] lets the store-backed paths decode through the cache while
    client-side proof verification keeps a plain, storeless decode. *)
@@ -178,7 +203,7 @@ let range_visit ?(decode_node = fun _ bytes -> decode bytes) ~load_bytes root ~l
       record bytes;
       (match decode_node h bytes with
        | Leaf entries ->
-         List.iter
+         Array.iter
            (fun (k, v) ->
               if String.compare lo k <= 0 && String.compare k hi <= 0 then acc := (k, v) :: !acc)
            entries
@@ -212,8 +237,8 @@ let iter store root f =
   | Some h ->
     let rec go h =
       match load store h with
-      | Leaf entries -> List.iter (fun (k, v) -> f k v) entries
-      | Internal children -> List.iter (fun (_, ch) -> go ch) children
+      | Leaf entries -> Array.iter (fun (k, v) -> f k v) entries
+      | Internal children -> Array.iter (fun (_, ch) -> go ch) children
     in
     go h
 
@@ -274,11 +299,9 @@ let verify_get ~digest ~key ~value proof =
       | None -> None
       | Some bytes ->
         (match try decode bytes with Wire.Malformed _ -> raise Not_found with
-         | Leaf entries -> Some (List.assoc_opt key entries)
-         | Internal [] -> None
-         | Internal children ->
-           let _, child = List.nth children (child_index children key) in
-           go child)
+         | Leaf entries -> Some (find_entry entries key)
+         | Internal [||] -> None
+         | Internal children -> go (child_for children key))
     in
     match go digest with
     | Some found -> found = value
@@ -311,11 +334,9 @@ let verify_get_batch ~digest ~items proof =
       let rec go h =
         match node_of h with
         | None -> None
-        | Some (Leaf entries) -> Some (List.assoc_opt key entries)
-        | Some (Internal []) -> None
-        | Some (Internal children) ->
-          let _, child = List.nth children (child_index children key) in
-          go child
+        | Some (Leaf entries) -> Some (find_entry entries key)
+        | Some (Internal [||]) -> None
+        | Some (Internal children) -> go (child_for children key)
       in
       go digest = Some value
     in
@@ -348,7 +369,7 @@ let iter_nodes store root visit =
       visit h;
       match load store h with
       | Leaf _ -> ()
-      | Internal children -> List.iter (fun (_, ch) -> go ch) children
+      | Internal children -> Array.iter (fun (_, ch) -> go ch) children
     end
   in
   go root

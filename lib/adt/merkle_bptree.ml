@@ -27,93 +27,120 @@ let store t = t.store
 let root_digest t = match t.root with Some h -> h | None -> Hash.null
 let cardinal t = t.count
 
-(* Insert into the entries of a leaf, replacing an equal key. Returns the new
-   list and whether the cardinality grew. *)
-let rec insert_entry key value = function
-  | [] -> ([ (key, value) ], true)
-  | (k, v) :: rest as all ->
-    let c = String.compare key k in
-    if c < 0 then ((key, value) :: all, true)
-    else if c = 0 then ((key, value) :: rest, false)
-    else begin
-      let rest', grew = insert_entry key value rest in
-      ((k, v) :: rest', grew)
-    end
-
-let split_list l =
-  let n = List.length l in
-  let rec take i = function
-    | [] -> ([], [])
-    | x :: rest ->
-      if i = 0 then ([], x :: rest)
-      else begin
-        let left, right = take (i - 1) rest in
-        (x :: left, right)
-      end
-  in
-  take (n / 2) l
-
 (* A batch rewrites nodes in memory and stores only their final versions.
    A child link is either a node already in the store or a node this batch
-   rewrote and has not saved yet. *)
+   rewrote and has not saved yet. A rewritten node is a copy the batch owns:
+   its first [len] slots are its entries, edited in place, with room for the
+   one extra entry that makes it split. Only splits allocate a new node. *)
+type 'a slots = { mutable len : int; items : 'a array }
+
 type pending =
-  | P_leaf of (string * string) list
-  | P_internal of (string * link) list
+  | P_leaf of (string * string) slots
+  | P_internal of (string * link) slots
 
 and link = Stored of Hash.t | Dirty of pending
 
-let expand store = function
-  | Dirty node -> node
-  | Stored h ->
-    (match load store h with
-     | Leaf entries -> P_leaf entries
-     | Internal children -> P_internal (List.map (fun (k, h) -> (k, Stored h)) children))
+let slots_of dummy items =
+  let n = Array.length items in
+  let a = Array.make (max_entries + 1) dummy in
+  Array.blit items 0 a 0 n;
+  { len = n; items = a }
 
-(* One or two (min_key, link) pairs holding [l]: split when it overflows. *)
-let links_of mk l =
-  if List.length l <= max_entries then [ (fst (List.hd l), Dirty (mk l)) ]
-  else begin
-    let left, right = split_list l in
-    [ (fst (List.hd left), Dirty (mk left)); (fst (List.hd right), Dirty (mk right)) ]
-  end
+let no_entry = ("", "")
+let no_link = ("", Stored Hash.null)
 
-(* Returns the links replacing the modified child, and whether the
-   cardinality grew. The splits depend only on keys and entry counts, so a
-   batch ends in exactly the tree a fold of single-key inserts builds. *)
-let rec insert_in store link key value =
-  match expand store link with
-  | P_leaf entries ->
-    let entries', grew = insert_entry key value entries in
-    (links_of (fun e -> P_leaf e) entries', grew)
-  | P_internal children ->
-    let idx = child_index children key in
-    let replacements, grew = insert_in store (snd (List.nth children idx)) key value in
-    let children' =
-      List.concat
-        (List.mapi (fun i (k, ch) -> if i = idx then replacements else [ (k, ch) ]) children)
+(* The batch's own copy of a stored node — the decoded node may be shared
+   through the node cache and is never edited. *)
+let expand store h =
+  match load store h with
+  | Leaf entries -> P_leaf (slots_of no_entry entries)
+  | Internal children ->
+    P_internal (slots_of no_link (Array.map (fun (k, h) -> (k, Stored h)) children))
+
+let min_pending = function
+  | P_leaf s -> fst s.items.(0)
+  | P_internal s -> fst s.items.(0)
+
+let insert_slot s i x =
+  Array.blit s.items i s.items (i + 1) (s.len - i);
+  s.items.(i) <- x;
+  s.len <- s.len + 1
+
+(* Split an overflowing node as the per-key path copy does: the left half
+   keeps the first [len / 2] entries, the rest move to a new right node. *)
+let split_slots dummy s =
+  let half = s.len / 2 in
+  let right = slots_of dummy (Array.sub s.items half (s.len - half)) in
+  Array.fill s.items half (s.len - half) dummy;
+  s.len <- half;
+  right
+
+(* Insert into a dirty node in place; returns the new right sibling when the
+   node split. Sets [grew] when the key is new. The splits depend only on
+   keys and entry counts, so a batch ends in exactly the tree a fold of
+   single-key inserts builds. *)
+let rec insert_in store node key value grew =
+  match node with
+  | P_leaf s ->
+    let i = count_le s.items s.len key in
+    if i > 0 && String.equal (fst s.items.(i - 1)) key then s.items.(i - 1) <- (key, value)
+    else begin
+      insert_slot s i (key, value);
+      grew := true
+    end;
+    if s.len > max_entries then Some (P_leaf (split_slots no_entry s)) else None
+  | P_internal s ->
+    let idx = child_index_sub s.items s.len key in
+    let child =
+      match snd s.items.(idx) with Dirty c -> c | Stored h -> expand store h
     in
-    (links_of (fun c -> P_internal c) children', grew)
+    let right = insert_in store child key value grew in
+    (* relink a freshly expanded child; a key below the subtree's minimum
+       also lowers its separator *)
+    (match s.items.(idx) with
+     | sep, Dirty c when c == child && String.equal sep (min_pending child) -> ()
+     | _ -> s.items.(idx) <- (min_pending child, Dirty child));
+    (match right with
+     | Some r -> insert_slot s (idx + 1) (min_pending r, Dirty r)
+     | None -> ());
+    if s.len > max_entries then Some (P_internal (split_slots no_link s)) else None
 
-(* Save every rewritten node once, children before parents. *)
-let rec flush store = function
+(* Save every rewritten node once, children before parents, each encoded
+   into the batch's one writer. *)
+let rec flush store buf = function
   | Stored h -> h
-  | Dirty (P_leaf entries) -> save store (Leaf entries)
-  | Dirty (P_internal children) ->
-    save store (Internal (List.map (fun (k, l) -> (k, flush store l)) children))
+  | Dirty (P_leaf s) -> save_cached buf store (Leaf (Array.sub s.items 0 s.len))
+  | Dirty (P_internal s) ->
+    let children = Array.init s.len (fun i -> let k, l = s.items.(i) in (k, flush store buf l)) in
+    save_cached buf store (Internal children)
 
 let insert_batch t kvs =
+  let grew = ref false in
   let step (root, count) (key, value) =
-    match root with
-    | None -> (Some (Dirty (P_leaf [ (key, value) ])), 1)
-    | Some link ->
-      let links, grew = insert_in t.store link key value in
-      let root = match links with [ (_, l) ] -> l | links -> Dirty (P_internal links) in
-      (Some root, if grew then count + 1 else count)
+    grew := false;
+    let root =
+      match root with
+      | None ->
+        grew := true;
+        P_leaf (slots_of no_entry [| (key, value) |])
+      | Some node ->
+        (match insert_in t.store node key value grew with
+         | None -> node
+         | Some right ->
+           P_internal
+             (slots_of no_link
+                [| (min_pending node, Dirty node); (min_pending right, Dirty right) |]))
+    in
+    (Some root, if !grew then count + 1 else count)
   in
-  let root, count =
-    List.fold_left step (Option.map (fun h -> Stored h) t.root, t.count) kvs
-  in
-  { t with root = Option.map (flush t.store) root; count }
+  match kvs with
+  | [] -> t
+  | kvs ->
+    let root, count =
+      List.fold_left step (Option.map (expand t.store) t.root, t.count) kvs
+    in
+    let buf = Wire.writer ~size:1024 () in
+    { t with root = Option.map (fun r -> flush t.store buf (Dirty r)) root; count }
 
 let insert t key value = insert_batch t [ (key, value) ]
 

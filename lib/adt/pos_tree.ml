@@ -125,7 +125,7 @@ let rec frame_next store frames j =
     | Some h ->
       (match load store h with
        | Internal links ->
-         f.elems <- Array.of_list links;
+         f.elems <- links;
          f.idx <- 0;
          if Array.length f.elems = 0 then raise (Wire.Malformed "Pos_tree: empty internal node");
          Some (snd f.elems.(0))
@@ -152,7 +152,7 @@ let rec build_up store links =
   | [ (_, h) ] -> Some h
   | links ->
     let chunks = chunk_all ~boundary:link_boundary links in
-    let links' = List.map (fun ch -> link_of store (Internal ch)) chunks in
+    let links' = List.map (fun ch -> link_of store (Internal (Array.of_list ch))) chunks in
     build_up store links'
 
 let of_sorted_entries store entries =
@@ -161,7 +161,7 @@ let of_sorted_entries store entries =
   | [] -> { store; root = None; count = 0 }
   | entries ->
     let leaf_chunks = chunk_all ~boundary:leaf_boundary entries in
-    let links = List.map (fun ch -> link_of store (Leaf ch)) leaf_chunks in
+    let links = List.map (fun ch -> link_of store (Leaf (Array.of_list ch))) leaf_chunks in
     { store; root = build_up store links; count }
 
 (* --- Local repair update --- *)
@@ -179,12 +179,11 @@ let update t key edit =
     let frames = ref [] in
     let rec descend h =
       match load t.store h with
-      | Leaf entries -> entries
+      | Leaf entries -> Array.to_list entries
       | Internal links ->
         let idx = child_index links key in
-        frames := { elems = Array.of_list links; idx } :: !frames;
-        let _, child = List.nth links idx in
-        descend child
+        frames := { elems = links; idx } :: !frames;
+        descend (snd links.(idx))
     in
     let leaf_entries = descend root in
     let frames = Array.of_list (List.rev !frames) in (* frames.(0) = root *)
@@ -197,11 +196,13 @@ let update t key edit =
       | None -> None
       | Some h ->
         (match load t.store h with
-         | Leaf entries -> Some entries
+         | Leaf entries -> Some (Array.to_list entries)
          | Internal _ -> raise (Wire.Malformed "Pos_tree: internal node at leaf level"))
     in
     let leaf_chunks, extra0 = rechunk ~boundary:leaf_boundary ~window ~pull:pull0 in
-    let new_links = ref (List.map (fun ch -> link_of t.store (Leaf ch)) leaf_chunks) in
+    let new_links =
+      ref (List.map (fun ch -> link_of t.store (Leaf (Array.of_list ch))) leaf_chunks)
+    in
     let removed = ref (1 + extra0) in
     (* Internal levels, bottom-up. frames.(l) is the node at internal level
        (height - l), so iterate l from height-1 down to 0. *)
@@ -219,7 +220,7 @@ let update t key edit =
         | None -> None
         | Some h ->
           (match load t.store h with
-           | Internal links -> Some links
+           | Internal links -> Some (Array.to_list links)
            | Leaf _ -> raise (Wire.Malformed "Pos_tree: leaf at internal level"))
       in
       (* Collect elements until the removed range is covered. *)
@@ -237,12 +238,15 @@ let update t key edit =
       if !l = 0 then begin
         (* Root level: nothing to absorb beyond the window. *)
         let chunks, _ = rechunk ~boundary:link_boundary ~window ~pull:(fun () -> None) in
-        let links' = List.map (fun ch -> link_of t.store (Internal ch)) chunks in
+        let links' =
+          List.map (fun ch -> link_of t.store (Internal (Array.of_list ch))) chunks
+        in
         root' := build_up t.store links'
       end
       else begin
         let chunks, extra = rechunk ~boundary:link_boundary ~window ~pull in
-        new_links := List.map (fun ch -> link_of t.store (Internal ch)) chunks;
+        new_links :=
+          List.map (fun ch -> link_of t.store (Internal (Array.of_list ch))) chunks;
         removed := 1 + !pulled + extra
       end;
       decr l
@@ -258,7 +262,7 @@ let update t key edit =
        the canonical, order-independent shape. *)
     let rec collapse h =
       match load t.store h with
-      | Internal [ (_, child) ] -> collapse child
+      | Internal [| (_, child) |] -> collapse child
       | Internal _ | Leaf _ -> h
     in
     { t with root = Option.map collapse !root'; count = t.count + delta }

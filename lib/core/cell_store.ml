@@ -25,11 +25,11 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let write_cell t ~column ~pk ?ts value =
+let write_cell t ~column ~pk ?ts ?vhash value =
   let ts = match ts with Some ts -> ts | None -> tick t in
-  let vhash = Hash.of_string value in
+  let vhash = match vhash with Some h -> h | None -> Hash.of_string value in
   let ukey = Universal_key.make ~column ~pk ~ts ~vhash in
-  let addr = Object_store.put_blob t.store value in
+  let addr = Object_store.put_blob ~hash:vhash t.store value in
   Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
   ukey
 

@@ -14,9 +14,12 @@ val tick : t -> int
 (** Advance and return the store's logical clock (used when the caller does
     not supply timestamps). *)
 
-val write_cell : t -> column:string -> pk:string -> ?ts:int -> string -> Universal_key.t
+val write_cell :
+  t -> column:string -> pk:string -> ?ts:int -> ?vhash:Spitz_crypto.Hash.t -> string ->
+  Universal_key.t
 (** Append one immutable cell version; the value is content-addressed into
-    the object store. *)
+    the object store. [vhash], when the caller already has it, must be the
+    value's [Hash.of_string]; the value is then not hashed again. *)
 
 val delete_cell : t -> column:string -> pk:string -> ?ts:int -> unit -> Universal_key.t
 (** Append a tombstone version: the cell reads as absent from this timestamp

@@ -73,14 +73,16 @@ let catalog_column = "_catalog"
 
 (* One block write's effect on the cell store and the inverted index: a put
    appends a cell version (and indexes its value), a delete appends a
-   tombstone. *)
+   tombstone. A put carries its value's hash — the block entry's
+   [value_hash] — so the value is hashed once per write, not again by the
+   cell store and the object store. *)
 let apply_write t ~height key value =
   let column, pk = cell_of_key t key in
   match value with
   | _ when String.equal column catalog_column -> ()
   | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
-  | Some value ->
-    let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height value in
+  | Some (value, vhash) ->
+    let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value in
     Option.iter
       (fun inv ->
          Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value) (Universal_key.encode ukey))
@@ -129,9 +131,11 @@ let commit t ?statements writes =
       let height = L.commit_prepared t.ledger prepared in
       List.iter
         (function
-          | Ledger.Put (key, value) -> apply_write t ~height key (Some value)
-          | Ledger.Delete key -> apply_write t ~height key None)
-        (last_write_per_key (function Ledger.Put (k, _) | Ledger.Delete k -> k) writes);
+          | Ledger.Put (key, value), vhash -> apply_write t ~height key (Some (value, vhash))
+          | Ledger.Delete key, _ -> apply_write t ~height key None)
+        (last_write_per_key
+           (function Ledger.Put (k, _), _ | Ledger.Delete k, _ -> k)
+           (List.combine writes (L.value_hashes prepared)));
       let ack = t.wal_ack in
       t.wal_ack <- None;
       (height, ack)
@@ -432,7 +436,7 @@ let rebuild ?pool ~store ~column ~with_inverted bodies =
                    (Spitz_crypto.Hash.Table.find_opt (Lazy.force pruned_blobs) e.value_hash)
                    (Object_store.get_blob store))
            in
-           if value <> None then apply_write t ~height e.key value)
+           Option.iter (fun v -> apply_write t ~height e.key (Some (v, e.value_hash))) value)
       (last_write_per_key (fun (e : Block.entry) -> e.key) (Journal.block journal height).entries)
   done;
   t
@@ -554,12 +558,14 @@ let read_meta dir =
            let with_inverted = Wire.read_byte r = '\001' in
            (column, with_inverted)))
 
-let encode_wal_record ~height ~body objects =
-  let buf = Wire.writer () in
+(* One log record: the block height, its body address and every store
+   object the block created, oldest first. Encoded into the durable handle's
+   reused writer, which the log copies from in place. *)
+let encode_wal_record buf ~height ~body objects =
+  Wire.clear buf;
   Wire.write_varint buf height;
   Wire.write_hash buf body;
-  Wire.write_list buf Wire.write_string objects;
-  Wire.contents buf
+  Wire.write_list buf Wire.write_string objects
 
 let decode_wal_record data =
   let r = Wire.reader data in
@@ -582,17 +588,22 @@ let check_open d op = if d.closed then invalid_arg ("Db." ^ op ^ ": durable hand
    group-commit policies) and stashes the durability wait in [wal_ack];
    [commit] runs the wait after releasing the lock. Submissions therefore
    happen under the commit lock in block order — WAL records land in the
-   file in height order even with many concurrent committers. *)
+   file in height order even with many concurrent committers. The record is
+   encoded into one writer that lives as long as the handle — only the hook
+   touches it, under the commit lock — and [Wal.submit_slice] copies it
+   once, straight into the log's batch buffer. *)
 let attach_wal db wal captured =
   Object_store.set_observer db.store
     (Some (fun _h data -> captured := data :: !captured));
+  let record = Wire.writer ~size:4096 () in
   L.set_on_commit db.ledger
     (Some
        (fun ~height ~body _block ->
           Fault.hit "commit.before_wal";
           let objects = List.rev !captured in
           captured := [];
-          let ticket = Wal.submit wal (encode_wal_record ~height ~body objects) in
+          encode_wal_record record ~height ~body objects;
+          let ticket = Wal.submit_slice wal (Wire.view record) in
           Fault.hit "commit.after_submit";
           db.wal_ack <- Some (fun () -> Wal.wait wal ticket)))
 

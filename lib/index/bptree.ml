@@ -61,7 +61,10 @@ let mem t key =
 
 let array_insert a i x =
   let n = Array.length a in
-  Array.init (n + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+  let b = Array.make (n + 1) x in
+  Array.blit a 0 b 0 i;
+  Array.blit a i b (i + 1) (n - i);
+  b
 
 let array_remove a i =
   let n = Array.length a in

@@ -175,6 +175,8 @@ module Make (Index : Siri.S) = struct
     in
     { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes }
 
+  let value_hashes p = p.p_value_hashes
+
   let commit_prepared t { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes } =
     let txn_id = fresh_txn t in
     let index =

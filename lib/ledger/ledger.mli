@@ -43,6 +43,10 @@ module Make (Index : Siri.S) : sig
       committers may [prepare] concurrently, overlapping the hashing of one
       commit with the serial section or WAL write of another. *)
 
+  val value_hashes : prepared -> Hash.t list
+  (** The prepared writes' value hashes, in write order ([Hash.null] for a
+      delete) — the block entries' [value_hash]es. *)
+
   val commit_prepared : t -> prepared -> int
   (** The serial back half of {!commit}: assign the transaction id, apply
       the writes to the SIRI index in batch order, assemble and append the

@@ -22,6 +22,10 @@ type stats = {
   malformed : int;
 }
 
+(* An Apply token is in flight from the moment one request claims it until
+   its commit returns; then it maps to its block height. *)
+type token = In_flight | Committed_at of int
+
 type t = {
   db : Db.t;
   cfg : config;
@@ -33,8 +37,9 @@ type t = {
   conns : (int, Unix.file_descr) Hashtbl.t;
   conns_mu : Mutex.t;
   next_conn : int Atomic.t;
-  tokens : (string, int) Hashtbl.t;
+  tokens : (string, token) Hashtbl.t;
   tokens_mu : Mutex.t;
+  token_settled : Condition.t; (* broadcast when an in-flight token settles *)
   c_accepted : int Atomic.t;
   c_active : int Atomic.t;
   c_requests : int Atomic.t;
@@ -74,7 +79,7 @@ let rebuild_tokens db tokens =
           Hashtbl.replace tokens
             (String.sub s (String.length token_prefix)
                (String.length s - String.length token_prefix))
-            h)
+            (Committed_at h))
       (Spitz_ledger.Journal.block journal h).Spitz_ledger.Block.statements
   done
 
@@ -97,19 +102,46 @@ let anchor db known =
   in
   go 0
 
+(* The token table's mutex covers only the claim and the settle, not the
+   commit: Applies from different connections commit concurrently and can
+   share one fsync. An Apply that races an in-flight one with the same token
+   waits for it and answers its height; if that commit failed, the token is
+   free again and the waiter claims it. *)
 let apply t ~token ~puts ~deletes =
+  let rec claim () =
+    match Hashtbl.find_opt t.tokens token with
+    | Some (Committed_at h) -> Some h
+    | Some In_flight ->
+      Condition.wait t.token_settled t.tokens_mu;
+      claim ()
+    | None ->
+      Hashtbl.replace t.tokens token In_flight;
+      None
+  in
   Mutex.lock t.tokens_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.tokens_mu) @@ fun () ->
-  match Hashtbl.find_opt t.tokens token with
+  let claimed = Fun.protect ~finally:(fun () -> Mutex.unlock t.tokens_mu) claim in
+  match claimed with
   | Some h -> Ipc.Committed h
   | None ->
+    let settle state =
+      Mutex.lock t.tokens_mu;
+      (match state with
+       | Some h -> Hashtbl.replace t.tokens token (Committed_at h)
+       | None -> Hashtbl.remove t.tokens token);
+      Condition.broadcast t.token_settled;
+      Mutex.unlock t.tokens_mu
+    in
     let writes =
       List.map (fun (k, v) -> Spitz_ledger.Ledger.Put (k, v)) puts
       @ List.map (fun k -> Spitz_ledger.Ledger.Delete k) deletes
     in
-    let h = Db.commit t.db ~statements:[ token_prefix ^ token ] writes in
-    Hashtbl.replace t.tokens token h;
-    Ipc.Committed h
+    (match Db.commit t.db ~statements:[ token_prefix ^ token ] writes with
+     | h ->
+       settle (Some h);
+       Ipc.Committed h
+     | exception e ->
+       settle None;
+       raise e)
 
 (* Every pinned read names its block; pinning the head is lock-free. A
    height out of range raises [Invalid_argument], answered as [Error]. *)
@@ -262,6 +294,7 @@ let start ?(config = default_config) db =
       next_conn = Atomic.make 0;
       tokens = Hashtbl.create 64;
       tokens_mu = Mutex.create ();
+      token_settled = Condition.create ();
       c_accepted = Atomic.make 0;
       c_active = Atomic.make 0;
       c_requests = Atomic.make 0;

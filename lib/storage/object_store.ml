@@ -98,8 +98,8 @@ let object_count t =
   with_all_shards t (fun () ->
       Array.fold_left (fun acc s -> acc + Hash.Table.length s.objects) 0 t.shards)
 
-let put t data =
-  let h = Hash.of_string data in
+(* [h] is [data]'s content address, already computed by the caller. *)
+let put_hashed t h data =
   let s = shard_of t h in
   let fresh =
     with_shard s (fun () ->
@@ -119,6 +119,8 @@ let put t data =
   (* outside the shard lock: the hook may do arbitrary work (WAL capture) *)
   if fresh then (match t.observer with None -> () | Some f -> f h data);
   h
+
+let put t data = put_hashed t (Hash.of_string data) data
 
 (* Store an encoder's output without materializing it first: the content
    address is hashed straight from the writer's buffer, and the bytes are
@@ -227,13 +229,14 @@ let looks_like_descriptor data =
   String.length data >= prefix_len
   && String.equal (String.sub data 0 prefix_len) descriptor_magic
 
-let put_blob t data =
+let put_blob ?hash t data =
   (* Values above the average chunk size are chunked so that local edits
      share all untouched pieces; values that would be mistaken for a
      descriptor are also stored via the descriptor path, so decoding stays
-     unambiguous. *)
+     unambiguous. A raw value is stored under its known [hash] when the
+     caller has one, so it is hashed once per write. *)
   if String.length data <= t.chunk_params.Chunk.avg_size && not (looks_like_descriptor data)
-  then put t data
+  then match hash with Some h -> put_hashed t h data | None -> put t data
   else begin
     let chunks = Chunk.split ~params:t.chunk_params data in
     let hashes = List.map (put t) chunks in

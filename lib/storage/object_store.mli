@@ -73,11 +73,14 @@ val set_observer : t -> (Hash.t -> string -> unit) option -> unit
     dedup hits do not fire it. The write-ahead log uses this to capture the
     objects a commit adds, so they can be replayed after a crash. *)
 
-val put_blob : t -> string -> Hash.t
+val put_blob : ?hash:Hash.t -> t -> string -> Hash.t
 (** Store a value with content-defined chunking when it exceeds the maximum
     chunk size: each chunk becomes an object and the returned hash addresses a
     descriptor listing them. Local edits to large values share all untouched
-    chunks with previously stored versions. *)
+    chunks with previously stored versions. [hash], when given, must be
+    [Hash.of_string data]: a value stored raw goes under it without being
+    hashed again. Chunked values, and values that look like a descriptor,
+    ignore it. *)
 
 val get_blob : t -> Hash.t -> string option
 (** Reassemble a value stored by {!put_blob} (or {!put}). *)

@@ -31,7 +31,8 @@ exception Corrupt of string
      single [write], fsyncs once, and wakes all waiters. No committer is
      acknowledged ([wait] returns) before its record is durable. [Group]
      additionally lets the leader linger up to [max_delay_us] for more
-     committers to arrive when fewer than [max_batch] records are pending. *)
+     committers to arrive when fewer than [max_batch] records are pending and
+     a second committer is evident; a lone committer never lingers. *)
 
 type t = {
   dir : string;
@@ -68,6 +69,7 @@ type t = {
   mutable n_records : int;         (* records submitted over the log's life *)
   mutable n_fsyncs : int;          (* fsyncs issued over the log's life *)
   mutable n_rotations : int;       (* segment rotations over the log's life *)
+  mutable n_lingers : int;         (* linger slices slept over the log's life *)
 }
 
 type stats = {
@@ -77,6 +79,7 @@ type stats = {
   segments : int;
   disk_bytes : int;
   pending_bytes : int;
+  lingers : int;
 }
 
 type ticket = int
@@ -182,6 +185,7 @@ let open_log ?(sync = Always) dir =
     n_records = 0;
     n_fsyncs = 0;
     n_rotations = 0;
+    n_lingers = 0;
   }
 
 let path t = t.dir
@@ -200,6 +204,7 @@ let stats t =
     segments = List.length t.sealed + 1;
     disk_bytes = disk_bytes t;
     pending_bytes = t.pending_bytes;
+    lingers = t.n_lingers;
   }
 
 let check_open t op = if t.closed then invalid_arg ("Wal." ^ op ^ ": log is closed")
@@ -224,16 +229,20 @@ let write_all fd b pos len =
   done
 
 (* Frame one record into [buf] using the log's preallocated header scratch
-   (no per-record allocation on the hot path). The CRC covers the 4 length
-   bytes plus the payload, folded straight off the scratch — no 4-byte
+   (no per-record allocation on the hot path). The record is a view, so it is
+   copied once, straight into the batch buffer. The CRC covers the 4 length
+   bytes plus the payload, folded straight off the scratch and the view — no
    substring. Caller holds [m]. *)
 let frame_into t buf record =
-  let len = String.length record in
+  let len = Slice.length record in
   set_le32 t.head 0 len;
-  let crc = Crc32.update (Crc32.update_bytes 0l t.head 0 4) record in
+  let crc =
+    Crc32.update_bytes (Crc32.update_bytes 0l t.head 0 4)
+      (Slice.unsafe_base record) (Slice.unsafe_off record) len
+  in
   set_le32 t.head 4 (Int32.to_int crc land 0xffffffff);
   Slice.Writer.add_bytes buf t.head 0 header_len;
-  Slice.Writer.add_string buf record
+  Slice.Writer.add_slice buf record
 
 (* Write the first [total] bytes of [data] (one frame, or a whole coalesced
    batch of frames whose record boundaries are [ends]) straight from the
@@ -269,10 +278,6 @@ let write_frames t ~ends data total =
   end;
   Fault.hit "wal.append.before_sync"
 
-(* Leader flush of the active batch. Called with [m] held and
-   [t.flushing = false]; returns with [m] held, the batch durable and all
-   waiters woken. I/O happens outside the lock, so submitters keep framing
-   records into the standby buffer while the leader is on the disk. *)
 (* Linger before swapping the batch out: sleep in short slices (lock
    released) while new frames keep arriving, and stop as soon as the
    arrival stream pauses — committers mid-pipeline get to join the batch,
@@ -284,6 +289,7 @@ let linger_locked t ~cap ~max_batch =
   let rec grow () =
     let n0 = List.length t.frame_ends in
     if n0 < max_batch then begin
+      t.n_lingers <- t.n_lingers + 1;
       Mutex.unlock t.m;
       Unix.sleepf slice;
       Mutex.lock t.m;
@@ -293,28 +299,41 @@ let linger_locked t ~cap ~max_batch =
   in
   grow ()
 
+(* Evidence of at least [n] live committers: the last batch coalesced [n]
+   records, [n - 1] piled up behind the previous flush (submits that landed
+   while the leader was on the disk), or [n] are pending right now. A lone
+   committer never shows any of these — its batches are all singletons and
+   nothing queues behind it — so it never lingers: a linger slice is a
+   40 µs sleep that the scheduler stretches to about 100 µs, paid on every
+   commit for a batch-mate that never comes. *)
+let committers_evident t n =
+  t.last_batch_n >= n || t.backlog >= n - 1
+  || List.compare_length_with t.frame_ends n >= 0
+
+(* Leader flush of the active batch. Called with [m] held and
+   [t.flushing = false]; returns with [m] held, the batch durable and all
+   waiters woken. I/O happens outside the lock, so submitters keep framing
+   records into the standby buffer while the leader is on the disk. *)
 let flush_locked ?(linger = true) t =
   t.flushing <- true;
   (if linger then
      match t.sync_policy with
      | Group { max_batch; max_delay_us }
-       when max_delay_us > 0 && List.length t.frame_ends < max_batch ->
+       when max_delay_us > 0
+            && List.compare_length_with t.frame_ends max_batch < 0
+            && committers_evident t 2 ->
+       (* a second committer is in flight: hold the flush up to
+          [max_delay_us] so it can share this fsync *)
        linger_locked t ~cap:(float_of_int max_delay_us /. 1e6) ~max_batch
-     | Always
-       when t.last_batch_n > 2 || t.backlog >= 2
-            || (match t.frame_ends with _ :: _ :: _ :: _ -> true | _ -> false) ->
-       (* adaptive group commit, gated on evidence of >= 3 live committers
-          (the last batch coalesced three records, or >= 2 records piled up
-          behind the previous flush, or >= 3 are pending right now):
+     | Always when committers_evident t 3 ->
+       (* adaptive group commit, gated on evidence of >= 3 live committers:
           holding the flush while committers keep arriving lets them share
           this fsync instead of fragmenting into the next. One or two
-          committers never see this branch: a lone committer's batches are
-          all singletons, and a committer pair does better ping-ponging —
-          each one's fsync overlaps the other's commit work naturally,
-          while a linger slice costs more than the one fsync it could
-          save. The cap
-          self-tunes to the disk: a beat of one fsync's cost, since beyond
-          that waiting loses to just flushing twice. *)
+          committers never see this branch: a committer pair does better
+          ping-ponging — each one's fsync overlaps the other's commit work
+          naturally, while a linger slice costs more than the one fsync it
+          could save. The cap self-tunes to the disk: a beat of one fsync's
+          cost, since beyond that waiting loses to just flushing twice. *)
        linger_locked t
          ~cap:(Float.min (Float.max t.last_fsync_s 40e-6) 2e-3)
          ~max_batch:max_int
@@ -361,14 +380,14 @@ let flush_locked ?(linger = true) t =
 
 let no_ticket = -1
 
-let submit t record =
+let submit_slice t record =
   check_open t "submit";
   locked t (fun () ->
       t.n_records <- t.n_records + 1;
       if buffered t then begin
         frame_into t t.active record;
         t.frame_ends <- Slice.Writer.length t.active :: t.frame_ends;
-        t.pending_bytes <- t.pending_bytes + header_len + String.length record;
+        t.pending_bytes <- t.pending_bytes + header_len + Slice.length record;
         t.batch
       end
       else begin
@@ -387,6 +406,8 @@ let submit t record =
          | _ -> ());
         no_ticket
       end)
+
+let submit t record = submit_slice t (Slice.of_string record)
 
 let wait t ticket =
   if ticket >= 0 then begin

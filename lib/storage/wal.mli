@@ -57,10 +57,12 @@ type sync_policy =
   | Interval of int (** fsync every n appends — durability lags by < n *)
   | Never           (** no explicit fsync; the OS flushes eventually *)
   | Group of { max_batch : int; max_delay_us : int }
-  (** like [Always] (ack = durable), but the leader lingers up to
-      [max_delay_us] microseconds for more committers when fewer than
+  (** like [Always] (ack = durable), but when a second committer is
+      evident (the last batch coalesced two records, a record queued behind
+      the last flush, or two are pending) the leader lingers up to
+      [max_delay_us] microseconds for more committers while fewer than
       [max_batch] records are pending — bigger batches, fewer fsyncs, at
-      the cost of bounded added latency *)
+      the cost of bounded added latency. A lone committer never lingers. *)
 
 exception Corrupt of string
 (** Raised by {!replay} when a sealed (non-final) segment is damaged:
@@ -85,6 +87,12 @@ val submit : t -> string -> ticket
     guaranteed on disk once {!wait} on the returned ticket returns. Under
     [Interval]/[Never] the frame is written (not necessarily fsynced)
     before [submit] returns and the ticket is already settled. *)
+
+val submit_slice : t -> Slice.t -> ticket
+(** {!submit} of a view: the record is copied once, into the batch buffer
+    (or the write scratch under [Interval]/[Never]), and its CRC is folded
+    off the view, so the caller may reuse the viewed buffer as soon as this
+    returns. Frames are byte-identical to {!submit} of the same bytes. *)
 
 val wait : t -> ticket -> unit
 (** Block until the ticket's record is durable. The first waiter becomes
@@ -141,6 +149,8 @@ type stats = {
   segments : int;      (** live segments right now (sealed + active) *)
   disk_bytes : int;    (** bytes on disk across all live segments *)
   pending_bytes : int; (** frame bytes in the unflushed in-memory batch *)
+  lingers : int;       (** group-commit linger slices slept over the
+                           handle's lifetime; 0 for a lone committer *)
 }
 
 val stats : t -> stats

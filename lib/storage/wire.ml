@@ -48,6 +48,10 @@ let write_list buf write_item items =
   write_varint buf (List.length items);
   List.iter (write_item buf) items
 
+let write_array buf write_item items =
+  write_varint buf (Array.length items);
+  Array.iter (write_item buf) items
+
 let write_hash_list buf hashes = write_list buf (fun buf h -> write_hash buf h) hashes
 
 (* The cursor is absolute over the slice's base buffer: [pos] runs from the
@@ -109,7 +113,7 @@ let read_hash r =
   r.pos <- r.pos + Hash.size;
   Hash.of_raw s
 
-let read_list r read_item =
+let read_count r =
   let n = read_varint r in
   (* Every well-formed element occupies at least one byte, so a claimed
      length beyond the remaining input is malformed — reject it before
@@ -117,7 +121,10 @@ let read_list r read_item =
   if n > r.limit - r.pos then
     raise (Malformed (Printf.sprintf "list: %d elements exceed %d remaining bytes"
                         n (r.limit - r.pos)));
-  List.init n (fun _ -> read_item r)
+  n
+
+let read_list r read_item = List.init (read_count r) (fun _ -> read_item r)
+let read_array r read_item = Array.init (read_count r) (fun _ -> read_item r)
 
 let read_hash_list r = read_list r read_hash
 

@@ -39,6 +39,9 @@ val write_hash : writer -> Hash.t -> unit
 val write_byte : writer -> char -> unit
 val write_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
+val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
+(** Same bytes as {!write_list} of the same elements. *)
+
 val write_hash_list : writer -> Hash.t list -> unit
 (** Length-prefixed hash sequence — the wire shape of every Merkle proof. *)
 
@@ -70,6 +73,9 @@ val read_raw : reader -> int -> Slice.t
 val read_list : reader -> (reader -> 'a) -> 'a list
 (** Rejects (with {!Malformed}) a claimed element count larger than the bytes
     remaining, so adversarial lengths cannot drive allocation. *)
+
+val read_array : reader -> (reader -> 'a) -> 'a array
+(** {!read_list} into an array, with the same bound on the claimed count. *)
 
 val read_hash_list : reader -> Hash.t list
 

@@ -4,11 +4,34 @@
    store and saves a new copy of each node on it, so a fold over a batch
    stores every intermediate version. Kept in the test tree as the
    differential oracle for [Merkle_bptree.insert_batch]; nothing outside the
-   tests links it. *)
+   tests links it. It edits nodes as lists, with a linear child scan, so it
+   shares no navigation or editing code with the array-backed batch. *)
 
 open Spitz_adt
-open Kv_node
 module Hash = Spitz_crypto.Hash
+
+type node = Leaf of (string * string) list | Internal of (string * Hash.t) list
+
+let load store h =
+  match Kv_node.load store h with
+  | Kv_node.Leaf entries -> Leaf (Array.to_list entries)
+  | Kv_node.Internal children -> Internal (Array.to_list children)
+
+let save store = function
+  | Leaf entries -> Kv_node.save store (Kv_node.Leaf (Array.of_list entries))
+  | Internal children -> Kv_node.save store (Kv_node.Internal (Array.of_list children))
+
+let min_key = function
+  | Leaf ((k, _) :: _) | Internal ((k, _) :: _) -> k
+  | Leaf [] | Internal [] -> invalid_arg "Oracle_bptree.min_key: empty node"
+
+(* The last separator <= key, or the first child. *)
+let child_index children key =
+  let rec go i best = function
+    | [] -> best
+    | (sep, _) :: rest -> if String.compare sep key <= 0 then go (i + 1) i rest else best
+  in
+  go 0 0 children
 
 let max_entries = 16
 

@@ -407,8 +407,8 @@ let suite =
 let tree_height store root =
   let rec go h =
     match Kv_node.load store h with
-    | Kv_node.Leaf _ | Kv_node.Internal [] -> 1
-    | Kv_node.Internal ((_, child) :: _) -> 1 + go child
+    | Kv_node.Leaf _ | Kv_node.Internal [||] -> 1
+    | Kv_node.Internal children -> 1 + go (snd children.(0))
   in
   if Hash.is_null root then 0 else go root
 
@@ -422,19 +422,21 @@ let initial n0 = List.init n0 (fun i -> (key_of (2 * i), Printf.sprintf "V-init-
 (* Applies [kvs] to an [n0]-key tree both ways; returns the starting tree,
    the batched result, the oracle's result and the objects the batch
    stored. *)
-let run_batch n0 kvs =
+let run_batch_from init kvs =
   let oracle =
     Oracle_bptree.insert_all
-      (Oracle_bptree.insert_all (Oracle_bptree.create (Object_store.create ())) (initial n0))
+      (Oracle_bptree.insert_all (Oracle_bptree.create (Object_store.create ())) init)
       kvs
   in
   let store = Object_store.create () in
-  let t0 = Merkle_bptree.insert_batch (Merkle_bptree.create store) (initial n0) in
+  let t0 = Merkle_bptree.insert_batch (Merkle_bptree.create store) init in
   let added = ref [] in
   Object_store.set_observer store (Some (fun h _ -> added := h :: !added));
   let t1 = Merkle_bptree.insert_batch t0 kvs in
   Object_store.set_observer store None;
   (t0, t1, oracle, !added)
+
+let run_batch n0 kvs = run_batch_from (initial n0) kvs
 
 let only_reachable_added t added =
   let reachable = Hash.Table.create 256 in
@@ -463,6 +465,60 @@ let prop_batch_matches_oracle =
     (fun (n0, ops) ->
        let _, t1, oracle, added = run_batch n0 (batch_kvs ops) in
        matches_oracle t1 oracle && only_reachable_added t1 added)
+
+(* The array-backed batch edits its node copies in place; the oracle
+   rebuilds lists. Starting keys sit at [base + 2i], and the batch draws
+   its keys from a run below the tree's minimum (lowering every separator
+   on the left spine), a narrow window around the minimum (duplicates
+   inside the batch), or the whole span; long batches split the root. *)
+let gen_below_min_case =
+  QCheck.Gen.(
+    let base = 400 in
+    let* n0 = oneof [ return 0; int_range 1 40; int_range 41 300 ] in
+    let* len = oneof [ int_range 1 16; int_range 17 600 ] in
+    let key =
+      oneof
+        [ int_range 0 (base - 1); int_range (base - 6) (base + 6);
+          int_range 0 (base + (2 * n0) + 10) ]
+    in
+    let* ops = list_repeat len (pair key (int_bound 9)) in
+    return (List.init n0 (fun i -> (key_of (base + (2 * i)), Printf.sprintf "V-init-%d" i)), ops))
+
+let prop_batch_below_min_matches_oracle =
+  QCheck.Test.make ~name:"bptree: array batch below the minimum matches the oracle" ~count:80
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+           Printf.sprintf "n0=%d batch=%d" (List.length init) (List.length ops))
+       gen_below_min_case)
+    (fun (init, ops) ->
+       let _, t1, oracle, added = run_batch_from init (batch_kvs ops) in
+       matches_oracle t1 oracle && only_reachable_added t1 added)
+
+(* Root digests and cardinals of a POS-tree (700 inserts, 40 removes) and a
+   Merkle B+-tree (two batches, the second above every key), as the
+   list-backed nodes produced them: the array representation changed no
+   byte of any node. *)
+let test_golden_roots () =
+  let store = Object_store.create () in
+  let p =
+    List.fold_left
+      (fun t i -> Pos_tree.insert t (key_of (i * 37 mod 700)) ("v" ^ string_of_int i))
+      (Pos_tree.create store) (List.init 700 Fun.id)
+  in
+  let p = List.fold_left (fun t i -> Pos_tree.remove t (key_of (i * 5))) p (List.init 40 Fun.id) in
+  Alcotest.(check string) "pos-tree root"
+    "da2774c32f8084b5a0a3269e9ffafc890151bb46fa881b4c46e294477568bcab"
+    (Hash.to_hex (Pos_tree.root_digest p));
+  Alcotest.(check int) "pos-tree cardinal" 660 (Pos_tree.cardinal p);
+  let m =
+    Merkle_bptree.insert_batch (Merkle_bptree.create store)
+      (List.init 700 (fun i -> (key_of (i * 37 mod 700), "v" ^ string_of_int i)))
+  in
+  let m = Merkle_bptree.insert_batch m (List.init 50 (fun i -> (key_of (1000 - i), "w"))) in
+  Alcotest.(check string) "merkle-bptree root"
+    "faee195b58224160294a1ad08703c0781fd690e0b325b63dfae5335448d99d69"
+    (Hash.to_hex (Merkle_bptree.root_digest m));
+  Alcotest.(check int) "merkle-bptree cardinal" 750 (Merkle_bptree.cardinal m)
 
 let test_batch_empty () =
   let t0, t1, oracle, added = run_batch 100 [] in
@@ -504,6 +560,8 @@ let test_batch_splits_root_twice () =
 let batch_suite =
   [
     QCheck_alcotest.to_alcotest prop_batch_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_batch_below_min_matches_oracle;
+    Alcotest.test_case "pos-tree and bptree golden roots" `Quick test_golden_roots;
     Alcotest.test_case "bptree: empty batch" `Quick test_batch_empty;
     Alcotest.test_case "bptree: duplicate keys and tombstones in a batch" `Quick
       test_batch_duplicates_and_tombstones;
@@ -524,8 +582,37 @@ let prop_kv_node_roundtrip =
   QCheck.Test.make ~name:"kv-node encode/decode roundtrip" ~count:200
     QCheck.(small_list (pair small_string small_string))
     (fun entries ->
-       let node = Kv_node.Leaf entries in
+       let node = Kv_node.Leaf (Array.of_list entries) in
        Kv_node.decode (Kv_node.encode node) = node)
+
+(* Leaf and internal array nodes decode to themselves, and their bytes are
+   the list codec's bytes: [Wire.write_array] frames exactly like
+   [Wire.write_list]. *)
+let prop_kv_node_array_roundtrip =
+  QCheck.Test.make ~name:"kv-node array nodes: decode . encode = id, list bytes" ~count:200
+    QCheck.(pair bool (small_list (pair small_string small_string)))
+    (fun (internal, pairs) ->
+       let list_bytes tag write =
+         let buf = Wire.writer () in
+         Wire.write_byte buf tag;
+         Wire.write_list buf write pairs;
+         Wire.contents buf
+       in
+       let node, expected =
+         if internal then
+           let links = List.map (fun (k, v) -> (k, Hash.of_string v)) pairs in
+           ( Kv_node.Internal (Array.of_list links),
+             list_bytes 'I' (fun buf (k, v) ->
+                 Wire.write_string buf k;
+                 Wire.write_hash buf (Hash.of_string v)) )
+         else
+           ( Kv_node.Leaf (Array.of_list pairs),
+             list_bytes 'L' (fun buf (k, v) ->
+                 Wire.write_string buf k;
+                 Wire.write_string buf v) )
+       in
+       let bytes = Kv_node.encode node in
+       String.equal bytes expected && Kv_node.decode bytes = node)
 
 let suite =
   suite
@@ -533,4 +620,5 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_kv_node_decode_total;
       QCheck_alcotest.to_alcotest prop_kv_node_roundtrip;
+      QCheck_alcotest.to_alcotest prop_kv_node_array_roundtrip;
     ]

@@ -173,6 +173,33 @@ let test_wal_group_policy_append () =
       Alcotest.(check (list string)) "group policy roundtrip" records
         (Wal.replay path).Wal.records)
 
+(* A lone committer never lingers, however long the policy allows: with no
+   second committer in sight, a linger slice only delays its own ack. *)
+let test_wal_lone_committer_never_lingers () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "log" in
+      let w = Wal.open_log ~sync:(Wal.Group { max_batch = 64; max_delay_us = 200_000 }) path in
+      for i = 1 to 100 do
+        Wal.append w (Printf.sprintf "lone-%03d" i)
+      done;
+      let st = Wal.stats w in
+      Alcotest.(check int) "no linger slices" 0 st.Wal.lingers;
+      Alcotest.(check int) "one fsync per record" 100 st.Wal.fsyncs;
+      Wal.close w;
+      Alcotest.(check int) "every record durable" 100 (List.length (Wal.replay path).Wal.records));
+  (* the same through the durable database, the served commit path *)
+  with_dir (fun dir ->
+      let d =
+        Db.open_durable ~sync:(Wal.Group { max_batch = 64; max_delay_us = 200_000 })
+          (Filename.concat dir "db")
+      in
+      let db = Db.durable_db d in
+      for i = 1 to 50 do
+        ignore (Db.put_batch db [ (Printf.sprintf "k%02d" i, "v"); ("shared", string_of_int i) ])
+      done;
+      Alcotest.(check int) "no linger slices in Db.commit" 0 (Db.wal_stats d).Wal.lingers;
+      Db.close_durable d)
+
 let test_wal_concurrent_appenders () =
   with_dir (fun dir ->
       let path = Filename.concat dir "log" in
@@ -1389,6 +1416,8 @@ let suite =
     Alcotest.test_case "wal bit flip truncates tail" `Quick test_wal_bitflip_tail;
     Alcotest.test_case "wal submit/wait coalesces a batch" `Quick test_wal_submit_wait_coalesce;
     Alcotest.test_case "wal group policy roundtrip" `Quick test_wal_group_policy_append;
+    Alcotest.test_case "wal lone committer never lingers" `Quick
+      test_wal_lone_committer_never_lingers;
     Alcotest.test_case "wal concurrent appenders" `Quick test_wal_concurrent_appenders;
     Alcotest.test_case "wal crash mid coalesced batch" `Quick test_wal_crash_mid_batch;
     Alcotest.test_case "wal crash before batch fsync" `Quick test_wal_crash_before_sync_multi;

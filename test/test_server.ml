@@ -511,6 +511,92 @@ let test_kill_lost_tail_repaired_by_retry () =
   Session.close s2;
   Session.close stale
 
+
+(* --- concurrent Apply: the token table does not serialize commits --- *)
+
+(* A durable server under [Always]: each commit waits for its fsync, so
+   Applies from different connections overlap in the durability wait. *)
+let with_durable_server f =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let d = Db.open_durable ~sync:Spitz_storage.Wal.Always dir in
+  let db = Db.durable_db d in
+  let server = Server.start db in
+  Fun.protect
+    ~finally:(fun () ->
+        Server.stop server;
+        Db.close_durable d)
+    (fun () -> f db server)
+
+let in_threads n f =
+  let results = Array.make n [] in
+  let threads = List.init n (fun c -> Thread.create (fun () -> results.(c) <- f c) ()) in
+  List.iter Thread.join threads;
+  results
+
+let blocks_with_statement db statement =
+  let ledger = Db.ledger db in
+  let journal = Db.L.journal ledger in
+  List.filter
+    (fun h ->
+       List.mem statement (Spitz_ledger.Journal.block journal h).Spitz_ledger.Block.statements)
+    (List.init (Db.L.height ledger) Fun.id)
+
+let test_racing_token_commits_once () =
+  with_durable_server @@ fun db server ->
+  let tokens = List.init 24 (fun i -> Printf.sprintf "race-%02d" i) in
+  (* both sessions send every token, in the same order, at the same time *)
+  let heights =
+    in_threads 2 (fun _ ->
+        with_session server @@ fun s ->
+        List.map
+          (fun token -> Session.apply s ~token ~puts:[ (token, "v") ] ~deletes:[])
+          tokens)
+  in
+  Alcotest.(check (list int)) "both sessions get the same heights" heights.(0) heights.(1);
+  List.iter2
+    (fun token h ->
+       Alcotest.(check (list int))
+         (token ^ " is in exactly one block, the acknowledged one")
+         [ h ] (blocks_with_statement db ("tx:" ^ token)))
+    tokens heights.(0);
+  Alcotest.(check int) "one block per token" (List.length tokens) (Db.L.height (Db.ledger db))
+
+let test_concurrent_applies_distinct_heights () =
+  with_durable_server @@ fun db server ->
+  let per = 16 in
+  let key c i = Printf.sprintf "c%d-k%02d" c i and value c i = Printf.sprintf "c%d-v%02d" c i in
+  let heights =
+    in_threads 4 (fun c ->
+        with_session server @@ fun s ->
+        List.init per (fun i ->
+            Session.apply s ~token:(Printf.sprintf "c%d-%02d" c i)
+              ~puts:[ (key c i, value c i) ] ~deletes:[]))
+  in
+  let all = List.concat (Array.to_list heights) in
+  Alcotest.(check int) "every Apply answered" (4 * per) (List.length all);
+  Alcotest.(check int) "heights are distinct" (4 * per)
+    (List.length (List.sort_uniq compare all));
+  (* serial replay of the committed order reproduces the digest *)
+  let journal = Db.L.journal (Db.ledger db) in
+  let values = Hashtbl.create 64 in
+  for c = 0 to 3 do
+    for i = 0 to per - 1 do
+      Hashtbl.replace values (key c i) (value c i)
+    done
+  done;
+  let serial = Db.open_db () in
+  for h = 0 to Db.L.height (Db.ledger db) - 1 do
+    let block = Spitz_ledger.Journal.block journal h in
+    ignore
+      (Db.commit serial ~statements:block.Spitz_ledger.Block.statements
+         (List.map
+            (fun (e : Spitz_ledger.Block.entry) ->
+               Spitz_ledger.Ledger.Put (e.key, Hashtbl.find values e.key))
+            block.Spitz_ledger.Block.entries))
+  done;
+  Alcotest.(check bool) "digest = serial replay" true (Db.digest db = Db.digest serial)
+
 let suite =
   [
     Alcotest.test_case "session roundtrip over loopback" `Quick test_session_roundtrip;
@@ -529,6 +615,10 @@ let suite =
       test_graceful_shutdown;
     Alcotest.test_case "connection cap backpressure" `Quick test_backpressure_cap;
     Alcotest.test_case "idempotent apply across reconnects" `Quick test_idempotent_apply;
+    Alcotest.test_case "racing Applies of one token commit once" `Quick
+      test_racing_token_commits_once;
+    Alcotest.test_case "concurrent Applies: distinct heights, serial digest" `Quick
+      test_concurrent_applies_distinct_heights;
     Alcotest.test_case "rollback detected by session sync" `Quick test_rollback_detected;
     Alcotest.test_case "kill -9: durable acks survive restart" `Quick
       test_kill_durable_acks_survive;
