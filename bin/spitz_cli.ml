@@ -252,10 +252,24 @@ let serve_cmd =
     done;
     Spitz_server.Server.stop server;
     let s = Spitz_server.Server.stats server in
+    (* Fold the log into a snapshot before exiting, so the next start opens
+       from it instead of re-running every logged batch. A failed checkpoint
+       loses nothing (the log still holds every block), but the exit status
+       says so. *)
+    let checkpointed =
+      Spitz.Db.uncheckpointed_blocks durable = 0
+      ||
+      match Spitz.Db.checkpoint durable with
+      | () -> true
+      | exception e ->
+        Printf.eprintf "error: shutdown checkpoint failed: %s\n%!" (Printexc.to_string e);
+        false
+    in
     Spitz.Db.close_durable durable;
     Printf.printf "served %d requests over %d connections (%d malformed rejected)\n"
       s.Spitz_server.Server.requests s.Spitz_server.Server.accepted
-      s.Spitz_server.Server.malformed
+      s.Spitz_server.Server.malformed;
+    if not checkpointed then exit 1
   in
   Cmd.v
     (Cmd.info "serve"

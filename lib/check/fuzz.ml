@@ -461,8 +461,10 @@ let fuzz_wal ?(cases = 200) ~seed () =
     write_file path (Mutate.random rng (read_file path));
     tally ("durable/" ^ victim) (classify_durable_open dir)
   done;
-  (* raw framing fuzz: segment replay of a mutated log file must never
-     raise, and with repair off must never consume past the file *)
+  (* raw framing fuzz: segment replay of a mutated log file raises only
+     when the mutant no longer starts with (a prefix of) the segment's
+     version header — and then only [Wal.Corrupt] — and with repair off
+     never consumes past the file *)
   let wal_path = Filename.concat base "wal_raw" in
   let log = Spitz_storage.Wal.open_log ~sync:Spitz_storage.Wal.Never wal_path in
   for i = 0 to 19 do
@@ -478,11 +480,17 @@ let fuzz_wal ?(cases = 200) ~seed () =
   let frame_cases = max 1 (cases / 2) in
   for _ = 1 to frame_cases do
     let mutant_path = Filename.concat base "wal_mutant" in
-    write_file mutant_path (Mutate.random rng honest);
-    let size = (Unix.stat mutant_path).Unix.st_size in
+    let mutant = Mutate.random rng honest in
+    write_file mutant_path mutant;
+    let size = String.length mutant in
+    let header = Spitz_storage.Wal.segment_header in
+    let n = min (String.length mutant) (String.length header) in
+    let headed = String.equal (String.sub mutant 0 n) (String.sub header 0 n) in
     tally "wal/replay"
       (match Spitz_storage.Wal.replay_segment ~repair:false mutant_path with
+       | exception Spitz_storage.Wal.Corrupt _ when not headed -> Rejected_decode
        | exception e -> Foreign ("replay raised " ^ Printexc.to_string e)
+       | _ when not headed -> Accepted "a segment without its version header was read"
        | res ->
          if res.Spitz_storage.Wal.good_bytes + res.Spitz_storage.Wal.torn_bytes = size
          then Benign

@@ -26,10 +26,16 @@ type t = {
   (* serializes the ledger/cell-store mutation section of [commit]; value
      hashing before it and the WAL durability wait after it run outside the
      lock, so concurrent committers overlap CPU and I/O *)
-  mutable wal_ack : (unit -> unit) option;
-  (* stashed by the on-commit hook (under [commit_lock]): blocks until the
-     WAL record of the block just committed is durable. [commit] takes it
-     and runs it after releasing the lock. *)
+  mutable log : log option;
+  (* the durable handle's write-ahead log, attached by [open_durable] once
+     replay is done: [commit] submits each block's record to it *)
+}
+
+and log = {
+  wal : Wal.t;
+  record : Wire.writer;
+  (* one reused encode buffer; only [commit] touches it, under
+     [commit_lock], and [Wal.submit_slice] copies it out before returning *)
 }
 
 let of_ledger ~store ~column ~with_inverted ledger =
@@ -40,7 +46,7 @@ let of_ledger ~store ~column ~with_inverted ledger =
     column;
     inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
     commit_lock = Mutex.create ();
-    wal_ack = None;
+    log = None;
   }
 
 let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
@@ -107,6 +113,44 @@ let last_write_per_key key_of items =
           end)
        [] (List.rev items))
 
+(* One write-ahead log record is one commit's batch: the block height, the
+   statements, the puts and deletes in batch order, and the content address
+   of the block body the commit produced. Replay re-runs the batch through
+   [commit] and checks that it produced the same body. *)
+let encode_wal_record buf ~height ~statements ~body writes =
+  Wire.clear buf;
+  Wire.write_varint buf height;
+  Wire.write_list buf Wire.write_string statements;
+  Wire.write_list buf
+    (fun buf -> function
+       | Ledger.Put (k, v) ->
+         Wire.write_byte buf 'P';
+         Wire.write_string buf k;
+         Wire.write_string buf v
+       | Ledger.Delete k ->
+         Wire.write_byte buf 'D';
+         Wire.write_string buf k)
+    writes;
+  Wire.write_hash buf body
+
+let decode_wal_record data =
+  Wire.decode "wal record"
+    (fun r ->
+       let height = Wire.read_varint r in
+       let statements = Wire.read_list r Wire.read_string in
+       let writes =
+         Wire.read_list r (fun r ->
+             match Wire.read_byte r with
+             | 'P' ->
+               let k = Wire.read_string r in
+               Ledger.Put (k, Wire.read_string r)
+             | 'D' -> Ledger.Delete (Wire.read_string r)
+             | c -> raise (Wire.Malformed (Printf.sprintf "write tag %C" c)))
+       in
+       let body = Wire.read_hash r in
+       (height, statements, writes, body))
+    data
+
 (* The general write path and the only way a block enters the ledger: one
    batch of puts and deletes, one ledger block. Deletes land as tombstones
    in both the ledger index and the cell store, so the verifiable surface
@@ -117,16 +161,17 @@ let last_write_per_key key_of items =
    lock-free, so it overlaps with anything, including the WAL write of an
    earlier commit; (2) the serial section under [commit_lock]: txn-id
    assignment, SIRI index update, block assembly, journal append, cell-store
-   apply, and (when a WAL is attached) a non-blocking [Wal.submit]; (3) the
-   durability wait, after the lock is released — committer B enters its
-   serial section while committer A is still fsyncing, and A's WAL leader
-   coalesces every record submitted meanwhile. Blocks enter the ledger in
-   the order the lock is acquired, so digests, proofs and audits are
-   byte-identical to that serial order. *)
-let commit t ?statements writes =
-  let prepared = L.prepare t.ledger ?statements writes in
+   apply, and (when a WAL is attached) a non-blocking [Wal.submit] of the
+   batch's record; (3) the durability wait, after the lock is released —
+   committer B enters its serial section while committer A is still
+   fsyncing, and A's WAL leader coalesces every record submitted meanwhile.
+   Blocks enter the ledger, and records the log, in the order the lock is
+   acquired, so digests, proofs and audits are byte-identical to that
+   serial order. *)
+let commit t ?(statements = []) writes =
+  let prepared = L.prepare t.ledger ~statements writes in
   Mutex.lock t.commit_lock;
-  let height, ack =
+  let height, ticket =
     match
       let height = L.commit_prepared t.ledger prepared in
       List.iter
@@ -136,9 +181,16 @@ let commit t ?statements writes =
         (last_write_per_key
            (function Ledger.Put (k, _), _ | Ledger.Delete k, _ -> k)
            (List.combine writes (L.value_hashes prepared)));
-      let ack = t.wal_ack in
-      t.wal_ack <- None;
-      (height, ack)
+      match t.log with
+      | None -> (height, None)
+      | Some log ->
+        Fault.hit "commit.before_wal";
+        encode_wal_record log.record ~height ~statements
+          ~body:(Journal.body_hash (L.journal t.ledger) height)
+          writes;
+        let ticket = Wal.submit_slice log.wal (Wire.view log.record) in
+        Fault.hit "commit.after_submit";
+        (height, Some (log.wal, ticket))
     with
     | result ->
       Mutex.unlock t.commit_lock;
@@ -147,10 +199,10 @@ let commit t ?statements writes =
       Mutex.unlock t.commit_lock;
       raise e
   in
-  (match ack with
+  (match ticket with
    | None -> ()
-   | Some wait_durable ->
-     wait_durable ();
+   | Some (wal, ticket) ->
+     Wal.wait wal ticket;
      Fault.hit "commit.acked");
   height
 
@@ -353,8 +405,9 @@ let magic = "SPITZDB1"
    the live one: a background checkpoint pins the journal under the commit
    lock, then writes the file outside it while commits proceed. The store
    dump may then include objects of blocks newer than the pinned list —
-   harmless, because content addressing makes the replay's re-puts
-   idempotent and [rebuild] walks only the listed bodies. *)
+   harmless, because [rebuild] walks only the listed bodies, and when the
+   log's re-run of those blocks stores the same objects again, content
+   addressing makes the puts dedup hits. *)
 let save_with_bodies t bodies path =
   (* write to a temporary sibling and rename over the target: a crash
      mid-save leaves the previous database file untouched, and rename is
@@ -388,7 +441,7 @@ let save t path = save_with_bodies t (L.body_hashes t.ledger) path
    the block addresses (the hash chain is re-validated on every append),
    then replay the journal into the cell store and inverted index through
    [apply_write], reading each value by its content address. On a
-   16,384-key log of 22,528 cell writes (2-vCPU Xeon with SHA-NI) this
+   16,384-key database of 22,528 cell writes (2-vCPU Xeon with SHA-NI) this
    replay costs about 0.07 s of a 0.17 s open; it was 0.28 s of 0.36 s
    when values came from an index walk and every universal key went
    through [Printf] (DESIGN.md, Recovery). *)
@@ -478,16 +531,17 @@ let load path =
            Object_store.restore store ic;
            rebuild ~store ~column ~with_inverted bodies))
 
-(* --- durable database: snapshot + write-ahead object log ---
+(* --- durable database: snapshot + write-ahead log of batches ---
 
    The snapshot is a point-in-time [save]; the write-ahead log fills the gap
-   since. Every ledger commit appends one log record carrying the objects
-   the commit added to the store (index nodes, the encoded block, value
-   blobs) plus the block's content address. Recovery is replay: restore the
-   snapshot, re-put each logged record's objects, and re-append its block —
-   the journal hash chain re-validates every link, so a record that decodes
-   but does not extend the chain is rejected as corrupt, while a torn tail
-   (CRC failure mid-record) is truncated and forgiven. *)
+   since. Every commit appends one logical record: its batch (statements,
+   puts and deletes) and the content address of the block body it produced
+   ([encode_wal_record]). Recovery is re-execution: restore the snapshot,
+   then run each logged batch through [commit] again. Digests do not depend
+   on the pool size or on timing, so the re-run rebuilds the same index
+   nodes, block and cell versions, and a record whose re-run yields a
+   different body is rejected as corrupt; a torn tail (CRC failure
+   mid-record) is truncated and forgiven. *)
 
 type checkpoint_policy =
   | Manual
@@ -506,7 +560,6 @@ type durable = {
   db : t;
   wal : Wal.t;
   dir : string;
-  captured : string list ref; (* new store objects since the last log record, newest first *)
   mutable closed : bool;
   (* checkpointing: [ckpt_lock] serializes checkpoint runs (manual callers
      against the background thread); the counters are atomics so
@@ -521,6 +574,7 @@ type durable = {
   ckpt_retired : int Atomic.t;
   ckpt_last_error : string option Atomic.t;
   ckpt_base_records : int Atomic.t; (* WAL record count at the last checkpoint *)
+  ckpt_height : int Atomic.t; (* blocks the snapshot on disk holds *)
 }
 
 let snapshot_file dir = Filename.concat dir "snapshot"
@@ -558,54 +612,35 @@ let read_meta dir =
            let with_inverted = Wire.read_byte r = '\001' in
            (column, with_inverted)))
 
-(* One log record: the block height, its body address and every store
-   object the block created, oldest first. Encoded into the durable handle's
-   reused writer, which the log copies from in place. *)
-let encode_wal_record buf ~height ~body objects =
-  Wire.clear buf;
-  Wire.write_varint buf height;
-  Wire.write_hash buf body;
-  Wire.write_list buf Wire.write_string objects
-
-let decode_wal_record data =
-  let r = Wire.reader data in
-  let height = Wire.read_varint r in
-  let body = Wire.read_hash r in
-  let objects = Wire.read_list r Wire.read_string in
-  if not (Wire.at_end r) then raise (Corrupt "wal record: trailing bytes");
-  (height, body, objects)
-
 let durable_db d = d.db
 let wal_size d = Wal.size d.wal
 let wal_stats d = Wal.stats d.wal
+let uncheckpointed_blocks d = L.height d.db.ledger - Atomic.get d.ckpt_height
 
 let check_open d op = if d.closed then invalid_arg ("Db." ^ op ^ ": durable handle is closed")
 
-(* Wire the log into the commit path: the store observer captures every new
-   object; the ledger's commit hook drains the capture buffer into one log
-   record per committed block. The hook runs inside [commit]'s serial
-   section, so it only *submits* the record (non-blocking under the
-   group-commit policies) and stashes the durability wait in [wal_ack];
-   [commit] runs the wait after releasing the lock. Submissions therefore
-   happen under the commit lock in block order — WAL records land in the
-   file in height order even with many concurrent committers. The record is
-   encoded into one writer that lives as long as the handle — only the hook
-   touches it, under the commit lock — and [Wal.submit_slice] copies it
-   once, straight into the log's batch buffer. *)
-let attach_wal db wal captured =
-  Object_store.set_observer db.store
-    (Some (fun _h data -> captured := data :: !captured));
-  let record = Wire.writer ~size:4096 () in
-  L.set_on_commit db.ledger
-    (Some
-       (fun ~height ~body _block ->
-          Fault.hit "commit.before_wal";
-          let objects = List.rev !captured in
-          captured := [];
-          encode_wal_record record ~height ~body objects;
-          let ticket = Wal.submit_slice wal (Wire.view record) in
-          Fault.hit "commit.after_submit";
-          db.wal_ack <- Some (fun () -> Wal.wait wal ticket)))
+(* Re-run the logged batches on top of the database the snapshot rebuilt.
+   A record below the snapshot's height was made redundant by a checkpoint
+   before the log was retired (the crash window between rename and
+   retirement). Every other record must extend the chain by exactly one
+   block, and its re-run must produce the body the live commit logged. *)
+let replay_records db records =
+  let base = L.height db.ledger in
+  List.iter
+    (fun data ->
+       let height, statements, writes, body = decode_wal_record data in
+       if height >= base then begin
+         let expected = L.height db.ledger in
+         if height <> expected then
+           raise (Corrupt (Printf.sprintf "wal: block height %d where %d expected" height expected));
+         ignore (commit db ~statements writes);
+         if not (Spitz_crypto.Hash.equal body (Journal.body_hash (L.journal db.ledger) height))
+         then
+           raise
+             (Corrupt
+                (Printf.sprintf "wal: re-running block %d does not reproduce its logged body" height))
+       end)
+    records
 
 let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
     ?(with_inverted = false) dir =
@@ -639,57 +674,35 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
     end
     else (Object_store.create (), column, with_inverted, [])
   in
-  (* 2. replay the log after the checkpoint. With [repair] (the default) a
-     torn tail of the final segment is truncated in place by [Wal.replay];
-     without it the log is left untouched and a tear is an error — strict
-     mode surfaces damage instead of silently fixing it (and the handle
-     must not append after a tear it did not repair). Damage in a sealed
-     (non-final) segment raises [Wal.Corrupt] in either mode. *)
+  (* 2. read the log. With [repair] (the default) a torn tail of the final
+     segment is truncated in place by [Wal.replay]; without it the log is
+     left untouched and a tear is an error — strict mode surfaces damage
+     instead of silently fixing it (and the handle must not append after a
+     tear it did not repair). Damage in a sealed (non-final) segment, and a
+     segment without the version header, raise [Wal.Corrupt] in either
+     mode. *)
   let replayed = corrupt_guard "Db.open_durable(wal)" (fun () -> Wal.replay ~repair (wal_file dir)) in
   if (not repair) && replayed.Wal.torn_bytes > 0 then
     raise
       (Corrupt
          (Printf.sprintf "Db.open_durable: wal tail is torn (%d bytes) and repair is off"
             replayed.Wal.torn_bytes));
-  let base = List.length bodies in
-  let extra =
-    corrupt_guard "Db.open_durable(wal)" (fun () ->
-        let next = ref base in
-        List.filter_map
-          (fun record ->
-             let height, body, objects = decode_wal_record record in
-             if height < base then None
-               (* a checkpoint made this record redundant before the log was
-                  truncated — the crash window between rename and reset *)
-             else begin
-               if height <> !next then
-                 raise
-                   (Corrupt
-                      (Printf.sprintf "wal: block height %d where %d expected" height !next));
-               incr next;
-               List.iter (fun data -> ignore (Object_store.put store data)) objects;
-               if not (Object_store.mem store body) then
-                 raise (Corrupt "wal: record does not contain its block body");
-               Some body
-             end)
-          replayed.Wal.records)
-  in
-  (* 3. rebuild; [Journal.append] inside re-validates every chain link *)
+  (* 3. rebuild the snapshot's state; [Journal.append] inside re-validates
+     every chain link *)
   let db =
-    corrupt_guard "Db.open_durable" (fun () ->
-        rebuild ?pool ~store ~column ~with_inverted (bodies @ extra))
+    corrupt_guard "Db.open_durable" (fun () -> rebuild ?pool ~store ~column ~with_inverted bodies)
   in
-  (* 4. belt and braces: re-walk the whole journal hash chain before serving *)
+  (* 4. re-run the log's batches past the snapshot *)
+  corrupt_guard "Db.open_durable(wal)" (fun () -> replay_records db replayed.Wal.records);
+  (* 5. belt and braces: re-walk the whole journal hash chain before serving *)
   if not (L.audit db.ledger) then
     raise (Corrupt "Db.open_durable: journal hash chain does not verify");
-  let wal = Wal.open_log ~sync (wal_file dir) in
-  let captured = ref [] in
-  attach_wal db wal captured;
+  let wal = corrupt_guard "Db.open_durable(wal)" (fun () -> Wal.open_log ~sync (wal_file dir)) in
+  db.log <- Some { wal; record = Wire.writer ~size:4096 () };
   {
     db;
     wal;
     dir;
-    captured;
     closed = false;
     ckpt_lock = Mutex.create ();
     ckpt_policy = Manual;
@@ -701,6 +714,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
     ckpt_retired = Atomic.make 0;
     ckpt_last_error = Atomic.make None;
     ckpt_base_records = Atomic.make (Wal.stats wal).Wal.records;
+    ckpt_height = Atomic.make (List.length bodies);
   }
 
 (* Checkpoint = claim, then persist.
@@ -729,13 +743,10 @@ let checkpoint_locked ?(auto = false) d =
            let bodies = L.body_hashes d.db.ledger in
            ignore (Wal.rotate d.wal);
            Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
-           (* every object captured so far is covered by the pinned bodies
-              (captures happen in the commit serial section, under this
-              same lock, and are drained into the WAL record per commit) *)
-           d.captured := [];
            bodies)
     in
     save_with_bodies d.db bodies (snapshot_file d.dir);
+    Atomic.set d.ckpt_height (List.length bodies);
     Fault.hit "checkpoint.save_done";
     Wal.fsync_dir d.dir;
     Fault.hit "checkpoint.after_rename";
@@ -834,13 +845,12 @@ let close_durable d =
     (* stop the background checkpointer before tearing anything down: it
        may be mid-checkpoint, and joining it is the only safe ordering *)
     stop_checkpointer d;
-    Object_store.set_observer d.db.store None;
-    L.set_on_commit d.db.ledger None;
+    d.db.log <- None;
     d.closed <- true;
     (* last: drain + fsync + close the log, *surfacing* failures — a close
        that could not flush the pending group-commit batch must not look
        clean, or acknowledged records silently evaporate. [Wal.close]
-       closes the descriptor even when the drain raises, and the hooks are
+       closes the descriptor even when the drain raises, and the log is
        already detached, so the handle is fully shut either way. *)
     Wal.close d.wal
   end

@@ -251,9 +251,10 @@ val load : string -> t
     A durable database lives in a directory holding a [snapshot] (the last
     checkpoint, {!save} format) and a [wal] (a directory of numbered
     append-only {!Spitz_storage.Wal} segments logging the commits since).
-    Every ledger commit — through {e any} write path of the returned
-    database — appends one log record with the objects the commit added and
-    its block address; the sync policy decides how often the log is fsynced
+    Every commit — through {e any} write path of the returned database —
+    appends one log record holding its batch (height, statements, puts and
+    deletes) and the address of the block body it produced; the sync
+    policy decides how often the log is fsynced
     ([Always] / [Group] = every acknowledged commit durable, with
     concurrent committers coalesced into one write+fsync by the log's
     leader/follower protocol, [Interval n] = fsync every n records,
@@ -261,13 +262,18 @@ val load : string -> t
     the policy's guarantee — under [Always]/[Group] no committer is
     acknowledged before its record is on disk.
 
-    Recovery on {!open_durable} is replay: restore the snapshot, re-apply
-    the valid records of every live log segment in order (a torn tail of
-    the {e final} segment at the first bad CRC is truncated, not rejected;
-    damage in an earlier, sealed segment is unrepairable corruption),
-    re-validate every journal hash-chain link, and re-walk the chain once
-    more before serving reads. Raises {!Corrupt} if what remains after
-    tail repair does not verify.
+    Recovery on {!open_durable} is re-execution: restore the snapshot,
+    then run the batch of every valid record past it through {!commit}
+    again, in order, and require each to reproduce its logged block body
+    (a torn tail of the {e final} segment at the first bad CRC is
+    truncated, not rejected; damage in an earlier, sealed segment, and a
+    segment without the version header an earlier release did not write,
+    are unrepairable corruption), re-validate every journal hash-chain
+    link, and re-walk the chain once more before serving reads. Raises
+    {!Corrupt} if what remains after tail repair does not verify. A
+    restart therefore costs about one in-memory commit per record since
+    the last checkpoint; [spitz serve] checkpoints on a graceful shutdown
+    so that a restart re-runs nothing.
 
     Checkpoints do not stop the world: {!checkpoint} holds the commit lock
     only to pin the journal and rotate the log to a fresh segment
@@ -338,6 +344,11 @@ val checkpoint_stats : durable -> checkpoint_stats
 val sync_durable : durable -> unit
 (** Force an fsync of the log now, regardless of policy. *)
 
+val uncheckpointed_blocks : durable -> int
+(** Blocks the log holds that the snapshot on disk lacks: what a restart
+    would re-run, and what a {!checkpoint} now would fold in. [0] right
+    after a checkpoint, and on a database that has never committed. *)
+
 val wal_size : durable -> int
 (** Current log size in bytes (what the next {!checkpoint} will fold in):
     all live on-disk segments {e plus} any records still sitting in the
@@ -350,9 +361,9 @@ val wal_stats : durable -> Spitz_storage.Wal.stats
     segments/disk/pending byte figures. *)
 
 val close_durable : durable -> unit
-(** Stop the background checkpointer (if any), detach the commit hooks,
-    then drain, fsync and close the log. Idempotent. I/O errors from the
-    final drain/fsync propagate — a close that could not make acknowledged
-    records durable does not look clean (the descriptor and hooks are
-    released regardless). The inner {!t} remains usable in memory but no
+(** Stop the background checkpointer (if any), detach the log from the
+    database, then drain, fsync and close the log. Idempotent. I/O errors
+    from the final drain/fsync propagate — a close that could not make
+    acknowledged records durable does not look clean (the descriptor is
+    released and the log detached regardless). The inner {!t} remains usable in memory but no
     longer logs. *)

@@ -49,9 +49,6 @@ module Make (Index : Siri.S) = struct
     mutable time : int;
     mutable next_txn : int;
     pool : Spitz_exec.Pool.t option; (* commit-pipeline parallelism; None = serial *)
-    mutable on_commit : (height:int -> body:Spitz_crypto.Hash.t -> Block.t -> unit) option;
-    (* durability hook: fires once per committed block, after the journal
-       append — the write-ahead log's attachment point *)
     head : snapshot option Atomic.t;
     (* the latest committed view; what every concurrent read goes through *)
   }
@@ -64,11 +61,8 @@ module Make (Index : Siri.S) = struct
       time = 0;
       next_txn = 0;
       pool;
-      on_commit = None;
       head = Atomic.make None;
     }
-
-  let set_on_commit t f = t.on_commit <- f
 
   let store t = t.store
   let journal t = t.journal
@@ -224,9 +218,6 @@ module Make (Index : Siri.S) = struct
            s_digest = Journal.digest t.journal;
            s_index = index;
          });
-    (match t.on_commit with
-     | None -> ()
-     | Some f -> f ~height ~body:(Journal.body_hash t.journal height) block);
     height
 
   let commit t ?statements writes = commit_prepared t (prepare t ?statements writes)
@@ -648,9 +639,12 @@ module Make (Index : Siri.S) = struct
          t.instances.(height) <-
            Index.at_root store block.Block.header.Block.index_root ~count;
          t.time <- max t.time block.Block.header.Block.time;
-         List.iter
-           (fun (e : Block.entry) -> t.next_txn <- max t.next_txn (e.Block.txn_id + 1))
-           block.entries)
+         (* every commit consumes exactly one txn id, an empty block too:
+            an entry carries it, and a block without entries still moves
+            the counter on — or a log re-run after a snapshot that ends in
+            an empty block would assign every later commit a shifted id *)
+         t.next_txn <-
+           (match block.entries with e :: _ -> e.Block.txn_id + 1 | [] -> t.next_txn + 1))
       bodies;
     (* publish the head view the replayed chain ends at *)
     (match Journal.length t.journal with

@@ -54,14 +54,6 @@ module Make (Index : Siri.S) : sig
       bit-identical to committing the same batches serially in the same
       order. *)
 
-  val set_on_commit :
-    t -> (height:int -> body:Hash.t -> Block.t -> unit) option -> unit
-  (** Install (or clear) a hook fired once per committed block, after the
-      journal append, with the block's height, the content address of its
-      encoded body, and the block itself. The durable database layer uses
-      this to append each commit to the write-ahead log; {!restore} does not
-      fire it (those blocks are already durable). *)
-
   val get : t -> string -> string option
   val get_at : t -> height:int -> string -> string option
   (** Read against the index instance of an older block. Raises [Not_found]
@@ -247,7 +239,10 @@ module Make (Index : Siri.S) : sig
 
   val restore : ?pool:Spitz_exec.Pool.t -> Object_store.t -> Hash.t list -> t
   (** Reopen a ledger from its block addresses; re-validates the chain and
-      reopens index instances at the roots the headers commit to. *)
+      reopens index instances at the roots the headers commit to. The next
+      commit gets the block time and transaction id it would have got in the
+      ledger that wrote the blocks, so re-running later batches reproduces
+      their blocks byte for byte. *)
 end
 
 module Default : module type of Make (Merkle_bptree)

@@ -30,9 +30,6 @@ type t = {
   shards : shard array;
   mask : int;
   chunk_params : Chunk.params;
-  mutable observer : (Hash.t -> string -> unit) option;
-  (* called once per newly stored object — the WAL capture hook; only write
-     paths fire it, and those serialize under the ledger commit lock *)
   generation : int Atomic.t;
   (* bumped whenever an object is deleted (release to zero, sweep) — a
      snapshot pinned at generation g is fully intact iff the generation is
@@ -51,7 +48,6 @@ let create ?(chunk_params = Chunk.default_params) () =
   { shards = Array.init shard_count mk;
     mask = shard_count - 1;
     chunk_params;
-    observer = None;
     generation = Atomic.make 0 }
 
 let shard_of t h = t.shards.(Char.code (Hash.to_raw h).[0] land t.mask)
@@ -67,8 +63,6 @@ let with_all_shards t f =
   Fun.protect ~finally:(fun () ->
       for i = Array.length t.shards - 1 downto 0 do Mutex.unlock t.shards.(i).m done)
     f
-
-let set_observer t f = t.observer <- f
 
 let generation t = Atomic.get t.generation
 
@@ -101,23 +95,17 @@ let object_count t =
 (* [h] is [data]'s content address, already computed by the caller. *)
 let put_hashed t h data =
   let s = shard_of t h in
-  let fresh =
-    with_shard s (fun () ->
-        s.sc.puts <- s.sc.puts + 1;
-        s.sc.logical_bytes <- s.sc.logical_bytes + String.length data;
-        match Hash.Table.find_opt s.refcounts h with
-        | Some n ->
-          s.sc.dedup_hits <- s.sc.dedup_hits + 1;
-          Hash.Table.replace s.refcounts h (n + 1);
-          false
-        | None ->
-          Hash.Table.replace s.objects h data;
-          Hash.Table.replace s.refcounts h 1;
-          s.sc.physical_bytes <- s.sc.physical_bytes + String.length data;
-          true)
-  in
-  (* outside the shard lock: the hook may do arbitrary work (WAL capture) *)
-  if fresh then (match t.observer with None -> () | Some f -> f h data);
+  with_shard s (fun () ->
+      s.sc.puts <- s.sc.puts + 1;
+      s.sc.logical_bytes <- s.sc.logical_bytes + String.length data;
+      match Hash.Table.find_opt s.refcounts h with
+      | Some n ->
+        s.sc.dedup_hits <- s.sc.dedup_hits + 1;
+        Hash.Table.replace s.refcounts h (n + 1)
+      | None ->
+        Hash.Table.replace s.objects h data;
+        Hash.Table.replace s.refcounts h 1;
+        s.sc.physical_bytes <- s.sc.physical_bytes + String.length data);
   h
 
 let put t data = put_hashed t (Hash.of_string data) data
@@ -131,25 +119,17 @@ let put_writer t w =
   let len = Slice.Writer.length w in
   let h = Hash.of_bytes_sub (Slice.Writer.unsafe_bytes w) ~pos:0 ~len in
   let s = shard_of t h in
-  let fresh_data =
-    with_shard s (fun () ->
-        s.sc.puts <- s.sc.puts + 1;
-        s.sc.logical_bytes <- s.sc.logical_bytes + len;
-        match Hash.Table.find_opt s.refcounts h with
-        | Some n ->
-          s.sc.dedup_hits <- s.sc.dedup_hits + 1;
-          Hash.Table.replace s.refcounts h (n + 1);
-          None
-        | None ->
-          let data = Slice.Writer.contents w in
-          Hash.Table.replace s.objects h data;
-          Hash.Table.replace s.refcounts h 1;
-          s.sc.physical_bytes <- s.sc.physical_bytes + len;
-          Some data)
-  in
-  (match fresh_data with
-   | None -> ()
-   | Some data -> (match t.observer with None -> () | Some f -> f h data));
+  with_shard s (fun () ->
+      s.sc.puts <- s.sc.puts + 1;
+      s.sc.logical_bytes <- s.sc.logical_bytes + len;
+      match Hash.Table.find_opt s.refcounts h with
+      | Some n ->
+        s.sc.dedup_hits <- s.sc.dedup_hits + 1;
+        Hash.Table.replace s.refcounts h (n + 1)
+      | None ->
+        Hash.Table.replace s.objects h (Slice.Writer.contents w);
+        Hash.Table.replace s.refcounts h 1;
+        s.sc.physical_bytes <- s.sc.physical_bytes + len);
   h
 
 let get t h =
@@ -313,8 +293,8 @@ let fold t f init =
              s.objects acc)
         init t.shards)
 
-let restore_object t data refcount =
-  let h = Hash.of_string data in
+(* Re-insert one object of a restored stream under its recomputed address. *)
+let restore_hashed t h data refcount =
   let s = shard_of t h in
   with_shard s (fun () ->
       if not (Hash.Table.mem s.objects h) then begin
@@ -324,8 +304,7 @@ let restore_object t data refcount =
       (* count restored bytes as if they had been written through [put] once
          per reference, so dedup ratios survive a save/load cycle *)
       s.sc.logical_bytes <- s.sc.logical_bytes + (String.length data * max 1 refcount);
-      Hash.Table.replace s.refcounts h refcount;
-      h)
+      Hash.Table.replace s.refcounts h refcount)
 
 let write_varint oc n =
   let rec go n =
@@ -337,20 +316,6 @@ let write_varint oc n =
   in
   if n < 0 then invalid_arg "Object_store.write_varint: negative";
   go n
-
-(* A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
-   with more continuation bytes is malformed, and letting the shift run past
-   the word size is undefined [lsl] behaviour. A decoded value that came out
-   negative overflowed bit 62 — equally malformed. *)
-let read_varint ic =
-  let rec go shift acc =
-    if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
-    let b = try input_byte ic with End_of_file -> raise (Corrupt "truncated varint") in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let n = go 0 0 in
-  if n < 0 then raise (Corrupt "varint overflows int") else n
 
 let dump t oc =
   (* collect a reference snapshot of each shard under its own (brief) lock,
@@ -382,20 +347,59 @@ let dump t oc =
          write_varint oc refcount))
     collected
 
+(* One pass through one reused buffer: the stream is read in large blocks,
+   the varints and objects are parsed out of the buffer, and each object is
+   hashed where it lies before it is copied out as its own string. The
+   stream's length is taken once, up front, and every object length is
+   bounded by what is left of it before anything is allocated.
+
+   A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
+   with more continuation bytes is malformed, and letting the shift run past
+   the word size is undefined [lsl] behaviour. A decoded value that came out
+   negative overflowed bit 62 — equally malformed. *)
 let restore t ic =
-  try
-    let n = read_varint ic in
-    for _ = 1 to n do
-      let len = read_varint ic in
-      (* bound the length by what the stream can actually hold before
-         allocating or blocking in [really_input_string] *)
-      let remaining = in_channel_length ic - pos_in ic in
-      if len > remaining then
-        raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len remaining));
-      let data = really_input_string ic len in
-      let refcount = read_varint ic in
-      ignore (restore_object t data refcount)
-    done
-  with
-  | End_of_file -> raise (Corrupt "object stream truncated")
-  | Invalid_argument msg -> raise (Corrupt ("object stream invalid: " ^ msg))
+  let left = ref (in_channel_length ic - pos_in ic) in (* stream bytes not yet parsed *)
+  let buf = ref (Bytes.create 65536) in
+  let lo = ref 0 and hi = ref 0 in (* the buffered, unparsed bytes *)
+  (* make [n <= !left] bytes available at [!lo] *)
+  let fill n =
+    if !hi - !lo < n then begin
+      let have = !hi - !lo in
+      let dst = if Bytes.length !buf >= n then !buf else Bytes.create (max n (2 * Bytes.length !buf)) in
+      Bytes.blit !buf !lo dst 0 have;
+      buf := dst;
+      lo := 0;
+      hi := have;
+      while !hi < n do
+        match input ic dst !hi (min (Bytes.length dst - !hi) (!left - !hi)) with
+        | 0 -> raise (Corrupt "object stream truncated")
+        | got -> hi := !hi + got
+      done
+    end
+  in
+  let read_varint () =
+    let rec go shift acc =
+      if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
+      if !left = 0 then raise (Corrupt "truncated varint");
+      fill 1;
+      let b = Char.code (Bytes.unsafe_get !buf !lo) in
+      incr lo;
+      decr left;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 <> 0 then go (shift + 7) acc else acc
+    in
+    let n = go 0 0 in
+    if n < 0 then raise (Corrupt "varint overflows int") else n
+  in
+  let n = read_varint () in
+  for _ = 1 to n do
+    let len = read_varint () in
+    if len > !left then
+      raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len !left));
+    fill len;
+    let h = Hash.of_bytes_sub !buf ~pos:!lo ~len in
+    let data = Bytes.sub_string !buf !lo len in
+    lo := !lo + len;
+    left := !left - len;
+    restore_hashed t h data (read_varint ())
+  done

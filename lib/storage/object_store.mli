@@ -68,11 +68,6 @@ val release : t -> Hash.t -> unit
     Releasing the last reference of a chunked blob also releases one
     reference of every chunk its descriptor names, recursively. *)
 
-val set_observer : t -> (Hash.t -> string -> unit) option -> unit
-(** Install (or clear) a hook called once per {e newly} stored object —
-    dedup hits do not fire it. The write-ahead log uses this to capture the
-    objects a commit adds, so they can be replayed after a crash. *)
-
 val put_blob : ?hash:Hash.t -> t -> string -> Hash.t
 (** Store a value with content-defined chunking when it exceeds the maximum
     chunk size: each chunk becomes an object and the returned hash addresses a
@@ -100,14 +95,12 @@ val sweep : t -> live:unit Hash.Table.t -> int
     [live]; returns the number deleted. The caller is responsible for
     supplying a complete live set. *)
 
-val restore_object : t -> string -> int -> Hash.t
-(** Re-insert one object with an explicit refcount (persistence restore). *)
-
 val dump : t -> out_channel -> unit
 (** Write every object as a length-prefixed stream. *)
 
 val restore : t -> in_channel -> unit
-(** Read a {!dump}ed stream back. Content addresses are recomputed, so a
-    corrupted stream cannot silently alias an existing object. Raises
-    {!Corrupt} on truncated or malformed input (oversized or negative
-    lengths are rejected before any allocation). *)
+(** Read a {!dump}ed stream back (the rest of the channel) through one
+    reused buffer. Content addresses are recomputed, so a corrupted stream cannot silently
+    alias an existing object. Raises {!Corrupt} on truncated or malformed
+    input (oversized or negative lengths are rejected before any
+    allocation). *)

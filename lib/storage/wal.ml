@@ -17,6 +17,14 @@ exception Corrupt of string
    process died) — damage in any earlier segment is real corruption, since
    sealed segments were fully written and fsynced before rotation returned.
 
+   Every segment begins with a version header ([segment_header]), written
+   when the segment is created. Version 2 segments carry the durable
+   database's logical records (one commit's batch each); the headerless
+   segments of earlier releases carried physical store objects, and a
+   segment without the header is refused by name rather than misread. The
+   header is not counted in [size] or [stats], which count framed records;
+   [replay]'s byte accounting covers whole files.
+
    Two classes of sync policy:
 
    - [Interval]/[Never] write each frame at submit time (one [write] per
@@ -38,8 +46,8 @@ type t = {
   dir : string;
   mutable seg_id : int;          (* id of the active segment *)
   mutable fd : Unix.file_descr;  (* active segment, open for append *)
-  mutable seg_bytes : int;       (* bytes written to the active segment *)
-  mutable sealed : (int * int) list; (* sealed segments (id, bytes), oldest first *)
+  mutable seg_bytes : int;       (* record bytes written to the active segment *)
+  mutable sealed : (int * int) list; (* sealed segments (id, record bytes), oldest first *)
   sync_policy : sync_policy;
   mutable pending : int; (* appends since the last fsync (Interval only) *)
   mutable pending_bytes : int;   (* frame bytes submitted but not yet written
@@ -86,6 +94,10 @@ type ticket = int
 
 let header_len = 8 (* 4-byte length + 4-byte crc, both little-endian *)
 
+(* Magic plus the format version byte. *)
+let segment_header = "SPITZWAL\002"
+let segment_header_len = String.length segment_header
+
 let set_le32 b off v =
   for i = 0 to 3 do
     Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
@@ -130,6 +142,36 @@ let file_size path =
   | { Unix.st_size; _ } -> st_size
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
 
+let older_format name =
+  Corrupt
+    (Printf.sprintf
+       "wal: segment %s has no version-2 header: it holds the physical records of an \
+        earlier release; open the database with that release, checkpoint it, then \
+        open it with this one"
+       name)
+
+(* Classify the first bytes of a segment file of [total] bytes: [`Headed]
+   (the version header is there), [`Torn] (the file is a strict prefix of
+   the header: a crash between the segment's creation and its header
+   write), or [`Older] (anything else). *)
+let header_state ic total =
+  let n = min total segment_header_len in
+  let head = really_input_string ic n in
+  if not (String.equal head (String.sub segment_header 0 n)) then `Older
+  else if n < segment_header_len then `Torn
+  else `Headed
+
+let write_all fd b pos len =
+  let off = ref pos and left = ref len in
+  while !left > 0 do
+    let n = Unix.write fd b !off !left in
+    off := !off + n;
+    left := !left - n
+  done
+
+let write_segment_header fd =
+  write_all fd (Bytes.of_string segment_header) 0 segment_header_len
+
 (* The log is a directory of segments. A regular file at its path is not a
    log this code wrote — refuse it rather than guess. *)
 let check_not_file ~op dir =
@@ -149,16 +191,30 @@ let open_log ?(sync = Always) dir =
     | [] -> (1, [], true)
     | last :: earlier ->
       ( last,
-        List.rev_map (fun id -> (id, file_size (segment_path dir id))) earlier,
+        List.rev_map
+          (fun id -> (id, max 0 (file_size (segment_path dir id) - segment_header_len)))
+          earlier,
         false )
   in
-  let fd =
-    Unix.openfile (segment_path dir seg_id)
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-      0o644
-  in
+  let path = segment_path dir seg_id in
+  let size = file_size path in
+  (* an empty active segment (fresh, emptied by a checkpoint of an earlier
+     release, or repaired down to nothing) gets its header now; a non-empty
+     one must already carry it *)
+  if size > 0 then
+    In_channel.with_open_bin path (fun ic ->
+        match header_state ic size with
+        | `Headed -> ()
+        | `Older -> raise (older_format (segment_name seg_id))
+        | `Torn ->
+          raise
+            (Corrupt
+               (Printf.sprintf "wal: segment %s has a torn header; replay it with repair first"
+                  (segment_name seg_id))));
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+  if size = 0 then write_segment_header fd;
   if fresh then fsync_dir dir;
-  let seg_bytes = (Unix.fstat fd).Unix.st_size in
+  let seg_bytes = max 0 (size - segment_header_len) in
   {
     dir;
     seg_id;
@@ -219,14 +275,6 @@ let fsync_unlocked t =
   Unix.fsync t.fd;
   t.n_fsyncs <- t.n_fsyncs + 1;
   t.pending <- 0
-
-let write_all fd b pos len =
-  let off = ref pos and left = ref len in
-  while !left > 0 do
-    let n = Unix.write fd b !off !left in
-    off := !off + n;
-    left := !left - n
-  done
 
 (* Frame one record into [buf] using the log's preallocated header scratch
    (no per-record allocation on the hot path). The record is a view, so it is
@@ -462,6 +510,7 @@ let rotate t =
           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
           0o644
       in
+      write_segment_header fd';
       (* the new segment's directory entry must survive a crash before any
          record lands in it — otherwise recovery would replay the sealed
          segments and then miss the file the next commits went to *)
@@ -535,38 +584,43 @@ let replay_segment ?(repair = true) path =
         ~finally:(fun () -> close_in ic)
         (fun () ->
            let total = in_channel_length ic in
-           let records = ref [] in
-           let good = ref 0 in
-           let torn = ref false in
-           (* accept records until the frame breaks: a header that does not
-              fit, a length past the end of file, or a CRC mismatch all mean
-              the same thing — the tail after the last good record is torn *)
-           while (not !torn) && !good < total do
-             let remaining = total - !good in
-             if remaining < header_len then torn := true
-             else begin
-               let head = really_input_string ic header_len in
-               let len = read_le32 head 0 in
-               let crc = read_le32 head 4 in
-               if len < 0 || len > remaining - header_len then torn := true
+           match if total = 0 then `Torn else header_state ic total with
+           | `Older -> raise (older_format (Filename.basename path))
+           | `Torn -> { records = []; good_bytes = 0; torn_bytes = total; live_segments = 1 }
+           | `Headed ->
+             let records = ref [] in
+             let good = ref segment_header_len in
+             let torn = ref false in
+             (* accept records until the frame breaks: a header that does not
+                fit, a length past the end of file, or a CRC mismatch all
+                mean the same thing — the tail after the last good record is
+                torn *)
+             while (not !torn) && !good < total do
+               let remaining = total - !good in
+               if remaining < header_len then torn := true
                else begin
-                 let payload = really_input_string ic len in
-                 let actual =
-                   Int32.to_int (Crc32.update (Crc32.update_sub 0l head 0 4) payload)
-                   land 0xffffffff
-                 in
-                 if actual <> crc then torn := true
+                 let head = really_input_string ic header_len in
+                 let len = read_le32 head 0 in
+                 let crc = read_le32 head 4 in
+                 if len < 0 || len > remaining - header_len then torn := true
                  else begin
-                   records := payload :: !records;
-                   good := !good + header_len + len
+                   let payload = really_input_string ic len in
+                   let actual =
+                     Int32.to_int (Crc32.update (Crc32.update_sub 0l head 0 4) payload)
+                     land 0xffffffff
+                   in
+                   if actual <> crc then torn := true
+                   else begin
+                     records := payload :: !records;
+                     good := !good + header_len + len
+                   end
                  end
                end
-             end
-           done;
-           { records = List.rev !records;
-             good_bytes = !good;
-             torn_bytes = total - !good;
-             live_segments = 1 })
+             done;
+             { records = List.rev !records;
+               good_bytes = !good;
+               torn_bytes = total - !good;
+               live_segments = 1 })
     in
     if repair && result.torn_bytes > 0 then begin
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in

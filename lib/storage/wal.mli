@@ -28,9 +28,16 @@
     corruption: replay raises {!Corrupt} rather than silently dropping the
     records that chained after it.
 
-    A log written before segmentation (a single regular file at the log
-    path) is adopted transparently as segment 1 on the next open or
-    replay.
+    Every segment starts with a version header ({!segment_header}),
+    written when the segment is created. Version 2 segments carry the
+    durable database's logical records (one commit's batch each). A
+    segment without the header — the physical-record segments of earlier
+    releases — is refused with {!Corrupt}, whose message names the way
+    out: open the database with the earlier release and checkpoint it. A
+    final segment that is a strict prefix of the header (a crash between
+    its creation and its header write) is a torn tail like any other.
+    The log's size figures ({!size}, {!stats}) count framed records and
+    exclude the headers; {!replay}'s byte accounting is of whole files.
 
     {2 Group commit}
 
@@ -68,7 +75,12 @@ exception Corrupt of string
 (** Raised by {!replay} when a sealed (non-final) segment is damaged:
     sealed segments cannot legitimately carry torn tails, so the damage
     cannot be repaired by truncation without silently losing the records
-    that chained after it. *)
+    that chained after it. Also raised by {!replay}, {!replay_segment} and
+    {!open_log} for a segment without the version header. *)
+
+val segment_header : string
+(** The bytes every segment starts with: a magic and the format version
+    (2). *)
 
 type t
 
@@ -77,9 +89,10 @@ type ticket
 
 val open_log : ?sync:sync_policy -> string -> t
 (** Open (creating if absent) the log directory at [path] for appending;
-    new records go to the end of the highest-numbered segment. Raises
-    [Invalid_argument] if [path] is a regular file. Default policy:
-    [Always]. *)
+    new records go to the end of the highest-numbered segment, which gets
+    its version header first if it is empty. Raises [Invalid_argument] if
+    [path] is a regular file, and {!Corrupt} if the active segment is not
+    empty and lacks the header. Default policy: [Always]. *)
 
 val submit : t -> string -> ticket
 (** Enqueue one record (thread-safe, non-blocking under [Always]/[Group]:
@@ -147,7 +160,8 @@ type stats = {
   fsyncs : int;        (** fsyncs issued over the handle's lifetime *)
   rotations : int;     (** segment rotations over the handle's lifetime *)
   segments : int;      (** live segments right now (sealed + active) *)
-  disk_bytes : int;    (** bytes on disk across all live segments *)
+  disk_bytes : int;    (** record bytes on disk across all live segments
+                           (headers excluded) *)
   pending_bytes : int; (** frame bytes in the unflushed in-memory batch *)
   lingers : int;       (** group-commit linger slices slept over the
                            handle's lifetime; 0 for a lone committer *)
@@ -167,8 +181,10 @@ val close : t -> unit
 
 type replay_result = {
   records : string list; (** valid records, in append order across segments *)
-  good_bytes : int;      (** total valid bytes across live segments *)
-  torn_bytes : int;      (** bytes discarded from the final segment's tail *)
+  good_bytes : int;      (** total valid bytes across live segments, headers
+                             included *)
+  torn_bytes : int;      (** bytes discarded from the final segment's tail
+                             (a torn header counts whole) *)
   live_segments : int;   (** segments found on disk *)
 }
 

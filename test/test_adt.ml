@@ -420,8 +420,8 @@ let batch_kvs ops =
 let initial n0 = List.init n0 (fun i -> (key_of (2 * i), Printf.sprintf "V-init-%d" i))
 
 (* Applies [kvs] to an [n0]-key tree both ways; returns the starting tree,
-   the batched result, the oracle's result and the objects the batch
-   stored. *)
+   the batched result, the oracle's result and the addresses of the objects
+   the batch added to the store. *)
 let run_batch_from init kvs =
   let oracle =
     Oracle_bptree.insert_all
@@ -430,11 +430,15 @@ let run_batch_from init kvs =
   in
   let store = Object_store.create () in
   let t0 = Merkle_bptree.insert_batch (Merkle_bptree.create store) init in
-  let added = ref [] in
-  Object_store.set_observer store (Some (fun h _ -> added := h :: !added));
+  let stored () = Object_store.fold store (fun h _ _ acc -> h :: acc) [] in
+  let before = Hash.Table.create 256 in
+  List.iter (fun h -> Hash.Table.replace before h ()) (stored ());
+  let count_before = Object_store.object_count store in
   let t1 = Merkle_bptree.insert_batch t0 kvs in
-  Object_store.set_observer store None;
-  (t0, t1, oracle, !added)
+  let added = List.filter (fun h -> not (Hash.Table.mem before h)) (stored ()) in
+  (* the batch only adds objects, so the new addresses are the count's delta *)
+  assert (List.length added = Object_store.object_count store - count_before);
+  (t0, t1, oracle, added)
 
 let run_batch n0 kvs = run_batch_from (initial n0) kvs
 

@@ -86,20 +86,23 @@ let test_wal_torn_tail_every_offset () =
       Wal.close w;
       let seg = last_wal_segment path in
       let total = Fault.file_size seg in
-      (* frame = 8-byte header + payload *)
-      let ends =
+      (* the segment header, then frames of 8-byte header + payload; a cut
+         inside the segment header leaves nothing valid *)
+      let head = String.length Wal.segment_header in
+      let frame_ends =
         List.rev
           (snd
              (List.fold_left
                 (fun (off, acc) r -> (off + 8 + String.length r, (off + 8 + String.length r) :: acc))
-                (0, [ 0 ]) records))
+                (head, []) records))
       in
+      let ends = 0 :: head :: frame_ends in
       for cut = 0 to total - 1 do
         let trunc = Filename.concat dir "trunc" in
         copy_truncated seg trunc cut;
         let r = Wal.replay_segment ~repair:false trunc in
         (* the valid prefix is exactly the records whose frames fit *)
-        let expect = List.length (List.filter (fun e -> e > 0 && e <= cut) ends) in
+        let expect = List.length (List.filter (fun e -> e <= cut) frame_ends) in
         Alcotest.(check int)
           (Printf.sprintf "records at cut %d" cut)
           expect
@@ -117,7 +120,7 @@ let test_wal_bitflip_tail () =
       let w = Wal.open_log path in
       Wal.append w "first-record";
       Wal.append w "second-record";
-      let sz_after_first = 8 + String.length "first-record" in
+      let sz_after_first = String.length Wal.segment_header + 8 + String.length "first-record" in
       Wal.append w "third-record";
       Wal.close w;
       (* flip a bit inside the second record's payload: replay must keep the
@@ -1283,50 +1286,95 @@ let test_batched_commits_store_no_garbage () =
         (Db.digest (Db.durable_db d') = digest);
       Db.close_durable d')
 
-(* A durable directory written by the per-key path-copy index (64 keys in 4
-   commits of 16): its log records carry every intermediate node version.
-   Replay stores those unreferenced objects too; the database must open to
-   the digest it had, serve verified reads and take new commits. *)
+(* Does [msg] contain [part]? *)
+let mentions msg part =
+  let n = String.length part in
+  let rec at i = i + n <= String.length msg && (String.sub msg i n = part || at (i + 1)) in
+  at 0
+
+let file_sha path =
+  Spitz_crypto.Hash.to_hex (Spitz_crypto.Hash.of_string (In_channel.with_open_bin path In_channel.input_all))
+
+(* A durable directory written by an earlier release, whose log records
+   were the store objects each commit created (here by the per-key
+   path-copy index: 64 keys in 4 commits of 16, no checkpoint). Its
+   headerless segment is refused, in both repair modes, with an error that
+   names the segment and the way out, and the directory is left as it
+   was. *)
 let per_key_wal_fixture = Filename.concat "fixtures" "per_key_wal"
 
-let per_key_wal_root = "367d41d3509330b3e08c5b2976fe9257daba0d05656dc4961502a0d992c034ce"
-
-let test_per_key_wal_still_opens () =
+let test_physical_segment_refused () =
   with_dir (fun dir ->
       copy_tree per_key_wal_fixture dir;
+      let seg = last_wal_segment (Filename.concat dir "wal") in
+      let before = file_sha seg in
+      List.iter
+        (fun repair ->
+           match Db.open_durable ~repair dir with
+           | exception Db.Corrupt msg ->
+             List.iter
+               (fun part ->
+                  Alcotest.(check bool) (Printf.sprintf "%S names %S" msg part) true (mentions msg part))
+               [ "wal.000001"; "version-2 header"; "earlier release"; "checkpoint it" ]
+           | d ->
+             Db.close_durable d;
+             Alcotest.fail "a physical-record segment was opened")
+        [ true; false ];
+      Alcotest.(check string) "segment untouched" before (file_sha seg))
+
+(* The way out works: a directory the earlier release wrote and then
+   checkpointed (snapshot plus an empty, headerless active segment; with
+   the inverted index; puts, a delete with a statement, a chunked value)
+   opens to the digest it had, and takes and replays new commits. *)
+let checkpointed_fixture = Filename.concat "fixtures" "checkpointed_physical_wal"
+
+let checkpointed_root = "31649c73babb5e44b138dd5aaad9779e4d7656b324ff97de9f2cd0e7e203da92"
+
+let checkpointed_big = String.init 20_000 (fun i -> Char.chr (((i * 7) + (i / 251)) land 255))
+
+let test_checkpointed_physical_wal_opens () =
+  with_dir (fun dir ->
+      copy_tree checkpointed_fixture dir;
       let d = Db.open_durable dir in
       let db = Db.durable_db d in
       let digest = Db.digest db in
-      Alcotest.(check int) "blocks" 4 digest.Spitz_ledger.Journal.size;
-      Alcotest.(check string) "digest" per_key_wal_root
+      Alcotest.(check int) "blocks" 6 digest.Spitz_ledger.Journal.size;
+      Alcotest.(check string) "digest" checkpointed_root
         (Spitz_crypto.Hash.to_hex digest.Spitz_ledger.Journal.root);
       Alcotest.(check bool) "audit" true (Db.audit db);
+      Alcotest.(check int) "nothing to re-run" 0 (Db.uncheckpointed_blocks d);
+      let expect i =
+        match i with
+        | 0 -> Some "rewritten"
+        | 5 -> None
+        | i -> Some (Printf.sprintf "value-%03d-b%d" i (i / 16))
+      in
       let check_reads digest =
         for i = 0 to 63 do
-          let key = Printf.sprintf "compat-%03d" i in
+          let key = Printf.sprintf "ckpt-%03d" i in
           let value, proof = Db.get_verified db key in
-          Alcotest.(check (option string)) key (Some (Printf.sprintf "value-%03d-b%d" i (i mod 4))) value;
+          Alcotest.(check (option string)) key (expect i) value;
+          Alcotest.(check (option string)) (key ^ " cell") (expect i) (Db.get db key);
           Alcotest.(check bool) (key ^ " verifies") true
             (Db.verify_read ~digest ~key ~value (Option.get proof))
-        done
+        done;
+        Alcotest.(check (option string)) "chunked value" (Some checkpointed_big) (Db.get db "ckpt-big")
       in
       check_reads digest;
-      ignore (Db.put_batch db [ ("compat-new", "fresh"); ("compat-000", "value-000-b0") ]);
+      Alcotest.(check (list (pair int string))) "history" [ (0, "value-000-b0"); (4, "rewritten") ]
+        (Db.history db "ckpt-000");
+      Alcotest.(check int) "inverted index rebuilt" 1 (List.length (Db.search_value db "rewritten"));
+      ignore (Db.put_batch db [ ("ckpt-new", "fresh"); ("ckpt-005", "back") ]);
       let digest' = Db.digest db in
-      Alcotest.(check int) "new commit lands" 5 digest'.Spitz_ledger.Journal.size;
-      check_reads digest';
-      let value, proof = Db.get_verified db "compat-new" in
-      Alcotest.(check bool) "new key verifies" true
-        (value = Some "fresh"
-         && Db.verify_read ~digest:digest' ~key:"compat-new" ~value (Option.get proof));
-      (* the old log's intermediate node versions are reachable from no root *)
-      let deleted, _ = Db.compact ~keep_instances:max_int db in
-      Alcotest.(check bool) "old intermediate versions swept" true (deleted > 0);
-      check_reads digest';
+      Alcotest.(check int) "one block to re-run" 1 (Db.uncheckpointed_blocks d);
       Db.close_durable d;
       let d' = Db.open_durable dir in
-      Alcotest.(check bool) "reopen gives the same digest" true
-        (Db.digest (Db.durable_db d') = digest');
+      let db' = Db.durable_db d' in
+      Alcotest.(check bool) "reopen re-runs the new block" true (Db.digest db' = digest');
+      Alcotest.(check (option string)) "new key" (Some "fresh") (Db.get db' "ckpt-new");
+      Alcotest.(check (list (pair int string))) "revived key history"
+        [ (0, "value-005-b0"); (6, "back") ]
+        (Db.history db' "ckpt-005");
       Db.close_durable d')
 
 (* Recovery reads each replayed value by its content address and walks the
@@ -1375,13 +1423,11 @@ let recovery_view db =
     "digest " ^ Spitz_crypto.Hash.to_hex (Db.digest db).Spitz_ledger.Journal.root;
   ]
 
-(* SHA-256 of the snapshot the reopened database saves: the bytes the
-   replay puts into the store, refcounts included, pinned from the build
-   that read every value through the index traversal. *)
-let recovery_snapshot_sha = "4bd47fce24e8d32ff715ac68642ac43cdfbf0e28052613229438aec8903fe680"
-
-let file_sha path =
-  Spitz_crypto.Hash.to_hex (Spitz_crypto.Hash.of_string (In_channel.with_open_bin path In_channel.input_all))
+(* SHA-256 of the snapshot the live database saves, pinned from the build
+   that logged physical store objects. Recovery re-runs every logged batch
+   through [Db.commit], so the reopened database stores exactly what the
+   live one did, refcounts included, and saves the same bytes. *)
+let recovery_snapshot_sha = "278c30fca411d7acf379448ee33aee50d84fc3ced918b993d8c5a27ca1b9d6f3"
 
 let test_recovery_reads_by_content_address () =
   with_dir (fun dir ->
@@ -1391,6 +1437,9 @@ let test_recovery_reads_by_content_address () =
       let before = recovery_view db in
       Alcotest.(check (option string)) "lookalike stored as itself" (Some recovery_lookalike)
         (Db.get db "fake");
+      let live = Filename.concat dir "live.db" in
+      Db.save db live;
+      Alcotest.(check string) "live snapshot bytes" recovery_snapshot_sha (file_sha live);
       Db.close_durable d;
       let d' = Db.open_durable dir in
       let db' = Db.durable_db d' in
@@ -1407,6 +1456,170 @@ let test_recovery_reads_by_content_address () =
       Db.save db' snap;
       Alcotest.(check (list string)) "compacted + reloaded" before (recovery_view (Db.load snap));
       Db.close_durable d')
+
+(* --- logical records: the re-run reproduces the live run --- *)
+
+(* The last acknowledged block replays from its own record: a crash right
+   after the ack (the record durable, the reply lost) reopens with that
+   block's values, tombstone, chunked value, history and statement. *)
+let test_last_acked_block_replays () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~with_inverted:true dir in
+      let db = Db.durable_db d in
+      ignore (Db.put_batch db [ ("a", "1"); ("b", "2") ]);
+      Fault.arm "commit.acked";
+      (match
+         Db.commit db ~statements:[ "last" ]
+           Spitz_ledger.Ledger.
+             [ Put ("a", "2"); Put ("big", recovery_big 5); Delete "b"; Put ("c", "3") ]
+       with
+       | exception Fault.Crash _ -> ()
+       | _ -> Alcotest.fail "commit.acked did not fire");
+      Fault.reset ();
+      let digest = Db.digest db in
+      let d' = Db.open_durable dir in
+      let db' = Db.durable_db d' in
+      Alcotest.(check bool) "digest" true (Db.digest db' = digest);
+      Alcotest.(check (option string)) "a" (Some "2") (Db.get db' "a");
+      Alcotest.(check (list (pair int string))) "a history" [ (0, "1"); (1, "2") ] (Db.history db' "a");
+      Alcotest.(check (option string)) "b deleted" None (Db.get db' "b");
+      Alcotest.(check (list (pair int string))) "b history" [ (0, "2") ] (Db.history db' "b");
+      Alcotest.(check (option string)) "chunked value" (Some (recovery_big 5)) (Db.get db' "big");
+      Alcotest.(check (option string)) "c" (Some "3") (Db.get db' "c");
+      Alcotest.(check int) "inverted index" 1 (List.length (Db.search_value db' "3"));
+      Alcotest.(check (list string)) "statement" [ "last" ]
+        (Spitz_ledger.Journal.block (Db.L.journal (Db.ledger db')) 1).Spitz_ledger.Block.statements;
+      Db.close_durable d')
+
+(* Every commit consumes one txn id, an empty block too. A snapshot whose
+   last block is empty must hand the next commit the id the live ledger
+   would have, or every block re-run from the log after it differs. *)
+let test_empty_block_before_checkpoint () =
+  with_dir (fun dir ->
+      let d = Db.open_durable dir in
+      let db = Db.durable_db d in
+      ignore (Db.put db "a" "1");
+      ignore (Db.commit db []);
+      Db.checkpoint d;
+      ignore (Db.put db "b" "2");
+      ignore (Db.put db "a" "3");
+      let digest = Db.digest db in
+      Db.close_durable d;
+      match Db.open_durable dir with
+      | exception Db.Corrupt msg -> Alcotest.failf "re-run after an empty block refused: %s" msg
+      | d' ->
+        Alcotest.(check bool) "digest" true (Db.digest (Db.durable_db d') = digest);
+        Db.close_durable d')
+
+(* Replay determinism: a random run of commits (empty batches, deletes,
+   duplicate keys within a batch, chunked values, statements, SQL writes)
+   with checkpoints at random heights, ended by a crash, reopens to
+   byte-identical block bodies, the same digest, the same cell reads and
+   histories and the same inverted-index hits as the live run. *)
+type replay_op =
+  | Batch of string list * (string * string option) list (* statements; None deletes *)
+  | Sql_insert of int * int
+  | Checkpoint
+
+let replay_key i = Printf.sprintf "k%d" i
+
+let replay_chunked n = String.init (9_000 + n) (fun i -> Char.chr (((i * (n + 3)) + (i / 509)) land 255))
+
+let gen_replay_ops =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [ (6, map (Printf.sprintf "v%d") (int_bound 20)); (1, map replay_chunked (int_bound 40)) ]
+    in
+    let write = pair (map replay_key (int_bound 5)) (frequency [ (4, map Option.some value); (1, return None) ]) in
+    let statements = frequency [ (3, return []); (1, map (fun n -> [ Printf.sprintf "stmt-%d" n ]) nat) ] in
+    let op =
+      frequency
+        [
+          (5, map2 (fun st ws -> Batch (st, ws)) statements (list_size (int_range 1 6) write));
+          (2, map (fun st -> Batch (st, [])) statements);
+          (1, map2 (fun id v -> Sql_insert (id, v)) (int_bound 3) (int_bound 99));
+          (2, return Checkpoint);
+        ]
+    in
+    list_size (int_range 1 24) op)
+
+let print_replay_op = function
+  | Batch (st, ws) ->
+    Printf.sprintf "batch[%s]{%s}" (String.concat ";" st)
+      (String.concat ";"
+         (List.map
+            (fun (k, v) ->
+               match v with
+               | None -> "del " ^ k
+               | Some v when String.length v > 16 -> Printf.sprintf "%s=<%d bytes>" k (String.length v)
+               | Some v -> k ^ "=" ^ v)
+            ws))
+  | Sql_insert (id, v) -> Printf.sprintf "sql(%d,%d)" id v
+  | Checkpoint -> "checkpoint"
+
+(* Every surface the property compares, rendered as lines. *)
+let replay_view db ~values =
+  let opt = function None -> "-" | Some v -> Printf.sprintf "%S" v in
+  let journal = Db.L.journal (Db.ledger db) in
+  let n = Spitz_ledger.Journal.length journal in
+  let keys = List.init 6 replay_key @ List.init 4 (Printf.sprintf "t.v\x1fid%d") in
+  List.init n (fun h ->
+      Printf.sprintf "body %d %S" h
+        (Object_store.get_exn (Db.store db) (Spitz_ledger.Journal.body_hash journal h)))
+  @ List.concat_map
+      (fun k ->
+         [ Printf.sprintf "%S get %s" k (opt (Db.get db k));
+           Printf.sprintf "%S history %s" k
+             (String.concat "," (List.map (fun (h, v) -> Printf.sprintf "%d:%S" h v) (Db.history db k))) ])
+      keys
+  @ List.map (fun (k, v) -> Printf.sprintf "range %S=%S" k v) (Db.range db ~lo:"" ~hi:"\xff")
+  @ List.map
+      (fun v ->
+         Printf.sprintf "search %S %s" v
+           (String.concat "," (List.map Universal_key.encode (Db.search_value db v))))
+      values
+  @ [ "digest " ^ Spitz_crypto.Hash.to_hex (Db.digest db).Spitz_ledger.Journal.root ]
+
+let prop_replay_reproduces_live =
+  QCheck.Test.make ~name:"replay: re-run reproduces the live run" ~count:40
+    (QCheck.make ~print:(fun ops -> String.concat " " (List.map print_replay_op ops)) gen_replay_ops)
+    (fun ops ->
+       with_dir (fun dir ->
+           let d = Db.open_durable ~sync:Wal.Never ~with_inverted:true dir in
+           let db = Db.durable_db d in
+           let env = Sql.env db in
+           ignore (Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
+           let values = ref [] in
+           List.iter
+             (function
+               | Batch (statements, ws) ->
+                 List.iter (fun (_, v) -> Option.iter (fun v -> values := v :: !values) v) ws;
+                 ignore
+                   (Db.commit db ~statements
+                      (List.map
+                         (fun (k, v) ->
+                            match v with
+                            | Some v -> Spitz_ledger.Ledger.Put (k, v)
+                            | None -> Spitz_ledger.Ledger.Delete k)
+                         ws))
+               | Sql_insert (id, v) ->
+                 ignore (Sql.exec env (Printf.sprintf "INSERT INTO t (id, v) VALUES ('id%d', %d)" id v))
+               | Checkpoint -> Db.checkpoint d)
+             ops;
+           (* end with a crash: the last commit's ack is lost, its record
+              is in the log, the handle is abandoned *)
+           Fault.arm "commit.acked";
+           (match Db.put db (replay_key 0) "final" with
+            | exception Fault.Crash _ -> ()
+            | _ -> Alcotest.fail "commit.acked did not fire");
+           Fault.reset ();
+           let values = List.sort_uniq compare ("final" :: !values) in
+           let live = replay_view db ~values in
+           let d' = Db.open_durable dir in
+           let reopened = replay_view (Db.durable_db d') ~values in
+           Db.close_durable d';
+           live = reopened))
 
 let suite =
   [
@@ -1471,7 +1684,14 @@ let suite =
     Alcotest.test_case "checkpoint races committers" `Quick test_durable_concurrent_checkpoint;
     Alcotest.test_case "batched commits store no unreachable nodes" `Quick
       test_batched_commits_store_no_garbage;
-    Alcotest.test_case "per-key path-copy log still opens" `Quick test_per_key_wal_still_opens;
+    Alcotest.test_case "physical-record segment refused" `Quick test_physical_segment_refused;
+    Alcotest.test_case "checkpointed physical-record dir opens" `Quick
+      test_checkpointed_physical_wal_opens;
     Alcotest.test_case "recovery reads values by content address" `Quick
       test_recovery_reads_by_content_address;
+    Alcotest.test_case "last acked block replays from its record" `Quick
+      test_last_acked_block_replays;
+    Alcotest.test_case "empty block before a checkpoint" `Quick
+      test_empty_block_before_checkpoint;
+    QCheck_alcotest.to_alcotest prop_replay_reproduces_live;
   ]

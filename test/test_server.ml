@@ -457,6 +457,42 @@ let test_kill_durable_acks_survive () =
   Session.close s2;
   Session.close s
 
+let stop_cli_server pid =
+  Unix.kill pid Sys.sigterm;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _ -> Alcotest.fail "serve did not exit normally on SIGTERM"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A graceful stop folds the log into a snapshot, so the restart opens from
+   it: the active segment is left holding only its header, and a stop with
+   nothing new to fold writes no second snapshot. *)
+let test_sigterm_checkpoints () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let pid, port = start_cli_server ~sync:"group" dir in
+  let s = Session.connect ~port () in
+  let heights = apply_all s in
+  Session.close s;
+  Alcotest.(check int) "clean exit" 0 (stop_cli_server pid);
+  let snapshot = Filename.concat dir "snapshot" in
+  Alcotest.(check bool) "snapshot written" true (Sys.file_exists snapshot);
+  Alcotest.(check string) "log folded into it" Spitz_storage.Wal.segment_header
+    (read_file (last_wal_segment dir));
+  let before = read_file snapshot in
+  let pid2, port2 = start_cli_server ~sync:"group" dir in
+  let s2 = Session.connect ~port:port2 () in
+  Alcotest.(check (list int)) "token table rebuilt from the snapshot" heights (apply_all s2);
+  List.iteri
+    (fun i _ ->
+      Alcotest.(check (option string)) "write read back" (Some (value_of i))
+        (Session.get_verified s2 (key_of i)))
+    tokens;
+  Session.close s2;
+  Alcotest.(check int) "clean exit again" 0 (stop_cli_server pid2);
+  Alcotest.(check bool) "nothing new, no second snapshot" true (read_file snapshot = before)
+
 (* SIGKILL with --sync never, then a deliberately truncated log tail: the
    acks were never durable, so writes are lost — and the client's blind
    token replay must repair every one of them, exactly once each, while a
@@ -622,6 +658,7 @@ let suite =
     Alcotest.test_case "rollback detected by session sync" `Quick test_rollback_detected;
     Alcotest.test_case "kill -9: durable acks survive restart" `Quick
       test_kill_durable_acks_survive;
+    Alcotest.test_case "SIGTERM checkpoints the log" `Quick test_sigterm_checkpoints;
     Alcotest.test_case "kill -9 + torn tail: retry repairs" `Quick
       test_kill_lost_tail_repaired_by_retry;
   ]
