@@ -318,8 +318,15 @@ val checkpoint : durable -> unit
 type checkpoint_policy =
   | Manual                  (** no background checkpoints; call {!checkpoint} *)
   | Every_n_bytes of int    (** checkpoint when the log exceeds n bytes
-                                (on-disk segments + unflushed batch) *)
-  | Every_n_records of int  (** checkpoint every n logged commits *)
+                                (on-disk segments + unflushed batch). A
+                                record is a commit's batch (about 560
+                                bytes for 16 small keys), and a crash
+                                restart re-runs every record since the
+                                last checkpoint at about a commit's cost,
+                                so n bytes can stand for many seconds of
+                                re-execution *)
+  | Every_n_records of int  (** checkpoint every n logged commits: bounds
+                                a crash restart to re-running n commits *)
 
 val set_checkpoint_policy : durable -> checkpoint_policy -> unit
 (** Install an automatic checkpoint policy. A non-[Manual] policy starts

@@ -293,8 +293,8 @@ let fold t f init =
              s.objects acc)
         init t.shards)
 
-(* Re-insert one object of a restored stream under its recomputed address. *)
-let restore_hashed t h data refcount =
+let restore_object t data refcount =
+  let h = Hash.of_string data in
   let s = shard_of t h in
   with_shard s (fun () ->
       if not (Hash.Table.mem s.objects h) then begin
@@ -304,7 +304,8 @@ let restore_hashed t h data refcount =
       (* count restored bytes as if they had been written through [put] once
          per reference, so dedup ratios survive a save/load cycle *)
       s.sc.logical_bytes <- s.sc.logical_bytes + (String.length data * max 1 refcount);
-      Hash.Table.replace s.refcounts h refcount)
+      Hash.Table.replace s.refcounts h refcount;
+      h)
 
 let write_varint oc n =
   let rec go n =
@@ -316,6 +317,20 @@ let write_varint oc n =
   in
   if n < 0 then invalid_arg "Object_store.write_varint: negative";
   go n
+
+(* A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
+   with more continuation bytes is malformed, and letting the shift run past
+   the word size is undefined [lsl] behaviour. A decoded value that came out
+   negative overflowed bit 62 — equally malformed. *)
+let read_varint ic =
+  let rec go shift acc =
+    if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
+    let b = try input_byte ic with End_of_file -> raise (Corrupt "truncated varint") in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 <> 0 then go (shift + 7) acc else acc
+  in
+  let n = go 0 0 in
+  if n < 0 then raise (Corrupt "varint overflows int") else n
 
 let dump t oc =
   (* collect a reference snapshot of each shard under its own (brief) lock,
@@ -347,59 +362,23 @@ let dump t oc =
          write_varint oc refcount))
     collected
 
-(* One pass through one reused buffer: the stream is read in large blocks,
-   the varints and objects are parsed out of the buffer, and each object is
-   hashed where it lies before it is copied out as its own string. The
-   stream's length is taken once, up front, and every object length is
-   bounded by what is left of it before anything is allocated.
-
-   A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
-   with more continuation bytes is malformed, and letting the shift run past
-   the word size is undefined [lsl] behaviour. A decoded value that came out
-   negative overflowed bit 62 — equally malformed. *)
 let restore t ic =
-  let left = ref (in_channel_length ic - pos_in ic) in (* stream bytes not yet parsed *)
-  let buf = ref (Bytes.create 65536) in
-  let lo = ref 0 and hi = ref 0 in (* the buffered, unparsed bytes *)
-  (* make [n <= !left] bytes available at [!lo] *)
-  let fill n =
-    if !hi - !lo < n then begin
-      let have = !hi - !lo in
-      let dst = if Bytes.length !buf >= n then !buf else Bytes.create (max n (2 * Bytes.length !buf)) in
-      Bytes.blit !buf !lo dst 0 have;
-      buf := dst;
-      lo := 0;
-      hi := have;
-      while !hi < n do
-        match input ic dst !hi (min (Bytes.length dst - !hi) (!left - !hi)) with
-        | 0 -> raise (Corrupt "object stream truncated")
-        | got -> hi := !hi + got
-      done
-    end
-  in
-  let read_varint () =
-    let rec go shift acc =
-      if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
-      if !left = 0 then raise (Corrupt "truncated varint");
-      fill 1;
-      let b = Char.code (Bytes.unsafe_get !buf !lo) in
-      incr lo;
-      decr left;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    let n = go 0 0 in
-    if n < 0 then raise (Corrupt "varint overflows int") else n
-  in
-  let n = read_varint () in
-  for _ = 1 to n do
-    let len = read_varint () in
-    if len > !left then
-      raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len !left));
-    fill len;
-    let h = Hash.of_bytes_sub !buf ~pos:!lo ~len in
-    let data = Bytes.sub_string !buf !lo len in
-    lo := !lo + len;
-    left := !left - len;
-    restore_hashed t h data (read_varint ())
-  done
+  (* the stream's length is taken once: [in_channel_length] is an lseek,
+     and [pos_in] is not *)
+  let stop = in_channel_length ic in
+  try
+    let n = read_varint ic in
+    for _ = 1 to n do
+      let len = read_varint ic in
+      (* bound the length by what the stream can actually hold before
+         allocating or blocking in [really_input_string] *)
+      let remaining = stop - pos_in ic in
+      if len > remaining then
+        raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len remaining));
+      let data = really_input_string ic len in
+      let refcount = read_varint ic in
+      ignore (restore_object t data refcount)
+    done
+  with
+  | End_of_file -> raise (Corrupt "object stream truncated")
+  | Invalid_argument msg -> raise (Corrupt ("object stream invalid: " ^ msg))

@@ -99,8 +99,8 @@ val dump : t -> out_channel -> unit
 (** Write every object as a length-prefixed stream. *)
 
 val restore : t -> in_channel -> unit
-(** Read a {!dump}ed stream back (the rest of the channel) through one
-    reused buffer. Content addresses are recomputed, so a corrupted stream cannot silently
+(** Read a {!dump}ed stream back (the rest of the channel). Content
+    addresses are recomputed, so a corrupted stream cannot silently
     alias an existing object. Raises {!Corrupt} on truncated or malformed
     input (oversized or negative lengths are rejected before any
     allocation). *)
