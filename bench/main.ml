@@ -1080,6 +1080,55 @@ let durability () =
         ("recovery_kops", J.Num (float_of_int commits /. seconds /. 1e3));
       ]
   in
+  (* what a checkpoint writes and costs on a served-path-shaped state, at
+     every scale: a 16,384-key load in 512-key blocks, then 384 commits of
+     16 updated keys — the perfbench durable-commit state after its fixed
+     phase *)
+  let ckpt_size =
+    let keys = 16_384 in
+    let dir = temp_dir () in
+    let d = Spitz.Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
+    let db = Spitz.Db.durable_db d in
+    for b = 0 to (keys / 512) - 1 do
+      ignore
+        (Spitz.Db.put_batch db
+           (List.init 512 (fun i ->
+                let k = Keygen.key_of ((b * 512) + i) in
+                (k, Keygen.value_of k))))
+    done;
+    let rng = Keygen.rng 27 in
+    for u = 1 to 384 do
+      ignore
+        (Spitz.Db.put_batch db
+           (List.init 16 (fun _ ->
+                let k = Keygen.key_of (Keygen.int rng keys) in
+                (k, Keygen.value_of ~version:u k))))
+    done;
+    let (), ckpt_s = Runner.time (fun () -> Spitz.Db.checkpoint d) in
+    let lock_ms = (Spitz.Db.checkpoint_stats d).Spitz.Db.max_lock_hold_s *. 1e3 in
+    let live_objects = Spitz_storage.Object_store.object_count (Spitz.Db.store db) in
+    Spitz.Db.close_durable d;
+    let bytes = Spitz_storage.Fault.file_size (Filename.concat dir "snapshot") in
+    let d', open_s = Runner.time (fun () -> Spitz.Db.open_durable dir) in
+    let objects = Spitz_storage.Object_store.object_count (Spitz.Db.store (Spitz.Db.durable_db d')) in
+    Spitz.Db.close_durable d';
+    rm_rf dir;
+    pr "\n-- checkpoint of %d keys + 384 commits of 16 (%d objects live in memory) --\n" keys
+      live_objects;
+    pr "%16s%14s%14s%14s%14s\n" "snapshot bytes" "objects" "checkpoint s" "lock ms" "reopen s";
+    pr "%16d%14d%14.4f%14.3f%14.4f\n" bytes objects ckpt_s lock_ms open_s;
+    J.Obj
+      [
+        ("keys", J.Num (float_of_int keys));
+        ("blocks", J.Num (float_of_int ((keys / 512) + 384)));
+        ("live_objects", J.Num (float_of_int live_objects));
+        ("snapshot_bytes", J.Num (float_of_int bytes));
+        ("snapshot_objects", J.Num (float_of_int objects));
+        ("checkpoint_seconds", J.Num ckpt_s);
+        ("commit_lock_hold_ms", J.Num lock_ms);
+        ("reopen_seconds", J.Num open_s);
+      ]
+  in
   add_result "durability"
     (J.Obj
        (policy_rows
@@ -1087,6 +1136,7 @@ let durability () =
           ("no_wal_kops", J.Num (Runner.kops t_nowal));
           ("recovery", J.Arr recovery_rows);
           ("recovery_after_checkpoint", checkpointed);
+          ("checkpoint_size", ckpt_size);
         ]));
   pr "(expected shape: interval-64 within a small factor of no-wal — one\n";
   pr " fsync amortized over 64 commits — while always pays a disk flush per\n";
@@ -1266,8 +1316,8 @@ let checkpoint_bench () =
   let per = commits / committers in
   pr "\n== Checkpoint under load: %d committers x %d commits (always fsync) ==\n"
     committers per;
-  pr "%-14s%13s%9s%9s%9s%8s%8s%8s%8s\n" "leg" "commits k/s" "p50ms" "p95ms"
-    "p99ms" "ckpts" "segs" "equal" "audit";
+  pr "%-14s%13s%9s%9s%9s%8s%8s%8s%8s%8s\n" "leg" "commits k/s" "p50ms" "p95ms"
+    "p99ms" "ckpts" "segs" "lockms" "equal" "audit";
   let run_leg name policy =
     Gc.full_major ();
     let dir = temp_dir () in
@@ -1323,8 +1373,9 @@ let checkpoint_bench () =
     Array.sort compare all;
     let p q = percentile all q *. 1e3 in
     let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-    pr "%-14s%13.1f%9.2f%9.2f%9.2f%8d%8d%8s%8s\n" name (Runner.kops thr) p50 p95
-      p99 stats.Spitz.Db.checkpoints stats.Spitz.Db.retired_segments
+    let lock_ms = stats.Spitz.Db.max_lock_hold_s *. 1e3 in
+    pr "%-14s%13.1f%9.2f%9.2f%9.2f%8d%8d%8.3f%8s%8s\n" name (Runner.kops thr) p50 p95
+      p99 stats.Spitz.Db.checkpoints stats.Spitz.Db.retired_segments lock_ms
       (if equal then "yes" else "NO")
       (if audit_ok then "yes" else "NO");
     ( p99,
@@ -1338,6 +1389,7 @@ let checkpoint_bench () =
           ("auto_checkpoints", J.Num (float_of_int stats.Spitz.Db.auto_checkpoints));
           ("retired_segments", J.Num (float_of_int stats.Spitz.Db.retired_segments));
           ("checkpoint_failures", J.Num (float_of_int stats.Spitz.Db.failures));
+          ("max_commit_lock_hold_ms", J.Num lock_ms);
           ("digest_equals_serial_replay", J.Bool equal);
           ("recovered_audit_ok", J.Bool audit_ok);
         ] )

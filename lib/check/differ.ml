@@ -35,6 +35,18 @@ let with_temp_file f =
   let path = Filename.temp_file "spitz_check" ".db" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let with_temp_dir f =
+  let dir = Filename.temp_file "spitz_check" ".dur" in
+  Sys.remove dir;
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ()) (fun () -> f dir)
+
 let check_spitz (tr : Trace.trace) =
   with_temp_file @@ fun tmp ->
   let db = ref (Db.open_db ()) in
@@ -575,17 +587,7 @@ let check_checkpoint_storm (tr : Trace.trace) =
     List.filter_map (function Trace.Commit ws -> Some ws | Trace.Reopen -> None) tr.steps
   in
   if batches <> [] then begin
-    let dir = Filename.temp_file "spitz_check" ".dur" in
-    Sys.remove dir;
-    let rec rm_rf p =
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-    in
-    Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
-    @@ fun () ->
+    with_temp_dir @@ fun dir ->
     let d =
       Db.open_durable
         ~sync:(Spitz_storage.Wal.Group { max_batch = 8; max_delay_us = 100 })
@@ -694,6 +696,123 @@ let check_checkpoint_storm (tr : Trace.trace) =
     then fail "checkpoint storm: reopen does not reproduce the digest";
     if not (Db.audit db') then fail "checkpoint storm: recovered chain audit failed"
   end
+
+(* --- compacted checkpoints: a reopen reads like the live run ---
+
+   The trace runs on a durable database, each [Reopen] step a checkpoint
+   instead (every other one right after an empty block), so checkpoints
+   land at random heights. At the end a session pins the head, one more
+   block commits behind its back, and the run stops by a close, a crash
+   (the handle abandoned), or a crash inside one more checkpoint after its
+   mark — which one the trace's length picks. The reopened database must
+   match the live run: digest, journal, every cell read and history, and
+   verified reads at every height from its horizon on. Below the horizon a
+   pinned read raises [Below_horizon], and the session, still pinned at
+   the old head, re-anchors through it. *)
+let check_compacted_reopen (tr : Trace.trace) =
+  let module Server = Spitz_server.Server in
+  let module Session = Spitz_server.Session in
+  with_temp_dir @@ fun dir ->
+  let handles = ref [] in
+  let open_durable () =
+    let d = Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
+    handles := d :: !handles;
+    d
+  in
+  Fun.protect
+    ~finally:(fun () ->
+        Spitz_storage.Fault.reset ();
+        List.iter (fun d -> try Db.close_durable d with _ -> ()) !handles)
+  @@ fun () ->
+  let d = open_durable () in
+  let db = Db.durable_db d in
+  let keys = List.map Trace.key (probe_keys tr (Trace.apply_model tr)) in
+  (* the block count of the newest completed checkpoint *)
+  let checkpointed = ref 0 in
+  let checkpoint () =
+    Db.checkpoint d;
+    checkpointed := Db.L.height (Db.ledger db)
+  in
+  List.iteri
+    (fun i -> function
+       | Trace.Commit ws -> ignore (Db.commit db (writes_of ws))
+       | Trace.Reopen ->
+         if i mod 2 = 1 then ignore (Db.commit db []);
+         checkpoint ())
+    tr.steps;
+  (* a session pins the head, then the head moves on without it *)
+  let server = Server.start ~config:{ Server.default_config with accept_domains = 1 } db in
+  let port = Server.port server in
+  let session = Session.connect ~port () in
+  Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
+  Session.sync session;
+  let old_pin = Session.pin_height session in
+  ignore (Db.commit db [ Ledger.Put (Trace.key 0, "after the session's pin") ]);
+  Server.stop server;
+  let live_digest = Db.digest db in
+  let live_bodies = Db.L.body_hashes (Db.ledger db) in
+  let cells db = List.map (fun k -> (Db.get db k, Db.history db k)) keys in
+  let live_cells = cells db in
+  let verified_reads db ~height =
+    let s = Option.get (Db.snapshot ~height db) in
+    let digest = Db.Snapshot.digest s in
+    List.map
+      (fun key ->
+         let v, proof = Db.Snapshot.get_verified s key in
+         if not (Db.verify_read ~digest ~key ~value:v proof) then
+           fail "read proof for %S at height %d does not verify" key height;
+         v)
+      keys
+  in
+  let n = Db.L.height (Db.ledger db) in
+  let live_reads = List.init n (fun height -> verified_reads db ~height) in
+  (match List.length tr.steps mod 3 with
+   | 0 ->
+     checkpoint ();
+     Db.close_durable d
+   | 1 -> checkpoint ()
+   | _ -> (
+     Spitz_storage.Fault.arm "checkpoint.after_mark";
+     match Db.checkpoint d with
+     | exception Spitz_storage.Fault.Crash _ -> Spitz_storage.Fault.reset ()
+     | () -> fail "checkpoint.after_mark did not fire"));
+  let db' = Db.durable_db (open_durable ()) in
+  if Db.digest db' <> live_digest then fail "reopen does not reproduce the digest";
+  if Db.L.body_hashes (Db.ledger db') <> live_bodies then fail "reopen changed the journal";
+  if cells db' <> live_cells then fail "reopen changed a cell read or history";
+  if not (Db.audit db') then fail "reopened chain audit failed";
+  let horizon = Db.horizon db' in
+  if horizon > max 0 (!checkpointed - 1) then
+    fail "horizon %d above the newest checkpoint's head block %d" horizon (!checkpointed - 1);
+  List.iteri
+    (fun height live ->
+       if height >= horizon then begin
+         if verified_reads db' ~height <> live then
+           fail "verified reads at height %d differ from the live run" height
+       end
+       else
+         match Db.snapshot ~height db' with
+         | exception Db.Below_horizon _ -> ()
+         | _ -> fail "height %d below the horizon %d pinned without an error" height horizon)
+    live_reads;
+  (* the session still pins the old head: a read there re-anchors when the
+     reopen no longer holds that block's instance, and is never older *)
+  let server = Server.start ~config:{ Server.default_config with port; accept_domains = 1 } db' in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let key = Trace.key 0 in
+  let got = Session.get_verified session key in
+  (match (old_pin, Session.pin_height session) with
+   | Some _, Some pin when pin < 0 ->
+     (* pinned on an empty database: nothing to verify, every key absent *)
+     if got <> None then fail "session pinned at an empty journal read %s" (opt_str got)
+   | Some old, Some pin ->
+     if pin < old then fail "session read at pin %d, older than its pin %d" pin old;
+     if pin < horizon then fail "session read at pin %d below the horizon %d" pin horizon;
+     if got <> Db.get_at db' ~height:pin key then
+       fail "session read %s at pin %d, the database %s" (opt_str got) pin
+         (opt_str (Db.get_at db' ~height:pin key))
+   | _ -> fail "session lost its pin");
+  if Session.failures session > 0 then fail "session verification failures after the reopen"
 
 (* N verifying client sessions over a real loopback socket, racing mixed
    idempotent writes and proof-checked reads against each other. The server

@@ -68,6 +68,18 @@ val check_checkpoint_storm : Trace.trace -> unit
     passes, and a reopen from whatever snapshot/segment mix the storm left
     on disk recovers the identical digest and passes the audit. *)
 
+val check_compacted_reopen : Trace.trace -> unit
+(** Compacting checkpoints against the live run: the trace runs on a
+    durable database with a checkpoint at every [Reopen] step (every other
+    one after an empty block); a verifying session pins the head before one
+    last commit; the run ends by a close, an abandoned handle, or a crash
+    at [checkpoint.after_mark]. Asserts the reopened database has the live
+    digest, journal, cell reads and histories, verified reads equal to the
+    live run's at every height from its horizon on (the horizon no higher
+    than the newest checkpoint's head block), [Below_horizon] below it,
+    and that the session — pinned at the old head — reads the reopened
+    head's value, re-anchoring when its pin is below the horizon. *)
+
 val check_concurrent_clients : Trace.trace -> unit
 (** End-to-end serializability through the TCP layer: up to three verifying
     {!Spitz_server.Session}s over loopback race the trace's batches as

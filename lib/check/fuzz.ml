@@ -339,6 +339,9 @@ let decoder_targets ~seed =
                 [ Spitz_crypto.Hash.of_string "a"; Spitz_crypto.Hash.of_string "b" ];
             }))
       Spitz_nonintrusive.Ipc.decode_response;
+    decode_only "ipc/response_horizon"
+      (Spitz_nonintrusive.Ipc.encode_response (Spitz_nonintrusive.Ipc.Below_horizon 300))
+      Spitz_nonintrusive.Ipc.decode_response;
     decode_only "ipc/response_entries"
       (Spitz_nonintrusive.Ipc.encode_response
          (Spitz_nonintrusive.Ipc.EntriesProof

@@ -25,13 +25,17 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+(* Index a cell version whose value is already stored at [addr] — a reopen
+   restoring cells from a snapshot whose store holds their values. *)
+let add_cell t ~column ~pk ~ts ~vhash addr =
+  let ukey = Universal_key.make ~column ~pk ~ts ~vhash in
+  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
+  ukey
+
 let write_cell t ~column ~pk ?ts ?vhash value =
   let ts = match ts with Some ts -> ts | None -> tick t in
   let vhash = match vhash with Some h -> h | None -> Hash.of_string value in
-  let ukey = Universal_key.make ~column ~pk ~ts ~vhash in
-  let addr = Object_store.put_blob ~hash:vhash t.store value in
-  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
-  ukey
+  add_cell t ~column ~pk ~ts ~vhash (Object_store.put_blob ~hash:vhash t.store value)
 
 (* A delete is one more immutable cell version: a tombstone whose value
    address is [Hash.null]. Read paths below treat it as absence, so older

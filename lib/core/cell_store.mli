@@ -21,6 +21,13 @@ val write_cell :
     the object store. [vhash], when the caller already has it, must be the
     value's [Hash.of_string]; the value is then not hashed again. *)
 
+val add_cell :
+  t -> column:string -> pk:string -> ts:int -> vhash:Spitz_crypto.Hash.t ->
+  Spitz_crypto.Hash.t -> Universal_key.t
+(** Index one cell version whose value {!write_cell} already stored at the
+    given address (its [put_blob] address). Nothing is put, so restoring
+    cells from a saved store takes no second reference on their values. *)
+
 val delete_cell : t -> column:string -> pk:string -> ?ts:int -> unit -> Universal_key.t
 (** Append a tombstone version: the cell reads as absent from this timestamp
     on, while older versions stay reachable by [ts]. *)

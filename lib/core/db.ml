@@ -29,6 +29,10 @@ type t = {
   mutable log : log option;
   (* the durable handle's write-ahead log, attached by [open_durable] once
      replay is done: [commit] submits each block's record to it *)
+  mutable horizon : int;
+  (* the lowest height whose index instance, and every later one, is in the
+     store: set when a reopen restores a retention-marked snapshot, raised
+     by [compact]; a verified read pinned below it has nothing to read *)
 }
 
 and log = {
@@ -47,6 +51,7 @@ let of_ledger ~store ~column ~with_inverted ledger =
     inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
     commit_lock = Mutex.create ();
     log = None;
+    horizon = 0;
   }
 
 let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
@@ -77,6 +82,12 @@ let cell_of_key t key =
    ledger itself; they have no cell. *)
 let catalog_column = "_catalog"
 
+let index_value t ukey value =
+  Option.iter
+    (fun inv ->
+       Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value) (Universal_key.encode ukey))
+    t.inverted
+
 (* One block write's effect on the cell store and the inverted index: a put
    appends a cell version (and indexes its value), a delete appends a
    tombstone. A put carries its value's hash — the block entry's
@@ -88,11 +99,17 @@ let apply_write t ~height key value =
   | _ when String.equal column catalog_column -> ()
   | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
   | Some (value, vhash) ->
-    let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value in
-    Option.iter
-      (fun inv ->
-         Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value) (Universal_key.encode ukey))
-      t.inverted
+    index_value t (Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value) value
+
+(* [apply_write] of a put whose value a restored store already holds at
+   [addr]: the cell is indexed without a put, so a reopen takes no second
+   reference on the value. *)
+let restore_write t ~height key ~vhash addr =
+  let column, pk = cell_of_key t key in
+  if not (String.equal column catalog_column) then begin
+    let ukey = Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr in
+    if t.inverted <> None then index_value t ukey (Object_store.get_blob_exn t.store addr)
+  end
 
 (* One block is one state transition: when a batch writes the same key more
    than once, the block's final state for that key is the last write (the
@@ -255,6 +272,10 @@ type snapshot = {
   snap_gen : int; (* store deletion generation at pin time *)
 }
 
+exception Below_horizon of { height : int; horizon : int }
+
+let horizon t = t.horizon
+
 let snapshot ?height t =
   let pin ls =
     { snap = ls; snap_store = t.store; snap_gen = Object_store.generation t.store }
@@ -262,6 +283,8 @@ let snapshot ?height t =
   match height with
   | None -> Option.map pin (L.snapshot t.ledger)
   | Some height ->
+    let horizon = t.horizon in
+    if height < horizon then raise (Below_horizon { height; horizon });
     (* the head is pinned lock-free; an older block walks the journal's
        mutable tree under the commit lock *)
     Some (pin (L.snapshot_at ~lock:t.commit_lock t.ledger ~height))
@@ -350,7 +373,21 @@ let reset_proof_cache_stats () = L.reset_proof_cache_stats ()
 
 let digest t = L.digest t.ledger
 
-let consistency t ~old_size = Journal.prove_consistency (L.journal t.ledger) ~old_size
+(* The journal's Merkle tree grows inside [commit]'s serial section before
+   the head digest is published, so a proof built from it outside the
+   commit lock can cover a block the digest read beside it does not. Both
+   are read under the lock. *)
+let consistency t ~old_size =
+  Mutex.protect t.commit_lock (fun () ->
+      Journal.prove_consistency (L.journal t.ledger) ~old_size)
+
+let anchor t ~old_size =
+  Mutex.protect t.commit_lock (fun () ->
+      let digest = L.digest t.ledger in
+      if old_size > digest.Journal.size then
+        invalid_arg
+          (Printf.sprintf "anchor: client ahead of server (%d > %d)" old_size digest.Journal.size);
+      (digest, Journal.prove_consistency (L.journal t.ledger) ~old_size))
 
 let verify_read ~digest ~key ~value proof = L.verify_read ~digest ~key ~value proof
 let verify_batch_read ~digest ~items proof = L.verify_batch_read ~digest ~items proof
@@ -366,29 +403,49 @@ let audit t =
   let rec go h = h >= n || (L.audit_block t.ledger ~height:h && go (h + 1)) in
   go 0
 
-(* --- compaction ---
+(* --- retention ---
 
    Immutability means the store only grows (the paper's first challenge,
-   section 3.1). Compaction bounds it: keep the journal (the audit trail),
-   the most recent [keep_instances] ledger index versions, and every cell
-   value the cell-store index references; sweep everything else — chiefly
-   the interior nodes of ledger index versions older than the horizon.
-   Verified reads against pruned historical instances become unavailable;
-   current proofs, the full value history, and the chain audit are
-   untouched. Returns (objects deleted, bytes reclaimed). *)
+   section 3.1). Retention bounds it: every block body (the journal is the
+   audit trail), the index instances from some height on, and every value
+   blob and chunk the cell store references are live; nothing else is
+   needed to read, verify or reopen the database. [compact] sweeps the rest
+   from memory, and a durable checkpoint writes only the live set. Verified
+   reads pinned below the retained instances become unavailable; the full
+   value history and the chain audit are untouched. *)
 
-let compact ?(keep_instances = 16) t =
-  let live = Spitz_crypto.Hash.Table.create 4096 in
+let live_set t ~bodies ~roots ~values =
+  let live = Spitz_crypto.Hash.Table.create (List.length bodies + (2 * List.length values)) in
   let visit h = Spitz_crypto.Hash.Table.replace live h () in
-  (* the ledger: journal bodies + retained index instances *)
-  L.mark_live t.ledger ~keep_instances visit;
-  (* the cell store: every referenced value blob, including chunked ones *)
-  Cell_store.iter_cells t.cells (fun _ vhash ->
-      visit vhash;
-      List.iter visit (Object_store.blob_parts t.store vhash));
+  List.iter visit bodies;
+  List.iter (fun root -> L.mark_instance t.ledger root visit) roots;
+  List.iter visit values;
+  Object_store.mark_blob_parts t.store live;
+  live
+
+(* The value addresses the cell store references. Cells change only under
+   [commit_lock], so a caller racing commits must hold it. *)
+let cell_values t =
+  let values = ref [] in
+  Cell_store.iter_cells t.cells (fun _ addr ->
+      if not (Spitz_crypto.Hash.is_null addr) then values := addr :: !values);
+  !values
+
+(* Keep the newest [keep_instances] index instances. Returns (objects
+   deleted, bytes reclaimed). *)
+let compact ?(keep_instances = 16) t =
+  let journal = L.journal t.ledger in
+  let n = Journal.length journal in
+  let from = max 0 (n - keep_instances) in
+  let live =
+    live_set t ~bodies:(L.body_hashes t.ledger)
+      ~roots:(List.init (n - from) (fun i -> (Journal.header journal (from + i)).Block.index_root))
+      ~values:(cell_values t)
+  in
   let before = (Object_store.stats t.store).Object_store.physical_bytes in
   let deleted = Object_store.sweep t.store ~live in
   let after = (Object_store.stats t.store).Object_store.physical_bytes in
+  t.horizon <- max t.horizon from;
   (deleted, before - after)
 
 (* --- persistence: everything lives in the content-addressed store, so a
@@ -403,12 +460,14 @@ let magic = "SPITZDB1"
 
 (* [save_with_bodies] snapshots a *pinned* block-address list rather than
    the live one: a background checkpoint pins the journal under the commit
-   lock, then writes the file outside it while commits proceed. The store
-   dump may then include objects of blocks newer than the pinned list —
-   harmless, because [rebuild] walks only the listed bodies, and when the
-   log's re-run of those blocks stores the same objects again, content
-   addressing makes the puts dedup hits. *)
-let save_with_bodies t bodies path =
+   lock, then writes the file outside it while commits proceed. Without
+   [live] the store dump may then include objects of blocks newer than the
+   pinned list — harmless, because [rebuild] walks only the listed bodies,
+   and when the log's re-run of those blocks stores the same objects again,
+   content addressing makes the puts dedup hits. With [live] (a
+   checkpoint's retention mark of the pinned state) only those objects are
+   written. *)
+let save_with_bodies ?live t bodies path =
   (* write to a temporary sibling and rename over the target: a crash
      mid-save leaves the previous database file untouched, and rename is
      atomic on POSIX filesystems *)
@@ -426,7 +485,7 @@ let save_with_bodies t bodies path =
           let header = Wire.contents buf in
           output_binary_int oc (String.length header);
           output_string oc header;
-          Object_store.dump t.store oc;
+          Object_store.dump ?live t.store oc;
           flush oc;
           Unix.fsync (Unix.descr_of_out_channel oc))
    with e ->
@@ -437,23 +496,37 @@ let save_with_bodies t bodies path =
 
 let save t path = save_with_bodies t (L.body_hashes t.ledger) path
 
+(* The lowest height from which every block's index instance is stored. A
+   retention mark keeps whole instances, so an instance whose root is
+   stored is readable in full; a snapshot that kept every instance opens
+   with horizon 0. *)
+let horizon_of store journal =
+  let retained h =
+    let root = (Journal.header journal h).Block.index_root in
+    Spitz_crypto.Hash.is_null root || Object_store.mem store root
+  in
+  let rec down h = if h > 0 && retained (h - 1) then down (h - 1) else h in
+  let n = Journal.length journal in
+  if n > 0 && retained (n - 1) then down (n - 1) else n
+
 (* Rebuild a database around a restored object store: reopen the ledger from
    the block addresses (the hash chain is re-validated on every append),
-   then replay the journal into the cell store and inverted index through
-   [apply_write], reading each value by its content address. On a
-   16,384-key database of 22,528 cell writes (2-vCPU Xeon with SHA-NI) this
-   replay costs about 0.07 s of a 0.17 s open; it was 0.28 s of 0.36 s
-   when values came from an index walk and every universal key went
-   through [Printf] (DESIGN.md, Recovery). *)
+   then replay the journal into the cell store and inverted index, indexing
+   each value where the store already holds it — no put, so a reopen leaves
+   the restored reference counts as they were saved (DESIGN.md,
+   Recovery). *)
 let rebuild ?pool ~store ~column ~with_inverted bodies =
   let ledger = L.restore ?pool store bodies in
   let t = of_ledger ~store ~column ~with_inverted ledger in
   let journal = L.journal ledger in
-  (* A chunked value whose index instance compaction pruned is still stored:
-     the cell store kept its descriptor live. Find it by the content the
-     descriptor reassembles to — one pass over the store, taken only if
-     such a value is met. *)
-  let pruned_blobs =
+  t.horizon <- horizon_of store journal;
+  (* A value [put_blob] stored raw is the object under its content hash.
+     Raw [get], not [get_blob]: a small value that looks like a chunk
+     descriptor is stored chunked, and the object under its hash is only
+     its chunk. A chunked value lives under its descriptor, found by the
+     content the descriptor reassembles to — one pass over the store, taken
+     only if such a value is met. *)
+  let descriptors =
     lazy
       (let by_content = Spitz_crypto.Hash.Table.create 64 in
        List.iter
@@ -465,31 +538,20 @@ let rebuild ?pool ~store ~column ~with_inverted bodies =
          (Object_store.fold store (fun addr _ _ acc -> addr :: acc) []);
        by_content)
   in
+  let address vhash =
+    match Object_store.get store vhash with
+    | Some data when Object_store.stores_raw store data -> Some vhash
+    | _ -> Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash
+  in
   for height = 0 to Journal.length journal - 1 do
     List.iter
       (fun (e : Block.entry) ->
          match e.op with
          | Block.Delete -> apply_write t ~height e.key None
          | Block.Insert | Block.Update ->
-           (* by content address: the store re-hashed every object as it was
-              restored or re-put, so the object under [value_hash] is the
-              written value itself. Raw [get], not [get_blob]: a small value
-              that looks like a chunk descriptor must come back as itself.
-              Only a chunked value has no raw object there; it is read from
-              the block's index instance, or, if compaction pruned that, from
-              its descriptor. *)
-           let value =
-             match Object_store.get store e.value_hash with
-             | Some _ as v -> v
-             | None -> (
-               match L.get_at ledger ~height e.key with
-               | v -> v
-               | exception Not_found ->
-                 Option.bind
-                   (Spitz_crypto.Hash.Table.find_opt (Lazy.force pruned_blobs) e.value_hash)
-                   (Object_store.get_blob store))
-           in
-           Option.iter (fun v -> apply_write t ~height e.key (Some (v, e.value_hash))) value)
+           Option.iter
+             (restore_write t ~height e.key ~vhash:e.value_hash)
+             (address e.value_hash))
       (last_write_per_key (fun (e : Block.entry) -> e.key) (Journal.block journal height).entries)
   done;
   t
@@ -554,6 +616,7 @@ type checkpoint_stats = {
   failures : int;
   retired_segments : int;
   last_error : string option;
+  max_lock_hold_s : float;
 }
 
 type durable = {
@@ -575,6 +638,7 @@ type durable = {
   ckpt_last_error : string option Atomic.t;
   ckpt_base_records : int Atomic.t; (* WAL record count at the last checkpoint *)
   ckpt_height : int Atomic.t; (* blocks the snapshot on disk holds *)
+  ckpt_lock_hold : float Atomic.t; (* longest commit-lock hold of one checkpoint *)
 }
 
 let snapshot_file dir = Filename.concat dir "snapshot"
@@ -715,37 +779,55 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
     ckpt_last_error = Atomic.make None;
     ckpt_base_records = Atomic.make (Wal.stats wal).Wal.records;
     ckpt_height = Atomic.make (List.length bodies);
+    ckpt_lock_hold = Atomic.make 0.0;
   }
 
-(* Checkpoint = claim, then persist.
+(* Checkpoint = claim, mark, then persist.
 
-   Under the commit lock (microseconds): pin the journal's block-address
-   list and rotate the WAL. That pairs the pinned list with the sealed
-   segments exactly — every record in them has height below the pin, every
-   commit after the lock releases lands in the fresh segment at or above it.
+   Under the commit lock (about 2 ms for 22,528 cells, half of it the cell
+   walk, on a 2-vCPU Xeon; DESIGN.md, Durability): pin the
+   journal's block-address list, the head index root and the cell store's
+   value addresses, and rotate the WAL. That pairs the pinned state with the
+   sealed segments exactly — every record in them has height below the pin,
+   every commit after the lock releases lands in the fresh segment at or
+   above it.
 
-   Outside the lock (the long part): write the snapshot of the pinned list
-   (atomic temp+rename inside [save_with_bodies]), fsync the directory so
-   the rename survives power loss, then retire the sealed segments their
-   records now being snapshot-covered. Committers run concurrently with all
-   of it. Crash anywhere and recovery still works: the snapshot rename is
-   atomic, replay skips records below the snapshot's base height, and
-   retirement deletes oldest-first so a half-retired tail is a plain suffix
-   of snapshot-covered segments. *)
+   Outside the lock (the long part): mark the live set of the pinned state
+   — every body, the head instance's nodes, every cell value and its chunks
+   — then write the snapshot of just those objects (atomic temp+rename
+   inside [save_with_bodies]), fsync the directory so the rename survives
+   power loss, then retire the sealed segments their records now being
+   snapshot-covered. Older index instances are not written: a reopen needs
+   only the head instance to re-run the log on, and opens with its horizon
+   there. Committers run concurrently with all of it. Crash anywhere and
+   recovery still works: the snapshot rename is atomic, replay skips
+   records below the snapshot's base height, and retirement deletes
+   oldest-first so a half-retired tail is a plain suffix of
+   snapshot-covered segments. *)
 let checkpoint_locked ?(auto = false) d =
+  let db = d.db in
   match
-    let bodies =
-      Mutex.lock d.db.commit_lock;
+    let bodies, roots, values =
+      Mutex.lock db.commit_lock;
+      let locked_at = Unix.gettimeofday () in
       Fun.protect
-        ~finally:(fun () -> Mutex.unlock d.db.commit_lock)
+        ~finally:(fun () ->
+            let held = Unix.gettimeofday () -. locked_at in
+            Mutex.unlock db.commit_lock;
+            (* checkpoints are serialized by [ckpt_lock]: no racing update *)
+            if held > Atomic.get d.ckpt_lock_hold then Atomic.set d.ckpt_lock_hold held)
         (fun () ->
            Fault.hit "checkpoint.begin";
-           let bodies = L.body_hashes d.db.ledger in
+           let bodies = L.body_hashes db.ledger in
+           let roots = Option.to_list (Option.map L.snapshot_root (L.snapshot db.ledger)) in
+           let values = cell_values db in
            ignore (Wal.rotate d.wal);
            Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
-           bodies)
+           (bodies, roots, values))
     in
-    save_with_bodies d.db bodies (snapshot_file d.dir);
+    let live = live_set db ~bodies ~roots ~values in
+    Fault.hit "checkpoint.after_mark";
+    save_with_bodies ~live db bodies (snapshot_file d.dir);
     Atomic.set d.ckpt_height (List.length bodies);
     Fault.hit "checkpoint.save_done";
     Wal.fsync_dir d.dir;
@@ -777,6 +859,7 @@ let checkpoint_stats d =
     failures = Atomic.get d.ckpt_failures;
     retired_segments = Atomic.get d.ckpt_retired;
     last_error = Atomic.get d.ckpt_last_error;
+    max_lock_hold_s = Atomic.get d.ckpt_lock_hold;
   }
 
 let checkpoint_due d =

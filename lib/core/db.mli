@@ -138,13 +138,25 @@ val history : t -> string -> (int * string) list
 
 type snapshot
 
+exception Below_horizon of { height : int; horizon : int }
+(** A pin at [height] below the {!horizon}: that block's index instance is
+    not retained, so nothing can be read or proven there. A client answers
+    it by pinning a newer block (the head always is retained). *)
+
+val horizon : t -> int
+(** The lowest height from which every block's index instance is retained.
+    [0] on a database that has kept every instance. A reopen from a
+    durable checkpoint sets it to the checkpoint's head block (or lower,
+    where older blocks share that instance); {!compact} raises it to the
+    oldest instance it keeps. Blocks committed since are all retained. *)
+
 val snapshot : ?height:int -> t -> snapshot option
 (** Pin the latest committed state ([None] on an empty database); lock-free
     and safe from any domain. With [height], pin the state as of that block
     instead: the head's height returns the head, lock-free; an older block
-    briefly takes the commit lock. Raises [Invalid_argument] when out of
-    range (or if the instance was compacted away, reads will subsequently
-    fail). *)
+    briefly takes the commit lock. Raises {!Below_horizon} when [height] is
+    below the {!horizon}, and [Invalid_argument] when it is out of
+    range. *)
 
 val proof_cache_stats : unit -> Spitz_storage.Node_cache.stats
 (** Hit/miss/eviction counters of the server-side proof cache (memoized
@@ -199,7 +211,16 @@ val digest : t -> Journal.digest
 (** What a verifying client pins: 32 bytes plus a block count. *)
 
 val consistency : t -> old_size:int -> Spitz_adt.Merkle.consistency_proof
-(** Proof that the current digest extends the journal of [old_size] blocks. *)
+(** Proof that the current digest extends the journal of [old_size] blocks.
+    Taken under the commit lock, so it is the proof to the digest of the
+    moment — but that digest can move before the caller reads it; use
+    {!anchor} to get the two together. *)
+
+val anchor : t -> old_size:int -> Journal.digest * Spitz_adt.Merkle.consistency_proof
+(** The current digest and the proof that it extends the journal of
+    [old_size] blocks, read together under the commit lock — a concurrent
+    commit cannot land between them. Raises [Invalid_argument] when
+    [old_size] exceeds the current size. *)
 
 val verify_read :
   digest:Journal.digest -> key:string -> value:string option -> L.read_proof -> bool
@@ -223,9 +244,10 @@ val audit : t -> bool
 val compact : ?keep_instances:int -> t -> int * int
 (** Bound the ever-growing store: keep the journal, the newest
     [keep_instances] ledger index versions (default 16), and every
-    referenced cell value; sweep the rest. Historical *verified* reads
-    older than the horizon become unavailable; the value history and chain
-    audit are untouched. Returns (objects deleted, bytes reclaimed). *)
+    referenced cell value; sweep the rest. Historical {e verified} reads
+    pinned below the kept versions raise {!Below_horizon}; the value
+    history and chain audit are untouched. Not synchronized with commits.
+    Returns (objects deleted, bytes reclaimed). *)
 
 (** {1 Persistence} *)
 
@@ -276,9 +298,18 @@ val load : string -> t
     so that a restart re-runs nothing.
 
     Checkpoints do not stop the world: {!checkpoint} holds the commit lock
-    only to pin the journal and rotate the log to a fresh segment
-    (microseconds), then writes the snapshot and retires the sealed
-    segments while commits proceed. {!set_checkpoint_policy} runs the same
+    only to pin the journal, the head index root and the cell store's value
+    addresses and to rotate the log to a fresh segment, then marks and
+    writes the snapshot and retires the sealed segments while commits
+    proceed.
+
+    What survives a restart: a checkpoint writes every block body, the
+    head block's index instance and every value the cell store references
+    — not the older index instances. The reopened database has the same
+    digest, journal, receipts, audit and cell history ({!get_at},
+    {!history}); verified reads pinned below its {!horizon} raise
+    {!Below_horizon}. Blocks the log re-runs after the snapshot keep
+    their instances. {!set_checkpoint_policy} runs the same
     protocol from a background domain when the log grows past a
     byte/record threshold. *)
 
@@ -306,10 +337,11 @@ val durable_db : durable -> t
 
 val checkpoint : durable -> unit
 (** Fold the log into a new snapshot without stalling committers. Under
-    the commit lock (brief): pin the journal's block addresses and rotate
-    the log to a fresh segment. Outside it: {!save} the pinned state to a
-    temp file, atomic rename, directory fsync, then retire the sealed
-    segments. Crash-safe at every step — a failure after the rename only
+    the commit lock (brief): pin the journal's block addresses, the head
+    index root and the cell values, and rotate the log to a fresh segment.
+    Outside it: mark the live set of the pinned state, write those objects
+    in {!save} format to a temp file, atomic rename, directory fsync, then
+    retire the sealed segments. Crash-safe at every step — a failure after the rename only
     leaves redundant log records (skipped on replay); a failure during
     retirement leaves a suffix of snapshot-covered segments (equally
     skipped). Concurrent calls (including the background checkpointer) are
@@ -342,6 +374,9 @@ type checkpoint_stats = {
   failures : int;             (** attempts that raised *)
   retired_segments : int;     (** log segments deleted by retirement *)
   last_error : string option; (** most recent failure, if any *)
+  max_lock_hold_s : float;    (** longest commit-lock hold of one
+                                  checkpoint (the pin, the cell-value
+                                  collection and the rotation), seconds *)
 }
 
 val checkpoint_stats : durable -> checkpoint_stats

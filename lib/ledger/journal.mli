@@ -34,6 +34,11 @@ val append : t -> Block.t -> unit
 (** Persist the block and extend the chain. Raises [Invalid_argument] if the
     block does not link to the current head or has the wrong height. *)
 
+val append_stored : t -> Block.t -> body:Hash.t -> unit
+(** {!append} of a block whose encoding is already stored under [body]:
+    the chain is validated the same way, but nothing is put, so a reopen
+    leaves the restored store's reference counts as they were saved. *)
+
 val header : t -> int -> Block.header
 val block : t -> int -> Block.t
 (** Fetch by height. Raise [Invalid_argument] when out of range. *)

@@ -581,22 +581,10 @@ module Make (Index : Siri.S) = struct
 
   (* --- retention --- *)
 
-  (* Mark the content addresses the ledger needs if only the most recent
-     [keep_instances] index versions must stay queryable: every block body
-     (the journal itself is never pruned — it is the audit trail) and every
-     node of the retained instances. Proofs and historical *index* reads
-     older than the horizon become unavailable; historical values remain
-     recoverable from the blocks. *)
-  let mark_live t ~keep_instances visit =
-    let n = Journal.length t.journal in
-    for height = 0 to n - 1 do
-      visit (Journal.body_hash t.journal height)
-    done;
-    let horizon = max 0 (n - keep_instances) in
-    for height = horizon to n - 1 do
-      Index.iter_nodes t.store
-        (Journal.header t.journal height).Block.index_root visit
-    done
+  (* Visit every node of the index instance committed to by [root]: a
+     retention mark keeps whole instances, so an instance whose root is
+     stored is readable in full. *)
+  let mark_instance t root visit = Index.iter_nodes t.store root visit
 
   (* --- persistence --- *)
 
@@ -605,39 +593,23 @@ module Make (Index : Siri.S) = struct
 
   (* Reopen a ledger whose blocks live in [store], given the body hashes in
      height order. The chain is re-validated on append; index instances are
-     reopened at the roots the block headers commit to; cardinalities are
-     recomputed by replaying each block's entries against the previous
-     instance. *)
+     reopened at the roots the block headers commit to (an instance a
+     retention mark dropped stays unreadable). Instance cardinalities are
+     not restored: nothing reads a ledger instance's count. *)
   let restore ?pool store bodies =
     let t = create ?pool store in
     List.iter
       (fun body ->
          let block = Block.decode (Object_store.get_exn store body) in
-         let prev = current_index t in
-         let module SS = Set.Make (String) in
-         let keys =
-           SS.elements (SS.of_list (List.map (fun (e : Block.entry) -> e.Block.key) block.entries))
-         in
-         let count =
-           (* a pruned (compacted) previous instance cannot be queried; treat
-              its keys as pre-existing — cardinal is advisory only *)
-           List.fold_left
-             (fun c key ->
-                match Index.get prev key with
-                | None -> c + 1
-                | Some _ -> c
-                | exception Not_found -> c)
-             (Index.cardinal prev) keys
-         in
          let height = Journal.length t.journal in
-         Journal.append t.journal block;
+         Journal.append_stored t.journal block ~body;
+         let index = Index.at_root store block.Block.header.Block.index_root ~count:0 in
          if height >= Array.length t.instances then begin
-           let bigger = Array.make (2 * Array.length t.instances) prev in
+           let bigger = Array.make (2 * Array.length t.instances) index in
            Array.blit t.instances 0 bigger 0 (Array.length t.instances);
            t.instances <- bigger
          end;
-         t.instances.(height) <-
-           Index.at_root store block.Block.header.Block.index_root ~count;
+         t.instances.(height) <- index;
          t.time <- max t.time block.Block.header.Block.time;
          (* every commit consumes exactly one txn id, an empty block too:
             an entry carries it, and a block without entries still moves

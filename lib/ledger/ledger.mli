@@ -229,9 +229,10 @@ module Make (Index : Siri.S) : sig
   val encode_receipt : write_receipt -> string
   val decode_receipt : string -> write_receipt
 
-  val mark_live : t -> keep_instances:int -> (Hash.t -> unit) -> unit
-  (** Compaction mark phase: visit every block body and every node of the
-      newest [keep_instances] index instances. *)
+  val mark_instance : t -> Hash.t -> (Hash.t -> unit) -> unit
+  (** Retention mark: visit the content address of every node of the index
+      instance committed to by a root ([Hash.null] visits nothing). Reads
+      the store only, so it may run outside any commit serialization. *)
 
   val body_hashes : t -> Hash.t list
   (** Content addresses of all encoded blocks, in height order

@@ -138,6 +138,7 @@ type response =
   | BatchProof of string option list * string
   | AnchorResp of anchor
   | ReceiptList of string list
+  | Below_horizon of int
   | Error of string
 
 let write_value_opt buf v =
@@ -185,6 +186,7 @@ let write_response buf resp =
     Wire.write_varint buf size;
     Wire.write_hash_list buf consistency
   | ReceiptList rs -> Wire.write_byte buf 'w'; Wire.write_list buf Wire.write_string rs
+  | Below_horizon horizon -> Wire.write_byte buf 'H'; Wire.write_varint buf horizon
   | Error msg -> Wire.write_byte buf 'x'; Wire.write_string buf msg
 
 let encode_response resp =
@@ -215,6 +217,7 @@ let read_response r =
     let consistency = Wire.read_hash_list r in
     AnchorResp { root; size; consistency }
   | 'w' -> ReceiptList (Wire.read_list r Wire.read_string)
+  | 'H' -> Below_horizon (Wire.read_varint r)
   | 'x' -> Error (Wire.read_string r)
   | c -> raise (Wire.Malformed (Printf.sprintf "Ipc: bad response tag %C" c))
 

@@ -77,6 +77,9 @@ type response =
       (** values in key order plus one encoded batch proof *)
   | AnchorResp of anchor
   | ReceiptList of string list                     (** encoded write receipts *)
+  | Below_horizon of int
+      (** a pinned read below the server's horizon (carried): the block's
+          index instance is not retained; pin a block at or above it *)
   | Error of string
 
 val write_response : Spitz_storage.Wire.writer -> response -> unit

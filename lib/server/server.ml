@@ -85,22 +85,12 @@ let rebuild_tokens db tokens =
 
 (* --- request dispatch --- *)
 
-(* The journal only ever grows, so a consistency proof computed between two
-   digest reads may anchor in a newer head than the one we read; retry until
-   the digest is stable around the proof (commit storms settle quickly). *)
+(* The digest and its consistency proof come from one commit-lock section:
+   read apart, a commit landing between them yields a proof for a longer
+   journal than the digest names, which an honest client rejects. *)
 let anchor db known =
-  let rec go attempt =
-    let d : Spitz_ledger.Journal.digest = Db.digest db in
-    if known > d.size then
-      Ipc.Error (Printf.sprintf "anchor: client ahead of server (%d > %d)" known d.size)
-    else
-      let consistency = Db.consistency db ~old_size:known in
-      let d' : Spitz_ledger.Journal.digest = Db.digest db in
-      if d'.size = d.size || attempt > 8 then
-        Ipc.AnchorResp { Ipc.root = d.root; size = d.size; consistency }
-      else go (attempt + 1)
-  in
-  go 0
+  let (d : Spitz_ledger.Journal.digest), consistency = Db.anchor db ~old_size:known in
+  Ipc.AnchorResp { Ipc.root = d.root; size = d.size; consistency }
 
 (* The token table's mutex covers only the claim and the settle, not the
    commit: Applies from different connections commit concurrently and can
@@ -144,7 +134,9 @@ let apply t ~token ~puts ~deletes =
        raise e)
 
 (* Every pinned read names its block; pinning the head is lock-free. A
-   height out of range raises [Invalid_argument], answered as [Error]. *)
+   height out of range raises [Invalid_argument], answered as [Error]; one
+   below the horizon raises [Db.Below_horizon], answered in kind so the
+   client can pin a newer block. *)
 let pin db height = Option.get (Db.snapshot ~height db)
 
 let serve t (req : Ipc.request) : Ipc.response =
@@ -172,6 +164,7 @@ let serve t (req : Ipc.request) : Ipc.response =
    a framing loss or a dead peer ends the connection. *)
 let serve_safe t req =
   try serve t req with
+  | Db.Below_horizon { horizon; _ } -> Ipc.Below_horizon horizon
   | Wire.Malformed msg -> Ipc.Error msg
   | Invalid_argument msg -> Ipc.Error msg
   | Not_found -> Ipc.Error "not found"

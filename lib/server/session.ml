@@ -143,47 +143,63 @@ let range t ~lo ~hi =
   | Ipc.Entries es -> es
   | _ -> protocol_error "Range"
 
-let get_verified t k =
+(* A verified read at the pin: [request h] asks for block [h], and the
+   answer comes back with the digest it must verify against. A server that
+   no longer retains the pinned block's index instance (it reopened from a
+   checkpoint past it) answers [Below_horizon]; the session re-anchors once
+   — the new pin is proven an append-only extension of the old — and reads
+   there. The answer may be fresher than the pin the call began with,
+   never older. [None] when the server has never committed. *)
+let pinned_read t request =
   match reading_pin t with
   | None -> None
   | Some d -> (
-    match rpc t (Ipc.SnapGet (d.size - 1, k)) with
-    | Ipc.ValueProof (value, Some proof) -> (
-      let proof = Db.L.decode_read_proof proof in
-      match Db.V.submit_read t.verifier ~key:k ~value proof with
-      | Some true -> value
-      | _ -> raise (Verification_failed ("read proof for " ^ k)))
-    | Ipc.ValueProof (_, None) ->
-      raise (Verification_failed ("missing read proof for " ^ k))
-    | _ -> protocol_error "SnapGet")
+    match rpc t (request (d.size - 1)) with
+    | Ipc.Below_horizon _ -> (
+      sync t;
+      let d = Option.get (digest t) in
+      match rpc t (request (d.size - 1)) with
+      | Ipc.Below_horizon horizon ->
+        raise
+          (Server_error
+             (Printf.sprintf "pinned read below the horizon %d at the server's own head %d"
+                horizon (d.size - 1)))
+      | resp -> Some (d, resp))
+    | resp -> Some (d, resp))
+
+let get_verified t k =
+  match pinned_read t (fun h -> Ipc.SnapGet (h, k)) with
+  | None -> None
+  | Some (_, Ipc.ValueProof (value, Some proof)) -> (
+    let proof = Db.L.decode_read_proof proof in
+    match Db.V.submit_read t.verifier ~key:k ~value proof with
+    | Some true -> value
+    | _ -> raise (Verification_failed ("read proof for " ^ k)))
+  | Some (_, Ipc.ValueProof (_, None)) -> raise (Verification_failed ("missing read proof for " ^ k))
+  | Some _ -> protocol_error "SnapGet"
 
 let get_batch_verified t keys =
-  match reading_pin t with
+  match pinned_read t (fun h -> Ipc.GetBatch (h, keys)) with
   | None -> List.map (fun _ -> None) keys
-  | Some d -> (
-    match rpc t (Ipc.GetBatch (d.size - 1, keys)) with
-    | Ipc.BatchProof (values, proof) ->
-      if List.length values <> List.length keys then
-        raise (Verification_failed "batch read: wrong arity");
-      let proof = Db.L.decode_batch_proof proof in
-      if not (Db.L.verify_batch_read ~digest:d ~items:(List.combine keys values) proof)
-      then raise (Verification_failed "batch read proof");
-      values
-    | _ -> protocol_error "GetBatch")
+  | Some (d, Ipc.BatchProof (values, proof)) ->
+    if List.length values <> List.length keys then
+      raise (Verification_failed "batch read: wrong arity");
+    let proof = Db.L.decode_batch_proof proof in
+    if not (Db.L.verify_batch_read ~digest:d ~items:(List.combine keys values) proof) then
+      raise (Verification_failed "batch read proof");
+    values
+  | Some _ -> protocol_error "GetBatch"
 
 let range_verified t ~lo ~hi =
-  match reading_pin t with
+  match pinned_read t (fun h -> Ipc.SnapRange (h, lo, hi)) with
   | None -> []
-  | Some d -> (
-    match rpc t (Ipc.SnapRange (d.size - 1, lo, hi)) with
-    | Ipc.EntriesProof (entries, Some proof) -> (
-      let proof = Db.L.decode_read_proof proof in
-      match Db.V.submit_range t.verifier ~lo ~hi ~entries proof with
-      | Some true -> entries
-      | _ -> raise (Verification_failed "range proof"))
-    | Ipc.EntriesProof (_, None) ->
-      raise (Verification_failed "missing range proof")
-    | _ -> protocol_error "SnapRange")
+  | Some (_, Ipc.EntriesProof (entries, Some proof)) -> (
+    let proof = Db.L.decode_read_proof proof in
+    match Db.V.submit_range t.verifier ~lo ~hi ~entries proof with
+    | Some true -> entries
+    | _ -> raise (Verification_failed "range proof"))
+  | Some (_, Ipc.EntriesProof (_, None)) -> raise (Verification_failed "missing range proof")
+  | Some _ -> protocol_error "SnapRange"
 
 (* --- receipts --- *)
 

@@ -11,6 +11,15 @@
     [GetBatch] / [SnapRange]), so their proofs anchor exactly in the
     trusted digest, commit storms notwithstanding.
 
+    Re-anchor contract: a server keeps the index instance of every block
+    it committed while running, but one that restarted from a durable
+    checkpoint keeps only those from its horizon on. A verified read
+    pinned below that horizon is answered [Below_horizon]; the session
+    then {!sync}s once — the new pin passes the same consistency check as
+    any other — and repeats the read at the new pin. A verified read may
+    therefore be fresher than the pin the call started with, never older,
+    and it always verifies against a digest the pin passed through.
+
     Retry model: every request the session issues is idempotent — reads
     trivially, writes because they travel as [Apply] batches under a unique
     token the server commits at most once. On a connection loss the session
@@ -68,7 +77,8 @@ val range : t -> lo:string -> hi:string -> (string * string) list
 
 val get_verified : t -> string -> string option
 (** Point read at {!pin_height}, proof-checked against the pin before the
-    value is returned. Raises {!Verification_failed} on a bad proof. On an
+    value is returned (after one re-anchor when the pin is below the
+    server's horizon). Raises {!Verification_failed} on a bad proof. On an
     empty (never-committed) server there is nothing to verify: returns
     [None]. *)
 

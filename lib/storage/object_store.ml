@@ -159,10 +159,11 @@ let encode_descriptor hashes =
   List.iter (fun h -> Buffer.add_string buf (Hash.to_raw h)) hashes;
   Buffer.contents buf
 
+let looks_like_descriptor data = String.starts_with ~prefix:descriptor_magic data
+
 let decode_descriptor data =
   let prefix_len = String.length descriptor_magic in
-  if String.length data < prefix_len
-  || not (String.equal (String.sub data 0 prefix_len) descriptor_magic) then None
+  if not (looks_like_descriptor data) then None
   else begin
     let body = String.sub data prefix_len (String.length data - prefix_len) in
     if String.length body mod Hash.size <> 0 then None
@@ -204,18 +205,17 @@ let rec release t h =
     Atomic.incr t.generation;
     List.iter (release t) parts
 
-let looks_like_descriptor data =
-  let prefix_len = String.length descriptor_magic in
-  String.length data >= prefix_len
-  && String.equal (String.sub data 0 prefix_len) descriptor_magic
+(* Values above the average chunk size are chunked so that local edits
+   share all untouched pieces; values that would be mistaken for a
+   descriptor are also stored via the descriptor path, so decoding stays
+   unambiguous. Every other value is one raw object under its own hash. *)
+let stores_raw t data =
+  String.length data <= t.chunk_params.Chunk.avg_size && not (looks_like_descriptor data)
 
 let put_blob ?hash t data =
-  (* Values above the average chunk size are chunked so that local edits
-     share all untouched pieces; values that would be mistaken for a
-     descriptor are also stored via the descriptor path, so decoding stays
-     unambiguous. A raw value is stored under its known [hash] when the
-     caller has one, so it is hashed once per write. *)
-  if String.length data <= t.chunk_params.Chunk.avg_size && not (looks_like_descriptor data)
+  (* a raw value is stored under its known [hash] when the caller has one,
+     so it is hashed once per write *)
+  if stores_raw t data
   then match hash with Some h -> put_hashed t h data | None -> put t data
   else begin
     let chunks = Chunk.split ~params:t.chunk_params data in
@@ -252,6 +252,24 @@ let blob_parts t h =
   match get t h with
   | None -> []
   | Some data -> Option.value ~default:[] (decode_descriptor data)
+
+(* Close a live set over blob descriptors: add the chunks of every live
+   descriptor. One pass per shard under that shard's lock — cheaper than a
+   [blob_parts] lookup per live value, since descriptors are rare. *)
+let mark_blob_parts t live =
+  Array.iter
+    (fun s ->
+       let parts =
+         with_shard s (fun () ->
+             Hash.Table.fold
+               (fun h data acc ->
+                  if looks_like_descriptor data && Hash.Table.mem live h then
+                    match decode_descriptor data with Some ps -> ps :: acc | None -> acc
+                  else acc)
+               s.objects [])
+       in
+       List.iter (List.iter (fun p -> Hash.Table.replace live p ())) parts)
+    t.shards
 
 (* Mark-and-sweep compaction: delete every object not in [live]. Byte gauges
    are adjusted; refcounts of survivors are untouched. Returns the number of
@@ -332,24 +350,28 @@ let read_varint ic =
   let n = go 0 0 in
   if n < 0 then raise (Corrupt "varint overflows int") else n
 
-let dump t oc =
+let dump ?live t oc =
   (* collect a reference snapshot of each shard under its own (brief) lock,
      then write the stream with no locks held: the file write is the long
      part of a checkpoint, and holding all shards across it would stall
      every concurrent reader and committer. Objects are immutable and
      content-addressed, so a put racing the collection merely lands in or
      misses the snapshot whole — the stream and its count prefix always
-     agree because both come from the collected lists *)
+     agree because both come from the collected lists. With [live], only
+     the objects it names are collected. *)
+  let wanted =
+    match live with None -> fun _ -> true | Some live -> fun h -> Hash.Table.mem live h
+  in
   let collected =
     Array.map
       (fun s ->
          with_shard s (fun () ->
              Hash.Table.fold
-               (fun _h data acc ->
-                  let refcount =
-                    Option.value ~default:0 (Hash.Table.find_opt s.refcounts _h)
-                  in
-                  (data, refcount) :: acc)
+               (fun h data acc ->
+                  if not (wanted h) then acc
+                  else
+                    let refcount = Option.value ~default:0 (Hash.Table.find_opt s.refcounts h) in
+                    (data, refcount) :: acc)
                s.objects []))
       t.shards
   in

@@ -77,6 +77,10 @@ val put_blob : ?hash:Hash.t -> t -> string -> Hash.t
     hashed again. Chunked values, and values that look like a descriptor,
     ignore it. *)
 
+val stores_raw : t -> string -> bool
+(** Whether {!put_blob} stores the value as one raw object under its own
+    hash — [false] for a value it chunks behind a descriptor. *)
+
 val get_blob : t -> Hash.t -> string option
 (** Reassemble a value stored by {!put_blob} (or {!put}). *)
 
@@ -90,13 +94,18 @@ val fold : t -> (Hash.t -> string -> int -> 'a -> 'a) -> 'a -> 'a
 val blob_parts : t -> Hash.t -> Hash.t list
 (** Chunk addresses referenced by a blob descriptor ([[]] for raw values). *)
 
+val mark_blob_parts : t -> unit Hash.Table.t -> unit
+(** Add to a live set the chunk addresses of every blob descriptor in it,
+    so a marked value keeps its chunks. *)
+
 val sweep : t -> live:unit Hash.Table.t -> int
 (** Mark-and-sweep compaction: delete every object whose address is not in
     [live]; returns the number deleted. The caller is responsible for
     supplying a complete live set. *)
 
-val dump : t -> out_channel -> unit
-(** Write every object as a length-prefixed stream. *)
+val dump : ?live:unit Hash.Table.t -> t -> out_channel -> unit
+(** Write every object as a length-prefixed stream; with [live], only the
+    objects whose addresses it holds. *)
 
 val restore : t -> in_channel -> unit
 (** Read a {!dump}ed stream back (the rest of the channel). Content

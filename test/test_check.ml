@@ -310,6 +310,8 @@ let suite =
       (differential "concurrent reads" Differ.check_concurrent_reads 10 0x2EAD);
     Alcotest.test_case "differ: checkpoint storm serializable" `Quick
       (differential "checkpoint storm" Differ.check_checkpoint_storm 6 0xC4E7);
+    Alcotest.test_case "differ: compacted checkpoints reopen like the live run" `Quick
+      (differential "compacted reopen" Differ.check_compacted_reopen 12 0xC0DE);
     Alcotest.test_case "differ: concurrent clients over loopback" `Quick
       (differential "concurrent clients" Differ.check_concurrent_clients 6 0xCC1E);
     Alcotest.test_case "fuzz: 10k+ mutants, zero accepted, zero foreign" `Slow test_fuzz_budget;

@@ -376,14 +376,31 @@ let test_release_shared_chunks_survive () =
 
 (* --- snapshot corruption: truncation at every offset, bit flips --- *)
 
-let small_db () =
-  let db = Db.open_db () in
+let small_writes db =
   for i = 0 to 4 do
     ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "value-%d" i))
-  done;
+  done
+
+let small_db () =
+  let db = Db.open_db () in
+  small_writes db;
   db
 
-let test_load_truncation_every_offset () =
+(* The two snapshot writers: [Db.save] dumps every object; a durable
+   checkpoint writes every body and value but only the head block's index
+   instance. The corruption sweeps run over both. *)
+let save_small path = Db.save (small_db ()) path
+
+let checkpoint_small path =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Never dir in
+      small_writes (Db.durable_db d);
+      Db.checkpoint d;
+      Db.close_durable d;
+      let snap = Filename.concat dir "snapshot" in
+      copy_truncated snap path (Fault.file_size snap))
+
+let load_truncation_every_offset write () =
   let path = temp_file () in
   let trunc = temp_file () in
   Fun.protect
@@ -391,8 +408,7 @@ let test_load_truncation_every_offset () =
         Sys.remove path;
         Sys.remove trunc)
     (fun () ->
-       let db = small_db () in
-       Db.save db path;
+       write path;
        let total = Fault.file_size path in
        for cut = 0 to total - 1 do
          copy_truncated path trunc cut;
@@ -403,7 +419,7 @@ let test_load_truncation_every_offset () =
          | _ -> Alcotest.failf "cut at %d accepted a strict prefix" cut
        done)
 
-let test_load_bitflip_no_silent_corruption () =
+let load_bitflip_no_silent_corruption write () =
   let path = temp_file () in
   let flipped = temp_file () in
   Fun.protect
@@ -411,9 +427,8 @@ let test_load_bitflip_no_silent_corruption () =
         Sys.remove path;
         Sys.remove flipped)
     (fun () ->
-       let db = small_db () in
-       let digest = Db.digest db in
-       Db.save db path;
+       let digest = Db.digest (small_db ()) in
+       write path;
        let total = Fault.file_size path in
        (* a flipped bit must either surface as Corrupt or leave the loaded
           database bit-identical (flips in refcount metadata) — never a
@@ -435,6 +450,39 @@ let test_load_bitflip_no_silent_corruption () =
                  (Db.digest db').Spitz_ledger.Journal.root
                && Db.audit db'));
          off := !off + step
+       done)
+
+let test_load_truncation_every_offset = load_truncation_every_offset save_small
+let test_load_bitflip_no_silent_corruption = load_bitflip_no_silent_corruption save_small
+
+let test_compacted_truncation_every_offset = load_truncation_every_offset checkpoint_small
+
+let test_compacted_bitflip_no_silent_corruption =
+  load_bitflip_no_silent_corruption checkpoint_small
+
+(* A checkpoint's snapshot holds only the head block's index instance: it
+   is smaller than a full save of the same blocks, and it loads with the
+   same digest, cells and audit, its horizon at the head block. *)
+let test_compacted_snapshot_loads () =
+  let full = temp_file () and compacted = temp_file () in
+  Fun.protect
+    ~finally:(fun () ->
+        Sys.remove full;
+        Sys.remove compacted)
+    (fun () ->
+       save_small full;
+       checkpoint_small compacted;
+       Alcotest.(check bool) "smaller than a full save" true
+         (Fault.file_size compacted < Fault.file_size full);
+       let a = Db.load full and b = Db.load compacted in
+       Alcotest.(check bool) "same digest" true (Db.digest a = Db.digest b);
+       Alcotest.(check int) "full save keeps every instance" 0 (Db.horizon a);
+       Alcotest.(check int) "checkpoint keeps the head's" 4 (Db.horizon b);
+       Alcotest.(check bool) "audit" true (Db.audit b);
+       for i = 0 to 4 do
+         let key = Printf.sprintf "k%d" i in
+         Alcotest.(check (list (pair int string))) (key ^ " history") (Db.history a key)
+           (Db.history b key)
        done)
 
 (* --- durable database: basic operation --- *)
@@ -606,12 +654,14 @@ let test_crash_during_commit_group () =
 
 (* Every step of the non-blocking checkpoint protocol, in order: pin+rotate
    under the commit lock (begin, rotate.begin, rotate.after_create), the
-   snapshot write outside it (save.before_rename, save_done), the directory
+   live-set mark outside it (after_mark), the snapshot write
+   (save.before_rename, save_done), the directory
    fsync (after_rename), and segment retirement (before_retire, mid_retire).
    A crash at any of them must lose nothing: every commit was durable in
    some live segment or in the freshly renamed snapshot. *)
 let checkpoint_crash_sites =
-  [ "checkpoint.begin"; "rotate.begin"; "rotate.after_create"; "save.before_rename";
+  [ "checkpoint.begin"; "rotate.begin"; "rotate.after_create"; "checkpoint.after_mark";
+    "save.before_rename";
     "checkpoint.save_done"; "checkpoint.after_rename"; "checkpoint.before_retire";
     "checkpoint.mid_retire" ]
 
@@ -1457,6 +1507,44 @@ let test_recovery_reads_by_content_address () =
       Alcotest.(check (list string)) "compacted + reloaded" before (recovery_view (Db.load snap));
       Db.close_durable d')
 
+(* Sum of the restored store's reference counts. *)
+let refcount_sum store = Object_store.fold store (fun _ _ rc acc -> acc + rc) 0
+
+(* A reopen restores the store's reference counts and indexes the restored
+   cells and blocks without putting their objects again, so a
+   checkpoint-and-reopen cycle with no commits in between leaves every
+   counter where it was: the dedup ratio does not climb with restarts. *)
+let test_reopen_cycles_keep_refcounts () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~with_inverted:true dir in
+      let db = Db.durable_db d in
+      recovery_script db;
+      let before = recovery_view db in
+      Db.checkpoint d;
+      Db.close_durable d;
+      let cycle () =
+        let d = Db.open_durable dir in
+        let db = Db.durable_db d in
+        let store = Db.store db in
+        let counts =
+          ( refcount_sum store,
+            (Object_store.stats store).Object_store.logical_bytes,
+            Object_store.object_count store )
+        in
+        Alcotest.(check (list string)) "every read survives the cycle" before (recovery_view db);
+        Db.checkpoint d;
+        Db.close_durable d;
+        counts
+      in
+      let first = cycle () in
+      for i = 2 to 3 do
+        let refs, logical, objects = cycle () in
+        let refs0, logical0, objects0 = first in
+        Alcotest.(check int) (Printf.sprintf "cycle %d: reference sum" i) refs0 refs;
+        Alcotest.(check int) (Printf.sprintf "cycle %d: logical bytes" i) logical0 logical;
+        Alcotest.(check int) (Printf.sprintf "cycle %d: objects" i) objects0 objects
+      done)
+
 (* --- logical records: the re-run reproduces the live run --- *)
 
 (* The last acknowledged block replays from its own record: a crash right
@@ -1643,6 +1731,12 @@ let suite =
     Alcotest.test_case "load: truncation at every offset" `Quick test_load_truncation_every_offset;
     Alcotest.test_case "load: bit flips never corrupt silently" `Quick
       test_load_bitflip_no_silent_corruption;
+    Alcotest.test_case "compacted snapshot: truncation at every offset" `Quick
+      test_compacted_truncation_every_offset;
+    Alcotest.test_case "compacted snapshot: bit flips never corrupt silently" `Quick
+      test_compacted_bitflip_no_silent_corruption;
+    Alcotest.test_case "compacted snapshot loads like a full save" `Quick
+      test_compacted_snapshot_loads;
     Alcotest.test_case "durable roundtrip (log only)" `Quick test_durable_basic_roundtrip;
     Alcotest.test_case "durable checkpoint" `Quick test_durable_checkpoint;
     Alcotest.test_case "durable large values + batches" `Quick
@@ -1693,5 +1787,7 @@ let suite =
       test_last_acked_block_replays;
     Alcotest.test_case "empty block before a checkpoint" `Quick
       test_empty_block_before_checkpoint;
+    Alcotest.test_case "reopen cycles keep reference counts" `Quick
+      test_reopen_cycles_keep_refcounts;
     QCheck_alcotest.to_alcotest prop_replay_reproduces_live;
   ]

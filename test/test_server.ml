@@ -457,6 +457,90 @@ let test_kill_durable_acks_survive () =
   Session.close s2;
   Session.close s
 
+(* An anchor is a digest plus a consistency proof from the client's pin to
+   it. The journal's Merkle tree grows inside a commit before the head
+   digest is published, so a proof built beside two digest reads can cover
+   one block more than both of them name, and an honest server fails its
+   client's check. One domain commits 16-key batches while a session syncs
+   as fast as it can: every anchor must verify. *)
+let test_anchor_under_commits () =
+  with_server @@ fun db server ->
+  with_session server @@ fun s ->
+  ignore (Db.put db "seed" "0");
+  let stop = Atomic.make false in
+  let committer =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          ignore
+            (Db.put_batch db
+               (List.init 16 (fun j ->
+                    (Printf.sprintf "k%05d" (((!i * 16) + j) mod 4096), string_of_int !i))));
+          incr i
+        done)
+  in
+  let syncs = ref 0 in
+  let deadline = Unix.gettimeofday () +. 1.5 in
+  let outcome =
+    match
+      while Unix.gettimeofday () < deadline do
+        Session.sync s;
+        incr syncs
+      done
+    with
+    | () -> None
+    | exception Session.Verification_failed msg -> Some msg
+  in
+  Atomic.set stop true;
+  Domain.join committer;
+  (match outcome with
+   | None -> ()
+   | Some msg -> Alcotest.failf "anchor %d of an honest server failed: %s" (!syncs + 1) msg);
+  Alcotest.(check bool) "anchors raced commits" true ((Option.get (Session.digest s)).size > 2)
+
+(* A server reopened from a durable checkpoint keeps only the index
+   instances from the checkpoint's head block on. A session whose pin is
+   older gets [Below_horizon] for every verified read; it re-anchors once
+   and reads at the new pin, which verifies like any other. *)
+let test_session_reanchors_below_horizon () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let d = Db.open_durable dir in
+  let server = Server.start (Db.durable_db d) in
+  let port = Server.port server in
+  let s = Session.connect ~port () in
+  Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+  ignore (Session.put s "a" "1");
+  ignore (Session.put_batch s [ ("b", "2"); ("c", "3") ]);
+  Alcotest.(check (option int)) "pinned at block 1" (Some 1) (Session.pin_height s);
+  (* another client moves the head on; this session's pin stays at 1 *)
+  with_session server (fun other ->
+      ignore (Session.put other "a" "4");
+      ignore (Session.put other "d" "5"));
+  Server.stop server;
+  Db.checkpoint d;
+  Db.close_durable d;
+  let d = Db.open_durable dir in
+  Fun.protect ~finally:(fun () -> Db.close_durable d) @@ fun () ->
+  let db = Db.durable_db d in
+  Alcotest.(check int) "horizon at the checkpoint's head" 3 (Db.horizon db);
+  (match Db.snapshot ~height:1 db with
+   | exception Db.Below_horizon { height = 1; horizon = 3 } -> ()
+   | _ -> Alcotest.fail "a pin below the horizon must raise Below_horizon");
+  let server = Server.start ~config:{ Server.default_config with port } db in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  Alcotest.(check (option string)) "read re-anchored to the head" (Some "4")
+    (Session.get_verified s "a");
+  Alcotest.(check (option int)) "pin moved past the horizon" (Some 3) (Session.pin_height s);
+  Alcotest.(check (list (pair string string)))
+    "range at the new pin"
+    [ ("a", "4"); ("b", "2"); ("c", "3"); ("d", "5") ]
+    (Session.range_verified s ~lo:"a" ~hi:"z");
+  Alcotest.(check (list (option string)))
+    "batch at the new pin" [ Some "2"; None ]
+    (Session.get_batch_verified s [ "b"; "zz" ]);
+  Alcotest.(check int) "no verification failures" 0 (Session.failures s)
+
 let stop_cli_server pid =
   Unix.kill pid Sys.sigterm;
   match Unix.waitpid [] pid with
@@ -659,6 +743,9 @@ let suite =
     Alcotest.test_case "concurrent Applies: distinct heights, serial digest" `Quick
       test_concurrent_applies_distinct_heights;
     Alcotest.test_case "rollback detected by session sync" `Quick test_rollback_detected;
+    Alcotest.test_case "anchors verify while commits race" `Quick test_anchor_under_commits;
+    Alcotest.test_case "session re-anchors below the horizon" `Quick
+      test_session_reanchors_below_horizon;
     Alcotest.test_case "kill -9: durable acks survive restart" `Quick
       test_kill_durable_acks_survive;
     Alcotest.test_case "SIGTERM checkpoints the log" `Quick test_sigterm_checkpoints;
