@@ -1104,6 +1104,9 @@ let durability () =
                 let k = Keygen.key_of (Keygen.int rng keys) in
                 (k, Keygen.value_of ~version:u k))))
     done;
+    (* empty the minor heap first: the 384 commits leave megabytes there, and
+       promoting them is the commits' cost, not the checkpoint's *)
+    Gc.minor ();
     let (), ckpt_s = Runner.time (fun () -> Spitz.Db.checkpoint d) in
     let lock_ms = (Spitz.Db.checkpoint_stats d).Spitz.Db.max_lock_hold_s *. 1e3 in
     let live_objects = Spitz_storage.Object_store.object_count (Spitz.Db.store db) in

@@ -802,9 +802,6 @@ let check_compacted_reopen (tr : Trace.trace) =
   let key = Trace.key 0 in
   let got = Session.get_verified session key in
   (match (old_pin, Session.pin_height session) with
-   | Some _, Some pin when pin < 0 ->
-     (* pinned on an empty database: nothing to verify, every key absent *)
-     if got <> None then fail "session pinned at an empty journal read %s" (opt_str got)
    | Some old, Some pin ->
      if pin < old then fail "session read at pin %d, older than its pin %d" pin old;
      if pin < horizon then fail "session read at pin %d below the horizon %d" pin horizon;

@@ -104,12 +104,9 @@ let apply_write t ~height key value =
 (* [apply_write] of a put whose value a restored store already holds at
    [addr]: the cell is indexed without a put, so a reopen takes no second
    reference on the value. *)
-let restore_write t ~height key ~vhash addr =
-  let column, pk = cell_of_key t key in
-  if not (String.equal column catalog_column) then begin
-    let ukey = Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr in
-    if t.inverted <> None then index_value t ukey (Object_store.get_blob_exn t.store addr)
-  end
+let restore_write t ~height ~column ~pk ~vhash addr =
+  let ukey = Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr in
+  if t.inverted <> None then index_value t ukey (Object_store.get_blob_exn t.store addr)
 
 (* One block is one state transition: when a batch writes the same key more
    than once, the block's final state for that key is the last write (the
@@ -408,28 +405,32 @@ let audit t =
    Immutability means the store only grows (the paper's first challenge,
    section 3.1). Retention bounds it: every block body (the journal is the
    audit trail), the index instances from some height on, and every value
-   blob and chunk the cell store references are live; nothing else is
+   blob and chunk a block's put names are live; nothing else is
    needed to read, verify or reopen the database. [compact] sweeps the rest
    from memory, and a durable checkpoint writes only the live set. Verified
    reads pinned below the retained instances become unavailable; the full
    value history and the chain audit are untouched. *)
 
-let live_set t ~bodies ~roots ~values =
-  let live = Spitz_crypto.Hash.Table.create (List.length bodies + (2 * List.length values)) in
+(* The live set of a pinned state: its block bodies, the index instances at
+   [roots], the value of every put the bodies record, and every blob
+   descriptor with its chunks. Every put's value is a cell version (the
+   catalog's are inline in the index, so their entries name nothing
+   stored), and nothing is read but immutable objects by address, so the
+   mark needs no lock — only the pin of [bodies] and [roots] does. *)
+let live_set t ~bodies ~roots =
+  let live = Spitz_crypto.Hash.Table.create (16 * List.length bodies) in
   let visit h = Spitz_crypto.Hash.Table.replace live h () in
-  List.iter visit bodies;
+  List.iter
+    (fun body ->
+       visit body;
+       List.iter
+         (fun (e : Block.entry) ->
+            match e.op with Block.Insert | Block.Update -> visit e.value_hash | Block.Delete -> ())
+         (Block.decode (Object_store.get_exn t.store body)).Block.entries)
+    bodies;
   List.iter (fun root -> L.mark_instance t.ledger root visit) roots;
-  List.iter visit values;
-  Object_store.mark_blob_parts t.store live;
+  Object_store.mark_blobs t.store live;
   live
-
-(* The value addresses the cell store references. Cells change only under
-   [commit_lock], so a caller racing commits must hold it. *)
-let cell_values t =
-  let values = ref [] in
-  Cell_store.iter_cells t.cells (fun _ addr ->
-      if not (Spitz_crypto.Hash.is_null addr) then values := addr :: !values);
-  !values
 
 (* Keep the newest [keep_instances] index instances. Returns (objects
    deleted, bytes reclaimed). *)
@@ -440,7 +441,6 @@ let compact ?(keep_instances = 16) t =
   let live =
     live_set t ~bodies:(L.body_hashes t.ledger)
       ~roots:(List.init (n - from) (fun i -> (Journal.header journal (from + i)).Block.index_root))
-      ~values:(cell_values t)
   in
   let before = (Object_store.stats t.store).Object_store.physical_bytes in
   let deleted = Object_store.sweep t.store ~live in
@@ -548,10 +548,17 @@ let rebuild ?pool ~store ~column ~with_inverted bodies =
       (fun (e : Block.entry) ->
          match e.op with
          | Block.Delete -> apply_write t ~height e.key None
-         | Block.Insert | Block.Update ->
-           Option.iter
-             (restore_write t ~height e.key ~vhash:e.value_hash)
-             (address e.value_hash))
+         | Block.Insert | Block.Update -> (
+           let column, pk = cell_of_key t e.key in
+           if not (String.equal column catalog_column) then
+             match address e.value_hash with
+             | Some addr -> restore_write t ~height ~column ~pk ~vhash:e.value_hash addr
+             | None ->
+               (* every cell value is in the live set a snapshot keeps, so
+                  a missing one is damage, never retention *)
+               raise
+                 (Corrupt
+                    (Printf.sprintf "block %d: the value of %S is not in the store" height e.key))))
       (last_write_per_key (fun (e : Block.entry) -> e.key) (Journal.block journal height).entries)
   done;
   t
@@ -784,17 +791,17 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
 
 (* Checkpoint = claim, mark, then persist.
 
-   Under the commit lock (about 2 ms for 22,528 cells, half of it the cell
-   walk, on a 2-vCPU Xeon; DESIGN.md, Durability): pin the
-   journal's block-address list, the head index root and the cell store's
-   value addresses, and rotate the WAL. That pairs the pinned state with the
-   sealed segments exactly — every record in them has height below the pin,
-   every commit after the lock releases lands in the fresh segment at or
-   above it.
+   Under the commit lock (about 1.2 ms on a 2-vCPU Xeon, independent of
+   history; DESIGN.md, Durability): pin the journal's block-address list
+   and the head index root, and rotate the WAL. That pairs the pinned
+   state with the sealed segments exactly — every record in them has
+   height below the pin, every commit after the lock releases lands in the
+   fresh segment at or above it.
 
    Outside the lock (the long part): mark the live set of the pinned state
-   — every body, the head instance's nodes, every cell value and its chunks
-   — then write the snapshot of just those objects (atomic temp+rename
+   — every body, the head instance's nodes, the value of every put the
+   bodies record, every blob descriptor and its chunks — then write the
+   snapshot of just those objects (atomic temp+rename
    inside [save_with_bodies]), fsync the directory so the rename survives
    power loss, then retire the sealed segments their records now being
    snapshot-covered. Older index instances are not written: a reopen needs
@@ -807,7 +814,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
 let checkpoint_locked ?(auto = false) d =
   let db = d.db in
   match
-    let bodies, roots, values =
+    let bodies, roots =
       Mutex.lock db.commit_lock;
       let locked_at = Unix.gettimeofday () in
       Fun.protect
@@ -820,12 +827,11 @@ let checkpoint_locked ?(auto = false) d =
            Fault.hit "checkpoint.begin";
            let bodies = L.body_hashes db.ledger in
            let roots = Option.to_list (Option.map L.snapshot_root (L.snapshot db.ledger)) in
-           let values = cell_values db in
            ignore (Wal.rotate d.wal);
            Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
-           (bodies, roots, values))
+           (bodies, roots))
     in
-    let live = live_set db ~bodies ~roots ~values in
+    let live = live_set db ~bodies ~roots in
     Fault.hit "checkpoint.after_mark";
     save_with_bodies ~live db bodies (snapshot_file d.dir);
     Atomic.set d.ckpt_height (List.length bodies);

@@ -266,7 +266,8 @@ val load : string -> t
 (** Reopen a saved database. Re-validates the hash chain and replays the
     journal through the same cell and index effects as {!commit} to rebuild
     the cell store and inverted index. Raises {!Corrupt} on a damaged or
-    foreign file. *)
+    foreign file, including one that lacks the value of a cell version a
+    block records. *)
 
 (** {1 Durability: snapshot + write-ahead log}
 
@@ -298,10 +299,9 @@ val load : string -> t
     so that a restart re-runs nothing.
 
     Checkpoints do not stop the world: {!checkpoint} holds the commit lock
-    only to pin the journal, the head index root and the cell store's value
-    addresses and to rotate the log to a fresh segment, then marks and
-    writes the snapshot and retires the sealed segments while commits
-    proceed.
+    only to pin the journal and the head index root and to rotate the log
+    to a fresh segment, then marks and writes the snapshot and retires the
+    sealed segments while commits proceed.
 
     What survives a restart: a checkpoint writes every block body, the
     head block's index instance and every value the cell store references
@@ -337,11 +337,13 @@ val durable_db : durable -> t
 
 val checkpoint : durable -> unit
 (** Fold the log into a new snapshot without stalling committers. Under
-    the commit lock (brief): pin the journal's block addresses, the head
-    index root and the cell values, and rotate the log to a fresh segment.
-    Outside it: mark the live set of the pinned state, write those objects
-    in {!save} format to a temp file, atomic rename, directory fsync, then
-    retire the sealed segments. Crash-safe at every step — a failure after the rename only
+    the commit lock (brief, and independent of history): pin the journal's
+    block addresses and the head index root, and rotate the log to a fresh
+    segment. Outside it: mark the live set of the pinned state (the bodies,
+    the head instance, the value of every put the bodies record and every
+    blob descriptor with its chunks), write those objects in {!save} format
+    to a temp file, atomic rename, directory fsync, then retire the sealed
+    segments. Crash-safe at every step — a failure after the rename only
     leaves redundant log records (skipped on replay); a failure during
     retirement leaves a suffix of snapshot-covered segments (equally
     skipped). Concurrent calls (including the background checkpointer) are

@@ -50,10 +50,10 @@ let read_digest r =
   let size = Wire.read_varint r in
   { root; size }
 
-(* Extend the chain with [block]; [stored] is its content address when the
-   body is already in the store (a reopen restoring its journal), so the
+(* Extend the chain with [block]; [body] is its content address when the
+   encoding is already in the store (a reopen restoring its journal), so the
    restore takes no reference the snapshot did not record. *)
-let link ?stored t (block : Block.t) =
+let append ?body t (block : Block.t) =
   let expected_prev = head_hash t in
   if not (Hash.equal block.header.prev_hash expected_prev) then
     invalid_arg "Journal.append: prev_hash does not extend the chain";
@@ -65,7 +65,7 @@ let link ?stored t (block : Block.t) =
   end;
   let buf = Wire.writer ~size:512 () in
   let body =
-    match stored with
+    match body with
     | Some body -> body
     | None ->
       Block.encode_into buf block;
@@ -76,10 +76,6 @@ let link ?stored t (block : Block.t) =
   Wire.clear buf;
   Block.encode_header buf block.header;
   ignore (Spitz_adt.Merkle.add_leaf_hash t.tree (Wire.leaf_digest buf))
-
-let append t block = link t block
-
-let append_stored t block ~body = link ~stored:body t block
 
 let header t height =
   if height < 0 || height >= t.length then invalid_arg "Journal.header: out of range";

@@ -30,14 +30,12 @@ val digest_at : t -> size:int -> digest
     so this is exactly what {!digest} returned when the chain was that
     long. Raises [Invalid_argument] when [size] is out of range. *)
 
-val append : t -> Block.t -> unit
+val append : ?body:Hash.t -> t -> Block.t -> unit
 (** Persist the block and extend the chain. Raises [Invalid_argument] if the
-    block does not link to the current head or has the wrong height. *)
-
-val append_stored : t -> Block.t -> body:Hash.t -> unit
-(** {!append} of a block whose encoding is already stored under [body]:
-    the chain is validated the same way, but nothing is put, so a reopen
-    leaves the restored store's reference counts as they were saved. *)
+    block does not link to the current head or has the wrong height. With
+    [body], the block's encoding is already stored under that address and
+    nothing is put, so a reopen leaves the restored store's reference counts
+    as they were saved. *)
 
 val header : t -> int -> Block.header
 val block : t -> int -> Block.t

@@ -602,7 +602,7 @@ module Make (Index : Siri.S) = struct
       (fun body ->
          let block = Block.decode (Object_store.get_exn store body) in
          let height = Journal.length t.journal in
-         Journal.append_stored t.journal block ~body;
+         Journal.append ~body t.journal block;
          let index = Index.at_root store block.Block.header.Block.index_root ~count:0 in
          if height >= Array.length t.instances then begin
            let bigger = Array.make (2 * Array.length t.instances) index in

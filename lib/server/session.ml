@@ -105,9 +105,11 @@ let sync t =
   | _ -> protocol_error "Anchor"
 
 (* Pin a digest we can serve verified reads at; [None] only when the server
-   has never committed (nothing to verify — every key is vacuously absent). *)
+   has never committed (nothing to verify — every key is vacuously absent).
+   An empty pin syncs again on every read, so a session that first met an
+   empty server reads what the server committed since. *)
 let reading_pin t =
-  (match digest t with None -> sync t | Some _ -> ());
+  (match digest t with Some d when d.size > 0 -> () | _ -> sync t);
   match digest t with
   | Some d when d.size > 0 -> Some d
   | _ -> None

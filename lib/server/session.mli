@@ -52,7 +52,7 @@ val pin_height : t -> int option
 val sync : t -> unit
 (** Fetch the server's digest with a consistency proof from the current
     pin and advance the pin. Called implicitly by writes (read-your-writes)
-    and by the first verified read. *)
+    and by a verified read while the pin is absent or empty (size 0). *)
 
 (** {1 Writes} — all idempotent [Apply] batches *)
 

@@ -253,22 +253,27 @@ let blob_parts t h =
   | None -> []
   | Some data -> Option.value ~default:[] (decode_descriptor data)
 
-(* Close a live set over blob descriptors: add the chunks of every live
-   descriptor. One pass per shard under that shard's lock — cheaper than a
-   [blob_parts] lookup per live value, since descriptors are rare. *)
-let mark_blob_parts t live =
+(* Add every blob descriptor in the store to a live set, with its chunks.
+   A value's block entry records its content hash, which is the address of
+   a raw value but not of a chunked one's descriptor; every chunked value
+   is live, so keeping every descriptor keeps each one without finding it
+   by content. One pass per shard under that shard's lock; descriptors are
+   rare. *)
+let mark_blobs t live =
   Array.iter
     (fun s ->
-       let parts =
+       let blobs =
          with_shard s (fun () ->
              Hash.Table.fold
                (fun h data acc ->
-                  if looks_like_descriptor data && Hash.Table.mem live h then
-                    match decode_descriptor data with Some ps -> ps :: acc | None -> acc
-                  else acc)
+                  match decode_descriptor data with Some ps -> (h, ps) :: acc | None -> acc)
                s.objects [])
        in
-       List.iter (List.iter (fun p -> Hash.Table.replace live p ())) parts)
+       List.iter
+         (fun (h, ps) ->
+            Hash.Table.replace live h ();
+            List.iter (fun p -> Hash.Table.replace live p ()) ps)
+         blobs)
     t.shards
 
 (* Mark-and-sweep compaction: delete every object not in [live]. Byte gauges

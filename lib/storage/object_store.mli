@@ -94,9 +94,9 @@ val fold : t -> (Hash.t -> string -> int -> 'a -> 'a) -> 'a -> 'a
 val blob_parts : t -> Hash.t -> Hash.t list
 (** Chunk addresses referenced by a blob descriptor ([[]] for raw values). *)
 
-val mark_blob_parts : t -> unit Hash.Table.t -> unit
-(** Add to a live set the chunk addresses of every blob descriptor in it,
-    so a marked value keeps its chunks. *)
+val mark_blobs : t -> unit Hash.Table.t -> unit
+(** Add to a live set every blob descriptor in the store and the chunk
+    addresses it references, so every chunked value stays readable. *)
 
 val sweep : t -> live:unit Hash.Table.t -> int
 (** Mark-and-sweep compaction: delete every object whose address is not in

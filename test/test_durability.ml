@@ -376,10 +376,10 @@ let test_release_shared_chunks_survive () =
 
 (* --- snapshot corruption: truncation at every offset, bit flips --- *)
 
+let small_keys = List.init 5 (Printf.sprintf "k%d")
+
 let small_writes db =
-  for i = 0 to 4 do
-    ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "value-%d" i))
-  done
+  List.iteri (fun i key -> ignore (Db.put db key (Printf.sprintf "value-%d" i))) small_keys
 
 let small_db () =
   let db = Db.open_db () in
@@ -427,12 +427,13 @@ let load_bitflip_no_silent_corruption write () =
         Sys.remove path;
         Sys.remove flipped)
     (fun () ->
-       let digest = Db.digest (small_db ()) in
+       let live = small_db () in
+       let histories db = List.map (Db.history db) small_keys in
        write path;
        let total = Fault.file_size path in
        (* a flipped bit must either surface as Corrupt or leave the loaded
           database bit-identical (flips in refcount metadata) — never a
-          silently different ledger and never a foreign exception *)
+          silently different ledger or cell, never a foreign exception *)
        let step = max 1 (total / 200) in
        let off = ref 0 in
        while !off < total do
@@ -446,11 +447,39 @@ let load_bitflip_no_silent_corruption write () =
             Alcotest.(check bool)
               (Printf.sprintf "flip at %d: digest intact" !off)
               true
-              (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
+              (Spitz_crypto.Hash.equal (Db.digest live).Spitz_ledger.Journal.root
                  (Db.digest db').Spitz_ledger.Journal.root
-               && Db.audit db'));
+               && Db.audit db');
+            Alcotest.(check (list (list (pair int string))))
+              (Printf.sprintf "flip at %d: histories intact" !off)
+              (histories live) (histories db'));
          off := !off + step
        done)
+
+(* A value blob is one object record: its length, its bytes, its refcount.
+   A flipped bit inside the bytes re-hashes to an address no block entry
+   names, so the value is gone from the store: the load must fail, not
+   reopen with the cell silently missing. *)
+let load_value_flip_is_corrupt write () =
+  let path = temp_file () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       write path;
+       let ic = open_in_bin path in
+       let bytes = really_input_string ic (in_channel_length ic) in
+       close_in ic;
+       let record = "\007value-2" in
+       let rec find i =
+         if i + String.length record > String.length bytes then
+           Alcotest.fail "value-2's object record not found"
+         else if String.sub bytes i (String.length record) = record then i
+         else find (i + 1)
+       in
+       Fault.flip_bit path ~byte:(find 0 + 3) ~bit:0;
+       match Db.load path with
+       | exception Db.Corrupt _ -> ()
+       | _ -> Alcotest.fail "a damaged value blob loaded without Corrupt")
 
 let test_load_truncation_every_offset = load_truncation_every_offset save_small
 let test_load_bitflip_no_silent_corruption = load_bitflip_no_silent_corruption save_small
@@ -459,6 +488,9 @@ let test_compacted_truncation_every_offset = load_truncation_every_offset checkp
 
 let test_compacted_bitflip_no_silent_corruption =
   load_bitflip_no_silent_corruption checkpoint_small
+
+let test_load_value_flip_is_corrupt = load_value_flip_is_corrupt save_small
+let test_compacted_value_flip_is_corrupt = load_value_flip_is_corrupt checkpoint_small
 
 (* A checkpoint's snapshot holds only the head block's index instance: it
    is smaller than a full save of the same blocks, and it loads with the
@@ -1735,6 +1767,9 @@ let suite =
       test_compacted_truncation_every_offset;
     Alcotest.test_case "compacted snapshot: bit flips never corrupt silently" `Quick
       test_compacted_bitflip_no_silent_corruption;
+    Alcotest.test_case "load: a damaged value blob is Corrupt" `Quick test_load_value_flip_is_corrupt;
+    Alcotest.test_case "compacted snapshot: a damaged value blob is Corrupt" `Quick
+      test_compacted_value_flip_is_corrupt;
     Alcotest.test_case "compacted snapshot loads like a full save" `Quick
       test_compacted_snapshot_loads;
     Alcotest.test_case "durable roundtrip (log only)" `Quick test_durable_basic_roundtrip;

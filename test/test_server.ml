@@ -70,6 +70,28 @@ let test_session_roundtrip () =
   Alcotest.(check bool) "requests counted" true (stats.Server.requests > 5);
   Alcotest.(check int) "nothing malformed" 0 stats.Server.malformed
 
+(* A session that first synced against an empty server holds a size-0 pin.
+   Its verified reads must sync again rather than answer "absent" at that
+   pin while the server has committed since. *)
+let test_empty_pin_resyncs () =
+  with_server @@ fun db server ->
+  with_session server @@ fun reader ->
+  Session.sync reader;
+  Alcotest.(check (option int)) "pinned at the empty journal" (Some (-1))
+    (Session.pin_height reader);
+  with_session server (fun writer ->
+      ignore (Session.put_batch writer [ ("alice", "engineer"); ("bob", "artist") ]));
+  Alcotest.(check (option string)) "verified get" (Some "engineer")
+    (Session.get_verified reader "alice");
+  Alcotest.(check (option int)) "pin moved to the head" (Some 0) (Session.pin_height reader);
+  Alcotest.(check (list (pair string string))) "verified range"
+    [ ("alice", "engineer"); ("bob", "artist") ]
+    (Session.range_verified reader ~lo:"a" ~hi:"z");
+  Alcotest.(check (list (option string))) "verified batch" [ Some "artist" ]
+    (Session.get_batch_verified reader [ "bob" ]);
+  Alcotest.(check bool) "pin = server digest" true (Session.digest reader = Some (Db.digest db));
+  Alcotest.(check int) "no verification failures" 0 (Session.failures reader)
+
 let test_pipelined_requests () =
   with_server @@ fun _db server ->
   let fd = raw_connect server in
@@ -723,6 +745,7 @@ let test_concurrent_applies_distinct_heights () =
 let suite =
   [
     Alcotest.test_case "session roundtrip over loopback" `Quick test_session_roundtrip;
+    Alcotest.test_case "empty pin syncs again for a verified read" `Quick test_empty_pin_resyncs;
     Alcotest.test_case "pipelined requests served in order" `Quick test_pipelined_requests;
     Alcotest.test_case "mid-frame disconnect" `Quick test_mid_frame_disconnect;
     Alcotest.test_case "slowloris byte-at-a-time frames" `Quick test_slowloris_frames;
