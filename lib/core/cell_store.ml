@@ -137,7 +137,3 @@ let range_latest_values t ~column ~pk_lo ~pk_hi =
     (List.rev !out)
 
 let cell_count t = Spitz_index.Bptree.cardinal t.index
-
-(* Every (encoded universal key, value address) pair — compaction marks the
-   referenced value blobs live through this. *)
-let iter_cells t f = Spitz_index.Bptree.iter t.index f

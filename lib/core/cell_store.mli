@@ -51,6 +51,3 @@ val range_latest_values : t -> column:string -> pk_lo:string -> pk_hi:string -> 
 
 val cell_count : t -> int
 (** Total stored cell versions. *)
-
-val iter_cells : t -> (string -> Spitz_crypto.Hash.t -> unit) -> unit
-(** Every (encoded universal key, value address) pair. *)
