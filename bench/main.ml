@@ -1,2187 +1,70 @@
-(* Benchmark harness: regenerates every figure of the paper's evaluation
-   (section 6) plus the ablations called out in DESIGN.md.
-
-     fig1         storage vs #versions, with and without deduplication
-     fig6a, fig6b basic read / write throughput, 5 systems
-     fig7         range queries at 0.1% selectivity
-     fig8a, fig8b non-intrusive design vs Spitz, read / write
-     siri         SIRI-family ablation (POS-tree / MPT / MBT / Merkle B+)
-     verify       batched verification: one-at-a-time vs one proof per batch
-     verify-mode  online vs deferred verification (section 5.3)
-     cc           concurrency-control ablation (section 5.2)
-     pipeline     multicore commit pipeline: 1 domain vs N domains
-     durability   WAL commit throughput per fsync policy; recovery time
-     group-commit concurrent-committer sweep (1/2/4/8) per fsync policy,
-                  with p50/p95/p99 commit latency (also runs as part of
-                  the durability command)
-     checkpoint   commit p50/p95/p99 with background checkpoints (segmented
-                  WAL, Every_n_records policy) vs no checkpoints (also runs
-                  as part of the durability command)
-     read-scale   reader-domain sweep (1/2/4/8) over the lock-free snapshot
-                  read path, with 0 and 2 racing committers, p50/p95/p99
-                  read latency and node/proof cache hit rates
-     bechamel     Bechamel micro-benchmarks, one test per figure
-     all          everything above
-
-   Options: --scale N    divide the paper's record counts by N (default 4;
-                         use --scale 1 for the full 10k..1.28M sweep)
-            --ops N      operations measured per data point (default 10000)
-            --domains N  pool size for the pipeline bench (default: the
-                         machine's recommended domain count)
-            --out FILE   machine-readable results (default BENCH_results.json)
-
-   Throughputs are reported in 10^3 ops/s, the unit of the paper's y-axes.
-   All timings are wall-clock (Runner.now) — CPU time would sum over
-   domains and hide every multicore speedup.
-
-   Alongside the tables, every run appends its numbers to a JSON document
-   written to --out, so the perf trajectory is trackable across PRs. *)
+(* Benchmark harness: the paper's evaluation (section 6), the ablations in
+   DESIGN.md and the legs that gate the durable and served paths. [legs] is
+   the list of commands; the usage text and [all] are derived from it. *)
 
 open Spitz_workload
+open Harness
 
-let scale = ref 4
-let ops = ref 10_000
-let domains = ref 0 (* 0 = auto *)
-let out_file = ref "BENCH_results.json"
-let exit_code = ref 0
+type leg = { name : string; doc : string; run : unit -> unit; in_all : bool }
 
-let pool_size () = if !domains > 0 then !domains else Spitz_exec.Pool.default_size ()
+let leg ?(in_all = true) name doc run = { name; doc; run; in_all }
 
-(* ---------- helpers ---------- *)
+let legs =
+  [
+    leg "fig1" "storage vs #versions, with and without deduplication" Figures.fig1;
+    leg "fig6a" "point reads, 5 systems" Figures.fig6a;
+    leg "fig6b" "writes, 5 systems" Figures.fig6b;
+    leg "fig7" "range queries at 0.1% selectivity" Figures.fig7;
+    leg "fig8a" "non-intrusive design vs Spitz, reads" Figures.fig8a;
+    leg "fig8b" "non-intrusive design vs Spitz, writes" Figures.fig8b;
+    leg "siri" "SIRI-family ablation (POS-tree / MPT / MBT / Merkle B+)" Figures.siri;
+    leg "verify" "batched verification: one-at-a-time vs one proof per batch"
+      Figures.verify_bench;
+    leg "verify-mode" "online vs deferred verification (section 5.3)" Figures.verify_mode;
+    leg "cc" "concurrency-control ablation (section 5.2)" Figures.cc;
+    leg "pipeline" "multicore commit pipeline: 1 domain vs N domains" System.pipeline;
+    leg "durability" "WAL throughput per fsync policy, recovery; then group-commit, checkpoint"
+      (fun () ->
+        System.durability ();
+        System.group_commit ();
+        System.checkpoint ());
+    leg ~in_all:false "group-commit" "committer sweep (1/2/4/8) per fsync policy"
+      System.group_commit;
+    leg ~in_all:false "checkpoint" "commit latency with background checkpoints vs none"
+      System.checkpoint;
+    leg "read-scale" "reader-domain sweep (1/2/4/8) over pinned snapshots" System.read_scale;
+    leg "server" "TCP round trips over loopback, 1..8 connections" System.server;
+    leg "codec" "buffer-layer allocations per op" System.codec;
+    leg "bechamel" "Bechamel micro-benchmarks, one test per figure" Figures.bechamel;
+    leg ~in_all:false "fuzz" "adversarial proof/WAL/frame fuzz" System.fuzz;
+  ]
 
-let pr fmt = Printf.printf fmt
-
-(* JSON results, accumulated by every figure and dumped once at exit. *)
-module J = Spitz.Json
-
-let results : (string * J.t) list ref = ref []
-
-let add_result key v = results := (key, v) :: !results
-
-(* The table-printing figures also stream their rows into [results] under
-   the key set by [header ~key]. *)
-let cur_key = ref ""
-let cur_cols = ref []
-let cur_rows = ref []
-
-let flush_fig () =
-  if !cur_key <> "" then begin
-    add_result !cur_key (J.Arr (List.rev !cur_rows));
-    cur_key := "";
-    cur_rows := []
-  end
-
-let header ?(key = "") title cols =
-  flush_fig ();
-  cur_key := key;
-  cur_cols := cols;
-  pr "\n== %s ==\n" title;
-  flush stdout;
-  pr "%-10s" "#records";
-  List.iter (fun c -> pr "%14s" c) cols;
-  pr "\n"
-
-let row n cells =
-  pr "%-10d" n;
-  List.iter (fun v -> pr "%14.1f" v) cells;
-  pr "\n";
-  flush stdout;
-  if !cur_key <> "" then
-    cur_rows :=
-      J.Obj
-        (("records", J.Num (float_of_int n))
-         :: List.map2 (fun c v -> (c, J.Num v)) !cur_cols cells)
-      :: !cur_rows
-
-let keys_upto n = Array.init n Keygen.key_of
-
-let populate_spitz n =
-  let db = Spitz.Db.open_db () in
-  for i = 0 to n - 1 do
-    let k = Keygen.key_of i in
-    ignore (Spitz.Db.put db k (Keygen.value_of k))
-  done;
-  db
-
-let populate_kvs n =
-  let kv = Spitz_kvstore.Kv.create () in
-  for i = 0 to n - 1 do
-    let k = Keygen.key_of i in
-    ignore (Spitz_kvstore.Kv.put kv k (Keygen.value_of k))
-  done;
-  kv
-
-let populate_baseline n =
-  let b = Spitz_baseline.Baseline_db.create () in
-  for i = 0 to n - 1 do
-    let k = Keygen.key_of i in
-    ignore (Spitz_baseline.Baseline_db.put b k (Keygen.value_of k))
-  done;
-  b
-
-let populate_combined n =
-  let c = Spitz_nonintrusive.Combined.create () in
-  for i = 0 to n - 1 do
-    let k = Keygen.key_of i in
-    Spitz_nonintrusive.Combined.put c k (Keygen.value_of k)
-  done;
-  c
-
-(* ---------- Figure 1: storage vs versions ---------- *)
-
-let fig1 () =
-  pr "\n== Figure 1: wiki-page storage (KB) vs number of versions ==\n";
-  pr "%-10s%18s%18s%12s\n" "#versions" "naive (KB)" "dedup store (KB)" "ratio";
-  let wiki = Wiki.create () in
-  let store = Spitz_storage.Object_store.create () in
-  (* version 0: initial pages *)
-  List.iter (fun p -> ignore (Spitz_storage.Object_store.put_blob store p)) (Wiki.pages wiki);
-  let naive = ref (List.fold_left (fun a p -> a + String.length p) 0 (Wiki.pages wiki)) in
-  let json_rows = ref [] in
-  for v = 1 to 60 do
-    let _, page = Wiki.edit wiki in
-    naive := !naive + String.length page; (* a full snapshot of the edited page *)
-    ignore (Spitz_storage.Object_store.put_blob store page);
-    if v mod 10 = 0 then begin
-      let st = Spitz_storage.Object_store.stats store in
-      let physical = st.Spitz_storage.Object_store.physical_bytes in
-      pr "%-10d%18.1f%18.1f%12.2f\n" v
-        (float_of_int !naive /. 1024.)
-        (float_of_int physical /. 1024.)
-        (float_of_int !naive /. float_of_int physical);
-      json_rows :=
-        J.Obj
-          [
-            ("versions", J.Num (float_of_int v));
-            ("naive_bytes", J.Num (float_of_int !naive));
-            ("dedup_bytes", J.Num (float_of_int physical));
-            ("dedup_ratio", J.Num (float_of_int !naive /. float_of_int physical));
-          ]
-        :: !json_rows
-    end
-  done;
-  add_result "fig1" (J.Arr (List.rev !json_rows));
-  pr "(expected shape: naive grows at ~16 KB per version; the content-addressed\n";
-  pr " store grows at roughly the edit size, so the gap widens with versions)\n"
-
-(* ---------- Figure 6(a): read throughput ---------- *)
-
-let fig6a () =
-  header ~key:"fig6a" "Figure 6(a): point reads, single thread (10^3 ops/s)"
-    [ "kvs"; "spitz"; "spitz-vrf"; "baseline"; "base-vrf" ];
-  List.iter
-    (fun n ->
-       let keys = keys_upto n in
-       let rng = Keygen.rng (n + 1) in
-       let pick () = keys.(Keygen.int rng n) in
-       let kv = populate_kvs n in
-       let t_kvs =
-         Runner.time_ops ~ops:!ops (fun _ -> ignore (Spitz_kvstore.Kv.get kv (pick ())))
-       in
-       let db = populate_spitz n in
-       let t_spitz = Runner.time_ops ~ops:!ops (fun _ -> ignore (Spitz.Db.get db (pick ()))) in
-       let digest = Spitz.Db.digest db in
-       let t_spitz_v =
-         Runner.time_ops ~ops:(!ops / 2) (fun _ ->
-             let key = pick () in
-             let value, proof = Spitz.Db.get_verified db key in
-             assert (Spitz.Db.verify_read ~digest ~key ~value (Option.get proof)))
-       in
-       let b = populate_baseline n in
-       let t_base =
-         Runner.time_ops ~ops:!ops (fun _ -> ignore (Spitz_baseline.Baseline_db.get b (pick ())))
-       in
-       let bdigest = Spitz_baseline.Baseline_db.digest b in
-       let t_base_v =
-         Runner.time_ops ~ops:(!ops / 2) (fun _ ->
-             let key = pick () in
-             let value, proof = Spitz_baseline.Baseline_db.get_verified b key in
-             assert
-               (Spitz_baseline.Baseline_db.verify ~digest:bdigest ~key ~value:(Option.get value)
-                  (Option.get proof)))
-       in
-       row n (List.map Runner.kops [ t_kvs; t_spitz; t_spitz_v; t_base; t_base_v ]))
-    (Runner.record_counts ~scale:!scale ());
-  pr "(expected shape: kvs highest; spitz ~ baseline without verification;\n";
-  pr " spitz-vrf a small factor below spitz; base-vrf far below baseline and\n";
-  pr " several-fold below spitz-vrf)\n"
-
-(* ---------- Figure 6(b): write throughput ---------- *)
-
-let fig6b () =
-  header ~key:"fig6b" "Figure 6(b): writes, single thread (10^3 ops/s)"
-    [ "kvs"; "spitz"; "spitz-vrf"; "baseline"; "base-vrf" ];
-  List.iter
-    (fun n ->
-       let wops = min !ops (max 1000 (n / 2)) in
-       let kv = populate_kvs n in
-       let t_kvs =
-         Runner.time_ops ~ops:wops (fun i ->
-             let k = Keygen.key_of (n + i) in
-             ignore (Spitz_kvstore.Kv.put kv k (Keygen.value_of k)))
-       in
-       let db = populate_spitz n in
-       let t_spitz =
-         Runner.time_ops ~ops:wops (fun i ->
-             let k = Keygen.key_of (n + i) in
-             ignore (Spitz.Db.put db k (Keygen.value_of k)))
-       in
-       let db2 = populate_spitz n in
-       let t_spitz_v =
-         Runner.time_ops ~ops:(wops / 2) (fun i ->
-             let k = Keygen.key_of (n + i) in
-             let _, receipt = Spitz.Db.put_verified db2 k (Keygen.value_of k) in
-             assert (Spitz.Db.verify_write ~digest:(Spitz.Db.digest db2) receipt))
-       in
-       let b = populate_baseline n in
-       let t_base =
-         Runner.time_ops ~ops:wops (fun i ->
-             let k = Keygen.key_of (n + i) in
-             ignore (Spitz_baseline.Baseline_db.put b k (Keygen.value_of k)))
-       in
-       let b2 = populate_baseline n in
-       let t_base_v =
-         Runner.time_ops ~ops:(wops / 2) (fun i ->
-             let k = Keygen.key_of (n + i) in
-             ignore (Spitz_baseline.Baseline_db.put b2 k (Keygen.value_of k));
-             let value, proof = Spitz_baseline.Baseline_db.get_verified b2 k in
-             assert
-               (Spitz_baseline.Baseline_db.verify
-                  ~digest:(Spitz_baseline.Baseline_db.digest b2) ~key:k
-                  ~value:(Option.get value) (Option.get proof)))
-       in
-       row n (List.map Runner.kops [ t_kvs; t_spitz; t_spitz_v; t_base; t_base_v ]))
-    (Runner.record_counts ~scale:!scale ());
-  pr "(expected shape: spitz close to kvs with and without verification;\n";
-  pr " baseline below both, paying the separate ledger plus multiple views)\n"
-
-(* ---------- Figure 7: range queries, 0.1%% selectivity ---------- *)
-
-let fig7 () =
-  header ~key:"fig7" "Figure 7: range queries, 0.1% selectivity (10^3 queries/s)"
-    [ "kvs"; "spitz"; "spitz-vrf"; "baseline"; "base-vrf" ];
-  List.iter
-    (fun n ->
-       let span = max 1 (n / 1000) in (* 0.1% selectivity *)
-       let qops = max 100 (min 2000 (!ops * 20 / span)) in
-       let rng = Keygen.rng (n + 2) in
-       let bounds () =
-         let lo = Keygen.int rng (max 1 (n - span)) in
-         Keygen.range_bounds ~lo ~hi:(lo + span - 1)
-       in
-       let kv = populate_kvs n in
-       let t_kvs =
-         Runner.time_ops ~ops:qops (fun _ ->
-             let lo, hi = bounds () in
-             ignore (Spitz_kvstore.Kv.range kv ~lo ~hi))
-       in
-       let db = populate_spitz n in
-       let t_spitz =
-         Runner.time_ops ~ops:qops (fun _ ->
-             let lo, hi = bounds () in
-             ignore (Spitz.Db.range db ~lo ~hi))
-       in
-       let digest = Spitz.Db.digest db in
-       let t_spitz_v =
-         Runner.time_ops ~ops:(max 50 (qops / 2)) (fun _ ->
-             let lo, hi = bounds () in
-             let entries, proof = Spitz.Db.range_verified db ~lo ~hi in
-             assert (Spitz.Db.verify_range ~digest ~lo ~hi ~entries (Option.get proof)))
-       in
-       let b = populate_baseline n in
-       let t_base =
-         Runner.time_ops ~ops:qops (fun _ ->
-             let lo, hi = bounds () in
-             ignore (Spitz_baseline.Baseline_db.range b ~lo ~hi))
-       in
-       let bdigest = Spitz_baseline.Baseline_db.digest b in
-       let t_base_v =
-         Runner.time_ops ~ops:(max 20 (qops / 10)) (fun _ ->
-             let lo, hi = bounds () in
-             let results, proofs = Spitz_baseline.Baseline_db.range_verified b ~lo ~hi in
-             assert (Spitz_baseline.Baseline_db.verify_range ~digest:bdigest results proofs))
-       in
-       row n (List.map Runner.kops [ t_kvs; t_spitz; t_spitz_v; t_base; t_base_v ]))
-    (Runner.record_counts ~scale:!scale ());
-  pr "(expected shape: throughput falls as n grows at fixed selectivity; with\n";
-  pr " verification enabled spitz leads base-vrf by 1-2 orders of magnitude,\n";
-  pr " because the baseline retrieves one ledger proof per resulting record)\n"
-
-(* ---------- Figure 8: non-intrusive design vs Spitz ---------- *)
-
-let fig8 ~write () =
-  header
-    ~key:(if write then "fig8b" else "fig8a")
-    (if write then "Figure 8(b): non-intrusive vs Spitz, writes (10^3 ops/s)"
-     else "Figure 8(a): non-intrusive vs Spitz, reads (10^3 ops/s)")
-    [ "spitz"; "spitz-vrf"; "non-intr"; "non-i-vrf" ];
-  List.iter
-    (fun n ->
-       let keys = keys_upto n in
-       let rng = Keygen.rng (n + 3) in
-       let pick () = keys.(Keygen.int rng n) in
-       let cells =
-         if write then begin
-           let wops = min !ops (max 1000 (n / 2)) in
-           let db = populate_spitz n in
-           let t_spitz =
-             Runner.time_ops ~ops:wops (fun i ->
-                 let k = Keygen.key_of (n + i) in
-                 ignore (Spitz.Db.put db k (Keygen.value_of k)))
-           in
-           let db2 = populate_spitz n in
-           let t_spitz_v =
-             Runner.time_ops ~ops:(wops / 2) (fun i ->
-                 let k = Keygen.key_of (n + i) in
-                 let _, receipt = Spitz.Db.put_verified db2 k (Keygen.value_of k) in
-                 assert (Spitz.Db.verify_write ~digest:(Spitz.Db.digest db2) receipt))
-           in
-           let c = populate_combined n in
-           let t_ni =
-             Runner.time_ops ~ops:wops (fun i ->
-                 let k = Keygen.key_of (n + i) in
-                 Spitz_nonintrusive.Combined.put c k (Keygen.value_of k))
-           in
-           let c2 = populate_combined n in
-           let t_ni_v =
-             Runner.time_ops ~ops:(wops / 2) (fun i ->
-                 let k = Keygen.key_of (n + i) in
-                 Spitz_nonintrusive.Combined.put c2 k (Keygen.value_of k);
-                 let value, proof = Spitz_nonintrusive.Combined.get_verified c2 k in
-                 assert
-                   (Spitz_nonintrusive.Combined.verify_read
-                      ~digest:(Spitz_nonintrusive.Combined.digest c2) ~key:k ~value
-                      (Option.get proof)))
-           in
-           [ t_spitz; t_spitz_v; t_ni; t_ni_v ]
-         end
-         else begin
-           let db = populate_spitz n in
-           let t_spitz = Runner.time_ops ~ops:!ops (fun _ -> ignore (Spitz.Db.get db (pick ()))) in
-           let digest = Spitz.Db.digest db in
-           let t_spitz_v =
-             Runner.time_ops ~ops:(!ops / 2) (fun _ ->
-                 let key = pick () in
-                 let value, proof = Spitz.Db.get_verified db key in
-                 assert (Spitz.Db.verify_read ~digest ~key ~value (Option.get proof)))
-           in
-           let c = populate_combined n in
-           let t_ni =
-             Runner.time_ops ~ops:!ops (fun _ ->
-                 ignore (Spitz_nonintrusive.Combined.get c (pick ())))
-           in
-           let cdigest = Spitz_nonintrusive.Combined.digest c in
-           let t_ni_v =
-             Runner.time_ops ~ops:(!ops / 2) (fun _ ->
-                 let key = pick () in
-                 let value, proof = Spitz_nonintrusive.Combined.get_verified c key in
-                 assert
-                   (Spitz_nonintrusive.Combined.verify_read ~digest:cdigest ~key ~value
-                      (Option.get proof)))
-           in
-           [ t_spitz; t_spitz_v; t_ni; t_ni_v ]
-         end
-       in
-       row n (List.map Runner.kops cells))
-    (Runner.record_counts ~scale:!scale ());
-  pr "(expected shape: spitz above the non-intrusive design in all settings;\n";
-  pr " the gap is largest with verification on, where the non-intrusive path\n";
-  pr " crosses two systems per request)\n"
-
-(* ---------- SIRI ablation ---------- *)
-
-let siri () =
-  let n = max 2000 (50_000 / !scale) in
-  let updates = 1000 in
-  pr "\n== SIRI ablation: %d records, %d updates ==\n" n updates;
-  pr "%-14s%12s%12s%12s%14s%14s%14s%14s%12s\n" "index" "build(s)" "get k/s" "vrf k/s"
-    "proof(B)" "range-p(B)" "upd-bytes" "upd16-bytes" "invariant";
-  let json_rows = ref [] in
-  let bench (module S : Spitz_adt.Siri.S) =
-    let store = Spitz_storage.Object_store.create () in
-    let t = ref (S.create store) in
-    let (), build =
-      Runner.time (fun () ->
-          for i = 0 to n - 1 do
-            let k = Keygen.key_of i in
-            t := S.insert !t k (Keygen.value_of k)
-          done)
-    in
-    let rng = Keygen.rng 11 in
-    let pick () = Keygen.key_of (Keygen.int rng n) in
-    let t_get = Runner.time_ops ~ops:20_000 (fun _ -> ignore (S.get !t (pick ()))) in
-    let digest = S.root_digest !t in
-    let t_vrf =
-      Runner.time_ops ~ops:5_000 (fun _ ->
-          let key = pick () in
-          let value, proof = S.get_with_proof !t key in
-          assert (S.verify_get ~digest ~key ~value proof))
-    in
-    let _, p = S.get_with_proof !t (pick ()) in
-    let lo, hi = Keygen.range_bounds ~lo:(n / 2) ~hi:((n / 2) + (n / 100)) in
-    let _, rp = S.range_with_proof !t ~lo ~hi in
-    (* bytes newly stored per update: node sharing across versions *)
-    let before = (Spitz_storage.Object_store.stats store).Spitz_storage.Object_store.physical_bytes in
-    for i = 0 to updates - 1 do
-      let k = Keygen.key_of (Keygen.int rng n) in
-      t := S.insert !t k (Keygen.value_of ~version:(i + 1) k)
-    done;
-    let after = (Spitz_storage.Object_store.stats store).Spitz_storage.Object_store.physical_bytes in
-    (* the same updates arriving as 16-key blocks, one [insert_batch] each —
-       the ledger's commit shape: per-key cost once every touched node is
-       stored once per block *)
-    let block = 16 in
-    let blocks = updates / block in
-    for b = 0 to blocks - 1 do
-      t :=
-        S.insert_batch !t
-          (List.init block (fun j ->
-               let k = Keygen.key_of (Keygen.int rng n) in
-               (k, Keygen.value_of ~version:(updates + (b * block) + j + 1) k)))
-    done;
-    let after_batched =
-      (Spitz_storage.Object_store.stats store).Spitz_storage.Object_store.physical_bytes
-    in
-    let batched_per_update = (after_batched - after) / (blocks * block) in
-    (* structural invariance: does a different insertion order produce a
-       byte-identical structure? (the defining SIRI property POS-tree has
-       and insertion-order-dependent trees lack) *)
-    let invariant =
-      let m = min n 3000 in
-      let build order =
-        let s = Spitz_storage.Object_store.create () in
-        List.fold_left (fun t i -> S.insert t (Keygen.key_of i) (Keygen.value_of (Keygen.key_of i)))
-          (S.create s) order
-      in
-      let forward = List.init m Fun.id in
-      let backward = List.rev forward in
-      Spitz_crypto.Hash.equal
-        (S.root_digest (build forward))
-        (S.root_digest (build backward))
-    in
-    pr "%-14s%12.2f%12.1f%12.1f%14d%14d%14d%14d%12s\n" S.name build (Runner.kops t_get)
-      (Runner.kops t_vrf) (Spitz_adt.Siri.proof_size p) (Spitz_adt.Siri.proof_size rp)
-      ((after - before) / updates) batched_per_update (if invariant then "yes" else "no");
-    json_rows :=
-      J.Obj
-        [
-          ("index", J.Str S.name);
-          ("build_seconds", J.Num build);
-          ("get_kops", J.Num (Runner.kops t_get));
-          ("verify_kops", J.Num (Runner.kops t_vrf));
-          ("proof_bytes", J.Num (float_of_int (Spitz_adt.Siri.proof_size p)));
-          ("range_proof_bytes", J.Num (float_of_int (Spitz_adt.Siri.proof_size rp)));
-          ("bytes_per_update", J.Num (float_of_int ((after - before) / updates)));
-          ("bytes_per_update_block16", J.Num (float_of_int batched_per_update));
-          ("structurally_invariant", J.Bool invariant);
-        ]
-      :: !json_rows
-  in
-  bench (module Spitz_adt.Pos_tree);
-  bench (module Spitz_adt.Merkle_bptree);
-  bench (module Spitz_adt.Mpt);
-  bench (module Spitz_adt.Mbt);
-  add_result "siri" (J.Arr (List.rev !json_rows));
-  pr "(expected shape, per [59]: MBT has compact point proofs but whole-tree\n";
-  pr " range proofs; MPT and the Merkle B+-tree have small proofs; POS-tree\n";
-  pr " trades larger content-defined nodes for structural invariance — the\n";
-  pr " property that lets independent replicas deduplicate each other. MPT and\n";
-  pr " MBT are also structurally invariant; the B+-tree is insertion-order\n";
-  pr " dependent. upd16-bytes: the Merkle B+-tree stores each node a 16-key\n";
-  pr " block touches once, so it sits well below upd-bytes; the other indexes\n";
-  pr " apply a block key by key and stay near upd-bytes)\n"
-
-(* ---------- learned index (section 7.1 extension) ---------- *)
-
-let learned () =
-  let n = max 10_000 (200_000 / !scale) in
-  pr "\n== Learned index vs B+-tree vs binary search: %d keys ==\n" n;
-  pr "%-16s%14s%14s%14s\n" "index" "build(s)" "get k/s" "inner nodes";
-  let entries = List.init n (fun i -> (Keygen.key_of i, i)) in
-  let rng = Keygen.rng 77 in
-  let pick () = Keygen.key_of (Keygen.int rng n) in
-  (* learned *)
-  let li, li_build = Runner.time (fun () -> Spitz_index.Learned_index.build ~max_error:32 entries) in
-  let li_get = Runner.time_ops ~ops:200_000 (fun _ -> ignore (Spitz_index.Learned_index.get li (pick ()))) in
-  pr "%-16s%14.2f%14.1f%14d\n" "learned" li_build (Runner.kops li_get)
-    (Spitz_index.Learned_index.segments li);
-  (* b+-tree *)
-  let bt = Spitz_index.Bptree.create () in
-  let (), bt_build =
-    Runner.time (fun () -> List.iter (fun (k, v) -> Spitz_index.Bptree.insert bt k v) entries)
-  in
-  let bt_get = Runner.time_ops ~ops:200_000 (fun _ -> ignore (Spitz_index.Bptree.get bt (pick ()))) in
-  pr "%-16s%14.2f%14.1f%14s\n" "b+-tree" bt_build (Runner.kops bt_get) "-";
-  (* plain binary search over the sorted array *)
-  let keys = Array.of_list (List.map fst entries) in
-  let bin_get =
-    Runner.time_ops ~ops:200_000 (fun _ ->
-        let key = pick () in
-        let lo = ref 0 and hi = ref (Array.length keys) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if String.compare keys.(mid) key <= 0 then lo := mid else hi := mid
-        done;
-        ignore !lo)
-  in
-  pr "%-16s%14s%14.1f%14s\n" "binary-search" "-" (Runner.kops bin_get) "-";
-  add_result "learned"
-    (J.Obj
-       [
-         ("keys", J.Num (float_of_int n));
-         ("learned_build_seconds", J.Num li_build);
-         ("learned_get_kops", J.Num (Runner.kops li_get));
-         ("learned_segments", J.Num (float_of_int (Spitz_index.Learned_index.segments li)));
-         ("bptree_build_seconds", J.Num bt_build);
-         ("bptree_get_kops", J.Num (Runner.kops bt_get));
-         ("binary_search_get_kops", J.Num (Runner.kops bin_get));
-       ]);
-  pr "(section 7.1 extension: on this sorted, learnable key distribution the\n";
-  pr " model replaces the tree's inner levels with a handful of line segments;\n";
-  pr " the win over binary search comes from skipping the first ~log2(n/err)\n";
-  pr " probes)\n"
-
-(* ---------- online vs deferred verification ---------- *)
-
-let verify_mode () =
-  let n = max 2000 (20_000 / !scale) in
-  pr "\n== Verification timing: online vs deferred (section 5.3) ==\n";
-  pr "%-18s%16s\n" "mode" "writes k/s";
-  let module V = Spitz_ledger.Verifier.Default in
-  let sync_client db client =
-    let digest = Spitz.Db.digest db in
-    (match V.digest client with
-     | Some old ->
-       ignore
-         (V.sync client ~digest
-            ~consistency:(Spitz.Db.consistency db ~old_size:old.Spitz_ledger.Journal.size))
-     | None -> ignore (V.sync client ~digest ~consistency:[]))
-  in
-  (* Online: every write commits only after its receipt verifies — digest
-     sync, receipt fetch, and verification all sit on the write path. *)
-  let run_online () =
-    let db = Spitz.Db.open_db () in
-    let client = V.create ~mode:V.Online () in
-    let thr =
-      Runner.time_ops ~ops:n (fun i ->
-          let k = Keygen.key_of i in
-          let _, receipt = Spitz.Db.put_verified db k (Keygen.value_of k) in
-          sync_client db client;
-          assert (V.submit_write client receipt = Some true))
-    in
-    assert (V.failures client = 0);
-    thr
-  in
-  (* Deferred: writes commit immediately; every [batch] writes the client
-     syncs its digest once, fetches that block span's receipts, and verifies
-     them together. *)
-  let run_deferred batch =
-    let db = Spitz.Db.open_db () in
-    let client = V.create ~mode:(V.Deferred batch) () in
-    let heights = ref [] in
-    let thr =
-      Runner.time_ops ~ops:n (fun i ->
-          let k = Keygen.key_of i in
-          heights := Spitz.Db.put db k (Keygen.value_of k) :: !heights;
-          if (i + 1) mod batch = 0 then begin
-            sync_client db client;
-            List.iter
-              (fun h ->
-                 List.iter
-                   (fun r -> ignore (V.submit_write client r))
-                   (Spitz.Db.L.write_receipts (Spitz.Db.ledger db) ~height:h))
-              !heights;
-            heights := []
-          end)
-    in
-    sync_client db client;
-    List.iter
-      (fun h ->
-         List.iter
-           (fun r -> ignore (V.submit_write client r))
-           (Spitz.Db.L.write_receipts (Spitz.Db.ledger db) ~height:h))
-      !heights;
-    ignore (V.flush client);
-    assert (V.failures client = 0);
-    thr
-  in
-  let online = Runner.kops (run_online ()) in
-  let deferred = Runner.kops (run_deferred 100) in
-  pr "%-18s%16.1f\n" "online" online;
-  pr "%-18s%16.1f\n" "deferred(100)" deferred;
-  add_result "verify_mode"
-    (J.Obj
-       [
-         ("writes", J.Num (float_of_int n));
-         ("online_kops", J.Num online);
-         ("deferred_100_kops", J.Num deferred);
-       ]);
-  pr "(expected shape: deferred batching verifies the same receipts at higher\n";
-  pr " write throughput by taking per-write digest syncs and verification off\n";
-  pr " the commit path)\n"
-
-(* ---------- batched verification ---------- *)
-
-(* One-at-a-time vs batched vs batched+parallel verification of the same
-   reads. Server-side proof generation happens outside the timers; what is
-   measured is the client: per-key proofs pay one journal-inclusion check and
-   one proof-index build (every node hashed) per key, the batched proof pays
-   them once per batch. Accept/reject decisions are asserted identical across
-   all three modes, including under tampering. *)
-let verify_bench () =
-  let n = max 2000 (20_000 / !scale) in
-  let batch = 64 in
-  let batches = max 4 (min 64 (!ops / batch)) in
-  pr "\n== Batched verification: %d batches of %d reads over %d records ==\n"
-    batches batch n;
-  let module L = Spitz.Db.L in
-  let module Pool = Spitz_exec.Pool in
-  let db = populate_spitz n in
-  let digest = Spitz.Db.digest db in
-  let rng = Keygen.rng 42 in
-  (* distinct keys per batch; every 16th key is absent, exercising the
-     absence path of both verifiers *)
-  let make_batch b =
-    List.init batch (fun j ->
-        if j mod 16 = 15 then Keygen.key_of (n + (b * batch) + j)
-        else Keygen.key_of (Keygen.int rng n))
-  in
-  let key_sets = List.init batches make_batch in
-  let per_key =
-    List.map
-      (fun keys ->
-         List.map
-           (fun key ->
-              let value, proof = Spitz.Db.get_verified db key in
-              (key, value, Option.get proof))
-           keys)
-      key_sets
-  in
-  let batched =
-    List.map
-      (fun keys ->
-         let values, proof = Spitz.Db.get_batch_verified db keys in
-         (List.combine keys values, Option.get proof))
-      key_sets
-  in
-  (* per-key and batched reads must return the same values *)
-  List.iter2
-    (fun pk (items, _) ->
-       List.iter2 (fun (_, v, _) (_, v') -> assert (v = v')) pk items)
-    per_key batched;
-  (* decisions must be identical across modes, accept and reject alike *)
-  let one_decision pk =
-    List.for_all (fun (key, value, proof) -> Spitz.Db.verify_read ~digest ~key ~value proof) pk
-  in
-  let batch_decision (items, proof) = Spitz.Db.verify_batch_read ~digest ~items proof in
-  List.iter2
-    (fun pk b ->
-       let d = batch_decision b in
-       assert (one_decision pk = d);
-       assert d)
-    per_key batched;
-  (* a tampered claim must be rejected by every mode *)
-  (match (per_key, batched) with
-   | pk :: _, (items, bproof) :: _ ->
-     let k0, v0, p0 = List.hd pk in
-     let forged = Some (match v0 with Some v -> v ^ "!" | None -> "bogus") in
-     assert (not (Spitz.Db.verify_read ~digest ~key:k0 ~value:forged p0));
-     let forged_items = (k0, forged) :: List.tl items in
-     assert (not (Spitz.Db.verify_batch_read ~digest ~items:forged_items bproof))
-   | _ -> assert false);
-  (* wire bytes: [batch] per-key envelopes vs one batched envelope *)
-  let per_key_bytes =
-    List.fold_left
-      (fun acc pk ->
-         acc
-         + List.fold_left (fun a (_, _, p) -> a + String.length (L.encode_read_proof p)) 0 pk)
-      0 per_key
-  in
-  let batch_bytes =
-    List.fold_left (fun acc (_, p) -> acc + String.length (L.encode_batch_proof p)) 0 batched
-  in
-  assert (batch_bytes < per_key_bytes);
-  (* timings: keys verified per second, same pre-generated proofs *)
-  let keys_total = batches * batch in
-  let per_key_arr = Array.of_list per_key in
-  let batched_arr = Array.of_list batched in
-  let rounds = max 1 (2000 / keys_total) in
-  let time_mode f =
-    let (), seconds =
-      Runner.time (fun () ->
-          for _ = 1 to rounds do
-            f ()
-          done)
-    in
-    float_of_int (rounds * keys_total) /. seconds
-  in
-  let t_one =
-    time_mode (fun () -> Array.iter (fun pk -> assert (one_decision pk)) per_key_arr)
-  in
-  let t_batch =
-    time_mode (fun () -> Array.iter (fun b -> assert (batch_decision b)) batched_arr)
-  in
-  let pool = Pool.create (pool_size ()) in
-  let batched_list = Array.to_list batched_arr in
-  let t_par =
-    time_mode (fun () ->
-        let decisions = Pool.map_list pool batch_decision batched_list in
-        assert (List.for_all Fun.id decisions))
-  in
-  Pool.shutdown pool;
-  let speedup = t_batch /. t_one in
-  pr "%-24s%16s%14s\n" "mode" "verify k/s" "speedup";
-  pr "%-24s%16.1f%14s\n" "one-at-a-time" (Runner.kops t_one) "1.00";
-  pr "%-24s%16.1f%14.2f\n" "batched" (Runner.kops t_batch) speedup;
-  pr "%-24s%16.1f%14.2f\n" (Printf.sprintf "batched+pool(%d)" (pool_size ()))
-    (Runner.kops t_par) (t_par /. t_one);
-  pr "proof bytes: %d per-key vs %d batched (%.1fx smaller)\n" per_key_bytes batch_bytes
-    (float_of_int per_key_bytes /. float_of_int batch_bytes);
-  add_result "verify"
-    (J.Obj
-       [
-         ("records", J.Num (float_of_int n));
-         ("batch", J.Num (float_of_int batch));
-         ("batches", J.Num (float_of_int batches));
-         ("one_at_a_time_kops", J.Num (Runner.kops t_one));
-         ("batched_kops", J.Num (Runner.kops t_batch));
-         ("batched_parallel_kops", J.Num (Runner.kops t_par));
-         ("batched_speedup", J.Num speedup);
-         ("parallel_speedup", J.Num (t_par /. t_one));
-         ("per_key_proof_bytes", J.Num (float_of_int per_key_bytes));
-         ("batched_proof_bytes", J.Num (float_of_int batch_bytes));
-         ("proof_bytes_ratio",
-          J.Num (float_of_int per_key_bytes /. float_of_int batch_bytes));
-         ("decisions_equal", J.Bool true);
-       ]);
-  pr "(expected shape: batched verification several-fold above one-at-a-time —\n";
-  pr " one journal anchor and one proof-index build per batch instead of per\n";
-  pr " key — and the pool multiplies the batched mode further on multicore)\n"
-
-(* ---------- concurrency-control ablation ---------- *)
-
-let cc () =
-  pr "\n== Concurrency control under contention (section 5.2) ==\n";
-  pr "%-10s%-12s%12s%12s%12s%12s\n" "keys" "engine" "committed" "aborted" "waits" "ops";
-  let txns = 400 and ops_per = 8 in
-  List.iter
-    (fun keyspace ->
-       List.iter
-         (fun engine ->
-            let rng = Keygen.rng (keyspace * 7) in
-            let specs =
-              List.init txns (fun _ ->
-                  List.init ops_per (fun _ ->
-                      let k = Printf.sprintf "k%04d" (Keygen.pick rng (Keygen.Zipfian 0.9) keyspace) in
-                      if Keygen.int rng 2 = 0 then Spitz_txn.Scheduler.Read k
-                      else Spitz_txn.Scheduler.Rmw (k, fun v ->
-                          string_of_int (1 + (match v with Some s -> int_of_string s | None -> 0)))))
-            in
-            let store = Spitz_txn.Mvcc.create () in
-            let oracle = Spitz_txn.Timestamp.create () in
-            let stats = Spitz_txn.Scheduler.run ~engine ~store ~oracle specs in
-            pr "%-10d%-12s%12d%12d%12d%12d\n" keyspace
-              (Spitz_txn.Scheduler.engine_name engine)
-              stats.Spitz_txn.Scheduler.committed stats.Spitz_txn.Scheduler.aborted
-              stats.Spitz_txn.Scheduler.waits stats.Spitz_txn.Scheduler.ops)
-         [ Spitz_txn.Scheduler.Mvcc_to; Spitz_txn.Scheduler.Mvcc_occ; Spitz_txn.Scheduler.Two_pl ])
-    [ 16; 256; 4096 ];
-  pr "(expected shape: all engines commit everything; aborts and waits shrink\n";
-  pr " as the keyspace grows and contention falls; T/O aborts most under high\n";
-  pr " contention, 2PL trades aborts for waits)\n";
-  (* flexible isolation (section 3.3): a read-heavy workload under
-     serializable vs read-committed *)
-  pr "\n-- isolation levels, read-heavy workload on a hot keyspace (mvcc-occ) --\n";
-  pr "%-16s%12s%12s\n" "isolation" "committed" "aborted";
-  List.iter
-    (fun (label, isolation) ->
-       let rng = Keygen.rng 1234 in
-       let specs =
-         List.init txns (fun i ->
-             if i mod 10 = 0 then
-               [ Spitz_txn.Scheduler.Rmw
-                   ( Printf.sprintf "k%02d" (Keygen.int rng 16),
-                     fun v ->
-                       string_of_int
-                         (1 + match v with Some s -> int_of_string s | None -> 0) ) ]
-             else
-               List.init ops_per (fun _ ->
-                   Spitz_txn.Scheduler.Read (Printf.sprintf "k%02d" (Keygen.int rng 16))))
-       in
-       let store = Spitz_txn.Mvcc.create () in
-       let oracle = Spitz_txn.Timestamp.create () in
-       let stats =
-         Spitz_txn.Scheduler.run ~isolation ~engine:Spitz_txn.Scheduler.Mvcc_occ ~store ~oracle
-           specs
-       in
-       pr "%-16s%12d%12d\n" label stats.Spitz_txn.Scheduler.committed
-         stats.Spitz_txn.Scheduler.aborted)
-    [ ("serializable", Spitz_txn.Scheduler.Serializable);
-      ("read-committed", Spitz_txn.Scheduler.Read_committed) ];
-  pr "(expected shape: read-committed commits the same work with far fewer\n";
-  pr " aborts — the paper's argument for flexible isolation levels)\n"
-
-(* ---------- multicore commit pipeline ---------- *)
-
-(* ~1 KB values so the parallel hashing stages dominate the serial index
-   update (a document-store-shaped workload rather than the paper's 20-byte
-   values). *)
-let big_value k = String.concat "" (List.init 52 (fun v -> Keygen.value_of ~version:v k))
-
-let pipeline () =
-  let module Pool = Spitz_exec.Pool in
-  let module L = Spitz_ledger.Ledger.Default in
-  let module B = Spitz_baseline.Baseline_db in
-  let nd = pool_size () in
-  pr "\n== Multicore commit pipeline: 1 domain vs %d domains ==\n" nd;
-  pr "(recommended domain count on this machine: %d; ~1 KB values)\n"
-    (Domain.recommended_domain_count ());
-  pr "%-18s%14s%14s%10s%8s\n" "stage" "1-dom (s)" "n-dom (s)" "speedup" "equal";
-  let pool = Pool.create nd in
-  (* Wall-clock is noisy; best-of-[reps] per leg, result from the first run. *)
-  let timed_min ~reps f =
-    let r, t0 = Runner.time f in
-    let best = ref t0 in
-    for _ = 2 to reps do
-      let _, t = Runner.time f in
-      if t < !best then best := t
-    done;
-    (r, !best)
-  in
-  let leg name ~work ~seq ~par ~equal =
-    let r1, t1 = timed_min ~reps:2 seq in
-    let rn, tn = timed_min ~reps:2 par in
-    let ok = equal r1 rn in
-    let speedup = t1 /. tn in
-    pr "%-18s%14.3f%14.3f%10.2f%8s\n" name t1 tn speedup (if ok then "yes" else "NO");
-    flush stdout;
-    if not ok then failwith (name ^ ": parallel result diverged from sequential");
-    ( name,
-      J.Obj
-        [
-          ("work_items", J.Num (float_of_int work));
-          ("seconds_1", J.Num t1);
-          ("seconds_n", J.Num tn);
-          ("speedup", J.Num speedup);
-          ("kops_1", J.Num (float_of_int work /. t1 /. 1e3));
-          ("kops_n", J.Num (float_of_int work /. tn /. 1e3));
-          ("results_equal", J.Bool ok);
-        ] )
-  in
-  (* Leg 1: full Spitz commit pipeline. Value hashing and entry leaf hashing
-     run on the pool; the SIRI index update stays serial, so the journal
-     digest must be bit-identical at any pool size. *)
-  let batches = max 8 (64 / !scale) and batch_size = 256 in
-  let commit_writes b =
-    List.init batch_size (fun i ->
-        let k = Keygen.key_of ((b * batch_size) + i) in
-        Spitz_ledger.Ledger.Put (k, big_value k))
-  in
-  let commit_run pool =
-    let l = L.create ?pool (Spitz_storage.Object_store.create ()) in
-    for b = 0 to batches - 1 do
-      ignore (L.commit l (commit_writes b))
-    done;
-    L.digest l
-  in
-  let leg_commit =
-    leg "ledger-commit" ~work:(batches * batch_size)
-      ~seq:(fun () -> commit_run None)
-      ~par:(fun () -> commit_run (Some pool))
-      ~equal:( = )
-  in
-  (* Leg 2: baseline shadow rebuild — serial record collection, parallel leaf
-     hashing, serial Merkle assembly. *)
-  let nrec = max 1_000 (20_000 / !scale) in
-  let b =
-    let b = B.create () in
-    let chunk = 512 in
-    let rec fill i =
-      if i < nrec then begin
-        let sz = min chunk (nrec - i) in
-        ignore
-          (B.put_batch b
-             (List.init sz (fun j ->
-                  let k = Keygen.key_of (i + j) in
-                  (k, big_value k))));
-        fill (i + sz)
-      end
-    in
-    fill 0;
-    b
-  in
-  let leg_rebuild =
-    leg "shadow-rebuild" ~work:nrec
-      ~seq:(fun () -> B.rebuild_shadow b)
-      ~par:(fun () -> B.rebuild_shadow ~pool b)
-      ~equal:Spitz_crypto.Hash.equal
-  in
-  (* Leg 3: SIRI bulk build sharded over independent stores — whole shard
-     builds run in parallel (the node cache is domain-safe); per-shard roots
-     must match the sequential build's. *)
-  let shards = max 2 nd and per_shard = max 500 (8_000 / !scale) in
-  let build_shard s =
-    let t = ref (Spitz_adt.Merkle_bptree.create (Spitz_storage.Object_store.create ())) in
-    for i = 0 to per_shard - 1 do
-      let k = Keygen.key_of ((s * per_shard) + i) in
-      t := Spitz_adt.Merkle_bptree.insert !t k (Keygen.value_of k)
-    done;
-    Spitz_adt.Merkle_bptree.root_digest !t
-  in
-  let shard_ids = Array.init shards Fun.id in
-  let leg_shards =
-    leg "siri-shard-build" ~work:(shards * per_shard)
-      ~seq:(fun () -> Array.map build_shard shard_ids)
-      ~par:(fun () -> Pool.parallel_map pool ~chunk:1 build_shard shard_ids)
-      ~equal:(fun a b ->
-        Array.length a = Array.length b
-        && Array.for_all2 Spitz_crypto.Hash.equal a b)
-  in
-  Pool.shutdown pool;
-  add_result "pipeline"
-    (J.Obj
-       [
-         ("domains", J.Num (float_of_int nd));
-         ("recommended_domains", J.Num (float_of_int (Domain.recommended_domain_count ())));
-         leg_commit;
-         leg_rebuild;
-         leg_shards;
-       ]);
-  pr "(expected shape: on a multicore machine shadow-rebuild and\n";
-  pr " siri-shard-build approach linear speedup — their parallel stage is the\n";
-  pr " whole leg — while ledger-commit gains only its hashing fraction\n";
-  pr " (Amdahl: the SIRI index update is kept serial for determinism). On a\n";
-  pr " single core all speedups sit near 1.0; 'equal' must be yes everywhere\n";
-  pr " regardless — roots and digests never depend on the pool size)\n"
-
-(* ---------- durability: fsync policies + recovery ---------- *)
-
-let temp_dir () =
-  let path = Filename.temp_file "spitz_bench" ".dir" in
-  Sys.remove path;
-  Sys.mkdir path 0o755;
-  path
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-(* Commit throughput and log bytes per commit with the write-ahead log on
-   the commit path, one leg per fsync policy, then recovery (open_durable =
-   snapshot restore + re-run of every logged batch + chain re-verification)
-   as a function of log length. *)
-let durability () =
-  let commits = max 200 (4000 / !scale) in
-  pr "\n== Durability: WAL commit throughput per fsync policy (%d commits) ==\n" commits;
-  pr "%-16s%14s%16s%14s%14s\n" "policy" "commits k/s" "log bytes" "B/commit" "vs no-wal";
-  (* baseline: the same commits with no log attached *)
-  let t_nowal =
-    let db = Spitz.Db.open_db () in
-    Runner.time_ops ~ops:commits (fun i ->
-        let k = Keygen.key_of i in
-        ignore (Spitz.Db.put db k (Keygen.value_of k)))
-  in
-  let policy_rows =
-    List.map
-      (fun (name, sync) ->
-         let dir = temp_dir () in
-         let d = Spitz.Db.open_durable ~sync dir in
-         let db = Spitz.Db.durable_db d in
-         let thr =
-           Runner.time_ops ~ops:commits (fun i ->
-               let k = Keygen.key_of i in
-               ignore (Spitz.Db.put db k (Keygen.value_of k)))
-         in
-         let bytes = Spitz.Db.wal_size d in
-         Spitz.Db.close_durable d;
-         rm_rf dir;
-         let per_commit = float_of_int bytes /. float_of_int commits in
-         pr "%-16s%14.1f%16d%14.1f%14.2f\n" name (Runner.kops thr) bytes per_commit (thr /. t_nowal);
-         ( name,
-           J.Obj
-             [
-               ("commits_kops", J.Num (Runner.kops thr));
-               ("log_bytes", J.Num (float_of_int bytes));
-               ("log_bytes_per_commit", J.Num per_commit);
-               ("relative_to_no_wal", J.Num (thr /. t_nowal));
-             ] ))
-      [ ("always", Spitz_storage.Wal.Always);
-        ("interval-64", Spitz_storage.Wal.Interval 64);
-        ("never", Spitz_storage.Wal.Never) ]
-  in
-  pr "%-16s%14.1f%16s%14s%14s\n" "no-wal" (Runner.kops t_nowal) "-" "-" "1.00";
-  (* replay re-runs every logged commit, so a record costs about one
-     in-memory commit: us/record is the per-record price of a restart *)
-  pr "\n-- recovery time vs log length (no checkpoint: every record re-run) --\n";
-  pr "%-14s%16s%12s%16s%14s%14s\n" "log commits" "log bytes" "B/commit" "recover (s)" "commits k/s"
-    "us/record";
-  let recovery_rows =
-    List.map
-      (fun n ->
-         let dir = temp_dir () in
-         let d = Spitz.Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
-         let db = Spitz.Db.durable_db d in
-         for i = 0 to n - 1 do
-           let k = Keygen.key_of i in
-           ignore (Spitz.Db.put db k (Keygen.value_of k))
-         done;
-         Spitz.Db.close_durable d;
-         (* the log is a directory of segments; sum them *)
-         let waldir = Filename.concat dir "wal" in
-         let bytes =
-           Array.fold_left
-             (fun acc f ->
-                acc + Spitz_storage.Fault.file_size (Filename.concat waldir f))
-             0 (Sys.readdir waldir)
-         in
-         let d', seconds = Runner.time (fun () -> Spitz.Db.open_durable dir) in
-         let recovered = (Spitz.Db.digest (Spitz.Db.durable_db d')).Spitz_ledger.Journal.size in
-         Spitz.Db.close_durable d';
-         rm_rf dir;
-         assert (recovered = n);
-         let per_commit = float_of_int bytes /. float_of_int n in
-         let us_per_record = seconds /. float_of_int n *. 1e6 in
-         pr "%-14d%16d%12.1f%16.3f%14.1f%14.1f\n" n bytes per_commit seconds
-           (float_of_int n /. seconds /. 1e3) us_per_record;
-         J.Obj
-           [
-             ("log_commits", J.Num (float_of_int n));
-             ("log_bytes", J.Num (float_of_int bytes));
-             ("log_bytes_per_commit", J.Num per_commit);
-             ("recovery_seconds", J.Num seconds);
-             ("recovery_kops", J.Num (float_of_int n /. seconds /. 1e3));
-             ("replay_us_per_record", J.Num us_per_record);
-           ])
-      [ commits / 4; commits / 2; commits ]
-  in
-  (* and with a checkpoint taken: recovery collapses to a snapshot load *)
-  let checkpointed =
-    let dir = temp_dir () in
-    let d = Spitz.Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
-    let db = Spitz.Db.durable_db d in
-    for i = 0 to commits - 1 do
-      let k = Keygen.key_of i in
-      ignore (Spitz.Db.put db k (Keygen.value_of k))
-    done;
-    Spitz.Db.checkpoint d;
-    Spitz.Db.close_durable d;
-    let d', seconds = Runner.time (fun () -> Spitz.Db.open_durable dir) in
-    Spitz.Db.close_durable d';
-    rm_rf dir;
-    pr "%-14s%16s%12s%16.3f%14.1f%14s  (after checkpoint)\n" (string_of_int commits) "0" "-" seconds
-      (float_of_int commits /. seconds /. 1e3) "-";
-    J.Obj
-      [
-        ("log_commits", J.Num (float_of_int commits));
-        ("recovery_seconds", J.Num seconds);
-        ("recovery_kops", J.Num (float_of_int commits /. seconds /. 1e3));
-      ]
-  in
-  (* what a checkpoint writes and costs on a served-path-shaped state, at
-     every scale: a 16,384-key load in 512-key blocks, then 384 commits of
-     16 updated keys — the perfbench durable-commit state after its fixed
-     phase *)
-  let ckpt_size =
-    let keys = 16_384 in
-    let dir = temp_dir () in
-    let d = Spitz.Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
-    let db = Spitz.Db.durable_db d in
-    for b = 0 to (keys / 512) - 1 do
-      ignore
-        (Spitz.Db.put_batch db
-           (List.init 512 (fun i ->
-                let k = Keygen.key_of ((b * 512) + i) in
-                (k, Keygen.value_of k))))
-    done;
-    let rng = Keygen.rng 27 in
-    for u = 1 to 384 do
-      ignore
-        (Spitz.Db.put_batch db
-           (List.init 16 (fun _ ->
-                let k = Keygen.key_of (Keygen.int rng keys) in
-                (k, Keygen.value_of ~version:u k))))
-    done;
-    (* empty the minor heap first: the 384 commits leave megabytes there, and
-       promoting them is the commits' cost, not the checkpoint's *)
-    Gc.minor ();
-    let (), ckpt_s = Runner.time (fun () -> Spitz.Db.checkpoint d) in
-    let lock_ms = (Spitz.Db.checkpoint_stats d).Spitz.Db.max_lock_hold_s *. 1e3 in
-    let live_objects = Spitz_storage.Object_store.object_count (Spitz.Db.store db) in
-    Spitz.Db.close_durable d;
-    let bytes = Spitz_storage.Fault.file_size (Filename.concat dir "snapshot") in
-    let d', open_s = Runner.time (fun () -> Spitz.Db.open_durable dir) in
-    let objects = Spitz_storage.Object_store.object_count (Spitz.Db.store (Spitz.Db.durable_db d')) in
-    Spitz.Db.close_durable d';
-    rm_rf dir;
-    pr "\n-- checkpoint of %d keys + 384 commits of 16 (%d objects live in memory) --\n" keys
-      live_objects;
-    pr "%16s%14s%14s%14s%14s\n" "snapshot bytes" "objects" "checkpoint s" "lock ms" "reopen s";
-    pr "%16d%14d%14.4f%14.3f%14.4f\n" bytes objects ckpt_s lock_ms open_s;
-    J.Obj
-      [
-        ("keys", J.Num (float_of_int keys));
-        ("blocks", J.Num (float_of_int ((keys / 512) + 384)));
-        ("live_objects", J.Num (float_of_int live_objects));
-        ("snapshot_bytes", J.Num (float_of_int bytes));
-        ("snapshot_objects", J.Num (float_of_int objects));
-        ("checkpoint_seconds", J.Num ckpt_s);
-        ("commit_lock_hold_ms", J.Num lock_ms);
-        ("reopen_seconds", J.Num open_s);
-      ]
-  in
-  add_result "durability"
-    (J.Obj
-       (policy_rows
-        @ [
-          ("no_wal_kops", J.Num (Runner.kops t_nowal));
-          ("recovery", J.Arr recovery_rows);
-          ("recovery_after_checkpoint", checkpointed);
-          ("checkpoint_size", ckpt_size);
-        ]));
-  pr "(expected shape: interval-64 within a small factor of no-wal — one\n";
-  pr " fsync amortized over 64 commits — while always pays a disk flush per\n";
-  pr " commit; a log record is one commit's batch, so recovery re-runs each\n";
-  pr " record at about the cost of one in-memory commit, grows linearly with\n";
-  pr " log length and collapses to the snapshot-load cost once a checkpoint\n";
-  pr " folds the log in)\n"
-
-(* ---------- group commit: committer-concurrency sweep ---------- *)
-
-(* q-th percentile (0 < q <= 1) of a sorted latency array, nearest-rank. *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let i = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
-(* Concurrent committers racing one durable database. Under [Always] a
-   serial committer pays one fsync per commit, while concurrent committers
-   are coalesced by the WAL's leader/follower protocol into shared
-   write+fsync batches — so throughput should scale with committers. Every
-   leg is checked for correctness, not just speed: the journal's committed
-   order is replayed serially into a fresh in-memory database (digests must
-   be bit-identical — group commit must not leak into commitments), then
-   the directory is reopened to confirm recovery reproduces the digest and
-   the full chain audit passes.
-
-   Committers are systhreads, not domains: they model concurrent client
-   sessions, which block on the commit lock and the fsync — both release
-   the runtime lock, so the durability pipeline overlaps exactly as it
-   would across processes — without dragging every measurement through the
-   multi-domain GC barriers that dominate when committers outnumber cores
-   (domain-parallel commit CPU is the [pipeline] figure's subject, and
-   domain-racing correctness is covered by the test suite). *)
-let group_commit () =
-  let commits = max 200 (4000 / !scale) in
-  pr "\n== Group commit: committer sweep per fsync policy (%d commits) ==\n" commits;
-  pr "%-14s%11s%13s%9s%9s%9s%8s%9s%8s%8s\n" "policy" "committers" "commits k/s"
-    "p50ms" "p95ms" "p99ms" "batch" "lingers" "equal" "audit";
-  let serial_always = ref 0. in
-  let group8_always = ref 0. in
-  let policy_rows =
-    List.map
-      (fun (name, sync) ->
-         let rows =
-           List.map
-             (fun n ->
-                (* start each leg from a clean major heap — leftover garbage
-                   from the previous leg's replay/recovery otherwise turns
-                   into multi-domain major slices mid-measurement *)
-                Gc.full_major ();
-                let per = commits / n in
-                let dir = temp_dir () in
-                let d = Spitz.Db.open_durable ~sync dir in
-                let db = Spitz.Db.durable_db d in
-                let lats = Array.init n (fun _ -> Array.make per 0.) in
-                let committer c () =
-                  let lat = lats.(c) in
-                  for j = 0 to per - 1 do
-                    let k = Keygen.key_of ((c * per) + j) in
-                    let t0 = Runner.now () in
-                    ignore (Spitz.Db.put db k (Keygen.value_of k));
-                    lat.(j) <- Runner.now () -. t0
-                  done
-                in
-                let (), wall =
-                  Runner.time (fun () ->
-                      let ds = List.init n (fun c -> Thread.create (committer c) ()) in
-                      List.iter Thread.join ds)
-                in
-                let thr = float_of_int (per * n) /. wall in
-                let st = Spitz.Db.wal_stats d in
-                let batch =
-                  if st.Spitz_storage.Wal.fsyncs = 0 then 0.
-                  else
-                    float_of_int st.Spitz_storage.Wal.records
-                    /. float_of_int st.Spitz_storage.Wal.fsyncs
-                in
-                (* a lone committer must never linger: there is nobody to
-                   share its fsync with *)
-                let lingers = st.Spitz_storage.Wal.lingers in
-                if name = "group" && n = 1 && lingers > 0 then begin
-                  pr "FAIL: group policy lingered %d times with 1 committer\n" lingers;
-                  exit_code := 1
-                end;
-                (* serial equivalence: replay the committed order *)
-                let ledger = Spitz.Db.ledger db in
-                let journal = Spitz.Db.L.journal ledger in
-                let serial = Spitz.Db.open_db () in
-                for h = 0 to Spitz.Db.L.height ledger - 1 do
-                  let block = Spitz_ledger.Journal.block journal h in
-                  let writes =
-                    List.map
-                      (fun e ->
-                         let k = e.Spitz_ledger.Block.key in
-                         Spitz_ledger.Ledger.Put (k, Keygen.value_of k))
-                      block.Spitz_ledger.Block.entries
-                  in
-                  ignore (Spitz.Db.commit serial writes)
-                done;
-                let equal = Spitz.Db.digest db = Spitz.Db.digest serial in
-                (* recovery: reopen the directory and re-audit the chain *)
-                Spitz.Db.close_durable d;
-                let d' = Spitz.Db.open_durable dir in
-                let db' = Spitz.Db.durable_db d' in
-                let audit_ok =
-                  Spitz.Db.digest db' = Spitz.Db.digest db && Spitz.Db.audit db'
-                in
-                Spitz.Db.close_durable d';
-                rm_rf dir;
-                if not (equal && audit_ok) then exit_code := 1;
-                let all = Array.concat (Array.to_list lats) in
-                Array.sort compare all;
-                let p q = percentile all q *. 1e3 in
-                let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-                if name = "always" then
-                  if n = 1 then serial_always := thr
-                  else if n = 8 then group8_always := thr;
-                pr "%-14s%11d%13.1f%9.2f%9.2f%9.2f%8.1f%9d%8s%8s\n" name n
-                  (Runner.kops thr) p50 p95 p99 batch lingers
-                  (if equal then "yes" else "NO")
-                  (if audit_ok then "yes" else "NO");
-                J.Obj
-                  [
-                    ("committers", J.Num (float_of_int n));
-                    ("commits_kops", J.Num (Runner.kops thr));
-                    ("p50_ms", J.Num p50);
-                    ("p95_ms", J.Num p95);
-                    ("p99_ms", J.Num p99);
-                    ("records_per_fsync", J.Num batch);
-                    ("lingers", J.Num (float_of_int lingers));
-                    ("digest_equals_serial_replay", J.Bool equal);
-                    ("recovered_audit_ok", J.Bool audit_ok);
-                  ])
-             [ 1; 2; 4; 8 ]
-         in
-         (name, J.Arr rows))
-      [ ("always", Spitz_storage.Wal.Always);
-        ("group", Spitz_storage.Wal.Group { max_batch = 8; max_delay_us = 200 });
-        ("interval-64", Spitz_storage.Wal.Interval 64);
-        ("never", Spitz_storage.Wal.Never) ]
-  in
-  let speedup =
-    if !serial_always > 0. then !group8_always /. !serial_always else 0.
-  in
-  pr "\nalways, 8 committers vs 1: %.2fx\n" speedup;
-  add_result "group_commit"
-    (J.Obj
-       [
-         ("commits", J.Num (float_of_int commits));
-         ("policies", J.Obj policy_rows);
-         ("always_speedup_8_vs_1", J.Num speedup);
-       ]);
-  pr "(expected shape: under always, throughput grows with committers — the\n";
-  pr " log's leader batches concurrent records into one write+fsync — while\n";
-  pr " never/interval legs, already fsync-light, gain less; tail latency\n";
-  pr " rises with queueing but p50 stays near the fsync cost; 'equal' and\n";
-  pr " 'audit' must be yes everywhere: group commit must not change digests\n";
-  pr " or break recovery; group with 1 committer must show 0 lingers)\n"
-
-(* ---------- checkpoint under load: commit tail latency ---------- *)
-
-(* The point of segmented-WAL checkpoints is that they are *non-blocking*:
-   a checkpoint pins state and rotates the log under the commit lock (cheap)
-   and does the snapshot serialization, fsync and segment retirement outside
-   it. This leg measures what a committer actually feels: commit latency
-   percentiles with the background checkpointer running flat-out versus no
-   checkpoints at all. Correctness gates the exit code — the committed order
-   must replay to a bit-identical digest and the reopened directory must
-   pass the full chain audit (the reopen lands on whatever snapshot/segment
-   mix the background checkpointer left behind) — while the latency ratio is
-   reported for the json consumer. *)
-let checkpoint_bench () =
-  let commits = max 400 (6000 / !scale) in
-  let committers = 4 in
-  let per = commits / committers in
-  pr "\n== Checkpoint under load: %d committers x %d commits (always fsync) ==\n"
-    committers per;
-  pr "%-14s%13s%9s%9s%9s%8s%8s%8s%8s%8s\n" "leg" "commits k/s" "p50ms" "p95ms"
-    "p99ms" "ckpts" "segs" "lockms" "equal" "audit";
-  let run_leg name policy =
-    Gc.full_major ();
-    let dir = temp_dir () in
-    let d = Spitz.Db.open_durable ~sync:Spitz_storage.Wal.Always dir in
-    let db = Spitz.Db.durable_db d in
-    (match policy with Some p -> Spitz.Db.set_checkpoint_policy d p | None -> ());
-    let lats = Array.init committers (fun _ -> Array.make per 0.) in
-    let committer c () =
-      let lat = lats.(c) in
-      for j = 0 to per - 1 do
-        let k = Keygen.key_of ((c * per) + j) in
-        let t0 = Runner.now () in
-        ignore (Spitz.Db.put db k (Keygen.value_of k));
-        lat.(j) <- Runner.now () -. t0
-      done
-    in
-    let (), wall =
-      Runner.time (fun () ->
-          let ts = List.init committers (fun c -> Thread.create (committer c) ()) in
-          List.iter Thread.join ts)
-    in
-    Spitz.Db.set_checkpoint_policy d Spitz.Db.Manual;
-    let stats = Spitz.Db.checkpoint_stats d in
-    let thr = float_of_int (per * committers) /. wall in
-    (* serial equivalence: background checkpoints must not leak into
-       commitments *)
-    let ledger = Spitz.Db.ledger db in
-    let journal = Spitz.Db.L.journal ledger in
-    let serial = Spitz.Db.open_db () in
-    for h = 0 to Spitz.Db.L.height ledger - 1 do
-      let block = Spitz_ledger.Journal.block journal h in
-      let writes =
-        List.map
-          (fun e ->
-             let k = e.Spitz_ledger.Block.key in
-             Spitz_ledger.Ledger.Put (k, Keygen.value_of k))
-          block.Spitz_ledger.Block.entries
-      in
-      ignore (Spitz.Db.commit serial writes)
-    done;
-    let equal = Spitz.Db.digest db = Spitz.Db.digest serial in
-    (* recovery from whatever snapshot/segment mix the checkpointer left *)
-    Spitz.Db.close_durable d;
-    let d' = Spitz.Db.open_durable dir in
-    let db' = Spitz.Db.durable_db d' in
-    let audit_ok = Spitz.Db.digest db' = Spitz.Db.digest db && Spitz.Db.audit db' in
-    Spitz.Db.close_durable d';
-    rm_rf dir;
-    let fired_ok = policy = None || stats.Spitz.Db.checkpoints >= 1 in
-    if not (equal && audit_ok && fired_ok && stats.Spitz.Db.failures = 0) then
-      exit_code := 1;
-    let all = Array.concat (Array.to_list lats) in
-    Array.sort compare all;
-    let p q = percentile all q *. 1e3 in
-    let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-    let lock_ms = stats.Spitz.Db.max_lock_hold_s *. 1e3 in
-    pr "%-14s%13.1f%9.2f%9.2f%9.2f%8d%8d%8.3f%8s%8s\n" name (Runner.kops thr) p50 p95
-      p99 stats.Spitz.Db.checkpoints stats.Spitz.Db.retired_segments lock_ms
-      (if equal then "yes" else "NO")
-      (if audit_ok then "yes" else "NO");
-    ( p99,
-      J.Obj
-        [
-          ("commits_kops", J.Num (Runner.kops thr));
-          ("p50_ms", J.Num p50);
-          ("p95_ms", J.Num p95);
-          ("p99_ms", J.Num p99);
-          ("checkpoints", J.Num (float_of_int stats.Spitz.Db.checkpoints));
-          ("auto_checkpoints", J.Num (float_of_int stats.Spitz.Db.auto_checkpoints));
-          ("retired_segments", J.Num (float_of_int stats.Spitz.Db.retired_segments));
-          ("checkpoint_failures", J.Num (float_of_int stats.Spitz.Db.failures));
-          ("max_commit_lock_hold_ms", J.Num lock_ms);
-          ("digest_equals_serial_replay", J.Bool equal);
-          ("recovered_audit_ok", J.Bool audit_ok);
-        ] )
-  in
-  let p99_none, none_row = run_leg "none" None in
-  let p99_bg, bg_row =
-    (* a record threshold, not a byte one: a single-key record is about
-       75 bytes, so a byte threshold sized for a few checkpoints per run
-       would hang on the record size *)
-    run_leg "background" (Some (Spitz.Db.Every_n_records 100))
-  in
-  let ratio = if p99_none > 0. then p99_bg /. p99_none else 0. in
-  pr "\ncommit p99 with background checkpoints vs none: %.2fx\n" ratio;
-  add_result "checkpoint"
-    (J.Obj
-       [
-         ("commits", J.Num (float_of_int (per * committers)));
-         ("committers", J.Num (float_of_int committers));
-         ("none", none_row);
-         ("background", bg_row);
-         ("p99_ratio_background_vs_none", J.Num ratio);
-       ]);
-  pr "(expected shape: the background leg's p50/p99 stay close to the\n";
-  pr " no-checkpoint baseline — rotation under the commit lock is a file\n";
-  pr " create + dir fsync, while snapshot save and retirement run beside the\n";
-  pr " committers — and 'equal'/'audit' must be yes on both legs)\n"
-
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let n = max 1000 (20_000 / !scale) in
-  let kv = populate_kvs n in
-  let db = populate_spitz n in
-  let b = populate_baseline n in
-  let c = populate_combined n in
-  let bdigest = Spitz_baseline.Baseline_db.digest b in
-  let rng = Keygen.rng 5 in
-  let pick () = Keygen.key_of (Keygen.int rng n) in
-  let span = max 1 (n / 1000) in
-  let bounds () =
-    let lo = Keygen.int rng (max 1 (n - span)) in
-    Keygen.range_bounds ~lo ~hi:(lo + span - 1)
-  in
-  let wiki = Wiki.create () in
-  let wiki_store = Spitz_storage.Object_store.create () in
-  let tests =
+let options =
+  Arg.align
     [
-      (* Figure 1: cost of one deduplicated version append *)
-      Test.make ~name:"fig1/dedup-version"
-        (Staged.stage (fun () ->
-             let _, page = Wiki.edit wiki in
-             ignore (Spitz_storage.Object_store.put_blob wiki_store page)));
-      (* Figure 6(a): point reads *)
-      Test.make ~name:"fig6a/kvs-get"
-        (Staged.stage (fun () -> ignore (Spitz_kvstore.Kv.get kv (pick ()))));
-      Test.make ~name:"fig6a/spitz-get"
-        (Staged.stage (fun () -> ignore (Spitz.Db.get db (pick ()))));
-      Test.make ~name:"fig6a/spitz-get-verified"
-        (Staged.stage (fun () ->
-             (* digest re-read each call: an earlier bechamel test mutates db *)
-             let digest = Spitz.Db.digest db in
-             let key = pick () in
-             let value, proof = Spitz.Db.get_verified db key in
-             assert (Spitz.Db.verify_read ~digest ~key ~value (Option.get proof))));
-      Test.make ~name:"fig6a/baseline-get-verified"
-        (Staged.stage (fun () ->
-             let key = pick () in
-             let value, proof = Spitz_baseline.Baseline_db.get_verified b key in
-             assert
-               (Spitz_baseline.Baseline_db.verify ~digest:bdigest ~key
-                  ~value:(Option.get value) (Option.get proof))));
-      (* Figure 6(b): writes *)
-      Test.make ~name:"fig6b/spitz-put"
-        (let i = ref n in
-         Staged.stage (fun () ->
-             incr i;
-             let k = Keygen.key_of !i in
-             ignore (Spitz.Db.put db k (Keygen.value_of k))));
-      (* Figure 7: range queries *)
-      Test.make ~name:"fig7/spitz-range-verified"
-        (Staged.stage (fun () ->
-             let digest = Spitz.Db.digest db in
-             let lo, hi = bounds () in
-             let entries, proof = Spitz.Db.range_verified db ~lo ~hi in
-             assert (Spitz.Db.verify_range ~digest ~lo ~hi ~entries (Option.get proof))));
-      Test.make ~name:"fig7/baseline-range-verified"
-        (Staged.stage (fun () ->
-             let lo, hi = bounds () in
-             let results, proofs = Spitz_baseline.Baseline_db.range_verified b ~lo ~hi in
-             assert (Spitz_baseline.Baseline_db.verify_range ~digest:bdigest results proofs)));
-      (* Figure 8: the cross-system hop *)
-      Test.make ~name:"fig8/non-intrusive-get-verified"
-        (Staged.stage (fun () ->
-             let key = pick () in
-             ignore (Spitz_nonintrusive.Combined.get_verified c key)));
+      ("--scale", Arg.Set_int scale,
+       "N divide the paper's record counts by N (default 4; 1 = the full 10k..1.28M sweep)");
+      ("--ops", Arg.Set_int ops, "N operations measured per data point (default 10000)");
+      ("--domains", Arg.Set_int domains,
+       "N pool size for pipeline and verify (default: the recommended domain count)");
+      ("--out", Arg.Set_string out_file, "FILE results file (default BENCH_results.json)");
+      ("--gate", Arg.Set gate,
+       " codec: fail on a >25% words/op regression vs the baseline in --out");
+      ("--deadline", Arg.Set_float deadline, "SECONDS fuzz: time budget (default 60)");
+      ("--fuzz-seed", Arg.Set_int fuzz_seed, "N fuzz: master seed (0 = time-derived)");
     ]
-  in
-  pr "\n== Bechamel micro-benchmarks (one per figure) ==\n";
-  pr "%-36s%16s%16s\n" "test" "ns/op" "kops/s";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let json_rows = ref [] in
-  List.iter
-    (fun test ->
-       let results = Analyze.all ols Instance.monotonic_clock (Benchmark.all cfg instances test) in
-       Hashtbl.iter
-         (fun name est ->
-            match Analyze.OLS.estimates est with
-            | Some [ ns ] ->
-              pr "%-36s%16.0f%16.1f\n" name ns (1e6 /. ns);
-              json_rows := (name, J.Num ns) :: !json_rows
-            | _ -> pr "%-36s%16s\n" name "-")
-         results)
-    tests;
-  add_result "bechamel_ns_per_op" (J.Obj (List.rev !json_rows))
 
-(* ---------- adversarial fuzz loop (nightly budget) ---------- *)
-
-let deadline = ref 60.
-let fuzz_seed = ref 0
-
-(* Deadline-bounded run of the lib/check adversarial fuzzer: mutated proofs,
-   receipts, and WAL files against every verifier, plus mutated protocol
-   frames replayed against a live loopback server. Each round's seed is
-   printed, so any failure replays deterministically with
-   [Spitz_check.Fuzz.fuzz_all ~seed:<printed> ()] — or by re-running this
-   command with [--fuzz-seed]. Exits nonzero on any accepted mutant or
-   foreign exception. *)
-let fuzz_cmd () =
-  let module F = Spitz_check.Fuzz in
-  let seed =
-    if !fuzz_seed <> 0 then !fuzz_seed
-    else int_of_float (Unix.gettimeofday () *. 1000.) land 0x3FFFFFFF
+let usage msg =
+  let commands =
+    List.map (fun l -> Printf.sprintf "  %-14s%s" l.name l.doc) legs
+    @ [ Printf.sprintf "  %-14s%s" "all" "every command except group-commit, checkpoint (run by";
+        Printf.sprintf "  %-14s%s" "" "durability) and fuzz (deadline-bound); the default" ]
   in
-  pr "== Adversarial proof/WAL/frame fuzz: deadline %.0fs, master seed %d ==\n" !deadline seed;
-  pr "   (replay one round: Spitz_check.Fuzz.fuzz_all ~seed:<round seed> ())\n";
-  flush stdout;
-  let report =
-    F.run_deadline ~deadline:!deadline ~seed (fun ~round ~seed r ->
-        pr "round %d (seed %d): %s\n" round seed (F.pp_report r);
-        flush stdout)
-  in
-  add_result "fuzz"
-    (J.Obj
-       [
-         ("master_seed", J.Num (float_of_int seed));
-         ("deadline_s", J.Num !deadline);
-         ("total", J.Num (float_of_int report.F.total));
-         ("rejected_decode", J.Num (float_of_int report.F.rejected_decode));
-         ("rejected_verify", J.Num (float_of_int report.F.rejected_verify));
-         ("benign", J.Num (float_of_int report.F.benign));
-         ("accepted", J.Num (float_of_int (List.length report.F.accepted)));
-         ("foreign", J.Num (float_of_int (List.length report.F.foreign)));
-         ("ok", J.Bool (F.ok report));
-       ]);
-  if not (F.ok report) then begin
-    pr "FUZZ FAILURE — replay with the last printed round seed\n%s\n" (F.pp_report report);
-    exit_code := 1
-  end
-
-(* ---------- decoded-node cache counters ---------- *)
-
-(* The module-level caches are shared by all stores; their counters are
-   zeroed at the start of each command so the report is attributable to the
-   commands of this run rather than to everything since process start. *)
-let reset_cache_stats () =
-  let module NC = Spitz_storage.Node_cache in
-  NC.reset_stats Spitz_adt.Kv_node.cache;
-  Spitz_adt.Mpt.reset_cache_stats ();
-  Spitz_adt.Mbt.reset_cache_stats ();
-  Spitz.Db.reset_proof_cache_stats ()
-
-let cache_report () =
-  let module NC = Spitz_storage.Node_cache in
-  pr "\n== Decoded-node cache counters (since last command start) ==\n";
-  pr "%-14s%12s%12s%12s%11s\n" "cache" "hits" "misses" "evictions" "hit-rate";
-  let line name (s : NC.stats) =
-    let total = s.NC.hits + s.NC.misses in
-    let rate = if total = 0 then 0. else float_of_int s.NC.hits /. float_of_int total in
-    pr "%-14s%12d%12d%12d%10.1f%%\n" name s.NC.hits s.NC.misses s.NC.evictions (100. *. rate);
-    ( name,
-      J.Obj
-        [
-          ("hits", J.Num (float_of_int s.NC.hits));
-          ("misses", J.Num (float_of_int s.NC.misses));
-          ("evictions", J.Num (float_of_int s.NC.evictions));
-          ("hit_rate", J.Num rate);
-        ] )
-  in
-  let stats =
-    [
-      ("kv-node", NC.stats Spitz_adt.Kv_node.cache);
-      ("mpt", Spitz_adt.Mpt.cache_stats ());
-      ("mbt", Spitz_adt.Mbt.cache_stats ());
-      ("proof", Spitz.Db.proof_cache_stats ());
-    ]
-  in
-  let rows = List.map (fun (name, s) -> line name s) stats in
-  (* a command that touched no cache keeps the results file's earlier section *)
-  if List.exists (fun (_, s) -> s.NC.hits + s.NC.misses > 0) stats then
-    add_result "node_cache" (J.Obj rows);
-  flush stdout
-
-(* ---------- read-scale: reader-domain sweep over the snapshot path ---------- *)
-
-(* Reader domains hammer verified gets on pinned [Db.snapshot]s — the
-   lock-free read path — while 0 or 2 committer domains race [Db.put]
-   through the commit lock. Throughput should scale with readers on a
-   multicore box (readers share no lock and no mutable state); on a
-   single-core container the sweep degenerates to ~1x and measures
-   per-read overhead instead — see DESIGN.md. Every leg is checked for
-   correctness, not just speed: each proof must verify against its
-   snapshot's own digest; with no committers, each reader's value stream
-   must equal a serial replay of the same stream on the same snapshot and
-   the pinned digest must equal the head digest; with committers, sampled
-   observations must match [Db.get_at] at the pinned height once the storm
-   settles. Node-cache and proof-cache hit rates are per leg (counters
-   reset at leg start). *)
-let read_scale () =
-  let module NC = Spitz_storage.Node_cache in
-  let n = max 1_000 (40_000 / !scale) in
-  let reads = max 500 (!ops / 4) in
-  let hot = min n 2_048 in
-  pr "\n== Read scale: verified reads on pinned snapshots (%d records, %d reads/reader, hot set %d) ==\n"
-    n reads hot;
-  pr "%-8s%11s%12s%9s%9s%9s%11s%12s%6s\n" "readers" "committers" "reads k/s"
-    "p50us" "p95us" "p99us" "node-hit%" "proof-hit%" "ok";
-  let db = populate_spitz n in
-  let serial_kops = ref 0. and eight_kops = ref 0. in
-  let json_rows = ref [] in
-  let leg ~readers ~committers =
-    Gc.full_major ();
-    reset_cache_stats ();
-    let stop = Atomic.make false in
-    let bad = Atomic.make 0 in
-    let committer_ds =
-      List.init committers (fun c ->
-          Domain.spawn (fun () ->
-              let j = ref 0 in
-              while not (Atomic.get stop) do
-                ignore (Spitz.Db.put db (Printf.sprintf "zz-c%d-%d" c !j) "w");
-                incr j
-              done;
-              !j))
-    in
-    (* deterministic per-reader key stream over a hot set the proof cache
-       can hold — offset per reader so streams overlap but don't coincide *)
-    let key_at r j = Keygen.key_of (((r * 131) + j) mod hot) in
-    let reader r () =
-      let lat = Array.make reads 0. in
-      let s = Option.get (Spitz.Db.snapshot db) in
-      let sd = Spitz.Db.Snapshot.digest s in
-      let obs = Array.make reads (None : string option) in
-      for j = 0 to reads - 1 do
-        let k = key_at r j in
-        let t0 = Runner.now () in
-        let v, p = Spitz.Db.Snapshot.get_verified s k in
-        lat.(j) <- Runner.now () -. t0;
-        if not (Spitz.Db.verify_read ~digest:sd ~key:k ~value:v p) then
-          Atomic.incr bad;
-        obs.(j) <- v
-      done;
-      (lat, s, obs)
-    in
-    let per_reader, wall =
-      Runner.time (fun () ->
-          let ds = List.init readers (fun r -> Domain.spawn (reader r)) in
-          List.map Domain.join ds)
-    in
-    Atomic.set stop true;
-    let commits = List.fold_left (fun a d -> a + Domain.join d) 0 committer_ds in
-    (* capture the leg's cache counters before the correctness replay below
-       pollutes them *)
-    let node_st = NC.stats Spitz_adt.Kv_node.cache in
-    let proof_st = Spitz.Db.proof_cache_stats () in
-    let rate (s : NC.stats) =
-      let total = s.NC.hits + s.NC.misses in
-      if total = 0 then 0. else float_of_int s.NC.hits /. float_of_int total
-    in
-    List.iteri
-      (fun r (_, s, obs) ->
-         if committers = 0 then begin
-           (* the pinned view IS the head view, and a serial replay of the
-              same stream on the same snapshot is bit-identical *)
-           if Spitz.Db.Snapshot.digest s <> Spitz.Db.digest db then
-             Atomic.incr bad;
-           let sd = Spitz.Db.Snapshot.digest s in
-           for j = 0 to reads - 1 do
-             let k = key_at r j in
-             let v, p = Spitz.Db.Snapshot.get_verified s k in
-             if v <> obs.(j) || not (Spitz.Db.verify_read ~digest:sd ~key:k ~value:v p)
-             then Atomic.incr bad
-           done
-         end
-         else begin
-           (* the settled ledger agrees with what the reader saw at the
-              pinned height *)
-           let h = Spitz.Db.Snapshot.height s in
-           let j = ref 0 in
-           while !j < reads do
-             let k = key_at r !j in
-             if Spitz.Db.get_at db ~height:h k <> obs.(!j) then Atomic.incr bad;
-             j := !j + 64
-           done
-         end)
-      per_reader;
-    let ok = Atomic.get bad = 0 in
-    if not ok then exit_code := 1;
-    let thr = float_of_int (readers * reads) /. wall in
-    if committers = 0 then
-      if readers = 1 then serial_kops := Runner.kops thr
-      else if readers = 8 then eight_kops := Runner.kops thr;
-    let all = Array.concat (List.map (fun (l, _, _) -> l) per_reader) in
-    Array.sort compare all;
-    let p q = percentile all q *. 1e6 in
-    let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-    pr "%-8d%11d%12.1f%9.1f%9.1f%9.1f%10.1f%%%11.1f%%%6s\n" readers committers
-      (Runner.kops thr) p50 p95 p99
-      (100. *. rate node_st)
-      (100. *. rate proof_st)
-      (if ok then "yes" else "NO");
-    json_rows :=
-      J.Obj
-        [
-          ("readers", J.Num (float_of_int readers));
-          ("committers", J.Num (float_of_int committers));
-          ("reads_kops", J.Num (Runner.kops thr));
-          ("p50_us", J.Num p50);
-          ("p95_us", J.Num p95);
-          ("p99_us", J.Num p99);
-          ("node_cache_hit_rate", J.Num (rate node_st));
-          ("proof_cache_hit_rate", J.Num (rate proof_st));
-          ("committer_commits", J.Num (float_of_int commits));
-          ("ok", J.Bool ok);
-        ]
-      :: !json_rows
-  in
-  List.iter
-    (fun committers -> List.iter (fun readers -> leg ~readers ~committers) [ 1; 2; 4; 8 ])
-    [ 0; 2 ];
-  let speedup = if !serial_kops > 0. then !eight_kops /. !serial_kops else 0. in
-  pr "\n0 committers, 8 readers vs 1: %.2fx\n" speedup;
-  add_result "read_scale"
-    (J.Obj
-       [
-         ("records", J.Num (float_of_int n));
-         ("reads_per_reader", J.Num (float_of_int reads));
-         ("hot_set", J.Num (float_of_int hot));
-         ("legs", J.Arr (List.rev !json_rows));
-         ("speedup_8_vs_1_readers", J.Num speedup);
-       ]);
-  pr "(expected shape: on a multicore box reads/s grows near-linearly with\n";
-  pr " readers — snapshots share no lock — and 2 racing committers barely\n";
-  pr " dent it; on a single core every leg lands near the 1-reader rate and\n";
-  pr " the figure measures per-read overhead; proof-cache hit rate climbs\n";
-  pr " toward 100%% once the hot set's proofs are memoized; 'ok' must be yes\n";
-  pr " everywhere — digests, values and proof decisions are checked against\n";
-  pr " serial replay / the settled ledger)\n"
-
-(* ---------- server: TCP round-trip sweep over the loopback front-end ---------- *)
-
-(* Client connections hammer the TCP server with a read-mostly mix (7 Gets :
-   1 single-put Apply under a fresh token) at 1/2/4/8 connections, with and
-   without pipelining. Unpipelined clients pay one full round trip per
-   request; pipelined clients keep a window of requests in flight, so
-   per-request latency includes queueing but throughput amortizes the round
-   trips. Clients are
-   systhreads speaking the raw Frame+Ipc protocol (the verifying Session
-   deliberately does not pipeline). Every leg is gated on correctness, not
-   just speed: the journal's committed order must replay serially into a
-   bit-identical digest, and after the sweep a verifying session must sync
-   to the head and proof-check reads — any failure flips the exit code. *)
-let server_bench () =
-  let module Server = Spitz_server.Server in
-  let module Session = Spitz_server.Session in
-  let module Frame = Spitz_server.Frame in
-  let module Ipc = Spitz_nonintrusive.Ipc in
-  let n = max 1_000 (20_000 / !scale) in
-  let per = max 200 (!ops / 4) in
-  let hot = min n 2_048 in
-  pr "\n== Server: TCP round-trips over loopback (%d records, %d requests/conn, 7:1 read:write) ==\n"
-    n per;
-  pr "%-8s%10s%11s%9s%9s%9s%8s%10s\n" "conns" "pipeline" "reqs k/s" "p50ms"
-    "p95ms" "p99ms" "equal" "verified";
-  let db = Spitz.Db.open_db () in
-  let rec seed i =
-    if i < n then begin
-      let chunk = min 1_000 (n - i) in
-      ignore
-        (Spitz.Db.put_batch db
-           (List.init chunk (fun j ->
-                let k = Keygen.key_of (i + j) in
-                (k, Keygen.value_of k))));
-      seed (i + chunk)
-    end
-  in
-  seed 0;
-  let server = Server.start db in
-  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let port = Server.port server in
-  let connect () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.setsockopt fd Unix.TCP_NODELAY true;
-    fd
-  in
-  (* serial equivalence: replay the journal's committed order (seed chunks
-     and every Apply the storm landed, with its token statement) into a
-     fresh in-memory db *)
-  let replay_equal () =
-    let ledger = Spitz.Db.ledger db in
-    let journal = Spitz.Db.L.journal ledger in
-    let serial = Spitz.Db.open_db () in
-    for h = 0 to Spitz.Db.L.height ledger - 1 do
-      let block = Spitz_ledger.Journal.block journal h in
-      let writes =
-        List.map
-          (fun e ->
-             let k = e.Spitz_ledger.Block.key in
-             Spitz_ledger.Ledger.Put (k, Keygen.value_of k))
-          block.Spitz_ledger.Block.entries
-      in
-      ignore (Spitz.Db.commit serial ~statements:block.Spitz_ledger.Block.statements writes)
-    done;
-    Spitz.Db.digest db = Spitz.Db.digest serial
-  in
-  let leg conns depth =
-    Gc.full_major ();
-    let lats = Array.init conns (fun _ -> Array.make per 0.) in
-    let client c () =
-      let fd = connect () in
-      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      let lat = lats.(c) in
-      let pending = Queue.create () in
-      let recv_one () =
-        let payload = Frame.read fd in
-        (match Ipc.decode_response payload with
-         | Ipc.Error e -> failwith ("server error: " ^ e)
-         | _ -> ());
-        let j, t0 = Queue.pop pending in
-        lat.(j) <- Runner.now () -. t0
-      in
-      for j = 0 to per - 1 do
-        while Queue.length pending >= depth do recv_one () done;
-        let req =
-          if j mod 8 = 0 then begin
-            (* writes land on this connection's own slice of the keyspace *)
-            let k = Keygen.key_of (((c * per) + j) mod n) in
-            Ipc.Apply
-              {
-                token = Printf.sprintf "bench.%d.%d.%d.%d" depth conns c j;
-                puts = [ (k, Keygen.value_of k) ];
-                deletes = [];
-              }
-          end
-          else Ipc.Get (Keygen.key_of (((c * 31) + (j * 7)) mod hot))
-        in
-        Queue.push (j, Runner.now ()) pending;
-        Frame.write fd (Ipc.encode_request req)
-      done;
-      while not (Queue.is_empty pending) do recv_one () done
-    in
-    let (), wall =
-      Runner.time (fun () ->
-          let ts = List.init conns (fun c -> Thread.create (client c) ()) in
-          List.iter Thread.join ts)
-    in
-    let thr = float_of_int (conns * per) /. wall in
-    let equal = replay_equal () in
-    (* a verifying session must still sync to the head and proof-check *)
-    let verified =
-      let s = Session.connect ~port () in
-      Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
-      Session.sync s;
-      let k = Keygen.key_of 0 in
-      ignore (Session.get_verified s k);
-      ignore (Session.get_batch_verified s [ k; Keygen.key_of (hot - 1) ]);
-      Session.digest s = Some (Spitz.Db.digest db) && Session.failures s = 0
-    in
-    if not (equal && verified) then exit_code := 1;
-    let all = Array.concat (Array.to_list lats) in
-    Array.sort compare all;
-    let p q = percentile all q *. 1e3 in
-    let p50 = p 0.50 and p95 = p 0.95 and p99 = p 0.99 in
-    pr "%-8d%10s%11.1f%9.3f%9.3f%9.3f%8s%10s\n" conns
-      (if depth = 1 then "off" else Printf.sprintf "%d" depth)
-      (Runner.kops thr) p50 p95 p99
-      (if equal then "yes" else "NO")
-      (if verified then "yes" else "NO");
-    J.Obj
-      [
-        ("connections", J.Num (float_of_int conns));
-        ("pipeline_depth", J.Num (float_of_int depth));
-        ("reqs_kops", J.Num (Runner.kops thr));
-        ("p50_ms", J.Num p50);
-        ("p95_ms", J.Num p95);
-        ("p99_ms", J.Num p99);
-        ("digest_equals_serial_replay", J.Bool equal);
-        ("verified_session_ok", J.Bool verified);
-      ]
-  in
-  let rows =
-    List.concat_map
-      (fun depth -> List.map (fun conns -> leg conns depth) [ 1; 2; 4; 8 ])
-      [ 1; 32 ]
-  in
-  let st = Server.stats server in
-  add_result "server"
-    (J.Obj
-       [
-         ("records", J.Num (float_of_int n));
-         ("requests_per_connection", J.Num (float_of_int per));
-         ("hot_set", J.Num (float_of_int hot));
-         ("legs", J.Arr rows);
-         ("served_requests", J.Num (float_of_int st.Server.requests));
-         ("served_bytes_in", J.Num (float_of_int st.Server.bytes_in));
-         ("served_bytes_out", J.Num (float_of_int st.Server.bytes_out));
-         ("malformed", J.Num (float_of_int st.Server.malformed));
-       ]);
-  pr "(expected shape: unpipelined throughput is round-trip-bound and grows\n";
-  pr " with connections; pipelining lifts a single connection several-fold\n";
-  pr " by amortizing round trips, at higher per-request queueing latency;\n";
-  pr " 'equal' and 'verified' must be yes everywhere — the TCP front-end\n";
-  pr " must not change digests, and a verifying client must still be able\n";
-  pr " to proof-check everything it reads)\n"
-
-(* ---------- codec: buffer-layer allocation micro-benchmarks ---------- *)
-
-(* Measures the zero-copy spine against the legacy string paths (which the
-   public API keeps): node identity hashed straight from the encoder's
-   buffer vs encode-to-string-then-hash, dedup-hit stores through
-   [put_writer] vs [put], response frames gathered from a reused writer vs
-   string-concatenated, plus decode and WAL-append rates and the cell-store
-   write path (a digest to hex, one cell write), and the commit path: a
-   16-key [Merkle_bptree.insert_batch] and a 16-key durable commit, each at
-   16,384 keys. Reports ops/s and minor-heap words per op ([Gc.minor_words];
-   words, not bytes), asserts the >= 30%% allocation win on the encode and
-   frame paths, and with [--gate] compares against the committed baseline
-   in the results file, failing on a > 25%% regression. *)
-
-let gate = ref false
-
-let codec () =
-  let module Wire = Spitz_storage.Wire in
-  let module Kv = Spitz_adt.Kv_node in
-  let module Hash = Spitz_crypto.Hash in
-  let module Ipc = Spitz_nonintrusive.Ipc in
-  let module Frame = Spitz_server.Frame in
-  let module Wal = Spitz_storage.Wal in
-  (* snapshot the committed baseline before this run overwrites --out *)
-  let baseline =
-    if not !gate then None
-    else
-      match In_channel.with_open_bin !out_file In_channel.input_all with
-      | exception Sys_error _ -> None
-      | text -> (
-        match J.of_string text with
-        | exception J.Parse_error _ -> None
-        | j -> J.member "codec" j)
-  in
-  if !gate && baseline = None then begin
-    pr "codec --gate: no committed codec baseline in %s\n" !out_file;
-    exit_code := 1
-  end;
-  let iters = max 10_000 !ops in
-  pr "\n== Codec: buffer-layer allocations (%d ops/point) ==\n" iters;
-  pr "%-22s%14s%14s%12s%12s%9s\n" "path" "legacy w/op" "new w/op" "legacy k/s"
-    "new k/s" "saving";
-  let measure f =
-    f 0;
-    (* warm-up: caches, lazy tables, buffer growth *)
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
-    let (), wall = Runner.time (fun () -> for i = 1 to iters do f i done) in
-    let w1 = Gc.minor_words () in
-    ((w1 -. w0) /. float_of_int iters, float_of_int iters /. wall)
-  in
-  let json = ref [] in
-  let compare_row name (legacy_b, legacy_thr) (new_b, new_thr) =
-    let saving = if legacy_b > 0. then 1. -. (new_b /. legacy_b) else 0. in
-    pr "%-22s%14.1f%14.1f%12.1f%12.1f%8.1f%%\n" name legacy_b new_b
-      (Runner.kops legacy_thr) (Runner.kops new_thr) (100. *. saving);
-    json :=
-      ( name,
-        J.Obj
-          [
-            ("legacy_words_per_op", J.Num legacy_b);
-            ("new_words_per_op", J.Num new_b);
-            ("legacy_kops", J.Num (Runner.kops legacy_thr));
-            ("new_kops", J.Num (Runner.kops new_thr));
-            ("saving", J.Num saving);
-          ] )
-      :: !json;
-    saving
-  in
-  let single_row name (b, thr) =
-    let ns = 1e9 /. thr in
-    pr "%-22s%14s%14.1f%12s%12.1f%9s  %.0f ns/op\n" name "-" b "-" (Runner.kops thr) "-" ns;
-    json :=
-      ( name,
-        J.Obj
-          [ ("words_per_op", J.Num b); ("kops", J.Num (Runner.kops thr)); ("ns_per_op", J.Num ns) ]
-      )
-      :: !json
-  in
-  (* a rotation of realistic leaf nodes (~16 entries each) *)
-  let nnodes = 64 in
-  let nodes =
-    Array.init nnodes (fun i ->
-        Kv.Leaf
-          (Array.init 16 (fun j ->
-               let k = Keygen.key_of ((i * 16) + j) in
-               (k, Keygen.value_of k))))
-  in
-  let node i = nodes.(i mod nnodes) in
-  (* node identity: encode + hash *)
-  let buf = Wire.writer ~size:1024 () in
-  let encode_saving =
-    compare_row "encode+identity"
-      (measure (fun i -> ignore (Hash.of_string (Kv.encode (node i)))))
-      (measure (fun i ->
-           Wire.clear buf;
-           Kv.encode_into buf (node i);
-           ignore (Wire.digest buf)))
-  in
-  (* dedup-hit store: the shared-subtree common case *)
-  let store = Spitz_storage.Object_store.create () in
-  Array.iter (fun n -> ignore (Kv.save store n)) nodes;
-  ignore
-    (compare_row "store put (dedup hit)"
-       (measure (fun i -> ignore (Spitz_storage.Object_store.put store (Kv.encode (node i)))))
-       (measure (fun i ->
-            Wire.clear buf;
-            Kv.encode_into buf (node i);
-            ignore (Spitz_storage.Object_store.put_writer store buf))));
-  (* decode throughput (string and slice windows decode identically) *)
-  let encoded = Array.map Kv.encode nodes in
-  single_row "decode node" (measure (fun i -> ignore (Kv.decode encoded.(i mod nnodes))));
-  (* served frame: encode a response and put it on the wire *)
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close devnull) @@ fun () ->
-  let resp =
-    Ipc.Entries (List.init 8 (fun j -> (Keygen.key_of j, Keygen.value_of (Keygen.key_of j))))
-  in
-  let scratch = Frame.scratch () in
-  let out = Wire.writer ~size:1024 () in
-  let frame_saving =
-    compare_row "serve frame"
-      (measure (fun _ -> Frame.write devnull (Ipc.encode_response resp)))
-      (measure (fun _ ->
-           Wire.clear out;
-           Ipc.write_response out resp;
-           Frame.write_slices ~scratch devnull [ Wire.view out ]))
-  in
-  (* WAL append: frame + write from the batch writer, no fsync *)
-  let wal_dir = Filename.concat (temp_dir ()) "wal" in
-  let wal = Wal.open_log ~sync:Wal.Never wal_dir in
-  let record = encoded.(0) in
-  single_row "wal append" (measure (fun _ -> Wal.append wal record));
-  Wal.close wal;
-  rm_rf (Filename.dirname wal_dir);
-  (* the cell-store write path: a value hash in hex, then one cell write —
-     value hash, universal-key encode, dedup-hit value put, B+-tree insert *)
-  let digest = Hash.of_string "hex" in
-  single_row "hex 32 B" (measure (fun _ -> ignore (Hash.to_hex digest)));
-  let cells = Spitz.Cell_store.create () in
-  let pks = Array.init 1024 Keygen.key_of in
-  let values = Array.init 64 (fun i -> Keygen.value_of pks.(i)) in
-  single_row "cell write"
-    (measure (fun i ->
-         ignore
-           (Spitz.Cell_store.write_cell cells ~column:"v" ~pk:pks.(i land 1023) ~ts:i
-              values.(i land 63))));
-  (* the commit path at the served write shape: 16,384 keys loaded in
-     512-key batches, then 16-key batches of uniform keys. Each op is one
-     batch; its median time is reported in µs. The durable row logs under
-     [Never], so it times the record's encode and write, not an fsync;
-     "major" counts words allocated straight into the major heap
-     (promotions excluded), which a copy of a 19 KB record would be. *)
-  let nkeys = 16_384 and ncommits = 384 in
-  let load = List.init (nkeys / 512) (fun b ->
-      List.init 512 (fun j -> let k = Keygen.key_of ((b * 512) + j) in (k, Keygen.value_of k)))
-  in
-  let rng = Random.State.make [| 42 |] in
-  let batches =
-    Array.init ncommits (fun b ->
-        List.init 16 (fun _ ->
-            let k = Keygen.key_of (Random.State.int rng nkeys) in
-            (k, Keygen.value_of ~version:(b + 1) k)))
-  in
-  let commit_row name f =
-    let us = Array.make ncommits 0. in
-    Gc.full_major ();
-    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    Array.iteri
-      (fun b kvs ->
-         let t0 = Runner.now () in
-         f kvs;
-         us.(b) <- (Runner.now () -. t0) *. 1e6)
-      batches;
-    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
-    let per x = x /. float_of_int ncommits in
-    let minor = per (minor1 -. minor0) in
-    let major = per (major1 -. major0 -. (promoted1 -. promoted0)) in
-    Array.sort compare us;
-    let p50 = percentile us 0.5 in
-    pr "%-22s%14s%14.0f%12s%12.1f%9s  %.1f us p50, %.0f major w/op\n" name "-" minor "-"
-      (1e3 /. p50) "-" p50 major;
-    json :=
-      ( name,
-        J.Obj
-          [ ("words_per_op", J.Num minor); ("major_words_per_op", J.Num major);
-            ("us_p50", J.Num p50) ] )
-      :: !json
-  in
-  let tree =
-    ref
-      (List.fold_left Spitz_adt.Merkle_bptree.insert_batch
-         (Spitz_adt.Merkle_bptree.create (Spitz_storage.Object_store.create ()))
-         load)
-  in
-  commit_row "insert_batch 16 @16k" (fun kvs ->
-      tree := Spitz_adt.Merkle_bptree.insert_batch !tree kvs);
-  let db_dir = temp_dir () in
-  let d = Spitz.Db.open_durable ~sync:Wal.Never db_dir in
-  let db = Spitz.Db.durable_db d in
-  List.iter (fun kvs -> ignore (Spitz.Db.put_batch db kvs)) load;
-  commit_row "durable commit 16" (fun kvs -> ignore (Spitz.Db.put_batch db kvs));
-  Spitz.Db.close_durable d;
-  rm_rf db_dir;
-  (* checksum kernels: SHA-256 bulk rate and per-node cost (an interior
-     Merkle node hashes 65 bytes: tag + two digests), CRC-32 over a frame *)
-  let mib = Bytes.make (1 lsl 20) 'x' in
-  let kernel_row name ~bytes ~reps f =
-    f ();
-    let (), wall = Runner.time (fun () -> for _ = 1 to reps do f () done) in
-    let ns = wall *. 1e9 /. float_of_int reps in
-    let mb_s = float_of_int bytes *. float_of_int reps /. wall /. 1e6 in
-    pr "%-22s%14s%14s%12s%12s  %.1f MB/s, %.0f ns/op\n" name "-" "-" "-" "-" mb_s ns;
-    json := (name, J.Obj [ ("mb_s", J.Num mb_s); ("ns_per_op", J.Num ns) ]) :: !json
-  in
-  kernel_row "sha256 1MiB" ~bytes:(Bytes.length mib) ~reps:64 (fun () ->
-      ignore (Spitz_crypto.Sha256.digest_bytes mib 0 (Bytes.length mib)));
-  let a = Hash.of_string "left" and b = Hash.of_string "right" in
-  kernel_row "sha256 node (65 B)" ~bytes:65 ~reps:iters (fun () -> ignore (Hash.node a b));
-  kernel_row "crc32 2KiB frame" ~bytes:2048 ~reps:iters (fun () ->
-      ignore (Spitz_storage.Crc32.update_bytes 0l mib 0 2048));
-  (* acceptance: the zero-copy spine must beat the legacy paths by >= 30% *)
-  if encode_saving < 0.30 then begin
-    pr "FAIL: encode+identity allocation saving %.1f%% < 30%%\n" (100. *. encode_saving);
-    exit_code := 1
-  end;
-  if frame_saving < 0.30 then begin
-    pr "FAIL: serve frame allocation saving %.1f%% < 30%%\n" (100. *. frame_saving);
-    exit_code := 1
-  end;
-  (* regression gate against the committed baseline *)
-  (match baseline with
-   | None -> ()
-   | Some base ->
-     let current = !json in
-     let check path field =
-       match
-         ( Option.bind (J.member path base) (fun o ->
-               Option.bind (J.member field o) J.to_float),
-           Option.bind (List.assoc_opt path current) (fun o ->
-               Option.bind (J.member field o) J.to_float) )
-       with
-       | Some was, Some now when was > 0. && now > was *. 1.25 ->
-         pr "GATE FAIL: %s %s regressed %.1f -> %.1f words/op (> +25%%)\n" path field was now;
-         exit_code := 1
-       | _ -> ()
-     in
-     check "encode+identity" "new_words_per_op";
-     check "store put (dedup hit)" "new_words_per_op";
-     check "serve frame" "new_words_per_op";
-     check "decode node" "words_per_op";
-     check "wal append" "words_per_op";
-     check "cell write" "words_per_op";
-     check "insert_batch 16 @16k" "words_per_op";
-     check "durable commit 16" "words_per_op";
-     pr "gate: checked against committed baseline (threshold +25%%)\n");
-  add_result "codec" (J.Obj (List.rev !json));
-  pr "(expected shape: the new paths allocate >= 30%% less on encode+identity\n";
-  pr " and serve-frame — no contents string, no header concat — and a dedup-\n";
-  pr " hit store allocates no copy of the encoding at all)\n"
+  pr "%s%s\n" msg
+    (Arg.usage_string options
+       ("usage: main.exe [COMMAND...] [OPTION...]\ncommands:\n" ^ String.concat "\n" commands
+      ^ "\noptions:"));
+  exit 1
 
 (* ---------- results file ---------- *)
 
@@ -2216,14 +99,6 @@ let cpu_model () =
         | _ -> None)
     |> Option.value ~default:"unknown"
 
-let read_results () =
-  match In_channel.with_open_bin !out_file In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text -> (
-    match J.of_string text with
-    | J.Obj sections -> sections
-    | _ | (exception J.Parse_error _) -> [])
-
 (* [old] with the keys [fresh] also has replaced in place, then [fresh]'s
    new keys in order *)
 let upsert old fresh =
@@ -2247,15 +122,6 @@ let merge_results ~previous ~stamp =
 
 (* ---------- driver ---------- *)
 
-let usage () =
-  pr
-    "usage: main.exe \
-     [fig1|fig6a|fig6b|fig7|fig8a|fig8b|siri|verify|verify-mode|cc|learned|pipeline|durability|group-commit|checkpoint|read-scale|server|codec|bechamel|fuzz|all]\n\
-    \       [--scale N] [--ops N] [--domains N] [--out FILE]\n\
-    \       [--gate]   (codec: fail on a >25%% words/op regression vs the committed baseline)\n\
-    \       [--deadline SECONDS] [--fuzz-seed N]   (fuzz; seed 0 = time-derived)\n";
-  exit 1
-
 let () =
   (* A bigger minor heap for every domain: at the default 256k words the
      multi-domain legs (pipeline, group-commit) spend a large share of
@@ -2265,101 +131,29 @@ let () =
      distorting any single-domain number. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4_194_304 };
   let cmds = ref [] in
-  let int_arg flag v =
-    match int_of_string_opt v with
-    | Some n -> n
-    | None ->
-      pr "bad value %S for %s (expected an integer)\n" v flag;
-      usage ()
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--scale" :: v :: rest ->
-      scale := int_arg "--scale" v;
-      parse rest
-    | "--ops" :: v :: rest ->
-      ops := int_arg "--ops" v;
-      parse rest
-    | "--domains" :: v :: rest ->
-      domains := int_arg "--domains" v;
-      parse rest
-    | "--out" :: v :: rest ->
-      out_file := v;
-      parse rest
-    | "--gate" :: rest ->
-      gate := true;
-      parse rest
-    | "--deadline" :: v :: rest ->
-      (match float_of_string_opt v with
-       | Some f -> deadline := f
-       | None ->
-         pr "bad value %S for --deadline (expected seconds)\n" v;
-         usage ());
-      parse rest
-    | "--fuzz-seed" :: v :: rest ->
-      fuzz_seed := int_arg "--fuzz-seed" v;
-      parse rest
-    | cmd :: rest ->
-      cmds := cmd :: !cmds;
-      parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+  (match Arg.parse_argv Sys.argv options (fun c -> cmds := c :: !cmds) "" with
+   | () -> ()
+   | exception (Arg.Bad msg | Arg.Help msg) ->
+     usage (List.hd (String.split_on_char '\n' msg) ^ "\n"));
   let cmds = match List.rev !cmds with [] -> [ "all" ] | l -> l in
-  let run cmd =
-    reset_cache_stats ();
-    match cmd with
-    | "fig1" -> fig1 ()
-    | "fig6a" -> fig6a ()
-    | "fig6b" -> fig6b ()
-    | "fig7" -> fig7 ()
-    | "fig8a" -> fig8 ~write:false ()
-    | "fig8b" -> fig8 ~write:true ()
-    | "siri" -> siri ()
-    | "verify" -> verify_bench ()
-    | "verify-mode" -> verify_mode ()
-    | "learned" -> learned ()
-    | "cc" -> cc ()
-    | "pipeline" -> pipeline ()
-    | "durability" ->
-      durability ();
-      group_commit ();
-      checkpoint_bench ()
-    | "group-commit" -> group_commit ()
-    | "checkpoint" -> checkpoint_bench ()
-    | "read-scale" -> read_scale ()
-    | "server" -> server_bench ()
-    | "codec" -> codec ()
-    | "bechamel" -> bechamel ()
-    | "fuzz" -> fuzz_cmd ()
-    | "all" ->
-      fig1 ();
-      fig6a ();
-      fig6b ();
-      fig7 ();
-      fig8 ~write:false ();
-      fig8 ~write:true ();
-      siri ();
-      verify_bench ();
-      verify_mode ();
-      cc ();
-      pipeline ();
-      durability ();
-      group_commit ();
-      checkpoint_bench ();
-      read_scale ();
-      server_bench ();
-      codec ();
-      bechamel ()
-    | cmd ->
-      pr "unknown command %S\n" cmd;
-      usage ()
+  let to_run cmd =
+    if cmd = "all" then List.filter (fun l -> l.in_all) legs
+    else
+      match List.find_opt (fun l -> l.name = cmd) legs with
+      | Some l -> [ l ]
+      | None -> usage (Printf.sprintf "unknown command %S\n" cmd)
   in
+  let runs = List.map to_run cmds in
   pr "spitz benchmark harness (scale=%d => records %s; ops=%d)\n" !scale
-    (String.concat ","
-       (List.map string_of_int (Runner.record_counts ~scale:!scale ())))
+    (String.concat "," (List.map string_of_int (Runner.record_counts ~scale:!scale ())))
     !ops;
   let (), wall =
-    Runner.time (fun () -> List.iter (fun c -> run c; flush_fig (); flush stdout) cmds)
+    Runner.time (fun () ->
+        List.iter
+          (fun legs ->
+             reset_cache_stats ();
+             List.iter (fun l -> l.run ()) legs)
+          runs)
   in
   cache_report ();
   let stamp =
@@ -2368,11 +162,11 @@ let () =
         ("git_rev", J.Str (git_rev ()));
         ("cpu_model", J.Str (cpu_model ()));
         ("sha256", J.Str Spitz_crypto.Sha256.implementation);
-        ("recommended_domains", J.Num (float_of_int (Domain.recommended_domain_count ())));
-        ("pool_domains", J.Num (float_of_int (pool_size ())));
-        ("scale", J.Num (float_of_int !scale));
-        ("ops", J.Num (float_of_int !ops));
-        ("wall_seconds", J.Num wall);
+        ("recommended_domains", int (Domain.recommended_domain_count ()));
+        ("pool_domains", int (pool_size ()));
+        ("scale", int !scale);
+        ("ops", int !ops);
+        ("wall_seconds", num wall);
         ("commands", J.Arr (List.map (fun c -> J.Str c) cmds));
       ]
   in

@@ -242,52 +242,6 @@ let iter store root f =
     in
     go h
 
-(* Cut points for a parallel scan of [lo, hi]: separator keys strictly
-   inside (lo, hi], ascending, at most [parts - 1] of them. Separators are
-   subtree minimum keys, so cutting at them aligns the caller's subranges
-   [lo, p1) [p1, p2) ... [pk, hi] with node boundaries — parallel sub-scans
-   descend into disjoint subtrees. Descends only while a level offers fewer
-   than [parts] overlapping children, so cost is one root-to-depth walk, not
-   a range scan. *)
-let split_points store root ~lo ~hi ~parts =
-  if parts <= 1 then []
-  else
-    match root with
-    | None -> []
-    | Some h ->
-      let rec gather h =
-        match load store h with
-        | Leaf _ -> []
-        | Internal children ->
-          let ov = children_overlapping children ~lo ~hi in
-          if List.length ov >= parts then List.map fst ov
-          else
-            (* not enough fan-out here: each child contributes its own
-               separator plus whatever its level below offers *)
-            List.concat_map
-              (fun (sep, ch) -> match gather ch with [] -> [ sep ] | deeper -> sep :: deeper)
-              ov
-      in
-      (* a separator can equal its subtree's first grandchild separator
-         (both are the leftmost minimum); the list is ascending, so adjacent
-         dedup suffices *)
-      let rec dedup = function
-        | a :: (b :: _ as rest) when String.equal a b -> dedup rest
-        | a :: rest -> a :: dedup rest
-        | [] -> []
-      in
-      let inside =
-        List.filter
-          (fun s -> String.compare s lo > 0 && String.compare s hi <= 0)
-          (dedup (gather h))
-      in
-      let n = List.length inside in
-      if n <= parts - 1 then inside
-      else begin
-        let arr = Array.of_list inside in
-        List.init (parts - 1) (fun i -> arr.((i + 1) * n / parts))
-      end
-
 (* --- Client-side verification: no store access, only proof bytes. --- *)
 
 let verify_get ~digest ~key ~value proof =

@@ -249,10 +249,6 @@ let range_with_proof t ~lo ~hi =
   let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) !entries in
   (entries, { Siri.nodes = List.rev !nodes })
 
-(* Bucket placement follows the key hash, so no key range maps to a subtree
-   — an MBT range scan is inherently whole-tree and cannot be cut. *)
-let split_points _t ~lo:_ ~hi:_ ~parts:_ = []
-
 let iter t f = fold_buckets t (fun () entries -> List.iter (fun (k, v) -> f k v) entries) ()
 
 (* --- Client-side verification. The verifier cannot know [depth] a priori;

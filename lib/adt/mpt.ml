@@ -311,63 +311,6 @@ let range t ~lo ~hi =
     ~record:(fun _ -> ())
     t.root ~lo ~hi
 
-(* Cut points for a parallel scan: the minimum key under each child of the
-   topmost branch node, filtered to (lo, hi]. Nibble order is key order
-   (nibbles are just byte expansions), so each child subtree is a contiguous
-   key interval and its minimum is a structure-aligned cut. Cost is one
-   leftmost descent per child (<= 16), not a scan. *)
-let split_points t ~lo ~hi ~parts =
-  if parts <= 1 then []
-  else
-    match t.root with
-    | None -> []
-    | Some root ->
-      let rec min_key_under h prefix =
-        match load t h with
-        | Leaf (lpath, _) -> of_nibbles (prefix ^ lpath)
-        | Ext (epath, child) -> min_key_under child (prefix ^ epath)
-        | Branch (_, Some _) -> of_nibbles prefix
-        | Branch (children, None) ->
-          let rec first i =
-            if i >= 16 then raise Not_found (* unreachable in a well-formed trie *)
-            else
-              match children.(i) with
-              | Some ch -> min_key_under ch (prefix ^ String.make 1 (Char.chr i))
-              | None -> first (i + 1)
-          in
-          first 0
-      in
-      let rec to_branch h prefix =
-        match load t h with
-        | Leaf _ -> None
-        | Ext (epath, child) -> to_branch child (prefix ^ epath)
-        | Branch (children, _) -> Some (children, prefix)
-      in
-      (match to_branch root "" with
-       | None -> []
-       | Some (children, prefix) ->
-         let mins = ref [] in
-         Array.iteri
-           (fun i c ->
-              match c with
-              | None -> ()
-              | Some ch ->
-                (match min_key_under ch (prefix ^ String.make 1 (Char.chr i)) with
-                 | k -> mins := k :: !mins
-                 | exception Not_found -> ()))
-           children;
-         let inside =
-           List.filter
-             (fun s -> String.compare s lo > 0 && String.compare s hi <= 0)
-             (List.rev !mins)
-         in
-         let n = List.length inside in
-         if n <= parts - 1 then inside
-         else begin
-           let arr = Array.of_list inside in
-           List.init (parts - 1) (fun i -> arr.((i + 1) * n / parts))
-         end)
-
 let range_with_proof t ~lo ~hi =
   (* each distinct node once, even if the walk reaches it from two places *)
   let recorded = Hashtbl.create 64 in

@@ -292,7 +292,6 @@ let get_with_proof t key = Kv_node.get_with_proof t.store t.root key
 let prove_batch t keys = Kv_node.prove_batch t.store t.root keys
 let range t ~lo ~hi = Kv_node.range t.store t.root ~lo ~hi
 let range_with_proof t ~lo ~hi = Kv_node.range_with_proof t.store t.root ~lo ~hi
-let split_points t ~lo ~hi ~parts = Kv_node.split_points t.store t.root ~lo ~hi ~parts
 let iter t f = Kv_node.iter t.store t.root f
 
 let verify_get = Kv_node.verify_get

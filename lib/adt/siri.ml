@@ -91,15 +91,6 @@ module type S = sig
   val range : t -> lo:string -> hi:string -> (string * string) list
   (** Entries with [lo <= key <= hi], in key order. *)
 
-  val split_points : t -> lo:string -> hi:string -> parts:int -> string list
-  (** Cut points for a parallel scan of [lo, hi]: ascending keys [p] with
-      [lo < p <= hi], at most [parts - 1] of them, chosen to align with the
-      index's internal structure so the subranges [lo, p1) [p1, p2) ...
-      [pk, hi] descend into (near-)disjoint subtrees. Scanning the
-      subranges and concatenating equals scanning [lo, hi]. May return
-      fewer points than requested, or none — an index with hash-placed
-      keys (MBT) cannot cut a key range and returns [[]]. *)
-
   val range_with_proof : t -> lo:string -> hi:string -> (string * string) list * proof
 
   val iter : t -> (string -> string -> unit) -> unit

@@ -256,84 +256,40 @@ let search_value t value =
 
 (* --- Snapshot reads: the concurrent read path ---
 
-   A snapshot pins one committed block state — the ledger's atomically
-   published head view plus the object-store deletion generation at pin
-   time. Everything below runs without [commit_lock]: the ledger part is an
-   immutable record, and the store/cache layers are domain-safe, so any
-   number of reader domains serve verified gets and scans while committers
-   append blocks. *)
+   A snapshot pins one committed block state: the ledger's atomically
+   published head view. Everything below runs without [commit_lock]: the
+   view is an immutable record, and the store/cache layers are domain-safe,
+   so any number of reader domains serve verified gets and scans while
+   committers append blocks. *)
 
-type snapshot = {
-  snap : L.snapshot;
-  snap_store : Object_store.t;
-  snap_gen : int; (* store deletion generation at pin time *)
-}
+type snapshot = L.snapshot
 
 exception Below_horizon of { height : int; horizon : int }
 
 let horizon t = t.horizon
 
 let snapshot ?height t =
-  let pin ls =
-    { snap = ls; snap_store = t.store; snap_gen = Object_store.generation t.store }
-  in
   match height with
-  | None -> Option.map pin (L.snapshot t.ledger)
+  | None -> L.snapshot t.ledger
   | Some height ->
     let horizon = t.horizon in
     if height < horizon then raise (Below_horizon { height; horizon });
     (* the head is pinned lock-free; an older block walks the journal's
        mutable tree under the commit lock *)
-    Some (pin (L.snapshot_at ~lock:t.commit_lock t.ledger ~height))
+    Some (L.snapshot_at ~lock:t.commit_lock t.ledger ~height)
 
 module Snapshot = struct
-  let height s = L.snapshot_height s.snap
-  let digest s = L.snapshot_digest s.snap
-  let index_root s = L.snapshot_root s.snap
+  let height = L.snapshot_height
+  let digest = L.snapshot_digest
+  let index_root = L.snapshot_root
 
-  let valid s = Object_store.generation s.snap_store = s.snap_gen
+  let valid t s = height s >= t.horizon
 
-  let get s key = L.snap_get s.snap key
-  let get_verified s key = L.snap_get_with_proof s.snap key
-  let get_batch_verified s keys = L.snap_get_batch_with_proof s.snap keys
-  let range_verified s ~lo ~hi = L.snap_range_with_proof s.snap ~lo ~hi
-
-  (* Keys per pool task below which the handoff costs more than it saves. *)
-  let parallel_threshold = 16
-
-  let get_batch ?pool s keys =
-    match pool with
-    | Some pool
-      when Spitz_exec.Pool.size pool > 1 && List.length keys >= parallel_threshold ->
-      Spitz_exec.Pool.map_list pool (L.snap_get s.snap) keys
-    | _ -> List.map (L.snap_get s.snap) keys
-
-  (* Parallel scan: cut [lo, hi] at index-structure-aligned points and scan
-     the pieces on the pool. Piece [a, b) is an inclusive scan of [a, b]
-     minus the boundary key [b] (owned by the next piece), so the
-     concatenation — [map_list] keeps input order — is exactly the serial
-     scan. Falls back to serial when the index cannot cut (MBT) or no pool
-     is given. *)
-  let range ?pool s ~lo ~hi =
-    match pool with
-    | Some pool when Spitz_exec.Pool.size pool > 1 ->
-      (match
-         L.snap_split_points s.snap ~lo ~hi ~parts:(2 * Spitz_exec.Pool.size pool)
-       with
-       | [] -> L.snap_range s.snap ~lo ~hi
-       | points ->
-         let rec pieces a = function
-           | [] -> [ (a, hi, None) ]
-           | p :: rest -> (a, p, Some p) :: pieces p rest
-         in
-         let scan (a, b, boundary) =
-           let entries = L.snap_range s.snap ~lo:a ~hi:b in
-           match boundary with
-           | None -> entries
-           | Some x -> List.filter (fun (k, _) -> not (String.equal k x)) entries
-         in
-         List.concat (Spitz_exec.Pool.map_list pool scan (pieces lo points)))
-    | _ -> L.snap_range s.snap ~lo ~hi
+  let get = L.snap_get
+  let get_verified = L.snap_get_with_proof
+  let get_batch_verified = L.snap_get_batch_with_proof
+  let range = L.snap_range
+  let range_verified = L.snap_range_with_proof
 end
 
 (* Reads at the head: pin the latest committed state, then read it. On an
@@ -614,7 +570,6 @@ let load path =
 
 type checkpoint_policy =
   | Manual
-  | Every_n_bytes of int
   | Every_n_records of int
 
 type checkpoint_stats = {
@@ -871,7 +826,6 @@ let checkpoint_stats d =
 let checkpoint_due d =
   match d.ckpt_policy with
   | Manual -> false
-  | Every_n_bytes n -> Wal.size d.wal >= max 1 n
   | Every_n_records n ->
     (Wal.stats d.wal).Wal.records - Atomic.get d.ckpt_base_records >= max 1 n
 
@@ -922,7 +876,7 @@ let set_checkpoint_policy d policy =
   d.ckpt_policy <- policy;
   match policy with
   | Manual -> stop_checkpointer d
-  | Every_n_bytes _ | Every_n_records _ ->
+  | Every_n_records _ ->
     if d.ckpt_domain = None then d.ckpt_domain <- Some (Domain.spawn (fun () -> ckpt_loop d))
 
 let sync_durable d =

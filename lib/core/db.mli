@@ -129,9 +129,8 @@ val history : t -> string -> (int * string) list
 
     A {!snapshot} pins exactly one committed block state: the ledger head
     view the serial commit section published last (header, digest,
-    precomputed journal inclusion proof, index instance) plus the object
-    store's deletion generation. Pinning the latest state is one atomic
-    load — no lock — and every read through the snapshot runs outside
+    precomputed journal inclusion proof, index instance). Pinning the
+    latest state is one atomic load — no lock — and every read through the snapshot runs outside
     [commit_lock], concurrently with any number of committers and other
     readers. Proofs verify against {!Snapshot.digest}, the digest as of the
     pinned block. *)
@@ -173,23 +172,16 @@ module Snapshot : sig
 
   val index_root : snapshot -> Spitz_crypto.Hash.t
 
-  val valid : snapshot -> bool
-  (** [true] while no deletion (compaction, release) has touched the store
-      since the snapshot was pinned — pinned objects are guaranteed still
-      present. A snapshot can outlive this (reads may still succeed if its
-      instance was retained); [valid] is the conservative check. *)
+  val valid : t -> snapshot -> bool
+  (** [true] while the pinned height is at or above the database's
+      {!horizon}: its index instance is retained, so every read through the
+      snapshot can be served and proven. {!compact} can raise the horizon
+      past a pin, after which its reads may fail. *)
 
   val get : snapshot -> string -> string option
-  val get_batch : ?pool:Spitz_exec.Pool.t -> snapshot -> string list -> string option list
-  (** Values in input order. With [pool], keys are looked up in parallel on
-      it (same answers, deterministic order, at any pool size). *)
 
-  val range :
-    ?pool:Spitz_exec.Pool.t -> snapshot -> lo:string -> hi:string -> (string * string) list
-  (** Entries in key order. With [pool], the range is cut at
-      index-structure-aligned points and the pieces are scanned in
-      parallel; the result is identical to the serial scan at any pool
-      size. *)
+  val range : snapshot -> lo:string -> hi:string -> (string * string) list
+  (** Entries in key order. *)
 
   val get_verified : snapshot -> string -> string option * L.read_proof
   val get_batch_verified :
@@ -310,8 +302,7 @@ val load : string -> t
     {!history}); verified reads pinned below its {!horizon} raise
     {!Below_horizon}. Blocks the log re-runs after the snapshot keep
     their instances. {!set_checkpoint_policy} runs the same
-    protocol from a background domain when the log grows past a
-    byte/record threshold. *)
+    protocol from a background domain every n logged commits. *)
 
 type durable
 
@@ -351,14 +342,6 @@ val checkpoint : durable -> unit
 
 type checkpoint_policy =
   | Manual                  (** no background checkpoints; call {!checkpoint} *)
-  | Every_n_bytes of int    (** checkpoint when the log exceeds n bytes
-                                (on-disk segments + unflushed batch). A
-                                record is a commit's batch (about 560
-                                bytes for 16 small keys), and a crash
-                                restart re-runs every record since the
-                                last checkpoint at about a commit's cost,
-                                so n bytes can stand for many seconds of
-                                re-execution *)
   | Every_n_records of int  (** checkpoint every n logged commits: bounds
                                 a crash restart to re-running n commits *)
 

@@ -329,8 +329,6 @@ module Make (Index : Siri.S) = struct
       (fun (k, tagged) -> Option.map (fun v -> (k, v)) (untag tagged))
       (Index.range s.s_index ~lo ~hi)
 
-  let snap_split_points s ~lo ~hi ~parts = Index.split_points s.s_index ~lo ~hi ~parts
-
   let snap_get_with_proof s key =
     let tagged, rp_index =
       Node_cache.find_or_add get_proof_cache

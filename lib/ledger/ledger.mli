@@ -137,11 +137,6 @@ module Make (Index : Siri.S) : sig
   val snap_get : snapshot -> string -> string option
   val snap_range : snapshot -> lo:string -> hi:string -> (string * string) list
 
-  val snap_split_points :
-    snapshot -> lo:string -> hi:string -> parts:int -> string list
-  (** [Siri.S.split_points] of the pinned instance — cut points a parallel
-      range scan fans out over. *)
-
   val snap_get_with_proof : snapshot -> string -> string option * read_proof
   val snap_get_batch_with_proof :
     snapshot -> string list -> string option list * batch_read_proof

@@ -30,10 +30,6 @@ type t = {
   shards : shard array;
   mask : int;
   chunk_params : Chunk.params;
-  generation : int Atomic.t;
-  (* bumped whenever an object is deleted (release to zero, sweep) — a
-     snapshot pinned at generation g is fully intact iff the generation is
-     still g *)
 }
 
 let shard_count = 16
@@ -47,8 +43,7 @@ let create ?(chunk_params = Chunk.default_params) () =
   in
   { shards = Array.init shard_count mk;
     mask = shard_count - 1;
-    chunk_params;
-    generation = Atomic.make 0 }
+    chunk_params }
 
 let shard_of t h = t.shards.(Char.code (Hash.to_raw h).[0] land t.mask)
 
@@ -63,8 +58,6 @@ let with_all_shards t f =
   Fun.protect ~finally:(fun () ->
       for i = Array.length t.shards - 1 downto 0 do Mutex.unlock t.shards.(i).m done)
     f
-
-let generation t = Atomic.get t.generation
 
 let stats t =
   with_all_shards t (fun () ->
@@ -201,9 +194,7 @@ let rec release t h =
   in
   match parts with
   | None -> ()
-  | Some parts ->
-    Atomic.incr t.generation;
-    List.iter (release t) parts
+  | Some parts -> List.iter (release t) parts
 
 (* Values above the average chunk size are chunked so that local edits
    share all untouched pieces; values that would be mistaken for a
@@ -300,7 +291,6 @@ let sweep t ~live =
              acc + List.length victims)
           0 t.shards)
   in
-  if deleted > 0 then Atomic.incr t.generation;
   deleted
 
 (* --- persistence: length-prefixed object stream --- *)

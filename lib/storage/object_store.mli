@@ -7,10 +7,7 @@
 
     The store is domain-safe: objects are sharded by address prefix, each
     shard under its own mutex, so reader domains traversing index nodes
-    don't serialize against committers on a single lock. Deletions
-    ({!release} to zero, {!sweep}) bump a {!generation} counter — snapshot
-    readers use it to detect that objects they pinned may have been
-    compacted away. *)
+    don't serialize against committers on a single lock. *)
 
 open Spitz_crypto
 
@@ -39,12 +36,6 @@ val stats : t -> stats
 
 val reset_counters : t -> unit
 (** Zero the operation counters (not the byte gauges). *)
-
-val generation : t -> int
-(** Deletion epoch: bumped whenever any object is removed ({!release}
-    reaching refcount 0, {!sweep}). Everything pinned while the generation
-    is [g] remains present as long as [generation t = g] — additions never
-    bump it. *)
 
 val object_count : t -> int
 

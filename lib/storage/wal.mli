@@ -151,9 +151,9 @@ val policy : t -> sync_policy
 
 val size : t -> int
 (** Total log size in bytes: every live segment on disk {e plus} frames
-    submitted but still sitting in the in-memory group-commit batch — so a
-    size-triggered checkpoint sees acknowledged-or-pending work, not just
-    what the last flush happened to write. *)
+    submitted but still sitting in the in-memory group-commit batch, so it
+    counts acknowledged-or-pending work, not just what the last flush
+    happened to write. *)
 
 type stats = {
   records : int;       (** records submitted over the handle's lifetime *)

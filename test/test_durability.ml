@@ -1225,36 +1225,6 @@ let wait_until ?(timeout_s = 30.) pred msg =
   done;
   if not (pred ()) then Alcotest.fail msg
 
-let test_auto_checkpoint_bytes () =
-  with_dir (fun dir ->
-      let d = Db.open_durable ~sync:Wal.Always dir in
-      let db = Db.durable_db d in
-      Db.set_checkpoint_policy d (Db.Every_n_bytes 256);
-      for i = 0 to 19 do
-        ignore (Db.put db (Printf.sprintf "k%02d" i) (String.make 64 'x'))
-      done;
-      wait_until
-        (fun () -> (Db.checkpoint_stats d).Db.auto_checkpoints >= 1)
-        "background checkpointer never fired on byte threshold";
-      (* once commits stop, the log settles below the threshold *)
-      wait_until
-        (fun () -> Db.wal_size d < 256)
-        "log never shrank below the byte threshold";
-      let stats = Db.checkpoint_stats d in
-      Alcotest.(check int) "no failures" 0 stats.Db.failures;
-      Alcotest.(check bool) "segments retired" true (stats.Db.retired_segments >= 1);
-      Db.set_checkpoint_policy d Db.Manual;
-      let digest = Db.digest db in
-      Db.close_durable d;
-      let d' = Db.open_durable dir in
-      Alcotest.(check int) "all commits recovered" 20
-        (Db.digest (Db.durable_db d')).Spitz_ledger.Journal.size;
-      Alcotest.(check bool) "digest identical" true
-        (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
-           (Db.digest (Db.durable_db d')).Spitz_ledger.Journal.root);
-      Alcotest.(check bool) "audit" true (Db.audit (Db.durable_db d'));
-      Db.close_durable d')
-
 let test_auto_checkpoint_records () =
   with_dir (fun dir ->
       let d = Db.open_durable ~sync:(Wal.Group { max_batch = 8; max_delay_us = 100 }) dir in
@@ -1266,6 +1236,10 @@ let test_auto_checkpoint_records () =
       wait_until
         (fun () -> (Db.checkpoint_stats d).Db.auto_checkpoints >= 1)
         "background checkpointer never fired on record threshold";
+      wait_until
+        (fun () -> (Db.checkpoint_stats d).Db.retired_segments >= 1)
+        "background checkpoint retired no segment";
+      Alcotest.(check int) "no failures" 0 (Db.checkpoint_stats d).Db.failures;
       Db.set_checkpoint_policy d Db.Manual;
       let digest = Db.digest db in
       Db.close_durable d;
@@ -1275,6 +1249,7 @@ let test_auto_checkpoint_records () =
       Alcotest.(check bool) "digest identical" true
         (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
            (Db.digest (Db.durable_db d')).Spitz_ledger.Journal.root);
+      Alcotest.(check bool) "audit" true (Db.audit (Db.durable_db d'));
       Db.close_durable d')
 
 let test_auto_checkpoint_retries_after_failure () =
@@ -1800,7 +1775,6 @@ let suite =
       test_strict_open_rejects_torn_tail;
     Alcotest.test_case "multi-segment corruption sweep" `Quick
       test_multi_segment_corruption_sweep;
-    Alcotest.test_case "auto checkpoint: byte threshold" `Quick test_auto_checkpoint_bytes;
     Alcotest.test_case "auto checkpoint: record threshold" `Quick
       test_auto_checkpoint_records;
     Alcotest.test_case "auto checkpoint retries after failure" `Quick

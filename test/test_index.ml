@@ -193,89 +193,3 @@ let suite =
     QCheck_alcotest.to_alcotest prop_radix_model;
     Alcotest.test_case "inverted index" `Quick test_inverted;
   ]
-
-(* --- learned index (section 7.1 extension) --- *)
-
-let test_learned_basic () =
-  let entries = List.init 5000 (fun i -> (key_of i, i)) in
-  let t = Learned_index.build entries in
-  Alcotest.(check int) "cardinal" 5000 (Learned_index.cardinal t);
-  Alcotest.(check bool) "few segments" true (Learned_index.segments t < 5000);
-  List.iter
-    (fun (k, v) ->
-       if v mod 479 = 0 then Alcotest.(check (option int)) k (Some v) (Learned_index.get t k))
-    entries;
-  Alcotest.(check (option int)) "absent" None (Learned_index.get t "zzz");
-  Alcotest.(check (option int)) "absent before" None (Learned_index.get t "");
-  let r = Learned_index.range t ~lo:(key_of 100) ~hi:(key_of 149) in
-  Alcotest.(check int) "range" 50 (List.length r)
-
-let test_learned_error_bound () =
-  (* the prediction for every indexed key must sit within max_error of its
-     true position *)
-  let n = 20_000 in
-  let entries = List.init n (fun i -> (key_of i, i)) in
-  let t = Learned_index.build ~max_error:16 entries in
-  List.iteri
-    (fun truth (k, _) ->
-       let p = Learned_index.predict t k in
-       if abs (p - truth) > 16 then
-         Alcotest.failf "prediction for %s off by %d (bound 16)" k (abs (p - truth)))
-    entries
-
-let test_learned_duplicates_and_empty () =
-  let t = Learned_index.build [ ("k", 1); ("k", 2); ("a", 0) ] in
-  Alcotest.(check int) "dedup" 2 (Learned_index.cardinal t);
-  Alcotest.(check (option int)) "last duplicate wins" (Some 2) (Learned_index.get t "k");
-  let e = Learned_index.build ([] : (string * int) list) in
-  Alcotest.(check (option int)) "empty" None (Learned_index.get e "k");
-  Alcotest.(check (list (pair string int))) "empty range" [] (Learned_index.range e ~lo:"" ~hi:"z")
-
-let prop_learned_model =
-  QCheck.Test.make ~name:"learned index: model-based get/range" ~count:40
-    QCheck.(pair (small_list (pair (int_bound 1000) (int_bound 50))) (int_range 1 64))
-    (fun (pairs, max_error) ->
-       let entries = List.map (fun (ki, v) -> (key_of ki, v)) pairs in
-       let t = Learned_index.build ~max_error entries in
-       let model = List.fold_left (fun m (k, v) -> SM.add k v m) SM.empty entries in
-       SM.for_all (fun k v -> Learned_index.get t k = Some v) model
-       && Learned_index.cardinal t = SM.cardinal model
-       && Learned_index.range t ~lo:"" ~hi:"~" = SM.bindings model)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "learned index basic" `Quick test_learned_basic;
-      Alcotest.test_case "learned index error bound" `Quick test_learned_error_bound;
-      Alcotest.test_case "learned index duplicates" `Quick test_learned_duplicates_and_empty;
-      QCheck_alcotest.to_alcotest prop_learned_model;
-    ]
-
-(* adversarially non-linear key distributions must still be correct (the
-   model only affects speed, never answers) *)
-let test_learned_skewed_distribution () =
-  let entries =
-    List.init 2000 (fun i ->
-        (* exponentially clustered keys *)
-        (Printf.sprintf "%020d" ((i * i * i) + i), i))
-  in
-  let t = Learned_index.build ~max_error:8 entries in
-  List.iter
-    (fun (k, v) ->
-       if v mod 97 = 0 then Alcotest.(check (option int)) k (Some v) (Learned_index.get t k))
-    entries;
-  Alcotest.(check (option int)) "absent in a gap" None (Learned_index.get t "00000000000000001001")
-
-let test_learned_single_and_two () =
-  let one = Learned_index.build [ ("only", 1) ] in
-  Alcotest.(check (option int)) "single" (Some 1) (Learned_index.get one "only");
-  let two = Learned_index.build [ ("a", 1); ("b", 2) ] in
-  Alcotest.(check (option int)) "first" (Some 1) (Learned_index.get two "a");
-  Alcotest.(check (option int)) "second" (Some 2) (Learned_index.get two "b")
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "learned skewed keys" `Quick test_learned_skewed_distribution;
-      Alcotest.test_case "learned tiny inputs" `Quick test_learned_single_and_two;
-    ]

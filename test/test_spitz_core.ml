@@ -261,12 +261,19 @@ let test_db_snapshot_validity () =
     ignore (Db.put db (Printf.sprintf "k%02d" i) (String.make 64 'x'))
   done;
   let s = Option.get (Db.snapshot db) in
-  Alcotest.(check bool) "valid at pin time" true (Db.Snapshot.valid s);
+  Alcotest.(check bool) "valid at pin time" true (Db.Snapshot.valid db s);
   ignore (Db.put db "more" "y");
-  Alcotest.(check bool) "additions don't invalidate" true (Db.Snapshot.valid s);
+  Alcotest.(check bool) "additions don't invalidate" true (Db.Snapshot.valid db s);
+  (* keeping two instances keeps the pin's (height 63, horizon 63) *)
   let deleted, _ = Db.compact ~keep_instances:2 db in
   Alcotest.(check bool) "compaction deleted something" true (deleted > 0);
-  Alcotest.(check bool) "deletions invalidate" false (Db.Snapshot.valid s)
+  Alcotest.(check int) "horizon" 63 (Db.horizon db);
+  Alcotest.(check bool) "a pin at the horizon stays valid" true (Db.Snapshot.valid db s);
+  let v, p = Db.Snapshot.get_verified s "k05" in
+  Alcotest.(check bool) "and reads verify" true
+    (Db.verify_read ~digest:(Db.Snapshot.digest s) ~key:"k05" ~value:v p);
+  ignore (Db.compact ~keep_instances:1 db);
+  Alcotest.(check bool) "a pin below the horizon is invalid" false (Db.Snapshot.valid db s)
 
 let test_db_proof_cache () =
   let module NC = Spitz_storage.Node_cache in
@@ -358,32 +365,6 @@ let test_db_snapshot_atomic_under_commits () =
   Alcotest.(check int) "no torn snapshot observed" 0 !bad;
   Alcotest.(check bool) "committer progressed" true (commits > 0)
 
-let test_db_snapshot_parallel_reads () =
-  let db = Db.open_db () in
-  for i = 0 to 199 do
-    ignore (Db.put db (Printf.sprintf "k%03d" i) (string_of_int i))
-  done;
-  let s = Option.get (Db.snapshot db) in
-  let keys = List.init 64 (fun i -> Printf.sprintf "k%03d" (i * 3)) in
-  let serial_batch = Db.Snapshot.get_batch s keys in
-  let serial_range = Db.Snapshot.range s ~lo:"k010" ~hi:"k150" in
-  Alcotest.(check int) "serial range rows" 141 (List.length serial_range);
-  List.iter
-    (fun n ->
-      let pool = Spitz_exec.Pool.create n in
-      Fun.protect
-        ~finally:(fun () -> Spitz_exec.Pool.shutdown pool)
-        (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "batch identical at pool %d" n)
-            true
-            (Db.Snapshot.get_batch ~pool s keys = serial_batch);
-          Alcotest.(check bool)
-            (Printf.sprintf "range identical at pool %d" n)
-            true
-            (Db.Snapshot.range ~pool s ~lo:"k010" ~hi:"k150" = serial_range)))
-    [ 1; 2; 4 ]
-
 let suite =
   [
     Alcotest.test_case "universal key roundtrip" `Quick test_ukey_roundtrip;
@@ -408,6 +389,4 @@ let suite =
     Alcotest.test_case "db proof cache" `Quick test_db_proof_cache;
     Alcotest.test_case "db snapshot atomic under commits" `Quick
       test_db_snapshot_atomic_under_commits;
-    Alcotest.test_case "db snapshot parallel reads" `Quick
-      test_db_snapshot_parallel_reads;
   ]
