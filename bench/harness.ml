@@ -7,14 +7,11 @@ module Db = Spitz.Db
 
 let scale = ref 4
 let ops = ref 10_000
-let domains = ref 0 (* 0 = auto *)
 let out_file = ref "BENCH_results.json"
 let gate = ref false
 let deadline = ref 60.
 let fuzz_seed = ref 0
 let exit_code = ref 0
-
-let pool_size () = if !domains > 0 then !domains else Spitz_exec.Pool.default_size ()
 
 let pr fmt = Printf.printf fmt
 
@@ -118,11 +115,11 @@ let fill db n =
       ignore (Db.put db k (Keygen.value_of k)))
 
 (* Keys 0..n-1 as put batches of [size] keys. *)
-let batches ?(value = fun k -> Keygen.value_of k) ~size n =
+let batches ~size n =
   List.init ((n + size - 1) / size) (fun b ->
       List.init (min size (n - (b * size))) (fun j ->
           let k = Keygen.key_of ((b * size) + j) in
-          (k, value k)))
+          (k, Keygen.value_of k)))
 
 let temp_dir () =
   let path = Filename.temp_file "spitz_bench" ".dir" in

@@ -22,7 +22,6 @@ let legs =
       Figures.verify_bench;
     leg "verify-mode" "online vs deferred verification (section 5.3)" Figures.verify_mode;
     leg "cc" "concurrency-control ablation (section 5.2)" Figures.cc;
-    leg "pipeline" "multicore commit pipeline: 1 domain vs N domains" System.pipeline;
     leg "durability" "WAL throughput per fsync policy, recovery; then group-commit, checkpoint"
       (fun () ->
         System.durability ();
@@ -45,8 +44,6 @@ let options =
       ("--scale", Arg.Set_int scale,
        "N divide the paper's record counts by N (default 4; 1 = the full 10k..1.28M sweep)");
       ("--ops", Arg.Set_int ops, "N operations measured per data point (default 10000)");
-      ("--domains", Arg.Set_int domains,
-       "N pool size for pipeline and verify (default: the recommended domain count)");
       ("--out", Arg.Set_string out_file, "FILE results file (default BENCH_results.json)");
       ("--gate", Arg.Set gate,
        " codec: fail on a >25% words/op regression vs the baseline in --out");
@@ -124,7 +121,7 @@ let merge_results ~previous ~stamp =
 
 let () =
   (* A bigger minor heap for every domain: at the default 256k words the
-     multi-domain legs (pipeline, group-commit) spend a large share of
+     multi-domain legs (group-commit, read-scale) spend a large share of
      their time in stop-the-world minor collections — on a one-core box
      that syncs up to 8 threads per collection. 4M words (32 MB) per
      domain makes GC cost negligible at bench allocation rates without
@@ -163,7 +160,6 @@ let () =
         ("cpu_model", J.Str (cpu_model ()));
         ("sha256", J.Str Spitz_crypto.Sha256.implementation);
         ("recommended_domains", int (Domain.recommended_domain_count ()));
-        ("pool_domains", int (pool_size ()));
         ("scale", int !scale);
         ("ops", int !ops);
         ("wall_seconds", num wall);

@@ -10,105 +10,6 @@ module Ipc = Spitz_nonintrusive.Ipc
 module Frame = Spitz_server.Frame
 module Mbp = Spitz_adt.Merkle_bptree
 
-(* ---------- multicore commit pipeline ---------- *)
-
-(* ~1 KB values so the parallel hashing stages dominate the serial index
-   update (a document-store-shaped workload rather than the paper's 20-byte
-   values). *)
-let big_value k = String.concat "" (List.init 52 (fun v -> Keygen.value_of ~version:v k))
-
-let pipeline () =
-  let module Pool = Spitz_exec.Pool in
-  let module L = Spitz_ledger.Ledger.Default in
-  let module B = Spitz_baseline.Baseline_db in
-  let nd = pool_size () in
-  title "Multicore commit pipeline: 1 domain vs %d domains" nd;
-  pr "(recommended domain count on this machine: %d; ~1 KB values)\n"
-    (Domain.recommended_domain_count ());
-  let pool = Pool.create nd in
-  (* Wall-clock is noisy; best-of-2 per leg, result from the first run. *)
-  let timed_min f =
-    let r, t0 = Runner.time f in
-    let _, t1 = Runner.time f in
-    (r, Float.min t0 t1)
-  in
-  let emit = table () in
-  (* [run None] is the sequential leg, [run (Some pool)] the parallel one;
-     their results must be equal *)
-  let leg name ~work run =
-    let r1, t1 = timed_min (fun () -> run None) in
-    let rn, tn = timed_min (fun () -> run (Some pool)) in
-    let ok = r1 = rn in
-    if not ok then fail "%s: parallel result diverged from sequential" name;
-    ( name,
-      emit ~label:name
-        [
-          ("work_items", int work);
-          ("seconds_1", num t1);
-          ("seconds_n", num tn);
-          ("speedup", num (t1 /. tn));
-          ("kops_1", num (float_of_int work /. t1 /. 1e3));
-          ("kops_n", num (float_of_int work /. tn /. 1e3));
-          ("results_equal", bool ok);
-        ] )
-  in
-  (* Leg 1: full Spitz commit pipeline. Value hashing and entry leaf hashing
-     run on the pool; the SIRI index update stays serial, so the journal
-     digest must be bit-identical at any pool size. *)
-  let blocks = max 8 (64 / !scale) and block = 256 in
-  let leg_commit =
-    leg "ledger-commit" ~work:(blocks * block) (fun pool ->
-        let l = L.create ?pool (Os.create ()) in
-        for b = 0 to blocks - 1 do
-          ignore
-            (L.commit l
-               (List.init block (fun i ->
-                    let k = Keygen.key_of ((b * block) + i) in
-                    Spitz_ledger.Ledger.Put (k, big_value k))))
-        done;
-        L.digest l)
-  in
-  (* Leg 2: baseline shadow rebuild — serial record collection, parallel leaf
-     hashing, serial Merkle assembly. *)
-  let nrec = max 1_000 (20_000 / !scale) in
-  let b = B.create () in
-  List.iter (fun kvs -> ignore (B.put_batch b kvs)) (batches ~value:big_value ~size:512 nrec);
-  let leg_rebuild = leg "shadow-rebuild" ~work:nrec (fun pool -> B.rebuild_shadow ?pool b) in
-  (* Leg 3: SIRI bulk build sharded over independent stores — whole shard
-     builds run in parallel (the node cache is domain-safe); per-shard roots
-     must match the sequential build's. *)
-  let shards = max 2 nd and per_shard = max 500 (8_000 / !scale) in
-  let build_shard s =
-    let t = ref (Mbp.create (Os.create ())) in
-    for i = 0 to per_shard - 1 do
-      let k = Keygen.key_of ((s * per_shard) + i) in
-      t := Mbp.insert !t k (Keygen.value_of k)
-    done;
-    Mbp.root_digest !t
-  in
-  let ids = Array.init shards Fun.id in
-  let leg_shards =
-    leg "siri-shard-build" ~work:(shards * per_shard) (function
-      | None -> Array.map build_shard ids
-      | Some pool -> Pool.parallel_map pool ~chunk:1 build_shard ids)
-  in
-  Pool.shutdown pool;
-  add_result "pipeline"
-    (J.Obj
-       [
-         ("domains", int nd);
-         ("recommended_domains", int (Domain.recommended_domain_count ()));
-         leg_commit;
-         leg_rebuild;
-         leg_shards;
-       ]);
-  pr "(expected shape: on a multicore machine shadow-rebuild and\n";
-  pr " siri-shard-build approach linear speedup — their parallel stage is the\n";
-  pr " whole leg — while ledger-commit gains only its hashing fraction\n";
-  pr " (Amdahl: the SIRI index update is kept serial for determinism). On a\n";
-  pr " single core all speedups sit near 1.0; 'equal' must be yes everywhere\n";
-  pr " regardless — roots and digests never depend on the pool size)\n"
-
 (* ---------- durability: fsync policies + recovery ---------- *)
 
 (* The served write shape: 384 commits of 16 keys drawn by [pick] from the
@@ -253,10 +154,11 @@ let group_commit () =
       committer_leg ~leg:(Printf.sprintf "group-commit %s x%d" name n) ~sync ~n
         ~per:(commits / n) (fun d thr lat ->
           let st = Db.wal_stats d in
-          (* a lone committer must never linger: there is nobody to share
-             its fsync with *)
-          if name = "group" && n = 1 && st.Wal.lingers > 0 then
-            fail "group policy lingered %d times with 1 committer" st.Wal.lingers;
+          (* one or two committers must never linger: a lone one has
+             nobody to share its fsync with, and a pair overlaps each
+             one's fsync with the other's commit *)
+          if n <= 2 && st.Wal.lingers > 0 then
+            fail "%s policy lingered %d times with %d committers" name st.Wal.lingers n;
           if name = "always" then Hashtbl.replace always n thr;
           let per_fsync = ratio (float_of_int st.Wal.records) (float_of_int st.Wal.fsyncs) in
           [ ("committers", int n); ("commits_kops", kops thr) ]
@@ -280,7 +182,8 @@ let group_commit () =
   pr " never/interval legs, already fsync-light, gain less; tail latency\n";
   pr " rises with queueing but p50 stays near the fsync cost; 'equal' and\n";
   pr " 'audit' must be yes everywhere: group commit must not change digests\n";
-  pr " or break recovery; group with 1 committer must show 0 lingers)\n"
+  pr " or break recovery; every policy at 1 or 2 committers must show 0\n";
+  pr " lingers)\n"
 
 (* ---------- checkpoint under load: commit tail latency ---------- *)
 

@@ -69,11 +69,6 @@ let of_leaves datas =
   List.iter (fun d -> ignore (add_leaf t d)) datas;
   t
 
-let of_leaf_hashes hashes =
-  let t = create () in
-  List.iter (fun h -> ignore (add_leaf_hash t h)) hashes;
-  t
-
 let root t =
   if size t = 0 then empty_root else t.levels.(t.nlevels - 1).a.(0)
 

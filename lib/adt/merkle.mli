@@ -23,10 +23,6 @@ val add_leaf_hash : t -> Hash.t -> int
 (** Append an already-computed leaf hash (must be domain-separated, i.e.
     produced by {!Hash.leaf}). *)
 
-val of_leaf_hashes : Hash.t list -> t
-(** Tree over already-computed leaf hashes, in order — the serial assembly
-    stage after leaves were hashed elsewhere (possibly in parallel). *)
-
 val root : t -> Hash.t
 (** Current root digest. The empty tree hashes to {!empty_root}. *)
 

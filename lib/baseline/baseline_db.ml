@@ -32,10 +32,9 @@ type t = {
   by_txn : (int, string list) Hashtbl.t;     (* committed-metadata view *)
   mutable clock : int;
   mutable next_txn : int;
-  pool : Spitz_exec.Pool.t option;           (* commit/rebuild hashing parallelism *)
 }
 
-let create ?store ?pool () =
+let create ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
   {
     store;
@@ -46,7 +45,6 @@ let create ?store ?pool () =
     by_txn = Hashtbl.create 1024;
     clock = 0;
     next_txn = 0;
-    pool;
   }
 
 let store t = t.store
@@ -66,22 +64,16 @@ let put_batch t kvs =
   t.clock <- t.clock + 1;
   let version = t.clock in
   let entries =
-    (* record digests are independent per record: hash them on the pool when
-       the batch is large enough to amortize the handoff *)
-    let entry_of (key, value) =
-      { Block.op = Block.Update; key; value_hash = Hash.of_string value; txn_id }
-    in
-    match t.pool with
-    | Some pool when Spitz_exec.Pool.size pool > 1 && List.length kvs >= 16 ->
-      Spitz_exec.Pool.map_list pool entry_of kvs
-    | _ -> List.map entry_of kvs
+    List.map
+      (fun (key, value) -> { Block.op = Block.Update; key; value_hash = Hash.of_string value; txn_id })
+      kvs
   in
   (* the ledger: shadow tree over the record contents *)
   t.shadow <- List.fold_left (fun sh (key, value) -> Shadow.insert sh key value) t.shadow kvs;
   let height = Journal.length t.journal in
   let block =
     Block.create_rooted
-      ~entries_root:(Spitz_adt.Merkle.root (Block.entries_merkle ?pool:t.pool entries))
+      ~entries_root:(Spitz_adt.Merkle.root (Block.entries_merkle entries))
       ~height ~prev_hash:(Journal.head_hash t.journal)
       ~index_root:(Shadow.root_digest t.shadow) ~time:version ~entries ~statements:[]
   in
@@ -193,35 +185,3 @@ let verify_range ~digest results proofs =
   && List.for_all2 (fun (key, value) proof -> verify ~digest ~key ~value proof) results proofs
 
 let audit t = Journal.audit_chain t.journal
-
-(* --- Shadow rebuild ---
-
-   A commercial ledger database periodically recomputes the ledger
-   commitment from its materialized views to detect divergence between the
-   two (the views and the ledger are separate structures — the design the
-   evaluation isolates). The rebuild is a three-stage pipeline:
-     1. collect the records from the current-state view (serial: the view
-        and the object store are not domain-safe),
-     2. hash every record into its Merkle leaf (embarrassingly parallel —
-        each leaf depends on one record only),
-     3. assemble the Merkle tree over the leaves in key order (serial).
-   The root depends only on the record sequence, never on the pool size. *)
-
-let leaf_of_record key value =
-  let buf = Wire.writer () in
-  Wire.write_string buf key;
-  Wire.write_string buf value;
-  Wire.leaf_digest buf
-
-let rebuild_shadow ?pool t =
-  let records = ref [] in
-  Spitz_index.Bptree.iter t.current (fun key ve ->
-      records := (key, Object_store.get_blob_exn t.store ve.value_addr) :: !records);
-  let records = Array.of_list (List.rev !records) in
-  let hash_one (key, value) = leaf_of_record key value in
-  let leaves =
-    match pool with
-    | Some p when Spitz_exec.Pool.size p > 1 -> Spitz_exec.Pool.parallel_map p hash_one records
-    | _ -> Array.map hash_one records
-  in
-  Spitz_adt.Merkle.root (Spitz_adt.Merkle.of_leaf_hashes (Array.to_list leaves))

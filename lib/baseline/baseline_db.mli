@@ -12,9 +12,7 @@ open Spitz_ledger
 
 type t
 
-val create : ?store:Spitz_storage.Object_store.t -> ?pool:Spitz_exec.Pool.t -> unit -> t
-(** With [pool], commit batches hash record digests and block entry leaves in
-    parallel; results are bit-identical to the sequential path. *)
+val create : ?store:Spitz_storage.Object_store.t -> unit -> t
 
 val store : t -> Spitz_storage.Object_store.t
 val cardinal : t -> int
@@ -62,11 +60,3 @@ val verify : digest:digest -> key:string -> value:string -> proof -> bool
 val verify_range : digest:digest -> (string * string) list -> proof list -> bool
 
 val audit : t -> bool
-
-val rebuild_shadow : ?pool:Spitz_exec.Pool.t -> t -> Hash.t
-(** Recompute the flat Merkle commitment over every record of the
-    current-state view (the periodic view-vs-ledger divergence audit of a
-    commercial ledger database). Record collection and tree assembly are
-    serial; leaf hashing — the dominant cost — runs on [pool] when given.
-    The root depends only on the records, so it is bit-identical at every
-    pool size. *)

@@ -338,34 +338,6 @@ let check_siri (tr : Trace.trace) =
   List.iter (fun impl -> check_one_siri impl tr) siri_impls;
   List.iter (fun buckets -> check_one_siri (mbt_sized buckets) tr) [ 2; 4; 64 ]
 
-(* --- digest invariance --- *)
-
-(* One small pool shared by every property run: domain spawn is far too
-   expensive per test case. *)
-let shared_pool = lazy (Spitz_exec.Pool.create 3)
-
-let shutdown_pool () =
-  if Lazy.is_val shared_pool then Spitz_exec.Pool.shutdown (Lazy.force shared_pool)
-
-let replay_digest ?pool (tr : Trace.trace) =
-  let db = Db.open_db ?pool () in
-  List.iter
-    (function
-      | Trace.Reopen -> ()
-      | Trace.Commit ws -> ignore (Db.commit db (writes_of ws)))
-    tr.steps;
-  Db.digest db
-
-let check_pool_invariance (tr : Trace.trace) =
-  let sequential = replay_digest tr in
-  let pooled = replay_digest ~pool:(Lazy.force shared_pool) tr in
-  if sequential <> pooled then
-    fail "digest differs under a pool: sequential %s/%d, pooled %s/%d"
-      (Spitz_crypto.Hash.to_hex sequential.Spitz_ledger.Journal.root)
-      sequential.Spitz_ledger.Journal.size
-      (Spitz_crypto.Hash.to_hex pooled.Spitz_ledger.Journal.root)
-      pooled.Spitz_ledger.Journal.size
-
 (* --- concurrent commit serializability --- *)
 
 (* N domains race the thread-safe [Db.commit] front-end with disjoint
@@ -935,6 +907,17 @@ let check_concurrent_clients (tr : Trace.trace) =
       fail "late client pinned a digest different from the settled head";
     if not (Db.audit db) then fail "client storm: chain audit failed"
   end
+
+(* --- digest stability --- *)
+
+let replay_digest (tr : Trace.trace) =
+  let db = Db.open_db () in
+  List.iter
+    (function
+      | Trace.Reopen -> ()
+      | Trace.Commit ws -> ignore (Db.commit db (writes_of ws)))
+    tr.steps;
+  Db.digest db
 
 let check_digest_stability (tr : Trace.trace) =
   with_temp_file @@ fun tmp ->

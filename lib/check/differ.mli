@@ -32,11 +32,6 @@ val check_siri : Trace.trace -> unit
     reproduces the same digest and contents; and a spot-check that proofs for
     one index {e never} verify claims for a different value. *)
 
-val check_pool_invariance : Trace.trace -> unit
-(** Replaying the trace with a domain pool yields a digest bit-identical to
-    the sequential replay — commit parallelism must not leak into
-    commitments. Uses a small shared pool, created lazily on first use. *)
-
 val check_concurrent_commits : Trace.trace -> unit
 (** Serializability of the concurrent commit front-end: up to four domains
     race [Db.commit] with disjoint slices of the trace's batches (each block
@@ -98,7 +93,3 @@ val check_digest_stability : Trace.trace -> unit
     same trace twice — and through a save/load round-trip — yields identical
     digests, and every prefix digest is extended consistently (journal
     consistency proofs verify). *)
-
-val shutdown_pool : unit -> unit
-(** Join the shared pool's domains (for clean test-process exit). Safe to
-    call when the pool was never created. *)

@@ -54,9 +54,14 @@ let of_ledger ~store ~column ~with_inverted ledger =
     horizon = 0;
   }
 
-let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
+(* The cell-store column of the KV surface. A database records its column
+   in [meta] and the snapshot header, and a reopen reads it back from
+   there. *)
+let kv_column = "v"
+
+let open_db ?store ?(with_inverted = false) () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  of_ledger ~store ~column ~with_inverted (L.create ?pool store)
+  of_ledger ~store ~column:kv_column ~with_inverted (L.create store)
 
 let store t = t.store
 let ledger t = t.ledger
@@ -183,7 +188,7 @@ let decode_wal_record data =
    acquired, so digests, proofs and audits are byte-identical to that
    serial order. *)
 let commit t ?(statements = []) writes =
-  let prepared = L.prepare t.ledger ~statements writes in
+  let prepared = L.prepare ~statements writes in
   Mutex.lock t.commit_lock;
   let height, ticket =
     match
@@ -471,8 +476,8 @@ let horizon_of store journal =
    each value where the store already holds it — no put, so a reopen leaves
    the restored reference counts as they were saved (DESIGN.md,
    Recovery). *)
-let rebuild ?pool ~store ~column ~with_inverted bodies =
-  let ledger = L.restore ?pool store bodies in
+let rebuild ~store ~column ~with_inverted bodies =
+  let ledger = L.restore store bodies in
   let t = of_ledger ~store ~column ~with_inverted ledger in
   let journal = L.journal ledger in
   t.horizon <- horizon_of store journal;
@@ -496,7 +501,7 @@ let rebuild ?pool ~store ~column ~with_inverted bodies =
   in
   let address vhash =
     match Object_store.get store vhash with
-    | Some data when Object_store.stores_raw store data -> Some vhash
+    | Some data when Object_store.stores_raw data -> Some vhash
     | _ -> Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash
   in
   for height = 0 to Journal.length journal - 1 do
@@ -563,10 +568,10 @@ let load path =
    puts and deletes) and the content address of the block body it produced
    ([encode_wal_record]). Recovery is re-execution: restore the snapshot,
    then run each logged batch through [commit] again. Digests do not depend
-   on the pool size or on timing, so the re-run rebuilds the same index
-   nodes, block and cell versions, and a record whose re-run yields a
-   different body is rejected as corrupt; a torn tail (CRC failure
-   mid-record) is truncated and forgiven. *)
+   on timing, so the re-run rebuilds the same index nodes, block and cell
+   versions, and a record whose re-run yields a different body is rejected
+   as corrupt; a torn tail (CRC failure mid-record) is truncated and
+   forgiven. *)
 
 type checkpoint_policy =
   | Manual
@@ -668,8 +673,7 @@ let replay_records db records =
        end)
     records
 
-let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
-    ?(with_inverted = false) dir =
+let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     invalid_arg ("Db.open_durable: not a directory: " ^ dir);
@@ -682,7 +686,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
   (try Sys.remove (meta_file dir ^ ".tmp") with Sys_error _ -> ());
   (* the identity recorded at creation wins over the caller's defaults *)
   let column, with_inverted =
-    if Sys.file_exists (meta_file dir) then read_meta dir else (column, with_inverted)
+    if Sys.file_exists (meta_file dir) then read_meta dir else (kv_column, with_inverted)
   in
   if not (Sys.file_exists (meta_file dir)) then write_meta dir ~column ~with_inverted;
   (* 1. the last checkpoint, if any *)
@@ -716,7 +720,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
   (* 3. rebuild the snapshot's state; [Journal.append] inside re-validates
      every chain link *)
   let db =
-    corrupt_guard "Db.open_durable" (fun () -> rebuild ?pool ~store ~column ~with_inverted bodies)
+    corrupt_guard "Db.open_durable" (fun () -> rebuild ~store ~column ~with_inverted bodies)
   in
   (* 4. re-run the log's batches past the snapshot *)
   corrupt_guard "Db.open_durable(wal)" (fun () -> replay_records db replayed.Wal.records);

@@ -31,14 +31,10 @@ module V : module type of struct include Verifier.Default end
 
 type t
 
-val open_db :
-  ?store:Object_store.t -> ?pool:Spitz_exec.Pool.t -> ?column:string ->
-  ?with_inverted:bool -> unit -> t
-(** A fresh database. [column] names the cell-store column of the KV surface
-    (default ["v"]); [with_inverted] enables the inverted value index over
-    every cell's value. With [pool], commit batches hash their value
-    payloads and block entry leaves on the pool (index updates stay serial,
-    so digests and proofs are bit-identical at any pool size). *)
+val open_db : ?store:Object_store.t -> ?with_inverted:bool -> unit -> t
+(** A fresh database. Its KV surface lives in the cell-store column ["v"];
+    [with_inverted] enables the inverted value index over every cell's
+    value. *)
 
 val store : t -> Object_store.t
 val ledger : t -> L.t
@@ -307,12 +303,12 @@ val load : string -> t
 type durable
 
 val open_durable :
-  ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> ?pool:Spitz_exec.Pool.t ->
-  ?column:string -> ?with_inverted:bool -> string -> durable
+  ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> ?with_inverted:bool -> string ->
+  durable
 (** Open (creating if needed) the durable database in directory [dir].
-    [column] / [with_inverted] only apply to a freshly created database; an
-    existing database's recorded identity (meta file / snapshot header)
-    wins. Default sync policy: [Always].
+    [with_inverted] only applies to a freshly created database; an existing
+    database's recorded identity (column id and inverted flag, in the meta
+    file / snapshot header) wins. Default sync policy: [Always].
 
     [repair] (default [true]) controls torn-tail handling: with it, a torn
     tail of the log's final segment is truncated in place; without it the

@@ -55,33 +55,18 @@ let entry_bytes e =
   encode_entry buf e;
   Wire.contents buf
 
-(* Below this many entries the domain-pool handoff costs more than the leaf
-   hashing it parallelizes. *)
-let parallel_threshold = 16
-
 (* Leaf hashes are streamed straight out of the encoder's buffer
-   ([Wire.leaf_digest]); the serial path reuses one scratch writer for the
-   whole batch, while the parallel path allocates per entry because the
-   closures run concurrently across pool domains. *)
+   ([Wire.leaf_digest]), one scratch writer reused for the whole batch. *)
 let entry_leaf_into buf e =
   Wire.clear buf;
   encode_entry buf e;
   Wire.leaf_digest buf
 
-let entries_merkle ?pool entries =
-  match pool with
-  | Some pool
-    when Spitz_exec.Pool.size pool > 1 && List.length entries >= parallel_threshold ->
-    (* parallel stage: leaf hashes, in entry order; serial stage: assembly *)
-    Spitz_adt.Merkle.of_leaf_hashes
-      (Spitz_exec.Pool.map_list pool
-         (fun e -> entry_leaf_into (Wire.writer ~size:64 ()) e)
-         entries)
-  | _ ->
-    let tree = Spitz_adt.Merkle.create () in
-    let buf = Wire.writer ~size:64 () in
-    List.iter (fun e -> ignore (Spitz_adt.Merkle.add_leaf_hash tree (entry_leaf_into buf e))) entries;
-    tree
+let entries_merkle entries =
+  let tree = Spitz_adt.Merkle.create () in
+  let buf = Wire.writer ~size:64 () in
+  List.iter (fun e -> ignore (Spitz_adt.Merkle.add_leaf_hash tree (entry_leaf_into buf e))) entries;
+  tree
 
 let encode_header buf h =
   Wire.write_varint buf h.height;

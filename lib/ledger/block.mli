@@ -38,9 +38,8 @@ val create_rooted :
   height:int -> prev_hash:Hash.t -> index_root:Hash.t -> time:int ->
   entries:entry list -> statements:string list -> t
 (** Like {!create} with a precomputed entries root — the commit pipeline
-    computes it via [entries_merkle ?pool] to hash entry leaves in parallel;
-    the root is bit-identical to the sequential one because tree assembly
-    preserves entry order. *)
+    computes it via {!entries_merkle}, hashing entry leaves through one
+    scratch writer. *)
 
 val entry_bytes : entry -> string
 (** Canonical serialization of one entry (the Merkle leaf data). *)
@@ -57,7 +56,7 @@ val decode_header : Spitz_storage.Wire.reader -> header
 (** Writer/reader-level codecs for embedding entries and headers in larger
     wire structures (read proofs, write receipts). *)
 
-val entries_merkle : ?pool:Spitz_exec.Pool.t -> entry list -> Spitz_adt.Merkle.t
+val entries_merkle : entry list -> Spitz_adt.Merkle.t
 (** The Merkle tree committing to the block's entries. *)
 
 val header_bytes : header -> string

@@ -48,19 +48,17 @@ module Make (Index : Siri.S) = struct
     mutable instances : Index.t array; (* index instance per block; slot 0 unused until first commit *)
     mutable time : int;
     mutable next_txn : int;
-    pool : Spitz_exec.Pool.t option; (* commit-pipeline parallelism; None = serial *)
     head : snapshot option Atomic.t;
     (* the latest committed view; what every concurrent read goes through *)
   }
 
-  let create ?pool store =
+  let create store =
     {
       store;
       journal = Journal.create store;
       instances = Array.make 16 (Index.create store);
       time = 0;
       next_txn = 0;
-      pool;
       head = Atomic.make None;
     }
 
@@ -128,19 +126,14 @@ module Make (Index : Siri.S) = struct
     t.next_txn <- id + 1;
     id
 
-  (* Writes per batch below which the parallel hashing stage is not worth
-     the pool handoff. *)
-  let parallel_threshold = 16
-
   (* Commit pipeline (one batch of writes -> one block; returns its height),
      split in two so a concurrent front-end can overlap the phases of
      different commits.
 
-     [prepare] — stage 1, parallel when a pool is attached: hash every
-     written value — pure, independent per write, the dominant crypto cost
-     of large batches, and free of any ledger state, so many committers may
-     prepare concurrently (no lock needed) while another commit's WAL write
-     is in flight.
+     [prepare] — stage 1: hash every written value — pure, independent per
+     write and free of any ledger state, so many committers may prepare
+     concurrently (no lock needed) while another commit's WAL write is in
+     flight.
 
      [commit_prepared] — the serial section; the caller must serialize
      calls. Stage 2: assign the txn id and apply the writes to the SIRI
@@ -148,24 +141,16 @@ module Make (Index : Siri.S) = struct
      therefore every proof are bit-identical to some serial execution order
      regardless of how many committers prepared concurrently; only the
      block's final version of each touched node is stored. Stage 3: assemble the
-     block, with its entry leaf hashes computed on the pool as well. *)
+     block and hash its entry leaves. *)
   type prepared = {
     p_writes : write list;
     p_statements : string list;
     p_value_hashes : Hash.t list;
   }
 
-  let prepare t ?(statements = []) writes =
+  let prepare ?(statements = []) writes =
     let value_hashes =
-      let hash_of = function
-        | Put (_, v) -> Hash.of_string v
-        | Delete _ -> Hash.null
-      in
-      match t.pool with
-      | Some pool
-        when Spitz_exec.Pool.size pool > 1 && List.length writes >= parallel_threshold ->
-        Spitz_exec.Pool.map_list pool hash_of writes
-      | _ -> List.map hash_of writes
+      List.map (function Put (_, v) -> Hash.of_string v | Delete _ -> Hash.null) writes
     in
     { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes }
 
@@ -191,7 +176,7 @@ module Make (Index : Siri.S) = struct
     t.time <- t.time + 1;
     let block =
       Block.create_rooted
-        ~entries_root:(Merkle.root (Block.entries_merkle ?pool:t.pool entries))
+        ~entries_root:(Merkle.root (Block.entries_merkle entries))
         ~height ~prev_hash:(Journal.head_hash t.journal)
         ~index_root:(Index.root_digest index) ~time:t.time ~entries ~statements
     in
@@ -220,7 +205,7 @@ module Make (Index : Siri.S) = struct
          });
     height
 
-  let commit t ?statements writes = commit_prepared t (prepare t ?statements writes)
+  let commit t ?statements writes = commit_prepared t (prepare ?statements writes)
 
   (* --- Reads --- *)
 
@@ -594,8 +579,8 @@ module Make (Index : Siri.S) = struct
      reopened at the roots the block headers commit to (an instance a
      retention mark dropped stays unreadable). Instance cardinalities are
      not restored: nothing reads a ledger instance's count. *)
-  let restore ?pool store bodies =
-    let t = create ?pool store in
+  let restore store bodies =
+    let t = create store in
     List.iter
       (fun body ->
          let block = Block.decode (Object_store.get_exn store body) in

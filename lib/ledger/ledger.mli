@@ -16,10 +16,7 @@ type write = Put of string * string | Delete of string
 module Make (Index : Siri.S) : sig
   type t
 
-  val create : ?pool:Spitz_exec.Pool.t -> Object_store.t -> t
-  (** With [pool], {!commit}'s value and entry-leaf hashing stages run in
-      parallel on the pool. Index updates stay serial in batch order, so
-      roots, digests, and every proof are bit-identical at any pool size. *)
+  val create : Object_store.t -> t
 
   val store : t -> Object_store.t
   val journal : t -> Journal.t
@@ -37,11 +34,11 @@ module Make (Index : Siri.S) : sig
   (** A batch whose value hashes have been computed but which has not yet
       been given a place in the ledger. *)
 
-  val prepare : t -> ?statements:string list -> write list -> prepared
-  (** The parallel-safe front half of {!commit}: hash every written value
-      (on the pool when attached). Touches no ledger state — any number of
-      committers may [prepare] concurrently, overlapping the hashing of one
-      commit with the serial section or WAL write of another. *)
+  val prepare : ?statements:string list -> write list -> prepared
+  (** The lock-free front half of {!commit}: hash every written value.
+      Touches no ledger — any number of committers may [prepare]
+      concurrently, overlapping the hashing of one commit with the serial
+      section or WAL write of another. *)
 
   val value_hashes : prepared -> Hash.t list
   (** The prepared writes' value hashes, in write order ([Hash.null] for a
@@ -233,7 +230,7 @@ module Make (Index : Siri.S) : sig
   (** Content addresses of all encoded blocks, in height order
       (persistence). *)
 
-  val restore : ?pool:Spitz_exec.Pool.t -> Object_store.t -> Hash.t list -> t
+  val restore : Object_store.t -> Hash.t list -> t
   (** Reopen a ledger from its block addresses; re-validates the chain and
       reopens index instances at the roots the headers commit to. The next
       commit gets the block time and transaction id it would have got in the

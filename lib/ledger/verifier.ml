@@ -22,7 +22,6 @@ module Make (Index : Siri.S) = struct
 
   type t = {
     mode : mode;
-    pool : Spitz_exec.Pool.t option; (* parallel flush; None = serial *)
     mutable digest : Journal.digest option; (* trusted pin; None before first sync *)
     trusted : (Spitz_crypto.Hash.t * int, unit) Hashtbl.t;
     (* every digest the pin has passed through, each proven an append-only
@@ -41,8 +40,8 @@ module Make (Index : Siri.S) = struct
     mutable failures : int;
   }
 
-  let create ?(mode = Online) ?pool () =
-    { mode; pool; digest = None; trusted = Hashtbl.create 64;
+  let create ?(mode = Online) () =
+    { mode; digest = None; trusted = Hashtbl.create 64;
       anchors = Hashtbl.create 64; verified = Hashtbl.create 256;
       pending = []; pending_count = 0; checked = 0; failures = 0 }
 
@@ -105,7 +104,7 @@ module Make (Index : Siri.S) = struct
       receipt.L.wr_height, Block.hash_header receipt.L.wr_header )
 
   (* Batched flush. The queued checks are coalesced into unique verification
-     jobs before anything is evaluated:
+     units before anything is evaluated:
 
      - the journal-inclusion anchor is proven once per distinct
        (digest, height, header) unit — many reads against one block share a
@@ -113,12 +112,10 @@ module Make (Index : Siri.S) = struct
      - read claims whose (index root, key, value) triple was already proven
        (earlier flush or earlier in this one) are skipped entirely via the
        persistent verified-set cache;
-     - the remaining jobs are pure functions of their proofs, so with a pool
-       attached they run in parallel; counters and caches are then settled
-       serially in submission order, making the outcome — decisions and
-       counter values — identical at any pool size.
+     - each remaining unit is evaluated once, in submission order; caches
+       and counters are settled after the whole batch.
 
-     Identical logical units share one job, so within a flush a unit is
+     Identical logical units share one verdict, so within a flush a unit is
      judged by the first proof bytes queued for it; honest servers emit
      identical bytes for identical units, making the distinction
      unobservable except under tampering (where the flush fails anyway). *)
@@ -126,28 +123,21 @@ module Make (Index : Siri.S) = struct
     let checks = List.rev t.pending in
     t.pending <- [];
     t.pending_count <- 0;
-    let jobs = ref [] and n_jobs = ref 0 in
-    let add_job f =
-      let i = !n_jobs in
-      incr n_jobs;
-      jobs := f :: !jobs;
-      i
-    in
-    let anchor_jobs = Hashtbl.create 16 in
-    let claim_jobs = Hashtbl.create 64 in
-    (* [None] = already proven (cache hit); [Some i] = wait for job [i]. *)
-    let shared_job table cache key thunk =
+    let anchor_units = Hashtbl.create 16 in
+    let claim_units = Hashtbl.create 64 in
+    (* [None] = already proven (cache hit); [Some ok] = this flush's verdict. *)
+    let shared table cache key check =
       if Hashtbl.mem cache key then None
       else
         Some
           (match Hashtbl.find_opt table key with
-           | Some i -> i
+           | Some ok -> ok
            | None ->
-             let i = add_job thunk in
-             Hashtbl.replace table key i;
-             i)
+             let ok = check () in
+             Hashtbl.replace table key ok;
+             ok)
     in
-    (* Per check: (digest trusted, job indices that must all succeed). *)
+    (* Per check: (digest trusted, verdicts that must all hold). *)
     let plan check =
       match t.digest with
       | None -> (false, [])
@@ -158,11 +148,11 @@ module Make (Index : Siri.S) = struct
            else begin
              let digest = proof.L.rp_digest in
              let a =
-               shared_job anchor_jobs t.anchors (read_anchor_key proof)
+               shared anchor_units t.anchors (read_anchor_key proof)
                  (fun () -> L.verify_read_anchor ~digest proof)
              in
              let c =
-               shared_job claim_jobs t.verified
+               shared claim_units t.verified
                  (proof.L.rp_header.Block.index_root, key, value)
                  (fun () -> L.verify_read_at_root ~key ~value proof)
              in
@@ -173,10 +163,10 @@ module Make (Index : Siri.S) = struct
            else begin
              let digest = proof.L.rp_digest in
              let a =
-               shared_job anchor_jobs t.anchors (read_anchor_key proof)
+               shared anchor_units t.anchors (read_anchor_key proof)
                  (fun () -> L.verify_read_anchor ~digest proof)
              in
-             let r = add_job (fun () -> L.verify_range_at_root ~lo ~hi ~entries proof) in
+             let r = L.verify_range_at_root ~lo ~hi ~entries proof in
              (true, r :: Option.to_list a)
            end
          | Write receipt ->
@@ -184,29 +174,21 @@ module Make (Index : Siri.S) = struct
            else begin
              let digest = receipt.L.wr_digest in
              let a =
-               shared_job anchor_jobs t.anchors (write_anchor_key receipt)
+               shared anchor_units t.anchors (write_anchor_key receipt)
                  (fun () -> L.verify_write_anchor ~digest receipt)
              in
-             let e = add_job (fun () -> L.verify_write_entry receipt) in
+             let e = L.verify_write_entry receipt in
              (true, e :: Option.to_list a)
            end)
     in
     let plans = List.map plan checks in
-    let job_list = List.rev !jobs in
-    let eval f = f () in
-    let results =
-      match t.pool with
-      | Some pool when Spitz_exec.Pool.size pool > 1 && !n_jobs > 1 ->
-        Array.of_list (Spitz_exec.Pool.map_list pool eval job_list)
-      | _ -> Array.of_list (List.map eval job_list)
-    in
-    (* Serial stage: promote proven units into the persistent caches, then
-       settle counters in submission order. *)
-    Hashtbl.iter (fun k i -> if results.(i) then Hashtbl.replace t.anchors k ()) anchor_jobs;
-    Hashtbl.iter (fun k i -> if results.(i) then Hashtbl.replace t.verified k ()) claim_jobs;
+    (* Promote proven units into the persistent caches, then settle
+       counters in submission order. *)
+    Hashtbl.iter (fun k ok -> if ok then Hashtbl.replace t.anchors k ()) anchor_units;
+    Hashtbl.iter (fun k ok -> if ok then Hashtbl.replace t.verified k ()) claim_units;
     List.fold_left
-      (fun acc (trusted, requires) ->
-         let ok = trusted && List.for_all (fun i -> results.(i)) requires in
+      (fun acc (trusted, verdicts) ->
+         let ok = trusted && List.for_all Fun.id verdicts in
          t.checked <- t.checked + 1;
          if not ok then t.failures <- t.failures + 1;
          ok && acc)

@@ -18,11 +18,7 @@ module Make (Index : Siri.S) : sig
 
   type t
 
-  val create : ?mode:mode -> ?pool:Spitz_exec.Pool.t -> unit -> t
-  (** With [pool], {!flush} evaluates its coalesced verification jobs in
-      parallel. Decisions and counter values are identical at any pool size:
-      jobs are pure functions of their proofs, and counters are settled
-      serially in submission order. *)
+  val create : ?mode:mode -> unit -> t
 
   val digest : t -> Journal.digest option
   (** The current pin; [None] before the first {!sync}. *)
@@ -51,8 +47,8 @@ module Make (Index : Siri.S) : sig
       coalesced first: one journal-anchor job per distinct (digest, height,
       header) unit, and read claims whose (index root, key, value) triple was
       already proven — in an earlier flush or earlier in this one — are
-      skipped via a persistent verified-set cache. The surviving jobs run on
-      the pool when one is attached. *)
+      skipped via a persistent verified-set cache. The surviving units are
+      checked once each, in submission order. *)
 end
 
 module Default : module type of Make (Merkle_bptree)

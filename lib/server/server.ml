@@ -1,7 +1,6 @@
 open Spitz_storage
 module Db = Spitz.Db
 module Ipc = Spitz_nonintrusive.Ipc
-module Pool = Spitz_exec.Pool
 
 type config = {
   port : int;
@@ -31,9 +30,9 @@ type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  pool : Pool.t;
   stopping : bool Atomic.t;
-  mutable driver : Thread.t option;
+  mutable driver : Thread.t option; (* runs accept loop 0 *)
+  mutable domains : unit Domain.t list; (* run accept loops 1 .. accept_domains - 1 *)
   conns : (int, Unix.file_descr) Hashtbl.t;
   conns_mu : Mutex.t;
   next_conn : int Atomic.t;
@@ -223,22 +222,51 @@ let handle t fd =
       | exception (Unix.Unix_error _ | Invalid_argument _) -> continue := false)
   done
 
-let handle_conn t (id, fd) =
+(* The handlers one accept loop started: how many still run, and those that
+   finished since the loop last joined them. *)
+type handlers = {
+  mu : Mutex.t;
+  idle : Condition.t; (* signalled as each handler finishes *)
+  mutable live : int;
+  mutable finished : Thread.t list;
+}
+
+let handle_conn t hs (id, fd) =
   Fun.protect
     ~finally:(fun () ->
       unregister_conn t id;
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Atomic.decr t.c_active)
+      Atomic.decr t.c_active;
+      Mutex.lock hs.mu;
+      hs.live <- hs.live - 1;
+      hs.finished <- Thread.self () :: hs.finished;
+      Condition.signal hs.idle;
+      Mutex.unlock hs.mu)
     (fun () -> handle t fd)
 
-(* One accept loop per pool index. The listen fd is non-blocking and shared:
-   select with a short timeout keeps the loop responsive to the stop flag
-   (a blocked [accept] on a closed fd never wakes on Linux), and a losing
-   racer simply sees EAGAIN. Handler threads are joined before the loop
-   returns, so the pool's domains are clean when [parallel_for] finishes. *)
-let accept_loop t _idx =
-  let threads = ref [] in
+(* Join the handlers that have finished; with [wait], first wait until none
+   is left running. *)
+let reap ?(wait = false) hs =
+  Mutex.lock hs.mu;
+  while wait && hs.live > 0 do
+    Condition.wait hs.idle hs.mu
+  done;
+  let finished = hs.finished in
+  hs.finished <- [];
+  Mutex.unlock hs.mu;
+  List.iter Thread.join finished
+
+(* One accept loop per accept domain. The listen fd is non-blocking and
+   shared: select with a short timeout keeps the loop responsive to the stop
+   flag (a blocked [accept] on a closed fd never wakes on Linux), and a
+   losing racer simply sees EAGAIN. Each pass joins the handler threads that
+   finished, so the loop holds a thread only while it serves a connection,
+   and on stop it waits for the rest before it returns: a domain ends with
+   no handler thread of its own still running. *)
+let accept_loop t =
+  let hs = { mu = Mutex.create (); idle = Condition.create (); live = 0; finished = [] } in
   while not (Atomic.get t.stopping) do
+    reap hs;
     if Atomic.get t.c_active >= t.cfg.max_connections then Thread.delay 0.002
     else
       match Unix.select [ t.listen_fd ] [] [] 0.05 with
@@ -257,12 +285,16 @@ let accept_loop t _idx =
           Atomic.incr t.c_accepted;
           Atomic.incr t.c_active;
           let id = register_conn t fd in
-          threads := Thread.create (handle_conn t) (id, fd) :: !threads)
+          Mutex.lock hs.mu;
+          hs.live <- hs.live + 1;
+          Mutex.unlock hs.mu;
+          ignore (Thread.create (handle_conn t hs) (id, fd)))
       | exception Unix.Unix_error _ -> Thread.delay 0.01
   done;
-  List.iter Thread.join !threads
+  reap ~wait:true hs
 
 let start ?(config = default_config) db =
+  if config.accept_domains < 1 then invalid_arg "Server.start: accept_domains must be >= 1";
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
@@ -279,9 +311,9 @@ let start ?(config = default_config) db =
       cfg = config;
       listen_fd;
       bound_port;
-      pool = Pool.create config.accept_domains;
       stopping = Atomic.make false;
       driver = None;
+      domains = [];
       conns = Hashtbl.create 64;
       conns_mu = Mutex.create ();
       next_conn = Atomic.make 0;
@@ -297,11 +329,8 @@ let start ?(config = default_config) db =
     }
   in
   rebuild_tokens db t.tokens;
-  t.driver <-
-    Some
-      (Thread.create
-         (fun () -> Pool.parallel_for t.pool ~chunk:1 config.accept_domains (accept_loop t))
-         ());
+  t.domains <- List.init (config.accept_domains - 1) (fun _ -> Domain.spawn (fun () -> accept_loop t));
+  t.driver <- Some (Thread.create accept_loop t);
   t
 
 let stop t =
@@ -316,6 +345,7 @@ let stop t =
     Mutex.unlock t.conns_mu;
     (match t.driver with Some th -> Thread.join th | None -> ());
     t.driver <- None;
-    Pool.shutdown t.pool;
+    List.iter Domain.join t.domains;
+    t.domains <- [];
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end

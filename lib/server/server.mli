@@ -2,10 +2,11 @@
     with the {!Spitz_nonintrusive.Ipc} request vocabulary, one
     {!Frame}-framed request and response per round trip.
 
-    Concurrency model: [accept_domains] accept loops run on a dedicated
-    {!Spitz_exec.Pool}, each spawning one handler thread per accepted
-    connection. Reads are served lock-free off {!Spitz.Db.snapshot}; writes
-    funnel through the thread-safe {!Spitz.Db.commit} group-commit path.
+    Concurrency model: [accept_domains] accept loops, one on a driver
+    thread and the others on domains of their own, each spawning one
+    handler thread per accepted connection. Reads are served lock-free off
+    {!Spitz.Db.snapshot}; writes funnel through the thread-safe
+    {!Spitz.Db.commit} group-commit path.
     Backpressure is bounded twice over: at most [max_connections] live
     connections (excess sits in the listen backlog), and within a
     connection the handler serves strictly one request at a time — a
@@ -45,7 +46,8 @@ type stats = {
 type t
 
 val start : ?config:config -> Spitz.Db.t -> t
-(** Bind, listen, and return with the accept loops running. The database
+(** Bind, listen, and return with the accept loops running (raises
+    [Invalid_argument] when [config.accept_domains < 1]). The database
     is shared, not owned: the caller remains free to read and commit
     directly, and closes/persists it after {!stop}. *)
 

@@ -29,12 +29,11 @@ type shard = {
 type t = {
   shards : shard array;
   mask : int;
-  chunk_params : Chunk.params;
 }
 
 let shard_count = 16
 
-let create ?(chunk_params = Chunk.default_params) () =
+let create () =
   let mk _ =
     { objects = Hash.Table.create 1024;
       refcounts = Hash.Table.create 1024;
@@ -42,8 +41,7 @@ let create ?(chunk_params = Chunk.default_params) () =
       sc = { puts = 0; gets = 0; dedup_hits = 0; physical_bytes = 0; logical_bytes = 0 } }
   in
   { shards = Array.init shard_count mk;
-    mask = shard_count - 1;
-    chunk_params }
+    mask = shard_count - 1 }
 
 let shard_of t h = t.shards.(Char.code (Hash.to_raw h).[0] land t.mask)
 
@@ -200,16 +198,16 @@ let rec release t h =
    share all untouched pieces; values that would be mistaken for a
    descriptor are also stored via the descriptor path, so decoding stays
    unambiguous. Every other value is one raw object under its own hash. *)
-let stores_raw t data =
-  String.length data <= t.chunk_params.Chunk.avg_size && not (looks_like_descriptor data)
+let stores_raw data =
+  String.length data <= Chunk.default_params.Chunk.avg_size && not (looks_like_descriptor data)
 
 let put_blob ?hash t data =
   (* a raw value is stored under its known [hash] when the caller has one,
      so it is hashed once per write *)
-  if stores_raw t data
+  if stores_raw data
   then match hash with Some h -> put_hashed t h data | None -> put t data
   else begin
-    let chunks = Chunk.split ~params:t.chunk_params data in
+    let chunks = Chunk.split data in
     let hashes = List.map (put t) chunks in
     put t (encode_descriptor hashes)
   end

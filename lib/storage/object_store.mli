@@ -27,7 +27,7 @@ type stats = {
   mutable logical_bytes : int;   (** bytes as if nothing were deduplicated *)
 }
 
-val create : ?chunk_params:Chunk.params -> unit -> t
+val create : unit -> t
 
 val stats : t -> stats
 (** A merged snapshot of the per-shard counters, taken with every shard
@@ -68,7 +68,7 @@ val put_blob : ?hash:Hash.t -> t -> string -> Hash.t
     hashed again. Chunked values, and values that look like a descriptor,
     ignore it. *)
 
-val stores_raw : t -> string -> bool
+val stores_raw : string -> bool
 (** Whether {!put_blob} stores the value as one raw object under its own
     hash — [false] for a value it chunks behind a descriptor. *)
 

@@ -37,10 +37,11 @@ exception Corrupt of string
      out (double buffering: new submissions keep landing in the other
      buffer while the leader does I/O), writes every pending frame in a
      single [write], fsyncs once, and wakes all waiters. No committer is
-     acknowledged ([wait] returns) before its record is durable. [Group]
-     additionally lets the leader linger up to [max_delay_us] for more
-     committers to arrive when fewer than [max_batch] records are pending and
-     a second committer is evident; a lone committer never lingers. *)
+     acknowledged ([wait] returns) before its record is durable. When 3 or
+     more committers are evident the leader lingers for more to arrive:
+     [Group] up to [max_delay_us] while fewer than [max_batch] records are
+     pending, [Always] for about one fsync's cost; one or two committers
+     never linger. *)
 
 type t = {
   dir : string;
@@ -336,56 +337,49 @@ let linger_locked t ~cap ~max_batch =
   let deadline = Unix.gettimeofday () +. cap in
   let rec grow () =
     let n0 = List.length t.frame_ends in
-    if n0 < max_batch then begin
+    if n0 < max_batch && Unix.gettimeofday () < deadline then begin
       t.n_lingers <- t.n_lingers + 1;
       Mutex.unlock t.m;
       Unix.sleepf slice;
       Mutex.lock t.m;
-      if List.length t.frame_ends > n0 && Unix.gettimeofday () < deadline then
-        grow ()
+      if List.length t.frame_ends > n0 then grow ()
     end
   in
   grow ()
 
-(* Evidence of at least [n] live committers: the last batch coalesced [n]
-   records, [n - 1] piled up behind the previous flush (submits that landed
-   while the leader was on the disk), or [n] are pending right now. A lone
-   committer never shows any of these — its batches are all singletons and
-   nothing queues behind it — so it never lingers: a linger slice is a
-   40 µs sleep that the scheduler stretches to about 100 µs, paid on every
-   commit for a batch-mate that never comes. *)
-let committers_evident t n =
-  t.last_batch_n >= n || t.backlog >= n - 1
-  || List.compare_length_with t.frame_ends n >= 0
+(* Evidence of at least 3 live committers: the last batch coalesced 3
+   records, 2 piled up behind the previous flush (submits that landed while
+   the leader was on the disk), or 3 are pending right now. One or two
+   committers never show any of these — each waits for its own record
+   before it submits the next — so they never linger. A lone committer's
+   linger slice is a 40 µs sleep that the scheduler stretches to about
+   100 µs, paid on every commit for a batch-mate that never comes; a pair
+   does better ping-ponging, each one's fsync overlapping the other's
+   commit work, than paying a slice to save one fsync. *)
+let committers_evident t =
+  t.last_batch_n >= 3 || t.backlog >= 2 || List.compare_length_with t.frame_ends 3 >= 0
 
 (* Leader flush of the active batch. Called with [m] held and
    [t.flushing = false]; returns with [m] held, the batch durable and all
    waiters woken. I/O happens outside the lock, so submitters keep framing
-   records into the standby buffer while the leader is on the disk. *)
+   records into the standby buffer while the leader is on the disk.
+
+   With evidence of 3 or more live committers the leader first holds the
+   flush while committers keep arriving, so they share this fsync instead
+   of fragmenting into the next. [Group] caps the hold at [max_delay_us]
+   and [max_batch] records; [Always] self-tunes its cap to the disk, a beat
+   of one fsync's cost, since beyond that waiting loses to just flushing
+   twice. *)
 let flush_locked ?(linger = true) t =
   t.flushing <- true;
-  (if linger then
-     match t.sync_policy with
-     | Group { max_batch; max_delay_us }
-       when max_delay_us > 0
-            && List.compare_length_with t.frame_ends max_batch < 0
-            && committers_evident t 2 ->
-       (* a second committer is in flight: hold the flush up to
-          [max_delay_us] so it can share this fsync *)
-       linger_locked t ~cap:(float_of_int max_delay_us /. 1e6) ~max_batch
-     | Always when committers_evident t 3 ->
-       (* adaptive group commit, gated on evidence of >= 3 live committers:
-          holding the flush while committers keep arriving lets them share
-          this fsync instead of fragmenting into the next. One or two
-          committers never see this branch: a committer pair does better
-          ping-ponging — each one's fsync overlaps the other's commit work
-          naturally, while a linger slice costs more than the one fsync it
-          could save. The cap self-tunes to the disk: a beat of one fsync's
-          cost, since beyond that waiting loses to just flushing twice. *)
-       linger_locked t
-         ~cap:(Float.min (Float.max t.last_fsync_s 40e-6) 2e-3)
-         ~max_batch:max_int
-     | _ -> ());
+  if linger && committers_evident t then begin
+    let cap, max_batch =
+      match t.sync_policy with
+      | Group { max_batch; max_delay_us } -> (float_of_int max_delay_us /. 1e6, max_batch)
+      | Always | Interval _ | Never -> (Float.min (Float.max t.last_fsync_s 40e-6) 2e-3, max_int)
+    in
+    linger_locked t ~cap ~max_batch
+  end;
   let seq = t.batch in
   let buf = t.active in
   let ends = List.rev t.frame_ends in

@@ -64,12 +64,13 @@ type sync_policy =
   | Interval of int (** fsync every n appends — durability lags by < n *)
   | Never           (** no explicit fsync; the OS flushes eventually *)
   | Group of { max_batch : int; max_delay_us : int }
-  (** like [Always] (ack = durable), but when a second committer is
-      evident (the last batch coalesced two records, a record queued behind
-      the last flush, or two are pending) the leader lingers up to
-      [max_delay_us] microseconds for more committers while fewer than
-      [max_batch] records are pending — bigger batches, fewer fsyncs, at
-      the cost of bounded added latency. A lone committer never lingers. *)
+  (** like [Always] (ack = durable), and like it the leader lingers for
+      more committers only when at least 3 are evident (the last batch
+      coalesced three records, two queued behind the last flush, or three
+      are pending); [Group] sets that linger's bounds: up to [max_delay_us]
+      microseconds while fewer than [max_batch] records are pending, where
+      [Always] lingers about one fsync's cost. One or two committers never
+      linger. *)
 
 exception Corrupt of string
 (** Raised by {!replay} when a sealed (non-final) segment is damaged:

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerate BENCH_results.json in one command:
 #
-#   scripts/bench.sh                      # full sweep, auto pool size
-#   scripts/bench.sh pipeline --domains 4 # any bench/main.exe arguments
+#   scripts/bench.sh                      # full sweep
+#   scripts/bench.sh verify --scale 16    # any bench/main.exe arguments
 #   scripts/bench.sh durability           # WAL fsync policies + recovery
 #   scripts/bench.sh checkpoint           # commit p50/p95/p99 with background
 #                                         # checkpoints vs none (exits nonzero

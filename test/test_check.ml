@@ -300,8 +300,6 @@ let suite =
       (differential "all systems vs model" Differ.check_cross 20 0xC055);
     Alcotest.test_case "differ: every siri index vs model" `Quick
       (differential "siri indexes vs model" Differ.check_siri 12 0x51B1);
-    Alcotest.test_case "differ: digest invariant under pool size" `Quick
-      (differential "pool invariance" Differ.check_pool_invariance 8 0x9001);
     Alcotest.test_case "differ: digest stability + consistency proofs" `Quick
       (differential "digest stability" Differ.check_digest_stability 10 0x57AB);
     Alcotest.test_case "differ: concurrent commits serializable" `Quick
@@ -325,5 +323,4 @@ let suite =
     Alcotest.test_case "regression: range proofs duplicate-free" `Quick
       test_regression_proof_node_dedup;
     Alcotest.test_case "txn: random interleavings serializable" `Quick test_txn_serializability;
-    Alcotest.test_case "shutdown shared pool" `Quick (fun () -> Differ.shutdown_pool ());
   ]

@@ -347,39 +347,28 @@ let test_verifier_sync_rejects_non_append_only () =
   Alcotest.(check int) "failure recorded" 1 (V.failures client);
   Alcotest.(check bool) "pin unchanged" true (V.digest client = pinned)
 
-let test_verifier_pool_parity () =
-  (* the same submissions through a serial and a pooled client must produce
-     identical decisions and counters *)
+let test_verifier_deferred_flush () =
+  (* one deferred flush over reads, a range and write receipts: one lie
+     sinks the flush, and every check is counted once *)
   let l = L.create (Object_store.create ()) in
   for i = 0 to 29 do
     ignore (L.commit l [ Ledger.Put (Printf.sprintf "k%02d" i, Printf.sprintf "v%d" i) ])
   done;
   let digest = L.digest l in
-  let pool = Spitz_exec.Pool.create 2 in
-  let run client =
-    ignore (V.sync client ~digest ~consistency:[]);
-    for i = 0 to 9 do
-      let key = Printf.sprintf "k%02d" i in
-      let value, proof = L.snap_get_with_proof (head l) key in
-      let value = if i = 7 then Some "lie" else value in
-      ignore (V.submit_read client ~key ~value proof)
-    done;
-    let entries, rp = L.snap_range_with_proof (head l) ~lo:"k00" ~hi:"k05" in
-    ignore (V.submit_range client ~lo:"k00" ~hi:"k05" ~entries rp);
-    List.iter
-      (fun r -> ignore (V.submit_write client r))
-      (L.write_receipts l ~height:3);
-    let ok = V.flush client in
-    (ok, V.checked client, V.failures client)
-  in
-  let serial = run (V.create ~mode:(V.Deferred 100) ()) in
-  let pooled = run (V.create ~mode:(V.Deferred 100) ~pool ()) in
-  Spitz_exec.Pool.shutdown pool;
-  Alcotest.(check (triple bool int int)) "identical decisions and counters" serial pooled;
-  let ok, checked, failures = serial in
-  Alcotest.(check bool) "the lie sinks the flush" false ok;
-  Alcotest.(check int) "all checks counted" 12 checked;
-  Alcotest.(check int) "exactly one failure" 1 failures
+  let client = V.create ~mode:(V.Deferred 100) () in
+  ignore (V.sync client ~digest ~consistency:[]);
+  for i = 0 to 9 do
+    let key = Printf.sprintf "k%02d" i in
+    let value, proof = L.snap_get_with_proof (head l) key in
+    let value = if i = 7 then Some "lie" else value in
+    ignore (V.submit_read client ~key ~value proof)
+  done;
+  let entries, rp = L.snap_range_with_proof (head l) ~lo:"k00" ~hi:"k05" in
+  ignore (V.submit_range client ~lo:"k00" ~hi:"k05" ~entries rp);
+  List.iter (fun r -> ignore (V.submit_write client r)) (L.write_receipts l ~height:3);
+  Alcotest.(check bool) "the lie sinks the flush" false (V.flush client);
+  Alcotest.(check int) "all checks counted" 12 (V.checked client);
+  Alcotest.(check int) "exactly one failure" 1 (V.failures client)
 
 let test_verifier_rejects_inconsistent_digest () =
   let l1 = L.create (Object_store.create ()) in
@@ -416,7 +405,7 @@ let suite =
     Alcotest.test_case "verifier deferred tamper" `Quick test_verifier_deferred_tamper;
     Alcotest.test_case "verifier sync rejects rewrite" `Quick
       test_verifier_sync_rejects_non_append_only;
-    Alcotest.test_case "verifier pool parity" `Quick test_verifier_pool_parity;
+    Alcotest.test_case "verifier deferred flush" `Quick test_verifier_deferred_flush;
     Alcotest.test_case "verifier rejects forks" `Quick test_verifier_rejects_inconsistent_digest;
   ]
 

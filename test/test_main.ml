@@ -5,7 +5,6 @@ let () =
       ("kernels", Test_kernels.suite);
       ("storage", Test_storage.suite);
       ("durability", Test_durability.suite);
-      ("exec", Test_exec.suite);
       ("merkle", Test_merkle.suite);
       ("adt", Test_adt.suite);
       ("index", Test_index.suite);
