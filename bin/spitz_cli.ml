@@ -331,12 +331,7 @@ let stats_cmd =
     Printf.printf "cells            %d\n" (Spitz.Db.cell_count db);
     Printf.printf "objects          %d\n"
       (Spitz_storage.Object_store.object_count (Spitz.Db.store db));
-    Printf.printf "physical bytes   %d\n" stats.Spitz_storage.Object_store.physical_bytes;
-    Printf.printf "logical bytes    %d\n" stats.Spitz_storage.Object_store.logical_bytes;
-    if stats.Spitz_storage.Object_store.physical_bytes > 0 then
-      Printf.printf "dedup ratio      %.2f\n"
-        (float_of_int stats.Spitz_storage.Object_store.logical_bytes
-         /. float_of_int stats.Spitz_storage.Object_store.physical_bytes)
+    Printf.printf "physical bytes   %d\n" stats.Spitz_storage.Object_store.physical_bytes
   in
   Cmd.v (Cmd.info "stats" ~doc:"Storage statistics.") Term.(const run $ file_arg)
 

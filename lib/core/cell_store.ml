@@ -12,18 +12,13 @@ type t = {
   (* encoded universal key -> storage address of the value. For values small
      enough to store raw this equals the universal key's value hash; chunked
      blobs live under their descriptor address. *)
-  mutable clock : int;
 }
 
 let create ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  { store; index = Spitz_index.Bptree.create (); clock = 0 }
+  { store; index = Spitz_index.Bptree.create () }
 
 let store t = t.store
-
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
 
 (* Index a cell version whose value is already stored at [addr] — a reopen
    restoring cells from a snapshot whose store holds their values. *)
@@ -32,8 +27,7 @@ let add_cell t ~column ~pk ~ts ~vhash addr =
   Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
   ukey
 
-let write_cell t ~column ~pk ?ts ?vhash value =
-  let ts = match ts with Some ts -> ts | None -> tick t in
+let write_cell t ~column ~pk ~ts ?vhash value =
   let vhash = match vhash with Some h -> h | None -> Hash.of_string value in
   add_cell t ~column ~pk ~ts ~vhash (Object_store.put_blob ~hash:vhash t.store value)
 
@@ -41,8 +35,7 @@ let write_cell t ~column ~pk ?ts ?vhash value =
    address is [Hash.null]. Read paths below treat it as absence, so older
    versions stay reachable by timestamp while the latest state drops the
    cell. *)
-let delete_cell t ~column ~pk ?ts () =
-  let ts = match ts with Some ts -> ts | None -> tick t in
+let delete_cell t ~column ~pk ~ts =
   let ukey = Universal_key.make ~column ~pk ~ts ~vhash:Hash.null in
   Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) Hash.null;
   ukey

@@ -10,12 +10,8 @@ val create : ?store:Object_store.t -> unit -> t
 
 val store : t -> Object_store.t
 
-val tick : t -> int
-(** Advance and return the store's logical clock (used when the caller does
-    not supply timestamps). *)
-
 val write_cell :
-  t -> column:string -> pk:string -> ?ts:int -> ?vhash:Spitz_crypto.Hash.t -> string ->
+  t -> column:string -> pk:string -> ts:int -> ?vhash:Spitz_crypto.Hash.t -> string ->
   Universal_key.t
 (** Append one immutable cell version; the value is content-addressed into
     the object store. [vhash], when the caller already has it, must be the
@@ -26,9 +22,9 @@ val add_cell :
   Spitz_crypto.Hash.t -> Universal_key.t
 (** Index one cell version whose value {!write_cell} already stored at the
     given address (its [put_blob] address). Nothing is put, so restoring
-    cells from a saved store takes no second reference on their values. *)
+    cells from a saved store does no second hashing or put work. *)
 
-val delete_cell : t -> column:string -> pk:string -> ?ts:int -> unit -> Universal_key.t
+val delete_cell : t -> column:string -> pk:string -> ts:int -> Universal_key.t
 (** Append a tombstone version: the cell reads as absent from this timestamp
     on, while older versions stay reachable by [ts]. *)
 

@@ -89,8 +89,7 @@ let catalog_column = "_catalog"
 
 let index_value t ukey value =
   Option.iter
-    (fun inv ->
-       Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value) (Universal_key.encode ukey))
+    (fun inv -> Spitz_index.Inverted.add inv value (Universal_key.encode ukey))
     t.inverted
 
 (* One block write's effect on the cell store and the inverted index: a put
@@ -102,7 +101,7 @@ let apply_write t ~height key value =
   let column, pk = cell_of_key t key in
   match value with
   | _ when String.equal column catalog_column -> ()
-  | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
+  | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height)
   | Some (value, vhash) ->
     index_value t (Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value) value
 
@@ -257,7 +256,7 @@ let search_value t value =
   | None -> []
   | Some inv ->
     List.filter_map Universal_key.decode
-      (Spitz_index.Inverted.lookup inv (Spitz_index.Inverted.Str value))
+      (Spitz_index.Inverted.lookup inv value)
 
 (* --- Snapshot reads: the concurrent read path ---
 
@@ -473,9 +472,8 @@ let horizon_of store journal =
 (* Rebuild a database around a restored object store: reopen the ledger from
    the block addresses (the hash chain is re-validated on every append),
    then replay the journal into the cell store and inverted index, indexing
-   each value where the store already holds it — no put, so a reopen leaves
-   the restored reference counts as they were saved (DESIGN.md,
-   Recovery). *)
+   each value where the store already holds it — a reopen puts nothing, so
+   it does no second hashing or put work (DESIGN.md, Recovery). *)
 let rebuild ~store ~column ~with_inverted bodies =
   let ledger = L.restore store bodies in
   let t = of_ledger ~store ~column ~with_inverted ledger in
@@ -496,7 +494,7 @@ let rebuild ~store ~column ~with_inverted bodies =
               Option.iter
                 (fun v -> Spitz_crypto.Hash.Table.replace by_content (Spitz_crypto.Hash.of_string v) addr)
                 (Object_store.get_blob store addr))
-         (Object_store.fold store (fun addr _ _ acc -> addr :: acc) []);
+         (Object_store.fold store (fun addr _ acc -> addr :: acc) []);
        by_content)
   in
   let address vhash =

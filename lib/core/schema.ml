@@ -223,7 +223,7 @@ let find_by_value t ~col value =
   match (c.indexed, Db.inverted_index t.db) with
   | true, Some inv ->
     (* the index holds each cell's stored form, the printed JSON *)
-    let iv = Spitz_index.Inverted.Str (Json.to_string value) in
+    let iv = Json.to_string value in
     List.sort_uniq String.compare
       (List.filter_map
          (fun ukey ->

@@ -1,22 +1,13 @@
 (* Inverted index: cell value -> posting list of universal keys (paper
-   section 5). Per the paper, the inverted-list structure depends on the
-   value's type: a skip list for numeric values (range-friendly) and a radix
-   tree for strings (prefix compression). Postings are kept sorted and
-   deduplicated. *)
+   section 5). Every indexed value is a string (the database indexes each
+   stored value as is, the SQL layer its printed JSON), kept in a radix tree
+   for prefix compression. Postings are kept sorted and deduplicated. *)
 
 type posting = string list (* sorted universal keys *)
 
-type t = {
-  numeric : (float, posting) Skiplist.t;
-  mutable strings : posting Radix_tree.t;
-}
+type t = { mutable strings : posting Radix_tree.t }
 
-type value = Num of float | Str of string
-
-let create ?seed () = {
-  numeric = Skiplist.create ?seed Float.compare ~dummy_key:0.0 ~dummy_value:[];
-  strings = Radix_tree.empty;
-}
+let create () = { strings = Radix_tree.empty }
 
 let rec add_sorted key = function
   | [] -> [ key ]
@@ -26,39 +17,19 @@ let rec add_sorted key = function
     else if c = 0 then all
     else k :: add_sorted key rest
 
-let add t value ukey =
-  match value with
-  | Num f ->
-    let current = Option.value ~default:[] (Skiplist.get t.numeric f) in
-    Skiplist.insert t.numeric f (add_sorted ukey current)
-  | Str s ->
-    let current = Option.value ~default:[] (Radix_tree.get t.strings s) in
-    t.strings <- Radix_tree.insert t.strings s (add_sorted ukey current)
+let add t s ukey =
+  let current = Option.value ~default:[] (Radix_tree.get t.strings s) in
+  t.strings <- Radix_tree.insert t.strings s (add_sorted ukey current)
 
-let remove t value ukey =
-  match value with
-  | Num f ->
-    (match Skiplist.get t.numeric f with
-     | None -> ()
-     | Some postings ->
-       (match List.filter (fun k -> not (String.equal k ukey)) postings with
-        | [] -> Skiplist.remove t.numeric f
-        | rest -> Skiplist.insert t.numeric f rest))
-  | Str s ->
-    (match Radix_tree.get t.strings s with
-     | None -> ()
-     | Some postings ->
-       (match List.filter (fun k -> not (String.equal k ukey)) postings with
-        | [] -> t.strings <- Radix_tree.remove t.strings s
-        | rest -> t.strings <- Radix_tree.insert t.strings s rest))
+let remove t s ukey =
+  match Radix_tree.get t.strings s with
+  | None -> ()
+  | Some postings ->
+    (match List.filter (fun k -> not (String.equal k ukey)) postings with
+     | [] -> t.strings <- Radix_tree.remove t.strings s
+     | rest -> t.strings <- Radix_tree.insert t.strings s rest)
 
-let lookup t value =
-  match value with
-  | Num f -> Option.value ~default:[] (Skiplist.get t.numeric f)
-  | Str s -> Option.value ~default:[] (Radix_tree.get t.strings s)
-
-let lookup_numeric_range t ~lo ~hi =
-  Skiplist.fold_range t.numeric ~lo ~hi (fun _ postings acc -> acc @ postings) []
+let lookup t s = Option.value ~default:[] (Radix_tree.get t.strings s)
 
 let lookup_prefix t ~prefix =
   Radix_tree.fold_prefix t.strings ~prefix (fun _ postings acc -> acc @ postings) []

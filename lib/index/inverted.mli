@@ -1,25 +1,19 @@
 (** Inverted index from cell values to posting lists of universal keys.
 
-    Per the paper's design, numeric values index into a skip list (fast range
-    scans) and string values into a radix tree (prefix compression). *)
+    Values are strings, indexed in a radix tree (prefix compression). *)
 
 type t
 
-type value = Num of float | Str of string
+val create : unit -> t
 
-val create : ?seed:int -> unit -> t
-
-val add : t -> value -> string -> unit
+val add : t -> string -> string -> unit
 (** [add t value ukey] records that the cell addressed by [ukey] holds
     [value]. Idempotent. *)
 
-val remove : t -> value -> string -> unit
+val remove : t -> string -> string -> unit
 
-val lookup : t -> value -> string list
+val lookup : t -> string -> string list
 (** Universal keys of all cells holding exactly [value], sorted. *)
 
-val lookup_numeric_range : t -> lo:float -> hi:float -> string list
-(** Universal keys of cells whose numeric value lies in [lo, hi]. *)
-
 val lookup_prefix : t -> prefix:string -> string list
-(** Universal keys of cells whose string value starts with [prefix]. *)
+(** Universal keys of cells whose value starts with [prefix]. *)

@@ -34,8 +34,7 @@ val append : ?body:Hash.t -> t -> Block.t -> unit
 (** Persist the block and extend the chain. Raises [Invalid_argument] if the
     block does not link to the current head or has the wrong height. With
     [body], the block's encoding is already stored under that address and
-    nothing is put, so a reopen leaves the restored store's reference counts
-    as they were saved. *)
+    nothing is put, so a reopen does no second hashing or put work. *)
 
 val header : t -> int -> Block.header
 val block : t -> int -> Block.t

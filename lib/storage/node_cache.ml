@@ -1,6 +1,6 @@
 open Spitz_crypto
 
-(* Lock-striped LRU: the key space is split across [stripes] independent
+(* Lock-striped LRU: the key space is split across 16 independent
    sub-caches by the first byte of the content address (SHA-256 output, so
    the spread is uniform and independent of [Hash.hash], which Hashtbl uses
    for bucket selection). Each stripe is the old design — a hash table into
@@ -38,20 +38,15 @@ type 'a stripe = {
 
 type 'a t = {
   total_cap : int;
-  mask : int; (* stripes - 1; stripes is a power of two *)
   stripes : 'a stripe array;
 }
 
-let default_stripes = 16
+let n_stripes = 16
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let create ?(capacity = 65536) ?(stripes = default_stripes) () =
+let create ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Node_cache.create: capacity must be >= 1";
-  if not (is_pow2 stripes) || stripes > 256 then
-    invalid_arg "Node_cache.create: stripes must be a power of two <= 256";
   (* Distribute capacity; ceil so the total never undershoots the request. *)
-  let per_stripe = (capacity + stripes - 1) / stripes in
+  let per_stripe = (capacity + n_stripes - 1) / n_stripes in
   let mk _ =
     { cap = per_stripe;
       tbl = Hash.Table.create (min per_stripe 4096);
@@ -59,13 +54,11 @@ let create ?(capacity = 65536) ?(stripes = default_stripes) () =
       m = Mutex.create ();
       st = { c_hits = 0; c_misses = 0; c_evictions = 0 } }
   in
-  { total_cap = per_stripe * stripes; mask = stripes - 1; stripes = Array.init stripes mk }
+  { total_cap = per_stripe * n_stripes; stripes = Array.init n_stripes mk }
 
 let capacity t = t.total_cap
 
-let stripe_count t = Array.length t.stripes
-
-let stripe_of t h = t.stripes.(Char.code (Hash.to_raw h).[0] land t.mask)
+let stripe_of t h = t.stripes.(Char.code (Hash.to_raw h).[0] land (n_stripes - 1))
 
 (* Take every stripe lock (in index order, so concurrent full-cache
    operations cannot deadlock), run [f], release in reverse. This is what

@@ -4,12 +4,11 @@
     serialized bytes on each visit; this cache memoizes the decode. Because
     objects are content-addressed and immutable, an address can never map to
     different bytes, so the cache needs no invalidation — the only
-    correctness caveat is deletion (compaction / release), which callers
-    handle by consulting {!Object_store.mem} before trusting a hit.
+    correctness caveat is deletion, which only compaction does and which
+    callers handle by consulting {!Object_store.mem} before trusting a hit.
 
-    The key space is split across a power-of-two number of stripes by the
-    first byte of the address (uniform, since addresses are SHA-256
-    outputs). Each stripe is an independent LRU with its own mutex and
+    The key space is split across 16 stripes by the first byte of the
+    address (uniform, since addresses are SHA-256 outputs). Each stripe is an independent LRU with its own mutex and
     counters, so concurrent readers touching different nodes rarely contend;
     capacity and eviction are per-stripe (total capacity is divided evenly).
     Entries are polymorphic so each index family caches its own node type.
@@ -25,19 +24,15 @@ type stats = {
   evictions : int;
 }
 
-val create : ?capacity:int -> ?stripes:int -> unit -> 'a t
+val create : ?capacity:int -> unit -> 'a t
 (** [capacity] (default 65536) is the maximum number of cached nodes,
-    divided evenly across [stripes] (default 16; must be a power of two
-    [<= 256]) — each stripe evicts its own least recently used entry beyond
-    its share, so the effective total is [ceil (capacity / stripes) *
-    stripes]. [~stripes:1] recovers a single global LRU with strict
-    whole-cache recency order. Raises [Invalid_argument] when
-    [capacity < 1] or [stripes] is invalid. *)
+    divided evenly across the 16 stripes — each stripe evicts its own least
+    recently used entry beyond its share, so the effective total is
+    [ceil (capacity / 16) * 16]. Raises [Invalid_argument] when
+    [capacity < 1]. *)
 
 val capacity : 'a t -> int
 (** The effective total capacity after per-stripe rounding. *)
-
-val stripe_count : 'a t -> int
 
 val length : 'a t -> int
 (** Total entries across all stripes (consistent snapshot). *)

@@ -5,7 +5,7 @@ type stats = {
   mutable gets : int;            (* get requests *)
   mutable dedup_hits : int;      (* puts that found the object already stored *)
   mutable physical_bytes : int;  (* bytes of unique stored objects *)
-  mutable logical_bytes : int;   (* bytes as if every put were stored *)
+  mutable logical_bytes : int;   (* bytes handed to a put since [create] *)
 }
 
 exception Corrupt of string
@@ -15,13 +15,12 @@ exception Corrupt of string
    each other) on one table lock — and, just as important, so the stdlib
    Hashtbls are never mutated and read concurrently, which is unsafe under
    OCaml 5 (a resize racing a lookup can crash or misread). Each shard owns
-   its object and refcount tables, a mutex, and its slice of the counters;
+   one table, address -> bytes, a mutex, and its slice of the counters;
    [stats] merges the slices with every shard locked, so the numbers are a
    consistent cut. *)
 
 type shard = {
   objects : string Hash.Table.t;
-  refcounts : int Hash.Table.t;
   m : Mutex.t;
   sc : stats; (* this shard's slice of the counters *)
 }
@@ -36,7 +35,6 @@ let shard_count = 16
 let create () =
   let mk _ =
     { objects = Hash.Table.create 1024;
-      refcounts = Hash.Table.create 1024;
       m = Mutex.create ();
       sc = { puts = 0; gets = 0; dedup_hits = 0; physical_bytes = 0; logical_bytes = 0 } }
   in
@@ -70,15 +68,6 @@ let stats t =
         t.shards;
       acc)
 
-let reset_counters t =
-  with_all_shards t (fun () ->
-      Array.iter
-        (fun s ->
-           s.sc.puts <- 0;
-           s.sc.gets <- 0;
-           s.sc.dedup_hits <- 0)
-        t.shards)
-
 let object_count t =
   with_all_shards t (fun () ->
       Array.fold_left (fun acc s -> acc + Hash.Table.length s.objects) 0 t.shards)
@@ -89,14 +78,11 @@ let put_hashed t h data =
   with_shard s (fun () ->
       s.sc.puts <- s.sc.puts + 1;
       s.sc.logical_bytes <- s.sc.logical_bytes + String.length data;
-      match Hash.Table.find_opt s.refcounts h with
-      | Some n ->
-        s.sc.dedup_hits <- s.sc.dedup_hits + 1;
-        Hash.Table.replace s.refcounts h (n + 1)
-      | None ->
+      if Hash.Table.mem s.objects h then s.sc.dedup_hits <- s.sc.dedup_hits + 1
+      else begin
         Hash.Table.replace s.objects h data;
-        Hash.Table.replace s.refcounts h 1;
-        s.sc.physical_bytes <- s.sc.physical_bytes + String.length data);
+        s.sc.physical_bytes <- s.sc.physical_bytes + String.length data
+      end);
   h
 
 let put t data = put_hashed t (Hash.of_string data) data
@@ -113,14 +99,11 @@ let put_writer t w =
   with_shard s (fun () ->
       s.sc.puts <- s.sc.puts + 1;
       s.sc.logical_bytes <- s.sc.logical_bytes + len;
-      match Hash.Table.find_opt s.refcounts h with
-      | Some n ->
-        s.sc.dedup_hits <- s.sc.dedup_hits + 1;
-        Hash.Table.replace s.refcounts h (n + 1)
-      | None ->
+      if Hash.Table.mem s.objects h then s.sc.dedup_hits <- s.sc.dedup_hits + 1
+      else begin
         Hash.Table.replace s.objects h (Slice.Writer.contents w);
-        Hash.Table.replace s.refcounts h 1;
-        s.sc.physical_bytes <- s.sc.physical_bytes + len);
+        s.sc.physical_bytes <- s.sc.physical_bytes + len
+      end);
   h
 
 let get t h =
@@ -164,35 +147,6 @@ let decode_descriptor data =
       Some hashes
     end
   end
-
-(* Drop one reference; when the last reference of a chunked blob goes, the
-   chunks its descriptor names lose a reference too, recursively — otherwise
-   every released blob leaks its chunks until the next sweep. The shard lock
-   is released before recursing (a part may live in the same shard). *)
-let rec release t h =
-  let s = shard_of t h in
-  let parts =
-    with_shard s (fun () ->
-        match Hash.Table.find_opt s.refcounts h with
-        | None -> None
-        | Some 1 ->
-          let parts =
-            match Hash.Table.find_opt s.objects h with
-            | Some data ->
-              s.sc.physical_bytes <- s.sc.physical_bytes - String.length data;
-              Option.value ~default:[] (decode_descriptor data)
-            | None -> []
-          in
-          Hash.Table.remove s.refcounts h;
-          Hash.Table.remove s.objects h;
-          Some parts
-        | Some n ->
-          Hash.Table.replace s.refcounts h (n - 1);
-          None)
-  in
-  match parts with
-  | None -> ()
-  | Some parts -> List.iter (release t) parts
 
 (* Values above the average chunk size are chunked so that local edits
    share all untouched pieces; values that would be mistaken for a
@@ -265,9 +219,8 @@ let mark_blobs t live =
          blobs)
     t.shards
 
-(* Mark-and-sweep compaction: delete every object not in [live]. Byte gauges
-   are adjusted; refcounts of survivors are untouched. Returns the number of
-   objects deleted. *)
+(* Mark-and-sweep compaction: delete every object not in [live]; the byte
+   gauge is adjusted. Returns the number of objects deleted. *)
 let sweep t ~live =
   let deleted =
     with_all_shards t (fun () ->
@@ -283,8 +236,7 @@ let sweep t ~live =
                   (match Hash.Table.find_opt s.objects h with
                    | Some data -> s.sc.physical_bytes <- s.sc.physical_bytes - String.length data
                    | None -> ());
-                  Hash.Table.remove s.objects h;
-                  Hash.Table.remove s.refcounts h)
+                  Hash.Table.remove s.objects h)
                victims;
              acc + List.length victims)
           0 t.shards)
@@ -296,27 +248,18 @@ let sweep t ~live =
 let fold t f init =
   with_all_shards t (fun () ->
       Array.fold_left
-        (fun acc s ->
-           Hash.Table.fold
-             (fun h data acc ->
-                let refcount = Option.value ~default:0 (Hash.Table.find_opt s.refcounts h) in
-                f h data refcount acc)
-             s.objects acc)
+        (fun acc s -> Hash.Table.fold f s.objects acc)
         init t.shards)
 
-let restore_object t data refcount =
+(* A restore is not a put: it adds to [objects] and [physical_bytes] only. *)
+let restore_object t data =
   let h = Hash.of_string data in
   let s = shard_of t h in
   with_shard s (fun () ->
       if not (Hash.Table.mem s.objects h) then begin
         Hash.Table.replace s.objects h data;
         s.sc.physical_bytes <- s.sc.physical_bytes + String.length data
-      end;
-      (* count restored bytes as if they had been written through [put] once
-         per reference, so dedup ratios survive a save/load cycle *)
-      s.sc.logical_bytes <- s.sc.logical_bytes + (String.length data * max 1 refcount);
-      Hash.Table.replace s.refcounts h refcount;
-      h)
+      end)
 
 let write_varint oc n =
   let rec go n =
@@ -349,9 +292,14 @@ let dump ?live t oc =
      part of a checkpoint, and holding all shards across it would stall
      every concurrent reader and committer. Objects are immutable and
      content-addressed, so a put racing the collection merely lands in or
-     misses the snapshot whole — the stream and its count prefix always
-     agree because both come from the collected lists. With [live], only
-     the objects it names are collected. *)
+     misses the snapshot whole — the stream and its object-count prefix
+     always agree because both come from the collected lists. With [live], only
+     the objects it names are collected.
+
+     A record is [varint length | bytes | varint count]. The count is a
+     field of the format, not of the store: it is written as 1 and ignored
+     on read, so snapshots written when it was a reference count still
+     load and the record layout stays byte-compatible. *)
   let wanted =
     match live with None -> fun _ -> true | Some live -> fun h -> Hash.Table.mem live h
   in
@@ -360,21 +308,17 @@ let dump ?live t oc =
       (fun s ->
          with_shard s (fun () ->
              Hash.Table.fold
-               (fun h data acc ->
-                  if not (wanted h) then acc
-                  else
-                    let refcount = Option.value ~default:0 (Hash.Table.find_opt s.refcounts h) in
-                    (data, refcount) :: acc)
+               (fun h data acc -> if wanted h then data :: acc else acc)
                s.objects []))
       t.shards
   in
   let count = Array.fold_left (fun acc l -> acc + List.length l) 0 collected in
   write_varint oc count;
   Array.iter
-    (List.iter (fun (data, refcount) ->
+    (List.iter (fun data ->
          write_varint oc (String.length data);
          output_string oc data;
-         write_varint oc refcount))
+         write_varint oc 1))
     collected
 
 let restore t ic =
@@ -391,8 +335,8 @@ let restore t ic =
       if len > remaining then
         raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len remaining));
       let data = really_input_string ic len in
-      let refcount = read_varint ic in
-      ignore (restore_object t data refcount)
+      ignore (read_varint ic : int);
+      restore_object t data
     done
   with
   | End_of_file -> raise (Corrupt "object stream truncated")

@@ -5,6 +5,11 @@
     twice stores them once. Stats track logical vs physical bytes, which is
     exactly the Figure-1 measurement.
 
+    Objects are immutable and carry no per-object state beyond their bytes:
+    there is no reference count. Space is reclaimed only by mark-and-sweep —
+    the caller marks a live set and {!sweep}s, or {!dump}s only what is
+    live.
+
     The store is domain-safe: objects are sharded by address prefix, each
     shard under its own mutex, so reader domains traversing index nodes
     don't serialize against committers on a single lock. *)
@@ -24,7 +29,9 @@ type stats = {
   mutable gets : int;
   mutable dedup_hits : int;
   mutable physical_bytes : int;  (** unique bytes actually stored *)
-  mutable logical_bytes : int;   (** bytes as if nothing were deduplicated *)
+  mutable logical_bytes : int;
+  (** bytes handed to a put since {!create}, as if nothing were
+      deduplicated; a {!restore} adds none *)
 }
 
 val create : unit -> t
@@ -34,14 +41,11 @@ val stats : t -> stats
     locked — consistent, never torn. Mutating the returned record has no
     effect on the store. *)
 
-val reset_counters : t -> unit
-(** Zero the operation counters (not the byte gauges). *)
-
 val object_count : t -> int
 
 val put : t -> string -> Hash.t
-(** Store one object (no chunking); returns its content address. Idempotent;
-    repeated puts bump a refcount. *)
+(** Store one object (no chunking); returns its content address. Idempotent:
+    a put of an address already stored is a dedup hit and stores nothing. *)
 
 val put_writer : t -> Slice.Writer.w -> Hash.t
 (** {!put} of a writer's accumulated bytes, zero-copy on the hot half: the
@@ -53,11 +57,6 @@ val get : t -> Hash.t -> string option
 val get_exn : t -> Hash.t -> string
 
 val mem : t -> Hash.t -> bool
-
-val release : t -> Hash.t -> unit
-(** Drop one reference; the object is removed when its refcount reaches 0.
-    Releasing the last reference of a chunked blob also releases one
-    reference of every chunk its descriptor names, recursively. *)
 
 val put_blob : ?hash:Hash.t -> t -> string -> Hash.t
 (** Store a value with content-defined chunking when it exceeds the maximum
@@ -77,8 +76,8 @@ val get_blob : t -> Hash.t -> string option
 
 val get_blob_exn : t -> Hash.t -> string
 
-val fold : t -> (Hash.t -> string -> int -> 'a -> 'a) -> 'a -> 'a
-(** Fold over every stored object with its refcount (unspecified order).
+val fold : t -> (Hash.t -> string -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every stored object (unspecified order).
     Runs with every shard locked for a consistent view — the callback must
     not call back into the store. *)
 
@@ -96,11 +95,14 @@ val sweep : t -> live:unit Hash.Table.t -> int
 
 val dump : ?live:unit Hash.Table.t -> t -> out_channel -> unit
 (** Write every object as a length-prefixed stream; with [live], only the
-    objects whose addresses it holds. *)
+    objects whose addresses it holds. Each record is
+    [varint length | bytes | varint count]; the count is always written as
+    1 and {!restore} ignores it. *)
 
 val restore : t -> in_channel -> unit
 (** Read a {!dump}ed stream back (the rest of the channel). Content
     addresses are recomputed, so a corrupted stream cannot silently
     alias an existing object. Raises {!Corrupt} on truncated or malformed
     input (oversized or negative lengths are rejected before any
-    allocation). *)
+    allocation). Restored objects count toward [physical_bytes] only: a
+    restore is not a put. *)

@@ -430,7 +430,7 @@ let run_batch_from init kvs =
   in
   let store = Object_store.create () in
   let t0 = Merkle_bptree.insert_batch (Merkle_bptree.create store) init in
-  let stored () = Object_store.fold store (fun h _ _ acc -> h :: acc) [] in
+  let stored () = Object_store.fold store (fun h _ acc -> h :: acc) [] in
   let before = Hash.Table.create 256 in
   List.iter (fun h -> Hash.Table.replace before h ()) (stored ());
   let count_before = Object_store.object_count store in

@@ -364,33 +364,84 @@ let test_oversized_length_rejected () =
             | exception Object_store.Corrupt _ -> ()
             | () -> Alcotest.fail "oversized length accepted"))
 
-(* --- satellite bugfix: recursive release of chunked blobs --- *)
+(* --- the snapshot record's count field is inert --- *)
 
-let test_release_chunked_blob () =
+(* A dumped stream is [varint n] then n records [varint length | bytes |
+   varint count]. [parse_records] returns each record's bytes and count. *)
+let parse_records stream =
+  let pos = ref 0 in
+  let varint () =
+    let rec go shift acc =
+      let b = Char.code stream.[!pos] in
+      incr pos;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 <> 0 then go (shift + 7) acc else acc
+    in
+    go 0 0
+  in
+  let n = varint () in
+  let records =
+    List.init n (fun _ ->
+        let len = varint () in
+        let data = String.sub stream !pos len in
+        pos := !pos + len;
+        let count = varint () in
+        (data, count))
+  in
+  Alcotest.(check int) "stream fully parsed" (String.length stream) !pos;
+  records
+
+let rec varint_bytes n =
+  if n < 0x80 then String.make 1 (Char.chr n)
+  else String.make 1 (Char.chr (0x80 lor (n land 0x7f))) ^ varint_bytes (n lsr 7)
+
+let with_stream_file write read =
+  let path = temp_file () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       let oc = open_out_bin path in
+       Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc);
+       let ic = open_in_bin path in
+       Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic))
+
+let test_snapshot_count_field_inert () =
   let s = Object_store.create () in
-  (* well above the 4 KiB chunking threshold *)
+  ignore (Object_store.put s "twice");
+  ignore (Object_store.put s "twice");
   let big = String.init 100_000 (fun i -> Char.chr (i * 31 mod 256)) in
   let h = Object_store.put_blob s big in
   Alcotest.(check bool) "chunked" true (List.length (Object_store.blob_parts s h) > 1);
-  Alcotest.(check bool) "many objects" true (Object_store.object_count s > 1);
-  Object_store.release s h;
-  Alcotest.(check int) "all chunks freed" 0 (Object_store.object_count s);
-  Alcotest.(check int) "no bytes retained" 0
-    (Object_store.stats s).Object_store.physical_bytes
-
-let test_release_shared_chunks_survive () =
-  let s = Object_store.create () in
-  let big = String.init 100_000 (fun i -> Char.chr (i * 31 mod 256)) in
-  (* a local edit: the two blobs share most chunks *)
-  let edited = String.sub big 0 50_000 ^ "EDITEDEDITED" ^ String.sub big 50_012 (100_000 - 50_012) in
-  let h1 = Object_store.put_blob s big in
-  let h2 = Object_store.put_blob s edited in
-  Object_store.release s h1;
-  (* the surviving blob must still reassemble in full *)
-  Alcotest.(check bool) "first blob gone" false (Object_store.mem s h1);
-  Alcotest.(check (option string)) "second blob intact" (Some edited) (Object_store.get_blob s h2);
-  Object_store.release s h2;
-  Alcotest.(check int) "everything freed" 0 (Object_store.object_count s)
+  let stream =
+    with_stream_file (Object_store.dump s) (fun ic ->
+        really_input_string ic (in_channel_length ic))
+  in
+  let records = parse_records stream in
+  Alcotest.(check int) "one record per object" (Object_store.object_count s) (List.length records);
+  List.iter (fun (_, count) -> Alcotest.(check int) "count written as 1" 1 count) records;
+  let contents st =
+    List.sort compare
+      (Object_store.fold st (fun h data acc -> (Spitz_crypto.Hash.to_hex h, data) :: acc) [])
+  in
+  let physical st = (Object_store.stats st).Object_store.physical_bytes in
+  (* 300 is a two-byte varint *)
+  List.iter
+    (fun count ->
+       let hand_built =
+         varint_bytes (List.length records)
+         ^ String.concat ""
+             (List.map
+                (fun (data, _) -> varint_bytes (String.length data) ^ data ^ varint_bytes count)
+                records)
+       in
+       let r = Object_store.create () in
+       with_stream_file (fun oc -> output_string oc hand_built) (Object_store.restore r);
+       let what = Printf.sprintf "count %d" count in
+       Alcotest.(check (list (pair string string))) (what ^ ": objects") (contents s) (contents r);
+       Alcotest.(check int) (what ^ ": object_count") (Object_store.object_count s)
+         (Object_store.object_count r);
+       Alcotest.(check int) (what ^ ": physical_bytes") (physical s) (physical r))
+    [ 0; 1; 300 ]
 
 (* --- snapshot corruption: truncation at every offset, bit flips --- *)
 
@@ -450,8 +501,9 @@ let load_bitflip_no_silent_corruption write () =
        write path;
        let total = Fault.file_size path in
        (* a flipped bit must either surface as Corrupt or leave the loaded
-          database bit-identical (flips in refcount metadata) — never a
-          silently different ledger or cell, never a foreign exception *)
+          database bit-identical (flips in a record's inert count field) —
+          never a silently different ledger or cell, never a foreign
+          exception *)
        let step = max 1 (total / 200) in
        let off = ref 0 in
        while !off < total do
@@ -474,7 +526,7 @@ let load_bitflip_no_silent_corruption write () =
          off := !off + step
        done)
 
-(* A value blob is one object record: its length, its bytes, its refcount.
+(* A value blob is one object record: its length, its bytes, its count.
    A flipped bit inside the bytes re-hashes to an address no block entry
    names, so the value is gone from the store: the load must fail, not
    reopen with the cell silently missing. *)
@@ -1498,11 +1550,11 @@ let recovery_view db =
     "digest " ^ Spitz_crypto.Hash.to_hex (Db.digest db).Spitz_ledger.Journal.root;
   ]
 
-(* SHA-256 of the snapshot the live database saves, pinned from the build
-   that logged physical store objects. Recovery re-runs every logged batch
-   through [Db.commit], so the reopened database stores exactly what the
-   live one did, refcounts included, and saves the same bytes. *)
-let recovery_snapshot_sha = "278c30fca411d7acf379448ee33aee50d84fc3ced918b993d8c5a27ca1b9d6f3"
+(* SHA-256 of the snapshot the live database saves (34 object records,
+   each count field 1). Recovery re-runs every logged batch through
+   [Db.commit], so the reopened database stores exactly what the live one
+   did and saves the same bytes. *)
+let recovery_snapshot_sha = "909781f10d2dc795f27fea667dc679ca1b91ed903bad79abe223f7553e5ca71d"
 
 (* SHA-256 of the log segment the same script leaves behind (100,497 bytes):
    one logical record per commit, so a change to how a commit is hashed,
@@ -1539,14 +1591,11 @@ let test_recovery_reads_by_content_address () =
       Alcotest.(check (list string)) "compacted + reloaded" before (recovery_view (Db.load snap));
       Db.close_durable d')
 
-(* Sum of the restored store's reference counts. *)
-let refcount_sum store = Object_store.fold store (fun _ _ rc acc -> acc + rc) 0
-
-(* A reopen restores the store's reference counts and indexes the restored
-   cells and blocks without putting their objects again, so a
-   checkpoint-and-reopen cycle with no commits in between leaves every
-   counter where it was: the dedup ratio does not climb with restarts. *)
-let test_reopen_cycles_keep_refcounts () =
+(* A reopen indexes the restored cells and blocks without putting their
+   objects again, so a checkpoint-and-reopen cycle with no commits in
+   between leaves every counter where it was: [logical_bytes] does not
+   climb with restarts. *)
+let test_reopen_cycles_keep_counters () =
   with_dir (fun dir ->
       let d = Db.open_durable ~with_inverted:true dir in
       let db = Db.durable_db d in
@@ -1559,8 +1608,7 @@ let test_reopen_cycles_keep_refcounts () =
         let db = Db.durable_db d in
         let store = Db.store db in
         let counts =
-          ( refcount_sum store,
-            (Object_store.stats store).Object_store.logical_bytes,
+          ( (Object_store.stats store).Object_store.logical_bytes,
             Object_store.object_count store )
         in
         Alcotest.(check (list string)) "every read survives the cycle" before (recovery_view db);
@@ -1570,9 +1618,8 @@ let test_reopen_cycles_keep_refcounts () =
       in
       let first = cycle () in
       for i = 2 to 3 do
-        let refs, logical, objects = cycle () in
-        let refs0, logical0, objects0 = first in
-        Alcotest.(check int) (Printf.sprintf "cycle %d: reference sum" i) refs0 refs;
+        let logical, objects = cycle () in
+        let logical0, objects0 = first in
         Alcotest.(check int) (Printf.sprintf "cycle %d: logical bytes" i) logical0 logical;
         Alcotest.(check int) (Printf.sprintf "cycle %d: objects" i) objects0 objects
       done)
@@ -1758,8 +1805,8 @@ let suite =
     Alcotest.test_case "varint overflow rejected" `Quick test_varint_overflow_rejected;
     Alcotest.test_case "negative length rejected" `Quick test_negative_length_rejected;
     Alcotest.test_case "oversized length rejected" `Quick test_oversized_length_rejected;
-    Alcotest.test_case "release frees blob chunks" `Quick test_release_chunked_blob;
-    Alcotest.test_case "release keeps shared chunks" `Quick test_release_shared_chunks_survive;
+    Alcotest.test_case "snapshot count field is written as 1 and ignored on read" `Quick
+      test_snapshot_count_field_inert;
     Alcotest.test_case "load: truncation at every offset" `Quick test_load_truncation_every_offset;
     Alcotest.test_case "load: bit flips never corrupt silently" `Quick
       test_load_bitflip_no_silent_corruption;
@@ -1821,7 +1868,7 @@ let suite =
       test_last_acked_block_replays;
     Alcotest.test_case "empty block before a checkpoint" `Quick
       test_empty_block_before_checkpoint;
-    Alcotest.test_case "reopen cycles keep reference counts" `Quick
-      test_reopen_cycles_keep_refcounts;
+    Alcotest.test_case "reopen cycles keep the store's counters" `Quick
+      test_reopen_cycles_keep_counters;
     QCheck_alcotest.to_alcotest prop_replay_reproduces_live;
   ]

@@ -65,53 +65,6 @@ let prop_bptree_model =
        && Bptree.cardinal t = SM.cardinal model
        && Bptree.range t ~lo:"" ~hi:"~" = SM.bindings model)
 
-(* --- skip list --- *)
-
-let test_skiplist_basic () =
-  let t = Skiplist.create String.compare ~dummy_key:"" ~dummy_value:0 in
-  Skiplist.insert t "b" 2;
-  Skiplist.insert t "a" 1;
-  Skiplist.insert t "c" 3;
-  Skiplist.insert t "b" 20;
-  Alcotest.(check int) "cardinal" 3 (Skiplist.cardinal t);
-  Alcotest.(check (option int)) "overwrite" (Some 20) (Skiplist.get t "b");
-  Alcotest.(check (list (pair string int))) "range"
-    [ ("a", 1); ("b", 20) ]
-    (Skiplist.range t ~lo:"a" ~hi:"b");
-  Skiplist.remove t "b";
-  Alcotest.(check (option int)) "removed" None (Skiplist.get t "b");
-  Alcotest.(check int) "cardinal" 2 (Skiplist.cardinal t);
-  Skiplist.remove t "zz" (* no-op *)
-
-let test_skiplist_numeric () =
-  let t = Skiplist.create Float.compare ~dummy_key:0.0 ~dummy_value:"" in
-  List.iter (fun f -> Skiplist.insert t f (string_of_float f)) [ 3.5; 1.25; 9.0; 0.5; 2.0 ];
-  Alcotest.(check (list string)) "numeric range order"
-    [ "0.5"; "1.25"; "2."; "3.5" ]
-    (List.map snd (Skiplist.range t ~lo:0.0 ~hi:4.0))
-
-let prop_skiplist_model =
-  QCheck.Test.make ~name:"skiplist: model-based ops" ~count:50
-    QCheck.(small_list (pair (int_bound 300) (option (int_bound 100))))
-    (fun ops ->
-       let t = Skiplist.create String.compare ~dummy_key:"" ~dummy_value:0 in
-       let model =
-         List.fold_left
-           (fun m (ki, op) ->
-              let k = key_of ki in
-              match op with
-              | Some v ->
-                Skiplist.insert t k v;
-                SM.add k v m
-              | None ->
-                Skiplist.remove t k;
-                SM.remove k m)
-           SM.empty ops
-       in
-       SM.for_all (fun k v -> Skiplist.get t k = Some v) model
-       && Skiplist.cardinal t = SM.cardinal model
-       && Skiplist.range t ~lo:"" ~hi:"~" = SM.bindings model)
-
 (* --- radix tree --- *)
 
 let test_radix_basic () =
@@ -161,23 +114,17 @@ let prop_radix_model =
 
 let test_inverted () =
   let inv = Inverted.create () in
-  Inverted.add inv (Inverted.Str "red") "cell1";
-  Inverted.add inv (Inverted.Str "red") "cell2";
-  Inverted.add inv (Inverted.Str "red") "cell1"; (* idempotent *)
-  Inverted.add inv (Inverted.Str "blue") "cell3";
-  Inverted.add inv (Inverted.Num 42.0) "cell4";
-  Inverted.add inv (Inverted.Num 17.0) "cell5";
-  Alcotest.(check (list string)) "red" [ "cell1"; "cell2" ] (Inverted.lookup inv (Inverted.Str "red"));
-  Alcotest.(check (list string)) "blue" [ "cell3" ] (Inverted.lookup inv (Inverted.Str "blue"));
-  Alcotest.(check (list string)) "numeric" [ "cell4" ] (Inverted.lookup inv (Inverted.Num 42.0));
-  Alcotest.(check (list string)) "numeric range"
-    [ "cell5"; "cell4" ]
-    (Inverted.lookup_numeric_range inv ~lo:0.0 ~hi:100.0);
+  Inverted.add inv "red" "cell1";
+  Inverted.add inv "red" "cell2";
+  Inverted.add inv "red" "cell1"; (* idempotent *)
+  Inverted.add inv "blue" "cell3";
+  Alcotest.(check (list string)) "red" [ "cell1"; "cell2" ] (Inverted.lookup inv "red");
+  Alcotest.(check (list string)) "blue" [ "cell3" ] (Inverted.lookup inv "blue");
   Alcotest.(check int) "prefix" 2 (List.length (Inverted.lookup_prefix inv ~prefix:"re"));
-  Inverted.remove inv (Inverted.Str "red") "cell1";
-  Alcotest.(check (list string)) "after remove" [ "cell2" ] (Inverted.lookup inv (Inverted.Str "red"));
-  Inverted.remove inv (Inverted.Str "red") "cell2";
-  Alcotest.(check (list string)) "empty posting" [] (Inverted.lookup inv (Inverted.Str "red"))
+  Inverted.remove inv "red" "cell1";
+  Alcotest.(check (list string)) "after remove" [ "cell2" ] (Inverted.lookup inv "red");
+  Inverted.remove inv "red" "cell2";
+  Alcotest.(check (list string)) "empty posting" [] (Inverted.lookup inv "red")
 
 let suite =
   [
@@ -185,9 +132,6 @@ let suite =
     Alcotest.test_case "bptree many" `Quick test_bptree_many;
     Alcotest.test_case "bptree iter order" `Quick test_bptree_iter_order;
     QCheck_alcotest.to_alcotest prop_bptree_model;
-    Alcotest.test_case "skiplist basic" `Quick test_skiplist_basic;
-    Alcotest.test_case "skiplist numeric" `Quick test_skiplist_numeric;
-    QCheck_alcotest.to_alcotest prop_skiplist_model;
     Alcotest.test_case "radix basic" `Quick test_radix_basic;
     Alcotest.test_case "radix key is prefix" `Quick test_radix_key_is_prefix;
     QCheck_alcotest.to_alcotest prop_radix_model;

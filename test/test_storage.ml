@@ -63,16 +63,6 @@ let test_store_dedup () =
   Alcotest.(check int) "physical" 5 st.Object_store.physical_bytes;
   Alcotest.(check int) "logical" 10 st.Object_store.logical_bytes
 
-let test_store_refcount () =
-  let s = Object_store.create () in
-  let h = Object_store.put s "x" in
-  ignore (Object_store.put s "x");
-  Object_store.release s h;
-  Alcotest.(check bool) "still present" true (Object_store.mem s h);
-  Object_store.release s h;
-  Alcotest.(check bool) "gone" false (Object_store.mem s h);
-  Alcotest.(check int) "physical back to 0" 0 (Object_store.stats s).Object_store.physical_bytes
-
 let test_store_get_missing () =
   let s = Object_store.create () in
   Alcotest.(check (option string)) "missing" None
@@ -163,7 +153,6 @@ let suite =
     Alcotest.test_case "chunk edit locality" `Quick test_chunk_edit_locality;
     QCheck_alcotest.to_alcotest prop_chunk_roundtrip;
     Alcotest.test_case "store dedup" `Quick test_store_dedup;
-    Alcotest.test_case "store refcount" `Quick test_store_refcount;
     Alcotest.test_case "store get missing" `Quick test_store_get_missing;
     Alcotest.test_case "blob roundtrip" `Quick test_blob_roundtrip;
     Alcotest.test_case "blob descriptor collision" `Quick test_blob_descriptor_collision;
@@ -206,17 +195,32 @@ let test_cache_hit_miss_stats () =
   Alcotest.(check int) "reset hits" 0 s.Node_cache.hits;
   Alcotest.(check int) "reset misses" 0 s.Node_cache.misses
 
+(* The cache has 16 stripes and bins a key by the first byte of its
+   address; [keys_in s n] is the first [n] test keys that land in stripe
+   [s]. *)
+let keys_in s n =
+  let stripe_of h = Char.code (Spitz_crypto.Hash.to_raw h).[0] land 15 in
+  let acc = ref [] and i = ref 0 in
+  while List.length !acc < n do
+    let h = h_of !i in
+    if stripe_of h = s then acc := h :: !acc;
+    incr i
+  done;
+  List.rev !acc
+
 let test_cache_lru_eviction () =
-  (* strict whole-cache recency order needs a single stripe *)
-  let c = Node_cache.create ~capacity:3 ~stripes:1 () in
-  List.iter (fun i -> Node_cache.add c (h_of i) i) [ 0; 1; 2 ];
+  (* recency order is per stripe: four keys of one stripe whose share of
+     the capacity is 3 *)
+  let c = Node_cache.create ~capacity:48 () in
+  let k = Array.of_list (keys_in 0 4) in
+  List.iter (fun i -> Node_cache.add c k.(i) i) [ 0; 1; 2 ];
   (* touch 0 so 1 becomes least recently used *)
-  ignore (Node_cache.find c (h_of 0));
-  Node_cache.add c (h_of 3) 3;
+  ignore (Node_cache.find c k.(0));
+  Node_cache.add c k.(3) 3;
   Alcotest.(check int) "length capped" 3 (Node_cache.length c);
-  Alcotest.(check (option int)) "LRU entry evicted" None (Node_cache.find c (h_of 1));
-  Alcotest.(check (option int)) "recently used survives" (Some 0) (Node_cache.find c (h_of 0));
-  Alcotest.(check (option int)) "newest survives" (Some 3) (Node_cache.find c (h_of 3));
+  Alcotest.(check (option int)) "LRU entry evicted" None (Node_cache.find c k.(1));
+  Alcotest.(check (option int)) "recently used survives" (Some 0) (Node_cache.find c k.(0));
+  Alcotest.(check (option int)) "newest survives" (Some 3) (Node_cache.find c k.(3));
   Alcotest.(check int) "one eviction" 1 (Node_cache.stats c).Node_cache.evictions
 
 let test_cache_find_or_add () =
@@ -256,21 +260,9 @@ let test_cache_content_address_consistency () =
    evicts only within that stripe. Keys are binned the same way the cache
    bins them — by the first byte of the address. *)
 let test_cache_stripe_independence () =
-  let stripes = 16 in
-  let c = Node_cache.create ~capacity:32 ~stripes () in
-  Alcotest.(check int) "stripe count" stripes (Node_cache.stripe_count c);
+  let c = Node_cache.create ~capacity:32 () in
   Alcotest.(check int) "capacity rounded" 32 (Node_cache.capacity c);
-  let stripe_of h = Char.code (Spitz_crypto.Hash.to_raw h).[0] land (stripes - 1) in
-  (* collect keys for two distinct stripes *)
-  let keys_in s n =
-    let acc = ref [] and i = ref 0 in
-    while List.length !acc < n do
-      let h = h_of !i in
-      if stripe_of h = s then acc := h :: !acc;
-      incr i
-    done;
-    List.rev !acc
-  in
+  (* keys for two distinct stripes *)
   let a = keys_in 0 5 and b = keys_in 1 2 in
   List.iter (fun h -> Node_cache.add c h "b") b;
   List.iter (fun h -> Node_cache.add c h "a") a;
@@ -283,26 +275,11 @@ let test_cache_stripe_independence () =
   Node_cache.reset_stats c;
   Alcotest.(check int) "reset zeroes evictions" 0 (Node_cache.stats c).Node_cache.evictions
 
-(* Lookup behaviour must not depend on the stripe count (only eviction
-   scope does): below capacity — including below every stripe's share —
-   every added key is findable at any striping. *)
-let test_cache_stripes_invariance () =
-  let run stripes =
-    let c = Node_cache.create ~capacity:1024 ~stripes () in
-    for i = 0 to 63 do Node_cache.add c (h_of i) i done;
-    let found = List.init 64 (fun i -> Node_cache.find c (h_of i)) in
-    (found, Node_cache.length c, (Node_cache.stats c).Node_cache.hits)
-  in
-  let f1, l1, h1 = run 1 and f16, l16, h16 = run 16 in
-  Alcotest.(check (list (option int))) "same lookups" f1 f16;
-  Alcotest.(check int) "same length" l1 l16;
-  Alcotest.(check int) "same hits" h1 h16
-
 (* [stats] locks every stripe, so a snapshot can never be torn: with each
    operation bumping exactly one counter, hits+misses must equal the ops
    retired so far — monotonically, and exactly once the domains join. *)
 let test_cache_consistent_stats () =
-  let c = Node_cache.create ~capacity:128 ~stripes:16 () in
+  let c = Node_cache.create ~capacity:128 () in
   let per_domain = 2_000 and domains = 4 in
   let workers =
     List.init domains (fun d ->
@@ -338,7 +315,6 @@ let suite =
       Alcotest.test_case "node cache content-address consistency" `Quick
         test_cache_content_address_consistency;
       Alcotest.test_case "node cache stripe independence" `Quick test_cache_stripe_independence;
-      Alcotest.test_case "node cache stripe-count invariance" `Quick test_cache_stripes_invariance;
       Alcotest.test_case "node cache consistent stats under domains" `Quick
         test_cache_consistent_stats;
     ]
