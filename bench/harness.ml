@@ -255,6 +255,9 @@ let cache_report () =
              ] ))
       stats
   in
+  (* the kv-node cache's size shows whether it holds live nodes only *)
+  let entries = NC.length Spitz_adt.Kv_node.cache in
+  pr "kv-node cache entries: %d\n" entries;
   (* a command that touched no cache keeps the results file's earlier section *)
   if List.exists (fun (_, s) -> s.NC.hits + s.NC.misses > 0) stats then
-    add_result "node_cache" (J.Obj rows)
+    add_result "node_cache" (J.Obj (rows @ [ ("kv_node_entries", int entries) ]))

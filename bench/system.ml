@@ -388,16 +388,19 @@ let server () =
       let lat = lats.(c) in
       let pending = Queue.create () in
       let recv_one () =
+        let j, get, t0 = Queue.pop pending in
         (match Ipc.decode_response (Frame.read fd) with
          | Ipc.Error e -> failwith ("server error: " ^ e)
+         | Ipc.Value (Some _) -> ()
+         | _ when get -> failwith "a Get of a loaded key answered no value"
          | _ -> ());
-        let j, t0 = Queue.pop pending in
         lat.(j) <- Runner.now () -. t0
       in
       for j = 0 to per - 1 do
         while Queue.length pending >= depth do recv_one () done;
+        let get = j mod 8 <> 0 in
         let req =
-          if j mod 8 = 0 then begin
+          if not get then begin
             (* writes land on this connection's own slice of the keyspace *)
             let k = Keygen.key_of (((c * per) + j) mod n) in
             Ipc.Apply
@@ -409,15 +412,22 @@ let server () =
           end
           else Ipc.Get (Keygen.key_of (((c * 31) + (j * 7)) mod hot))
         in
-        Queue.push (j, Runner.now ()) pending;
+        Queue.push (j, get, Runner.now ()) pending;
         Frame.write fd (Ipc.encode_request req)
       done;
       while not (Queue.is_empty pending) do recv_one () done
     in
+    (* a client thread's exception would die with the thread: keep the
+       first one and re-raise it once every client has joined *)
+    let failed = Atomic.make None in
+    let run c () =
+      try client c () with e -> ignore (Atomic.compare_and_set failed None (Some e))
+    in
     let (), wall =
       Runner.time (fun () ->
-          List.iter Thread.join (List.init conns (fun c -> Thread.create (client c) ())))
+          List.iter Thread.join (List.init conns (fun c -> Thread.create (run c) ())))
     in
+    Option.iter raise (Atomic.get failed);
     let equal = replays_serially db in
     (* a verifying session must still sync to the head and proof-check *)
     let verified =
@@ -569,7 +579,9 @@ let codec () =
      batch; its median time is reported in µs. The durable row logs under
      [Never], so it times the record's encode and write, not an fsync;
      "major" counts words allocated straight into the major heap
-     (promotions excluded), which a copy of a 19 KB record would be. *)
+     (promotions excluded), which a copy of a 19 KB record would be;
+     "promoted" counts minor-heap words that survived into the major heap,
+     which is what a cache or index holding on to them costs. *)
   let load = batches ~size:512 16_384 in
   let rng = Random.State.make [| 42 |] in
   let commits = served_commits (fun () -> Random.State.int rng 16_384) in
@@ -589,6 +601,7 @@ let codec () =
       [
         ("words_per_op", per (minor1 -. minor0));
         ("major_words_per_op", per (major1 -. major0 -. (promoted1 -. promoted0)));
+        ("promoted_words_per_op", per (promoted1 -. promoted0));
         ("us_p50", num (percentile lats 0.5 *. 1e6));
       ]
   in

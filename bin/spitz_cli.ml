@@ -243,13 +243,22 @@ let serve_cmd =
     let server = Spitz_server.Server.start ~config (Spitz.Db.durable_db durable) in
     (* The harness (tests, CI smoke) learns the bound port from this line. *)
     Printf.printf "PORT=%d\n%!" (Spitz_server.Server.port server);
-    let quit = Atomic.make false in
-    let handler = Sys.Signal_handle (fun _ -> Atomic.set quit true) in
+    (* SIGTERM and SIGINT wake the main thread through a self-pipe: the
+       handler writes a byte, and the main thread blocks reading it. *)
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_w;
+    let handler =
+      Sys.Signal_handle
+        (fun _ -> try ignore (Unix.single_write_substring wake_w "x" 0 1) with Unix.Unix_error _ -> ())
+    in
     Sys.set_signal Sys.sigterm handler;
     Sys.set_signal Sys.sigint handler;
-    while not (Atomic.get quit) do
-      Thread.delay 0.05
-    done;
+    let rec wait () =
+      match Unix.read wake_r (Bytes.create 1) 0 1 with
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+    in
+    wait ();
     Spitz_server.Server.stop server;
     let s = Spitz_server.Server.stats server in
     (* Fold the log into a snapshot before exiting, so the next start opens

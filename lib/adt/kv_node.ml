@@ -48,10 +48,12 @@ let decode data =
 (* Decoded nodes are cached across all stores by content address: the same
    hash always denotes the same bytes, so a cached decode is valid for any
    store that holds the object. Store membership is still checked on every
-   access so that swept (compacted) or released nodes keep raising
-   [Not_found] exactly as the uncached path did. A decoded node's arrays are
-   never mutated — a batch update copies a node before editing it — which
-   makes sharing one decoded value across traversals (and domains) safe. *)
+   access so that swept (compacted) nodes keep raising [Not_found] exactly
+   as the uncached path did. A decoded node's arrays are never mutated — a
+   batch update copies a node before editing it — which makes sharing one
+   decoded value across traversals (and domains) safe. A batch also takes
+   each node it supersedes out of the cache ([take]), so the cache holds
+   the head's nodes and what readers decode, not every version's. *)
 let cache : node Node_cache.t = Node_cache.create ~capacity:65536 ()
 
 (* Memoized decode when the serialized bytes are already at hand (proof
@@ -84,6 +86,14 @@ let save_cached buf store node =
   let h = save_with buf store node in
   Node_cache.add cache h node;
   h
+
+(* A stored node a batch is about to supersede: taken out of the cache,
+   since only a reader pinned at an older version can still want it, and
+   that reader decodes it again. A miss decodes without caching. *)
+let take store h =
+  match Node_cache.take cache h with
+  | Some node when Object_store.mem store h -> node
+  | _ -> decode (Object_store.get_exn store h)
 
 (* The number of the first [n] slots of [items] whose key is <= [key]. The
    keys are sorted, so this is a binary search. *)

@@ -50,9 +50,10 @@ let no_entry = ("", "")
 let no_link = ("", Stored Hash.null)
 
 (* The batch's own copy of a stored node — the decoded node may be shared
-   through the node cache and is never edited. *)
+   with readers and is never edited. The batch supersedes it, so it leaves
+   the node cache: the cache keeps the head's nodes, not every version's. *)
 let expand store h =
-  match load store h with
+  match take store h with
   | Leaf entries -> P_leaf (slots_of no_entry entries)
   | Internal children ->
     P_internal (slots_of no_link (Array.map (fun (k, h) -> (k, Stored h)) children))
@@ -106,10 +107,12 @@ let rec insert_in store node key value grew =
     if s.len > max_entries then Some (P_internal (split_slots no_link s)) else None
 
 (* Save every rewritten node once, children before parents, each encoded
-   into the batch's one writer. *)
+   into the batch's one writer. Internal nodes are cached as they are saved,
+   since the next batch walks them again; a leaf is cached only once a
+   reader decodes it. *)
 let rec flush store buf = function
   | Stored h -> h
-  | Dirty (P_leaf s) -> save_cached buf store (Leaf (Array.sub s.items 0 s.len))
+  | Dirty (P_leaf s) -> save_with buf store (Leaf (Array.sub s.items 0 s.len))
   | Dirty (P_internal s) ->
     let children = Array.init s.len (fun i -> let k, l = s.items.(i) in (k, flush store buf l)) in
     save_cached buf store (Internal children)

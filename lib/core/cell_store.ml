@@ -2,30 +2,59 @@ open Spitz_crypto
 open Spitz_storage
 
 (* The virtual cell store (paper section 5): data lives as immutable,
-   content-addressed cells keyed by universal key. One B+-tree over the
-   encoded universal keys serves point lookups, version scans, and column
-   ranges; values are deduplicated by the object store. *)
+   content-addressed cells, each version named by its universal key
+   (column, pk, ts, value hash). One B+-tree entry per cell, keyed
+   [column \000 pk], holds the cell's versions newest first — the layout of
+   the immutable KVS — so a new version of a cell is one cons. Values are
+   deduplicated by the object store. *)
+
+type version = {
+  ts : int;
+  vhash : Hash.t; (* [Hash.null] for a tombstone *)
+  addr : Hash.t;
+  (* storage address of the value: the value hash for a value stored raw,
+     the descriptor address of a chunked blob, [Hash.null] for a tombstone *)
+}
+
+(* Newest first in (ts, value hash) order, the universal keys' order. *)
+type cell = { mutable versions : version list }
 
 type t = {
   store : Object_store.t;
-  index : Hash.t Spitz_index.Bptree.t;
-  (* encoded universal key -> storage address of the value. For values small
-     enough to store raw this equals the universal key's value hash; chunked
-     blobs live under their descriptor address. *)
+  index : cell Spitz_index.Bptree.t;
+  lock : Mutex.t;
+  (* a commit inserts while readers look up; the B+-tree is not safe for
+     that, so both hold this lock, and values are resolved after it *)
 }
 
 let create ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  { store; index = Spitz_index.Bptree.create () }
+  { store; index = Spitz_index.Bptree.create (); lock = Mutex.create () }
 
 let store t = t.store
 
+let cell_key ~column ~pk = column ^ "\000" ^ pk
+
+(* Insert [v] in order; a version with the same (ts, value hash) is the same
+   universal key, so it is replaced. *)
+let rec insert_version v = function
+  | [] -> [ v ]
+  | x :: rest as versions ->
+    let c = match Int.compare v.ts x.ts with 0 -> Hash.compare v.vhash x.vhash | c -> c in
+    if c > 0 then v :: versions else if c = 0 then v :: rest else x :: insert_version v rest
+
+let add_version t ~column ~pk v =
+  if String.contains column '\000' then invalid_arg "Universal_key: column contains NUL";
+  if String.contains pk '\000' then invalid_arg "Universal_key: pk contains NUL";
+  let key = cell_key ~column ~pk in
+  Mutex.protect t.lock (fun () ->
+      match Spitz_index.Bptree.get t.index key with
+      | Some cell -> cell.versions <- insert_version v cell.versions
+      | None -> Spitz_index.Bptree.insert t.index key { versions = [ v ] })
+
 (* Index a cell version whose value is already stored at [addr] — a reopen
    restoring cells from a snapshot whose store holds their values. *)
-let add_cell t ~column ~pk ~ts ~vhash addr =
-  let ukey = Universal_key.make ~column ~pk ~ts ~vhash in
-  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
-  ukey
+let add_cell t ~column ~pk ~ts ~vhash addr = add_version t ~column ~pk { ts; vhash; addr }
 
 let write_cell t ~column ~pk ~ts ?vhash value =
   let vhash = match vhash with Some h -> h | None -> Hash.of_string value in
@@ -36,97 +65,47 @@ let write_cell t ~column ~pk ~ts ?vhash value =
    versions stay reachable by timestamp while the latest state drops the
    cell. *)
 let delete_cell t ~column ~pk ~ts =
-  let ukey = Universal_key.make ~column ~pk ~ts ~vhash:Hash.null in
-  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) Hash.null;
-  ukey
+  add_version t ~column ~pk { ts; vhash = Hash.null; addr = Hash.null }
 
-(* Newest cell version at or below [ts] ([max_int] = latest). *)
-let read_cell ?(ts = max_int) t ~column ~pk =
-  let lo, hi = Universal_key.cell_bounds ~column ~pk in
-  let best =
-    Spitz_index.Bptree.fold_range t.index ~lo ~hi
-      (fun ekey vhash acc ->
-         match Universal_key.decode ekey with
-         | Some uk when uk.Universal_key.ts <= ts -> Some (uk, vhash)
-         | _ -> acc)
-      None
-  in
-  match best with
-  | Some (uk, vhash) when not (Hash.is_null vhash) ->
-    Some (uk, Object_store.get_blob_exn t.store vhash)
-  | _ -> None
+let versions_of t ~column ~pk =
+  Mutex.protect t.lock (fun () ->
+      match Spitz_index.Bptree.get t.index (cell_key ~column ~pk) with
+      | Some cell -> cell.versions
+      | None -> [])
 
-(* Hot path for point reads: the prefix scan is in timestamp order, so the
-   newest qualifying version is the last one visited; no key decoding. *)
-let read_value ?ts t ~column ~pk =
-  let prefix = Universal_key.cell_prefix ~column ~pk in
-  let hi = prefix ^ "\xff" in
-  let best =
-    match ts with
-    | None ->
-      Spitz_index.Bptree.fold_range t.index ~lo:prefix ~hi (fun _ vhash _ -> Some vhash) None
-    | Some bound ->
-      let prefix_len = String.length prefix in
-      Spitz_index.Bptree.fold_range t.index ~lo:prefix ~hi
-        (fun ekey vhash acc ->
-           if Universal_key.ts_of_encoded ~prefix_len ekey <= bound then Some vhash else acc)
-        None
-  in
-  match best with
-  | Some vhash when not (Hash.is_null vhash) -> Some (Object_store.get_blob_exn t.store vhash)
-  | _ -> None
+let value t addr = if Hash.is_null addr then None else Some (Object_store.get_blob_exn t.store addr)
+
+let read_value ?(ts = max_int) t ~column ~pk =
+  match List.find_opt (fun v -> v.ts <= ts) (versions_of t ~column ~pk) with
+  | Some v -> value t v.addr
+  | None -> None
 
 (* Every version of one cell, oldest first. *)
 let versions t ~column ~pk =
-  let lo, hi = Universal_key.cell_bounds ~column ~pk in
-  List.rev
-    (Spitz_index.Bptree.fold_range t.index ~lo ~hi
-       (fun ekey vhash acc ->
-          match Universal_key.decode ekey with
-          | Some uk when not (Hash.is_null vhash) ->
-            (uk, Object_store.get_blob_exn t.store vhash) :: acc
-          | _ -> acc)
-       [])
+  List.fold_left
+    (fun acc v ->
+       match value t v.addr with
+       | Some data -> ({ Universal_key.column; pk; ts = v.ts; vhash = v.vhash }, data) :: acc
+       | None -> acc)
+    [] (versions_of t ~column ~pk)
 
-(* Latest version of each cell of [column] with pk in [pk_lo, pk_hi]. *)
-let range_latest t ~column ~pk_lo ~pk_hi =
-  let lo, hi = Universal_key.column_bounds ~column ~pk_lo ~pk_hi in
-  let out = ref [] in
-  (* the scan is in (pk, ts) order: the last version of each pk wins *)
-  Spitz_index.Bptree.fold_range t.index ~lo ~hi
-    (fun ekey vhash () ->
-       match Universal_key.decode ekey with
-       | Some uk ->
-         (match !out with
-          | (prev, _) :: rest when String.equal prev.Universal_key.pk uk.Universal_key.pk ->
-            out := (uk, vhash) :: rest
-          | _ -> out := (uk, vhash) :: !out)
-       | None -> ())
-    ();
-  List.filter_map
-    (fun (uk, vhash) ->
-       if Hash.is_null vhash then None
-       else Some (uk, Object_store.get_blob_exn t.store vhash))
-    (List.rev !out)
-
-(* Hot path for range scans: pk extracted positionally, last version of each
-   pk wins, values fetched once per pk. *)
 let range_latest_values t ~column ~pk_lo ~pk_hi =
-  let lo, hi = Universal_key.column_bounds ~column ~pk_lo ~pk_hi in
   let pk_start = String.length column + 1 in
-  let out = ref [] in
-  Spitz_index.Bptree.fold_range t.index ~lo ~hi
-    (fun ekey vhash () ->
-       let pk_end = String.index_from ekey pk_start '\x00' in
-       let pk = String.sub ekey pk_start (pk_end - pk_start) in
-       match !out with
-       | (prev, _) :: rest when String.equal prev pk -> out := (pk, vhash) :: rest
-       | _ -> out := (pk, vhash) :: !out)
-    ();
-  List.filter_map
-    (fun (pk, vhash) ->
-       if Hash.is_null vhash then None
-       else Some (pk, Object_store.get_blob_exn t.store vhash))
-    (List.rev !out)
+  let latest =
+    Mutex.protect t.lock (fun () ->
+        Spitz_index.Bptree.fold_range t.index ~lo:(cell_key ~column ~pk:pk_lo)
+          ~hi:(cell_key ~column ~pk:pk_hi)
+          (fun key cell acc ->
+             match cell.versions with
+             | v :: _ when not (Hash.is_null v.addr) ->
+               (String.sub key pk_start (String.length key - pk_start), v.addr) :: acc
+             | _ -> acc)
+          [])
+  in
+  List.rev_map (fun (pk, addr) -> (pk, Object_store.get_blob_exn t.store addr)) latest
 
-let cell_count t = Spitz_index.Bptree.cardinal t.index
+let cell_count t =
+  Mutex.protect t.lock (fun () ->
+      let n = ref 0 in
+      Spitz_index.Bptree.iter t.index (fun _ cell -> n := !n + List.length cell.versions);
+      !n)

@@ -87,9 +87,11 @@ let cell_of_key t key =
    ledger itself; they have no cell. *)
 let catalog_column = "_catalog"
 
-let index_value t ukey value =
+let index_value t ~column ~pk ~ts ~vhash value =
   Option.iter
-    (fun inv -> Spitz_index.Inverted.add inv value (Universal_key.encode ukey))
+    (fun inv ->
+       Spitz_index.Inverted.add inv value
+         (Universal_key.encode (Universal_key.make ~column ~pk ~ts ~vhash)))
     t.inverted
 
 (* One block write's effect on the cell store and the inverted index: a put
@@ -101,16 +103,18 @@ let apply_write t ~height key value =
   let column, pk = cell_of_key t key in
   match value with
   | _ when String.equal column catalog_column -> ()
-  | None -> ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height)
+  | None -> Cell_store.delete_cell t.cells ~column ~pk ~ts:height
   | Some (value, vhash) ->
-    index_value t (Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value) value
+    Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value;
+    index_value t ~column ~pk ~ts:height ~vhash value
 
 (* [apply_write] of a put whose value a restored store already holds at
-   [addr]: the cell is indexed without a put, so a reopen takes no second
-   reference on the value. *)
+   [addr]: the cell is indexed without a put, so a reopen does no second
+   hashing or put work. *)
 let restore_write t ~height ~column ~pk ~vhash addr =
-  let ukey = Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr in
-  if t.inverted <> None then index_value t ukey (Object_store.get_blob_exn t.store addr)
+  Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr;
+  if t.inverted <> None then
+    index_value t ~column ~pk ~ts:height ~vhash (Object_store.get_blob_exn t.store addr)
 
 (* One block is one state transition: when a batch writes the same key more
    than once, the block's final state for that key is the last write (the
@@ -392,12 +396,13 @@ let live_set t ~bodies ~roots =
   Object_store.mark_blobs t.store live;
   live
 
-(* Keep the newest [keep_instances] index instances. Returns (objects
-   deleted, bytes reclaimed). *)
+(* Keep the newest [keep_instances] index instances, none below the
+   horizon: those are not in the store to mark. Returns (objects deleted,
+   bytes reclaimed). *)
 let compact ?(keep_instances = 16) t =
   let journal = L.journal t.ledger in
   let n = Journal.length journal in
-  let from = max 0 (n - keep_instances) in
+  let from = max t.horizon (n - keep_instances) in
   let live =
     live_set t ~bodies:(L.body_hashes t.ledger)
       ~roots:(List.init (n - from) (fun i -> (Journal.header journal (from + i)).Block.index_root))
@@ -405,7 +410,7 @@ let compact ?(keep_instances = 16) t =
   let before = (Object_store.stats t.store).Object_store.physical_bytes in
   let deleted = Object_store.sweep t.store ~live in
   let after = (Object_store.stats t.store).Object_store.physical_bytes in
-  t.horizon <- max t.horizon from;
+  t.horizon <- from;
   (deleted, before - after)
 
 (* --- persistence: everything lives in the content-addressed store, so a

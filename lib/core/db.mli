@@ -68,9 +68,11 @@ val commit : t -> ?statements:string list -> Ledger.write list -> int
     wait (durable databases) runs after it, so committers overlap hashing
     and fsync I/O while blocks still enter the ledger one at a time —
     digests, proofs and audits are byte-identical to committing the same
-    batches serially in lock-acquisition order. Reads are not synchronized
-    against concurrent commits; readers observing a mid-commit state is the
-    caller's concern. *)
+    batches serially in lock-acquisition order. The cell reads ({!get},
+    {!get_at}, {!history}) are safe beside a commit, since the cell store
+    locks each lookup, but they are not atomic per block: a read racing a
+    commit may see some of its writes and not others, and before the
+    commit is durable. A pinned {!snapshot} sees whole committed blocks. *)
 
 val put : t -> string -> string -> int
 (** Write one key; commits one ledger block and returns its height. Updates

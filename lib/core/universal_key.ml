@@ -1,9 +1,10 @@
 open Spitz_crypto
 
 (* The universal key of the virtual cell store (paper section 5): every cell
-   is addressed by (column id, primary key, timestamp, value hash). The
-   encoding is order-preserving on (column, pk, ts), so one B+-tree serves
-   point lookups, per-record version scans, and per-column range scans. *)
+   version is addressed by (column id, primary key, timestamp, value hash).
+   The cell store files versions under their cell, so the encoding names a
+   version outside it: in the inverted index and in [Db.search_value]'s
+   answers. It is order-preserving on (column, pk, ts). *)
 
 type t = {
   column : string;
@@ -42,23 +43,6 @@ let decode s =
     (try Some { column; pk; ts = int_of_string ts; vhash = Hash.of_hex hex }
      with _ -> None)
   | _ -> None
-
-(* Common prefix of every version of one cell. *)
-let cell_prefix ~column ~pk = String.concat sep_str [ column; pk; "" ]
-
-(* The timestamp field of an encoded key, without a full decode: it sits
-   right after the cell prefix as 12 digits. *)
-let ts_of_encoded ~prefix_len ekey = int_of_string (String.sub ekey prefix_len ts_width)
-
-(* Range bounds covering every version of one cell. *)
-let cell_bounds ~column ~pk =
-  let p = cell_prefix ~column ~pk in
-  (p, p ^ "\xff")
-
-(* Range bounds covering all cells of a column whose pk lies in [lo, hi]. *)
-let column_bounds ~column ~pk_lo ~pk_hi =
-  ( Printf.sprintf "%s%c%s%c" column sep pk_lo sep,
-    Printf.sprintf "%s%c%s%c\xff" column sep pk_hi sep )
 
 let compare a b = String.compare (encode a) (encode b)
 

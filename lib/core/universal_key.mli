@@ -1,7 +1,7 @@
-(** Universal keys of the virtual cell store: every cell is addressed by
-    (column id, primary key, timestamp, value hash), encoded so that
-    lexicographic order is (column, pk, ts) order — one B+-tree then serves
-    point lookups, version scans, and column ranges. *)
+(** Universal keys of the virtual cell store: every cell version is
+    addressed by (column id, primary key, timestamp, value hash). The
+    encoding, whose lexicographic order is (column, pk, ts) order, names a
+    version in the inverted index. *)
 
 open Spitz_crypto
 
@@ -19,20 +19,6 @@ val encode : t -> string
 (** Order-preserving canonical encoding. *)
 
 val decode : string -> t option
-
-val cell_prefix : column:string -> pk:string -> string
-(** Common prefix of every version of one cell. *)
-
-val cell_bounds : column:string -> pk:string -> string * string
-(** Range bounds covering every version of one cell. *)
-
-val column_bounds : column:string -> pk_lo:string -> pk_hi:string -> string * string
-(** Range bounds covering the latest-through-oldest versions of all cells of
-    a column whose pk lies in [pk_lo, pk_hi]. *)
-
-val ts_of_encoded : prefix_len:int -> string -> int
-(** Fast timestamp extraction from an encoded key, given the cell-prefix
-    length (hot read path). *)
 
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

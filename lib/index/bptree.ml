@@ -99,6 +99,10 @@ let rec insert_node node key value =
     end
   | Internal internal ->
     let ci = child_for internal key in
+    (* a key below every separator enters child 0 and becomes its minimum;
+       left stale, seps.(0) would sit above a later split of child 0 and
+       put the separators out of order *)
+    if String.compare key internal.seps.(0) < 0 then internal.seps.(0) <- key;
     let split, grew = insert_node internal.children.(ci) key value in
     (match split with
      | None -> ()

@@ -31,6 +31,10 @@ type t = {
   listen_fd : Unix.file_descr;
   bound_port : int;
   stopping : bool Atomic.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  (* [stop] writes one byte to [wake_w] and nobody reads it, so [wake_r]
+     stays readable and wakes every accept loop's select *)
   mutable driver : Thread.t option; (* runs accept loop 0 *)
   mutable domains : unit Domain.t list; (* run accept loops 1 .. accept_domains - 1 *)
   conns : (int, Unix.file_descr) Hashtbl.t;
@@ -176,6 +180,9 @@ let register_conn t fd =
   Mutex.lock t.conns_mu;
   Hashtbl.replace t.conns id fd;
   Mutex.unlock t.conns_mu;
+  (* accepted while [stop] half-closed the others: half-close it too *)
+  if Atomic.get t.stopping then
+    (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
   id
 
 let unregister_conn t id =
@@ -257,11 +264,11 @@ let reap ?(wait = false) hs =
   List.iter Thread.join finished
 
 (* One accept loop per accept domain. The listen fd is non-blocking and
-   shared: select with a short timeout keeps the loop responsive to the stop
-   flag (a blocked [accept] on a closed fd never wakes on Linux), and a
-   losing racer simply sees EAGAIN. Each pass joins the handler threads that
-   finished, so the loop holds a thread only while it serves a connection,
-   and on stop it waits for the rest before it returns: a domain ends with
+   shared: the loop selects on it and on the stop pipe with no timeout (a
+   blocked [accept] on a closed fd never wakes on Linux), and a losing
+   racer simply sees EAGAIN. Each pass joins the handler threads that
+   finished, so the loop holds no more threads than were live at its last
+   pass, and on stop it waits for the rest before it returns: a domain ends with
    no handler thread of its own still running. *)
 let accept_loop t =
   let hs = { mu = Mutex.create (); idle = Condition.create (); live = 0; finished = [] } in
@@ -269,8 +276,8 @@ let accept_loop t =
     reap hs;
     if Atomic.get t.c_active >= t.cfg.max_connections then Thread.delay 0.002
     else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> ()
+      match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
+      | ready, _, _ when List.mem t.wake_r ready -> ()
       | _ -> (
         match Unix.accept ~cloexec:true t.listen_fd with
         | exception
@@ -300,6 +307,7 @@ let start ?(config = default_config) db =
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
   Unix.listen listen_fd config.backlog;
   Unix.set_nonblock listen_fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -312,6 +320,8 @@ let start ?(config = default_config) db =
       listen_fd;
       bound_port;
       stopping = Atomic.make false;
+      wake_r;
+      wake_w;
       driver = None;
       domains = [];
       conns = Hashtbl.create 64;
@@ -335,6 +345,7 @@ let start ?(config = default_config) db =
 
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
+    ignore (Unix.single_write_substring t.wake_w "x" 0 1);
     (* Wake every handler blocked in a read: half-close the receive side so
        the current request still gets served and its response flushed. *)
     Mutex.lock t.conns_mu;
@@ -347,5 +358,7 @@ let stop t =
     t.driver <- None;
     List.iter Domain.join t.domains;
     t.domains <- [];
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.listen_fd; t.wake_r; t.wake_w ]
   end

@@ -139,6 +139,23 @@ let add t h v =
   if Hash.Table.length s.tbl > s.cap then evict_tail s;
   Mutex.unlock s.m
 
+let take t h =
+  let s = stripe_of t h in
+  Mutex.lock s.m;
+  let r =
+    match Hash.Table.find_opt s.tbl h with
+    | Some e ->
+      s.st.c_hits <- s.st.c_hits + 1;
+      unlink s e;
+      Hash.Table.remove s.tbl h;
+      Some e.value
+    | None ->
+      s.st.c_misses <- s.st.c_misses + 1;
+      None
+  in
+  Mutex.unlock s.m;
+  r
+
 let find_or_add t h ~load =
   match find t h with
   | Some v -> v

@@ -6,6 +6,8 @@
     different bytes, so the cache needs no invalidation — the only
     correctness caveat is deletion, which only compaction does and which
     callers handle by consulting {!Object_store.mem} before trusting a hit.
+    A writer that supersedes a node takes it out ({!take}), so a cache fed
+    that way holds live nodes and what readers decode, not every version.
 
     The key space is split across 16 stripes by the first byte of the
     address (uniform, since addresses are SHA-256 outputs). Each stripe is an independent LRU with its own mutex and
@@ -54,6 +56,11 @@ val find : 'a t -> Hash.t -> 'a option
 val add : 'a t -> Hash.t -> 'a -> unit
 (** Insert (or refresh) a decoded node, evicting the stripe's LRU entry when
     the stripe is over its share of the capacity. *)
+
+val take : 'a t -> Hash.t -> 'a option
+(** [find] that also drops the entry: the caller is about to supersede the
+    node, so only readers of an older version could still want it, and they
+    decode it again. Counts a hit or a miss. *)
 
 val find_or_add : 'a t -> Hash.t -> load:(unit -> 'a) -> 'a
 (** [find] then, on miss, [load ()] (run outside any cache lock) and [add].

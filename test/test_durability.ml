@@ -587,6 +587,37 @@ let test_compacted_snapshot_loads () =
            (Db.history b key)
        done)
 
+(* A reopen from a checkpoint restores only the head block's index
+   instance. A later compact keeps its window of instances from the horizon
+   up: below it there is nothing in the store to mark. *)
+let test_compact_after_compacting_reopen () =
+  with_dir (fun dir ->
+      let d = Db.open_durable dir in
+      let db = Db.durable_db d in
+      for i = 0 to 39 do
+        ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i))
+      done;
+      Db.checkpoint d;
+      Db.close_durable d;
+      let d = Db.open_durable dir in
+      let db = Db.durable_db d in
+      Alcotest.(check int) "reopened at the head's instance" 39 (Db.horizon db);
+      ignore (Db.put db "k40" "v40");
+      ignore (Db.compact db);
+      Alcotest.(check int) "horizon unchanged" 39 (Db.horizon db);
+      Alcotest.(check bool) "audit" true (Db.audit db);
+      List.iter
+        (fun height ->
+           match Db.snapshot ~height db with
+           | None -> Alcotest.fail "no snapshot"
+           | Some s ->
+             let value, proof = Db.Snapshot.get_verified s "k39" in
+             Alcotest.(check (option string)) "retained instance reads" (Some "v39") value;
+             Alcotest.(check bool) "and verifies" true
+               (Db.verify_read ~digest:(Db.Snapshot.digest s) ~key:"k39" ~value proof))
+        [ 39; 40 ];
+      Db.close_durable d)
+
 (* --- durable database: basic operation --- *)
 
 let test_durable_basic_roundtrip () =
@@ -1819,6 +1850,8 @@ let suite =
       test_compacted_value_flip_is_corrupt;
     Alcotest.test_case "compacted snapshot loads like a full save" `Quick
       test_compacted_snapshot_loads;
+    Alcotest.test_case "compact after a compacting reopen" `Quick
+      test_compact_after_compacting_reopen;
     Alcotest.test_case "durable roundtrip (log only)" `Quick test_durable_basic_roundtrip;
     Alcotest.test_case "durable checkpoint" `Quick test_durable_checkpoint;
     Alcotest.test_case "durable large values + batches" `Quick

@@ -65,6 +65,44 @@ let prop_bptree_model =
        && Bptree.cardinal t = SM.cardinal model
        && Bptree.range t ~lo:"" ~hi:"~" = SM.bindings model)
 
+(* Large trees against [Map]: the insertion order decides the shape, and a
+   key arriving below every separator of a node (descending order does it
+   on every insert) must still leave the separators sorted, or lookups and
+   scans route into the wrong child. *)
+let prop_bptree_orders =
+  QCheck.Test.make ~name:"bptree: random and descending orders match Map" ~count:40
+    (* no shrinker: each step would rebuild a tree of thousands of keys *)
+    (QCheck.make
+       ~print:(fun (descending, ints, _) ->
+           Printf.sprintf "%s order, %d keys" (if descending then "descending" else "random")
+             (List.length ints))
+       QCheck.Gen.(
+         triple bool
+           (list_size (int_range 0 3000) (int_bound 5000))
+           (small_list (pair (int_bound 5100) (int_bound 5100)))))
+    (fun (descending, ints, bounds) ->
+       let ints = if descending then List.sort_uniq (fun a b -> compare b a) ints else ints in
+       let t = Bptree.create () in
+       let model =
+         List.fold_left
+           (fun m i ->
+              Bptree.insert t (key_of i) i;
+              SM.add (key_of i) i m)
+           SM.empty ints
+       in
+       let in_range lo hi =
+         SM.bindings (SM.filter (fun k _ -> String.compare lo k <= 0 && String.compare k hi <= 0) model)
+       in
+       SM.for_all (fun k v -> Bptree.get t k = Some v && Bptree.mem t k) model
+       && List.for_all (fun i -> SM.mem (key_of i) model = Bptree.mem t (key_of i)) (List.init 5100 Fun.id)
+       && Bptree.cardinal t = SM.cardinal model
+       && Bptree.fold_range t ~lo:"" ~hi:"~" (fun k v acc -> (k, v) :: acc) [] = List.rev (SM.bindings model)
+       && List.for_all
+         (fun (a, b) ->
+            let lo = key_of (min a b) and hi = key_of (max a b) in
+            Bptree.range t ~lo ~hi = in_range lo hi)
+         bounds)
+
 (* --- radix tree --- *)
 
 let test_radix_basic () =
@@ -132,6 +170,7 @@ let suite =
     Alcotest.test_case "bptree many" `Quick test_bptree_many;
     Alcotest.test_case "bptree iter order" `Quick test_bptree_iter_order;
     QCheck_alcotest.to_alcotest prop_bptree_model;
+    QCheck_alcotest.to_alcotest prop_bptree_orders;
     Alcotest.test_case "radix basic" `Quick test_radix_basic;
     Alcotest.test_case "radix key is prefix" `Quick test_radix_key_is_prefix;
     QCheck_alcotest.to_alcotest prop_radix_model;

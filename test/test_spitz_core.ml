@@ -20,20 +20,13 @@ let test_ukey_rejects_nul () =
   Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
     (fun () -> ignore (Universal_key.make ~column:"c" ~pk:"a\x00b" ~ts:0 ~vhash:Hash.null))
 
-let test_ukey_bounds () =
-  let lo, hi = Universal_key.cell_bounds ~column:"c" ~pk:"k" in
-  let inside = Universal_key.encode (Universal_key.make ~column:"c" ~pk:"k" ~ts:5 ~vhash:Hash.null) in
-  let other = Universal_key.encode (Universal_key.make ~column:"c" ~pk:"kk" ~ts:5 ~vhash:Hash.null) in
-  Alcotest.(check bool) "inside" true (lo <= inside && inside <= hi);
-  Alcotest.(check bool) "other pk outside" false (lo <= other && other <= hi)
-
 (* --- cell store --- *)
 
 let test_cell_store_versions () =
   let cs = Cell_store.create () in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:1 "one" in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:5 "five" in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"other" ~ts:3 "x" in
+  Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:1 "one";
+  Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:5 "five";
+  Cell_store.write_cell cs ~column:"v" ~pk:"other" ~ts:3 "x";
   Alcotest.(check (option string)) "latest" (Some "five") (Cell_store.read_value cs ~column:"v" ~pk:"k");
   Alcotest.(check (option string)) "at ts 1" (Some "one")
     (Cell_store.read_value ~ts:1 cs ~column:"v" ~pk:"k");
@@ -43,6 +36,22 @@ let test_cell_store_versions () =
     (Cell_store.read_value ~ts:0 cs ~column:"v" ~pk:"k");
   Alcotest.(check int) "versions" 2 (List.length (Cell_store.versions cs ~column:"v" ~pk:"k"));
   Alcotest.(check int) "cells" 3 (Cell_store.cell_count cs)
+
+(* A pk that extends another ("k", "kk") is a different cell: neither its
+   versions nor its range entry leak into the shorter pk's. *)
+let test_cell_store_prefix_pks () =
+  let cs = Cell_store.create () in
+  Cell_store.write_cell cs ~column:"c" ~pk:"k" ~ts:1 "k1";
+  Cell_store.write_cell cs ~column:"c" ~pk:"kk" ~ts:5 "kk5";
+  Cell_store.write_cell cs ~column:"cc" ~pk:"k" ~ts:7 "cc7";
+  Alcotest.(check (option string)) "own latest" (Some "k1") (Cell_store.read_value cs ~column:"c" ~pk:"k");
+  Alcotest.(check int) "own versions" 1 (List.length (Cell_store.versions cs ~column:"c" ~pk:"k"));
+  Alcotest.(check (list (pair string string))) "range of one pk" [ ("k", "k1") ]
+    (Cell_store.range_latest_values cs ~column:"c" ~pk_lo:"k" ~pk_hi:"k");
+  Alcotest.(check (list (pair string string))) "range of a column" [ ("k", "k1"); ("kk", "kk5") ]
+    (Cell_store.range_latest_values cs ~column:"c" ~pk_lo:"" ~pk_hi:"z");
+  Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
+    (fun () -> Cell_store.write_cell cs ~column:"c" ~pk:"a\x00b" ~ts:0 "x")
 
 let test_cell_store_range () =
   let cs = Cell_store.create () in
@@ -365,15 +374,73 @@ let test_db_snapshot_atomic_under_commits () =
   Alcotest.(check int) "no torn snapshot observed" 0 !bad;
   Alcotest.(check bool) "committer progressed" true (commits > 0)
 
+(* [Db.get] answers from the cell store while a committer inserts into it,
+   as the server's accept domains do: a reader must never see a B+-tree
+   node half rewritten, so every key stored before the race reads back. *)
+let test_db_get_races_commits () =
+  let db = Db.open_db () in
+  let rng = Random.State.make [| 31 |] in
+  let key tag = Printf.sprintf "%08x-%s" (Random.State.bits rng) tag in
+  let stored = Array.init 1024 (fun _ -> key "s") in
+  ignore (Db.put_batch db (Array.to_list (Array.map (fun k -> (k, k)) stored)));
+  let fresh = Array.init 600 (fun _ -> List.init 16 (fun _ -> (key "n", "x"))) in
+  let done_ = Atomic.make false in
+  let committer =
+    Domain.spawn (fun () ->
+        Array.iter (fun batch -> ignore (Db.put_batch db batch)) fresh;
+        Atomic.set done_ true)
+  in
+  let bad = ref 0 and reads = ref 0 in
+  while not (Atomic.get done_) do
+    let k = stored.(!reads land 1023) in
+    (match Db.get db k with
+     | Some v when String.equal v k -> ()
+     | Some _ | None -> incr bad
+     | exception _ -> incr bad);
+    incr reads
+  done;
+  Domain.join committer;
+  Alcotest.(check int) "no missed or failed read" 0 !bad;
+  Alcotest.(check bool) "every stored key still reads" true
+    (Array.for_all (fun k -> Db.get db k = Some k) stored)
+
+(* A batch takes each node it supersedes out of the decoded-node cache and
+   caches only the internal nodes it saves, so after commits with no reads
+   every cached node is a node of the head's index instance. *)
+let test_db_node_cache_holds_head_nodes () =
+  let module NC = Spitz_storage.Node_cache in
+  let db = Db.open_db () in
+  let key i = Printf.sprintf "k%05d" i in
+  ignore (Db.put_batch db (List.init 2048 (fun i -> (key i, "v"))));
+  NC.clear Spitz_adt.Kv_node.cache;
+  let rng = Random.State.make [| 5 |] in
+  for c = 1 to 64 do
+    ignore
+      (Db.put_batch db
+         (List.init 16 (fun _ -> (key (Random.State.int rng 4096), string_of_int c))))
+  done;
+  let cached = NC.length Spitz_adt.Kv_node.cache in
+  let head_cached = ref 0 in
+  (match Db.snapshot db with
+   | None -> Alcotest.fail "empty database"
+   | Some s ->
+     Spitz_adt.Merkle_bptree.iter_nodes (Db.store db) (Db.Snapshot.index_root s) (fun h ->
+         if NC.find Spitz_adt.Kv_node.cache h <> None then incr head_cached));
+  Alcotest.(check bool) "the commits cached nodes" true (cached > 0);
+  Alcotest.(check int) "every cached node is a head node" cached !head_cached
+
 let suite =
   [
     Alcotest.test_case "universal key roundtrip" `Quick test_ukey_roundtrip;
     Alcotest.test_case "universal key ordering" `Quick test_ukey_ordering;
     Alcotest.test_case "universal key rejects NUL" `Quick test_ukey_rejects_nul;
-    Alcotest.test_case "universal key bounds" `Quick test_ukey_bounds;
     Alcotest.test_case "cell store versions" `Quick test_cell_store_versions;
     Alcotest.test_case "cell store range" `Quick test_cell_store_range;
+    Alcotest.test_case "cell store keeps prefix pks apart" `Quick test_cell_store_prefix_pks;
     Alcotest.test_case "db end to end" `Quick test_db_end_to_end;
+    Alcotest.test_case "db get races commits" `Quick test_db_get_races_commits;
+    Alcotest.test_case "db node cache holds only head nodes" `Quick
+      test_db_node_cache_holds_head_nodes;
     Alcotest.test_case "db history + snapshots" `Quick test_db_history_and_snapshots;
     Alcotest.test_case "db write receipts" `Quick test_db_write_receipts;
     Alcotest.test_case "db batch" `Quick test_db_batch;
