@@ -122,6 +122,53 @@ let durability () =
                    ("reopen_seconds", num open_s);
                  ])))
   in
+  (* bounded memory on the served path: a durable handle keeps the head
+     instance and what the newest [Db.retained_instances] blocks
+     superseded, however many blocks commit *)
+  let bounded_commits = 2_000 in
+  pr "\n-- retention: %d keys + %d commits of 16 on a durable handle --\n" keys bounded_commits;
+  let retention =
+    with_durable ~sync:Wal.Never (fun _ d ->
+        let db = Db.durable_db d in
+        let put kvs = ignore (Db.put_batch db kvs) in
+        List.iter put (batches ~size:512 keys);
+        let rng = Keygen.rng 32 in
+        let (), commit_s =
+          Runner.time (fun () ->
+              for b = 1 to bounded_commits do
+                put
+                  (List.init 16 (fun _ ->
+                       let k = Keygen.key_of (Keygen.int rng keys) in
+                       (k, Keygen.value_of ~version:b k)))
+              done)
+        in
+        let head = (Db.digest db).Spitz_ledger.Journal.size - 1 in
+        let st = Db.retention_stats db in
+        let head_nodes = ref 0 in
+        Option.iter
+          (fun s ->
+             Db.L.mark_instance (Db.ledger db) (Db.Snapshot.index_root s) (fun _ -> incr head_nodes))
+          (Db.snapshot db);
+        let bound = !head_nodes + st.Db.filed_nodes in
+        if st.Db.index_nodes > bound then
+          fail "retention: %d index nodes stored, more than the head instance's %d plus the %d the newest %d blocks superseded"
+            st.Db.index_nodes !head_nodes st.Db.filed_nodes Db.retained_instances;
+        if Db.horizon db <> head - (Db.retained_instances - 1) then
+          fail "retention: horizon %d after %d blocks, expected head - %d" (Db.horizon db) (head + 1)
+            (Db.retained_instances - 1);
+        emit ~label:"retention"
+             [
+               ("commits", int bounded_commits);
+               ("commit_us", num (commit_s /. float_of_int bounded_commits *. 1e6));
+               ("horizon", int (Db.horizon db));
+               ("head_nodes", int !head_nodes);
+               ("index_nodes", int st.Db.index_nodes);
+               ("filed_nodes", int st.Db.filed_nodes);
+               ("reclaimed_nodes", int st.Db.reclaimed_nodes);
+               ("objects", int (Os.object_count (Db.store db)));
+               ("bounded", bool (st.Db.index_nodes <= bound));
+             ])
+  in
   add_result "durability"
     (J.Obj
        (policy_rows
@@ -130,6 +177,7 @@ let durability () =
           ("recovery", J.Arr recovery_rows);
           ("recovery_after_checkpoint", checkpointed);
           ("checkpoint_size", ckpt_size);
+          ("retention", retention);
         ]));
   pr "(expected shape: interval-64 within a small factor of no-wal — one\n";
   pr " fsync amortized over 64 commits — while always pays a disk flush per\n";

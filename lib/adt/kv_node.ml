@@ -45,6 +45,9 @@ let decode data =
         (k, h)))
   | c -> raise (Wire.Malformed (Printf.sprintf "Kv_node: bad node tag %C" c))
 
+(* Whether [data] can be a node's encoding: a node starts with its tag. *)
+let may_be_node data = data <> "" && (data.[0] = 'L' || data.[0] = 'I')
+
 (* Decoded nodes are cached across all stores by content address: the same
    hash always denotes the same bytes, so a cached decode is valid for any
    store that holds the object. Store membership is still checked on every
@@ -72,18 +75,21 @@ let load store h =
 (* Encode into [buf] (cleared first) and store straight from its buffer:
    the identity hash is computed in place, and a dedup hit (shared subtree
    node) never materializes the encoding as a string at all. A batch passes
-   one writer for all the nodes it flushes. *)
-let save_with buf store node =
+   one writer for all the nodes it flushes. With [epoch] the node is put as
+   one block [epoch] created ({!Object_store.put_node}). *)
+let save_with ?epoch buf store node =
   Wire.clear buf;
   encode_into buf node;
-  Object_store.put_writer store buf
+  match epoch with
+  | None -> Object_store.put_writer store buf
+  | Some epoch -> Object_store.put_node store ~epoch buf
 
 let save store node = save_with (Wire.writer ()) store node
 
 (* [save_with] that also caches the node under its address: the next batch
    to touch it finds it decoded instead of decoding it from its bytes. *)
-let save_cached buf store node =
-  let h = save_with buf store node in
+let save_cached ?epoch buf store node =
+  let h = save_with ?epoch buf store node in
   Node_cache.add cache h node;
   h
 
@@ -323,17 +329,29 @@ let extract_range ~digest ~lo ~hi proof =
 let verify_range ~digest ~lo ~hi ~entries proof =
   extract_range ~digest ~lo ~hi proof = Some entries
 
-(* Visit every node reachable from a root (compaction mark phase). Shared
-   subtrees are visited once. *)
+(* The child addresses of a node, read straight from its bytes: a leaf
+   has none, and an internal node's separators are skipped, not copied. *)
+let iter_children data f =
+  let r = Wire.reader data in
+  match Wire.read_byte r with
+  | 'L' -> ()
+  | 'I' ->
+    for _ = 1 to Wire.read_varint r do
+      ignore (Wire.read_raw r (Wire.read_varint r) : Slice.t);
+      f (Wire.read_hash r)
+    done
+  | c -> raise (Wire.Malformed (Printf.sprintf "Kv_node: bad node tag %C" c))
+
+(* Visit every node reachable from a root (the retention mark, and a
+   reopen's classification of the head instance). A node's bytes hold its
+   keys, and no other node of the same tree holds them, so a tree reaches
+   each of its nodes once. The walk reads raw bytes: nothing is decoded,
+   and nothing enters the node cache. *)
 let iter_nodes store root visit =
-  let seen = Hash.Table.create 256 in
   let rec go h =
-    if not (Hash.is_null h) && not (Hash.Table.mem seen h) then begin
-      Hash.Table.replace seen h ();
+    if not (Hash.is_null h) then begin
       visit h;
-      match load store h with
-      | Leaf _ -> ()
-      | Internal children -> Array.iter (fun (_, ch) -> go ch) children
+      iter_children (Object_store.get_exn store h) go
     end
   in
   go root

@@ -148,6 +148,7 @@ let insert t key value =
   { t with root; count = (if grew then t.count + 1 else t.count) }
 
 let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+let insert_batch_at t ~epoch:_ kvs = (insert_batch t kvs, [])
 
 let rec find_bucket t h bucket level =
   if level = t.depth then

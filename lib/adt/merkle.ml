@@ -64,6 +64,30 @@ let add_leaf_hash t h =
 
 let add_leaf t data = add_leaf_hash t (Hash.leaf data)
 
+(* The tree [add_leaf_hash] builds from the same leaves, level by level:
+   each node is hashed once (n - 1 hashes for n leaves) instead of
+   re-hashing the right spine on every append. *)
+let of_leaf_hashes hashes =
+  let leaves = Array.of_list hashes in
+  let n = Array.length leaves in
+  if n = 0 then create ()
+  else begin
+    let levels = ref [ { a = leaves; n } ] in
+    let cur = ref leaves in
+    while Array.length !cur > 1 do
+      let below = !cur in
+      let m = Array.length below in
+      let above =
+        Array.init ((m + 1) / 2) (fun p ->
+            if (2 * p) + 1 < m then Hash.node below.(2 * p) below.((2 * p) + 1) else below.(2 * p))
+      in
+      levels := { a = above; n = Array.length above } :: !levels;
+      cur := above
+    done;
+    let levels = Array.of_list (List.rev !levels) in
+    { levels; nlevels = Array.length levels }
+  end
+
 let of_leaves datas =
   let t = create () in
   List.iter (fun d -> ignore (add_leaf t d)) datas;

@@ -23,6 +23,11 @@ val add_leaf_hash : t -> Hash.t -> int
 (** Append an already-computed leaf hash (must be domain-separated, i.e.
     produced by {!Hash.leaf}). *)
 
+val of_leaf_hashes : Hash.t list -> t
+(** The tree {!add_leaf_hash} builds from these leaf hashes, in order — the
+    same levels, root and proofs — built level by level, so each of the
+    [n - 1] internal nodes is hashed once. *)
+
 val root : t -> Hash.t
 (** Current root digest. The empty tree hashes to {!empty_root}. *)
 

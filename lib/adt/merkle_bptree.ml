@@ -51,8 +51,11 @@ let no_link = ("", Stored Hash.null)
 
 (* The batch's own copy of a stored node — the decoded node may be shared
    with readers and is never edited. The batch supersedes it, so it leaves
-   the node cache: the cache keeps the head's nodes, not every version's. *)
-let expand store h =
+   the node cache: the cache keeps the head's nodes, not every version's.
+   Its address is added to [superseded], the batch's report of the stored
+   nodes it rewrote. *)
+let expand store superseded h =
+  superseded := h :: !superseded;
   match take store h with
   | Leaf entries -> P_leaf (slots_of no_entry entries)
   | Internal children ->
@@ -80,7 +83,7 @@ let split_slots dummy s =
    node split. Sets [grew] when the key is new. The splits depend only on
    keys and entry counts, so a batch ends in exactly the tree a fold of
    single-key inserts builds. *)
-let rec insert_in store node key value grew =
+let rec insert_in store superseded node key value grew =
   match node with
   | P_leaf s ->
     let i = count_le s.items s.len key in
@@ -93,9 +96,9 @@ let rec insert_in store node key value grew =
   | P_internal s ->
     let idx = child_index_sub s.items s.len key in
     let child =
-      match snd s.items.(idx) with Dirty c -> c | Stored h -> expand store h
+      match snd s.items.(idx) with Dirty c -> c | Stored h -> expand store superseded h
     in
-    let right = insert_in store child key value grew in
+    let right = insert_in store superseded child key value grew in
     (* relink a freshly expanded child; a key below the subtree's minimum
        also lowers its separator *)
     (match s.items.(idx) with
@@ -110,14 +113,21 @@ let rec insert_in store node key value grew =
    into the batch's one writer. Internal nodes are cached as they are saved,
    since the next batch walks them again; a leaf is cached only once a
    reader decodes it. *)
-let rec flush store buf = function
+let rec flush ?epoch store buf = function
   | Stored h -> h
-  | Dirty (P_leaf s) -> save_with buf store (Leaf (Array.sub s.items 0 s.len))
+  | Dirty (P_leaf s) -> save_with ?epoch buf store (Leaf (Array.sub s.items 0 s.len))
   | Dirty (P_internal s) ->
-    let children = Array.init s.len (fun i -> let k, l = s.items.(i) in (k, flush store buf l)) in
-    save_cached buf store (Internal children)
+    let children =
+      Array.init s.len (fun i -> let k, l = s.items.(i) in (k, flush ?epoch store buf l))
+    in
+    save_cached ?epoch buf store (Internal children)
 
-let insert_batch t kvs =
+(* The batch, and the stored nodes it rewrote. A path-copying tree holds
+   each node in one contiguous run of versions, so a rewritten node is in
+   [t] and — unless the batch rewrote it to the same bytes — in no later
+   version until some later batch creates it again. *)
+let batch ?epoch t kvs =
+  let superseded = ref [] in
   let grew = ref false in
   let step (root, count) (key, value) =
     grew := false;
@@ -127,7 +137,7 @@ let insert_batch t kvs =
         grew := true;
         P_leaf (slots_of no_entry [| (key, value) |])
       | Some node ->
-        (match insert_in t.store node key value grew with
+        (match insert_in t.store superseded node key value grew with
          | None -> node
          | Some right ->
            P_internal
@@ -137,13 +147,18 @@ let insert_batch t kvs =
     (Some root, if !grew then count + 1 else count)
   in
   match kvs with
-  | [] -> t
+  | [] -> (t, [])
   | kvs ->
     let root, count =
-      List.fold_left step (Option.map (expand t.store) t.root, t.count) kvs
+      List.fold_left step (Option.map (expand t.store superseded) t.root, t.count) kvs
     in
     let buf = Wire.writer ~size:1024 () in
-    { t with root = Option.map (fun r -> flush t.store buf (Dirty r)) root; count }
+    ({ t with root = Option.map (fun r -> flush ?epoch t.store buf (Dirty r)) root; count },
+     !superseded)
+
+let insert_batch t kvs = fst (batch t kvs)
+
+let insert_batch_at t ~epoch kvs = batch ~epoch t kvs
 
 let insert t key value = insert_batch t [ (key, value) ]
 

@@ -190,6 +190,7 @@ let insert t key value =
     { t with root = Some root; count = (if grew then t.count + 1 else t.count) }
 
 let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+let insert_batch_at t ~epoch:_ kvs = (insert_batch t kvs, [])
 
 let rec get_at t h path =
   match load t h with

@@ -281,6 +281,7 @@ let rec insert_entry key value = function
 let insert t key value = update t key (insert_entry key value)
 
 let insert_batch t kvs = List.fold_left (fun t (k, v) -> insert t k v) t kvs
+let insert_batch_at t ~epoch:_ kvs = (insert_batch t kvs, [])
 
 let remove t key =
   update t key (fun entries ->

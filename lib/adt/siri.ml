@@ -76,6 +76,14 @@ module type S = sig
       The store gains only nodes reachable from the returned root — no
       intermediate version of a node is stored. *)
 
+  val insert_batch_at : t -> epoch:int -> (string * string) list -> t * Hash.t list
+  (** {!insert_batch} for block [epoch] of a ledger that reclaims what later
+      versions supersede: every node stored is put as one that block
+      created ({!Spitz_storage.Object_store.put_node}), and the stored
+      nodes of [t] the batch rewrote are returned with the result — each
+      reachable from no later version unless rewritten to the same bytes or
+      created again. An index that does not report them returns [[]]. *)
+
   val get : t -> string -> string option
 
   val get_with_proof : t -> string -> string option * proof

@@ -29,10 +29,27 @@ type t = {
   mutable log : log option;
   (* the durable handle's write-ahead log, attached by [open_durable] once
      replay is done: [commit] submits each block's record to it *)
-  mutable horizon : int;
+  horizon : int Atomic.t;
   (* the lowest height whose index instance, and every later one, is in the
      store: set when a reopen restores a retention-marked snapshot, raised
-     by [compact]; a verified read pinned below it has nothing to read *)
+     by [compact] and, on a durable handle, by every commit past the
+     retention window; a verified read pinned below it has nothing to
+     read *)
+  mutable retention : retention option;
+  (* a durable handle's reclamation of superseded index nodes; [None] on an
+     in-memory database, which keeps every instance *)
+}
+
+and retention = {
+  filed : (int * Spitz_crypto.Hash.t list) Queue.t;
+  (* the stored nodes each block superseded, under its height, oldest
+     first; only [commit] touches it, under [commit_lock] *)
+  pinned : int Atomic.t;
+  (* the head height a running checkpoint has pinned, [max_int] when none:
+     the horizon stays at or below it until the checkpoint has written it *)
+  mutable reclaimed : int; (* nodes deleted so far *)
+  mutable freed : int; (* node bytes deleted since the last full collection *)
+  mutable collect_at : int; (* [freed] at which to collect: a third of the heap *)
 }
 
 and log = {
@@ -51,7 +68,8 @@ let of_ledger ~store ~column ~with_inverted ledger =
     inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
     commit_lock = Mutex.create ();
     log = None;
-    horizon = 0;
+    horizon = Atomic.make 0;
+    retention = None;
   }
 
 (* The cell-store column of the KV surface. A database records its column
@@ -190,12 +208,76 @@ let decode_wal_record data =
    Blocks enter the ledger, and records the log, in the order the lock is
    acquired, so digests, proofs and audits are byte-identical to that
    serial order. *)
+(* Index instances a durable handle keeps: the head's and the 63 before
+   it, plus any a running checkpoint has pinned. *)
+let retained_instances = 64
+
+(* The bytes reclaimed since the last full collection that call for the
+   next one: a third of the heap. Half let the served heap peak about a
+   fifth higher; a quarter cost a fifth more commit time for the heap it
+   saved. *)
+let collect_threshold () = (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / 3
+
+(* After block [height] committed: file the nodes it superseded, raise the
+   horizon to keep [retained_instances] (no higher than a checkpoint's
+   pin), then delete what every block the horizon has passed superseded.
+   A node block b superseded is in instance b - 1 and in none from b on
+   unless created again, so it goes once the horizon reaches b — and
+   [Object_store.reclaim_node] keeps it if a block from b on created it
+   again, or if anything but an index put stored the same bytes. The work
+   is the nodes this commit filed and those it deletes, not the history.
+
+   A deleted node is garbage the heap can reuse only once the major GC has
+   finished the cycle under way and one more: an allocation-paced cycle
+   takes a few hundred commits, and until then every commit's new nodes
+   grow the heap as if nothing had been freed. So once the bytes deleted
+   since the last full collection reach a third of the heap, a full major
+   collection makes them reusable now. Its cost is one pass over the heap
+   per third of a heap freed — constant per freed byte, and paid by one
+   commit in hundreds, not by each. Caller holds [commit_lock]. *)
+let retire t r ~height superseded =
+  if superseded <> [] then Queue.add (height, superseded) r.filed;
+  let target = min (height + 1 - retained_instances) (Atomic.get r.pinned) in
+  if target > Atomic.get t.horizon then Atomic.set t.horizon target;
+  let horizon = Atomic.get t.horizon in
+  while (not (Queue.is_empty r.filed)) && fst (Queue.peek r.filed) <= horizon do
+    let b, nodes = Queue.pop r.filed in
+    List.iter
+      (fun h ->
+         let freed = Object_store.reclaim_node t.store h ~superseded_at:b in
+         if freed > 0 then begin
+           r.reclaimed <- r.reclaimed + 1;
+           r.freed <- r.freed + freed
+         end)
+      nodes
+  done;
+  if r.freed >= r.collect_at then begin
+    Gc.full_major ();
+    r.freed <- 0;
+    r.collect_at <- collect_threshold ()
+  end
+
+type retention_stats = { index_nodes : int; filed_nodes : int; reclaimed_nodes : int }
+
+let retention_stats t =
+  Mutex.protect t.commit_lock (fun () ->
+      let filed, reclaimed =
+        match t.retention with
+        | None -> (0, 0)
+        | Some r -> (Queue.fold (fun acc (_, hs) -> acc + List.length hs) 0 r.filed, r.reclaimed)
+      in
+      { index_nodes = Object_store.index_node_count t.store;
+        filed_nodes = filed;
+        reclaimed_nodes = reclaimed })
+
 let commit t ?(statements = []) writes =
   let prepared = L.prepare ~statements writes in
   Mutex.lock t.commit_lock;
   let height, ticket =
     match
-      let height = L.commit_prepared t.ledger prepared in
+      (* a stopped log acknowledges nothing more: fail before the block *)
+      Option.iter (fun log -> Wal.check_failed log.wal) t.log;
+      let height, superseded = L.commit_prepared t.ledger prepared in
       List.iter
         (function
           | Ledger.Put (key, value), vhash -> apply_write t ~height key (Some (value, vhash))
@@ -203,16 +285,21 @@ let commit t ?(statements = []) writes =
         (last_write_per_key
            (function Ledger.Put (k, _), _ | Ledger.Delete k, _ -> k)
            (List.combine writes (L.value_hashes prepared)));
-      match t.log with
-      | None -> (height, None)
-      | Some log ->
-        Fault.hit "commit.before_wal";
-        encode_wal_record log.record ~height ~statements
-          ~body:(Journal.body_hash (L.journal t.ledger) height)
-          writes;
-        let ticket = Wal.submit_slice log.wal (Wire.view log.record) in
-        Fault.hit "commit.after_submit";
-        (height, Some (log.wal, ticket))
+      let ticket =
+        match t.log with
+        | None -> None
+        | Some log ->
+          Fault.hit "commit.before_wal";
+          encode_wal_record log.record ~height ~statements
+            ~body:(Journal.body_hash (L.journal t.ledger) height)
+            writes;
+          let ticket = Wal.submit_slice log.wal (Wire.view log.record) in
+          Fault.hit "commit.after_submit";
+          Some (log.wal, ticket)
+      in
+      (* only a commit that got this far retires anything *)
+      Option.iter (fun r -> retire t r ~height superseded) t.retention;
+      (height, ticket)
     with
     | result ->
       Mutex.unlock t.commit_lock;
@@ -270,62 +357,80 @@ let search_value t value =
    so any number of reader domains serve verified gets and scans while
    committers append blocks. *)
 
-type snapshot = L.snapshot
+(* A pinned view and the horizon of the database it came from: on a
+   durable handle a commit can reclaim the pinned instance's nodes while a
+   read walks it, and the read then answers [Below_horizon] rather than
+   "not found". *)
+type snapshot = { view : L.snapshot; floor : int Atomic.t }
 
 exception Below_horizon of { height : int; horizon : int }
 
-let horizon t = t.horizon
+let horizon t = Atomic.get t.horizon
 
 let snapshot ?height t =
+  let pinned view = Some { view; floor = t.horizon } in
   match height with
-  | None -> L.snapshot t.ledger
+  | None -> Option.bind (L.snapshot t.ledger) pinned
   | Some height ->
-    let horizon = t.horizon in
+    let horizon = Atomic.get t.horizon in
     if height < horizon then raise (Below_horizon { height; horizon });
     (* the head is pinned lock-free; an older block walks the journal's
        mutable tree under the commit lock *)
-    Some (L.snapshot_at ~lock:t.commit_lock t.ledger ~height)
+    pinned (L.snapshot_at ~lock:t.commit_lock t.ledger ~height)
 
 module Snapshot = struct
-  let height = L.snapshot_height
-  let digest = L.snapshot_digest
-  let index_root = L.snapshot_root
+  let height s = L.snapshot_height s.view
+  let digest s = L.snapshot_digest s.view
+  let index_root s = L.snapshot_root s.view
 
-  let valid t s = height s >= t.horizon
+  let valid t s = height s >= Atomic.get t.horizon
 
-  let get = L.snap_get
-  let get_verified = L.snap_get_with_proof
-  let get_batch_verified = L.snap_get_batch_with_proof
-  let range = L.snap_range
-  let range_verified = L.snap_range_with_proof
+  (* A node missing under a pin the horizon has since passed was
+     reclaimed mid-read; under a retained pin it is damage, and stays
+     [Not_found]. *)
+  let reclaimed s =
+    let horizon = Atomic.get s.floor in
+    let height = height s in
+    if height < horizon then Below_horizon { height; horizon } else Not_found
+
+  let get s key = try L.snap_get s.view key with Not_found -> raise (reclaimed s)
+
+  let get_verified s key =
+    try L.snap_get_with_proof s.view key with Not_found -> raise (reclaimed s)
+
+  let get_batch_verified s keys =
+    try L.snap_get_batch_with_proof s.view keys with Not_found -> raise (reclaimed s)
+
+  let range s ~lo ~hi = try L.snap_range s.view ~lo ~hi with Not_found -> raise (reclaimed s)
+
+  let range_verified s ~lo ~hi =
+    try L.snap_range_with_proof s.view ~lo ~hi with Not_found -> raise (reclaimed s)
 end
 
 (* Reads at the head: pin the latest committed state, then read it. On an
-   empty database there is nothing to pin and nothing to prove. *)
+   empty database there is nothing to pin and nothing to prove. A head the
+   retention window passed mid-read is read again at the new head. *)
+let rec at_head t ~empty read =
+  match snapshot t with
+  | None -> empty
+  | Some s -> ( try read s with Below_horizon _ -> at_head t ~empty read)
 
 let get_verified t key =
-  match snapshot t with
-  | None -> (None, None)
-  | Some s ->
-    let value, proof = Snapshot.get_verified s key in
-    (value, Some proof)
+  at_head t ~empty:(None, None) (fun s ->
+      let value, proof = Snapshot.get_verified s key in
+      (value, Some proof))
 
 let get_batch_verified t keys =
-  match snapshot t with
-  | None -> (List.map (fun _ -> None) keys, None)
-  | Some s ->
-    let values, proof = Snapshot.get_batch_verified s keys in
-    (values, Some proof)
+  at_head t ~empty:(List.map (fun _ -> None) keys, None) (fun s ->
+      let values, proof = Snapshot.get_batch_verified s keys in
+      (values, Some proof))
 
-let range t ~lo ~hi =
-  match snapshot t with None -> [] | Some s -> Snapshot.range s ~lo ~hi
+let range t ~lo ~hi = at_head t ~empty:[] (fun s -> Snapshot.range s ~lo ~hi)
 
 let range_verified t ~lo ~hi =
-  match snapshot t with
-  | None -> ([], None)
-  | Some s ->
-    let entries, proof = Snapshot.range_verified s ~lo ~hi in
-    (entries, Some proof)
+  at_head t ~empty:([], None) (fun s ->
+      let entries, proof = Snapshot.range_verified s ~lo ~hi in
+      (entries, Some proof))
 
 let proof_cache_stats () = L.proof_cache_stats ()
 let reset_proof_cache_stats () = L.reset_proof_cache_stats ()
@@ -402,7 +507,7 @@ let live_set t ~bodies ~roots =
 let compact ?(keep_instances = 16) t =
   let journal = L.journal t.ledger in
   let n = Journal.length journal in
-  let from = max t.horizon (n - keep_instances) in
+  let from = max (Atomic.get t.horizon) (n - keep_instances) in
   let live =
     live_set t ~bodies:(L.body_hashes t.ledger)
       ~roots:(List.init (n - from) (fun i -> (Journal.header journal (from + i)).Block.index_root))
@@ -410,7 +515,7 @@ let compact ?(keep_instances = 16) t =
   let before = (Object_store.stats t.store).Object_store.physical_bytes in
   let deleted = Object_store.sweep t.store ~live in
   let after = (Object_store.stats t.store).Object_store.physical_bytes in
-  t.horizon <- from;
+  Atomic.set t.horizon from;
   (deleted, before - after)
 
 (* --- persistence: everything lives in the content-addressed store, so a
@@ -478,12 +583,32 @@ let horizon_of store journal =
    the block addresses (the hash chain is re-validated on every append),
    then replay the journal into the cell store and inverted index, indexing
    each value where the store already holds it — a reopen puts nothing, so
-   it does no second hashing or put work (DESIGN.md, Recovery). *)
-let rebuild ~store ~column ~with_inverted bodies =
+   it does no second hashing or put work (DESIGN.md, Recovery).
+
+   With [retain] (a durable reopen) the store starts its index class from
+   the head instance, found by walking it: the older instances a snapshot
+   may hold are not classified and never reclaimed. What else the restored
+   store holds under a head node's address — a block body, or a value that
+   could be a node's encoding — is kept out of the class as it is met. *)
+let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
   let ledger = L.restore store bodies in
   let t = of_ledger ~store ~column ~with_inverted ledger in
   let journal = L.journal ledger in
-  t.horizon <- horizon_of store journal;
+  Atomic.set t.horizon (horizon_of store journal);
+  if retain then begin
+    Object_store.track_index_nodes store;
+    Option.iter
+      (fun s -> L.mark_instance ledger (L.snapshot_root s) (Object_store.adopt_node store))
+      (L.snapshot ledger);
+    List.iter (Object_store.keep store) bodies;
+    t.retention <-
+      Some
+        { filed = Queue.create ();
+          pinned = Atomic.make max_int;
+          reclaimed = 0;
+          freed = 0;
+          collect_at = collect_threshold () }
+  end;
   (* A value [put_blob] stored raw is the object under its content hash.
      Raw [get], not [get_blob]: a small value that looks like a chunk
      descriptor is stored chunked, and the object under its hash is only
@@ -504,8 +629,14 @@ let rebuild ~store ~column ~with_inverted bodies =
   in
   let address vhash =
     match Object_store.get store vhash with
-    | Some data when Object_store.stores_raw data -> Some vhash
-    | _ -> Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash
+    | Some data when Object_store.stores_raw data ->
+      if retain && Spitz_adt.Kv_node.may_be_node data then Object_store.keep store vhash;
+      Some vhash
+    | _ ->
+      let addr = Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash in
+      if retain then
+        Option.iter (fun a -> List.iter (Object_store.keep store) (Object_store.blob_parts store a)) addr;
+      addr
   in
   for height = 0 to Journal.length journal - 1 do
     List.iter
@@ -628,8 +759,12 @@ let write_meta dir ~column ~with_inverted =
        let buf = Wire.writer () in
        Wire.write_string buf column;
        Wire.write_byte buf (if with_inverted then '\001' else '\000');
-       output_string oc (Wire.contents buf));
-  Sys.rename tmp (meta_file dir)
+       output_string oc (Wire.contents buf);
+       flush oc;
+       Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp (meta_file dir);
+  (* the rename is durable only once the directory is *)
+  Wal.fsync_dir dir
 
 let read_meta dir =
   let ic = open_in_bin (meta_file dir) in
@@ -723,9 +858,11 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
   (* 3. rebuild the snapshot's state; [Journal.append] inside re-validates
      every chain link *)
   let db =
-    corrupt_guard "Db.open_durable" (fun () -> rebuild ~store ~column ~with_inverted bodies)
+    corrupt_guard "Db.open_durable" (fun () ->
+        rebuild ~retain:true ~store ~column ~with_inverted bodies)
   in
-  (* 4. re-run the log's batches past the snapshot *)
+  (* 4. re-run the log's batches past the snapshot, reclaiming as a live
+     run does *)
   corrupt_guard "Db.open_durable(wal)" (fun () -> replay_records db replayed.Wal.records);
   (* 5. belt and braces: re-walk the whole journal hash chain before serving *)
   if not (L.audit db.ledger) then
@@ -775,7 +912,9 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
    snapshot-covered segments. *)
 let checkpoint_locked ?(auto = false) d =
   let db = d.db in
+  let unpin () = Option.iter (fun r -> Atomic.set r.pinned max_int) db.retention in
   match
+    Fun.protect ~finally:unpin @@ fun () ->
     let bodies, roots =
       Mutex.lock db.commit_lock;
       let locked_at = Unix.gettimeofday () in
@@ -788,7 +927,14 @@ let checkpoint_locked ?(auto = false) d =
         (fun () ->
            Fault.hit "checkpoint.begin";
            let bodies = L.body_hashes db.ledger in
-           let roots = Option.to_list (Option.map L.snapshot_root (L.snapshot db.ledger)) in
+           let head = L.snapshot db.ledger in
+           let roots = Option.to_list (Option.map L.snapshot_root head) in
+           (* the head instance is marked and written outside the lock:
+              no commit may reclaim its nodes until then *)
+           Option.iter
+             (fun r ->
+                Option.iter (fun s -> Atomic.set r.pinned (L.snapshot_height s)) head)
+             db.retention;
            ignore (Wal.rotate d.wal);
            Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
            (bodies, roots))
@@ -796,6 +942,7 @@ let checkpoint_locked ?(auto = false) d =
     let live = live_set db ~bodies ~roots in
     Fault.hit "checkpoint.after_mark";
     save_with_bodies ~live db bodies (snapshot_file d.dir);
+    unpin ();
     Atomic.set d.ckpt_height (List.length bodies);
     Fault.hit "checkpoint.save_done";
     Wal.fsync_dir d.dir;

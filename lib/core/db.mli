@@ -72,7 +72,12 @@ val commit : t -> ?statements:string list -> Ledger.write list -> int
     {!get_at}, {!history}) are safe beside a commit, since the cell store
     locks each lookup, but they are not atomic per block: a read racing a
     commit may see some of its writes and not others, and before the
-    commit is durable. A pinned {!snapshot} sees whole committed blocks. *)
+    commit is durable. A pinned {!snapshot} sees whole committed blocks.
+
+    On a durable database whose log has stopped on an I/O error, the
+    commit raises {!Spitz_storage.Wal.Failed}: the one whose record the
+    failed flush held after its block entered the ledger, every later one
+    before. *)
 
 val put : t -> string -> string -> int
 (** Write one key; commits one ledger block and returns its height. Updates
@@ -142,10 +147,36 @@ exception Below_horizon of { height : int; horizon : int }
 
 val horizon : t -> int
 (** The lowest height from which every block's index instance is retained.
-    [0] on a database that has kept every instance. A reopen from a
-    durable checkpoint sets it to the checkpoint's head block (or lower,
-    where older blocks share that instance); {!compact} raises it to the
-    oldest instance it keeps. Blocks committed since are all retained. *)
+    [0] on an in-memory database that has kept every instance. A reopen
+    from a durable checkpoint sets it to the checkpoint's head block (or
+    lower, where older blocks share that instance); {!compact} raises it
+    to the oldest instance it keeps. On a durable handle every commit
+    raises it to keep the newest {!retained_instances} — head − 63 once
+    there are that many blocks — and no higher than a running checkpoint's
+    pinned head. *)
+
+val retained_instances : int
+(** The index instances a durable handle keeps: 64, the head's and the 63
+    before it, plus any a running {!checkpoint} has pinned. Each commit
+    past them deletes the index nodes the block leaving the window
+    superseded — unless a later block created the same node again, or the
+    same bytes are also a value, a block body or a blob part — so the
+    live process holds the head instance and the nodes the newest 64
+    blocks superseded, not every version. An in-memory database keeps
+    every instance. *)
+
+type retention_stats = {
+  index_nodes : int;      (** stored objects in the index class: the head
+                              instance's nodes and those still retained *)
+  filed_nodes : int;      (** superseded nodes filed under the retained
+                              blocks, not yet reclaimed *)
+  reclaimed_nodes : int;  (** superseded nodes deleted so far *)
+}
+
+val retention_stats : t -> retention_stats
+(** Counters of a durable handle's reclamation (all [0] in memory). Taken
+    under the commit lock. [index_nodes] is at most the head instance's
+    node count plus [filed_nodes]. *)
 
 val snapshot : ?height:int -> t -> snapshot option
 (** Pin the latest committed state ([None] on an empty database); lock-free
@@ -153,7 +184,13 @@ val snapshot : ?height:int -> t -> snapshot option
     instead: the head's height returns the head, lock-free; an older block
     briefly takes the commit lock. Raises {!Below_horizon} when [height] is
     below the {!horizon}, and [Invalid_argument] when it is out of
-    range. *)
+    range.
+
+    A pin does not hold its instance: on a durable handle, once
+    {!retained_instances} newer blocks commit the horizon passes it, its
+    nodes are reclaimed, and a read through it — one already under way
+    included — raises {!Below_horizon}. The head reads ({!get_verified},
+    {!range}, ...) then read again at the new head. *)
 
 val proof_cache_stats : unit -> Spitz_storage.Node_cache.stats
 (** Hit/miss/eviction counters of the server-side proof cache (memoized
@@ -173,8 +210,9 @@ module Snapshot : sig
   val valid : t -> snapshot -> bool
   (** [true] while the pinned height is at or above the database's
       {!horizon}: its index instance is retained, so every read through the
-      snapshot can be served and proven. {!compact} can raise the horizon
-      past a pin, after which its reads may fail. *)
+      snapshot can be served and proven. {!compact}, and on a durable handle
+      every commit past the {!retained_instances} window, can raise the
+      horizon past a pin, after which its reads raise {!Below_horizon}. *)
 
   val get : snapshot -> string -> string option
 
@@ -188,7 +226,9 @@ module Snapshot : sig
     snapshot -> lo:string -> hi:string -> (string * string) list * L.read_proof
   (** Verified reads from the pinned state; proof construction is memoized
       in the server-side proof cache. No [option] on the proof: a snapshot
-      only exists for a non-empty ledger. *)
+      only exists for a non-empty ledger. Every read through a snapshot
+      raises {!Below_horizon} once the horizon has passed the pin and the
+      read meets a reclaimed node. *)
 end
 
 val search_value : t -> string -> Universal_key.t list
@@ -298,16 +338,24 @@ val load : string -> t
     — not the older index instances. The reopened database has the same
     digest, journal, receipts, audit and cell history ({!get_at},
     {!history}); verified reads pinned below its {!horizon} raise
-    {!Below_horizon}. Blocks the log re-runs after the snapshot keep
-    their instances. {!set_checkpoint_policy} runs the same
-    protocol from a background domain every n logged commits. *)
+    {!Below_horizon}. {!set_checkpoint_policy} runs the same
+    protocol from a background domain every n logged commits.
+
+    What the live handle keeps: the newest {!retained_instances} index
+    instances (and one a running checkpoint has pinned). Each commit past
+    them deletes the nodes only older instances needed, so the process
+    holds the head instance and the window's superseded nodes however
+    many blocks it commits — during the log's re-run at open too. Block
+    bodies, values and cell history are kept whole. *)
 
 type durable
 
 val open_durable :
   ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> ?with_inverted:bool -> string ->
   durable
-(** Open (creating if needed) the durable database in directory [dir].
+(** Open (creating if needed) the durable database in directory [dir]; a
+    new directory's meta file is fsynced and renamed into place, and the
+    rename made durable by a directory fsync.
     [with_inverted] only applies to a freshly created database; an existing
     database's recorded identity (column id and inverted flag, in the meta
     file / snapshot header) wins. Default sync policy: [Always].
@@ -335,7 +383,10 @@ val checkpoint : durable -> unit
     segments. Crash-safe at every step — a failure after the rename only
     leaves redundant log records (skipped on replay); a failure during
     retirement leaves a suffix of snapshot-covered segments (equally
-    skipped). Concurrent calls (including the background checkpointer) are
+    skipped). A directory fsync that fails raises, and the checkpoint
+    counts as failed. The pinned head instance stays in the store until
+    the snapshot is written, however many commits pass meanwhile.
+    Concurrent calls (including the background checkpointer) are
     serialized against each other, not against commits. *)
 
 type checkpoint_policy =

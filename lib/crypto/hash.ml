@@ -73,7 +73,14 @@ let leaf_bytes b ~pos ~len =
   Sha256.feed_bytes ctx b pos len;
   Sha256.finalize ctx
 
-let node left right = Sha256.digest_strings [ "\x01"; left; right ]
+(* One buffer, one call into C: no streaming context per interior node. *)
+let node left right =
+  let ll = String.length left and lr = String.length right in
+  let b = Bytes.create (1 + ll + lr) in
+  Bytes.unsafe_set b 0 '\x01';
+  Bytes.unsafe_blit_string left 0 b 1 ll;
+  Bytes.unsafe_blit_string right 0 b (1 + ll) lr;
+  Sha256.digest_bytes b 0 (1 + ll + lr)
 
 let node_list children = Sha256.digest_strings ("\x02" :: children)
 

@@ -63,10 +63,8 @@ let entry_leaf_into buf e =
   Wire.leaf_digest buf
 
 let entries_merkle entries =
-  let tree = Spitz_adt.Merkle.create () in
   let buf = Wire.writer ~size:64 () in
-  List.iter (fun e -> ignore (Spitz_adt.Merkle.add_leaf_hash tree (entry_leaf_into buf e))) entries;
-  tree
+  Spitz_adt.Merkle.of_leaf_hashes (List.map (entry_leaf_into buf) entries)
 
 let encode_header buf h =
   Wire.write_varint buf h.height;

@@ -156,14 +156,13 @@ module Make (Index : Siri.S) = struct
 
   let value_hashes p = p.p_value_hashes
 
+  let tagged writes =
+    List.map (function Put (k, v) -> (k, tag_value v) | Delete k -> (k, tombstone)) writes
+
   let commit_prepared t { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes } =
     let txn_id = fresh_txn t in
-    let index =
-      Index.insert_batch (current_index t)
-        (List.map
-           (function Put (k, v) -> (k, tag_value v) | Delete k -> (k, tombstone))
-           writes)
-    in
+    let height = Journal.length t.journal in
+    let index, superseded = Index.insert_batch_at (current_index t) ~epoch:height (tagged writes) in
     let entries =
       List.map2
         (fun w value_hash ->
@@ -172,7 +171,6 @@ module Make (Index : Siri.S) = struct
            | Delete k -> { Block.op = Block.Delete; key = k; value_hash = Hash.null; txn_id })
         writes value_hashes
     in
-    let height = Journal.length t.journal in
     t.time <- t.time + 1;
     let block =
       Block.create_rooted
@@ -203,9 +201,9 @@ module Make (Index : Siri.S) = struct
            s_digest = Journal.digest t.journal;
            s_index = index;
          });
-    height
+    (height, superseded)
 
-  let commit t ?statements writes = commit_prepared t (prepare ?statements writes)
+  let commit t ?statements writes = fst (commit_prepared t (prepare ?statements writes))
 
   (* --- Reads --- *)
 

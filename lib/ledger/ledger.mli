@@ -44,12 +44,16 @@ module Make (Index : Siri.S) : sig
   (** The prepared writes' value hashes, in write order ([Hash.null] for a
       delete) — the block entries' [value_hash]es. *)
 
-  val commit_prepared : t -> prepared -> int
+  val commit_prepared : t -> prepared -> int * Hash.t list
   (** The serial back half of {!commit}: assign the transaction id, apply
       the writes to the SIRI index in batch order, assemble and append the
-      block. Calls must be externally serialized; the resulting chain is
-      bit-identical to committing the same batches serially in the same
-      order. *)
+      block; returns its height. Calls must be externally serialized; the
+      resulting chain is bit-identical to committing the same batches
+      serially in the same order. The block's index nodes are put as
+      created by it ({!Siri.S.insert_batch_at}), and the stored nodes of
+      the previous instance its batch rewrote are returned with the height:
+      what a store that reclaims superseded versions may delete once no
+      retained instance below this block needs them. *)
 
   val get : t -> string -> string option
   val get_at : t -> height:int -> string -> string option

@@ -138,8 +138,10 @@ let apply t ~token ~puts ~deletes =
 
 (* Every pinned read names its block; pinning the head is lock-free. A
    height out of range raises [Invalid_argument], answered as [Error]; one
-   below the horizon raises [Db.Below_horizon], answered in kind so the
-   client can pin a newer block. *)
+   below the horizon — or whose instance the horizon passes while the read
+   walks it — raises [Db.Below_horizon], answered in kind so the client
+   can pin a newer block. A log stopped by an I/O error ([Wal.Failed])
+   answers every later [Apply] with [Error]. *)
 let pin db height = Option.get (Db.snapshot ~height db)
 
 let serve t (req : Ipc.request) : Ipc.response =
@@ -168,6 +170,7 @@ let serve t (req : Ipc.request) : Ipc.response =
 let serve_safe t req =
   try serve t req with
   | Db.Below_horizon { horizon; _ } -> Ipc.Below_horizon horizon
+  | Wal.Failed msg -> Ipc.Error msg
   | Wire.Malformed msg -> Ipc.Error msg
   | Invalid_argument msg -> Ipc.Error msg
   | Not_found -> Ipc.Error "not found"

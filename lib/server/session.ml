@@ -147,8 +147,9 @@ let range t ~lo ~hi =
 
 (* A verified read at the pin: [request h] asks for block [h], and the
    answer comes back with the digest it must verify against. A server that
-   no longer retains the pinned block's index instance (it reopened from a
-   checkpoint past it) answers [Below_horizon]; the session re-anchors once
+   no longer retains the pinned block's index instance (its retention
+   window or a reopen from a checkpoint passed it) answers
+   [Below_horizon]; the session re-anchors once
    — the new pin is proven an append-only extension of the old — and reads
    there. The answer may be fresher than the pin the call began with,
    never older. [None] when the server has never committed. *)

@@ -11,10 +11,11 @@
     [GetBatch] / [SnapRange]), so their proofs anchor exactly in the
     trusted digest, commit storms notwithstanding.
 
-    Re-anchor contract: a server keeps the index instance of every block
-    it committed while running, but one that restarted from a durable
-    checkpoint keeps only those from its horizon on. A verified read
-    pinned below that horizon is answered [Below_horizon]; the session
+    Re-anchor contract: a server keeps the index instances from its
+    horizon on — on a durable database the newest 64 blocks', and after a
+    restart from a checkpoint none below it. A verified read pinned below
+    that horizon, or whose instance the horizon passed while the server
+    was reading it, is answered [Below_horizon]; the session
     then {!sync}s once — the new pin passes the same consistency check as
     any other — and repeats the read at the new pin. A verified read may
     therefore be fresher than the pin the call started with, never older,

@@ -12,6 +12,11 @@ let hit name =
       raise (Crash name)
     | Some n -> Hashtbl.replace armed_points name (n - 1)
 
+let hit_io name =
+  match hit name with
+  | () -> ()
+  | exception Crash _ -> raise (Unix.Unix_error (Unix.EIO, name, ""))
+
 let arm ?(after = 0) name = Hashtbl.replace armed_points name after
 let disarm name = Hashtbl.remove armed_points name
 let reset () = Hashtbl.clear armed_points

@@ -15,6 +15,11 @@ val hit : string -> unit
 (** Marker call placed at a crash site. Raises {!Crash name} if [name] is
     armed (decrementing multi-shot arms first); otherwise does nothing. *)
 
+val hit_io : string -> unit
+(** {!hit} for an I/O site: an armed point raises
+    [Unix.Unix_error (EIO, name, "")] instead of {!Crash} — a failing disk
+    the process survives, not a crash. *)
+
 val arm : ?after:int -> string -> unit
 (** Arm a crash point: the [(after+1)]-th {!hit} of [name] raises (default
     [after = 0]: the very next hit). *)

@@ -17,10 +17,37 @@ exception Corrupt of string
    OCaml 5 (a resize racing a lookup can crash or misread). Each shard owns
    one table, address -> bytes, a mutex, and its slice of the counters;
    [stats] merges the slices with every shard locked, so the numbers are a
-   consistent cut. *)
+   consistent cut.
+
+   A store that tracks index nodes ([track_index_nodes]) also keeps, per
+   shard, the index class: address -> the block that last created it, for
+   each stored object that only an index put ([put_node]) ever stored. It
+   is what makes reclaiming a superseded node exact: a node is deleted only
+   while it is in the class and was not created again since it was
+   superseded, and any other put of the same bytes (a value, a block body,
+   a blob part) takes the address out of the class for good. The class
+   holds only live index nodes — the head instance's and those a retention
+   window still keeps — and is never read by [dump], so the object table
+   and everything written from it are unchanged. *)
+
+(* An index-class entry: the block that last created the node (-1: before
+   any block still to come) and its size, for the byte gauge. *)
+type node = { mutable created : int; len : int }
+
+(* The class is keyed by SHA-256 outputs, uniform in every bit, so four of
+   their bytes are as good a hash as hashing all 32 — and cheaper, on a
+   table every commit touches. Byte 0 picks the shard; bytes 4..7 are the
+   bucket. The class is never iterated into anything persisted, so its
+   order is free. *)
+module Class = Hashtbl.Make (struct
+    type t = Hash.t
+    let equal = Hash.equal
+    let hash h = Int32.to_int (String.get_int32_le (Hash.to_raw h) 4) land max_int
+  end)
 
 type shard = {
   objects : string Hash.Table.t;
+  nodes : node Class.t; (* the index class *)
   m : Mutex.t;
   sc : stats; (* this shard's slice of the counters *)
 }
@@ -28,6 +55,7 @@ type shard = {
 type t = {
   shards : shard array;
   mask : int;
+  mutable tracking : bool; (* whether [put_node] classifies what it puts *)
 }
 
 let shard_count = 16
@@ -35,11 +63,13 @@ let shard_count = 16
 let create () =
   let mk _ =
     { objects = Hash.Table.create 1024;
+      nodes = Class.create 64;
       m = Mutex.create ();
       sc = { puts = 0; gets = 0; dedup_hits = 0; physical_bytes = 0; logical_bytes = 0 } }
   in
   { shards = Array.init shard_count mk;
-    mask = shard_count - 1 }
+    mask = shard_count - 1;
+    tracking = false }
 
 let shard_of t h = t.shards.(Char.code (Hash.to_raw h).[0] land t.mask)
 
@@ -72,12 +102,17 @@ let object_count t =
   with_all_shards t (fun () ->
       Array.fold_left (fun acc s -> acc + Hash.Table.length s.objects) 0 t.shards)
 
+(* A put that is not an index node's: its address leaves the index class,
+   so it is never reclaimed. Caller holds the shard's lock. *)
+let keep_locked t s h = if t.tracking then Class.remove s.nodes h
+
 (* [h] is [data]'s content address, already computed by the caller. *)
 let put_hashed t h data =
   let s = shard_of t h in
   with_shard s (fun () ->
       s.sc.puts <- s.sc.puts + 1;
       s.sc.logical_bytes <- s.sc.logical_bytes + String.length data;
+      keep_locked t s h;
       if Hash.Table.mem s.objects h then s.sc.dedup_hits <- s.sc.dedup_hits + 1
       else begin
         Hash.Table.replace s.objects h data;
@@ -91,20 +126,88 @@ let put t data = put_hashed t (Hash.of_string data) data
    address is hashed straight from the writer's buffer, and the bytes are
    copied out into an owned string only when the object turns out to be new —
    a dedup hit (the common case for shared subtree nodes) costs no copy at
-   all. The writer is not consumed; the caller may [clear] and reuse it. *)
-let put_writer t w =
+   all. The writer is not consumed; the caller may [clear] and reuse it.
+   With [epoch] the put is an index node's, created by block [epoch]: on a
+   tracking store a new object enters the index class, and one already in
+   it is marked created again; an object stored by any other put stays out
+   of it. *)
+let put_writer_as t w ~epoch =
   let len = Slice.Writer.length w in
   let h = Hash.of_bytes_sub (Slice.Writer.unsafe_bytes w) ~pos:0 ~len in
   let s = shard_of t h in
   with_shard s (fun () ->
       s.sc.puts <- s.sc.puts + 1;
       s.sc.logical_bytes <- s.sc.logical_bytes + len;
-      if Hash.Table.mem s.objects h then s.sc.dedup_hits <- s.sc.dedup_hits + 1
+      if Hash.Table.mem s.objects h then begin
+        s.sc.dedup_hits <- s.sc.dedup_hits + 1;
+        if t.tracking then
+          if epoch < 0 then Class.remove s.nodes h
+          else
+            match Class.find s.nodes h with
+            | n -> n.created <- epoch
+            | exception Not_found -> ()
+      end
       else begin
         Hash.Table.replace s.objects h (Slice.Writer.contents w);
+        (* a new object is in no class entry: the class holds stored
+           objects only *)
+        if t.tracking && epoch >= 0 then Class.add s.nodes h { created = epoch; len };
         s.sc.physical_bytes <- s.sc.physical_bytes + len
       end);
   h
+
+let put_writer t w = put_writer_as t w ~epoch:(-1)
+
+let put_node t ~epoch w =
+  if epoch < 0 then invalid_arg "Object_store.put_node: negative epoch";
+  put_writer_as t w ~epoch
+
+(* --- the index class --- *)
+
+let track_index_nodes t = t.tracking <- true
+
+(* Classify a stored object as an index node created before any block
+   still to come: a reopen adopts the head instance it restored this way. *)
+let adopt_node t h =
+  if t.tracking then begin
+    let s = shard_of t h in
+    with_shard s (fun () ->
+        match Hash.Table.find_opt s.objects h with
+        | Some data -> Class.replace s.nodes h { created = -1; len = String.length data }
+        | None -> ())
+  end
+
+let keep t h =
+  if t.tracking then begin
+    let s = shard_of t h in
+    with_shard s (fun () -> Class.remove s.nodes h)
+  end
+
+(* Delete [h] if it is an index node no block created at or after
+   [superseded_at] — the block whose batch superseded it — and return the
+   bytes freed (0: kept). One created again since is live in a newer
+   instance, and one out of the class is also something other than a
+   node. *)
+let reclaim_node t h ~superseded_at =
+  let s = shard_of t h in
+  (* nothing below raises: no [with_shard] closure on this per-node path *)
+  Mutex.lock s.m;
+  let freed =
+    match Class.find s.nodes h with
+    | n when n.created < superseded_at ->
+      Class.remove s.nodes h;
+      Hash.Table.remove s.objects h;
+      s.sc.physical_bytes <- s.sc.physical_bytes - n.len;
+      n.len
+    | _ -> 0
+    | exception Not_found -> 0
+  in
+  Mutex.unlock s.m;
+  freed
+
+let index_node_count t =
+  with_all_shards t (fun () ->
+      Array.fold_left (fun acc s -> acc + Class.length s.nodes) 0 t.shards)
 
 let get t h =
   let s = shard_of t h in
@@ -236,7 +339,8 @@ let sweep t ~live =
                   (match Hash.Table.find_opt s.objects h with
                    | Some data -> s.sc.physical_bytes <- s.sc.physical_bytes - String.length data
                    | None -> ());
-                  Hash.Table.remove s.objects h)
+                  Hash.Table.remove s.objects h;
+                  Class.remove s.nodes h)
                victims;
              acc + List.length victims)
           0 t.shards)

@@ -53,6 +53,44 @@ val put_writer : t -> Slice.Writer.w -> Hash.t
     bytes are materialized into an owned string only when the object is new
     — a dedup hit costs no copy. The writer is untouched and reusable. *)
 
+val put_node : t -> epoch:int -> Slice.Writer.w -> Hash.t
+(** {!put_writer} of an index node that block [epoch] (>= 0) created. On a
+    store that {!track_index_nodes}, a new object enters the index class
+    and one already in it is marked created at [epoch]; an object some
+    other put stored stays out of it. Elsewhere it is {!put_writer}. *)
+
+(** {2 The index class}
+
+    A store that tracks index nodes knows which stored objects only an
+    index put ever stored, and the block that last created each: what
+    {!reclaim_node} needs to delete a superseded node exactly. Every other
+    put of the same bytes — a value, a block body, a blob part — takes the
+    address out of the class for good, so such an object is never
+    reclaimed. Objects a {!restore} brings back are outside the class until
+    {!adopt_node}. *)
+
+val track_index_nodes : t -> unit
+(** Start keeping the index class (a store that never calls this keeps
+    none and pays nothing for it). Call it before the store is shared. *)
+
+val adopt_node : t -> Hash.t -> unit
+(** Put a stored object in the index class as created before any block
+    still to come — how a reopen classifies the head instance it restored.
+    No-op on an object not stored or a store not tracking. *)
+
+val keep : t -> Hash.t -> unit
+(** Take an address out of the index class: it is also something other
+    than an index node, and is never reclaimed. *)
+
+val reclaim_node : t -> Hash.t -> superseded_at:int -> int
+(** Delete [h] when it is in the index class and no block at or after
+    [superseded_at] — the block whose batch superseded it — created it
+    again; returns the bytes freed, [0] when it is kept. Anything else is
+    left alone. *)
+
+val index_node_count : t -> int
+(** Objects in the index class. *)
+
 val get : t -> Hash.t -> string option
 val get_exn : t -> Hash.t -> string
 

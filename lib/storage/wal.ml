@@ -6,6 +6,8 @@ type sync_policy =
 
 exception Corrupt of string
 
+exception Failed of string
+
 (* The log is a *directory* of numbered segment files (wal.000001,
    wal.000002, ...). Appends go to the highest-numbered (active) segment;
    [rotate] seals it and opens a fresh one — one file create plus a
@@ -57,6 +59,8 @@ type t = {
                                     checkpoint cannot lag behind unflushed
                                     records *)
   mutable closed : bool;
+  mutable failed : string option;
+  (* the I/O error that stopped the log, if one did; set under [m] *)
   (* group-commit state, guarded by [m] *)
   m : Mutex.t;
   flushed : Condition.t;           (* broadcast after every flush; waiters
@@ -108,13 +112,16 @@ let read_le32 s off =
   let b i = Char.code s.[off + i] in
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
+(* A failure to open or fsync the directory is raised: the caller's rename
+   or file creation may not survive a crash. Only a filesystem that
+   refuses to fsync directories at all ([EINVAL]) is let through. *)
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+       Fault.hit_io "wal.fsync_dir";
+       try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
 
 (* --- segment naming --- *)
 
@@ -226,6 +233,7 @@ let open_log ?(sync = Always) dir =
     pending = 0;
     pending_bytes = 0;
     closed = false;
+    failed = None;
     m = Mutex.create ();
     flushed = Condition.create ();
     idle = Condition.create ();
@@ -272,8 +280,32 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
+(* Fail-stop: an I/O error writing or syncing the log leaves its records
+   maybe on disk and maybe not, so nothing after them may be acknowledged.
+   The first error stops the log for good: every waiter and every later
+   submit, sync or rotation raises [Failed], and a flush that was under way
+   ends so nobody waits on it. Caller holds [m]; returns the exception to
+   raise. *)
+let fail_locked t e =
+  let msg =
+    match e with
+    | Unix.Unix_error (err, fn, arg) ->
+      Printf.sprintf "wal: %s%s: %s" fn (if arg = "" then "" else " " ^ arg)
+        (Unix.error_message err)
+    | e -> Printexc.to_string e
+  in
+  if t.failed = None then t.failed <- Some msg;
+  t.flushing <- false;
+  Condition.broadcast t.flushed;
+  Condition.broadcast t.idle;
+  Failed (Option.get t.failed)
+
+(* Safe without [m] too: a commit checks it before its serial work, and
+   one racing the failure meets it again at submit. *)
+let check_failed t = match t.failed with Some msg -> raise (Failed msg) | None -> ()
+
 let fsync_unlocked t =
-  Unix.fsync t.fd;
+  (try Unix.fsync t.fd with Unix.Unix_error _ as e -> raise (fail_locked t e));
   t.n_fsyncs <- t.n_fsyncs + 1;
   t.pending <- 0
 
@@ -371,6 +403,7 @@ let committers_evident t =
    of one fsync's cost, since beyond that waiting loses to just flushing
    twice. *)
 let flush_locked ?(linger = true) t =
+  check_failed t;
   t.flushing <- true;
   if linger && committers_evident t then begin
     let cap, max_batch =
@@ -395,9 +428,19 @@ let flush_locked ?(linger = true) t =
      batch buffer — no [Buffer.contents] copy of the coalesced frames. The
      swapped-out buffer is not touched again until the *next* flush swaps
      it back in, which cannot start while [flushing] is set. *)
-  write_frames t ~ends (Slice.Writer.unsafe_bytes buf) taken;
-  let fsync_t0 = Unix.gettimeofday () in
-  Unix.fsync t.fd;
+  let fsync_t0 =
+    match
+      Fault.hit_io "wal.flush.io";
+      write_frames t ~ends (Slice.Writer.unsafe_bytes buf) taken;
+      let fsync_t0 = Unix.gettimeofday () in
+      Unix.fsync t.fd;
+      fsync_t0
+    with
+    | t0 -> t0
+    | exception (Unix.Unix_error _ as e) ->
+      Mutex.lock t.m;
+      raise (fail_locked t e)
+  in
   t.last_fsync_s <- Unix.gettimeofday () -. fsync_t0;
   t.n_fsyncs <- t.n_fsyncs + 1;
   t.last_batch_n <- List.length ends;
@@ -425,6 +468,7 @@ let no_ticket = -1
 let submit_slice t record =
   check_open t "submit";
   locked t (fun () ->
+      check_failed t;
       t.n_records <- t.n_records + 1;
       if buffered t then begin
         frame_into t t.active record;
@@ -439,7 +483,8 @@ let submit_slice t record =
         Slice.Writer.clear t.standby;
         frame_into t t.standby record;
         let total = Slice.Writer.length t.standby in
-        write_frames t ~ends:[ total ] (Slice.Writer.unsafe_bytes t.standby) total;
+        (try write_frames t ~ends:[ total ] (Slice.Writer.unsafe_bytes t.standby) total
+         with Unix.Unix_error _ as e -> raise (fail_locked t e));
         Slice.Writer.clear t.standby;
         (match t.sync_policy with
          | Interval n ->
@@ -456,6 +501,7 @@ let wait t ticket =
     Mutex.lock t.m;
     let rec loop () =
       if t.durable_seq >= ticket then ()
+      else if t.failed <> None then check_failed t
       else if t.flushing then begin
         Condition.wait t.flushed t.m;
         loop ()
@@ -467,9 +513,13 @@ let wait t ticket =
       end
     in
     (* on a crash-injected exception the leader dies mid-flush, as the
-       process would — the handle is left wedged, not unlocked-and-retried *)
-    loop ();
-    Mutex.unlock t.m
+       process would — the handle is left wedged, not unlocked-and-retried.
+       An I/O error is not a crash: it fails the log and every waiter *)
+    match loop () with
+    | () -> Mutex.unlock t.m
+    | exception (Failed _ as e) ->
+      Mutex.unlock t.m;
+      raise e
   end
 
 let append t record = wait t (submit t record)
@@ -484,6 +534,7 @@ let drain_locked t =
 let sync t =
   check_open t "sync";
   locked t (fun () ->
+      check_failed t;
       if buffered t then drain_locked t else ();
       fsync_unlocked t)
 
@@ -492,6 +543,7 @@ let sync t =
 let rotate t =
   check_open t "rotate";
   locked t (fun () ->
+      check_failed t;
       (* seal the active segment: every record framed so far must be on its
          way to *this* file, and the file must be durable before a
          checkpoint may treat its records as snapshot-covered *)
@@ -507,8 +559,12 @@ let rotate t =
       write_segment_header fd';
       (* the new segment's directory entry must survive a crash before any
          record lands in it — otherwise recovery would replay the sealed
-         segments and then miss the file the next commits went to *)
-      fsync_dir t.dir;
+         segments and then miss the file the next commits went to. If it
+         cannot be made durable the log cannot go on in either file *)
+      (try fsync_dir t.dir
+       with Unix.Unix_error _ as e ->
+         (try Unix.close fd' with Unix.Unix_error _ -> ());
+         raise (fail_locked t e));
       Fault.hit "rotate.after_create";
       Unix.close t.fd;
       t.sealed <- t.sealed @ [ (t.seg_id, t.seg_bytes) ];

@@ -79,6 +79,16 @@ exception Corrupt of string
     that chained after it. Also raised by {!replay}, {!replay_segment} and
     {!open_log} for a segment without the version header. *)
 
+exception Failed of string
+(** The log is stopped: a [write] or [fsync] of its records failed with an
+    I/O error, so they may or may not be on disk and nothing after them
+    may be acknowledged. The first such error stops the log for good:
+    every {!wait} not yet settled raises it (none blocks on the failed
+    flush), and so does every later {!submit}, {!wait}, {!sync} and
+    {!rotate}. The message names the failed call. A crash point's
+    [Fault.Crash] is not an I/O error: it still wedges the handle as the
+    process death it stands for. *)
+
 val segment_header : string
 (** The bytes every segment starts with: a magic and the format version
     (2). *)
@@ -94,6 +104,10 @@ val open_log : ?sync:sync_policy -> string -> t
     its version header first if it is empty. Raises [Invalid_argument] if
     [path] is a regular file, and {!Corrupt} if the active segment is not
     empty and lacks the header. Default policy: [Always]. *)
+
+val check_failed : t -> unit
+(** Raise {!Failed} if the log has stopped — a cheap check a caller makes
+    before work that ends in a {!submit}. *)
 
 val submit : t -> string -> ticket
 (** Enqueue one record (thread-safe, non-blocking under [Always]/[Group]:
@@ -115,7 +129,9 @@ val wait : t -> ticket -> unit
     points (in the leader): ["wal.flush.mid_batch"] (an exact record prefix
     of a multi-record batch written, then death), ["wal.append.torn"]
     (write torn mid-frame), ["wal.append.before_sync"] (batch written, not
-    yet fsynced). *)
+    yet fsynced). I/O error point (in the leader): ["wal.flush.io"]
+    ({!Fault.hit_io}: the batch's write fails with [EIO]). Raises
+    {!Failed} once the log has stopped and the record is not durable. *)
 
 val append : t -> string -> unit
 (** [submit] + [wait]: append one record and return when the sync policy's
@@ -204,5 +220,7 @@ val replay_segment : ?repair:bool -> string -> replay_result
     tests and fuzzing that target a single segment's framing. *)
 
 val fsync_dir : string -> unit
-(** Fsync a directory, making a rename inside it durable; ignored on
-    filesystems that refuse to fsync directories. *)
+(** Fsync a directory, making a rename inside it durable. A failure to open
+    or fsync it raises [Unix.Unix_error]; only a filesystem that refuses to
+    fsync directories ([EINVAL]) is let through. I/O error point:
+    ["wal.fsync_dir"] ({!Fault.hit_io}). *)

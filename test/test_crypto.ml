@@ -67,6 +67,20 @@ let test_domain_separation () =
   let nl = Hash.node_list [ a; b ] in
   Alcotest.(check bool) "node vs node_list" false (Hash.equal interior nl)
 
+let test_node_one_buffer () =
+  (* one C call over one buffer: the digest of the domain tag followed by
+     both children, as streaming them gives *)
+  let hashes = List.map Hash.of_string [ ""; "a"; "b"; String.make 100 'z' ] in
+  List.iter
+    (fun l ->
+       List.iter
+         (fun r ->
+            Alcotest.(check string) "node"
+              (Hash.to_hex (Hash.of_strings [ "\x01"; Hash.to_raw l; Hash.to_raw r ]))
+              (Hash.to_hex (Hash.node l r)))
+         hashes)
+    hashes
+
 let test_null () =
   Alcotest.(check bool) "null is null" true (Hash.is_null Hash.null);
   Alcotest.(check bool) "digest is not null" false (Hash.is_null (Hash.of_string ""))
@@ -94,4 +108,5 @@ let suite =
     Alcotest.test_case "null digest" `Quick test_null;
     QCheck_alcotest.to_alcotest prop_streaming_equals_oneshot;
     QCheck_alcotest.to_alcotest prop_distinct_inputs_distinct_digests;
+    Alcotest.test_case "interior node digest in one call" `Quick test_node_one_buffer;
   ]

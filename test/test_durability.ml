@@ -1117,6 +1117,102 @@ let test_wal_close_surfaces_errors () =
       Alcotest.(check (list string)) "written batch replays" [ "p0" ]
         (Wal.replay path).Wal.records)
 
+(* --- fail-stop on an I/O error --- *)
+
+(* A failed write stops the log: every waiter raises within a timeout —
+   none blocks on a flush that will never end — and so does every later
+   submit, sync and close. What reached the disk replays as a clean
+   prefix. *)
+let test_wal_io_error_fails_every_waiter () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "log" in
+      let w = Wal.open_log ~sync:(Wal.Group { max_batch = 8; max_delay_us = 200 }) path in
+      Wal.append w "before";
+      Fault.arm ~after:2 "wal.flush.io";
+      let n = 4 in
+      let finished = Atomic.make 0 and failed = Atomic.make 0 in
+      let appenders =
+        List.init n (fun d ->
+            Domain.spawn (fun () ->
+                (try
+                   for i = 0 to 999 do
+                     Wal.append w (Printf.sprintf "d%d-%03d" d i)
+                   done
+                 with Wal.Failed _ -> Atomic.incr failed);
+                Atomic.incr finished))
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Atomic.get finished < n && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.005
+      done;
+      if Atomic.get finished < n then Alcotest.fail "a waiter still blocks after the log failed";
+      List.iter Domain.join appenders;
+      Alcotest.(check int) "every appender saw the failure" n (Atomic.get failed);
+      (match Wal.submit w "after" with
+       | exception Wal.Failed msg ->
+         Alcotest.(check bool) "the error is named" true
+           (String.length msg > 0)
+       | _ -> Alcotest.fail "a submit after the failure was accepted");
+      (match Wal.sync w with
+       | exception Wal.Failed _ -> ()
+       | () -> Alcotest.fail "a sync after the failure looked clean");
+      (try Wal.close w with Wal.Failed _ -> ());
+      match (Wal.replay path).Wal.records with
+      | "before" :: _ -> ()
+      | _ -> Alcotest.fail "the records written before the failure are lost")
+
+(* Through the server: the commit whose record failed and every later one
+   answer [Error], and no block follows the failure. *)
+let test_wal_io_error_fails_apply () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Always dir in
+      Fun.protect ~finally:(fun () -> try Db.close_durable d with _ -> ()) @@ fun () ->
+      let db = Db.durable_db d in
+      let server = Spitz_server.Server.start db in
+      Fun.protect ~finally:(fun () -> Spitz_server.Server.stop server) @@ fun () ->
+      let session = Spitz_server.Session.connect ~port:(Spitz_server.Server.port server) () in
+      Fun.protect ~finally:(fun () -> Spitz_server.Session.close session) @@ fun () ->
+      ignore (Spitz_server.Session.put session "a" "1");
+      Fault.arm "wal.flush.io";
+      let refused what =
+        match Spitz_server.Session.put session what "2" with
+        | exception Spitz_server.Session.Server_error _ -> ()
+        | _ -> Alcotest.fail (what ^ " was acknowledged after the log failed")
+      in
+      refused "b";
+      let height = Db.L.height (Db.ledger db) in
+      refused "c";
+      Alcotest.(check int) "no block after the failure" height (Db.L.height (Db.ledger db));
+      match Db.put db "d" "3" with
+      | exception Wal.Failed _ -> ()
+      | _ -> Alcotest.fail "an in-process commit was accepted after the log failed")
+
+(* A checkpoint whose directory fsync fails counts the failure and leaves
+   the log running; the next checkpoint succeeds. *)
+let test_checkpoint_counts_dir_fsync_failure () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Never dir in
+      let db = Db.durable_db d in
+      for i = 0 to 9 do
+        ignore (Db.put db (Printf.sprintf "k%d" i) "v")
+      done;
+      (* the rotation's directory fsync passes, the renamed snapshot's fails *)
+      Fault.arm ~after:1 "wal.fsync_dir";
+      (match Db.checkpoint d with
+       | exception Unix.Unix_error (Unix.EIO, _, _) -> ()
+       | () -> Alcotest.fail "a failed directory fsync was swallowed");
+      Fault.reset ();
+      let st = Db.checkpoint_stats d in
+      Alcotest.(check int) "failure counted" 1 st.Db.failures;
+      Alcotest.(check bool) "error kept" true (st.Db.last_error <> None);
+      ignore (Db.put db "after" "v");
+      Db.checkpoint d;
+      let digest = Db.digest db in
+      Db.close_durable d;
+      let d' = Db.open_durable dir in
+      Alcotest.(check bool) "reopens" true (Db.digest (Db.durable_db d') = digest);
+      Db.close_durable d')
+
 (* --- satellite bugfix: orphaned checkpoint temps + strict (repair:false) opens --- *)
 
 let test_orphan_tmp_removed_strict_open () =
@@ -1904,4 +2000,9 @@ let suite =
     Alcotest.test_case "reopen cycles keep the store's counters" `Quick
       test_reopen_cycles_keep_counters;
     QCheck_alcotest.to_alcotest prop_replay_reproduces_live;
+    Alcotest.test_case "wal I/O error fails every waiter" `Quick
+      test_wal_io_error_fails_every_waiter;
+    Alcotest.test_case "wal I/O error: Apply answers Error" `Quick test_wal_io_error_fails_apply;
+    Alcotest.test_case "checkpoint counts a failed dir fsync" `Quick
+      test_checkpoint_counts_dir_fsync_failure;
   ]

@@ -16,4 +16,5 @@ let () =
       ("control", Test_control.suite);
       ("check", Test_check.suite);
       ("server", Test_server.suite);
+      ("retention", Test_retention.suite);
     ]

@@ -241,6 +241,54 @@ let prop_consistency =
          ~new_size:(m + extra)
          (Merkle.prove_consistency t ~old_size:m))
 
+(* The level-by-level build is the append-built tree: the same root, leaf
+   hashes, aligned subtree hashes (its levels) and inclusion proofs, and it
+   keeps growing by appends exactly as the append-built tree does. *)
+let test_of_leaf_hashes () =
+  let extra = 3 in
+  let all = List.init (1100 + extra) (fun i -> Hash.leaf (Printf.sprintf "entry-%d" i)) in
+  let full = Merkle.create () in
+  List.iter (fun h -> ignore (Merkle.add_leaf_hash full h)) all;
+  let hex = Hash.to_hex in
+  for n = 0 to 1100 do
+    let prefix = List.filteri (fun i _ -> i < n) all in
+    let t = Merkle.of_leaf_hashes prefix in
+    let at what = Printf.sprintf "%s at n = %d" what n in
+    Alcotest.(check int) (at "size") n (Merkle.size t);
+    Alcotest.(check string) (at "root") (hex (Merkle.root_at full ~size:n)) (hex (Merkle.root t));
+    List.iter
+      (fun i ->
+         if i >= 0 && i < n then begin
+           Alcotest.(check string) (at "leaf") (hex (Merkle.leaf_hash full i)) (hex (Merkle.leaf_hash t i));
+           Alcotest.(check (list string)) (at "inclusion proof")
+             (List.map hex (Merkle.prove_inclusion_at full i ~size:n))
+             (List.map hex (Merkle.prove_inclusion t i))
+         end)
+      [ 0; 1; n / 3; n / 2; n - 2; n - 1 ];
+    if n <= 70 || n mod 50 = 0 || n = 1100 then begin
+      let appended = Merkle.create () in
+      List.iter (fun h -> ignore (Merkle.add_leaf_hash appended h)) prefix;
+      let width = ref 1 in
+      while !width <= n do
+        for j = 0 to (n / !width) - 1 do
+          Alcotest.(check string) (at "aligned subtree")
+            (hex (Merkle.range_hash appended (j * !width) ((j + 1) * !width)))
+            (hex (Merkle.range_hash t (j * !width) ((j + 1) * !width)))
+        done;
+        width := 2 * !width
+      done;
+      for i = 0 to n - 1 do
+        Alcotest.(check (list string)) (at "every inclusion proof")
+          (List.map hex (Merkle.prove_inclusion appended i))
+          (List.map hex (Merkle.prove_inclusion t i))
+      done
+    end;
+    List.iteri (fun i h -> if i >= n && i < n + extra then ignore (Merkle.add_leaf_hash t h)) all;
+    Alcotest.(check string) (at "root after appends")
+      (hex (Merkle.root_at full ~size:(n + extra)))
+      (hex (Merkle.root t))
+  done
+
 let suite =
   [
     Alcotest.test_case "empty tree" `Quick test_empty;
@@ -261,4 +309,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_multi;
     QCheck_alcotest.to_alcotest prop_inclusion;
     QCheck_alcotest.to_alcotest prop_consistency;
+    Alcotest.test_case "level-by-level build = append-built, n = 0..1100" `Quick
+      test_of_leaf_hashes;
   ]
