@@ -20,10 +20,24 @@ let served_commits pick =
           let k = Keygen.key_of (pick ()) in
           (k, Keygen.value_of ~version:(b + 1) k)))
 
-(* Reopen [dir], timed, and [f] the reopened database. *)
+(* Reopen [dir], timed, and [f] the reopened handle. *)
 let reopen dir f =
   let d, seconds = Runner.time (fun () -> Db.open_durable dir) in
-  Fun.protect ~finally:(fun () -> Db.close_durable d) (fun () -> f (Db.durable_db d) seconds)
+  Fun.protect ~finally:(fun () -> Db.close_durable d) (fun () -> f d seconds)
+
+(* Where a reopen's time went, phase by phase, and what it walked. *)
+let open_phases d =
+  let o = Db.open_stats d in
+  let ms s = num (s *. 1e3) in
+  [
+    ("snapshot_restore_ms", ms o.Db.snapshot_restore_s);
+    ("ledger_restore_ms", ms o.Db.ledger_restore_s);
+    ("cell_rebuild_ms", ms o.Db.cell_rebuild_s);
+    ("log_rerun_ms", ms o.Db.log_rerun_s);
+    ("audit_ms", ms o.Db.audit_s);
+    ("objects", int o.Db.objects);
+    ("entries", int o.Db.entries);
+  ]
 
 (* Commit throughput and log bytes per commit with the write-ahead log on
    the commit path, one leg per fsync policy, then recovery (open_durable =
@@ -68,12 +82,12 @@ let durability () =
             (fun acc f -> acc + Spitz_storage.Fault.file_size (Filename.concat wal f))
             0 (Sys.readdir wal)
         in
-        reopen dir (fun db seconds ->
-            assert ((Db.digest db).Spitz_ledger.Journal.size = n);
+        reopen dir (fun d seconds ->
+            assert ((Db.digest (Db.durable_db d)).Spitz_ledger.Journal.size = n);
             let kops = ("recovery_kops", num (float_of_int n /. seconds /. 1e3)) in
             if checkpoint then
               emit ~label:"after checkpoint"
-                [ ("log_commits", int n); ("recovery_seconds", num seconds); kops ]
+                ([ ("log_commits", int n); ("recovery_seconds", num seconds); kops ] @ open_phases d)
             else
               emit
                 [
@@ -108,19 +122,20 @@ let durability () =
         let live_objects = Os.object_count (Db.store db) in
         Db.close_durable d;
         let bytes = Spitz_storage.Fault.file_size (Filename.concat dir "snapshot") in
-        reopen dir (fun db' open_s ->
+        reopen dir (fun d' open_s ->
             J.Obj
               (record
-                 [
+                 ([
                    ("keys", int keys);
                    ("blocks", int ((keys / 512) + 384));
                    ("live_objects", int live_objects);
                    ("snapshot_bytes", int bytes);
-                   ("snapshot_objects", int (Os.object_count (Db.store db')));
+                   ("snapshot_objects", int (Os.object_count (Db.store (Db.durable_db d'))));
                    ("checkpoint_seconds", num ckpt_s);
                    ("commit_lock_hold_ms", num lock_ms);
                    ("reopen_seconds", num open_s);
-                 ])))
+                 ]
+                 @ open_phases d'))))
   in
   (* bounded memory on the served path: a durable handle keeps the head
      instance and what the newest [Db.retained_instances] blocks

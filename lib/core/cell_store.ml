@@ -3,10 +3,12 @@ open Spitz_storage
 
 (* The virtual cell store (paper section 5): data lives as immutable,
    content-addressed cells, each version named by its universal key
-   (column, pk, ts, value hash). One B+-tree entry per cell, keyed
+   (column, pk, ts, value hash). One hash-table entry per cell, keyed
    [column \000 pk], holds the cell's versions newest first — the layout of
    the immutable KVS — so a new version of a cell is one cons. Values are
-   deduplicated by the object store. *)
+   deduplicated by the object store. The table answers point reads only: an
+   ordered scan of a column reads the ledger's head index ([Db.range]),
+   which keeps keys sorted already. *)
 
 type version = {
   ts : int;
@@ -19,21 +21,35 @@ type version = {
 (* Newest first in (ts, value hash) order, the universal keys' order. *)
 type cell = { mutable versions : version list }
 
+module Cells = Hashtbl.Make (struct
+    type t = string
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
+
 type t = {
   store : Object_store.t;
-  index : cell Spitz_index.Bptree.t;
+  cells : cell Cells.t;
   lock : Mutex.t;
-  (* a commit inserts while readers look up; the B+-tree is not safe for
-     that, so both hold this lock, and values are resolved after it *)
+  (* a commit inserts while readers look up, and a [Hashtbl] resize racing
+     a lookup can misread under OCaml 5, so both hold this lock; values are
+     resolved after it *)
 }
 
-let create ?store () =
+let create ?(size = 1024) ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  { store; index = Spitz_index.Bptree.create (); lock = Mutex.create () }
+  { store; cells = Cells.create size; lock = Mutex.create () }
 
 let store t = t.store
 
-let cell_key ~column ~pk = column ^ "\000" ^ pk
+(* [column \000 pk] in one allocation. *)
+let cell_key ~column ~pk =
+  let c = String.length column in
+  let key = Bytes.create (c + 1 + String.length pk) in
+  Bytes.blit_string column 0 key 0 c;
+  Bytes.set key c '\000';
+  Bytes.blit_string pk 0 key (c + 1) (String.length pk);
+  Bytes.unsafe_to_string key
 
 (* Insert [v] in order; a version with the same (ts, value hash) is the same
    universal key, so it is replaced. *)
@@ -43,22 +59,23 @@ let rec insert_version v = function
     let c = match Int.compare v.ts x.ts with 0 -> Hash.compare v.vhash x.vhash | c -> c in
     if c > 0 then v :: versions else if c = 0 then v :: rest else x :: insert_version v rest
 
-let add_version t ~column ~pk v =
+(* The key of a cell a write adds to. A read of a name with NUL in it finds
+   nothing; a write of one is refused. *)
+let write_key ~column ~pk =
   if String.contains column '\000' then invalid_arg "Universal_key: column contains NUL";
   if String.contains pk '\000' then invalid_arg "Universal_key: pk contains NUL";
-  let key = cell_key ~column ~pk in
-  Mutex.protect t.lock (fun () ->
-      match Spitz_index.Bptree.get t.index key with
-      | Some cell -> cell.versions <- insert_version v cell.versions
-      | None -> Spitz_index.Bptree.insert t.index key { versions = [ v ] })
+  cell_key ~column ~pk
 
-(* Index a cell version whose value is already stored at [addr] — a reopen
-   restoring cells from a snapshot whose store holds their values. *)
-let add_cell t ~column ~pk ~ts ~vhash addr = add_version t ~column ~pk { ts; vhash; addr }
+let add_version t ~column ~pk v =
+  let key = write_key ~column ~pk in
+  Mutex.protect t.lock (fun () ->
+      match Cells.find_opt t.cells key with
+      | Some cell -> cell.versions <- insert_version v cell.versions
+      | None -> Cells.add t.cells key { versions = [ v ] })
 
 let write_cell t ~column ~pk ~ts ?vhash value =
   let vhash = match vhash with Some h -> h | None -> Hash.of_string value in
-  add_cell t ~column ~pk ~ts ~vhash (Object_store.put_blob ~hash:vhash t.store value)
+  add_version t ~column ~pk { ts; vhash; addr = Object_store.put_blob ~hash:vhash t.store value }
 
 (* A delete is one more immutable cell version: a tombstone whose value
    address is [Hash.null]. Read paths below treat it as absence, so older
@@ -67,11 +84,29 @@ let write_cell t ~column ~pk ~ts ?vhash value =
 let delete_cell t ~column ~pk ~ts =
   add_version t ~column ~pk { ts; vhash = Hash.null; addr = Hash.null }
 
-let versions_of t ~column ~pk =
+(* A reopen walks each block's writes last to first, so the first write of
+   a cell it meets at [ts] is the block's last one and lands; a cell whose
+   newest version is already at [ts] keeps it. Heights only grow, so the
+   new version is the newest and goes on the front. *)
+let restore_version t ~column ~pk ~ts resolve =
+  let key = write_key ~column ~pk in
   Mutex.protect t.lock (fun () ->
-      match Spitz_index.Bptree.get t.index (cell_key ~column ~pk) with
-      | Some cell -> cell.versions
-      | None -> [])
+      let cell = Cells.find_opt t.cells key in
+      match cell with
+      | Some { versions = v :: _ } when v.ts >= ts -> ()
+      | _ ->
+        let vhash, addr =
+          match resolve () with Some (vhash, addr) -> (vhash, addr) | None -> (Hash.null, Hash.null)
+        in
+        let v = { ts; vhash; addr } in
+        (match cell with
+         | Some cell -> cell.versions <- v :: cell.versions
+         | None -> Cells.add t.cells key { versions = [ v ] }))
+
+let versions_of t ~column ~pk =
+  let key = cell_key ~column ~pk in
+  Mutex.protect t.lock (fun () ->
+      match Cells.find_opt t.cells key with Some cell -> cell.versions | None -> [])
 
 let value t addr = if Hash.is_null addr then None else Some (Object_store.get_blob_exn t.store addr)
 
@@ -89,23 +124,6 @@ let versions t ~column ~pk =
        | None -> acc)
     [] (versions_of t ~column ~pk)
 
-let range_latest_values t ~column ~pk_lo ~pk_hi =
-  let pk_start = String.length column + 1 in
-  let latest =
-    Mutex.protect t.lock (fun () ->
-        Spitz_index.Bptree.fold_range t.index ~lo:(cell_key ~column ~pk:pk_lo)
-          ~hi:(cell_key ~column ~pk:pk_hi)
-          (fun key cell acc ->
-             match cell.versions with
-             | v :: _ when not (Hash.is_null v.addr) ->
-               (String.sub key pk_start (String.length key - pk_start), v.addr) :: acc
-             | _ -> acc)
-          [])
-  in
-  List.rev_map (fun (pk, addr) -> (pk, Object_store.get_blob_exn t.store addr)) latest
-
 let cell_count t =
   Mutex.protect t.lock (fun () ->
-      let n = ref 0 in
-      Spitz_index.Bptree.iter t.index (fun _ cell -> n := !n + List.length cell.versions);
-      !n)
+      Cells.fold (fun _ cell n -> n + List.length cell.versions) t.cells 0)

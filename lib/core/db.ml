@@ -8,10 +8,12 @@ open Spitz_ledger
    a block is made — which updates the unified index and obtains the proof,
    (3) is applied to the cell store and inverted index by [apply_write], and
    (4) returns with its proof once the write-ahead log holds it. A point
-   read by key answers from the cell store. A range, and every verified
-   read, answers from a pinned snapshot of the ledger's unified index — the
-   proof is the same traversal that located the data, which is the
-   efficiency argument of section 6.2.1. *)
+   read by key, [get_at] and [history] answer from the cell store, a hash
+   table of cells. A range — the SQL layer's column scans included — and
+   every verified read answer from a pinned snapshot of the ledger's
+   unified index, which keeps keys in order; the proof is the same
+   traversal that located the data, which is the efficiency argument of
+   section 6.2.1. *)
 
 module L = Ledger.Default
 module V = Verifier.Default
@@ -59,13 +61,15 @@ and log = {
      [commit_lock], and [Wal.submit_slice] copies it out before returning *)
 }
 
-let of_ledger ~store ~column ~with_inverted ledger =
+let new_inverted with_inverted = if with_inverted then Some (Spitz_index.Inverted.create ()) else None
+
+let of_ledger ~store ~column ~cells ~inverted ledger =
   {
     store;
-    cells = Cell_store.create ~store ();
+    cells;
     ledger;
     column;
-    inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
+    inverted;
     commit_lock = Mutex.create ();
     log = None;
     horizon = Atomic.make 0;
@@ -79,7 +83,8 @@ let kv_column = "v"
 
 let open_db ?store ?(with_inverted = false) () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  of_ledger ~store ~column:kv_column ~with_inverted (L.create store)
+  of_ledger ~store ~column:kv_column ~cells:(Cell_store.create ~store ())
+    ~inverted:(new_inverted with_inverted) (L.create store)
 
 let store t = t.store
 let ledger t = t.ledger
@@ -96,21 +101,27 @@ let cell_count t = Cell_store.cell_count t.cells
    the database's default column. The live commit, the journal replay and
    the KV reads all go through this one rule, so a key reads the same before
    and after a reload. *)
-let cell_of_key t key =
+let cell_in ~column key =
   match String.index_opt key '\x1f' with
   | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
-  | None -> (t.column, key)
+  | None -> (column, key)
+
+let cell_of_key t key = cell_in ~column:t.column key
+
+(* The one name of the cell [key] lives in: a KV key [pk] and the schema
+   key [column\x1fpk] of the default column are the same cell. *)
+let cell_name t key = if String.contains key '\x1f' then key else t.column ^ "\x1f" ^ key
 
 (* The SQL catalog's table specs are ledger metadata, read back from the
    ledger itself; they have no cell. *)
 let catalog_column = "_catalog"
 
-let index_value t ~column ~pk ~ts ~vhash value =
+let index_value inverted ~column ~pk ~ts ~vhash value =
   Option.iter
     (fun inv ->
        Spitz_index.Inverted.add inv value
          (Universal_key.encode (Universal_key.make ~column ~pk ~ts ~vhash)))
-    t.inverted
+    inverted
 
 (* One block write's effect on the cell store and the inverted index: a put
    appends a cell version (and indexes its value), a delete appends a
@@ -124,22 +135,15 @@ let apply_write t ~height key value =
   | None -> Cell_store.delete_cell t.cells ~column ~pk ~ts:height
   | Some (value, vhash) ->
     Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value;
-    index_value t ~column ~pk ~ts:height ~vhash value
+    index_value t.inverted ~column ~pk ~ts:height ~vhash value
 
-(* [apply_write] of a put whose value a restored store already holds at
-   [addr]: the cell is indexed without a put, so a reopen does no second
-   hashing or put work. *)
-let restore_write t ~height ~column ~pk ~vhash addr =
-  Cell_store.add_cell t.cells ~column ~pk ~ts:height ~vhash addr;
-  if t.inverted <> None then
-    index_value t ~column ~pk ~ts:height ~vhash (Object_store.get_blob_exn t.store addr)
-
-(* One block is one state transition: when a batch writes the same key more
-   than once, the block's final state for that key is the last write (the
+(* One block is one state transition: when a batch writes the same cell more
+   than once, the block's final state for that cell is the last write (the
    ledger index folds the batch in order). Only that write may land in the
    cell store — the universal-key encoding orders same-timestamp versions by
    value hash, not write order, so asking it to break the tie reads back an
-   arbitrary write of the batch. *)
+   arbitrary write of the batch. A reopen keeps the same rule by walking
+   each block last to first ([rebuild]). *)
 let last_write_per_key key_of items =
   let seen = Hashtbl.create 16 in
   List.rev
@@ -283,7 +287,7 @@ let commit t ?(statements = []) writes =
           | Ledger.Put (key, value), vhash -> apply_write t ~height key (Some (value, vhash))
           | Ledger.Delete key, _ -> apply_write t ~height key None)
         (last_write_per_key
-           (function Ledger.Put (k, _), _ | Ledger.Delete k, _ -> k)
+           (function Ledger.Put (k, _), _ | Ledger.Delete k, _ -> cell_name t k)
            (List.combine writes (L.value_hashes prepared)));
       let ticket =
         match t.log with
@@ -579,36 +583,33 @@ let horizon_of store journal =
   let n = Journal.length journal in
   if n > 0 && retained (n - 1) then down (n - 1) else n
 
-(* Rebuild a database around a restored object store: reopen the ledger from
-   the block addresses (the hash chain is re-validated on every append),
-   then replay the journal into the cell store and inverted index, indexing
-   each value where the store already holds it — a reopen puts nothing, so
-   it does no second hashing or put work (DESIGN.md, Recovery).
+(* Rebuild a database around a restored object store in one pass over the
+   block bodies: the ledger restore decodes each body once, re-validating
+   its chain link, and hands the block to the cell pass, which indexes each
+   value where the store already holds it — a reopen puts nothing, so it
+   does no second hashing or put work (DESIGN.md, Recovery).
+
+   The cell pass walks a block's entries last to first. The first write of
+   a cell it meets is the block's last, so it lands; an earlier write of
+   the same cell finds a version at this height already and is skipped —
+   [last_write_per_key]'s rule without a per-block table. A value address
+   is resolved only for a write that lands: the snapshot keeps only those
+   values, so an overwritten one may be missing.
 
    With [retain] (a durable reopen) the store starts its index class from
    the head instance, found by walking it: the older instances a snapshot
    may hold are not classified and never reclaimed. What else the restored
    store holds under a head node's address — a block body, or a value that
-   could be a node's encoding — is kept out of the class as it is met. *)
+   could be a node's encoding — is kept out of the class; the pass notes
+   such values, and they leave the class once the head instance joins it.
+
+   Returns the database, the seconds the cell pass took, and the block
+   entries it walked. *)
 let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
-  let ledger = L.restore store bodies in
-  let t = of_ledger ~store ~column ~with_inverted ledger in
-  let journal = L.journal ledger in
-  Atomic.set t.horizon (horizon_of store journal);
-  if retain then begin
-    Object_store.track_index_nodes store;
-    Option.iter
-      (fun s -> L.mark_instance ledger (L.snapshot_root s) (Object_store.adopt_node store))
-      (L.snapshot ledger);
-    List.iter (Object_store.keep store) bodies;
-    t.retention <-
-      Some
-        { filed = Queue.create ();
-          pinned = Atomic.make max_int;
-          reclaimed = 0;
-          freed = 0;
-          collect_at = collect_threshold () }
-  end;
+  let cells = Cell_store.create ~size:(Object_store.object_count store / 2) ~store () in
+  let inverted = new_inverted with_inverted in
+  (* addresses to keep out of the index class once it is built *)
+  let kept = ref [] in
   (* A value [put_blob] stored raw is the object under its content hash.
      Raw [get], not [get_blob]: a small value that looks like a chunk
      descriptor is stored chunked, and the object under its hash is only
@@ -630,33 +631,59 @@ let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
   let address vhash =
     match Object_store.get store vhash with
     | Some data when Object_store.stores_raw data ->
-      if retain && Spitz_adt.Kv_node.may_be_node data then Object_store.keep store vhash;
+      if retain && Spitz_adt.Kv_node.may_be_node data then kept := vhash :: !kept;
       Some vhash
     | _ ->
       let addr = Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash in
-      if retain then
-        Option.iter (fun a -> List.iter (Object_store.keep store) (Object_store.blob_parts store a)) addr;
+      if retain then Option.iter (fun a -> kept := Object_store.blob_parts store a @ !kept) addr;
       addr
   in
-  for height = 0 to Journal.length journal - 1 do
-    List.iter
-      (fun (e : Block.entry) ->
-         match e.op with
-         | Block.Delete -> apply_write t ~height e.key None
-         | Block.Insert | Block.Update -> (
-           let column, pk = cell_of_key t e.key in
-           if not (String.equal column catalog_column) then
-             match address e.value_hash with
-             | Some addr -> restore_write t ~height ~column ~pk ~vhash:e.value_hash addr
-             | None ->
-               (* every cell value is in the live set a snapshot keeps, so
-                  a missing one is damage, never retention *)
-               raise
-                 (Corrupt
-                    (Printf.sprintf "block %d: the value of %S is not in the store" height e.key))))
-      (last_write_per_key (fun (e : Block.entry) -> e.key) (Journal.block journal height).entries)
-  done;
-  t
+  let restore_entry height (e : Block.entry) =
+    let column, pk = cell_in ~column e.key in
+    if not (String.equal column catalog_column) then
+      Cell_store.restore_version cells ~column ~pk ~ts:height (fun () ->
+          match e.op with
+          | Block.Delete -> None
+          | Block.Insert | Block.Update -> (
+            match address e.value_hash with
+            | Some addr ->
+              if inverted <> None then
+                index_value inverted ~column ~pk ~ts:height ~vhash:e.value_hash
+                  (Object_store.get_blob_exn store addr);
+              Some (e.value_hash, addr)
+            | None ->
+              (* every value a block leaves is in the live set a snapshot
+                 keeps, so a missing one is damage, never retention *)
+              raise
+                (Corrupt
+                   (Printf.sprintf "block %d: the value of %S is not in the store" height e.key))))
+  in
+  let cells_s = ref 0.0 and entries = ref 0 in
+  let on_block height (block : Block.t) =
+    let t0 = Unix.gettimeofday () in
+    List.iter (restore_entry height) (List.rev block.Block.entries);
+    entries := !entries + List.length block.Block.entries;
+    cells_s := !cells_s +. (Unix.gettimeofday () -. t0)
+  in
+  let ledger = L.restore ~on_block store bodies in
+  let t = of_ledger ~store ~column ~cells ~inverted ledger in
+  Atomic.set t.horizon (horizon_of store (L.journal ledger));
+  if retain then begin
+    Object_store.track_index_nodes store;
+    Option.iter
+      (fun s -> L.mark_instance ledger (L.snapshot_root s) (Object_store.adopt_node store))
+      (L.snapshot ledger);
+    List.iter (Object_store.keep store) bodies;
+    List.iter (Object_store.keep store) !kept;
+    t.retention <-
+      Some
+        { filed = Queue.create ();
+          pinned = Atomic.make max_int;
+          reclaimed = 0;
+          freed = 0;
+          collect_at = collect_threshold () }
+  end;
+  (t, !cells_s, !entries)
 
 (* Restoration paths leak a zoo of exceptions — truncated channels, bad
    shifts, missing objects, broken chain links. Collapse them all into
@@ -693,7 +720,8 @@ let load path =
            let column, with_inverted, bodies = read_snapshot_header ic in
            let store = Object_store.create () in
            Object_store.restore store ic;
-           rebuild ~store ~column ~with_inverted bodies))
+           let t, _, _ = rebuild ~store ~column ~with_inverted bodies in
+           t))
 
 (* --- durable database: snapshot + write-ahead log of batches ---
 
@@ -720,10 +748,23 @@ type checkpoint_stats = {
   max_lock_hold_s : float;
 }
 
+type open_stats = {
+  snapshot_restore_s : float;
+  ledger_restore_s : float;
+  cell_rebuild_s : float;
+  log_rerun_s : float;
+  audit_s : float;
+  objects : int;
+  blocks : int;
+  entries : int;
+  records : int;
+}
+
 type durable = {
   db : t;
   wal : Wal.t;
   dir : string;
+  opened : open_stats; (* what the open that made this handle took *)
   mutable closed : bool;
   (* checkpointing: [ckpt_lock] serializes checkpoint runs (manual callers
      against the background thread); the counters are atomics so
@@ -827,6 +868,13 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
     if Sys.file_exists (meta_file dir) then read_meta dir else (kv_column, with_inverted)
   in
   if not (Sys.file_exists (meta_file dir)) then write_meta dir ~column ~with_inverted;
+  let clock = ref (Unix.gettimeofday ()) in
+  let lap () =
+    let now = Unix.gettimeofday () in
+    let s = now -. !clock in
+    clock := now;
+    s
+  in
   (* 1. the last checkpoint, if any *)
   let store, column, with_inverted, bodies =
     if Sys.file_exists snap then begin
@@ -842,6 +890,8 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
     end
     else (Object_store.create (), column, with_inverted, [])
   in
+  let objects = Object_store.object_count store in
+  let snapshot_restore_s = lap () in
   (* 2. read the log. With [repair] (the default) a torn tail of the final
      segment is truncated in place by [Wal.replay]; without it the log is
      left untouched and a tear is an error — strict mode surfaces damage
@@ -855,24 +905,31 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
       (Corrupt
          (Printf.sprintf "Db.open_durable: wal tail is torn (%d bytes) and repair is off"
             replayed.Wal.torn_bytes));
-  (* 3. rebuild the snapshot's state; [Journal.append] inside re-validates
-     every chain link *)
-  let db =
+  let log_read_s = lap () in
+  (* 3. rebuild the snapshot's state in one pass over its block bodies;
+     [Journal.append] inside re-validates every chain link *)
+  let db, cell_rebuild_s, entries =
     corrupt_guard "Db.open_durable" (fun () ->
         rebuild ~retain:true ~store ~column ~with_inverted bodies)
   in
+  let ledger_restore_s = lap () -. cell_rebuild_s in
   (* 4. re-run the log's batches past the snapshot, reclaiming as a live
      run does *)
   corrupt_guard "Db.open_durable(wal)" (fun () -> replay_records db replayed.Wal.records);
+  let log_rerun_s = log_read_s +. lap () in
   (* 5. belt and braces: re-walk the whole journal hash chain before serving *)
   if not (L.audit db.ledger) then
     raise (Corrupt "Db.open_durable: journal hash chain does not verify");
+  let audit_s = lap () in
   let wal = corrupt_guard "Db.open_durable(wal)" (fun () -> Wal.open_log ~sync (wal_file dir)) in
   db.log <- Some { wal; record = Wire.writer ~size:4096 () };
   {
     db;
     wal;
     dir;
+    opened =
+      { snapshot_restore_s; ledger_restore_s; cell_rebuild_s; log_rerun_s; audit_s; objects;
+        blocks = List.length bodies; entries; records = List.length replayed.Wal.records };
     closed = false;
     ckpt_lock = Mutex.create ();
     ckpt_policy = Manual;
@@ -976,6 +1033,8 @@ let checkpoint_stats d =
     last_error = Atomic.get d.ckpt_last_error;
     max_lock_hold_s = Atomic.get d.ckpt_lock_hold;
   }
+
+let open_stats d = d.opened
 
 let checkpoint_due d =
   match d.ckpt_policy with

@@ -6,11 +6,12 @@
     ledger's unified index is updated and the block appended, the same
     batch is applied to the cell store (and inverted index), and on a
     durable database the commit returns only once its log record meets the
-    sync policy. A point read by key answers from the cell store. A range,
-    and every verified read, answers from the head {!snapshot} of the
-    ledger's unified index, where the proof is the same traversal that
-    locates the data — so {!range} and {!range_verified} return the same
-    entries.
+    sync policy. A point read by key, and a key's history, answer from the
+    cell store, a hash table of cells. A range, and every verified read,
+    answers from the head {!snapshot} of the ledger's unified index, where
+    the proof is the same traversal that locates the data — so {!range}
+    and {!range_verified} return the same entries. The SQL layer's column
+    scans are {!range}s too.
 
     Keys and cells: a key containing ['\x1f'] names the cell
     [(column, pk)] split at the first separator (the schema layer's
@@ -416,6 +417,25 @@ type checkpoint_stats = {
 val checkpoint_stats : durable -> checkpoint_stats
 (** Lifetime checkpoint counters of this handle. Never blocks, even while
     a checkpoint is running. *)
+
+type open_stats = {
+  snapshot_restore_s : float; (** reading the snapshot's object stream *)
+  ledger_restore_s : float;
+  (** decoding the block bodies, re-validating the chain, reopening the
+      index instances, the horizon and the head instance's node
+      classification — the rebuild pass minus [cell_rebuild_s] *)
+  cell_rebuild_s : float;     (** indexing the bodies' writes into the cell store *)
+  log_rerun_s : float;        (** reading the log and re-running its batches *)
+  audit_s : float;            (** the final hash-chain walk *)
+  objects : int;              (** objects the snapshot restored *)
+  blocks : int;               (** blocks the snapshot held *)
+  entries : int;              (** block entries the cell pass walked *)
+  records : int;              (** log records read *)
+}
+
+val open_stats : durable -> open_stats
+(** The seconds each phase of the {!open_durable} that made this handle
+    took, in order, and what it walked. *)
 
 val sync_durable : durable -> unit
 (** Force an fsync of the log now, regardless of policy. *)

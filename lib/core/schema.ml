@@ -199,17 +199,26 @@ let get_row_verified t ~pk =
     Some (List.map (fun (c, v, _) -> (c, v)) cells, ok)
   end
 
-(* All rows with pk in [lo, hi]: scan the primary column range per column. *)
+(* (pk, printed value) of the latest version of each live cell of [col]
+   with pk in [pk_lo, pk_hi], in pk order. The column's ledger keys
+   [column\x1fpk] sit together in the head index in pk order, so this is
+   one [Db.range]: O(log n + k), no sort. *)
+let column_scan t col ~pk_lo ~pk_hi =
+  let prefix = column_id t.spec col ^ "\x1f" in
+  let n = String.length prefix in
+  List.map
+    (fun (key, printed) -> (String.sub key n (String.length key - n), printed))
+    (Db.range t.db ~lo:(prefix ^ pk_lo) ~hi:(prefix ^ pk_hi))
+
+(* All rows with pk in [lo, hi]: the pks of the first column's range, each
+   row read whole. *)
 let select_range t ~pk_lo ~pk_hi =
   match t.spec.columns with
   | [] -> []
   | first :: _ ->
-    let pks =
-      List.map fst
-        (Cell_store.range_latest_values (Db.cells t.db) ~column:(column_id t.spec first.col_name)
-           ~pk_lo ~pk_hi)
-    in
-    List.filter_map (fun pk -> Option.map (fun row -> (pk, row)) (get_row t ~pk)) pks
+    List.filter_map
+      (fun (pk, _) -> Option.map (fun row -> (pk, row)) (get_row t ~pk))
+      (column_scan t first.col_name ~pk_lo ~pk_hi)
 
 (* Analytic lookup through the inverted index: all pks whose [col] equals
    [value]. Falls back to a scan when the column is not indexed. *)
@@ -237,9 +246,5 @@ let find_by_value t ~col value =
          (Spitz_index.Inverted.lookup inv iv))
   | _ ->
     List.filter_map
-      (fun (pk, _) ->
-         match cell_value t ~pk col with
-         | Some current when current = value -> Some pk
-         | _ -> None)
-      (Cell_store.range_latest_values (Db.cells t.db) ~column:(column_id t.spec col) ~pk_lo:""
-         ~pk_hi:"\xff")
+      (fun (pk, printed) -> if Json.of_string printed = value then Some pk else None)
+      (column_scan t col ~pk_lo:"" ~pk_hi:"\xff")

@@ -112,6 +112,24 @@ let decode data =
        { header; entries; statements })
     data
 
+(* The statements of an encoded block, read past its header and entries
+   without building either. *)
+let decode_statements data =
+  Wire.decode "Block.decode_statements"
+    (fun r ->
+       ignore (Wire.read_varint r : int);
+       Wire.skip r (3 * Hash.size);
+       ignore (Wire.read_varint r : int);
+       ignore (Wire.read_varint r : int);
+       for _ = 1 to Wire.read_count r do
+         ignore (op_of_char (Wire.read_byte r));
+         Wire.skip r (Wire.read_varint r);
+         Wire.skip r Hash.size;
+         ignore (Wire.read_varint r : int)
+       done;
+       Wire.read_list r Wire.read_string)
+    data
+
 let create_rooted ~entries_root ~height ~prev_hash ~index_root ~time ~entries ~statements =
   { header = { height; prev_hash; entries_root; index_root; entry_count = List.length entries; time };
     entries; statements }

@@ -71,3 +71,7 @@ val encode_into : Spitz_storage.Wire.writer -> t -> unit
 val encode : t -> string
 val decode : string -> t
 (** Raises {!Spitz_storage.Wire.Malformed} on bad input. *)
+
+val decode_statements : string -> string list
+(** [(decode data).statements], read past the header and entries without
+    building them. Raises {!Spitz_storage.Wire.Malformed} on bad input. *)

@@ -85,6 +85,10 @@ let block t height =
   if height < 0 || height >= t.length then invalid_arg "Journal.block: out of range";
   Block.decode (Object_store.get_exn t.store t.slots.(height).body)
 
+let statements t height =
+  if height < 0 || height >= t.length then invalid_arg "Journal.statements: out of range";
+  Block.decode_statements (Object_store.get_exn t.store t.slots.(height).body)
+
 let body_hash t height =
   if height < 0 || height >= t.length then invalid_arg "Journal.body_hash: out of range";
   t.slots.(height).body

@@ -40,6 +40,10 @@ val header : t -> int -> Block.header
 val block : t -> int -> Block.t
 (** Fetch by height. Raise [Invalid_argument] when out of range. *)
 
+val statements : t -> int -> string list
+(** The statements of the block at a height, read without decoding its
+    entries. Raise [Invalid_argument] when out of range. *)
+
 val body_hash : t -> int -> Spitz_crypto.Hash.t
 (** Content address of the encoded block at a height (persistence). *)
 

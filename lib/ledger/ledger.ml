@@ -576,8 +576,9 @@ module Make (Index : Siri.S) = struct
      height order. The chain is re-validated on append; index instances are
      reopened at the roots the block headers commit to (an instance a
      retention mark dropped stays unreadable). Instance cardinalities are
-     not restored: nothing reads a ledger instance's count. *)
-  let restore store bodies =
+     not restored: nothing reads a ledger instance's count. [on_block] sees
+     each block once it is appended. *)
+  let restore ~on_block store bodies =
     let t = create store in
     List.iter
       (fun body ->
@@ -597,7 +598,8 @@ module Make (Index : Siri.S) = struct
             the counter on — or a log re-run after a snapshot that ends in
             an empty block would assign every later commit a shifted id *)
          t.next_txn <-
-           (match block.entries with e :: _ -> e.Block.txn_id + 1 | [] -> t.next_txn + 1))
+           (match block.entries with e :: _ -> e.Block.txn_id + 1 | [] -> t.next_txn + 1);
+         on_block height block)
       bodies;
     (* publish the head view the replayed chain ends at *)
     (match Journal.length t.journal with

@@ -234,12 +234,14 @@ module Make (Index : Siri.S) : sig
   (** Content addresses of all encoded blocks, in height order
       (persistence). *)
 
-  val restore : Object_store.t -> Hash.t list -> t
+  val restore : on_block:(int -> Block.t -> unit) -> Object_store.t -> Hash.t list -> t
   (** Reopen a ledger from its block addresses; re-validates the chain and
       reopens index instances at the roots the headers commit to. The next
       commit gets the block time and transaction id it would have got in the
       ledger that wrote the blocks, so re-running later batches reproduces
-      their blocks byte for byte. *)
+      their blocks byte for byte. [on_block height block] sees each block
+      once it is appended, in height order: a caller that derives state from
+      the bodies reads the one decode the restore makes. *)
 end
 
 module Default : module type of Make (Merkle_bptree)

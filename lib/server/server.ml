@@ -69,7 +69,8 @@ let token_prefix = "tx:"
 
 (* Recover every committed token from the journal's block statements, so a
    client retrying an [Apply] after a server restart still gets the original
-   height back instead of a duplicate commit. *)
+   height back instead of a duplicate commit. Only the statements are read:
+   the entries are skipped, not decoded. *)
 let rebuild_tokens db tokens =
   let ledger = Db.ledger db in
   let journal = Db.L.journal ledger in
@@ -83,7 +84,7 @@ let rebuild_tokens db tokens =
             (String.sub s (String.length token_prefix)
                (String.length s - String.length token_prefix))
             (Committed_at h))
-      (Spitz_ledger.Journal.block journal h).Spitz_ledger.Block.statements
+      (Spitz_ledger.Journal.statements journal h)
   done
 
 (* --- request dispatch --- *)

@@ -376,20 +376,6 @@ let write_varint oc n =
   if n < 0 then invalid_arg "Object_store.write_varint: negative";
   go n
 
-(* A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
-   with more continuation bytes is malformed, and letting the shift run past
-   the word size is undefined [lsl] behaviour. A decoded value that came out
-   negative overflowed bit 62 — equally malformed. *)
-let read_varint ic =
-  let rec go shift acc =
-    if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
-    let b = try input_byte ic with End_of_file -> raise (Corrupt "truncated varint") in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 <> 0 then go (shift + 7) acc else acc
-  in
-  let n = go 0 0 in
-  if n < 0 then raise (Corrupt "varint overflows int") else n
-
 let dump ?live t oc =
   (* collect a reference snapshot of each shard under its own (brief) lock,
      then write the stream with no locks held: the file write is the long
@@ -425,23 +411,40 @@ let dump ?live t oc =
          write_varint oc 1))
     collected
 
+(* The stream is read in one call and parsed out of that buffer, so a
+   varint byte costs no channel call.
+
+   A varint fits OCaml's 63-bit int in at most 9 groups of 7 bits; a stream
+   with more continuation bytes is malformed, and letting the shift run past
+   the word size is undefined [lsl] behaviour. A decoded value that came out
+   negative overflowed bit 62 — equally malformed. An object's length is
+   bounded by the bytes after it before anything is allocated for it. *)
 let restore t ic =
-  (* the stream's length is taken once: [in_channel_length] is an lseek,
-     and [pos_in] is not *)
-  let stop = in_channel_length ic in
-  try
-    let n = read_varint ic in
-    for _ = 1 to n do
-      let len = read_varint ic in
-      (* bound the length by what the stream can actually hold before
-         allocating or blocking in [really_input_string] *)
-      let remaining = stop - pos_in ic in
-      if len > remaining then
-        raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len remaining));
-      let data = really_input_string ic len in
-      ignore (read_varint ic : int);
-      restore_object t data
-    done
-  with
-  | End_of_file -> raise (Corrupt "object stream truncated")
-  | Invalid_argument msg -> raise (Corrupt ("object stream invalid: " ^ msg))
+  let data =
+    try really_input_string ic (in_channel_length ic - pos_in ic)
+    with End_of_file -> raise (Corrupt "object stream truncated")
+  in
+  let stop = String.length data in
+  let pos = ref 0 in
+  let read_varint () =
+    let rec go shift acc =
+      if shift > 56 then raise (Corrupt "varint longer than 9 bytes");
+      if !pos >= stop then raise (Corrupt "truncated varint");
+      let b = Char.code (String.unsafe_get data !pos) in
+      incr pos;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b land 0x80 <> 0 then go (shift + 7) acc else acc
+    in
+    let n = go 0 0 in
+    if n < 0 then raise (Corrupt "varint overflows int") else n
+  in
+  let n = read_varint () in
+  for _ = 1 to n do
+    let len = read_varint () in
+    let remaining = stop - !pos in
+    if len > remaining then
+      raise (Corrupt (Printf.sprintf "object length %d exceeds remaining %d bytes" len remaining));
+    restore_object t (String.sub data !pos len);
+    pos := !pos + len;
+    ignore (read_varint () : int)
+  done

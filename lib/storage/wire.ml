@@ -107,6 +107,10 @@ let read_raw r len =
   r.pos <- r.pos + len;
   s
 
+let skip r len =
+  if len < 0 || len > r.limit - r.pos then raise (Malformed "skip: truncated");
+  r.pos <- r.pos + len
+
 let read_hash r =
   if r.pos + Hash.size > r.limit then raise (Malformed "hash: truncated");
   let s = Bytes.sub_string r.base r.pos Hash.size in

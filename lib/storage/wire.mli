@@ -70,6 +70,14 @@ val read_string_slice : reader -> Slice.t
 val read_raw : reader -> int -> Slice.t
 (** The next [len] bytes as a sub-slice, advancing the cursor. *)
 
+val skip : reader -> int -> unit
+(** Advance the cursor past [len] bytes without reading them; [Malformed]
+    when fewer remain. *)
+
+val read_count : reader -> int
+(** A list's element count, as {!read_list} reads it: [Malformed] when it
+    is larger than the bytes remaining. *)
+
 val read_list : reader -> (reader -> 'a) -> 'a list
 (** Rejects (with {!Malformed}) a claimed element count larger than the bytes
     remaining, so adversarial lengths cannot drive allocation. *)

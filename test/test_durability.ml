@@ -1555,7 +1555,14 @@ let file_sha path =
    headerless segment is refused, in both repair modes, with an error that
    names the segment and the way out, and the directory is left as it
    was. *)
-let per_key_wal_fixture = Filename.concat "fixtures" "per_key_wal"
+(* Fixtures live in [test/fixtures]: [dune runtest] runs in the test
+   directory, a [dune exec test/test_main.exe] from the root of the tree
+   does not. *)
+let fixture name =
+  let here = Filename.concat "fixtures" name in
+  if Sys.file_exists here then here else Filename.concat "test" here
+
+let per_key_wal_fixture = fixture "per_key_wal"
 
 let test_physical_segment_refused () =
   with_dir (fun dir ->
@@ -1580,7 +1587,7 @@ let test_physical_segment_refused () =
    checkpointed (snapshot plus an empty, headerless active segment; with
    the inverted index; puts, a delete with a statement, a chunked value)
    opens to the digest it had, and takes and replays new commits. *)
-let checkpointed_fixture = Filename.concat "fixtures" "checkpointed_physical_wal"
+let checkpointed_fixture = fixture "checkpointed_physical_wal"
 
 let checkpointed_root = "31649c73babb5e44b138dd5aaad9779e4d7656b324ff97de9f2cd0e7e203da92"
 
@@ -1915,6 +1922,184 @@ let prop_replay_reproduces_live =
            Db.close_durable d';
            live = reopened))
 
+(* --- a reopen rebuilds the cell store the live commits built --- *)
+
+(* Blocks of puts and deletes over keys that share cells and prefixes: KV
+   keys of the default column [v] (["k"] and ["v\x1fk"] are one cell), and
+   the schema columns [t.c] and [t.cc] over pks ["k"], ["kk"] and ["l"].
+   Values are printed JSON ints, so the SQL layer reads them. *)
+let cell_keys =
+  [| "k"; "kk"; "v\x1fk"; "t.c\x1fk"; "t.c\x1fkk"; "t.c\x1fl"; "t.cc\x1fk"; "t.cc\x1fkk" |]
+
+let gen_cell_blocks =
+  QCheck.Gen.(
+    let write =
+      map2
+        (fun k v -> (cell_keys.(k), if v = 0 then None else Some (string_of_int v)))
+        (int_bound (Array.length cell_keys - 1))
+        (int_bound 3)
+    in
+    list_size (int_range 1 12) (list_size (int_bound 6) write))
+
+let print_cell_blocks =
+  QCheck.Print.list
+    (QCheck.Print.list (fun (k, v) ->
+         Printf.sprintf "%S%s" k (match v with None -> " del" | Some v -> "=" ^ v)))
+
+(* The model: per cell, the block's last write to it at each height. *)
+let cell_of key =
+  match String.index_opt key '\x1f' with
+  | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+  | None -> ("v", key)
+
+module Cells = Map.Make (struct
+    type t = string * string
+    let compare = compare
+  end)
+
+(* cell -> (height, value or tombstone) list, newest first *)
+let model_of blocks =
+  let _, model =
+    List.fold_left
+      (fun (h, model) writes ->
+         let last =
+           List.fold_left (fun acc (k, v) -> Cells.add (cell_of k) v acc) Cells.empty writes
+         in
+         ( h + 1,
+           Cells.fold
+             (fun cell v model ->
+                Cells.update cell (fun vs -> Some ((h, v) :: Option.value vs ~default:[])) model)
+             last model ))
+      (0, Cells.empty) blocks
+  in
+  model
+
+let cell_spec =
+  { Schema.table_name = "t";
+    primary_key = "id";
+    columns =
+      [ { Schema.col_name = "c"; col_type = Schema.T_int; indexed = false };
+        { Schema.col_name = "cc"; col_type = Schema.T_int; indexed = true } ] }
+
+(* What the database reads for every key, every height, and the SQL scans,
+   against what the model says. *)
+let check_against_model what blocks db =
+  let model = model_of blocks in
+  let n = List.length blocks in
+  let versions key = Option.value (Cells.find_opt (cell_of key) model) ~default:[] in
+  let at h vs = match List.find_opt (fun (ts, _) -> ts <= h) vs with Some (_, v) -> v | None -> None in
+  let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_reportf "%s: %s" what s) fmt in
+  let opt = function None -> "None" | Some v -> v in
+  Array.iter
+    (fun key ->
+       let vs = versions key in
+       if Db.get db key <> at max_int vs then
+         fail "get %S = %s, model %s" key (opt (Db.get db key)) (opt (at max_int vs));
+       for h = 0 to n - 1 do
+         if Db.get_at db ~height:h key <> at h vs then fail "get_at %d %S" h key
+       done;
+       let history = List.rev (List.filter_map (fun (h, v) -> Option.map (fun v -> (h, v)) v) vs) in
+       if Db.history db key <> history then fail "history %S" key)
+    cell_keys;
+  let count = Cells.fold (fun _ vs acc -> acc + List.length vs) model 0 in
+  if Db.cell_count db <> count then fail "cell_count %d, model %d" (Db.cell_count db) count;
+  (* SQL: rows by the first column's live cells, in pk order *)
+  let table = Schema.create db cell_spec in
+  let live col pk = at max_int (Option.value (Cells.find_opt ("t." ^ col, pk) model) ~default:[]) in
+  let pks = [ "k"; "kk"; "l" ] in
+  let rows =
+    List.filter_map
+      (fun pk ->
+         match live "c" pk with
+         | None -> None
+         | Some _ ->
+           Some
+             ( pk,
+               List.filter_map
+                 (fun col -> Option.map (fun v -> (col, Json.of_string v)) (live col pk))
+                 [ "c"; "cc" ] ))
+      pks
+  in
+  if Schema.select_range table ~pk_lo:"" ~pk_hi:"\xff" <> rows then fail "select_range";
+  if Schema.select_range table ~pk_lo:"kk" ~pk_hi:"kk" <> List.filter (fun (pk, _) -> pk = "kk") rows
+  then fail "select_range of one pk";
+  List.iter
+    (fun col ->
+       for v = 1 to 3 do
+         let expected = List.filter (fun pk -> live col pk = Some (string_of_int v)) pks in
+         if Schema.find_by_value table ~col (Json.Num (float_of_int v)) <> expected then
+           fail "find_by_value %s = %d" col v
+       done)
+    [ "c"; "cc" ];
+  true
+
+let commit_cell_blocks db blocks =
+  List.iter
+    (fun writes ->
+       ignore
+         (Db.commit db
+            (List.map
+               (fun (k, v) ->
+                  match v with
+                  | Some v -> Spitz_ledger.Ledger.Put (k, v)
+                  | None -> Spitz_ledger.Ledger.Delete k)
+               writes)))
+    blocks
+
+let prop_reopen_rebuilds_cells =
+  QCheck.Test.make ~name:"reopen rebuilds the cell store the commits built" ~count:60
+    (QCheck.make ~print:print_cell_blocks gen_cell_blocks)
+    (fun blocks ->
+       let reopened ~checkpoint =
+         with_dir (fun dir ->
+             let d = Db.open_durable ~sync:Wal.Never ~with_inverted:true dir in
+             commit_cell_blocks (Db.durable_db d) blocks;
+             ignore (check_against_model "live" blocks (Db.durable_db d));
+             if checkpoint then Db.checkpoint d;
+             Db.close_durable d;
+             let d = Db.open_durable dir in
+             Fun.protect
+               ~finally:(fun () -> Db.close_durable d)
+               (fun () ->
+                  let db = Db.durable_db d in
+                  if not (Db.audit db) then QCheck.Test.fail_report "reopen does not audit";
+                  check_against_model
+                    (if checkpoint then "checkpointed reopen" else "wal-only reopen")
+                    blocks db))
+       in
+       reopened ~checkpoint:true && reopened ~checkpoint:false)
+
+(* One block writes k twice and then deletes it, and writes j twice: the
+   snapshot keeps only j's last value, and the reopen must not look for the
+   values the block overwrote. *)
+let test_overwritten_writes_reopen () =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync:Wal.Never dir in
+      let db = Db.durable_db d in
+      ignore (Db.put db "k" "before");
+      let height =
+        Db.commit db
+          Spitz_ledger.Ledger.
+            [ Put ("k", "k1"); Put ("k", "k2"); Delete "k"; Put ("j", "j1"); Put ("j", "j2") ]
+      in
+      Db.checkpoint d;
+      Db.close_durable d;
+      let d = Db.open_durable dir in
+      Fun.protect
+        ~finally:(fun () -> Db.close_durable d)
+        (fun () ->
+           let db = Db.durable_db d in
+           Alcotest.(check bool) "audit" true (Db.audit db);
+           Alcotest.(check (option string)) "get k" None (Db.get db "k");
+           Alcotest.(check (list (pair int string))) "history k" [ (0, "before") ] (Db.history db "k");
+           Alcotest.(check (list (pair int string))) "history j" [ (height, "j2") ]
+             (Db.history db "j");
+           Alcotest.(check int) "cells" 3 (Db.cell_count db);
+           let o = Db.open_stats d in
+           Alcotest.(check int) "blocks restored" 2 o.Db.blocks;
+           Alcotest.(check int) "entries walked" 6 o.Db.entries;
+           Alcotest.(check int) "log records" 0 o.Db.records))
+
 let suite =
   [
     Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
@@ -2005,4 +2190,6 @@ let suite =
     Alcotest.test_case "wal I/O error: Apply answers Error" `Quick test_wal_io_error_fails_apply;
     Alcotest.test_case "checkpoint counts a failed dir fsync" `Quick
       test_checkpoint_counts_dir_fsync_failure;
+    QCheck_alcotest.to_alcotest prop_reopen_rebuilds_cells;
+    Alcotest.test_case "overwritten writes of a block reopen" `Quick test_overwritten_writes_reopen;
   ]

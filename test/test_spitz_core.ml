@@ -37,28 +37,39 @@ let test_cell_store_versions () =
   Alcotest.(check int) "versions" 2 (List.length (Cell_store.versions cs ~column:"v" ~pk:"k"));
   Alcotest.(check int) "cells" 3 (Cell_store.cell_count cs)
 
+(* A column scan is a range over the ledger's head index: the column's keys
+   [column\x1fpk] in pk order, latest live values only. [scan] strips the
+   column prefix off each key. *)
+let scan db column ~pk_lo ~pk_hi =
+  let prefix = column ^ "\x1f" in
+  let n = String.length prefix in
+  List.map
+    (fun (key, v) -> (String.sub key n (String.length key - n), v))
+    (Db.range db ~lo:(prefix ^ pk_lo) ~hi:(prefix ^ pk_hi))
+
 (* A pk that extends another ("k", "kk") is a different cell: neither its
    versions nor its range entry leak into the shorter pk's. *)
 let test_cell_store_prefix_pks () =
-  let cs = Cell_store.create () in
-  Cell_store.write_cell cs ~column:"c" ~pk:"k" ~ts:1 "k1";
-  Cell_store.write_cell cs ~column:"c" ~pk:"kk" ~ts:5 "kk5";
-  Cell_store.write_cell cs ~column:"cc" ~pk:"k" ~ts:7 "cc7";
+  let db = Db.open_db () in
+  ignore (Db.put db "c\x1fk" "k1");
+  ignore (Db.put db "c\x1fkk" "kk5");
+  ignore (Db.put db "cc\x1fk" "cc7");
+  let cs = Db.cells db in
   Alcotest.(check (option string)) "own latest" (Some "k1") (Cell_store.read_value cs ~column:"c" ~pk:"k");
   Alcotest.(check int) "own versions" 1 (List.length (Cell_store.versions cs ~column:"c" ~pk:"k"));
   Alcotest.(check (list (pair string string))) "range of one pk" [ ("k", "k1") ]
-    (Cell_store.range_latest_values cs ~column:"c" ~pk_lo:"k" ~pk_hi:"k");
+    (scan db "c" ~pk_lo:"k" ~pk_hi:"k");
   Alcotest.(check (list (pair string string))) "range of a column" [ ("k", "k1"); ("kk", "kk5") ]
-    (Cell_store.range_latest_values cs ~column:"c" ~pk_lo:"" ~pk_hi:"z");
+    (scan db "c" ~pk_lo:"" ~pk_hi:"z");
   Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
     (fun () -> Cell_store.write_cell cs ~column:"c" ~pk:"a\x00b" ~ts:0 "x")
 
 let test_cell_store_range () =
-  let cs = Cell_store.create () in
+  let db = Db.open_db () in
   List.iter
-    (fun (pk, ts, v) -> ignore (Cell_store.write_cell cs ~column:"v" ~pk ~ts v))
-    [ ("a", 1, "a1"); ("a", 2, "a2"); ("b", 1, "b1"); ("c", 1, "c1"); ("c", 3, "c3") ];
-  let latest = Cell_store.range_latest_values cs ~column:"v" ~pk_lo:"a" ~pk_hi:"c" in
+    (fun batch -> ignore (Db.put_batch db (List.map (fun (pk, v) -> ("v\x1f" ^ pk, v)) batch)))
+    [ [ ("a", "a1"); ("b", "b1"); ("c", "c1") ]; [ ("a", "a2") ]; [ ("c", "c3") ] ];
+  let latest = scan db "v" ~pk_lo:"a" ~pk_hi:"c" in
   Alcotest.(check (list (pair string string))) "latest per pk"
     [ ("a", "a2"); ("b", "b1"); ("c", "c3") ]
     latest
