@@ -168,7 +168,8 @@ let () =
   in
   let merged = merge_results ~previous:(read_results ()) ~stamp in
   let oc = open_out !out_file in
-  output_string oc (J.to_string merged);
+  (* the committed file's layout, so a run's diff is only what it measured *)
+  output_string oc (J.to_string_indented merged);
   output_string oc "\n";
   close_out oc;
   pr "\nmachine-readable results written to %s\n" !out_file;

@@ -49,6 +49,42 @@ let rec to_string = function
         (List.map (fun (k, v) -> escape_string k ^ ":" ^ to_string v) fields)
     ^ "}"
 
+(* The layout of a file meant to be read and diffed: one value per line,
+   nested two spaces deeper, empty arrays and objects kept inline — the
+   layout of Python's [json.dump(v, f, indent=2)]. *)
+let to_string_indented v =
+  let buf = Buffer.create 4096 in
+  let newline depth =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (2 * depth) ' ')
+  in
+  let rec go depth = function
+    | Arr [] -> Buffer.add_string buf "[]"
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Arr items -> block depth '[' ']' (go (depth + 1)) items
+    | Obj fields ->
+      block depth '{' '}'
+        (fun (k, v) ->
+           Buffer.add_string buf (escape_string k);
+           Buffer.add_string buf ": ";
+           go (depth + 1) v)
+        fields
+    | v -> Buffer.add_string buf (to_string v)
+  and block : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+    fun depth opening closing item items ->
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+         if i > 0 then Buffer.add_char buf ',';
+         newline (depth + 1);
+         item x)
+      items;
+    newline depth;
+    Buffer.add_char buf closing
+  in
+  go 0 v;
+  Buffer.contents buf
+
 (* --- parsing --- *)
 
 type parser_state = { src : string; mutable pos : int }

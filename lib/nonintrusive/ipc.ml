@@ -116,12 +116,13 @@ let read_request r =
 
 let decode_request data = Wire.decode "Ipc.decode_request" read_request data
 
+let decode_request_slice payload = Wire.decode_slice "Ipc.decode_request" read_request payload
+
 (* --- responses ---
 
-   Proofs and receipts travel as opaque encoded strings (the ledger's own
-   wire codecs), so the envelope stays independent of the SIRI functor
-   instantiation; the receiver decodes them with the matching
-   [Ledger.Make(_).decode_*]. *)
+   Proofs travel in the ledger's own wire codecs, which the caller supplies,
+   so the envelope stays independent of the SIRI functor instantiation;
+   receipts travel as opaque encoded strings. *)
 
 type anchor = {
   root : Spitz_crypto.Hash.t;
@@ -129,30 +130,45 @@ type anchor = {
   consistency : Spitz_crypto.Hash.t list;
 }
 
-type response =
+(* A verified read's answer carries its proof as a nested, length-prefixed
+   encoding. The grammar below is written once, over any proof type: the
+   server writes ledger proofs straight into its reused writer, a session
+   decodes them straight from the frame bytes, and [response] — proofs as
+   opaque strings — is the same grammar with the identity codec, so every
+   path puts the same bytes on the wire. *)
+type ('read, 'batch) answer =
   | Committed of int
   | Value of string option
   | Entries of (string * string) list
-  | ValueProof of string option * string option
-  | EntriesProof of (string * string) list * string option
-  | BatchProof of string option list * string
+  | ValueProof of string option * 'read option
+  | EntriesProof of (string * string) list * 'read option
+  | BatchProof of string option list * 'batch
   | AnchorResp of anchor
   | ReceiptList of string list
   | Below_horizon of int
   | Error of string
 
-let write_value_opt buf v =
+type response = (string, string) answer
+
+let write_opt write buf v =
   match v with
   | None -> Wire.write_byte buf '\000'
   | Some v ->
     Wire.write_byte buf '\001';
-    Wire.write_string buf v
+    write buf v
 
-let read_value_opt r =
+let read_opt read r =
   match Wire.read_byte r with
   | '\000' -> None
-  | '\001' -> Some (Wire.read_string r)
+  | '\001' -> Some (read r)
   | c -> raise (Wire.Malformed (Printf.sprintf "Ipc: bad option tag %C" c))
+
+let write_value_opt = write_opt Wire.write_string
+let read_value_opt = read_opt Wire.read_string
+
+(* An optional proof: the option tag, then the nested encoding. *)
+let write_proof_opt write = write_opt (fun buf p -> Wire.write_nested buf write p)
+let read_proof_opt read = read_opt (fun r -> Wire.read_nested r read)
 
 let write_entries buf entries =
   Wire.write_list buf (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v) entries
@@ -163,7 +179,7 @@ let read_entries r =
       let v = Wire.read_string r in
       (k, v))
 
-let write_response buf resp =
+let write_answer ~read ~batch buf resp =
   match resp with
   | Committed h -> Wire.write_byte buf 'h'; Wire.write_varint buf h
   | Value v -> Wire.write_byte buf 'v'; write_value_opt buf v
@@ -171,15 +187,15 @@ let write_response buf resp =
   | ValueProof (v, p) ->
     Wire.write_byte buf 'V';
     write_value_opt buf v;
-    write_value_opt buf p
+    write_proof_opt read buf p
   | EntriesProof (es, p) ->
     Wire.write_byte buf 'E';
     write_entries buf es;
-    write_value_opt buf p
+    write_proof_opt read buf p
   | BatchProof (vs, p) ->
     Wire.write_byte buf 'b';
     Wire.write_list buf write_value_opt vs;
-    Wire.write_string buf p
+    Wire.write_nested buf batch p
   | AnchorResp { root; size; consistency } ->
     Wire.write_byte buf 'a';
     Wire.write_hash buf root;
@@ -189,27 +205,22 @@ let write_response buf resp =
   | Below_horizon horizon -> Wire.write_byte buf 'H'; Wire.write_varint buf horizon
   | Error msg -> Wire.write_byte buf 'x'; Wire.write_string buf msg
 
-let encode_response resp =
-  let buf = Wire.writer () in
-  write_response buf resp;
-  Wire.contents buf
-
-let read_response r =
+let read_answer ~read ~batch r =
   match Wire.read_byte r with
   | 'h' -> Committed (Wire.read_varint r)
   | 'v' -> Value (read_value_opt r)
   | 'e' -> Entries (read_entries r)
   | 'V' ->
     let v = read_value_opt r in
-    let p = read_value_opt r in
+    let p = read_proof_opt read r in
     ValueProof (v, p)
   | 'E' ->
     let es = read_entries r in
-    let p = read_value_opt r in
+    let p = read_proof_opt read r in
     EntriesProof (es, p)
   | 'b' ->
     let vs = Wire.read_list r read_value_opt in
-    let p = Wire.read_string r in
+    let p = Wire.read_nested r batch in
     BatchProof (vs, p)
   | 'a' ->
     let root = Wire.read_hash r in
@@ -220,6 +231,22 @@ let read_response r =
   | 'H' -> Below_horizon (Wire.read_varint r)
   | 'x' -> Error (Wire.read_string r)
   | c -> raise (Wire.Malformed (Printf.sprintf "Ipc: bad response tag %C" c))
+
+let decode_answer ~read ~batch payload =
+  Wire.decode_slice "Ipc.decode_response" (read_answer ~read ~batch) payload
+
+(* The identity proof codec: an opaque proof string is its own encoding. *)
+let write_opaque buf s = Slice.Writer.add_string buf s
+let read_opaque r = Slice.to_string (Wire.read_raw r (Wire.remaining r))
+
+let write_response buf resp = write_answer ~read:write_opaque ~batch:write_opaque buf resp
+
+let encode_response resp =
+  let buf = Wire.writer () in
+  write_response buf resp;
+  Wire.contents buf
+
+let read_response r = read_answer ~read:read_opaque ~batch:read_opaque r
 
 let decode_response data = Wire.decode "Ipc.decode_response" read_response data
 

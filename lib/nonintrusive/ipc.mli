@@ -58,6 +58,10 @@ val encode_request : request -> string
 val decode_request : string -> request
 (** Raises {!Spitz_storage.Wire.Malformed} on bad input. *)
 
+val decode_request_slice : Spitz_storage.Slice.t -> request
+(** {!decode_request} over a payload window, e.g. a frame buffer the caller
+    reuses: every string in the request is a copy. *)
+
 type anchor = {
   root : Spitz_crypto.Hash.t;
   size : int;
@@ -65,26 +69,56 @@ type anchor = {
       (** append-only proof from the size named in the [Anchor] request *)
 }
 
-type response =
+type ('read, 'batch) answer =
   | Committed of int                               (** block height *)
   | Value of string option
   | Entries of (string * string) list
-  | ValueProof of string option * string option
-      (** value plus encoded read proof (always [Some] from a pinned read;
-          the option is kept so the wire bytes stay unchanged) *)
-  | EntriesProof of (string * string) list * string option
-  | BatchProof of string option list * string
-      (** values in key order plus one encoded batch proof *)
+  | ValueProof of string option * 'read option
+      (** value plus read proof (always [Some] from a pinned read; the
+          option is kept so the wire bytes stay unchanged) *)
+  | EntriesProof of (string * string) list * 'read option
+  | BatchProof of string option list * 'batch
+      (** values in key order plus one batch proof *)
   | AnchorResp of anchor
   | ReceiptList of string list                     (** encoded write receipts *)
   | Below_horizon of int
       (** a pinned read below the server's horizon (carried): the block's
           index instance is not retained; pin a block at or above it *)
   | Error of string
+(** A response over any proof representation. The wire grammar is one
+    function pair ({!write_answer} / {!read_answer}) for every
+    representation: a proof travels as its codec's bytes, length-prefixed. *)
+
+type response = (string, string) answer
+(** Proofs as opaque strings — the bytes of the ledger's
+    [encode_read_proof] / [encode_batch_proof]. *)
+
+val write_answer :
+  read:(Spitz_storage.Wire.writer -> 'read -> unit) ->
+  batch:(Spitz_storage.Wire.writer -> 'batch -> unit) ->
+  Spitz_storage.Wire.writer -> ('read, 'batch) answer -> unit
+(** Append the answer's wire bytes to a writer, each proof encoded in place
+    by [read] or [batch] (e.g. the ledger's [write_read_proof] /
+    [write_batch_proof]): no proof string is built. *)
+
+val read_answer :
+  read:(Spitz_storage.Wire.reader -> 'read) ->
+  batch:(Spitz_storage.Wire.reader -> 'batch) ->
+  Spitz_storage.Wire.reader -> ('read, 'batch) answer
+(** The inverse of {!write_answer}: each proof codec reads exactly its
+    length-prefixed window. *)
+
+val decode_answer :
+  read:(Spitz_storage.Wire.reader -> 'read) ->
+  batch:(Spitz_storage.Wire.reader -> 'batch) ->
+  Spitz_storage.Slice.t -> ('read, 'batch) answer
+(** {!read_answer} over a whole payload window, under the
+    {!Spitz_storage.Wire.decode} Malformed contract. The window may be a
+    frame buffer the caller reuses: every string in the answer is a copy,
+    and so must be whatever [read] and [batch] return. *)
 
 val write_response : Spitz_storage.Wire.writer -> response -> unit
-(** Append the response's wire bytes to a writer — the server reuses one
-    per-connection writer and frames replies straight from its buffer. *)
+(** Append the response's wire bytes to a writer. *)
 
 val encode_response : response -> string
 val decode_response : string -> response

@@ -20,11 +20,19 @@ exception Closed
 (** The peer closed the connection cleanly, at a frame boundary. *)
 
 type scratch
-(** Per-connection reusable buffers: the header scratch {!read} fills on
-    every message and the frame buffer {!write_slices} assembles outgoing
-    frames in. Not thread-safe — one scratch per connection-serving thread. *)
+(** Per-connection reusable buffers: the header scratch every read fills
+    and one frame buffer that {!write_slices} assembles outgoing frames in
+    and {!read_slice} reads payloads into. Not thread-safe — one scratch per
+    connection-serving thread. *)
 
 val scratch : unit -> scratch
+
+val max_retained : int
+(** 64 KiB: the most frame buffer a scratch keeps between frames. A larger
+    frame, sent or received, goes through a one-off buffer. *)
+
+val retained : scratch -> int
+(** The frame buffer's size: at most {!max_retained}. *)
 
 val write : Unix.file_descr -> string -> unit
 (** Send one frame (header + payload), handling partial writes. Raises
@@ -36,18 +44,24 @@ val write_slices : ?scratch:scratch -> Unix.file_descr -> Spitz_storage.Slice.t 
     slices, never materializing it as a string — the CRC streams across the
     slices in place and header plus payload leave in a {e single} [write]
     (one syscall, one packet under TCP_NODELAY, the same on-wire bytes as
-    {!write}). With [?scratch] the assembly buffer is reused across calls. *)
+    {!write}). With [?scratch] the assembly buffer is reused across calls;
+    it overwrites what {!read_slice} last returned. *)
 
-val read : ?scratch:scratch -> Unix.file_descr -> string
-(** Receive one frame's payload. With [?scratch] the 8-byte header is read
-    into the connection's reusable scratch instead of a fresh allocation
-    per message.
+val read_slice : scratch -> Unix.file_descr -> Spitz_storage.Slice.t
+(** Receive one frame's payload into the scratch's frame buffer (a one-off
+    buffer above {!max_retained}). The slice is valid only until the next
+    {!read_slice}, {!read} or {!write_slices} on the same scratch: decode
+    what is kept out of it first.
 
     Raises {!Closed} on clean EOF at a frame boundary, [End_of_file] when
     the connection dies mid-frame (a torn frame), and
     {!Spitz_storage.Wire.Malformed} on an oversized length header or a CRC
     mismatch — after either of those the stream has lost framing and the
     connection must be dropped. *)
+
+val read : ?scratch:scratch -> Unix.file_descr -> string
+(** {!read_slice}'s payload as a string of its own (without [?scratch], read
+    straight into a fresh buffer of the frame's length). Same exceptions. *)
 
 val encode : string -> string
 (** The exact bytes {!write} sends, for tests and fuzzers that need to

@@ -145,20 +145,24 @@ let apply t ~token ~puts ~deletes =
    answers every later [Apply] with [Error]. *)
 let pin db height = Option.get (Db.snapshot ~height db)
 
-let serve t (req : Ipc.request) : Ipc.response =
+(* A verified read's proof stays a ledger value until it is written into
+   the connection's writer: no proof string is built. *)
+type answer = (Db.L.read_proof, Db.L.batch_read_proof) Ipc.answer
+
+let serve t (req : Ipc.request) : answer =
   let db = t.db in
   match req with
   | Ipc.Get k -> Ipc.Value (Db.get db k)
   | Ipc.Range (lo, hi) -> Ipc.Entries (Db.range db ~lo ~hi)
   | Ipc.GetBatch (height, keys) ->
     let values, proof = Db.Snapshot.get_batch_verified (pin db height) keys in
-    Ipc.BatchProof (values, Db.L.encode_batch_proof proof)
+    Ipc.BatchProof (values, proof)
   | Ipc.SnapGet (height, k) ->
     let value, proof = Db.Snapshot.get_verified (pin db height) k in
-    Ipc.ValueProof (value, Some (Db.L.encode_read_proof proof))
+    Ipc.ValueProof (value, Some proof)
   | Ipc.SnapRange (height, lo, hi) ->
     let entries, proof = Db.Snapshot.range_verified (pin db height) ~lo ~hi in
-    Ipc.EntriesProof (entries, Some (Db.L.encode_read_proof proof))
+    Ipc.EntriesProof (entries, Some proof)
   | Ipc.Anchor known -> anchor db known
   | Ipc.Apply { token; puts; deletes } -> apply t ~token ~puts ~deletes
   | Ipc.Receipts height ->
@@ -166,16 +170,25 @@ let serve t (req : Ipc.request) : Ipc.response =
     Ipc.ReceiptList
       (List.map Db.L.encode_receipt (Db.L.write_receipts ledger ~height))
 
-(* Anything a single bad request can provoke becomes an [Error] reply; only
-   a framing loss or a dead peer ends the connection. *)
-let serve_safe t req =
-  try serve t req with
-  | Db.Below_horizon { horizon; _ } -> Ipc.Below_horizon horizon
-  | Wal.Failed msg -> Ipc.Error msg
-  | Wire.Malformed msg -> Ipc.Error msg
-  | Invalid_argument msg -> Ipc.Error msg
-  | Not_found -> Ipc.Error "not found"
-  | Failure msg -> Ipc.Error msg
+(* Anything a single bad request can provoke becomes an [Error] answer (a
+   read below the horizon, a [Below_horizon] one); only a framing loss or a
+   dead peer ends the connection. Whatever [write] put in [out] before it
+   raised is dropped first, so the frame holds exactly that answer. *)
+let respond out write =
+  Wire.clear out;
+  let failed (answer : Ipc.response) =
+    Wire.clear out;
+    Ipc.write_response out answer
+  in
+  try write out with
+  | Db.Below_horizon { horizon; _ } -> failed (Ipc.Below_horizon horizon)
+  | Wal.Failed msg -> failed (Ipc.Error msg)
+  | Wire.Malformed msg -> failed (Ipc.Error msg)
+  | Invalid_argument msg -> failed (Ipc.Error msg)
+  | Not_found -> failed (Ipc.Error "not found")
+  | Failure msg -> failed (Ipc.Error msg)
+
+let write_answer = Ipc.write_answer ~read:Db.L.write_read_proof ~batch:Db.L.write_batch_proof
 
 (* --- connection handling --- *)
 
@@ -196,12 +209,14 @@ let unregister_conn t id =
 
 let handle t fd =
   let continue = ref true in
-  (* per-connection reusable buffers: frame header/assembly scratch and the
-     response writer — one thread serves this connection, so no locking *)
+  (* per-connection reusable buffers: the frame scratch the request is read
+     into and the answer framed from, and the writer the answer is encoded
+     in — one thread serves this connection, so no locking; both keep at
+     most [Frame.max_retained] bytes between requests *)
   let scratch = Frame.scratch () in
   let out = Wire.writer ~size:1024 () in
   while !continue do
-    match Frame.read ~scratch fd with
+    match Frame.read_slice scratch fd with
     | exception Frame.Closed -> continue := false
     | exception End_of_file ->
       (* torn frame: the peer died mid-frame *)
@@ -213,23 +228,22 @@ let handle t fd =
       continue := false
     | exception Unix.Unix_error _ -> continue := false
     | payload -> (
-      ignore (Atomic.fetch_and_add t.c_bytes_in (String.length payload));
+      ignore (Atomic.fetch_and_add t.c_bytes_in (Slice.length payload));
       Atomic.incr t.c_requests;
-      let response =
-        match Ipc.decode_request payload with
-        | req -> serve_safe t req
-        | exception Wire.Malformed msg ->
-          (* frame intact, payload garbage: reject and keep serving *)
-          Atomic.incr t.c_malformed;
-          Ipc.Error msg
-      in
-      (* encode into the reused writer and frame straight from its buffer:
-         no response string, no header+payload concatenation *)
-      Wire.clear out;
-      Ipc.write_response out response;
+      (* the request is decoded out of the scratch before the answer is
+         framed in it *)
+      (match Ipc.decode_request_slice payload with
+       | req -> respond out (fun out -> write_answer out (serve t req))
+       | exception Wire.Malformed msg ->
+         (* frame intact, payload garbage: reject and keep serving *)
+         Atomic.incr t.c_malformed;
+         Wire.clear out;
+         Ipc.write_response out (Ipc.Error msg));
+      (* frame straight from the writer's buffer: no response string, no
+         header+payload concatenation *)
       ignore (Atomic.fetch_and_add t.c_bytes_out (Wire.length out));
       match Frame.write_slices ~scratch fd [ Wire.view out ] with
-      | () -> ()
+      | () -> Slice.Writer.clear_within out Frame.max_retained
       | exception (Unix.Unix_error _ | Invalid_argument _) -> continue := false)
   done
 

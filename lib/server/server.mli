@@ -56,6 +56,15 @@ val port : t -> int
 
 val stats : t -> stats
 
+val respond : Spitz_storage.Wire.writer -> (Spitz_storage.Wire.writer -> unit) -> unit
+(** [respond out write] encodes one answer into [out], which it clears
+    first: [write] appends the answer. When [write] raises what a single
+    request can provoke — {!Spitz.Db.Below_horizon}, a stopped log,
+    [Malformed], [Invalid_argument], [Not_found] or [Failure] — [out] is
+    cleared again and holds exactly the [Below_horizon] or [Error] answer,
+    whatever [write] had appended before it raised. Every connection
+    handler answers through it. *)
+
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, half-close every live connection
     (receive side), let each handler finish the request it is serving and

@@ -60,7 +60,9 @@ let ensure_connected t =
 (* Every request a session issues is idempotent (writes carry Apply tokens),
    so a connection loss at any point — before the request reached the
    server, or after it was served but before the response arrived — is
-   safely retried by reconnecting and resending. *)
+   safely retried by reconnecting and resending. The answer is decoded
+   straight out of the frame buffer, proofs included, before the next
+   request reuses it. *)
 let rpc t req =
   (* encode once into the session's reused writer; the bytes stay valid
      across retries because nothing else touches the writer until [rpc]
@@ -71,7 +73,8 @@ let rpc t req =
     match
       let fd = ensure_connected t in
       Frame.write_slices ~scratch:t.scratch fd [ Spitz_storage.Wire.view t.out ];
-      Ipc.decode_response (Frame.read ~scratch:t.scratch fd)
+      Ipc.decode_answer ~read:Db.L.read_read_proof ~batch:Db.L.read_batch_proof
+        (Frame.read_slice t.scratch fd)
     with
     | resp -> resp
     | exception ((Frame.Closed | End_of_file | Unix.Unix_error _) as e) ->
@@ -82,7 +85,9 @@ let rpc t req =
         go (attempt + 1)
       end
   in
-  match go 0 with Ipc.Error msg -> raise (Server_error msg) | resp -> resp
+  let resp = go 0 in
+  Spitz_storage.Slice.Writer.clear_within t.out Frame.max_retained;
+  match resp with Ipc.Error msg -> raise (Server_error msg) | resp -> resp
 
 let protocol_error what =
   raise (Spitz_storage.Wire.Malformed ("Session: unexpected response to " ^ what))
@@ -174,7 +179,6 @@ let get_verified t k =
   match pinned_read t (fun h -> Ipc.SnapGet (h, k)) with
   | None -> None
   | Some (_, Ipc.ValueProof (value, Some proof)) -> (
-    let proof = Db.L.decode_read_proof proof in
     match Db.V.submit_read t.verifier ~key:k ~value proof with
     | Some true -> value
     | _ -> raise (Verification_failed ("read proof for " ^ k)))
@@ -187,7 +191,6 @@ let get_batch_verified t keys =
   | Some (d, Ipc.BatchProof (values, proof)) ->
     if List.length values <> List.length keys then
       raise (Verification_failed "batch read: wrong arity");
-    let proof = Db.L.decode_batch_proof proof in
     if not (Db.L.verify_batch_read ~digest:d ~items:(List.combine keys values) proof) then
       raise (Verification_failed "batch read proof");
     values
@@ -197,7 +200,6 @@ let range_verified t ~lo ~hi =
   match pinned_read t (fun h -> Ipc.SnapRange (h, lo, hi)) with
   | None -> []
   | Some (_, Ipc.EntriesProof (entries, Some proof)) -> (
-    let proof = Db.L.decode_read_proof proof in
     match Db.V.submit_range t.verifier ~lo ~hi ~entries proof with
     | Some true -> entries
     | _ -> raise (Verification_failed "range proof"))

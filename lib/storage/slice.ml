@@ -77,6 +77,12 @@ module Writer = struct
 
   let clear w = w.len <- 0
 
+  let capacity w = Bytes.length w.buf
+
+  let clear_within w cap =
+    w.len <- 0;
+    if Bytes.length w.buf > cap then w.buf <- Bytes.create (max 16 cap)
+
   let grow w needed =
     let cap = ref (Bytes.length w.buf) in
     while !cap < needed do

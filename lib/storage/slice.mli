@@ -65,6 +65,14 @@ module Writer : sig
   (** Reset to empty, retaining capacity — the reuse primitive behind the
       per-connection and per-log scratch buffers. *)
 
+  val capacity : w -> int
+  (** Bytes the buffer holds before it must grow. *)
+
+  val clear_within : w -> int -> unit
+  (** [clear_within w cap]: {!clear}, and a buffer grown past [cap] bytes
+      is dropped for one of [cap] — a writer reused per message keeps at
+      most [cap] bytes between messages, whatever its largest message. *)
+
   val add_char : w -> char -> unit
   val add_string : w -> string -> unit
   val add_substring : w -> string -> int -> int -> unit

@@ -54,6 +54,30 @@ let write_array buf write_item items =
 
 let write_hash_list buf hashes = write_list buf (fun buf h -> write_hash buf h) hashes
 
+let rec varint_width n = if n < 0x80 then 1 else 1 + varint_width (n lsr 7)
+
+(* The item is encoded where its bytes end up, then moved right by the
+   width of its length prefix, which is written into the gap: the bytes of
+   [write_string buf (encode item)] with no intermediate string. *)
+let write_nested buf write_item item =
+  let start = length buf in
+  write_item buf item;
+  let len = length buf - start in
+  let width = varint_width len in
+  for _ = 1 to width do
+    Slice.Writer.add_char buf '\000'
+  done;
+  let b = Slice.Writer.unsafe_bytes buf in
+  Bytes.blit b start b (start + width) len;
+  let rec put pos n =
+    if n < 0x80 then Bytes.unsafe_set b pos (Char.unsafe_chr n)
+    else begin
+      Bytes.unsafe_set b pos (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      put (pos + 1) (n lsr 7)
+    end
+  in
+  put start len
+
 (* The cursor is absolute over the slice's base buffer: [pos] runs from the
    slice's offset to [limit]. Reads can never escape the window — a length
    running past [limit] is malformed even when the base buffer continues. *)
@@ -131,6 +155,15 @@ let read_list r read_item = List.init (read_count r) (fun _ -> read_item r)
 let read_array r read_item = Array.init (read_count r) (fun _ -> read_item r)
 
 let read_hash_list r = read_list r read_hash
+
+let read_nested r read_item =
+  let len = read_varint r in
+  if len > r.limit - r.pos then raise (Malformed "nested: truncated");
+  let inner = { base = r.base; pos = r.pos; limit = r.pos + len } in
+  let v = read_item inner in
+  if not (at_end inner) then raise (Malformed "nested: trailing bytes");
+  r.pos <- inner.limit;
+  v
 
 let read_byte r =
   if r.pos >= r.limit then raise (Malformed "byte: truncated");

@@ -45,6 +45,11 @@ val write_array : writer -> (writer -> 'a -> unit) -> 'a array -> unit
 val write_hash_list : writer -> Hash.t list -> unit
 (** Length-prefixed hash sequence — the wire shape of every Merkle proof. *)
 
+val write_nested : writer -> (writer -> 'a -> unit) -> 'a -> unit
+(** [write_nested w write item] appends what [write] appends for [item],
+    length-prefixed: the bytes of [write_string w] of that encoding, built
+    in place with no intermediate string. *)
+
 type reader
 
 exception Malformed of string
@@ -86,6 +91,11 @@ val read_array : reader -> (reader -> 'a) -> 'a array
 (** {!read_list} into an array, with the same bound on the claimed count. *)
 
 val read_hash_list : reader -> Hash.t list
+
+val read_nested : reader -> (reader -> 'a) -> 'a
+(** Reads what {!write_nested} wrote: [read] runs over exactly the
+    length-prefixed window and must consume all of it ({!Malformed}
+    otherwise). Nothing is copied first; what [read] returns is its own. *)
 
 val decode : string -> (reader -> 'a) -> string -> 'a
 (** [decode name read data] runs [read] over all of [data], requiring full

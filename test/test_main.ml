@@ -16,5 +16,6 @@ let () =
       ("control", Test_control.suite);
       ("check", Test_check.suite);
       ("server", Test_server.suite);
+      ("transport", Test_transport.suite);
       ("retention", Test_retention.suite);
     ]

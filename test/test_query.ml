@@ -30,6 +30,35 @@ let test_json_errors () =
        | _ -> Alcotest.failf "expected parse error for %S" src)
     [ ""; "{"; "[1,"; "\"unterminated"; "truex"; "{\"a\"}"; "[1] trailing" ]
 
+let test_json_indented () =
+  let v = Json.of_string "{\"a\":[1,[],{}],\"b\":{\"c\":\"x\",\"d\":2.5},\"e\":null}" in
+  Alcotest.(check string) "two-space layout"
+    "{\n  \"a\": [\n    1,\n    [],\n    {}\n  ],\n  \"b\": {\n    \"c\": \"x\",\n    \"d\": 2.5\n  },\n  \"e\": null\n}"
+    (Json.to_string_indented v);
+  Alcotest.(check bool) "parses back" true (Json.of_string (Json.to_string_indented v) = v)
+
+(* The bench writes the results file as [to_string_indented] plus a
+   newline, so reading and re-writing the committed file with no new
+   results changes no byte: a bench run's diff is only what it measured. *)
+let test_results_file_rewrites_identically () =
+  (* [dune runtest] runs in the test directory, [dune exec] at the root *)
+  let path = if Sys.file_exists "../BENCH_results.json" then "../BENCH_results.json" else "BENCH_results.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let again = Json.to_string_indented (Json.of_string text) ^ "\n" in
+  if again <> text then begin
+    let a = String.split_on_char '\n' text and b = String.split_on_char '\n' again in
+    let rec first i = function
+      | x :: xs, y :: ys -> if x = y then first (i + 1) (xs, ys) else Some (i, x, y)
+      | x :: _, [] -> Some (i, x, "")
+      | [], y :: _ -> Some (i, "", y)
+      | [], [] -> None
+    in
+    match first 1 (a, b) with
+    | Some (line, was, now) ->
+      Alcotest.failf "BENCH_results.json line %d: %S re-written as %S" line was now
+    | None -> Alcotest.fail "BENCH_results.json re-written differently"
+  end
+
 let test_json_accessors () =
   let v = Json.of_string "{\"n\":4,\"s\":\"x\",\"b\":true,\"l\":[1]}" in
   Alcotest.(check (option (float 0.001))) "num" (Some 4.0)
@@ -255,6 +284,9 @@ let suite =
     Alcotest.test_case "json whitespace+escapes" `Quick test_json_whitespace_and_escapes;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "json indented layout" `Quick test_json_indented;
+    Alcotest.test_case "results file re-writes byte-identically" `Quick
+      test_results_file_rewrites_identically;
     Alcotest.test_case "schema insert/get" `Quick test_schema_insert_get;
     Alcotest.test_case "schema type checking" `Quick test_schema_type_checking;
     Alcotest.test_case "schema update/delete/history" `Quick test_schema_update_delete_history;
