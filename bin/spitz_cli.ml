@@ -1,30 +1,73 @@
-(* Command-line interface to a Spitz database file.
+(* Command-line interface to a Spitz database directory.
 
-     spitz init db.spitz
-     spitz put db.spitz alice engineer
-     spitz get db.spitz alice [--verify]
-     spitz range db.spitz a z [--verify]
-     spitz history db.spitz alice
-     spitz sql db.spitz "CREATE TABLE ..." "INSERT ..." "SELECT ..."
-     spitz digest db.spitz
-     spitz audit db.spitz
-     spitz compact db.spitz
-     spitz stats db.spitz
+     spitz init db
+     spitz put db alice engineer
+     spitz get db alice [--verify]
+     spitz range db a z [--verify]
+     spitz history db alice
+     spitz sql db "CREATE TABLE ..." "INSERT ..." "SELECT ..."
+     spitz digest db
+     spitz audit db
+     spitz compact db
+     spitz stats db
+     spitz serve db --port 7473
 
-   The file holds the content-addressed object store plus the journal's
-   block addresses; every load re-validates the hash chain. *)
+   The directory is the one [spitz serve] runs on: a snapshot, a
+   write-ahead log and a lock file. Every open re-validates the hash
+   chain. *)
 
 open Cmdliner
 
-let load_db path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "error: %s does not exist (run 'spitz init %s' first)\n" path path;
+(* Fold the log into the snapshot, if it holds any block the snapshot
+   lacks. A failed checkpoint loses nothing (the log still holds every
+   block), but the caller's exit status says so. *)
+let checkpoint_log d =
+  Spitz.Db.uncheckpointed_blocks d = 0
+  ||
+  match Spitz.Db.checkpoint d with
+  | () -> true
+  | exception e ->
+    Printf.eprintf "error: checkpoint failed: %s\n%!" (Printexc.to_string e);
+    false
+
+(* A command's failure, with its exit status: [with_dir] still folds the
+   log and closes the directory before it exits with it. *)
+exception Failed of int
+
+(* Every command on a directory, [serve] included: open it (taking its
+   lock), run [f], fold what the log holds, close, and exit: 0, the status
+   [f] failed with, or 1 if the checkpoint failed. *)
+let with_dir ?sync dir f =
+  if Sys.file_exists dir && not (Sys.is_directory dir) then begin
+    Printf.eprintf
+      "error: %s is a single-file database; databases are directories now.\n\
+       Move it into one, then open the directory:\n  mkdir %s.d && mv %s %s.d/snapshot\n"
+      dir dir dir dir;
     exit 1
   end;
-  Spitz.Db.load path
+  match Spitz.Db.open_durable ?sync dir with
+  | exception Spitz.Db.Locked pid ->
+    Printf.eprintf "error: %s is open in process %s\n" dir
+      (Option.fold ~none:"(pid unknown)" ~some:string_of_int pid);
+    exit 1
+  | d ->
+    let status = match f d with () -> 0 | exception Failed n -> n in
+    let checkpointed = checkpoint_log d in
+    Spitz.Db.close_durable d;
+    exit (if checkpointed then status else 1)
+
+(* [dir], if [spitz init] made it. *)
+let existing dir =
+  if not (Sys.file_exists dir) then begin
+    Printf.eprintf "error: %s does not exist (run 'spitz init %s' first)\n" dir dir;
+    exit 1
+  end;
+  dir
+
+let with_db dir f = with_dir (existing dir) (fun d -> f (Spitz.Db.durable_db d))
 
 let file_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"DB" ~doc:"Database file.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Database directory.")
 
 let verify_flag =
   Arg.(value & flag & info [ "verify" ] ~doc:"Fetch and check an integrity proof.")
@@ -37,11 +80,9 @@ let init_cmd =
       Printf.eprintf "error: %s already exists\n" path;
       exit 1
     end;
-    let db = Spitz.Db.open_db () in
-    Spitz.Db.save db path;
-    Printf.printf "created empty database %s\n" path
+    with_dir path (fun _ -> Printf.printf "created empty database %s\n" path)
   in
-  Cmd.v (Cmd.info "init" ~doc:"Create an empty database file.")
+  Cmd.v (Cmd.info "init" ~doc:"Create an empty database directory.")
     Term.(const run $ file_arg)
 
 (* --- put --- *)
@@ -50,10 +91,7 @@ let put_cmd =
   let key = Arg.(required & pos 1 (some string) None & info [] ~docv:"KEY" ~doc:"Key.") in
   let value = Arg.(required & pos 2 (some string) None & info [] ~docv:"VALUE" ~doc:"Value.") in
   let run path key value =
-    let db = load_db path in
-    let height = Spitz.Db.put db key value in
-    Spitz.Db.save db path;
-    Printf.printf "committed block %d\n" height
+    with_db path @@ fun db -> Printf.printf "committed block %d\n" (Spitz.Db.put db key value)
   in
   Cmd.v (Cmd.info "put" ~doc:"Write a key (appends a new version).")
     Term.(const run $ file_arg $ key $ value)
@@ -63,7 +101,7 @@ let put_cmd =
 let get_cmd =
   let key = Arg.(required & pos 1 (some string) None & info [] ~docv:"KEY" ~doc:"Key.") in
   let run path key verify =
-    let db = load_db path in
+    with_db path @@ fun db ->
     if verify then begin
       let digest = Spitz.Db.digest db in
       let value, proof = Spitz.Db.get_verified db key in
@@ -76,14 +114,14 @@ let get_cmd =
        | Some v -> Printf.printf "%s\n" v
        | None -> Printf.printf "(not found)\n");
       Printf.printf "proof: %s\n" (if ok then "VERIFIED" else "FAILED");
-      if not ok then exit 2
+      if not ok then raise (Failed 2)
     end
     else begin
       match Spitz.Db.get db key with
       | Some v -> print_endline v
       | None ->
         Printf.eprintf "(not found)\n";
-        exit 1
+        raise (Failed 1)
     end
   in
   Cmd.v (Cmd.info "get" ~doc:"Read the latest version of a key.")
@@ -95,7 +133,7 @@ let range_cmd =
   let lo = Arg.(required & pos 1 (some string) None & info [] ~docv:"LO" ~doc:"Lower bound.") in
   let hi = Arg.(required & pos 2 (some string) None & info [] ~docv:"HI" ~doc:"Upper bound.") in
   let run path lo hi verify =
-    let db = load_db path in
+    with_db path @@ fun db ->
     if verify then begin
       let digest = Spitz.Db.digest db in
       let entries, proof = Spitz.Db.range_verified db ~lo ~hi in
@@ -107,7 +145,7 @@ let range_cmd =
       List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) entries;
       Printf.printf "proof over %d rows: %s\n" (List.length entries)
         (if ok then "VERIFIED" else "FAILED");
-      if not ok then exit 2
+      if not ok then raise (Failed 2)
     end
     else List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) (Spitz.Db.range db ~lo ~hi)
   in
@@ -119,11 +157,11 @@ let range_cmd =
 let history_cmd =
   let key = Arg.(required & pos 1 (some string) None & info [] ~docv:"KEY" ~doc:"Key.") in
   let run path key =
-    let db = load_db path in
+    with_db path @@ fun db ->
     match Spitz.Db.history db key with
     | [] ->
       Printf.eprintf "(no versions)\n";
-      exit 1
+      raise (Failed 1)
     | versions ->
       List.iter (fun (height, v) -> Printf.printf "block %-6d %s\n" height v) versions
   in
@@ -137,7 +175,7 @@ let sql_cmd =
     Arg.(non_empty & pos_right 0 string [] & info [] ~docv:"SQL" ~doc:"Statements to run.")
   in
   let run path stmts =
-    let db = load_db path in
+    with_db path @@ fun db ->
     let env = Spitz.Sql.env_of_db db in
     List.iter
       (fun stmt ->
@@ -152,21 +190,23 @@ let sql_cmd =
              rows
          | exception Spitz.Sql.Sql_error msg ->
            Printf.eprintf "sql error: %s\n" msg;
-           exit 1
+           raise (Failed 1)
          | exception Spitz.Schema.Schema_error msg ->
            Printf.eprintf "schema error: %s\n" msg;
-           exit 1)
-      stmts;
-    Spitz.Db.save db path
+           raise (Failed 1))
+      stmts
   in
-  Cmd.v (Cmd.info "sql" ~doc:"Run SQL statements against the database.")
+  Cmd.v
+    (Cmd.info "sql"
+       ~doc:"Run SQL statements against the database, in order. Each statement commits \
+             on its own, so a later failure leaves earlier statements committed.")
     Term.(const run $ file_arg $ stmts)
 
 (* --- digest --- *)
 
 let digest_cmd =
   let run path =
-    let db = load_db path in
+    with_db path @@ fun db ->
     let d = Spitz.Db.digest db in
     Printf.printf "root  %s\nsize  %d blocks\n"
       (Spitz_crypto.Hash.to_hex d.Spitz_ledger.Journal.root)
@@ -180,11 +220,11 @@ let digest_cmd =
 
 let audit_cmd =
   let run path =
-    let db = load_db path in
+    with_db path @@ fun db ->
     if Spitz.Db.audit db then print_endline "journal chain: INTACT"
     else begin
       print_endline "journal chain: BROKEN";
-      exit 2
+      raise (Failed 2)
     end
   in
   Cmd.v (Cmd.info "audit" ~doc:"Re-walk every hash link of the journal.")
@@ -193,20 +233,19 @@ let audit_cmd =
 (* --- compact --- *)
 
 let compact_cmd =
-  let keep =
-    Arg.(value & opt int 16 & info [ "keep-instances" ]
-           ~doc:"Ledger index versions to retain for historical verified reads.")
-  in
-  let run path keep =
-    let db = load_db path in
-    let deleted, reclaimed = Spitz.Db.compact ~keep_instances:keep db in
-    Spitz.Db.save db path;
-    Printf.printf "compacted: %d objects removed, %d bytes reclaimed\n" deleted reclaimed
+  let run path =
+    with_dir (existing path) @@ fun d ->
+    let folded = Spitz.Db.uncheckpointed_blocks d in
+    if not (checkpoint_log d) then raise (Failed 1);
+    let snapshot = Filename.concat path "snapshot" in
+    Printf.printf "compacted: %d blocks folded, snapshot %d bytes\n" folded
+      (if Sys.file_exists snapshot then (Unix.stat snapshot).Unix.st_size else 0)
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Sweep ledger index versions older than the retention horizon.")
-    Term.(const run $ file_arg $ keep)
+       ~doc:"Fold the write-ahead log into a snapshot of the head's index instance, \
+             every block and every value.")
+    Term.(const run $ file_arg)
 
 (* --- serve --- *)
 
@@ -238,7 +277,9 @@ let serve_cmd =
          | _ -> Printf.eprintf "error: bad sync policy %S\n" s; exit 1)
       | s -> Printf.eprintf "error: bad sync policy %S\n" s; exit 1
     in
-    let durable = Spitz.Db.open_durable ~sync:sync_policy dir in
+    (* [with_dir] folds the log into a snapshot before exiting, so the next
+       start opens from it instead of re-running every logged batch *)
+    with_dir ~sync:sync_policy dir @@ fun durable ->
     let config = { Spitz_server.Server.default_config with port; accept_domains = domains } in
     let server = Spitz_server.Server.start ~config (Spitz.Db.durable_db durable) in
     (* The harness (tests, CI smoke) learns the bound port from this line. *)
@@ -261,24 +302,9 @@ let serve_cmd =
     wait ();
     Spitz_server.Server.stop server;
     let s = Spitz_server.Server.stats server in
-    (* Fold the log into a snapshot before exiting, so the next start opens
-       from it instead of re-running every logged batch. A failed checkpoint
-       loses nothing (the log still holds every block), but the exit status
-       says so. *)
-    let checkpointed =
-      Spitz.Db.uncheckpointed_blocks durable = 0
-      ||
-      match Spitz.Db.checkpoint durable with
-      | () -> true
-      | exception e ->
-        Printf.eprintf "error: shutdown checkpoint failed: %s\n%!" (Printexc.to_string e);
-        false
-    in
-    Spitz.Db.close_durable durable;
     Printf.printf "served %d requests over %d connections (%d malformed rejected)\n"
       s.Spitz_server.Server.requests s.Spitz_server.Server.accepted
-      s.Spitz_server.Server.malformed;
-    if not checkpointed then exit 1
+      s.Spitz_server.Server.malformed
   in
   Cmd.v
     (Cmd.info "serve"
@@ -333,7 +359,7 @@ let client_cmd =
 
 let stats_cmd =
   let run path =
-    let db = load_db path in
+    with_db path @@ fun db ->
     let stats = Spitz_storage.Object_store.stats (Spitz.Db.store db) in
     let d = Spitz.Db.digest db in
     Printf.printf "blocks           %d\n" d.Spitz_ledger.Journal.size;

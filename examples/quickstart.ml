@@ -59,23 +59,39 @@ let () =
   Printf.printf "append-only advancement verified: %b\n"
     (Spitz_ledger.Journal.verify_consistency ~old_digest:digest ~new_digest:digest' consistency);
 
-  (* 10. Durability: the whole database round-trips through a file; loading
-     re-validates the hash chain. *)
-  let path = Filename.temp_file "spitz_quickstart" ".db" in
-  Spitz.Db.save db path;
-  let db2 = Spitz.Db.load path in
-  Sys.remove path;
-  Printf.printf "reloaded from disk: alice -> %s, audit: %b\n"
-    (Option.get (Spitz.Db.get db2 "alice"))
-    (Spitz.Db.audit db2);
+  (* 10. Durability: a database in a directory logs every commit before
+     acknowledging it. A checkpoint folds the log into a snapshot of every
+     block and value and the newest index instance; reopening re-validates
+     the hash chain. *)
+  let dir = Filename.temp_file "spitz_quickstart" ".dir" in
+  Sys.remove dir;
+  let d = Spitz.Db.open_durable dir in
+  let ddb = Spitz.Db.durable_db d in
+  List.iter
+    (fun (k, v) -> ignore (Spitz.Db.put ddb k v))
+    [ ("alice", "engineer"); ("bob", "designer"); ("alice", "principal engineer") ];
 
-  (* 11. Compaction bounds the ever-growing store: old ledger index versions
-     are swept, the journal and all data stay. *)
+  (* 11. Retention bounds the ever-growing store: the directory keeps the
+     newest 64 index versions live and its snapshot only the newest; the
+     journal and every value stay. *)
   for i = 0 to 199 do
-    ignore (Spitz.Db.put db2 (Printf.sprintf "bulk-%03d" i) "x")
+    ignore (Spitz.Db.put ddb (Printf.sprintf "bulk-%03d" i) "x")
   done;
-  let deleted, reclaimed = Spitz.Db.compact ~keep_instances:8 db2 in
-  Printf.printf "compacted: %d objects, %d bytes reclaimed; audit still: %b\n" deleted
-    reclaimed (Spitz.Db.audit db2);
+  Spitz.Db.checkpoint d;
+  Spitz.Db.close_durable d;
+  let d = Spitz.Db.open_durable dir in
+  let db2 = Spitz.Db.durable_db d in
+  Printf.printf "reopened from disk: alice -> %s, %d blocks, horizon %d, audit: %b\n"
+    (Option.get (Spitz.Db.get db2 "alice"))
+    (Spitz.Db.digest db2).Spitz_ledger.Journal.size (Spitz.Db.horizon db2) (Spitz.Db.audit db2);
+  Spitz.Db.close_durable d;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  rm_rf dir;
 
   print_endline "done."

@@ -51,7 +51,7 @@ let may_be_node data = data <> "" && (data.[0] = 'L' || data.[0] = 'I')
 (* Decoded nodes are cached across all stores by content address: the same
    hash always denotes the same bytes, so a cached decode is valid for any
    store that holds the object. Store membership is still checked on every
-   access so that swept (compacted) nodes keep raising [Not_found] exactly
+   access so that reclaimed nodes keep raising [Not_found] exactly
    as the uncached path did. A decoded node's arrays are never mutated — a
    batch update copies a node before editing it — which makes sharing one
    decoded value across traversals (and domains) safe. A batch also takes

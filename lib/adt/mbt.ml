@@ -349,7 +349,7 @@ let at_root store root ~count =
   if depth < 1 then invalid_arg "Mbt.at_root: root is not a bucket tree";
   { store; buckets = 1 lsl depth; depth; root; count }
 
-(* Visit every node reachable from a root (compaction mark phase). *)
+(* Visit every node reachable from a root (a checkpoint's mark). *)
 let iter_nodes store root visit =
   let seen = Hash.Table.create 256 in
   let rec go h =

@@ -434,7 +434,7 @@ let extract_range ~digest ~lo ~hi proof =
 let verify_range ~digest ~lo ~hi ~entries proof =
   extract_range ~digest ~lo ~hi proof = Some entries
 
-(* Visit every node reachable from a root (compaction mark phase). *)
+(* Visit every node reachable from a root (a checkpoint's mark). *)
 let iter_nodes store root visit =
   let seen = Hash.Table.create 256 in
   let rec go h =

@@ -129,6 +129,6 @@ module type S = sig
 
   val iter_nodes : Spitz_storage.Object_store.t -> Hash.t -> (Hash.t -> unit) -> unit
   (** Visit the content address of every node reachable from a root
-      ([Hash.null] visits nothing). Used by mark-and-sweep compaction to
-      compute the live set of retained index versions. *)
+      ([Hash.null] visits nothing). Used by a checkpoint's mark to
+      compute the live set of the index instance it writes. *)
 end

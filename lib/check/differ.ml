@@ -31,10 +31,6 @@ let whole_keyspace (tr : Trace.trace) =
 
 (* --- Spitz vs model --- *)
 
-let with_temp_file f =
-  let path = Filename.temp_file "spitz_check" ".db" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 let with_temp_dir f =
   let dir = Filename.temp_file "spitz_check" ".dur" in
   Sys.remove dir;
@@ -47,15 +43,20 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ()) (fun () -> f dir)
 
+(* A database on disk, opened with no fsyncs: the checks are about what a
+   reopen rebuilds, not about what a crash keeps. *)
+let open_temp dir = Db.open_durable ~sync:Spitz_storage.Wal.Never dir
+
 let check_spitz (tr : Trace.trace) =
-  with_temp_file @@ fun tmp ->
-  let db = ref (Db.open_db ()) in
+  with_temp_dir @@ fun dir ->
+  let d = ref (open_temp dir) in
+  Fun.protect ~finally:(fun () -> Db.close_durable !d) @@ fun () ->
   let model = ref Model.empty in
   List.iter
     (fun step ->
        match step with
        | Trace.Commit ws ->
-         let height = Db.commit !db (writes_of ws) in
+         let height = Db.commit (Db.durable_db !d) (writes_of ws) in
          model := Model.commit !model ws;
          if height <> Model.height !model - 1 then
            fail "commit height %d, expected %d" height (Model.height !model - 1);
@@ -63,17 +64,18 @@ let check_spitz (tr : Trace.trace) =
          (match List.rev ws with
           | last :: _ ->
             let k = match last with Trace.W (k, _) | Trace.D k -> k in
-            let got = Db.get !db (Trace.key k) in
+            let got = Db.get (Db.durable_db !d) (Trace.key k) in
             let expect = Model.get !model k in
             if got <> expect then
               fail "after commit %d: get %d = %s, model %s" height k (opt_str got)
                 (opt_str expect)
           | [] -> ())
        | Trace.Reopen ->
-         Db.save !db tmp;
-         db := Db.load tmp)
+         Db.checkpoint !d;
+         Db.close_durable !d;
+         d := open_temp dir)
     tr.steps;
-  let db = !db and model = !model in
+  let db = Db.durable_db !d and model = !model in
   let digest = Db.digest db in
   let committed = Model.height model > 0 in
   if digest.Spitz_ledger.Journal.size <> Model.height model then
@@ -920,12 +922,13 @@ let replay_digest (tr : Trace.trace) =
   Db.digest db
 
 let check_digest_stability (tr : Trace.trace) =
-  with_temp_file @@ fun tmp ->
+  with_temp_dir @@ fun dir ->
   let first = replay_digest tr in
   let second = replay_digest tr in
   if first <> second then fail "same trace, two different digests";
-  (* a save/load round-trip preserves the digest *)
-  let db = Db.open_db () in
+  (* a checkpoint and reopen preserve the digest *)
+  let d = open_temp dir in
+  let db = Db.durable_db d in
   let prefix_digests =
     List.filter_map
       (function
@@ -935,9 +938,12 @@ let check_digest_stability (tr : Trace.trace) =
           Some (Db.digest db))
       tr.steps
   in
-  Db.save db tmp;
-  let reloaded = Db.load tmp in
-  if Db.digest reloaded <> first then fail "digest changed across save/load";
+  Db.checkpoint d;
+  Db.close_durable d;
+  let d = open_temp dir in
+  let reopened = Db.digest (Db.durable_db d) in
+  Db.close_durable d;
+  if reopened <> first then fail "digest changed across checkpoint and reopen";
   (* every prefix digest is consistently extended by the final one *)
   List.iter
     (fun old_digest ->

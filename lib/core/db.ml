@@ -33,10 +33,9 @@ type t = {
      replay is done: [commit] submits each block's record to it *)
   horizon : int Atomic.t;
   (* the lowest height whose index instance, and every later one, is in the
-     store: set when a reopen restores a retention-marked snapshot, raised
-     by [compact] and, on a durable handle, by every commit past the
-     retention window; a verified read pinned below it has nothing to
-     read *)
+     store: set when a reopen restores a checkpoint's snapshot, raised on a
+     durable handle by every commit past the retention window; a verified
+     read pinned below it has nothing to read *)
   mutable retention : retention option;
   (* a durable handle's reclamation of superseded index nodes; [None] on an
      in-memory database, which keeps every instance *)
@@ -478,11 +477,12 @@ let audit t =
    Immutability means the store only grows (the paper's first challenge,
    section 3.1). Retention bounds it: every block body (the journal is the
    audit trail), the index instances from some height on, and every value
-   blob and chunk a block's put names are live; nothing else is
-   needed to read, verify or reopen the database. [compact] sweeps the rest
-   from memory, and a durable checkpoint writes only the live set. Verified
-   reads pinned below the retained instances become unavailable; the full
-   value history and the chain audit are untouched. *)
+   blob and chunk a block's put names are live; nothing else is needed to
+   read, verify or reopen the database. A durable handle deletes index
+   nodes once the retention window passes them, and a checkpoint writes
+   only the live set. Verified reads pinned below the retained instances
+   become unavailable; the full value history and the chain audit are
+   untouched. *)
 
 (* The live set of a pinned state: its block bodies, the index instances at
    [roots], the value of every put the bodies record, and every blob
@@ -505,27 +505,10 @@ let live_set t ~bodies ~roots =
   Object_store.mark_blobs t.store live;
   live
 
-(* Keep the newest [keep_instances] index instances, none below the
-   horizon: those are not in the store to mark. Returns (objects deleted,
-   bytes reclaimed). *)
-let compact ?(keep_instances = 16) t =
-  let journal = L.journal t.ledger in
-  let n = Journal.length journal in
-  let from = max (Atomic.get t.horizon) (n - keep_instances) in
-  let live =
-    live_set t ~bodies:(L.body_hashes t.ledger)
-      ~roots:(List.init (n - from) (fun i -> (Journal.header journal (from + i)).Block.index_root))
-  in
-  let before = (Object_store.stats t.store).Object_store.physical_bytes in
-  let deleted = Object_store.sweep t.store ~live in
-  let after = (Object_store.stats t.store).Object_store.physical_bytes in
-  Atomic.set t.horizon from;
-  (deleted, before - after)
-
 (* --- persistence: everything lives in the content-addressed store, so a
-   database file is the object stream plus the journal's block addresses.
-   Restore re-validates the hash chain and replays the journal to rebuild
-   the cell store and inverted index. --- *)
+   snapshot is the object stream plus the journal's block addresses. A
+   reopen re-validates the hash chain and walks the journal to rebuild the
+   cell store and inverted index. --- *)
 
 exception Corrupt = Object_store.Corrupt
 (* One error surface for every corruption mode of the persisted formats. *)
@@ -533,18 +516,14 @@ exception Corrupt = Object_store.Corrupt
 let magic = "SPITZDB1"
 
 (* [save_with_bodies] snapshots a *pinned* block-address list rather than
-   the live one: a background checkpoint pins the journal under the commit
-   lock, then writes the file outside it while commits proceed. Without
-   [live] the store dump may then include objects of blocks newer than the
-   pinned list — harmless, because [rebuild] walks only the listed bodies,
-   and when the log's re-run of those blocks stores the same objects again,
-   content addressing makes the puts dedup hits. With [live] (a
-   checkpoint's retention mark of the pinned state) only those objects are
+   the live one: a checkpoint pins the journal under the commit lock, then
+   writes the file outside it while commits proceed. Only the objects of
+   [live] (the checkpoint's retention mark of the pinned state) are
    written. *)
-let save_with_bodies ?live t bodies path =
+let save_with_bodies ~live t bodies path =
   (* write to a temporary sibling and rename over the target: a crash
-     mid-save leaves the previous database file untouched, and rename is
-     atomic on POSIX filesystems *)
+     mid-save leaves the previous snapshot untouched, and rename is atomic
+     on POSIX filesystems *)
   let tmp = path ^ ".tmp" in
   (try
      let oc = open_out_bin tmp in
@@ -559,7 +538,7 @@ let save_with_bodies ?live t bodies path =
           let header = Wire.contents buf in
           output_binary_int oc (String.length header);
           output_string oc header;
-          Object_store.dump ?live t.store oc;
+          Object_store.dump ~live t.store oc;
           flush oc;
           Unix.fsync (Unix.descr_of_out_channel oc))
    with e ->
@@ -567,8 +546,6 @@ let save_with_bodies ?live t bodies path =
      raise e);
   Fault.hit "save.before_rename";
   Sys.rename tmp path
-
-let save t path = save_with_bodies t (L.body_hashes t.ledger) path
 
 (* The lowest height from which every block's index instance is stored. A
    retention mark keeps whole instances, so an instance whose root is
@@ -596,16 +573,16 @@ let horizon_of store journal =
    is resolved only for a write that lands: the snapshot keeps only those
    values, so an overwritten one may be missing.
 
-   With [retain] (a durable reopen) the store starts its index class from
-   the head instance, found by walking it: the older instances a snapshot
-   may hold are not classified and never reclaimed. What else the restored
-   store holds under a head node's address — a block body, or a value that
-   could be a node's encoding — is kept out of the class; the pass notes
-   such values, and they leave the class once the head instance joins it.
+   The store starts its index class from the head instance, found by
+   walking it: the older instances a snapshot may hold are not classified
+   and never reclaimed. What else the restored store holds under a head
+   node's address — a block body, or a value that could be a node's
+   encoding — is kept out of the class; the pass notes such values, and
+   they leave the class once the head instance joins it.
 
    Returns the database, the seconds the cell pass took, and the block
    entries it walked. *)
-let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
+let rebuild ~store ~column ~with_inverted bodies =
   let cells = Cell_store.create ~size:(Object_store.object_count store / 2) ~store () in
   let inverted = new_inverted with_inverted in
   (* addresses to keep out of the index class once it is built *)
@@ -631,11 +608,11 @@ let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
   let address vhash =
     match Object_store.get store vhash with
     | Some data when Object_store.stores_raw data ->
-      if retain && Spitz_adt.Kv_node.may_be_node data then kept := vhash :: !kept;
+      if Spitz_adt.Kv_node.may_be_node data then kept := vhash :: !kept;
       Some vhash
     | _ ->
       let addr = Spitz_crypto.Hash.Table.find_opt (Lazy.force descriptors) vhash in
-      if retain then Option.iter (fun a -> kept := Object_store.blob_parts store a @ !kept) addr;
+      Option.iter (fun a -> kept := Object_store.blob_parts store a @ !kept) addr;
       addr
   in
   let restore_entry height (e : Block.entry) =
@@ -668,21 +645,19 @@ let rebuild ?(retain = false) ~store ~column ~with_inverted bodies =
   let ledger = L.restore ~on_block store bodies in
   let t = of_ledger ~store ~column ~cells ~inverted ledger in
   Atomic.set t.horizon (horizon_of store (L.journal ledger));
-  if retain then begin
-    Object_store.track_index_nodes store;
-    Option.iter
-      (fun s -> L.mark_instance ledger (L.snapshot_root s) (Object_store.adopt_node store))
-      (L.snapshot ledger);
-    List.iter (Object_store.keep store) bodies;
-    List.iter (Object_store.keep store) !kept;
-    t.retention <-
-      Some
-        { filed = Queue.create ();
-          pinned = Atomic.make max_int;
-          reclaimed = 0;
-          freed = 0;
-          collect_at = collect_threshold () }
-  end;
+  Object_store.track_index_nodes store;
+  Option.iter
+    (fun s -> L.mark_instance ledger (L.snapshot_root s) (Object_store.adopt_node store))
+    (L.snapshot ledger);
+  List.iter (Object_store.keep store) bodies;
+  List.iter (Object_store.keep store) !kept;
+  t.retention <-
+    Some
+      { filed = Queue.create ();
+        pinned = Atomic.make max_int;
+        reclaimed = 0;
+        freed = 0;
+        collect_at = collect_threshold () };
   (t, !cells_s, !entries)
 
 (* Restoration paths leak a zoo of exceptions — truncated channels, bad
@@ -700,10 +675,10 @@ let corrupt_guard name f =
 (* Snapshot header: magic, column id, inverted flag, block addresses. *)
 let read_snapshot_header ic =
   let m = really_input_string ic (String.length magic) in
-  if not (String.equal m magic) then raise (Corrupt "Db.load: not a spitz database file");
+  if not (String.equal m magic) then raise (Corrupt "not a spitz snapshot");
   let header_len = input_binary_int ic in
   if header_len < 0 || header_len > in_channel_length ic - pos_in ic then
-    raise (Corrupt "Db.load: header length out of range");
+    raise (Corrupt "snapshot header length out of range");
   let header = really_input_string ic header_len in
   let r = Wire.reader header in
   let column = Wire.read_string r in
@@ -711,21 +686,9 @@ let read_snapshot_header ic =
   let bodies = Wire.read_list r Wire.read_hash in
   (column, with_inverted, bodies)
 
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-       corrupt_guard "Db.load" (fun () ->
-           let column, with_inverted, bodies = read_snapshot_header ic in
-           let store = Object_store.create () in
-           Object_store.restore store ic;
-           let t, _, _ = rebuild ~store ~column ~with_inverted bodies in
-           t))
-
 (* --- durable database: snapshot + write-ahead log of batches ---
 
-   The snapshot is a point-in-time [save]; the write-ahead log fills the gap
+   The snapshot is the last checkpoint; the write-ahead log fills the gap
    since. Every commit appends one logical record: its batch (statements,
    puts and deletes) and the content address of the block body it produced
    ([encode_wal_record]). Recovery is re-execution: restore the snapshot,
@@ -764,6 +727,7 @@ type durable = {
   db : t;
   wal : Wal.t;
   dir : string;
+  lock : Unix.file_descr; (* holds the directory's [lockf] until closed *)
   opened : open_stats; (* what the open that made this handle took *)
   mutable closed : bool;
   (* checkpointing: [ckpt_lock] serializes checkpoint runs (manual callers
@@ -786,6 +750,28 @@ type durable = {
 let snapshot_file dir = Filename.concat dir "snapshot"
 let wal_file dir = Filename.concat dir "wal"
 let meta_file dir = Filename.concat dir "meta"
+let lock_file dir = Filename.concat dir "lock"
+
+exception Locked of int option
+
+(* One process at a time opens a directory: an exclusive [lockf] on
+   [DIR/lock], which records the holder's pid for the refusal. The kernel
+   drops the lock when the holder exits, however it ends, so a crash leaves
+   nothing to clean up. A [lockf] lock belongs to the process, so a second
+   open in the same process succeeds, as a crash test's abandon-and-reopen
+   needs. *)
+let lock_dir dir =
+  let fd = Unix.openfile (lock_file dir) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+  match Unix.lockf fd Unix.F_TLOCK 0 with
+  | () ->
+    let pid = string_of_int (Unix.getpid ()) in
+    Unix.ftruncate fd 0;
+    ignore (Unix.write_substring fd pid 0 (String.length pid));
+    fd
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+    let pid = In_channel.with_open_bin (lock_file dir) In_channel.input_all in
+    Unix.close fd;
+    raise (Locked (int_of_string_opt pid))
 
 (* The database identity (column id, inverted flag) is written once at
    creation, so a reopen before the first checkpoint — when no snapshot
@@ -852,10 +838,8 @@ let replay_records db records =
        end)
     records
 
-let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  if not (Sys.is_directory dir) then
-    invalid_arg ("Db.open_durable: not a directory: " ^ dir);
+(* [open_durable] once it holds the directory's lock. *)
+let open_locked ~sync ~repair ~with_inverted ~lock dir =
   let snap = snapshot_file dir in
   (* a checkpoint that died before its rename leaves a stray temp file;
      removed in *both* repair modes — the temps are checkpoint debris, not
@@ -910,7 +894,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
      [Journal.append] inside re-validates every chain link *)
   let db, cell_rebuild_s, entries =
     corrupt_guard "Db.open_durable" (fun () ->
-        rebuild ~retain:true ~store ~column ~with_inverted bodies)
+        rebuild ~store ~column ~with_inverted bodies)
   in
   let ledger_restore_s = lap () -. cell_rebuild_s in
   (* 4. re-run the log's batches past the snapshot, reclaiming as a live
@@ -927,6 +911,7 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
     db;
     wal;
     dir;
+    lock;
     opened =
       { snapshot_restore_s; ledger_restore_s; cell_rebuild_s; log_rerun_s; audit_s; objects;
         blocks = List.length bodies; entries; records = List.length replayed.Wal.records };
@@ -944,6 +929,13 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) 
     ckpt_height = Atomic.make (List.length bodies);
     ckpt_lock_hold = Atomic.make 0.0;
   }
+
+let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  if not (Sys.is_directory dir) then
+    invalid_arg ("Db.open_durable: not a directory: " ^ dir);
+  let lock = lock_dir dir in
+  try open_locked ~sync ~repair ~with_inverted ~lock dir with e -> Unix.close lock; raise e
 
 (* Checkpoint = claim, mark, then persist.
 
@@ -1107,6 +1099,7 @@ let close_durable d =
        that could not flush the pending group-commit batch must not look
        clean, or acknowledged records silently evaporate. [Wal.close]
        closes the descriptor even when the drain raises, and the log is
-       already detached, so the handle is fully shut either way. *)
-    Wal.close d.wal
+       already detached, so the handle is fully shut either way. Closing
+       the lock file releases the directory. *)
+    Fun.protect ~finally:(fun () -> Unix.close d.lock) (fun () -> Wal.close d.wal)
   end

@@ -150,11 +150,10 @@ val horizon : t -> int
 (** The lowest height from which every block's index instance is retained.
     [0] on an in-memory database that has kept every instance. A reopen
     from a durable checkpoint sets it to the checkpoint's head block (or
-    lower, where older blocks share that instance); {!compact} raises it
-    to the oldest instance it keeps. On a durable handle every commit
-    raises it to keep the newest {!retained_instances} — head − 63 once
-    there are that many blocks — and no higher than a running checkpoint's
-    pinned head. *)
+    lower, where older blocks share that instance). On a durable handle
+    every commit raises it to keep the newest {!retained_instances} —
+    head − 63 once there are that many blocks — and no higher than a
+    running checkpoint's pinned head. *)
 
 val retained_instances : int
 (** The index instances a durable handle keeps: 64, the head's and the 63
@@ -211,9 +210,9 @@ module Snapshot : sig
   val valid : t -> snapshot -> bool
   (** [true] while the pinned height is at or above the database's
       {!horizon}: its index instance is retained, so every read through the
-      snapshot can be served and proven. {!compact}, and on a durable handle
-      every commit past the {!retained_instances} window, can raise the
-      horizon past a pin, after which its reads raise {!Below_horizon}. *)
+      snapshot can be served and proven. On a durable handle every commit
+      past the {!retained_instances} window can raise the horizon past a
+      pin, after which its reads raise {!Below_horizon}. *)
 
   val get : snapshot -> string -> string option
 
@@ -272,14 +271,6 @@ val audit : t -> bool
 (** Re-walk every hash link of the journal, and re-verify every block's
     entries against its header through one Merkle multiproof per block. *)
 
-val compact : ?keep_instances:int -> t -> int * int
-(** Bound the ever-growing store: keep the journal, the newest
-    [keep_instances] ledger index versions (default 16), and every
-    referenced cell value; sweep the rest. Historical {e verified} reads
-    pinned below the kept versions raise {!Below_horizon}; the value
-    history and chain audit are untouched. Not synchronized with commits.
-    Returns (objects deleted, bytes reclaimed). *)
-
 (** {1 Persistence} *)
 
 exception Corrupt of string
@@ -287,23 +278,12 @@ exception Corrupt of string
     truncation, bit rot, broken chain links, malformed framing. (An alias of
     {!Spitz_storage.Object_store.Corrupt}.) *)
 
-val save : t -> string -> unit
-(** Write the database to a file: the content-addressed object stream plus
-    the journal's block addresses. The write goes to [path ^ ".tmp"] and is
-    renamed over [path] after an fsync, so a crash mid-save cannot damage an
-    existing database file. *)
-
-val load : string -> t
-(** Reopen a saved database. Re-validates the hash chain and replays the
-    journal through the same cell and index effects as {!commit} to rebuild
-    the cell store and inverted index. Raises {!Corrupt} on a damaged or
-    foreign file, including one that lacks the value of a cell version a
-    block records. *)
-
 (** {1 Durability: snapshot + write-ahead log}
 
-    A durable database lives in a directory holding a [snapshot] (the last
-    checkpoint, {!save} format) and a [wal] (a directory of numbered
+    A database on disk lives in a directory holding a [snapshot] (the last
+    checkpoint: the content-addressed object stream plus the journal's
+    block addresses), a [meta] file (the identity recorded at creation), a
+    [lock] file (see {!Locked}) and a [wal] (a directory of numbered
     append-only {!Spitz_storage.Wal} segments logging the commits since).
     Every commit — through {e any} write path of the returned database —
     appends one log record holding its batch (height, statements, puts and
@@ -351,12 +331,20 @@ val load : string -> t
 
 type durable
 
+exception Locked of int option
+(** Raised by {!open_durable} when another process holds the directory
+    open: the holder's pid, as its lock file records it ([None] if it
+    could not be read). *)
+
 val open_durable :
   ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> ?with_inverted:bool -> string ->
   durable
 (** Open (creating if needed) the durable database in directory [dir]; a
     new directory's meta file is fsynced and renamed into place, and the
-    rename made durable by a directory fsync.
+    rename made durable by a directory fsync. The handle holds an exclusive
+    [lockf] lock on [dir/lock] until {!close_durable} or the process exits:
+    an open from another process raises {!Locked}; one from the same
+    process is not refused.
     [with_inverted] only applies to a freshly created database; an existing
     database's recorded identity (column id and inverted flag, in the meta
     file / snapshot header) wins. Default sync policy: [Always].
@@ -379,7 +367,7 @@ val checkpoint : durable -> unit
     block addresses and the head index root, and rotate the log to a fresh
     segment. Outside it: mark the live set of the pinned state (the bodies,
     the head instance, the value of every put the bodies record and every
-    blob descriptor with its chunks), write those objects in {!save} format
+    blob descriptor with its chunks), write those objects in snapshot format
     to a temp file, atomic rename, directory fsync, then retire the sealed
     segments. Crash-safe at every step — a failure after the rename only
     leaves redundant log records (skipped on replay); a failure during
@@ -461,5 +449,5 @@ val close_durable : durable -> unit
     database, then drain, fsync and close the log. Idempotent. I/O errors
     from the final drain/fsync propagate — a close that could not make
     acknowledged records durable does not look clean (the descriptor is
-    released and the log detached regardless). The inner {!t} remains usable in memory but no
-    longer logs. *)
+    released and the log detached regardless). Releases the directory's
+    lock. The inner {!t} remains usable in memory but no longer logs. *)

@@ -10,7 +10,7 @@
     with [cond] one of [pk = 'x'], [pk BETWEEN 'a' AND 'b'], or
     [col = literal]. Executed statements are recorded in the ledger blocks
     they commit; CREATE TABLE commits the table spec itself as catalog data,
-    so tables survive {!Db.save}/{!Db.load}. *)
+    so tables survive a checkpoint and a reopen ({!Db.open_durable}). *)
 
 exception Sql_error of string
 
@@ -36,7 +36,7 @@ val env : Db.t -> env
 
 val env_of_db : Db.t -> env
 (** Rebuild the catalog from the ledger's recorded CREATE TABLE entries
-    (reopening a saved database). *)
+    (reopening a database). *)
 
 val table : env -> string -> Schema.t
 (** Raises {!Sql_error} if the table does not exist. *)

@@ -58,7 +58,7 @@ module Make (Index : Siri.S) : sig
   val get : t -> string -> string option
   val get_at : t -> height:int -> string -> string option
   (** Read against the index instance of an older block. Raises [Not_found]
-      if that instance was compacted away. *)
+      if that instance was reclaimed. *)
 
   val range : t -> lo:string -> hi:string -> (string * string) list
 

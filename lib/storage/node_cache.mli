@@ -4,7 +4,7 @@
     serialized bytes on each visit; this cache memoizes the decode. Because
     objects are content-addressed and immutable, an address can never map to
     different bytes, so the cache needs no invalidation — the only
-    correctness caveat is deletion, which only compaction does and which
+    correctness caveat is deletion, which only retention does and which
     callers handle by consulting {!Object_store.mem} before trusting a hit.
     A writer that supersedes a node takes it out ({!take}), so a cache fed
     that way holds live nodes and what readers decode, not every version.

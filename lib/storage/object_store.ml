@@ -293,7 +293,7 @@ let get_blob_exn t h =
   | None -> raise Not_found
 
 (* Content addresses a blob descriptor references ([] for raw values and
-   unknown addresses) — compaction must keep a blob's chunks alive. *)
+   unknown addresses) — a checkpoint must keep a blob's chunks alive. *)
 let blob_parts t h =
   match get t h with
   | None -> []
@@ -321,31 +321,6 @@ let mark_blobs t live =
             List.iter (fun p -> Hash.Table.replace live p ()) ps)
          blobs)
     t.shards
-
-(* Mark-and-sweep compaction: delete every object not in [live]; the byte
-   gauge is adjusted. Returns the number of objects deleted. *)
-let sweep t ~live =
-  let deleted =
-    with_all_shards t (fun () ->
-        Array.fold_left
-          (fun acc s ->
-             let victims =
-               Hash.Table.fold
-                 (fun h _ vs -> if Hash.Table.mem live h then vs else h :: vs)
-                 s.objects []
-             in
-             List.iter
-               (fun h ->
-                  (match Hash.Table.find_opt s.objects h with
-                   | Some data -> s.sc.physical_bytes <- s.sc.physical_bytes - String.length data
-                   | None -> ());
-                  Hash.Table.remove s.objects h;
-                  Class.remove s.nodes h)
-               victims;
-             acc + List.length victims)
-          0 t.shards)
-  in
-  deleted
 
 (* --- persistence: length-prefixed object stream --- *)
 
@@ -376,29 +351,26 @@ let write_varint oc n =
   if n < 0 then invalid_arg "Object_store.write_varint: negative";
   go n
 
-let dump ?live t oc =
+let dump ~live t oc =
   (* collect a reference snapshot of each shard under its own (brief) lock,
      then write the stream with no locks held: the file write is the long
      part of a checkpoint, and holding all shards across it would stall
      every concurrent reader and committer. Objects are immutable and
      content-addressed, so a put racing the collection merely lands in or
      misses the snapshot whole — the stream and its object-count prefix
-     always agree because both come from the collected lists. With [live], only
-     the objects it names are collected.
+     always agree because both come from the collected lists. Only the
+     objects [live] names are collected.
 
      A record is [varint length | bytes | varint count]. The count is a
      field of the format, not of the store: it is written as 1 and ignored
      on read, so snapshots written when it was a reference count still
      load and the record layout stays byte-compatible. *)
-  let wanted =
-    match live with None -> fun _ -> true | Some live -> fun h -> Hash.Table.mem live h
-  in
   let collected =
     Array.map
       (fun s ->
          with_shard s (fun () ->
              Hash.Table.fold
-               (fun h data acc -> if wanted h then data :: acc else acc)
+               (fun h data acc -> if Hash.Table.mem live h then data :: acc else acc)
                s.objects []))
       t.shards
   in

@@ -6,9 +6,9 @@
     exactly the Figure-1 measurement.
 
     Objects are immutable and carry no per-object state beyond their bytes:
-    there is no reference count. Space is reclaimed only by mark-and-sweep —
-    the caller marks a live set and {!sweep}s, or {!dump}s only what is
-    live.
+    there is no reference count. Space is reclaimed in two ways: a store
+    that tracks index nodes deletes superseded ones ({!reclaim_node}), and
+    a checkpoint marks a live set and {!dump}s only what it holds.
 
     The store is domain-safe: objects are sharded by address prefix, each
     shard under its own mutex, so reader domains traversing index nodes
@@ -17,8 +17,8 @@
 open Spitz_crypto
 
 exception Corrupt of string
-(** Raised by {!restore} (and by {!Spitz.Db.load}, which re-exports it) on a
-    truncated, bit-flipped, or otherwise malformed persisted stream — the
+(** Raised by {!restore} (and by {!Spitz.Db.open_durable}, which re-exports
+    it) on a truncated, bit-flipped, or otherwise malformed persisted stream — the
     single error surface for corruption, replacing leaked [End_of_file] /
     [Invalid_argument] exceptions. *)
 
@@ -126,14 +126,9 @@ val mark_blobs : t -> unit Hash.Table.t -> unit
 (** Add to a live set every blob descriptor in the store and the chunk
     addresses it references, so every chunked value stays readable. *)
 
-val sweep : t -> live:unit Hash.Table.t -> int
-(** Mark-and-sweep compaction: delete every object whose address is not in
-    [live]; returns the number deleted. The caller is responsible for
-    supplying a complete live set. *)
-
-val dump : ?live:unit Hash.Table.t -> t -> out_channel -> unit
-(** Write every object as a length-prefixed stream; with [live], only the
-    objects whose addresses it holds. Each record is
+val dump : live:unit Hash.Table.t -> t -> out_channel -> unit
+(** Write the objects whose addresses [live] holds as a length-prefixed
+    stream. Each record is
     [varint length | bytes | varint count]; the count is always written as
     1 and {!restore} ignores it. *)
 

@@ -116,15 +116,6 @@ let read_string r =
   r.pos <- r.pos + len;
   s
 
-(* Length-prefixed payload as a sub-slice of the input — no copy; the slice
-   shares the reader's (immutable or caller-owned) base. *)
-let read_string_slice r =
-  let len = read_varint r in
-  if len < 0 || len > r.limit - r.pos then raise (Malformed "string: truncated");
-  let s = Slice.of_bytes ~pos:r.pos ~len r.base in
-  r.pos <- r.pos + len;
-  s
-
 let read_raw r len =
   if len < 0 || len > r.limit - r.pos then raise (Malformed "raw: truncated");
   let s = Slice.of_bytes ~pos:r.pos ~len r.base in

@@ -67,11 +67,6 @@ val read_string : reader -> string
 val read_hash : reader -> Hash.t
 val read_byte : reader -> char
 
-val read_string_slice : reader -> Slice.t
-(** A length-prefixed payload as a sub-slice of the input — no copy. The
-    slice shares the reader's base buffer; retain it only as long as that
-    buffer is immutable from the reader's point of view. *)
-
 val read_raw : reader -> int -> Slice.t
 (** The next [len] bytes as a sub-slice, advancing the cursor. *)
 

@@ -30,12 +30,35 @@ let test_federated () =
   Alcotest.(check bool) "rejected" false r2.Federated.all_verified;
   Alcotest.(check (option int)) "no aggregate" None r2.Federated.aggregate
 
-(* --- persistence --- *)
+(* --- persistence: a checkpoint, a close and a reopen --- *)
 
-let temp_file () = Filename.temp_file "spitz_test" ".db"
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f] on a fresh database directory and its open handle. *)
+let with_durable f =
+  let dir = Filename.temp_file "spitz_test" ".dir" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+       let d = ref (Db.open_durable ~sync:Spitz_storage.Wal.Never dir) in
+       Fun.protect ~finally:(fun () -> Db.close_durable !d) (fun () -> f dir d))
+
+(* Checkpoint the handle, close it and open its directory again. *)
+let reopen dir d =
+  Db.checkpoint !d;
+  Db.close_durable !d;
+  d := Db.open_durable ~sync:Spitz_storage.Wal.Never dir;
+  Db.durable_db !d
 
 let test_save_load_roundtrip () =
-  let db = Db.open_db () in
+  with_durable @@ fun dir d ->
+  let db = Db.durable_db !d in
   for i = 0 to 99 do
     ignore (Db.put db (Printf.sprintf "k%03d" i) (Printf.sprintf "v%d" i))
   done;
@@ -44,10 +67,7 @@ let test_save_load_roundtrip () =
   ignore (Db.put db "a\x1fb" "x");
   Alcotest.(check (option string)) "separator key, live" (Some "x") (Db.get db "a\x1fb");
   let digest = Db.digest db in
-  let path = temp_file () in
-  Db.save db path;
-  let db' = Db.load path in
-  Sys.remove path;
+  let db' = reopen dir d in
   (* identical digest: the restored ledger is the same ledger *)
   Alcotest.(check bool) "digest preserved" true
     (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
@@ -69,14 +89,11 @@ let test_save_load_roundtrip () =
   Alcotest.(check (option string)) "write after load" (Some "new-value") (Db.get db' "new-key")
 
 let test_save_load_with_schema () =
-  let db = Db.open_db () in
-  let env = Sql.env db in
+  with_durable @@ fun dir d ->
+  let env = Sql.env (Db.durable_db !d) in
   ignore (Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
   ignore (Sql.exec env "INSERT INTO t (id, v) VALUES ('a', 42)");
-  let path = temp_file () in
-  Db.save db path;
-  let db' = Db.load path in
-  Sys.remove path;
+  let db' = reopen dir d in
   (* the catalog is ledger data: tables come back *)
   let env' = Sql.env_of_db db' in
   match Sql.exec env' "SELECT v FROM t WHERE pk = 'a'" with
@@ -86,14 +103,17 @@ let test_save_load_with_schema () =
   | _ -> Alcotest.fail "table did not survive reload"
 
 let test_load_rejects_garbage () =
-  let path = temp_file () in
-  let oc = open_out_bin path in
-  output_string oc "NOT A DATABASE";
-  close_out oc;
-  (match Db.load path with
-   | exception _ -> ()
-   | _ -> Alcotest.fail "garbage accepted");
-  Sys.remove path
+  let dir = Filename.temp_file "spitz_test" ".dir" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Out_channel.with_open_bin (Filename.concat dir "snapshot") (fun oc ->
+      output_string oc "NOT A DATABASE");
+  match Db.open_durable dir with
+  | exception Db.Corrupt _ -> ()
+  | d ->
+    Db.close_durable d;
+    Alcotest.fail "garbage accepted"
 
 let suite =
   [
@@ -103,16 +123,22 @@ let suite =
     Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
   ]
 
-(* --- compaction --- *)
+(* --- compaction: the retention window, and a checkpoint that writes only
+   the head's index instance --- *)
 
 let test_compact_reclaims_and_preserves () =
-  let db = Db.open_db () in
+  with_durable @@ fun dir d ->
+  let db = Db.durable_db !d in
   for i = 0 to 499 do
     ignore (Db.put db (Printf.sprintf "k%03d" (i mod 100)) (Printf.sprintf "v%d" i))
   done;
   let digest = Db.digest db in
-  let deleted, reclaimed = Db.compact ~keep_instances:8 db in
-  Alcotest.(check bool) "something reclaimed" true (deleted > 0 && reclaimed > 0);
+  let objects = Spitz_storage.Object_store.object_count (Db.store db) in
+  Alcotest.(check bool) "the window reclaimed nodes" true
+    ((Db.retention_stats db).Db.reclaimed_nodes > 0);
+  let db = reopen dir d in
+  Alcotest.(check bool) "the reopen holds only the head's instance" true
+    (Spitz_storage.Object_store.object_count (Db.store db) < objects);
   (* current state, proofs, history, and audit all survive *)
   Alcotest.(check (option string)) "current value" (Some "v499") (Db.get db "k099");
   Alcotest.(check int) "full history" 5 (List.length (Db.history db "k042"));
@@ -125,24 +151,26 @@ let test_compact_reclaims_and_preserves () =
   Alcotest.(check (option string)) "write after compact" (Some "x") (Db.get db "post-compact")
 
 let test_compact_then_save_load () =
-  let db = Db.open_db () in
+  with_durable @@ fun dir d ->
+  let db = Db.durable_db !d in
   for i = 0 to 199 do
     ignore (Db.put db (Printf.sprintf "k%03d" i) (Printf.sprintf "v%d" i))
   done;
-  ignore (Db.compact ~keep_instances:4 db);
-  let path = temp_file () in
-  Db.save db path;
-  let db' = Db.load path in
-  Sys.remove path;
+  let compacted = reopen dir d in
+  ignore (Db.put compacted "k200" "v200");
+  let digest = Db.digest compacted in
+  let db' = reopen dir d in
   Alcotest.(check (option string)) "value survives" (Some "v7") (Db.get db' "k007");
+  Alcotest.(check (option string)) "and the later write" (Some "v200") (Db.get db' "k200");
   Alcotest.(check bool) "audit" true (Db.audit db');
   Alcotest.(check bool) "digest stable" true
-    (Spitz_crypto.Hash.equal (Db.digest db).Spitz_ledger.Journal.root
+    (Spitz_crypto.Hash.equal digest.Spitz_ledger.Journal.root
        (Db.digest db').Spitz_ledger.Journal.root)
 
 (* values larger than the chunking threshold go through blob descriptors *)
 let test_large_values () =
-  let db = Db.open_db () in
+  with_durable @@ fun dir d ->
+  let db = Db.durable_db !d in
   let big = String.init 100_000 (fun i -> Char.chr (i * 31 mod 256)) in
   ignore (Db.put db "big" big);
   Alcotest.(check bool) "large value roundtrip" true (Db.get db "big" = Some big);
@@ -150,13 +178,8 @@ let test_large_values () =
   let value, proof = Db.get_verified db "big" in
   Alcotest.(check bool) "large value proof" true
     (Db.verify_read ~digest ~key:"big" ~value (Option.get proof));
-  (* survives compaction and persistence *)
-  ignore (Db.compact db);
-  Alcotest.(check bool) "after compact" true (Db.get db "big" = Some big);
-  let path = temp_file () in
-  Db.save db path;
-  let db' = Db.load path in
-  Sys.remove path;
+  (* survives a checkpoint and a reopen *)
+  let db' = reopen dir d in
   Alcotest.(check bool) "after reload" true (Db.get db' "big" = Some big)
 
 let suite =

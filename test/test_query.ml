@@ -164,11 +164,6 @@ let test_schema_find_by_value () =
   let db = Db.open_db ~with_inverted:true () in
   fill db;
   Alcotest.(check (list (list string))) "live" expected (answers db);
-  let path = Filename.temp_file "spitz_query" ".db" in
-  Db.save db path;
-  let loaded = Db.load path in
-  Sys.remove path;
-  Alcotest.(check (list (list string))) "after load" expected (answers loaded);
   let dir = Filename.temp_file "spitz_query" ".dir" in
   Sys.remove dir;
   let d = Db.open_durable ~with_inverted:true dir in
@@ -176,6 +171,11 @@ let test_schema_find_by_value () =
   Db.close_durable d;
   let d = Db.open_durable dir in
   Alcotest.(check (list (list string))) "after durable reopen" expected
+    (answers (Db.durable_db d));
+  Db.checkpoint d;
+  Db.close_durable d;
+  let d = Db.open_durable dir in
+  Alcotest.(check (list (list string))) "after a checkpoint's reopen" expected
     (answers (Db.durable_db d));
   Db.close_durable d;
   let rec rm_rf path =

@@ -295,9 +295,7 @@ let test_mark_leaves_node_cache_alone () =
           let length () = Node_cache.length Kv_node.cache in
           let before = length () in
           Db.checkpoint d;
-          Alcotest.(check int) "checkpoint" before (length ());
-          ignore (Db.compact db);
-          Alcotest.(check int) "compact" before (length ())))
+          Alcotest.(check int) "checkpoint" before (length ())))
 
 let suite =
   [

@@ -657,6 +657,136 @@ let test_kill_lost_tail_repaired_by_retry () =
   Session.close stale
 
 
+(* --- the file commands: one durable directory, one process at a time --- *)
+
+(* Run the CLI to completion: its exit status and what it printed, standard
+   output and error together. *)
+let run_cli args =
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process cli_exe (Array.of_list (cli_exe :: args)) Unix.stdin out_w out_w in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "spitz %s died on a signal" (String.concat " " args)
+
+let mentions = Test_durability.mentions
+
+(* The block count [spitz stats] prints. *)
+let stats_blocks dir =
+  match run_cli [ "stats"; dir ] with
+  | 0, out ->
+    List.find_map (fun l -> Scanf.sscanf_opt l "blocks %d" Fun.id) (String.split_on_char '\n' out)
+    |> Option.get
+  | _, out -> Alcotest.fail ("spitz stats failed: " ^ out)
+
+(* A running [spitz serve] holds its directory: another process's open is
+   refused and names the server's pid, in process as [Db.Locked] and from
+   the CLI as an error. The lock goes when the server is killed, and a
+   clean close releases it too. *)
+let test_directory_lock () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let pid, _ = start_cli_server ~sync:"group" dir in
+  let served = ref true in
+  Fun.protect ~finally:(fun () -> if !served then kill_cli_server pid) (fun () ->
+      (match Db.open_durable dir with
+       | exception Db.Locked holder ->
+         Alcotest.(check (option int)) "Locked names the server" (Some pid) holder
+       | d ->
+         Db.close_durable d;
+         Alcotest.fail "a served directory opened in a second process");
+      let status, out = run_cli [ "put"; dir; "k"; "v" ] in
+      Alcotest.(check bool) "spitz put refused" true (status <> 0);
+      Alcotest.(check bool) (out ^ " names the server") true (mentions out (string_of_int pid));
+      kill_cli_server pid;
+      served := false);
+  let d = Db.open_durable dir in
+  Db.close_durable d;
+  Alcotest.(check (pair int string)) "opens after the kill and a clean close"
+    (0, "committed block 0\n") (run_cli [ "put"; dir; "k"; "v" ])
+
+(* Each statement of [spitz sql] commits on its own: a failing statement
+   leaves the ones before it committed, the ones after it unrun, and the
+   call exits 1. *)
+let test_cli_sql_commits_each_statement () =
+  let parent = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf parent) @@ fun () ->
+  let dir = Filename.concat parent "db" in
+  Alcotest.(check int) "init" 0 (fst (run_cli [ "init"; dir ]));
+  let status, out =
+    run_cli
+      [ "sql"; dir; "CREATE TABLE users (id TEXT PRIMARY KEY, name TEXT)";
+        "INSERT INTO users VALUES ('u1', 'ann')" ]
+  in
+  Alcotest.(check int) "a bad second statement exits 1" 1 status;
+  Alcotest.(check bool) "after the first was reported" true (mentions out "created table users");
+  Alcotest.(check (pair int string)) "the table was committed" (0, "pk\tname\n")
+    (run_cli [ "sql"; dir; "SELECT * FROM users" ]);
+  Alcotest.(check int) "one block" 1 (stats_blocks dir);
+  let status, out =
+    run_cli
+      [ "sql"; dir; "CREATE TABLE items (sku TEXT PRIMARY KEY, name TEXT)";
+        "INSERT INTO items VALUES ('s1', 'widget')";
+        "INSERT INTO items (sku, name) VALUES ('s2', 'gadget')" ]
+  in
+  Alcotest.(check int) "a bad middle statement exits 1" 1 status;
+  Alcotest.(check bool) "the third never ran" false (mentions out "s2");
+  Alcotest.(check int) "the first committed" 2 (stats_blocks dir);
+  Alcotest.(check (pair int string)) "and nothing after it" (0, "pk\tname\n")
+    (run_cli [ "sql"; dir; "SELECT * FROM items" ])
+
+(* A single-file database an earlier release wrote ([spitz init], two puts,
+   a CREATE TABLE and an INSERT) is a snapshot: the CLI refuses the file
+   and names the way out, and moved into a directory it opens with its
+   digest and takes new blocks on top of it. *)
+let single_file_fixture = Test_durability.fixture "single_file/db.spitz"
+
+let single_file_root = "29a7d5f4e90748d4f39f6ea2569456ddda5738f8eb4f303c4da8d04ce5943c9e"
+
+let test_single_file_moves_into_a_directory () =
+  let parent = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf parent) @@ fun () ->
+  let file = Filename.concat parent "db.spitz" and dir = Filename.concat parent "db.spitz.d" in
+  let bytes = In_channel.with_open_bin single_file_fixture In_channel.input_all in
+  Out_channel.with_open_bin file (fun oc -> output_string oc bytes);
+  let status, out = run_cli [ "stats"; file ] in
+  Alcotest.(check int) "a file is refused" 1 status;
+  Alcotest.(check bool) (out ^ " names the way out") true
+    (mentions out (Printf.sprintf "mkdir %s && mv %s %s/snapshot" dir file dir));
+  Alcotest.(check bool) "the file is untouched" true
+    (In_channel.with_open_bin file In_channel.input_all = bytes);
+  Unix.mkdir dir 0o755;
+  Sys.rename file (Filename.concat dir "snapshot");
+  Alcotest.(check (pair int string)) "spitz audit" (0, "journal chain: INTACT\n")
+    (run_cli [ "audit"; dir ]);
+  let d = Db.open_durable dir in
+  let db = Db.durable_db d in
+  let digest = Db.digest db in
+  Alcotest.(check int) "blocks" 4 digest.Spitz_ledger.Journal.size;
+  Alcotest.(check string) "digest" single_file_root
+    (Spitz_crypto.Hash.to_hex digest.Spitz_ledger.Journal.root);
+  Alcotest.(check bool) "audit" true (Db.audit db);
+  Alcotest.(check (option string)) "a put" (Some "200") (Db.get db "bob");
+  (match Spitz.Sql.exec (Spitz.Sql.env_of_db db) "SELECT name FROM items WHERE pk = 'sku-1'" with
+   | Spitz.Sql.Rows (_, [ row ]) ->
+     Alcotest.(check (option string)) "a row" (Some "\"widget\"")
+       (Option.map Spitz.Json.to_string (List.assoc_opt "name" row))
+   | _ -> Alcotest.fail "the table did not survive the move");
+  ignore (Db.put db "carol" "300");
+  Db.checkpoint d;
+  Db.close_durable d;
+  let d = Db.open_durable dir in
+  Fun.protect ~finally:(fun () -> Db.close_durable d) @@ fun () ->
+  let db = Db.durable_db d in
+  let now = Db.digest db in
+  Alcotest.(check int) "one block more" 5 now.Spitz_ledger.Journal.size;
+  Alcotest.(check bool) "the file's digest is a prefix" true
+    (Spitz_ledger.Journal.verify_consistency ~old_digest:digest ~new_digest:now
+       (Db.consistency db ~old_size:digest.Spitz_ledger.Journal.size))
+
 (* --- concurrent Apply: the token table does not serialize commits --- *)
 
 (* A durable server under [Always]: each commit waits for its fsync, so
@@ -774,4 +904,9 @@ let suite =
     Alcotest.test_case "SIGTERM checkpoints the log" `Quick test_sigterm_checkpoints;
     Alcotest.test_case "kill -9 + torn tail: retry repairs" `Quick
       test_kill_lost_tail_repaired_by_retry;
+    Alcotest.test_case "a served directory is locked" `Quick test_directory_lock;
+    Alcotest.test_case "spitz sql commits each statement" `Quick
+      test_cli_sql_commits_each_statement;
+    Alcotest.test_case "a single-file database moves into a directory" `Quick
+      test_single_file_moves_into_a_directory;
   ]

@@ -275,8 +275,25 @@ let test_db_snapshot_at_anchors_own_height () =
   Alcotest.(check bool) "batch proof verifies under the old pin" true
     (Db.verify_batch_read ~digest:pinned ~items:(List.combine keys vs) bp)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A durable handle keeps the newest [Db.retained_instances] (64) index
+   instances: the pin at block 63 stays valid until block 127 commits. *)
 let test_db_snapshot_validity () =
-  let db = Db.open_db () in
+  let dir = Filename.temp_file "spitz_core" ".dir" in
+  Sys.remove dir;
+  let d = Db.open_durable ~sync:Spitz_storage.Wal.Never dir in
+  Fun.protect
+    ~finally:(fun () ->
+        Db.close_durable d;
+        rm_rf dir)
+  @@ fun () ->
+  let db = Db.durable_db d in
   for i = 0 to 63 do
     ignore (Db.put db (Printf.sprintf "k%02d" i) (String.make 64 'x'))
   done;
@@ -284,15 +301,17 @@ let test_db_snapshot_validity () =
   Alcotest.(check bool) "valid at pin time" true (Db.Snapshot.valid db s);
   ignore (Db.put db "more" "y");
   Alcotest.(check bool) "additions don't invalidate" true (Db.Snapshot.valid db s);
-  (* keeping two instances keeps the pin's (height 63, horizon 63) *)
-  let deleted, _ = Db.compact ~keep_instances:2 db in
-  Alcotest.(check bool) "compaction deleted something" true (deleted > 0);
+  for i = 65 to 126 do
+    ignore (Db.put db (Printf.sprintf "k%02d" (i mod 64)) (string_of_int i))
+  done;
+  Alcotest.(check bool) "the window deleted something" true
+    ((Db.retention_stats db).Db.reclaimed_nodes > 0);
   Alcotest.(check int) "horizon" 63 (Db.horizon db);
   Alcotest.(check bool) "a pin at the horizon stays valid" true (Db.Snapshot.valid db s);
   let v, p = Db.Snapshot.get_verified s "k05" in
   Alcotest.(check bool) "and reads verify" true
     (Db.verify_read ~digest:(Db.Snapshot.digest s) ~key:"k05" ~value:v p);
-  ignore (Db.compact ~keep_instances:1 db);
+  ignore (Db.put db "one more" "z");
   Alcotest.(check bool) "a pin below the horizon is invalid" false (Db.Snapshot.valid db s)
 
 let test_db_proof_cache () =
