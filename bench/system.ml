@@ -666,8 +666,8 @@ let codec () =
   single_row "wal append" (measure (fun _ -> Wal.append wal encoded.(0)));
   Wal.close wal;
   rm_rf wal_dir;
-  (* the cell-store write path: a value hash in hex, then one cell write —
-     value hash, universal-key encode, dedup-hit value put, B+-tree insert *)
+  (* a value hash in hex, then the cell-store write path: one cell write —
+     value hash, dedup-hit value put, cell-table insert *)
   let digest = Hash.of_string "hex" in
   single_row "hex 32 B" (measure (fun _ -> ignore (Hash.to_hex digest)));
   let cells = Spitz.Cell_store.create () in

@@ -11,15 +11,6 @@ type kind =
 
 let kinds = [| Bit_flip; Byte_set; Truncate; Extend; Drop_span; Dup_span; Swap_spans |]
 
-let kind_name = function
-  | Bit_flip -> "bit_flip"
-  | Byte_set -> "byte_set"
-  | Truncate -> "truncate"
-  | Extend -> "extend"
-  | Drop_span -> "drop_span"
-  | Dup_span -> "dup_span"
-  | Swap_spans -> "swap_spans"
-
 (* Span lengths are drawn small-biased: single-byte damage exercises fine
    field boundaries, longer spans exercise structural reshaping. *)
 let span_len rng max_len = 1 + K.int rng (min max_len (1 + K.int rng 16))

@@ -12,8 +12,6 @@ type kind =
   | Dup_span       (** duplicate an interior span in place *)
   | Swap_spans     (** exchange two disjoint spans *)
 
-val kind_name : kind -> string
-
 val apply : Spitz_workload.Keygen.rng -> kind -> string -> string
 (** One mutation of the given kind. May return the input unchanged when the
     kind cannot apply (e.g. [Drop_span] of a 0-byte string). *)

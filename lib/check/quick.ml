@@ -114,10 +114,6 @@ let int_range lo hi rng =
   if hi < lo then invalid_arg "Quick.int_range";
   lo + K.int rng (hi - lo + 1)
 
-let list_of ~len gen rng =
-  let n = len rng in
-  List.init n (fun _ -> gen rng)
-
 let shrink_int n =
   if n = 0 then [] else [ 0; n / 2 ] |> List.filter (fun m -> m <> n) |> List.sort_uniq compare
 

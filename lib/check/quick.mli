@@ -65,10 +65,6 @@ val replay : 'a arb -> seed:int -> ('a -> bool) -> bool
 val int_range : int -> int -> Spitz_workload.Keygen.rng -> int
 (** Uniform in [lo, hi] inclusive. *)
 
-val list_of :
-  len:(Spitz_workload.Keygen.rng -> int) ->
-  (Spitz_workload.Keygen.rng -> 'a) -> Spitz_workload.Keygen.rng -> 'a list
-
 val shrink_int : int -> int list
 (** Toward zero, halving. *)
 

@@ -2,8 +2,8 @@ open Spitz_crypto
 open Spitz_storage
 
 (* The virtual cell store (paper section 5): data lives as immutable,
-   content-addressed cells, each version named by its universal key
-   (column, pk, ts, value hash). One hash-table entry per cell, keyed
+   content-addressed cells, each version named by (column, pk, ts, value
+   hash) — the paper's universal key. One hash-table entry per cell, keyed
    [column \000 pk], holds the cell's versions newest first — the layout of
    the immutable KVS — so a new version of a cell is one cons. Values are
    deduplicated by the object store. The table answers point reads only: an
@@ -18,7 +18,7 @@ type version = {
      the descriptor address of a chunked blob, [Hash.null] for a tombstone *)
 }
 
-(* Newest first in (ts, value hash) order, the universal keys' order. *)
+(* Newest first in (ts, value hash) order. *)
 type cell = { mutable versions : version list }
 
 module Cells = Hashtbl.Make (struct
@@ -51,8 +51,8 @@ let cell_key ~column ~pk =
   Bytes.blit_string pk 0 key (c + 1) (String.length pk);
   Bytes.unsafe_to_string key
 
-(* Insert [v] in order; a version with the same (ts, value hash) is the same
-   universal key, so it is replaced. *)
+(* Insert [v] in order; a version with the same (ts, value hash) names the
+   same version, so it is replaced. *)
 let rec insert_version v = function
   | [] -> [ v ]
   | x :: rest as versions ->
@@ -62,8 +62,8 @@ let rec insert_version v = function
 (* The key of a cell a write adds to. A read of a name with NUL in it finds
    nothing; a write of one is refused. *)
 let write_key ~column ~pk =
-  if String.contains column '\000' then invalid_arg "Universal_key: column contains NUL";
-  if String.contains pk '\000' then invalid_arg "Universal_key: pk contains NUL";
+  if String.contains column '\000' then invalid_arg "Cell_store: column contains NUL";
+  if String.contains pk '\000' then invalid_arg "Cell_store: pk contains NUL";
   cell_key ~column ~pk
 
 let add_version t ~column ~pk v =
@@ -118,10 +118,7 @@ let read_value ?(ts = max_int) t ~column ~pk =
 (* Every version of one cell, oldest first. *)
 let versions t ~column ~pk =
   List.fold_left
-    (fun acc v ->
-       match value t v.addr with
-       | Some data -> ({ Universal_key.column; pk; ts = v.ts; vhash = v.vhash }, data) :: acc
-       | None -> acc)
+    (fun acc v -> match value t v.addr with Some data -> (v.ts, data) :: acc | None -> acc)
     [] (versions_of t ~column ~pk)
 
 let cell_count t =

@@ -1,6 +1,5 @@
 (** The virtual cell store (paper section 5): immutable, content-addressed
-    cell versions, each named by its universal key (column, pk, ts, value
-    hash). One hash-table entry per cell holds the cell's versions newest
+    cell versions, each named by (column, pk, ts, value hash). One hash-table entry per cell holds the cell's versions newest
     first; the table serves point reads, and ordered column scans read the
     ledger's head index instead ({!Db.range}). Lookups and inserts hold one
     lock, so readers may run beside a committer; values are read from the
@@ -44,8 +43,9 @@ val read_value : ?ts:int -> t -> column:string -> pk:string -> string option
 (** The newest version at or below [ts] (default: latest). Absent includes
     "newest version is a tombstone". *)
 
-val versions : t -> column:string -> pk:string -> (Universal_key.t * string) list
-(** Every version of one cell, oldest first, tombstones left out. *)
+val versions : t -> column:string -> pk:string -> (int * string) list
+(** Every version of one cell as [(ts, value)], oldest first, tombstones
+    left out. *)
 
 val cell_count : t -> int
 (** Total stored cell versions, tombstones included. *)

@@ -6,7 +6,7 @@ open Spitz_ledger
    Reads and writes follow the section 5.1 pipeline. A write (1) arrives at
    the request handler, (2) enters the ledger through [commit] — the one way
    a block is made — which updates the unified index and obtains the proof,
-   (3) is applied to the cell store and inverted index by [apply_write], and
+   (3) is applied to the cell store by [apply_write], and
    (4) returns with its proof once the write-ahead log holds it. A point
    read by key, [get_at] and [history] answer from the cell store, a hash
    table of cells. A range — the SQL layer's column scans included — and
@@ -23,7 +23,6 @@ type t = {
   cells : Cell_store.t;
   ledger : L.t;
   column : string;               (* column id for the KV surface *)
-  inverted : Spitz_index.Inverted.t option;
   commit_lock : Mutex.t;
   (* serializes the ledger/cell-store mutation section of [commit]; value
      hashing before it and the WAL durability wait after it run outside the
@@ -60,15 +59,12 @@ and log = {
      [commit_lock], and [Wal.submit_slice] copies it out before returning *)
 }
 
-let new_inverted with_inverted = if with_inverted then Some (Spitz_index.Inverted.create ()) else None
-
-let of_ledger ~store ~column ~cells ~inverted ledger =
+let of_ledger ~store ~column ~cells ledger =
   {
     store;
     cells;
     ledger;
     column;
-    inverted;
     commit_lock = Mutex.create ();
     log = None;
     horizon = Atomic.make 0;
@@ -80,15 +76,13 @@ let of_ledger ~store ~column ~cells ~inverted ledger =
    there. *)
 let kv_column = "v"
 
-let open_db ?store ?(with_inverted = false) () =
+let open_db ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  of_ledger ~store ~column:kv_column ~cells:(Cell_store.create ~store ())
-    ~inverted:(new_inverted with_inverted) (L.create store)
+  of_ledger ~store ~column:kv_column ~cells:(Cell_store.create ~store ()) (L.create store)
 
 let store t = t.store
 let ledger t = t.ledger
 let cells t = t.cells
-let inverted_index t = t.inverted
 
 let cell_count t = Cell_store.cell_count t.cells
 (* total cell versions, not distinct keys *)
@@ -115,33 +109,23 @@ let cell_name t key = if String.contains key '\x1f' then key else t.column ^ "\x
    ledger itself; they have no cell. *)
 let catalog_column = "_catalog"
 
-let index_value inverted ~column ~pk ~ts ~vhash value =
-  Option.iter
-    (fun inv ->
-       Spitz_index.Inverted.add inv value
-         (Universal_key.encode (Universal_key.make ~column ~pk ~ts ~vhash)))
-    inverted
-
-(* One block write's effect on the cell store and the inverted index: a put
-   appends a cell version (and indexes its value), a delete appends a
-   tombstone. A put carries its value's hash — the block entry's
-   [value_hash] — so the value is hashed once per write, not again by the
-   cell store and the object store. *)
+(* One block write's effect on the cell store: a put appends a cell
+   version, a delete appends a tombstone. A put carries its value's hash —
+   the block entry's [value_hash] — so the value is hashed once per write,
+   not again by the cell store and the object store. *)
 let apply_write t ~height key value =
   let column, pk = cell_of_key t key in
   match value with
   | _ when String.equal column catalog_column -> ()
   | None -> Cell_store.delete_cell t.cells ~column ~pk ~ts:height
-  | Some (value, vhash) ->
-    Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value;
-    index_value t.inverted ~column ~pk ~ts:height ~vhash value
+  | Some (value, vhash) -> Cell_store.write_cell t.cells ~column ~pk ~ts:height ~vhash value
 
 (* One block is one state transition: when a batch writes the same cell more
    than once, the block's final state for that cell is the last write (the
    ledger index folds the batch in order). Only that write may land in the
-   cell store — the universal-key encoding orders same-timestamp versions by
-   value hash, not write order, so asking it to break the tie reads back an
-   arbitrary write of the batch. A reopen keeps the same rule by walking
+   cell store — it orders same-timestamp versions by value hash, not write
+   order, so asking it to break the tie reads back an arbitrary write of
+   the batch. A reopen keeps the same rule by walking
    each block last to first ([rebuild]). *)
 let last_write_per_key key_of items =
   let seen = Hashtbl.create 16 in
@@ -343,14 +327,7 @@ let get_at t ~height key =
 
 let history t key =
   let column, pk = cell_of_key t key in
-  List.map (fun (uk, v) -> (uk.Universal_key.ts, v)) (Cell_store.versions t.cells ~column ~pk)
-
-let search_value t value =
-  match t.inverted with
-  | None -> []
-  | Some inv ->
-    List.filter_map Universal_key.decode
-      (Spitz_index.Inverted.lookup inv value)
+  Cell_store.versions t.cells ~column ~pk
 
 (* --- Snapshot reads: the concurrent read path ---
 
@@ -508,7 +485,7 @@ let live_set t ~bodies ~roots =
 (* --- persistence: everything lives in the content-addressed store, so a
    snapshot is the object stream plus the journal's block addresses. A
    reopen re-validates the hash chain and walks the journal to rebuild the
-   cell store and inverted index. --- *)
+   cell store. --- *)
 
 exception Corrupt = Object_store.Corrupt
 (* One error surface for every corruption mode of the persisted formats. *)
@@ -533,7 +510,7 @@ let save_with_bodies ~live t bodies path =
           output_string oc magic;
           let buf = Wire.writer () in
           Wire.write_string buf t.column;
-          Wire.write_byte buf (if t.inverted = None then '\000' else '\001');
+          Wire.write_byte buf '\000' (* the retired inverted-index flag *);
           Wire.write_list buf Wire.write_hash bodies;
           let header = Wire.contents buf in
           output_binary_int oc (String.length header);
@@ -582,9 +559,8 @@ let horizon_of store journal =
 
    Returns the database, the seconds the cell pass took, and the block
    entries it walked. *)
-let rebuild ~store ~column ~with_inverted bodies =
+let rebuild ~store ~column bodies =
   let cells = Cell_store.create ~size:(Object_store.object_count store / 2) ~store () in
-  let inverted = new_inverted with_inverted in
   (* addresses to keep out of the index class once it is built *)
   let kept = ref [] in
   (* A value [put_blob] stored raw is the object under its content hash.
@@ -623,11 +599,7 @@ let rebuild ~store ~column ~with_inverted bodies =
           | Block.Delete -> None
           | Block.Insert | Block.Update -> (
             match address e.value_hash with
-            | Some addr ->
-              if inverted <> None then
-                index_value inverted ~column ~pk ~ts:height ~vhash:e.value_hash
-                  (Object_store.get_blob_exn store addr);
-              Some (e.value_hash, addr)
+            | Some addr -> Some (e.value_hash, addr)
             | None ->
               (* every value a block leaves is in the live set a snapshot
                  keeps, so a missing one is damage, never retention *)
@@ -643,7 +615,7 @@ let rebuild ~store ~column ~with_inverted bodies =
     cells_s := !cells_s +. (Unix.gettimeofday () -. t0)
   in
   let ledger = L.restore ~on_block store bodies in
-  let t = of_ledger ~store ~column ~cells ~inverted ledger in
+  let t = of_ledger ~store ~column ~cells ledger in
   Atomic.set t.horizon (horizon_of store (L.journal ledger));
   Object_store.track_index_nodes store;
   Option.iter
@@ -672,7 +644,9 @@ let corrupt_guard name f =
   | Wire.Malformed msg -> raise (Corrupt (name ^ ": " ^ msg))
   | Wal.Corrupt msg -> raise (Corrupt (name ^ ": " ^ msg))
 
-(* Snapshot header: magic, column id, inverted flag, block addresses. *)
+(* Snapshot header: magic, column id, flag byte, block addresses. The flag
+   byte marked a database that kept an inverted value index; the index was
+   derived from the cells, so the byte is written 0 and read past. *)
 let read_snapshot_header ic =
   let m = really_input_string ic (String.length magic) in
   if not (String.equal m magic) then raise (Corrupt "not a spitz snapshot");
@@ -682,9 +656,9 @@ let read_snapshot_header ic =
   let header = really_input_string ic header_len in
   let r = Wire.reader header in
   let column = Wire.read_string r in
-  let with_inverted = Wire.read_byte r = '\001' in
+  ignore (Wire.read_byte r);
   let bodies = Wire.read_list r Wire.read_hash in
-  (column, with_inverted, bodies)
+  (column, bodies)
 
 (* --- durable database: snapshot + write-ahead log of batches ---
 
@@ -723,11 +697,15 @@ type open_stats = {
   records : int;
 }
 
+(* The directory lock a process holds: one descriptor of [DIR/lock] and the
+   number of open handles sharing it. *)
+type dir_lock = { file : int * int; (* (st_dev, st_ino) *) fd : Unix.file_descr; mutable handles : int }
+
 type durable = {
   db : t;
   wal : Wal.t;
   dir : string;
-  lock : Unix.file_descr; (* holds the directory's [lockf] until closed *)
+  lock : dir_lock; (* one share of the directory's lock, given back on close *)
   opened : open_stats; (* what the open that made this handle took *)
   mutable closed : bool;
   (* checkpointing: [ckpt_lock] serializes checkpoint runs (manual callers
@@ -757,26 +735,59 @@ exception Locked of int option
 (* One process at a time opens a directory: an exclusive [lockf] on
    [DIR/lock], which records the holder's pid for the refusal. The kernel
    drops the lock when the holder exits, however it ends, so a crash leaves
-   nothing to clean up. A [lockf] lock belongs to the process, so a second
-   open in the same process succeeds, as a crash test's abandon-and-reopen
-   needs. *)
-let lock_dir dir =
-  let fd = Unix.openfile (lock_file dir) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
-  match Unix.lockf fd Unix.F_TLOCK 0 with
-  | () ->
-    let pid = string_of_int (Unix.getpid ()) in
-    Unix.ftruncate fd 0;
-    ignore (Unix.write_substring fd pid 0 (String.length pid));
-    fd
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
-    let pid = In_channel.with_open_bin (lock_file dir) In_channel.input_all in
-    Unix.close fd;
-    raise (Locked (int_of_string_opt pid))
+   nothing to clean up.
 
-(* The database identity (column id, inverted flag) is written once at
-   creation, so a reopen before the first checkpoint — when no snapshot
-   exists yet — still knows what it is reopening. *)
-let write_meta dir ~column ~with_inverted =
+   A [lockf] lock belongs to the process, and closing any descriptor of the
+   file drops it. So the process opens each lock file once: [dir_locks],
+   keyed by the file's (device, inode), holds its descriptor, and a second
+   open of the directory in the same process — a crash test's
+   abandon-and-reopen — takes one more share of it without opening the
+   file again. Only the last share given back closes the descriptor. *)
+let dir_locks : (int * int, dir_lock) Hashtbl.t = Hashtbl.create 4
+let dir_locks_mutex = Mutex.create ()
+
+let file_id (st : Unix.stats) = (st.Unix.st_dev, st.Unix.st_ino)
+
+let lock_dir dir =
+  let path = lock_file dir in
+  Mutex.protect dir_locks_mutex (fun () ->
+      let held =
+        match Unix.stat path with
+        | st -> Hashtbl.find_opt dir_locks (file_id st)
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+      in
+      match held with
+      | Some l ->
+        l.handles <- l.handles + 1;
+        l
+      | None -> (
+        let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 in
+        match Unix.lockf fd Unix.F_TLOCK 0 with
+        | () ->
+          let pid = string_of_int (Unix.getpid ()) in
+          Unix.ftruncate fd 0;
+          ignore (Unix.write_substring fd pid 0 (String.length pid));
+          let l = { file = file_id (Unix.fstat fd); fd; handles = 1 } in
+          Hashtbl.replace dir_locks l.file l;
+          l
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
+          let pid = In_channel.with_open_bin path In_channel.input_all in
+          Unix.close fd;
+          raise (Locked (int_of_string_opt pid))))
+
+let unlock_dir l =
+  Mutex.protect dir_locks_mutex (fun () ->
+      l.handles <- l.handles - 1;
+      if l.handles = 0 then begin
+        Hashtbl.remove dir_locks l.file;
+        Unix.close l.fd
+      end)
+
+(* The database identity (its column id) is written once at creation, so a
+   reopen before the first checkpoint — when no snapshot exists yet — still
+   knows what it is reopening. The flag byte after it is the snapshot
+   header's: written 0, read past. *)
+let write_meta dir ~column =
   let tmp = meta_file dir ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
@@ -785,7 +796,7 @@ let write_meta dir ~column ~with_inverted =
        output_string oc magic;
        let buf = Wire.writer () in
        Wire.write_string buf column;
-       Wire.write_byte buf (if with_inverted then '\001' else '\000');
+       Wire.write_byte buf '\000';
        output_string oc (Wire.contents buf);
        flush oc;
        Unix.fsync (Unix.descr_of_out_channel oc));
@@ -805,8 +816,8 @@ let read_meta dir =
            let rest = really_input_string ic (in_channel_length ic - pos_in ic) in
            let r = Wire.reader rest in
            let column = Wire.read_string r in
-           let with_inverted = Wire.read_byte r = '\001' in
-           (column, with_inverted)))
+           ignore (Wire.read_byte r);
+           column))
 
 let durable_db d = d.db
 let wal_size d = Wal.size d.wal
@@ -839,7 +850,7 @@ let replay_records db records =
     records
 
 (* [open_durable] once it holds the directory's lock. *)
-let open_locked ~sync ~repair ~with_inverted ~lock dir =
+let open_locked ~sync ~repair ~lock dir =
   let snap = snapshot_file dir in
   (* a checkpoint that died before its rename leaves a stray temp file;
      removed in *both* repair modes — the temps are checkpoint debris, not
@@ -848,10 +859,8 @@ let open_locked ~sync ~repair ~with_inverted ~lock dir =
   (try Sys.remove (snap ^ ".tmp") with Sys_error _ -> ());
   (try Sys.remove (meta_file dir ^ ".tmp") with Sys_error _ -> ());
   (* the identity recorded at creation wins over the caller's defaults *)
-  let column, with_inverted =
-    if Sys.file_exists (meta_file dir) then read_meta dir else (kv_column, with_inverted)
-  in
-  if not (Sys.file_exists (meta_file dir)) then write_meta dir ~column ~with_inverted;
+  let column = if Sys.file_exists (meta_file dir) then read_meta dir else kv_column in
+  if not (Sys.file_exists (meta_file dir)) then write_meta dir ~column;
   let clock = ref (Unix.gettimeofday ()) in
   let lap () =
     let now = Unix.gettimeofday () in
@@ -860,19 +869,19 @@ let open_locked ~sync ~repair ~with_inverted ~lock dir =
     s
   in
   (* 1. the last checkpoint, if any *)
-  let store, column, with_inverted, bodies =
+  let store, column, bodies =
     if Sys.file_exists snap then begin
       let ic = open_in_bin snap in
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
            corrupt_guard "Db.open_durable(snapshot)" (fun () ->
-               let column, with_inverted, bodies = read_snapshot_header ic in
+               let column, bodies = read_snapshot_header ic in
                let store = Object_store.create () in
                Object_store.restore store ic;
-               (store, column, with_inverted, bodies)))
+               (store, column, bodies)))
     end
-    else (Object_store.create (), column, with_inverted, [])
+    else (Object_store.create (), column, [])
   in
   let objects = Object_store.object_count store in
   let snapshot_restore_s = lap () in
@@ -894,7 +903,7 @@ let open_locked ~sync ~repair ~with_inverted ~lock dir =
      [Journal.append] inside re-validates every chain link *)
   let db, cell_rebuild_s, entries =
     corrupt_guard "Db.open_durable" (fun () ->
-        rebuild ~store ~column ~with_inverted bodies)
+        rebuild ~store ~column bodies)
   in
   let ledger_restore_s = lap () -. cell_rebuild_s in
   (* 4. re-run the log's batches past the snapshot, reclaiming as a live
@@ -930,12 +939,12 @@ let open_locked ~sync ~repair ~with_inverted ~lock dir =
     ckpt_lock_hold = Atomic.make 0.0;
   }
 
-let open_durable ?(sync = Wal.Always) ?(repair = true) ?(with_inverted = false) dir =
+let open_durable ?(sync = Wal.Always) ?(repair = true) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     invalid_arg ("Db.open_durable: not a directory: " ^ dir);
   let lock = lock_dir dir in
-  try open_locked ~sync ~repair ~with_inverted ~lock dir with e -> Unix.close lock; raise e
+  try open_locked ~sync ~repair ~lock dir with e -> unlock_dir lock; raise e
 
 (* Checkpoint = claim, mark, then persist.
 
@@ -1099,7 +1108,7 @@ let close_durable d =
        that could not flush the pending group-commit batch must not look
        clean, or acknowledged records silently evaporate. [Wal.close]
        closes the descriptor even when the drain raises, and the log is
-       already detached, so the handle is fully shut either way. Closing
-       the lock file releases the directory. *)
-    Fun.protect ~finally:(fun () -> Unix.close d.lock) (fun () -> Wal.close d.wal)
+       already detached, so the handle is fully shut either way. Giving
+       back the last share of the lock releases the directory. *)
+    Fun.protect ~finally:(fun () -> unlock_dir d.lock) (fun () -> Wal.close d.wal)
   end

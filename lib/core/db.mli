@@ -4,7 +4,7 @@
     Reads and writes follow the paper's section 5.1 pipeline. Every write,
     whatever layer issues it, enters the ledger through {!commit}: the
     ledger's unified index is updated and the block appended, the same
-    batch is applied to the cell store (and inverted index), and on a
+    batch is applied to the cell store, and on a
     durable database the commit returns only once its log record meets the
     sync policy. A point read by key, and a key's history, answer from the
     cell store, a hash table of cells. A range, and every verified read,
@@ -32,10 +32,8 @@ module V : module type of struct include Verifier.Default end
 
 type t
 
-val open_db : ?store:Object_store.t -> ?with_inverted:bool -> unit -> t
-(** A fresh database. Its KV surface lives in the cell-store column ["v"];
-    [with_inverted] enables the inverted value index over every cell's
-    value. *)
+val open_db : ?store:Object_store.t -> unit -> t
+(** A fresh database. Its KV surface lives in the cell-store column ["v"]. *)
 
 val store : t -> Object_store.t
 val ledger : t -> L.t
@@ -49,7 +47,6 @@ val catalog_column : string
     {!get} never finds them — read them from {!ledger}. *)
 
 val cells : t -> Cell_store.t
-val inverted_index : t -> Spitz_index.Inverted.t option
 
 val cell_count : t -> int
 (** Total cell versions stored (not distinct keys). *)
@@ -231,10 +228,6 @@ module Snapshot : sig
       read meets a reclaimed node. *)
 end
 
-val search_value : t -> string -> Universal_key.t list
-(** Inverted-index lookup: cells currently or historically holding exactly
-    this value (requires [with_inverted]). *)
-
 (** {1 Verification surface (client side)} *)
 
 val digest : t -> Journal.digest
@@ -337,17 +330,17 @@ exception Locked of int option
     could not be read). *)
 
 val open_durable :
-  ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> ?with_inverted:bool -> string ->
-  durable
+  ?sync:Spitz_storage.Wal.sync_policy -> ?repair:bool -> string -> durable
 (** Open (creating if needed) the durable database in directory [dir]; a
     new directory's meta file is fsynced and renamed into place, and the
     rename made durable by a directory fsync. The handle holds an exclusive
-    [lockf] lock on [dir/lock] until {!close_durable} or the process exits:
-    an open from another process raises {!Locked}; one from the same
-    process is not refused.
-    [with_inverted] only applies to a freshly created database; an existing
-    database's recorded identity (column id and inverted flag, in the meta
-    file / snapshot header) wins. Default sync policy: [Always].
+    [lockf] lock on [dir/lock]: an open from another process raises
+    {!Locked}. Opens of one directory in one process share the lock, which
+    is released when the last of their handles is closed or the process
+    exits. An existing database's recorded column id (in the meta file /
+    snapshot header) wins. A flag byte after it, set by releases that kept
+    an inverted value index, is read and ignored. Default sync policy:
+    [Always].
 
     [repair] (default [true]) controls torn-tail handling: with it, a torn
     tail of the log's final segment is truncated in place; without it the
@@ -449,5 +442,5 @@ val close_durable : durable -> unit
     database, then drain, fsync and close the log. Idempotent. I/O errors
     from the final drain/fsync propagate — a close that could not make
     acknowledged records durable does not look clean (the descriptor is
-    released and the log detached regardless). Releases the directory's
-    lock. The inner {!t} remains usable in memory but no longer logs. *)
+    released and the log detached regardless). The last open handle of a
+    directory in this process releases its lock. The inner {!t} remains usable in memory but no longer logs. *)

@@ -5,8 +5,8 @@ open Spitz_ledger
    column id, primary key, timestamp, and value hash), and every row mutation
    is one [Db.commit] covering all its cells: the ledger key
    [table.col\x1fpk] names the cell, so [Db] applies it to the right column.
-   Columns marked [indexed] answer [find_by_value] from the database's
-   inverted index (when it has one) instead of a scan. *)
+   A column's [indexed] mark is kept in the catalog, which committed blocks
+   carry, but selects no lookup path: [find_by_value] scans the column. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 
@@ -220,31 +220,10 @@ let select_range t ~pk_lo ~pk_hi =
       (fun (pk, _) -> Option.map (fun row -> (pk, row)) (get_row t ~pk))
       (column_scan t first.col_name ~pk_lo ~pk_hi)
 
-(* Analytic lookup through the inverted index: all pks whose [col] equals
-   [value]. Falls back to a scan when the column is not indexed. *)
+(* All pks whose current [col] equals [value]: one scan of the column. *)
 let find_by_value t ~col value =
-  let c =
-    match List.find_opt (fun c -> c.col_name = col) t.spec.columns with
-    | Some c -> c
-    | None -> error "table %s has no column %S" t.spec.table_name col
-  in
-  let matching_pk uk = (uk : Universal_key.t).Universal_key.column = column_id t.spec col in
-  match (c.indexed, Db.inverted_index t.db) with
-  | true, Some inv ->
-    (* the index holds each cell's stored form, the printed JSON *)
-    let iv = Json.to_string value in
-    List.sort_uniq String.compare
-      (List.filter_map
-         (fun ukey ->
-            match Universal_key.decode ukey with
-            | Some uk when matching_pk uk ->
-              (* confirm the hit is still the current value *)
-              (match cell_value t ~pk:uk.Universal_key.pk col with
-               | Some current when current = value -> Some uk.Universal_key.pk
-               | _ -> None)
-            | _ -> None)
-         (Spitz_index.Inverted.lookup inv iv))
-  | _ ->
-    List.filter_map
-      (fun (pk, printed) -> if Json.of_string printed = value then Some pk else None)
-      (column_scan t col ~pk_lo:"" ~pk_hi:"\xff")
+  if not (List.exists (fun c -> c.col_name = col) t.spec.columns) then
+    error "table %s has no column %S" t.spec.table_name col;
+  List.filter_map
+    (fun (pk, printed) -> if Json.of_string printed = value then Some pk else None)
+    (column_scan t col ~pk_lo:"" ~pk_hi:"\xff")

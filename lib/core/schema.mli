@@ -1,10 +1,11 @@
 (** Typed tables over the virtual cell store: each column value of a row is
-    one cell, every row mutation is one {!Db.commit}, and indexed columns
-    are looked up through the database's inverted index. *)
+    one cell, and every row mutation is one {!Db.commit}. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 
 type column = { col_name : string; col_type : col_type; indexed : bool }
+(** [indexed] is the SQL [INDEXED] mark. It is kept in the catalog, whose
+    committed bytes carry it, and selects no lookup path. *)
 
 type spec = {
   table_name : string;
@@ -46,5 +47,5 @@ val select_range : t -> pk_lo:string -> pk_hi:string -> (string * (string * Json
 (** All live rows with pk in range, as (pk, row). *)
 
 val find_by_value : t -> col:string -> Json.t -> string list
-(** Primary keys whose current [col] equals the value: inverted-index lookup
-    for indexed columns, scan otherwise. *)
+(** Primary keys whose current [col] equals the value, in pk order: one
+    {!Db.range} over the column. *)

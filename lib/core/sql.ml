@@ -7,6 +7,8 @@
      DELETE FROM t WHERE pk = 'x'
 
    with <cond> one of: pk = 'x' | pk BETWEEN 'a' AND 'b' | col = literal.
+   INDEXED is accepted and recorded in the table's catalog entry, but
+   selects no lookup path: col = literal scans the column either way.
    Statements are recorded in the ledger blocks they commit, so an auditor
    can replay what was executed. *)
 

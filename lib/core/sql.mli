@@ -8,7 +8,9 @@
     v}
 
     with [cond] one of [pk = 'x'], [pk BETWEEN 'a' AND 'b'], or
-    [col = literal]. Executed statements are recorded in the ledger blocks
+    [col = literal]. [INDEXED] is accepted and recorded in the catalog, but
+    selects no lookup path: [col = literal] scans the column either way.
+    Executed statements are recorded in the ledger blocks
     they commit; CREATE TABLE commits the table spec itself as catalog data,
     so tables survive a checkpoint and a reopen ({!Db.open_durable}). *)
 

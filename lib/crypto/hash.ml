@@ -22,9 +22,7 @@ let of_raw s =
     invalid_arg (Printf.sprintf "Hash.of_raw: expected %d bytes, got %d" size (String.length s));
   s
 
-(* Hex codec by table lookup: one output buffer, no per-byte formatting.
-   [to_hex] is on the cell-store write path (every universal key carries
-   its value hash in hex), so it must not go through [Printf]. *)
+(* Hex codec by table lookup: one output buffer, no per-byte formatting. *)
 let hex_digits = "0123456789abcdef"
 
 let hex_of_string s =

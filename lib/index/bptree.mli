@@ -1,6 +1,6 @@
 (** Mutable in-memory B+-tree over string keys with linked leaves — the plain
-    (non-authenticated) index used by the baseline's materialized views, the
-    immutable KVS, and Spitz's data access path. *)
+    (non-authenticated) index used by the baseline's materialized views and
+    the immutable KVS. *)
 
 type 'a t
 

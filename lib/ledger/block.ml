@@ -50,11 +50,6 @@ let decode_entry r =
   let txn_id = Wire.read_varint r in
   { op; key; value_hash; txn_id }
 
-let entry_bytes e =
-  let buf = Wire.writer () in
-  encode_entry buf e;
-  Wire.contents buf
-
 (* Leaf hashes are streamed straight out of the encoder's buffer
    ([Wire.leaf_digest]), one scratch writer reused for the whole batch. *)
 let entry_leaf_into buf e =
@@ -82,11 +77,6 @@ let decode_header r =
   let entry_count = Wire.read_varint r in
   let time = Wire.read_varint r in
   { height; prev_hash; entries_root; index_root; entry_count; time }
-
-let header_bytes h =
-  let buf = Wire.writer () in
-  encode_header buf h;
-  Wire.contents buf
 
 let hash_header h =
   let buf = Wire.writer ~size:128 () in

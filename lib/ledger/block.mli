@@ -41,12 +41,9 @@ val create_rooted :
     computes it via {!entries_merkle}, hashing entry leaves through one
     scratch writer. *)
 
-val entry_bytes : entry -> string
-(** Canonical serialization of one entry (the Merkle leaf data). *)
-
 val entry_leaf_into : Spitz_storage.Wire.writer -> entry -> Hash.t
 (** The entry's Merkle leaf hash, streamed through [buf] (cleared first) with
-    no intermediate string — equals [Hash.leaf (entry_bytes e)]. Serial
+    no intermediate string — the [Hash.leaf] of its {!encode_entry} bytes. Serial
     paths reuse one scratch writer across a whole batch. *)
 
 val encode_entry : Spitz_storage.Wire.writer -> entry -> unit
@@ -59,7 +56,6 @@ val decode_header : Spitz_storage.Wire.reader -> header
 val entries_merkle : entry list -> Spitz_adt.Merkle.t
 (** The Merkle tree committing to the block's entries. *)
 
-val header_bytes : header -> string
 val hash_header : header -> Hash.t
 (** The block id: hash of the canonical header bytes. *)
 

@@ -18,7 +18,6 @@ let hit_io name =
   | exception Crash _ -> raise (Unix.Unix_error (Unix.EIO, name, ""))
 
 let arm ?(after = 0) name = Hashtbl.replace armed_points name after
-let disarm name = Hashtbl.remove armed_points name
 let reset () = Hashtbl.clear armed_points
 let armed name = Hashtbl.mem armed_points name
 
@@ -46,5 +45,3 @@ let with_byte path at f =
 
 let flip_bit path ~byte ~bit =
   with_byte path byte (fun c -> Char.chr (Char.code c lxor (1 lsl (bit land 7))))
-
-let overwrite_byte path ~at c = with_byte path at (fun _ -> c)

@@ -24,9 +24,8 @@ val arm : ?after:int -> string -> unit
 (** Arm a crash point: the [(after+1)]-th {!hit} of [name] raises (default
     [after = 0]: the very next hit). *)
 
-val disarm : string -> unit
 val reset : unit -> unit
-(** Disarm one point / every point. Tests should [reset] in a finalizer so a
+(** Disarm every point. Tests should [reset] in a finalizer so a
     failed test cannot leave a mine behind for the next one. *)
 
 val armed : string -> bool
@@ -40,6 +39,3 @@ val truncate_file : string -> int -> unit
 
 val flip_bit : string -> byte:int -> bit:int -> unit
 (** Flip one bit in place — bit rot. *)
-
-val overwrite_byte : string -> at:int -> char -> unit
-(** Replace one byte in place. *)

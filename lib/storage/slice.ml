@@ -51,14 +51,6 @@ let equal a b =
       in
       go 0)
 
-let equal_string t s =
-  t.len = String.length s
-  && (let rec go i =
-        i >= t.len
-        || (Bytes.unsafe_get t.base (t.off + i) = String.unsafe_get s i && go (i + 1))
-      in
-      go 0)
-
 (* Escape hatches for the hashing / checksumming / write paths: the caller
    promises to only *read* [base] within [off, off+len). *)
 let unsafe_base t = t.base

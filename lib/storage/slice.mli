@@ -44,7 +44,6 @@ val blit : t -> Bytes.t -> int -> unit
 (** [blit t dst pos] copies the window into [dst] at [pos]. *)
 
 val equal : t -> t -> bool
-val equal_string : t -> string -> bool
 
 val unsafe_base : t -> Bytes.t
 (** The underlying buffer; read only within [unsafe_off, unsafe_off+length). *)

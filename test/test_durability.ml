@@ -657,7 +657,7 @@ let test_durable_checkpoint () =
 let test_durable_large_values_and_batches () =
   with_dir (fun dir ->
       let big = String.init 50_000 (fun i -> Char.chr (i * 13 mod 256)) in
-      let d = Db.open_durable ~with_inverted:true dir in
+      let d = Db.open_durable dir in
       let db = Db.durable_db d in
       ignore (Db.put db "big" big);
       ignore (Db.put_batch db [ ("p", "1"); ("q", "2"); ("r", "3") ]);
@@ -666,9 +666,6 @@ let test_durable_large_values_and_batches () =
       let db' = Db.durable_db d' in
       Alcotest.(check (option string)) "chunked value recovered" (Some big) (Db.get db' "big");
       Alcotest.(check (option string)) "batch member" (Some "2") (Db.get db' "q");
-      (* the inverted flag is part of the database identity and survives *)
-      Alcotest.(check bool) "inverted index rebuilt" true
-        (Db.search_value db' "2" <> []);
       Db.close_durable d')
 
 let test_durable_fsync_policies () =
@@ -1573,8 +1570,9 @@ let test_physical_segment_refused () =
       Alcotest.(check string) "segment untouched" before (file_sha seg))
 
 (* The way out works: a directory the earlier release wrote and then
-   checkpointed (snapshot plus an empty, headerless active segment; with
-   the inverted index; puts, a delete with a statement, a chunked value)
+   checkpointed (snapshot plus an empty, headerless active segment; its
+   flag byte set by the inverted index that release kept; puts, a delete
+   with a statement, a chunked value)
    opens to the digest it had, and takes and replays new commits. *)
 let checkpointed_fixture = fixture "checkpointed_physical_wal"
 
@@ -1613,7 +1611,6 @@ let test_checkpointed_physical_wal_opens () =
       check_reads digest;
       Alcotest.(check (list (pair int string))) "history" [ (0, "value-000-b0"); (4, "rewritten") ]
         (Db.history db "ckpt-000");
-      Alcotest.(check int) "inverted index rebuilt" 1 (List.length (Db.search_value db "rewritten"));
       ignore (Db.put_batch db [ ("ckpt-new", "fresh"); ("ckpt-005", "back") ]);
       let digest' = Db.digest db in
       Alcotest.(check int) "one block to re-run" 1 (Db.uncheckpointed_blocks d);
@@ -1626,6 +1623,63 @@ let test_checkpointed_physical_wal_opens () =
         [ (0, "value-005-b0"); (6, "back") ]
         (Db.history db' "ckpt-005");
       Db.close_durable d')
+
+(* A directory an earlier release wrote with its inverted value index on,
+   so the flag byte of [meta] and of the snapshot header is 1: KV puts, a
+   delete and a table with an INDEXED column, a checkpoint, then four more
+   commits that only the log holds. It opens to the digest and answers that
+   release recorded, a lookup by value now one column scan, and its next
+   checkpoint writes the flag byte 0. *)
+let inverted_flag_fixture = fixture "inverted_flag"
+
+let inverted_flag_root = "a107fd3ad088865a3ef5bd1658908a7efd67ffef1e767eb802f4efe7111da631"
+
+(* The flag byte of a snapshot: the header's byte after the column id. *)
+let snapshot_flag path =
+  In_channel.with_open_bin path (fun ic ->
+      ignore (really_input_string ic (String.length "SPITZDB1"));
+      let r = Wire.reader (really_input_string ic (input_binary_int ic)) in
+      ignore (Wire.read_string r);
+      Wire.read_byte r)
+
+let check_inverted_flag_answers db =
+  let digest = Db.digest db in
+  Alcotest.(check int) "blocks" 11 digest.Spitz_ledger.Journal.size;
+  Alcotest.(check string) "digest" inverted_flag_root
+    (Spitz_crypto.Hash.to_hex digest.Spitz_ledger.Journal.root);
+  Alcotest.(check bool) "audit" true (Db.audit db);
+  List.iter
+    (fun (key, expected) -> Alcotest.(check (list (pair int string))) key expected (Db.history db key))
+    [ ("a", [ (0, "1"); (1, "10") ]);
+      ("b", [ (0, "2") ]);
+      ("c", [ (0, "3"); (9, "30") ]);
+      ("people.city\x1fp2", [ (5, "\"berlin\""); (7, "\"amsterdam\"") ]);
+      ("people.city\x1fp3", [ (6, "\"amsterdam\"") ]) ];
+  let people = Sql.table (Sql.env_of_db db) "people" in
+  List.iter
+    (fun (col, v, expected) ->
+       Alcotest.(check (list string)) (col ^ " = " ^ Json.to_string v) expected
+         (Schema.find_by_value people ~col v))
+    [ ("city", Json.Str "amsterdam", [ "p1"; "p2" ]);
+      ("city", Json.Str "berlin", []);
+      ("city", Json.Str "paris", [ "p4" ]);
+      ("age", Json.Num 40., [ "p2" ]);
+      ("age", Json.Num 50., []) ]
+
+let test_inverted_flag_opens () =
+  with_dir (fun dir ->
+      copy_tree inverted_flag_fixture dir;
+      let snapshot = Filename.concat dir "snapshot" in
+      Alcotest.(check char) "the fixture's flag" '\001' (snapshot_flag snapshot);
+      let d = Db.open_durable dir in
+      check_inverted_flag_answers (Db.durable_db d);
+      Alcotest.(check int) "blocks the log holds" 4 (Db.uncheckpointed_blocks d);
+      Db.checkpoint d;
+      Db.close_durable d;
+      Alcotest.(check char) "the checkpoint's flag" '\000' (snapshot_flag snapshot);
+      let d = Db.open_durable dir in
+      check_inverted_flag_answers (Db.durable_db d);
+      Db.close_durable d)
 
 (* Recovery reads each replayed value by its content address and walks the
    block's index instance only when no raw object is stored there. The
@@ -1662,12 +1716,6 @@ let recovery_view db =
        :: List.init (n + 1) (fun h -> Printf.sprintf "%s @%d %s" key h (opt (Db.get_at db ~height:h key))))
     recovery_keys
   @ List.map (fun (k, v) -> Printf.sprintf "range %S=%S" k v) (Db.range db ~lo:"" ~hi:"\xff")
-  @ List.concat_map
-      (fun v ->
-         List.map
-           (fun uk -> Printf.sprintf "search %S %S" v (Universal_key.encode uk))
-           (Db.search_value db v))
-      [ "v0"; "v1"; "v2"; "v4"; "last"; "back"; recovery_lookalike; recovery_big 7; recovery_big 11 ]
   @ [
     Printf.sprintf "cells %d" (Db.cell_count db);
     "digest " ^ Spitz_crypto.Hash.to_hex (Db.digest db).Spitz_ledger.Journal.root;
@@ -1678,7 +1726,7 @@ let recovery_view db =
    count field 1. Recovery re-runs every logged batch through [Db.commit],
    so the reopened database stores exactly what the live one did, and a
    checkpoint of either writes the same bytes. *)
-let recovery_snapshot_sha = "080a1896794604ce2a1a71dd0cf38338d8f5ca786f20c6432277e97a328762d9"
+let recovery_snapshot_sha = "075851d9560bd9b18d0c5d891324dbb02efd29b9e378b35e8d4481e0aabe14c1"
 
 (* SHA-256 of the log segment the same script leaves behind (100,497 bytes):
    one logical record per commit, so a change to how a commit is hashed,
@@ -1687,7 +1735,7 @@ let recovery_wal_sha = "1556200377d140db61a86aea2a6376d9c7087399afb18b147370a55e
 
 let test_recovery_reads_by_content_address () =
   with_dir (fun dir ->
-      let d = Db.open_durable ~with_inverted:true dir in
+      let d = Db.open_durable dir in
       let db = Db.durable_db d in
       recovery_script db;
       let before = recovery_view db in
@@ -1717,7 +1765,7 @@ let test_recovery_reads_by_content_address () =
    climb with restarts. *)
 let test_reopen_cycles_keep_counters () =
   with_dir (fun dir ->
-      let d = Db.open_durable ~with_inverted:true dir in
+      let d = Db.open_durable dir in
       let db = Db.durable_db d in
       recovery_script db;
       let before = recovery_view db in
@@ -1751,7 +1799,7 @@ let test_reopen_cycles_keep_counters () =
    block's values, tombstone, chunked value, history and statement. *)
 let test_last_acked_block_replays () =
   with_dir (fun dir ->
-      let d = Db.open_durable ~with_inverted:true dir in
+      let d = Db.open_durable dir in
       let db = Db.durable_db d in
       ignore (Db.put_batch db [ ("a", "1"); ("b", "2") ]);
       Fault.arm "commit.acked";
@@ -1773,7 +1821,6 @@ let test_last_acked_block_replays () =
       Alcotest.(check (list (pair int string))) "b history" [ (0, "2") ] (Db.history db' "b");
       Alcotest.(check (option string)) "chunked value" (Some (recovery_big 5)) (Db.get db' "big");
       Alcotest.(check (option string)) "c" (Some "3") (Db.get db' "c");
-      Alcotest.(check int) "inverted index" 1 (List.length (Db.search_value db' "3"));
       Alcotest.(check (list string)) "statement" [ "last" ]
         (Spitz_ledger.Journal.block (Db.L.journal (Db.ledger db')) 1).Spitz_ledger.Block.statements;
       Db.close_durable d')
@@ -1801,8 +1848,8 @@ let test_empty_block_before_checkpoint () =
 (* Replay determinism: a random run of commits (empty batches, deletes,
    duplicate keys within a batch, chunked values, statements, SQL writes)
    with checkpoints at random heights, ended by a crash, reopens to
-   byte-identical block bodies, the same digest, the same cell reads and
-   histories and the same inverted-index hits as the live run. *)
+   byte-identical block bodies, the same digest, and the same cell reads,
+   histories and ranges as the live run. *)
 type replay_op =
   | Batch of string list * (string * string option) list (* statements; None deletes *)
   | Sql_insert of int * int
@@ -1846,7 +1893,7 @@ let print_replay_op = function
   | Checkpoint -> "checkpoint"
 
 (* Every surface the property compares, rendered as lines. *)
-let replay_view db ~values =
+let replay_view db =
   let opt = function None -> "-" | Some v -> Printf.sprintf "%S" v in
   let journal = Db.L.journal (Db.ledger db) in
   let n = Spitz_ledger.Journal.length journal in
@@ -1861,11 +1908,6 @@ let replay_view db ~values =
              (String.concat "," (List.map (fun (h, v) -> Printf.sprintf "%d:%S" h v) (Db.history db k))) ])
       keys
   @ List.map (fun (k, v) -> Printf.sprintf "range %S=%S" k v) (Db.range db ~lo:"" ~hi:"\xff")
-  @ List.map
-      (fun v ->
-         Printf.sprintf "search %S %s" v
-           (String.concat "," (List.map Universal_key.encode (Db.search_value db v))))
-      values
   @ [ "digest " ^ Spitz_crypto.Hash.to_hex (Db.digest db).Spitz_ledger.Journal.root ]
 
 let prop_replay_reproduces_live =
@@ -1873,15 +1915,13 @@ let prop_replay_reproduces_live =
     (QCheck.make ~print:(fun ops -> String.concat " " (List.map print_replay_op ops)) gen_replay_ops)
     (fun ops ->
        with_dir (fun dir ->
-           let d = Db.open_durable ~sync:Wal.Never ~with_inverted:true dir in
+           let d = Db.open_durable ~sync:Wal.Never dir in
            let db = Db.durable_db d in
            let env = Sql.env db in
            ignore (Sql.exec env "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
-           let values = ref [] in
            List.iter
              (function
                | Batch (statements, ws) ->
-                 List.iter (fun (_, v) -> Option.iter (fun v -> values := v :: !values) v) ws;
                  ignore
                    (Db.commit db ~statements
                       (List.map
@@ -1901,10 +1941,9 @@ let prop_replay_reproduces_live =
             | exception Fault.Crash _ -> ()
             | _ -> Alcotest.fail "commit.acked did not fire");
            Fault.reset ();
-           let values = List.sort_uniq compare ("final" :: !values) in
-           let live = replay_view db ~values in
+           let live = replay_view db in
            let d' = Db.open_durable dir in
-           let reopened = replay_view (Db.durable_db d') ~values in
+           let reopened = replay_view (Db.durable_db d') in
            Db.close_durable d';
            live = reopened))
 
@@ -2038,7 +2077,7 @@ let prop_reopen_rebuilds_cells =
     (fun blocks ->
        let reopened ~checkpoint =
          with_dir (fun dir ->
-             let d = Db.open_durable ~sync:Wal.Never ~with_inverted:true dir in
+             let d = Db.open_durable ~sync:Wal.Never dir in
              commit_cell_blocks (Db.durable_db d) blocks;
              ignore (check_against_model "live" blocks (Db.durable_db d));
              if checkpoint then Db.checkpoint d;
@@ -2158,6 +2197,7 @@ let suite =
     Alcotest.test_case "physical-record segment refused" `Quick test_physical_segment_refused;
     Alcotest.test_case "checkpointed physical-record dir opens" `Quick
       test_checkpointed_physical_wal_opens;
+    Alcotest.test_case "inverted-index flag dir opens" `Quick test_inverted_flag_opens;
     Alcotest.test_case "recovery reads values by content address" `Quick
       test_recovery_reads_by_content_address;
     Alcotest.test_case "last acked block replays from its record" `Quick

@@ -103,67 +103,6 @@ let prop_bptree_orders =
             Bptree.range t ~lo ~hi = in_range lo hi)
          bounds)
 
-(* --- radix tree --- *)
-
-let test_radix_basic () =
-  let t = Radix_tree.empty in
-  let t = Radix_tree.insert t "romane" 1 in
-  let t = Radix_tree.insert t "romanus" 2 in
-  let t = Radix_tree.insert t "romulus" 3 in
-  let t = Radix_tree.insert t "rubens" 4 in
-  let t = Radix_tree.insert t "ruber" 5 in
-  Alcotest.(check int) "cardinal" 5 (Radix_tree.cardinal t);
-  Alcotest.(check (option int)) "romane" (Some 1) (Radix_tree.get t "romane");
-  Alcotest.(check (option int)) "romanus" (Some 2) (Radix_tree.get t "romanus");
-  Alcotest.(check (option int)) "prefix not a key" None (Radix_tree.get t "rom");
-  let roman = Radix_tree.fold_prefix t ~prefix:"roman" (fun k _ acc -> k :: acc) [] in
-  Alcotest.(check int) "prefix roman" 2 (List.length roman);
-  let ru = Radix_tree.fold_prefix t ~prefix:"ru" (fun k _ acc -> k :: acc) [] in
-  Alcotest.(check int) "prefix ru" 2 (List.length ru);
-  Alcotest.(check int) "prefix none" 0
-    (Radix_tree.fold_prefix t ~prefix:"xyz" (fun _ _ n -> n + 1) 0)
-
-let test_radix_key_is_prefix () =
-  let t = Radix_tree.insert (Radix_tree.insert Radix_tree.empty "ab" 1) "abc" 2 in
-  Alcotest.(check (option int)) "ab" (Some 1) (Radix_tree.get t "ab");
-  Alcotest.(check (option int)) "abc" (Some 2) (Radix_tree.get t "abc");
-  let t = Radix_tree.remove t "ab" in
-  Alcotest.(check (option int)) "ab removed" None (Radix_tree.get t "ab");
-  Alcotest.(check (option int)) "abc kept" (Some 2) (Radix_tree.get t "abc")
-
-let prop_radix_model =
-  QCheck.Test.make ~name:"radix: model-based ops" ~count:50
-    QCheck.(small_list (pair (string_gen_of_size (QCheck.Gen.int_range 0 8) QCheck.Gen.printable) (option (int_bound 100))))
-    (fun ops ->
-       let t, model =
-         List.fold_left
-           (fun (t, m) (k, op) ->
-              match op with
-              | Some v -> (Radix_tree.insert t k v, SM.add k v m)
-              | None -> (Radix_tree.remove t k, SM.remove k m))
-           (Radix_tree.empty, SM.empty) ops
-       in
-       SM.for_all (fun k v -> Radix_tree.get t k = Some v) model
-       && Radix_tree.cardinal t = SM.cardinal model
-       && List.sort compare (Radix_tree.fold t (fun k v acc -> (k, v) :: acc) [])
-          = SM.bindings model)
-
-(* --- inverted index --- *)
-
-let test_inverted () =
-  let inv = Inverted.create () in
-  Inverted.add inv "red" "cell1";
-  Inverted.add inv "red" "cell2";
-  Inverted.add inv "red" "cell1"; (* idempotent *)
-  Inverted.add inv "blue" "cell3";
-  Alcotest.(check (list string)) "red" [ "cell1"; "cell2" ] (Inverted.lookup inv "red");
-  Alcotest.(check (list string)) "blue" [ "cell3" ] (Inverted.lookup inv "blue");
-  Alcotest.(check int) "prefix" 2 (List.length (Inverted.lookup_prefix inv ~prefix:"re"));
-  Inverted.remove inv "red" "cell1";
-  Alcotest.(check (list string)) "after remove" [ "cell2" ] (Inverted.lookup inv "red");
-  Inverted.remove inv "red" "cell2";
-  Alcotest.(check (list string)) "empty posting" [] (Inverted.lookup inv "red")
-
 let suite =
   [
     Alcotest.test_case "bptree basic" `Quick test_bptree_basic;
@@ -171,8 +110,4 @@ let suite =
     Alcotest.test_case "bptree iter order" `Quick test_bptree_iter_order;
     QCheck_alcotest.to_alcotest prop_bptree_model;
     QCheck_alcotest.to_alcotest prop_bptree_orders;
-    Alcotest.test_case "radix basic" `Quick test_radix_basic;
-    Alcotest.test_case "radix key is prefix" `Quick test_radix_key_is_prefix;
-    QCheck_alcotest.to_alcotest prop_radix_model;
-    Alcotest.test_case "inverted index" `Quick test_inverted;
   ]

@@ -1,9 +1,8 @@
 (* Differential tests of the native checksum kernels: the C SHA-256
    compressors (SHA-NI where the CPU has it, and the portable one) and the
    slicing-by-8 CRC-32, each against the pure-OCaml reference kept in
-   oracle_sha256.ml / oracle_crc32.ml; and of the cell-store key codecs
-   (table-driven hex, the directly concatenated universal key) against the
-   [Printf] versions in oracle_hex.ml. A golden end-to-end digest catches a
+   oracle_sha256.ml / oracle_crc32.ml; and of the table-driven hex codec
+   against the [Printf] version in oracle_hex.ml. A golden end-to-end digest catches a
    kernel that is wrong in a self-consistent way. *)
 
 open Spitz_crypto
@@ -119,35 +118,7 @@ let test_of_hex_rejects_non_digits () =
        match Hash.of_hex s with
        | h -> Alcotest.failf "%S decoded to %s" s (Hash.to_hex h)
        | exception Invalid_argument _ -> ())
-    bad;
-  (* a universal key carrying such a hash field does not decode *)
-  let uk = Spitz.Universal_key.make ~column:"c" ~pk:"k" ~ts:3 ~vhash:(Hash.of_string "v") in
-  let enc = Spitz.Universal_key.encode uk in
-  let tampered = String.sub enc 0 (String.length enc - 64) ^ List.hd bad in
-  Alcotest.(check bool) "decode rejects" true (Spitz.Universal_key.decode tampered = None)
-
-(* Timestamps around the 12-digit field width and both signs; pks with the
-   schema separator and high bytes. *)
-let gen_ukey =
-  QCheck.Gen.(
-    let name = string_size ~gen:(oneof [ char_range '\x01' '\xff'; oneofl [ '\x1f'; '\xff' ] ]) (int_bound 12) in
-    let* column = name in
-    let* pk = name in
-    let* ts =
-      oneof
-        [
-          oneofl [ 0; 1; 100_000_000_000; 999_999_999_999; 1_000_000_000_000; max_int; min_int; -5 ];
-          int;
-          int_bound 1_000_000;
-        ]
-    in
-    let* raw = string_size ~gen:char (return Hash.size) in
-    return (Spitz.Universal_key.make ~column ~pk ~ts ~vhash:(Hash.of_raw raw)))
-
-let prop_ukey_encode =
-  QCheck.Test.make ~name:"universal-key encode matches the Printf oracle" ~count:500
-    (QCheck.make ~print:Oracle_hex.encode gen_ukey)
-    (fun uk -> String.equal (Oracle_hex.encode uk) (Spitz.Universal_key.encode uk))
+    bad
 
 (* First use from several domains at once: the CRC tables are static and
    the compressor probe is idempotent, so every domain sees the oracle's
@@ -211,5 +182,4 @@ let suite =
     Alcotest.test_case "of_hex rejects non-digits" `Quick test_of_hex_rejects_non_digits;
     QCheck_alcotest.to_alcotest prop_hex;
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
-    QCheck_alcotest.to_alcotest prop_ukey_encode;
   ]

@@ -82,7 +82,7 @@ let spec =
   }
 
 let test_schema_insert_get () =
-  let db = Db.open_db ~with_inverted:true () in
+  let db = Db.open_db () in
   let t = Schema.create db spec in
   let h = Schema.insert t ~pk:"acct-1" [ ("owner", Json.Str "alice"); ("balance", Json.Num 100.0) ] in
   Alcotest.(check bool) "height" true (h >= 0);
@@ -145,9 +145,9 @@ let test_schema_find_by_value () =
     ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "alice"); ("balance", Json.Num 1.0) ]);
     ignore (Schema.insert t ~pk:"b" [ ("owner", Json.Str "bob"); ("balance", Json.Num 2.0) ]);
     ignore (Schema.insert t ~pk:"c" [ ("owner", Json.Str "alice"); ("balance", Json.Num 3.0) ]);
-    Alcotest.(check (list string)) "indexed search" [ "a"; "c" ]
+    Alcotest.(check (list string)) "indexed column" [ "a"; "c" ]
       (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
-    (* stale index entries are filtered out after updates *)
+    (* an overwritten or deleted value no longer matches *)
     ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "carol") ]);
     ignore (Schema.insert t ~pk:"d" [ ("owner", Json.Str "dave"); ("balance", Json.Num 4.0) ]);
     ignore (Schema.delete t ~pk:"d")
@@ -161,12 +161,12 @@ let test_schema_find_by_value () =
         ("owner", Json.Str "dave"); ("balance", Json.Num 2.0) ]
   in
   let expected = [ [ "c" ]; [ "a" ]; []; [ "b" ] ] in
-  let db = Db.open_db ~with_inverted:true () in
+  let db = Db.open_db () in
   fill db;
   Alcotest.(check (list (list string))) "live" expected (answers db);
   let dir = Filename.temp_file "spitz_query" ".dir" in
   Sys.remove dir;
-  let d = Db.open_durable ~with_inverted:true dir in
+  let d = Db.open_durable dir in
   fill (Db.durable_db d);
   Db.close_durable d;
   let d = Db.open_durable dir in
@@ -189,7 +189,7 @@ let test_schema_find_by_value () =
 
 (* --- SQL --- *)
 
-let fresh_env () = Sql.env (Db.open_db ~with_inverted:true ())
+let fresh_env () = Sql.env (Db.open_db ())
 
 let exec env q = Sql.exec env q
 

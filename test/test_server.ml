@@ -708,6 +708,23 @@ let test_directory_lock () =
   Alcotest.(check (pair int string)) "opens after the kill and a clean close"
     (0, "committed block 0\n") (run_cli [ "put"; dir; "k"; "v" ])
 
+(* Two handles of one directory in one process share its lock: closing the
+   first leaves the directory held, and another process is refused with
+   this process's pid until the second is closed too. *)
+let test_directory_lock_shared_in_process () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let d1 = Db.open_durable dir in
+  let d2 = Db.open_durable dir in
+  Db.close_durable d1;
+  Fun.protect ~finally:(fun () -> Db.close_durable d2) (fun () ->
+      let status, out = run_cli [ "put"; dir; "k"; "v" ] in
+      Alcotest.(check bool) "spitz put refused while a handle is open" true (status <> 0);
+      Alcotest.(check bool) (out ^ " names this process") true
+        (mentions out (string_of_int (Unix.getpid ()))));
+  Alcotest.(check (pair int string)) "opens once both are closed" (0, "committed block 0\n")
+    (run_cli [ "put"; dir; "k"; "v" ])
+
 (* Each statement of [spitz sql] commits on its own: a failing statement
    leaves the ones before it committed, the ones after it unrun, and the
    call exits 1. *)
@@ -905,6 +922,8 @@ let suite =
     Alcotest.test_case "kill -9 + torn tail: retry repairs" `Quick
       test_kill_lost_tail_repaired_by_retry;
     Alcotest.test_case "a served directory is locked" `Quick test_directory_lock;
+    Alcotest.test_case "two handles in one process share the lock" `Quick
+      test_directory_lock_shared_in_process;
     Alcotest.test_case "spitz sql commits each statement" `Quick
       test_cli_sql_commits_each_statement;
     Alcotest.test_case "a single-file database moves into a directory" `Quick

@@ -1,26 +1,19 @@
 open Spitz
 module Hash = Spitz_crypto.Hash
 
-(* --- universal keys --- *)
-
-let test_ukey_roundtrip () =
-  let uk = Universal_key.make ~column:"balance" ~pk:"alice" ~ts:42 ~vhash:(Hash.of_string "v") in
-  match Universal_key.decode (Universal_key.encode uk) with
-  | None -> Alcotest.fail "decode failed"
-  | Some uk' -> Alcotest.(check int) "roundtrip" 0 (Universal_key.compare uk uk')
-
-let test_ukey_ordering () =
-  let k column pk ts = Universal_key.encode (Universal_key.make ~column ~pk ~ts ~vhash:Hash.null) in
-  (* (column, pk, ts) lexicographic *)
-  Alcotest.(check bool) "column major" true (k "a" "z" 9 < k "b" "a" 0);
-  Alcotest.(check bool) "pk next" true (k "a" "x" 9 < k "a" "y" 0);
-  Alcotest.(check bool) "ts last" true (k "a" "x" 1 < k "a" "x" 2)
-
-let test_ukey_rejects_nul () =
-  Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
-    (fun () -> ignore (Universal_key.make ~column:"c" ~pk:"a\x00b" ~ts:0 ~vhash:Hash.null))
-
 (* --- cell store --- *)
+
+(* A cell is keyed [column \000 pk], so a write naming either with a NUL
+   is refused, a reopen's restore included. *)
+let test_cell_store_rejects_nul () =
+  let cs = Cell_store.create () in
+  Alcotest.check_raises "nul in column" (Invalid_argument "Cell_store: column contains NUL")
+    (fun () -> Cell_store.write_cell cs ~column:"c\x00" ~pk:"a" ~ts:0 "x");
+  Alcotest.check_raises "nul in pk" (Invalid_argument "Cell_store: pk contains NUL")
+    (fun () -> Cell_store.delete_cell cs ~column:"c" ~pk:"a\x00b" ~ts:0);
+  Alcotest.check_raises "nul in a restored pk" (Invalid_argument "Cell_store: pk contains NUL")
+    (fun () -> Cell_store.restore_version cs ~column:"c" ~pk:"\x00" ~ts:0 (fun () -> None));
+  Alcotest.(check int) "nothing stored" 0 (Cell_store.cell_count cs)
 
 let test_cell_store_versions () =
   let cs = Cell_store.create () in
@@ -61,7 +54,7 @@ let test_cell_store_prefix_pks () =
     (scan db "c" ~pk_lo:"k" ~pk_hi:"k");
   Alcotest.(check (list (pair string string))) "range of a column" [ ("k", "k1"); ("kk", "kk5") ]
     (scan db "c" ~pk_lo:"" ~pk_hi:"z");
-  Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
+  Alcotest.check_raises "nul in pk" (Invalid_argument "Cell_store: pk contains NUL")
     (fun () -> Cell_store.write_cell cs ~column:"c" ~pk:"a\x00b" ~ts:0 "x")
 
 let test_cell_store_range () =
@@ -135,17 +128,6 @@ let test_db_consistency_protocol () =
   let proof = Db.consistency db ~old_size:d1.Spitz_ledger.Journal.size in
   Alcotest.(check bool) "append-only" true
     (Spitz_ledger.Journal.verify_consistency ~old_digest:d1 ~new_digest:d2 proof)
-
-let test_db_inverted_search () =
-  let db = Db.open_db ~with_inverted:true () in
-  ignore (Db.put db "u1" "amsterdam");
-  ignore (Db.put db "u2" "amsterdam");
-  ignore (Db.put db "u3" "berlin");
-  let hits = Db.search_value db "amsterdam" in
-  Alcotest.(check int) "two hits" 2 (List.length hits);
-  Alcotest.(check (list string)) "pks"
-    [ "u1"; "u2" ]
-    (List.sort compare (List.map (fun uk -> uk.Universal_key.pk) hits))
 
 (* tampering with the stored value must be caught by the verified read *)
 let test_db_detects_tampering () =
@@ -461,9 +443,7 @@ let test_db_node_cache_holds_head_nodes () =
 
 let suite =
   [
-    Alcotest.test_case "universal key roundtrip" `Quick test_ukey_roundtrip;
-    Alcotest.test_case "universal key ordering" `Quick test_ukey_ordering;
-    Alcotest.test_case "universal key rejects NUL" `Quick test_ukey_rejects_nul;
+    Alcotest.test_case "cell store rejects NUL" `Quick test_cell_store_rejects_nul;
     Alcotest.test_case "cell store versions" `Quick test_cell_store_versions;
     Alcotest.test_case "cell store range" `Quick test_cell_store_range;
     Alcotest.test_case "cell store keeps prefix pks apart" `Quick test_cell_store_prefix_pks;
@@ -475,7 +455,6 @@ let suite =
     Alcotest.test_case "db write receipts" `Quick test_db_write_receipts;
     Alcotest.test_case "db batch" `Quick test_db_batch;
     Alcotest.test_case "db consistency protocol" `Quick test_db_consistency_protocol;
-    Alcotest.test_case "db inverted search" `Quick test_db_inverted_search;
     Alcotest.test_case "db detects tampering" `Quick test_db_detects_tampering;
     Alcotest.test_case "db snapshot pins state" `Quick test_db_snapshot_pins_state;
     Alcotest.test_case "db snapshot at height" `Quick test_db_snapshot_at_height;
