@@ -21,7 +21,8 @@ let legs =
     leg "verify" "batched verification: one-at-a-time vs one proof per batch"
       Figures.verify_bench;
     leg "verify-mode" "online vs deferred verification (section 5.3)" Figures.verify_mode;
-    leg "cc" "concurrency-control ablation (section 5.2)" Figures.cc;
+    leg "cc" "conditional Apply under contention: conflict rate, no lost update (section 5.2)"
+      Figures.cc;
     leg "durability" "WAL throughput per fsync policy, recovery; then group-commit, checkpoint"
       (fun () ->
         System.durability ();

@@ -11,6 +11,7 @@
      spitz compact db
      spitz stats db
      spitz serve db --port 7473
+     spitz client --port 7473 incr counter
 
    The directory is the one [spitz serve] runs on: a snapshot, a
    write-ahead log and a lock file. Every open re-validates the hash
@@ -320,7 +321,7 @@ let client_cmd =
   in
   let op_args =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"OP"
-           ~doc:"Operation: put K V | get K | get-verified K | range LO HI | digest.")
+           ~doc:"Operation: put K V | incr K | get K | get-verified K | range LO HI | digest.")
   in
   let run port op_args =
     let session = Spitz_server.Session.connect ~port () in
@@ -328,6 +329,18 @@ let client_cmd =
     match op_args with
     | [ "put"; k; v ] ->
       Printf.printf "committed block %d\n" (Spitz_server.Session.put session k v)
+    | [ "incr"; k ] ->
+      (* a read-modify-write that loses no update: a verified read, then an
+         Apply conditional on it, retried on a conflict *)
+      let incr v =
+        match Option.map int_of_string_opt v with
+        | None -> "1"
+        | Some (Some n) -> string_of_int (n + 1)
+        | Some None ->
+          Printf.eprintf "error: %s holds %S, not an integer\n" k (Option.get v);
+          exit 1
+      in
+      Printf.printf "committed block %d\n" (Spitz_server.Session.update session k incr)
     | [ "get"; k ] -> (
       match Spitz_server.Session.get session k with
       | Some v -> print_endline v

@@ -792,7 +792,8 @@ let check_compacted_reopen (tr : Trace.trace) =
    session's digest-pinning verification. Afterwards the committed order —
    recovered from the Apply tokens in the block statements — replayed
    serially must reproduce the settled digest bit for bit, and every
-   client-verified (height, key, value) observation must match [Db.get_at]. *)
+   client-verified (height, key, value) observation must match [Db.get_at].
+   Last, the clients race conditional increments: no update may be lost. *)
 let check_concurrent_clients (tr : Trace.trace) =
   let module Server = Spitz_server.Server in
   let module Session = Spitz_server.Session in
@@ -907,7 +908,33 @@ let check_concurrent_clients (tr : Trace.trace) =
     Session.sync s;
     if Session.digest s <> Some digest then
       fail "late client pinned a digest different from the settled head";
-    if not (Db.audit db) then fail "client storm: chain audit failed"
+    if not (Db.audit db) then fail "client storm: chain audit failed";
+    (* the same clients race read-modify-writes of two shared counters
+       through [Session.update]: the final counts must equal the
+       acknowledged increments (a blind read-modify-write loses some) *)
+    let counter i = Printf.sprintf "counter:%d" i in
+    let incr v = string_of_int (1 + Option.fold ~none:0 ~some:int_of_string v) in
+    let incrementer c slice () =
+      let s = Session.connect ~port () in
+      Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+      List.init
+        (4 + List.length slice)
+        (fun j ->
+           let i = (c + j) mod 2 in
+           ignore (Session.update s (counter i) incr);
+           i)
+    in
+    let acked =
+      List.concat_map Domain.join
+        (List.mapi (fun c slice -> Domain.spawn (incrementer c slice)) slices)
+    in
+    List.iter
+      (fun i ->
+         let acks = List.length (List.filter (( = ) i) acked) in
+         let count = Option.fold ~none:0 ~some:int_of_string (Db.get db (counter i)) in
+         if count <> acks then
+           fail "%s counts %d for %d acknowledged increments" (counter i) count acks)
+      [ 0; 1 ]
   end
 
 (* --- digest stability --- *)

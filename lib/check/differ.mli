@@ -86,7 +86,9 @@ val check_concurrent_clients : Trace.trace -> unit
     client-verified (height, key, value) observation matches
     [Spitz.Db.get_at]; that no session records a verifier failure; that a
     late-arriving session pins exactly the settled digest; and that the
-    chain audit passes. *)
+    chain audit passes. Then the same sessions race
+    {!Spitz_server.Session.update} increments of two shared counters: each
+    final count must equal its acknowledged increments. *)
 
 val check_digest_stability : Trace.trace -> unit
 (** The digest is a pure function of the committed history: replaying the

@@ -112,11 +112,12 @@ module MakeTargets (S : Spitz_adt.Siri.S) = struct
     l
 
   let present_key l rng =
+    let head = Option.get (L.snapshot l) in
     let rec go n =
       if n > 200 then K.key_of 0
       else
         let k = K.key_of (K.int rng 24) in
-        if L.get l k <> None then k else go (n + 1)
+        if L.snap_get head k <> None then k else go (n + 1)
     in
     go 0
 

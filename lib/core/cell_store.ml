@@ -108,6 +108,9 @@ let versions_of t ~column ~pk =
   Mutex.protect t.lock (fun () ->
       match Cells.find_opt t.cells key with Some cell -> cell.versions | None -> [])
 
+let newest_ts t ~column ~pk =
+  match versions_of t ~column ~pk with v :: _ -> Some v.ts | [] -> None
+
 let value t addr = if Hash.is_null addr then None else Some (Object_store.get_blob_exn t.store addr)
 
 let read_value ?(ts = max_int) t ~column ~pk =

@@ -43,6 +43,11 @@ val read_value : ?ts:int -> t -> column:string -> pk:string -> string option
 (** The newest version at or below [ts] (default: latest). Absent includes
     "newest version is a tombstone". *)
 
+val newest_ts : t -> column:string -> pk:string -> int option
+(** The timestamp of the cell's newest version, tombstones included:
+    [None] when the cell has none. {!Db.commit} validates a read set
+    against it. *)
+
 val versions : t -> column:string -> pk:string -> (int * string) list
 (** Every version of one cell as [(ts, value)], oldest first, tombstones
     left out. *)

@@ -186,10 +186,10 @@ let decode_wal_record data =
    Thread-safe: any number of domains may commit concurrently. The pipeline
    has three stages per commit — (1) value hashing ([L.prepare]), pure and
    lock-free, so it overlaps with anything, including the WAL write of an
-   earlier commit; (2) the serial section under [commit_lock]: txn-id
-   assignment, SIRI index update, block assembly, journal append, cell-store
-   apply, and (when a WAL is attached) a non-blocking [Wal.submit] of the
-   batch's record; (3) the durability wait, after the lock is released —
+   earlier commit; (2) the serial section under [commit_lock]: read-set
+   validation, txn-id assignment, SIRI index update, block assembly,
+   journal append, cell-store apply, and (when a WAL is attached) a
+   non-blocking [Wal.submit] of the batch's record; (3) the durability wait, after the lock is released —
    committer B enters its serial section while committer A is still
    fsyncing, and A's WAL leader coalesces every record submitted meanwhile.
    Blocks enter the ledger, and records the log, in the order the lock is
@@ -257,13 +257,40 @@ let retention_stats t =
         filed_nodes = filed;
         reclaimed_nodes = reclaimed })
 
-let commit t ?(statements = []) writes =
+exception Conflict of { key : string; height : int }
+
+(* The cells a read set names, checked before the commit lock: the SQL
+   catalog has no cell to validate against. *)
+let read_cells t reads =
+  List.map
+    (fun (key, height) ->
+       let column, pk = cell_of_key t key in
+       if String.equal column catalog_column then
+         invalid_arg ("Db.commit: a read set cannot name the catalog key " ^ key);
+       (key, column, pk, height))
+    reads
+
+(* Optimistic validation (section 5.2) on the multiversion cell store: a
+   read at pin height h still holds if no block above h wrote the key.
+   Caller holds [commit_lock], so no commit lands between the check and the
+   block. *)
+let validate t reads =
+  List.iter
+    (fun (key, column, pk, read_at) ->
+       match Cell_store.newest_ts t.cells ~column ~pk with
+       | Some height when height > read_at -> raise (Conflict { key; height })
+       | _ -> ())
+    reads
+
+let commit t ?(statements = []) ?(reads = []) writes =
+  let reads = read_cells t reads in
   let prepared = L.prepare ~statements writes in
   Mutex.lock t.commit_lock;
   let height, ticket =
     match
       (* a stopped log acknowledges nothing more: fail before the block *)
       Option.iter (fun log -> Wal.check_failed log.wal) t.log;
+      validate t reads;
       let height, superseded = L.commit_prepared t.ledger prepared in
       List.iter
         (function

@@ -44,7 +44,7 @@ val ledger : t -> L.t
 val catalog_column : string
 (** The column of the SQL catalog's keys ([catalog_column ^ "\x1f" ^ table]).
     The catalog is ledger metadata: writes to this column get no cell, and
-    {!get} never finds them — read them from {!ledger}. *)
+    {!get} never finds them — read them with {!range}. *)
 
 val cells : t -> Cell_store.t
 
@@ -53,11 +53,28 @@ val cell_count : t -> int
 
 (** {1 Writes} *)
 
-val commit : t -> ?statements:string list -> Ledger.write list -> int
+exception Conflict of { key : string; height : int }
+(** A conditional {!commit}'s read of [key] no longer holds: the block at
+    [height], above the height the key was read at, wrote it. *)
+
+val commit :
+  t -> ?statements:string list -> ?reads:(string * int) list -> Ledger.write list -> int
 (** The one write path: one batch of puts and deletes as one ledger block.
     Deletes land as tombstones in both the ledger index and the cell store,
     so the verifiable surface and the query surface agree on absence.
     [statements] are recorded in the block for audit.
+
+    [reads] makes the commit conditional (optimistic validation on the
+    multiversion store, section 5.2): each [(key, h)] says the batch was
+    computed from [key] as of block [h] ([-1]: before the first block).
+    Under the commit lock, before the block is made, the commit checks that
+    no block above [h] wrote the key, a delete included; otherwise it
+    raises {!Conflict} and makes no block, no log record and no cell
+    write. A batch that passes commits exactly as it would without
+    [reads]: the block, the log record and the digest are the same, and
+    reads are not logged, so a reopen re-runs the record without them. A
+    read set naming a SQL catalog key raises [Invalid_argument]: the
+    catalog has no cell to validate against.
 
     Thread-safe: any number of domains may commit concurrently (this covers
     every write — {!put}, {!put_batch}, {!delete}, the schema and SQL layers

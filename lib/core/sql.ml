@@ -261,7 +261,8 @@ let env db = { db; tables = [] }
 (* The catalog is itself ledger data: CREATE TABLE commits the table spec
    under a reserved key, so reopening a database recovers its tables (and an
    auditor can verify the schema history like any other data). The specs
-   are read back from the ledger: [Db] gives the catalog column no cells. *)
+   are read back with [Db.range], which answers from the ledger's head
+   index: [Db] gives the catalog column no cells. *)
 let catalog_key name = Db.catalog_column ^ "\x1f" ^ name
 
 let record_catalog env spec =
@@ -273,7 +274,7 @@ let record_catalog env spec =
 
 let env_of_db db =
   let e = env db in
-  let entries = Db.L.range (Db.ledger db) ~lo:(catalog_key "") ~hi:(catalog_key "\xff") in
+  let entries = Db.range db ~lo:(catalog_key "") ~hi:(catalog_key "\xff") in
   e.tables <-
     List.map
       (fun (_, printed) ->

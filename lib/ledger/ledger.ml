@@ -86,11 +86,6 @@ module Make (Index : Siri.S) = struct
     | None -> Index.create t.store
     | Some s -> s.s_index
 
-  let index_at t ~height =
-    if height < 0 || height >= Journal.length t.journal then
-      invalid_arg "Ledger.index_at: out of range";
-    t.instances.(height)
-
   (* Build the view of block [height] from the journal. Walks the journal's
      mutable Merkle tree to build the inclusion proof, so calls must be
      serialized against commits. *)
@@ -206,21 +201,6 @@ module Make (Index : Siri.S) = struct
   let commit t ?statements writes = fst (commit_prepared t (prepare ?statements writes))
 
   (* --- Reads --- *)
-
-  let get t key =
-    match Index.get (current_index t) key with
-    | None -> None
-    | Some tagged -> untag tagged
-
-  let get_at t ~height key =
-    match Index.get (index_at t ~height) key with
-    | None -> None
-    | Some tagged -> untag tagged
-
-  let range t ~lo ~hi =
-    List.filter_map
-      (fun (k, tagged) -> Option.map (fun v -> (k, v)) (untag tagged))
-      (Index.range (current_index t) ~lo ~hi)
 
   type read_proof = {
     rp_height : int;              (* block whose index instance served the read *)

@@ -55,13 +55,6 @@ module Make (Index : Siri.S) : sig
       what a store that reclaims superseded versions may delete once no
       retained instance below this block needs them. *)
 
-  val get : t -> string -> string option
-  val get_at : t -> height:int -> string -> string option
-  (** Read against the index instance of an older block. Raises [Not_found]
-      if that instance was reclaimed. *)
-
-  val range : t -> lo:string -> hi:string -> (string * string) list
-
   type read_proof = {
     rp_height : int;            (** block whose index instance served the read *)
     rp_header : Block.header;

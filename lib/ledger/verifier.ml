@@ -18,6 +18,7 @@ module Make (Index : Siri.S) = struct
   type check =
     | Read of string * string option * L.read_proof
     | Range of string * string * (string * string) list * L.read_proof
+    | Batch of (string * string option) list * L.batch_read_proof
     | Write of L.write_receipt
 
   type t = {
@@ -87,6 +88,9 @@ module Make (Index : Siri.S) = struct
          | Range (lo, hi, entries, proof) ->
            is_trusted t proof.L.rp_digest
            && L.verify_range ~digest:proof.L.rp_digest ~lo ~hi ~entries proof
+         | Batch (items, proof) ->
+           is_trusted t proof.L.brp_digest
+           && L.verify_batch_read ~digest:proof.L.brp_digest ~items proof
          | Write receipt ->
            is_trusted t receipt.L.wr_digest
            && L.verify_write ~digest:receipt.L.wr_digest receipt)
@@ -98,6 +102,10 @@ module Make (Index : Siri.S) = struct
   let read_anchor_key (proof : L.read_proof) =
     ( proof.L.rp_digest.Journal.root, proof.L.rp_digest.Journal.size,
       proof.L.rp_height, Block.hash_header proof.L.rp_header )
+
+  let batch_anchor_key (proof : L.batch_read_proof) =
+    ( proof.L.brp_digest.Journal.root, proof.L.brp_digest.Journal.size,
+      proof.L.brp_height, Block.hash_header proof.L.brp_header )
 
   let write_anchor_key (receipt : L.write_receipt) =
     ( receipt.L.wr_digest.Journal.root, receipt.L.wr_digest.Journal.size,
@@ -169,6 +177,28 @@ module Make (Index : Siri.S) = struct
              let r = L.verify_range_at_root ~lo ~hi ~entries proof in
              (true, r :: Option.to_list a)
            end
+         | Batch (items, proof) ->
+           if not (is_trusted t proof.L.brp_digest) then (false, [])
+           else begin
+             let digest = proof.L.brp_digest in
+             let a =
+               shared anchor_units t.anchors (batch_anchor_key proof)
+                 (fun () -> L.verify_batch_anchor ~digest proof)
+             in
+             (* the claims are skipped when each was proven already; one
+                proof proves them all, so they join the proven claims *)
+             let root = proof.L.brp_header.Block.index_root in
+             let claims = List.map (fun (key, value) -> (root, key, value)) items in
+             let c =
+               if List.for_all (Hashtbl.mem t.verified) claims then None
+               else begin
+                 let ok = L.verify_batch_at_root ~items proof in
+                 if ok then List.iter (fun k -> Hashtbl.replace claim_units k true) claims;
+                 Some ok
+               end
+             in
+             (true, List.filter_map Fun.id [ a; c ])
+           end
          | Write receipt ->
            if not (is_trusted t receipt.L.wr_digest) then (false, [])
            else begin
@@ -206,6 +236,7 @@ module Make (Index : Siri.S) = struct
 
   let submit_read t ~key ~value proof = submit t (Read (key, value, proof))
   let submit_range t ~lo ~hi ~entries proof = submit t (Range (lo, hi, entries, proof))
+  let submit_batch t ~items proof = submit t (Batch (items, proof))
   let submit_write t receipt = submit t (Write receipt)
 end
 

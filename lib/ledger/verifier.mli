@@ -14,6 +14,8 @@ module Make (Index : Siri.S) : sig
   type check =
     | Read of string * string option * L.read_proof
     | Range of string * string * (string * string) list * L.read_proof
+    | Batch of (string * string option) list * L.batch_read_proof
+        (** every (key, claimed value) pair under one batch proof *)
     | Write of L.write_receipt
 
   type t
@@ -40,6 +42,8 @@ module Make (Index : Siri.S) : sig
   val submit_range :
     t -> lo:string -> hi:string -> entries:(string * string) list -> L.read_proof ->
     bool option
+  val submit_batch :
+    t -> items:(string * string option) list -> L.batch_read_proof -> bool option
   val submit_write : t -> L.write_receipt -> bool option
 
   val flush : t -> bool
@@ -47,7 +51,8 @@ module Make (Index : Siri.S) : sig
       coalesced first: one journal-anchor job per distinct (digest, height,
       header) unit, and read claims whose (index root, key, value) triple was
       already proven — in an earlier flush or earlier in this one — are
-      skipped via a persistent verified-set cache. The surviving units are
+      skipped via a persistent verified-set cache (a batch read's claims
+      when every one of them was). The surviving units are
       checked once each, in submission order. *)
 end
 

@@ -6,11 +6,11 @@ open Spitz_storage
    decoder for untrusted request bytes and exactly one for response bytes,
    both funneled through the [Wire.decode] Malformed contract.
 
-   The vocabulary is the verifying session's eight verbs: writes are
-   token-carrying [Apply] batches (idempotent, so a client may retry them),
-   verified reads are pinned at a block height. The retired tags — blind
-   writes 'P' 'D' 'C' 'r', live-ledger proofs 'p' 'q', the 'u'
-   acknowledgement — decode as [Wire.Malformed] like any unknown tag, so a
+   The vocabulary is the verifying session's nine verbs: writes are
+   token-carrying [Apply] batches (idempotent, so a client may retry them)
+   and [Apply_if] ones conditional on a read set; verified reads are
+   pinned at a block height. The retired tags — blind writes 'P' 'D' 'C'
+   'r', live-ledger proofs 'p' 'q', the 'u' acknowledgement — decode as [Wire.Malformed] like any unknown tag, so a
    server rejects them; they must not be reused for new verbs.
 
    The in-process [call] models the marshalling cost of such a boundary with
@@ -48,7 +48,37 @@ type request =
   | SnapRange of int * string * string
   | Anchor of int
   | Apply of { token : string; puts : (string * string) list; deletes : string list }
+  | Apply_if of {
+      token : string;
+      reads : (string * int) list;
+      puts : (string * string) list;
+      deletes : string list;
+    }
   | Receipts of int
+
+(* Key/value lists: an [Apply]'s puts and an [Entries] answer. *)
+let write_entries buf entries =
+  Wire.write_list buf (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v) entries
+
+let read_entries r =
+  Wire.read_list r (fun r ->
+      let k = Wire.read_string r in
+      let v = Wire.read_string r in
+      (k, v))
+
+(* A read set's heights start at -1 (read before the first block); the
+   wire carries each plus one. *)
+let write_reads buf reads =
+  Wire.write_list buf
+    (fun buf (k, h) ->
+       Wire.write_string buf k;
+       Wire.write_varint buf (h + 1))
+    reads
+
+let read_reads r =
+  Wire.read_list r (fun r ->
+      let k = Wire.read_string r in
+      (k, Wire.read_varint r - 1))
 
 let write_request buf req =
   match req with
@@ -71,7 +101,13 @@ let write_request buf req =
   | Apply { token; puts; deletes } ->
     Wire.write_byte buf 'T';
     Wire.write_string buf token;
-    Wire.write_list buf (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v) puts;
+    write_entries buf puts;
+    Wire.write_list buf Wire.write_string deletes
+  | Apply_if { token; reads; puts; deletes } ->
+    Wire.write_byte buf 'I';
+    Wire.write_string buf token;
+    write_reads buf reads;
+    write_entries buf puts;
     Wire.write_list buf Wire.write_string deletes
   | Receipts height -> Wire.write_byte buf 'W'; Wire.write_varint buf height
 
@@ -103,14 +139,15 @@ let read_request r =
   | 'A' -> Anchor (Wire.read_varint r)
   | 'T' ->
     let token = Wire.read_string r in
-    let puts =
-      Wire.read_list r (fun r ->
-          let k = Wire.read_string r in
-          let v = Wire.read_string r in
-          (k, v))
-    in
+    let puts = read_entries r in
     let deletes = Wire.read_list r Wire.read_string in
     Apply { token; puts; deletes }
+  | 'I' ->
+    let token = Wire.read_string r in
+    let reads = read_reads r in
+    let puts = read_entries r in
+    let deletes = Wire.read_list r Wire.read_string in
+    Apply_if { token; reads; puts; deletes }
   | 'W' -> Receipts (Wire.read_varint r)
   | c -> raise (Wire.Malformed (Printf.sprintf "Ipc: bad request tag %C" c))
 
@@ -146,6 +183,7 @@ type ('read, 'batch) answer =
   | AnchorResp of anchor
   | ReceiptList of string list
   | Below_horizon of int
+  | Conflict of { key : string; height : int }
   | Error of string
 
 type response = (string, string) answer
@@ -169,15 +207,6 @@ let read_value_opt = read_opt Wire.read_string
 (* An optional proof: the option tag, then the nested encoding. *)
 let write_proof_opt write = write_opt (fun buf p -> Wire.write_nested buf write p)
 let read_proof_opt read = read_opt (fun r -> Wire.read_nested r read)
-
-let write_entries buf entries =
-  Wire.write_list buf (fun buf (k, v) -> Wire.write_string buf k; Wire.write_string buf v) entries
-
-let read_entries r =
-  Wire.read_list r (fun r ->
-      let k = Wire.read_string r in
-      let v = Wire.read_string r in
-      (k, v))
 
 let write_answer ~read ~batch buf resp =
   match resp with
@@ -203,6 +232,10 @@ let write_answer ~read ~batch buf resp =
     Wire.write_hash_list buf consistency
   | ReceiptList rs -> Wire.write_byte buf 'w'; Wire.write_list buf Wire.write_string rs
   | Below_horizon horizon -> Wire.write_byte buf 'H'; Wire.write_varint buf horizon
+  | Conflict { key; height } ->
+    Wire.write_byte buf 'c';
+    Wire.write_string buf key;
+    Wire.write_varint buf height
   | Error msg -> Wire.write_byte buf 'x'; Wire.write_string buf msg
 
 let read_answer ~read ~batch r =
@@ -229,6 +262,9 @@ let read_answer ~read ~batch r =
     AnchorResp { root; size; consistency }
   | 'w' -> ReceiptList (Wire.read_list r Wire.read_string)
   | 'H' -> Below_horizon (Wire.read_varint r)
+  | 'c' ->
+    let key = Wire.read_string r in
+    Conflict { key; height = Wire.read_varint r }
   | 'x' -> Error (Wire.read_string r)
   | c -> raise (Wire.Malformed (Printf.sprintf "Ipc: bad response tag %C" c))
 

@@ -5,10 +5,10 @@
     untrusted request bytes and one for response bytes — both routed
     through the {!Spitz_storage.Wire.decode} Malformed contract.
 
-    The vocabulary is the verifying session's: the only write is the
-    token-carrying {!Apply}, and verified reads name the block height they
-    are pinned at. The retired blind-write and live-ledger proof tags
-    (['P'] put, ['D'] delete, ['C'] commit, ['r'] retract, ['p'] prove,
+    The vocabulary is the verifying session's: the writes are the
+    token-carrying {!Apply} and its conditional form {!Apply_if}, and
+    verified reads name the block height they are pinned at. The retired
+    blind-write and live-ledger proof tags (['P'] put, ['D'] delete, ['C'] commit, ['r'] retract, ['p'] prove,
     ['q'] prove-range) and the ['u'] acknowledgement decode as
     {!Spitz_storage.Wire.Malformed}, so a server rejects them.
 
@@ -46,6 +46,16 @@ type request =
   | Apply of { token : string; puts : (string * string) list; deletes : string list }
       (** idempotent write batch: a server commits each [token] at most
           once, so a client may blindly retry after a connection loss *)
+  | Apply_if of {
+      token : string;
+      reads : (string * int) list;
+      puts : (string * string) list;
+      deletes : string list;
+    }
+      (** {!Apply} conditional on a read set: each [(key, h)] says the
+          batch was computed from [key] as of block [h] ([-1]: before the
+          first block). Answered [Conflict] when a later block wrote one of
+          them, and the token is then free to send again *)
   | Receipts of int
       (** write receipts of the block at this height *)
 
@@ -84,6 +94,9 @@ type ('read, 'batch) answer =
   | Below_horizon of int
       (** a pinned read below the server's horizon (carried): the block's
           index instance is not retained; pin a block at or above it *)
+  | Conflict of { key : string; height : int }
+      (** an [Apply_if] whose read of [key] no longer holds: the block at
+          [height] wrote it since; nothing was committed *)
   | Error of string
 (** A response over any proof representation. The wire grammar is one
     function pair ({!write_answer} / {!read_answer}) for every

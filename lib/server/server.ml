@@ -100,8 +100,10 @@ let anchor db known =
    commit: Applies from different connections commit concurrently and can
    share one fsync. An Apply that races an in-flight one with the same token
    waits for it and answers its height; if that commit failed, the token is
-   free again and the waiter claims it. *)
-let apply t ~token ~puts ~deletes =
+   free again and the waiter claims it. A token that committed answers its
+   height before its read set is looked at; one whose read set conflicted
+   did not commit, so it is free again. *)
+let apply t ~token ~reads ~puts ~deletes =
   let rec claim () =
     match Hashtbl.find_opt t.tokens token with
     | Some (Committed_at h) -> Some h
@@ -129,7 +131,7 @@ let apply t ~token ~puts ~deletes =
       List.map (fun (k, v) -> Spitz_ledger.Ledger.Put (k, v)) puts
       @ List.map (fun k -> Spitz_ledger.Ledger.Delete k) deletes
     in
-    (match Db.commit t.db ~statements:[ token_prefix ^ token ] writes with
+    (match Db.commit t.db ~statements:[ token_prefix ^ token ] ~reads writes with
      | h ->
        settle (Some h);
        Ipc.Committed h
@@ -164,15 +166,17 @@ let serve t (req : Ipc.request) : answer =
     let entries, proof = Db.Snapshot.range_verified (pin db height) ~lo ~hi in
     Ipc.EntriesProof (entries, Some proof)
   | Ipc.Anchor known -> anchor db known
-  | Ipc.Apply { token; puts; deletes } -> apply t ~token ~puts ~deletes
+  | Ipc.Apply { token; puts; deletes } -> apply t ~token ~reads:[] ~puts ~deletes
+  | Ipc.Apply_if { token; reads; puts; deletes } -> apply t ~token ~reads ~puts ~deletes
   | Ipc.Receipts height ->
     let ledger = Db.ledger db in
     Ipc.ReceiptList
       (List.map Db.L.encode_receipt (Db.L.write_receipts ledger ~height))
 
 (* Anything a single bad request can provoke becomes an [Error] answer (a
-   read below the horizon, a [Below_horizon] one); only a framing loss or a
-   dead peer ends the connection. Whatever [write] put in [out] before it
+   read below the horizon, a [Below_horizon] one; a conditional Apply whose
+   read set failed, a [Conflict] one); only a framing loss or a dead peer
+   ends the connection. Whatever [write] put in [out] before it
    raised is dropped first, so the frame holds exactly that answer. *)
 let respond out write =
   Wire.clear out;
@@ -182,6 +186,7 @@ let respond out write =
   in
   try write out with
   | Db.Below_horizon { horizon; _ } -> failed (Ipc.Below_horizon horizon)
+  | Db.Conflict { key; height } -> failed (Ipc.Conflict { key; height })
   | Wal.Failed msg -> failed (Ipc.Error msg)
   | Wire.Malformed msg -> failed (Ipc.Error msg)
   | Invalid_argument msg -> failed (Ipc.Error msg)

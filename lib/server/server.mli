@@ -18,8 +18,10 @@
     length header or CRC is wrong means the stream has lost framing and the
     connection is dropped. Both paths count in [stats.malformed].
 
-    Idempotent writes: [Apply {token; _}] is the only write verb, and a
-    batch commits at most once per token. Tokens are recorded as block statements (prefix ["tx:"]) and the
+    Idempotent writes: [Apply {token; _}] and its conditional form
+    [Apply_if] are the write verbs, and a batch commits at most once per
+    token. An [Apply_if] whose read set {!Spitz.Db.commit} refuses is
+    answered [Conflict], commits nothing, and frees its token. Tokens are recorded as block statements (prefix ["tx:"]) and the
     token table is rebuilt from the journal on {!start}, so retries are
     safe even across a server restart from durable storage. *)
 
@@ -59,9 +61,11 @@ val stats : t -> stats
 val respond : Spitz_storage.Wire.writer -> (Spitz_storage.Wire.writer -> unit) -> unit
 (** [respond out write] encodes one answer into [out], which it clears
     first: [write] appends the answer. When [write] raises what a single
-    request can provoke — {!Spitz.Db.Below_horizon}, a stopped log,
+    request can provoke — {!Spitz.Db.Below_horizon}, {!Spitz.Db.Conflict},
+    a stopped log,
     [Malformed], [Invalid_argument], [Not_found] or [Failure] — [out] is
-    cleared again and holds exactly the [Below_horizon] or [Error] answer,
+    cleared again and holds exactly the [Below_horizon], [Conflict] or
+    [Error] answer,
     whatever [write] had appended before it raised. Every connection
     handler answers through it. *)
 

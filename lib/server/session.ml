@@ -12,6 +12,7 @@ type t = {
   verifier : Db.V.t;
   nonce : string;
   mutable seq : int;
+  mutable conflicts : int;
   (* reusable per-session buffers; sessions are single-threaded *)
   scratch : Frame.scratch;
   out : Spitz_storage.Wire.writer;
@@ -30,6 +31,7 @@ let connect ?(retries = 3) ~port () =
         (Atomic.fetch_and_add session_counter 1)
         (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFFFF);
     seq = 0;
+    conflicts = 0;
     scratch = Frame.scratch ();
     out = Spitz_storage.Wire.writer ~size:512 ();
   }
@@ -96,6 +98,7 @@ let digest t = Db.V.digest t.verifier
 let pin_height t = Option.map (fun (d : Journal.digest) -> d.size - 1) (digest t)
 let checked t = Db.V.checked t.verifier
 let failures t = Db.V.failures t.verifier
+let conflicts t = t.conflicts
 
 let sync t =
   let known = match digest t with None -> 0 | Some d -> d.size in
@@ -175,25 +178,29 @@ let pinned_read t request =
       | resp -> Some (d, resp))
     | resp -> Some (d, resp))
 
-let get_verified t k =
+(* A verified point read and the height it was read at: [-1] when the
+   server has never committed. *)
+let read_verified t k =
   match pinned_read t (fun h -> Ipc.SnapGet (h, k)) with
-  | None -> None
-  | Some (_, Ipc.ValueProof (value, Some proof)) -> (
+  | None -> (-1, None)
+  | Some (d, Ipc.ValueProof (value, Some proof)) -> (
     match Db.V.submit_read t.verifier ~key:k ~value proof with
-    | Some true -> value
+    | Some true -> (d.size - 1, value)
     | _ -> raise (Verification_failed ("read proof for " ^ k)))
   | Some (_, Ipc.ValueProof (_, None)) -> raise (Verification_failed ("missing read proof for " ^ k))
   | Some _ -> protocol_error "SnapGet"
 
+let get_verified t k = snd (read_verified t k)
+
 let get_batch_verified t keys =
   match pinned_read t (fun h -> Ipc.GetBatch (h, keys)) with
   | None -> List.map (fun _ -> None) keys
-  | Some (d, Ipc.BatchProof (values, proof)) ->
+  | Some (_, Ipc.BatchProof (values, proof)) -> (
     if List.length values <> List.length keys then
       raise (Verification_failed "batch read: wrong arity");
-    if not (Db.L.verify_batch_read ~digest:d ~items:(List.combine keys values) proof) then
-      raise (Verification_failed "batch read proof");
-    values
+    match Db.V.submit_batch t.verifier ~items:(List.combine keys values) proof with
+    | Some true -> values
+    | _ -> raise (Verification_failed "batch read proof"))
   | Some _ -> protocol_error "GetBatch"
 
 let range_verified t ~lo ~hi =
@@ -205,6 +212,29 @@ let range_verified t ~lo ~hi =
     | _ -> raise (Verification_failed "range proof"))
   | Some (_, Ipc.EntriesProof (_, None)) -> raise (Verification_failed "missing range proof")
   | Some _ -> protocol_error "SnapRange"
+
+(* --- read-modify-write --- *)
+
+(* Read [key] verified at a fresh pin, then commit [f]'s value on the
+   condition that no block since wrote the key. On a conflict the session
+   reads again at a fresh pin and sends the same token with the new read:
+   the server frees the token of a batch it refused. *)
+let update t key f =
+  let token = fresh_token t in
+  let rec attempt () =
+    sync t;
+    let height, value = read_verified t key in
+    let puts = [ (key, f value) ] in
+    match rpc t (Ipc.Apply_if { token; reads = [ (key, height) ]; puts; deletes = [] }) with
+    | Ipc.Committed h ->
+      sync t;
+      h
+    | Ipc.Conflict _ ->
+      t.conflicts <- t.conflicts + 1;
+      attempt ()
+    | _ -> protocol_error "Apply_if"
+  in
+  attempt ()
 
 (* --- receipts --- *)
 

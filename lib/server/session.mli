@@ -22,8 +22,9 @@
     and it always verifies against a digest the pin passed through.
 
     Retry model: every request the session issues is idempotent — reads
-    trivially, writes because they travel as [Apply] batches under a unique
-    token the server commits at most once. On a connection loss the session
+    trivially, writes because they travel as [Apply] (or conditional
+    [Apply_if]) batches under a unique token the server commits at most
+    once. On a connection loss the session
     transparently reconnects and resends, up to [retries] times.
 
     A session is single-owner: use one per thread. *)
@@ -68,6 +69,15 @@ val put_batch : t -> (string * string) list -> int
 val delete : t -> string -> int
 (** {!apply} under a fresh session-unique token, then {!sync}. *)
 
+val update : t -> string -> (string option -> string) -> int
+(** Read-modify-write of one key that loses no update: {!sync}, read the
+    key verified at the new pin, and send [f]'s value as an [Apply_if]
+    conditional on that read, under a fresh token. When a block since the
+    pin wrote the key, the server answers [Conflict] and commits nothing;
+    the session counts it in {!conflicts} and starts over, so [f] may run
+    more than once. Returns the height of the block that committed, after
+    a {!sync}. *)
+
 (** {1 Reads} *)
 
 val get : t -> string -> string option
@@ -85,7 +95,7 @@ val get_verified : t -> string -> string option
 
 val get_batch_verified : t -> string list -> string option list
 (** Batch read at {!pin_height} under one batch proof (values in input
-    order). *)
+    order), checked by the session's verifier like {!get_verified}. *)
 
 val range_verified : t -> lo:string -> hi:string -> (string * string) list
 (** Range read at {!pin_height} under one range proof. *)
@@ -104,3 +114,9 @@ val verify_receipt : t -> Spitz.Db.L.write_receipt -> bool
 
 val checked : t -> int
 val failures : t -> int
+(** Every verified read ({!get_verified}, {!get_batch_verified},
+    {!range_verified}) and receipt counts one check, and one failure when
+    it does not verify. *)
+
+val conflicts : t -> int
+(** [Conflict] answers {!update} has retried. *)

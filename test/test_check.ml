@@ -212,14 +212,32 @@ let test_regression_proof_node_dedup () =
       (module Spitz_adt.Mbt);
     ]
 
-(* --- txn layer: serializability and clock properties --- *)
+(* --- conditional commits: serializability over Db snapshots --- *)
 
 (* A transaction mix over few keys with read-modify-writes that append a
-   marker, so the final value exposes execution order. The property: the
-   final state equals SOME serial order of the transactions — checked by
-   enumerating all permutations (n <= 4). *)
-let txn_serializable engine (specs_seed : int) =
-  let module S = Spitz_txn.Scheduler in
+   marker, so the final value exposes execution order. Each transaction
+   pins a Db snapshot, reads through it (recording each key and the pinned
+   height), buffers its writes, and commits them conditionally on its
+   reads; on [Db.Conflict] it starts over at a fresh snapshot. A seeded
+   scheduler interleaves the transactions one operation at a time. The
+   property: the final state equals SOME serial order of the transactions
+   — checked by enumerating all permutations (n <= 4). *)
+type txn_op =
+  | Read of string
+  | Write of string * string
+  | Rmw of string * (string option -> string)
+
+type txn = {
+  spec : txn_op list;
+  mutable snap : Spitz.Db.snapshot option;
+  mutable todo : txn_op list;
+  mutable reads : (string * int) list;
+  mutable writes : (string * string) list; (* newest write per key *)
+  mutable committed : bool;
+}
+
+let txn_serializable (specs_seed : int) =
+  let module Db = Spitz.Db in
   let rng = K.rng specs_seed in
   let nkeys = 2 + K.int rng 2 in
   let key i = Printf.sprintf "k%d" i in
@@ -231,20 +249,68 @@ let txn_serializable engine (specs_seed : int) =
           (fun _ ->
              let k = key (K.int rng nkeys) in
              match K.int rng 3 with
-             | 0 -> S.Read k
-             | 1 -> S.Write (k, Printf.sprintf "w%d" t)
+             | 0 -> Read k
+             | 1 -> Write (k, Printf.sprintf "w%d" t)
              | _ ->
-               S.Rmw
+               Rmw
                  ( k,
                    fun prev ->
                      (match prev with None -> "" | Some v -> v) ^ Printf.sprintf "+%d" t ))
           )
   in
-  let store = Spitz_txn.Mvcc.create () in
-  let oracle = Spitz_txn.Timestamp.create () in
-  let stats = S.run ~seed:(specs_seed lxor 0x7) ~engine ~store ~oracle specs in
-  if stats.S.committed <> ntxn then failwith "not all transactions committed";
-  let final k = Spitz_txn.Mvcc.read_latest store k in
+  let db = Db.open_db () in
+  let start txn =
+    txn.snap <- Db.snapshot db;
+    txn.todo <- txn.spec;
+    txn.reads <- [];
+    txn.writes <- []
+  in
+  let txns =
+    Array.of_list
+      (List.map
+         (fun spec -> { spec; snap = None; todo = []; reads = []; writes = []; committed = false })
+         specs)
+  in
+  Array.iter start txns;
+  let read txn k =
+    match List.assoc_opt k txn.writes with
+    | Some v -> Some v
+    | None -> (
+      match txn.snap with
+      | None ->
+        txn.reads <- (k, -1) :: txn.reads;
+        None
+      | Some s ->
+        txn.reads <- (k, Db.Snapshot.height s) :: txn.reads;
+        Db.Snapshot.get s k)
+  in
+  let write txn k v = txn.writes <- (k, v) :: List.remove_assoc k txn.writes in
+  let step txn =
+    match txn.todo with
+    | op :: rest ->
+      txn.todo <- rest;
+      (match op with
+       | Read k -> ignore (read txn k)
+       | Write (k, v) -> write txn k v
+       | Rmw (k, f) -> write txn k (f (read txn k)))
+    | [] -> (
+      match
+        Db.commit db ~reads:txn.reads
+          (List.map (fun (k, v) -> Spitz_ledger.Ledger.Put (k, v)) txn.writes)
+      with
+      | _ -> txn.committed <- true
+      | exception Db.Conflict _ -> start txn)
+  in
+  let sched = K.rng (specs_seed lxor 0x7) in
+  let rec run steps =
+    let live = List.filter (fun t -> not t.committed) (Array.to_list txns) in
+    if live <> [] then begin
+      if steps > 10_000 then failwith "transactions did not all commit";
+      step (List.nth live (K.int sched (List.length live)));
+      run (steps + 1)
+    end
+  in
+  run 0;
   (* reference: apply one permutation serially over a plain map *)
   let apply_serial order =
     let m = Hashtbl.create 8 in
@@ -253,9 +319,9 @@ let txn_serializable engine (specs_seed : int) =
          List.iter
            (fun op ->
               match op with
-              | S.Read _ -> ()
-              | S.Write (k, v) -> Hashtbl.replace m k v
-              | S.Rmw (k, f) -> Hashtbl.replace m k (f (Hashtbl.find_opt m k)))
+              | Read _ -> ()
+              | Write (k, v) -> Hashtbl.replace m k v
+              | Rmw (k, f) -> Hashtbl.replace m k (f (Hashtbl.find_opt m k)))
            (List.nth specs t))
       order;
     m
@@ -268,23 +334,14 @@ let txn_serializable engine (specs_seed : int) =
         l
   in
   let matches m =
-    List.for_all
-      (fun i ->
-         let k = key i in
-         Hashtbl.find_opt m k = final k)
-      (List.init nkeys Fun.id)
+    List.for_all (fun i -> Hashtbl.find_opt m (key i) = Db.get db (key i)) (List.init nkeys Fun.id)
   in
   List.exists (fun order -> matches (apply_serial order)) (permutations (List.init ntxn Fun.id))
 
 let test_txn_serializability () =
-  List.iter
-    (fun engine ->
-       let arb = Quick.make ~print:string_of_int (fun rng -> K.int rng 1_000_000) in
-       Quick.run
-         ~name:("serializability " ^ Spitz_txn.Scheduler.engine_name engine)
-         ~seed:0x5E1A (Quick.Cases 40) arb
-         (fun specs_seed -> txn_serializable engine specs_seed))
-    [ Spitz_txn.Scheduler.Mvcc_to; Spitz_txn.Scheduler.Mvcc_occ; Spitz_txn.Scheduler.Two_pl ]
+  let arb = Quick.make ~print:string_of_int (fun rng -> K.int rng 1_000_000) in
+  Quick.run ~name:"serializability of conditional commits" ~seed:0x5E1A (Quick.Cases 40) arb
+    txn_serializable
 
 let suite =
   [

@@ -2125,6 +2125,56 @@ let test_overwritten_writes_reopen () =
            Alcotest.(check int) "entries walked" 6 o.Db.entries;
            Alcotest.(check int) "log records" 0 o.Db.records))
 
+(* --- conditional commits --- *)
+
+(* A read set is validated under the commit lock against each key's newest
+   cell version, a tombstone included. A conflict makes nothing: no block,
+   no log record, no cell version. A commit that passes is the blind commit
+   of the same batch — the digests match an in-memory twin that commits
+   every batch blind — and a reopen re-runs its record with no read set. *)
+let test_conditional_commit () =
+  with_dir @@ fun dir ->
+  let module L = Spitz_ledger.Ledger in
+  let twin = Db.open_db () in
+  let d = Db.open_durable ~sync:Wal.Always dir in
+  let db = Db.durable_db d in
+  let both ?reads writes =
+    let h = Db.commit db ?reads writes in
+    Alcotest.(check int) "the blind twin commits at the same height" h (Db.commit twin writes);
+    h
+  in
+  let h0 = both [ L.Put ("counter", "0"); L.Put ("other", "x") ] in
+  let h1 = both ~reads:[ ("counter", h0) ] [ L.Put ("counter", "1") ] in
+  let conflicts what ~key ~height reads =
+    let digest = Db.digest db
+    and records = (Db.wal_stats d).Wal.records
+    and cells = Db.cell_count db in
+    (match Db.commit db ~reads [ L.Put (key, "lost") ] with
+     | _ -> Alcotest.fail (what ^ ": the commit must conflict")
+     | exception Db.Conflict c ->
+       Alcotest.(check string) (what ^ ": conflicting key") key c.key;
+       Alcotest.(check int) (what ^ ": the block that wrote it") height c.height);
+    Alcotest.(check bool) (what ^ ": digest unchanged") true (Db.digest db = digest);
+    Alcotest.(check int) (what ^ ": no log record") records (Db.wal_stats d).Wal.records;
+    Alcotest.(check int) (what ^ ": no cell version") cells (Db.cell_count db)
+  in
+  conflicts "stale read" ~key:"counter" ~height:h1 [ ("other", h1); ("counter", h0) ];
+  conflicts "read before the first block" ~key:"counter" ~height:h1 [ ("counter", -1) ];
+  let h2 = both [ L.Delete "other" ] in
+  conflicts "a delete since the read" ~key:"other" ~height:h2 [ ("other", h1) ];
+  ignore (both ~reads:[ ("fresh", -1); ("counter", h1); ("other", h2) ] [ L.Put ("fresh", "1") ]);
+  (match Db.commit db ~reads:[ (Db.catalog_column ^ "\x1fitems", h2) ] [ L.Put ("x", "y") ] with
+   | _ -> Alcotest.fail "a catalog key in a read set must be refused"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "digest = the blind twin's" true (Db.digest db = Db.digest twin);
+  let digest = Db.digest db in
+  Db.close_durable d;
+  let d = Db.open_durable dir in
+  Fun.protect ~finally:(fun () -> Db.close_durable d) @@ fun () ->
+  let db = Db.durable_db d in
+  Alcotest.(check bool) "the reopen re-runs the log to the same digest" true (Db.digest db = digest);
+  Alcotest.(check (option string)) "counter" (Some "1") (Db.get db "counter")
+
 let suite =
   [
     Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
@@ -2214,4 +2264,6 @@ let suite =
       test_checkpoint_counts_dir_fsync_failure;
     QCheck_alcotest.to_alcotest prop_reopen_rebuilds_cells;
     Alcotest.test_case "overwritten writes of a block reopen" `Quick test_overwritten_writes_reopen;
+    Alcotest.test_case "conditional commit: a conflict leaves no trace" `Quick
+      test_conditional_commit;
   ]

@@ -109,15 +109,17 @@ let test_ledger_commit_get () =
   let l = L.create (Object_store.create ()) in
   let h0 = L.commit l [ Ledger.Put ("a", "1"); Ledger.Put ("b", "2") ] in
   Alcotest.(check int) "first height" 0 h0;
-  Alcotest.(check (option string)) "a" (Some "1") (L.get l "a");
-  Alcotest.(check (option string)) "b" (Some "2") (L.get l "b");
-  Alcotest.(check (option string)) "missing" None (L.get l "c");
+  let get k = L.snap_get (Option.get (L.snapshot l)) k in
+  Alcotest.(check (option string)) "a" (Some "1") (get "a");
+  Alcotest.(check (option string)) "b" (Some "2") (get "b");
+  Alcotest.(check (option string)) "missing" None (get "c");
   let _ = L.commit l [ Ledger.Put ("a", "10"); Ledger.Delete ("b") ] in
-  Alcotest.(check (option string)) "a updated" (Some "10") (L.get l "a");
-  Alcotest.(check (option string)) "b deleted" None (L.get l "b");
+  Alcotest.(check (option string)) "a updated" (Some "10") (get "a");
+  Alcotest.(check (option string)) "b deleted" None (get "b");
   (* historical reads *)
-  Alcotest.(check (option string)) "a at height 0" (Some "1") (L.get_at l ~height:0 "a");
-  Alcotest.(check (option string)) "b at height 0" (Some "2") (L.get_at l ~height:0 "b");
+  let get_at ~height k = L.snap_get (L.snapshot_at l ~height) k in
+  Alcotest.(check (option string)) "a at height 0" (Some "1") (get_at ~height:0 "a");
+  Alcotest.(check (option string)) "b at height 0" (Some "2") (get_at ~height:0 "b");
   Alcotest.(check bool) "audit" true (L.audit l)
 
 let test_ledger_read_proofs () =

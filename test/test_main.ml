@@ -9,7 +9,6 @@ let () =
       ("adt", Test_adt.suite);
       ("index", Test_index.suite);
       ("ledger", Test_ledger.suite);
-      ("txn", Test_txn.suite);
       ("core", Test_spitz_core.suite);
       ("systems", Test_systems.suite);
       ("query", Test_query.suite);

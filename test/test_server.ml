@@ -889,6 +889,150 @@ let test_concurrent_applies_distinct_heights () =
   done;
   Alcotest.(check bool) "digest = serial replay" true (Db.digest db = Db.digest serial)
 
+(* --- read-modify-write: the conditional Apply --- *)
+
+let incr v = string_of_int (1 + Option.fold ~none:0 ~some:int_of_string v)
+
+(* Two sessions read the counter at the same pin, then each writes +1. B's
+   whole update runs inside A's, between A's read and A's write, so the
+   interleaving is fixed. With [Session.update], A's write conflicts, A
+   reads again and the count ends at 2. With a verified read and a blind
+   [Session.put], the same interleaving ends at 1: an update is lost. *)
+let test_lost_update () =
+  with_server @@ fun db server ->
+  with_session server @@ fun a ->
+  with_session server @@ fun b ->
+  ignore (Session.put a "counter" "0");
+  let pins = ref [] in
+  let pinned s = pins := Session.pin_height s :: !pins in
+  ignore
+    (Session.update a "counter" (fun v ->
+         if !pins = [] then begin
+           pinned a;
+           ignore (Session.update b "counter" (fun v -> pinned b; incr v))
+         end;
+         incr v));
+  (match !pins with
+   | [ pb; pa ] -> Alcotest.(check (option int)) "both read at the same pin" pa pb
+   | _ -> Alcotest.fail "expected one read from each session");
+  Alcotest.(check int) "A's first write conflicted" 1 (Session.conflicts a);
+  Alcotest.(check int) "B's write did not" 0 (Session.conflicts b);
+  Alcotest.(check (option string)) "conditional: both increments count" (Some "2")
+    (Db.get db "counter");
+  ignore (Session.put a "counter" "0");
+  Session.sync a;
+  Session.sync b;
+  Alcotest.(check (option int)) "blind: the same pin" (Session.pin_height a) (Session.pin_height b);
+  let va = Session.get_verified a "counter" in
+  let vb = Session.get_verified b "counter" in
+  ignore (Session.put b "counter" (incr vb));
+  ignore (Session.put a "counter" (incr va));
+  Alcotest.(check (option string)) "blind: one increment is lost" (Some "1") (Db.get db "counter")
+
+(* On the wire: a conflicting [Apply_if] commits nothing and frees its
+   token, so the same token with a fresh read commits; a retry of a
+   committed token answers its height without looking at its reads again;
+   a catalog key in a read set is an [Error], and frees the token too. *)
+let test_apply_if_tokens () =
+  with_server @@ fun db server ->
+  let h0 = Db.put db "k" "0" in
+  let h1 = Db.put db "k" "1" in
+  let fd = raw_connect server in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let send req =
+    Frame.write fd (Ipc.encode_request req);
+    Ipc.decode_response (Frame.read fd)
+  in
+  let apply_if reads = Ipc.Apply_if { token = "rmw"; reads; puts = [ ("k", "2") ]; deletes = [] } in
+  let before = Db.digest db in
+  (match send (apply_if [ ("k", h0) ]) with
+   | Ipc.Conflict { key; height } ->
+     Alcotest.(check string) "conflicting key" "k" key;
+     Alcotest.(check int) "the block that wrote it" h1 height
+   | _ -> Alcotest.fail "a stale read must be answered Conflict");
+  Alcotest.(check bool) "nothing committed" true (Db.digest db = before);
+  let h =
+    match send (apply_if [ ("k", h1) ]) with
+    | Ipc.Committed h -> h
+    | _ -> Alcotest.fail "the freed token must commit with a fresh read"
+  in
+  (match send (apply_if [ ("k", h0) ]) with
+   | Ipc.Committed h' -> Alcotest.(check int) "a committed token answers its height" h h'
+   | _ -> Alcotest.fail "a retried committed token must answer its height");
+  Alcotest.(check (list int)) "the token is in one block" [ h ] (blocks_with_statement db "tx:rmw");
+  let catalog = Ipc.Apply_if
+      { token = "cat"; reads = [ (Db.catalog_column ^ "\x1ft", h) ]; puts = [ ("c", "1") ];
+        deletes = [] }
+  in
+  (match send catalog with
+   | Ipc.Error _ -> ()
+   | _ -> Alcotest.fail "a catalog key in a read set must be an Error");
+  match send (Ipc.Apply_if { token = "cat"; reads = []; puts = [ ("c", "1") ]; deletes = [] }) with
+  | Ipc.Committed h' -> Alcotest.(check int) "then the token commits" (h + 1) h'
+  | _ -> Alcotest.fail "a refused token must be free again"
+
+(* A server that answers every batch read with its first value forged and
+   the honest proof; anchors are honest. *)
+let with_forging_server db f =
+  let listen = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listen Unix.SO_REUSEADDR true;
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 1;
+  let port = match Unix.getsockname listen with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  let answer (req : Ipc.request) : (Db.L.read_proof, Db.L.batch_read_proof) Ipc.answer =
+    match req with
+    | Ipc.Anchor known ->
+      let (d : Spitz_ledger.Journal.digest), consistency = Db.anchor db ~old_size:known in
+      Ipc.AnchorResp { Ipc.root = d.root; size = d.size; consistency }
+    | Ipc.GetBatch (height, keys) -> (
+      match Db.Snapshot.get_batch_verified (Option.get (Db.snapshot ~height db)) keys with
+      | _ :: rest, proof -> Ipc.BatchProof (Some "forged" :: rest, proof)
+      | [], proof -> Ipc.BatchProof ([], proof))
+    | _ -> Ipc.Error "not served here"
+  in
+  let serve () =
+    let fd, _ = Unix.accept ~cloexec:true listen in
+    let out = Spitz_storage.Wire.writer () in
+    (try
+       while true do
+         let req = Ipc.decode_request (Frame.read fd) in
+         Spitz_storage.Wire.clear out;
+         Ipc.write_answer ~read:Db.L.write_read_proof ~batch:Db.L.write_batch_proof out
+           (answer req);
+         Frame.write fd (Spitz_storage.Wire.contents out)
+       done
+     with Frame.Closed | End_of_file | Unix.Unix_error _ -> ());
+    Unix.close fd
+  in
+  let server = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+        Thread.join server;
+        Unix.close listen)
+    (fun () -> f port)
+
+(* A batch read is one check of the session's verifier, like a point or
+   range read: it counts in [checked], and a forged batch in [failures]. *)
+let test_batch_reads_counted () =
+  with_server @@ fun db server ->
+  ignore (Db.put_batch db [ ("a", "1"); ("b", "2") ]);
+  (with_session server @@ fun s ->
+   Session.sync s;
+   Alcotest.(check (list (option string))) "values" [ Some "1"; Some "2"; None ]
+     (Session.get_batch_verified s [ "a"; "b"; "c" ]);
+   Alcotest.(check int) "one check" 1 (Session.checked s);
+   Alcotest.(check int) "no failure" 0 (Session.failures s));
+  with_forging_server db @@ fun port ->
+  let s = Session.connect ~port () in
+  Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+  Session.sync s;
+  (match Session.get_batch_verified s [ "a"; "b" ] with
+   | _ -> Alcotest.fail "a forged batch must not verify"
+   | exception Session.Verification_failed _ -> ());
+  Alcotest.(check int) "one check" 1 (Session.checked s);
+  Alcotest.(check int) "one failure" 1 (Session.failures s)
+
 let suite =
   [
     Alcotest.test_case "session roundtrip over loopback" `Quick test_session_roundtrip;
@@ -913,6 +1057,11 @@ let suite =
     Alcotest.test_case "concurrent Applies: distinct heights, serial digest" `Quick
       test_concurrent_applies_distinct_heights;
     Alcotest.test_case "rollback detected by session sync" `Quick test_rollback_detected;
+    Alcotest.test_case "conditional Apply: no lost update, blind Apply loses one" `Quick
+      test_lost_update;
+    Alcotest.test_case "conditional Apply: a conflict frees its token" `Quick test_apply_if_tokens;
+    Alcotest.test_case "batch reads count in the session verifier" `Quick
+      test_batch_reads_counted;
     Alcotest.test_case "anchors verify while commits race" `Quick test_anchor_under_commits;
     Alcotest.test_case "session re-anchors below the horizon" `Quick
       test_session_reanchors_below_horizon;

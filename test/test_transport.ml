@@ -294,6 +294,24 @@ let test_large_frame_served () =
   Alcotest.(check (option string)) "then a small one" (Some "v") (Session.get_verified s "small");
   Alcotest.(check int) "no verification failures" 0 (Session.failures s)
 
+(* The conditional Apply's request and the Conflict answer, byte for
+   byte: a fresh request tag ['I'] — none of the retired ones — whose read
+   heights travel plus one, so a read before the first block (-1) is 0;
+   and the ['c'] answer. The plain [Apply] of the same batch keeps its
+   ['T'] frame. *)
+let test_apply_if_frames_pinned () =
+  let req =
+    Ipc.Apply_if { token = "t"; reads = [ ("k", -1); ("j", 5) ]; puts = [ ("k", "v") ]; deletes = [ "d" ] }
+  in
+  let bytes = "I\001t\002\001k\000\001j\006\001\001k\001v\001\001d" in
+  Alcotest.(check string) "Apply_if bytes" bytes (Ipc.encode_request req);
+  Alcotest.(check bool) "Apply_if decodes" true (Ipc.decode_request bytes = req);
+  Alcotest.(check string) "Apply bytes" "T\001t\001\001k\001v\001\001d"
+    (Ipc.encode_request (Ipc.Apply { token = "t"; puts = [ ("k", "v") ]; deletes = [ "d" ] }));
+  let conflict = Ipc.Conflict { key = "k"; height = 300 } in
+  Alcotest.(check string) "Conflict bytes" "c\001k\xac\x02" (Ipc.encode_response conflict);
+  Alcotest.(check bool) "Conflict decodes" true (Ipc.decode_response "c\001k\xac\x02" = conflict)
+
 let suite =
   [
     Alcotest.test_case "proof answers: frames equal the string-proof frames" `Quick
@@ -307,4 +325,5 @@ let suite =
       test_verified_reads_allocate_no_large_blocks;
     Alcotest.test_case "frame scratch keeps at most 64 KiB" `Quick test_scratch_bounded;
     Alcotest.test_case "a 1 MiB frame served, then small ones" `Quick test_large_frame_served;
+    Alcotest.test_case "Apply_if and Conflict frames pinned" `Quick test_apply_if_frames_pinned;
   ]
